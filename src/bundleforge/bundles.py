@@ -38,11 +38,12 @@ from .graphs import (
     make_graph,
     make_morphism,
     pair_label,
+    spanning_forest,
     split_edge_key,
     validate_morphism,
 )
 from .graphs import automorphisms as graph_automorphisms
-from .matrices import Matrix, adjacency_matrix, perm_block
+from .matrices import Matrix, adjacency_matrix, perm_block, voltage_adjacency
 from .perms import Perm
 from .products import cartesian_product, verify_kfold_covering
 
@@ -327,51 +328,30 @@ def _gauge_witnesses(
     """Yield all per-vertex automorphism families g with
     phi2(v,w) = g_w ∘ phi1(v,w) ∘ g_v⁻¹ on every oriented base edge.
 
-    Choices propagate along a spanning forest, so the search is linear in
-    the base size for each root choice.
+    The root value of each component forces g along a spanning tree, so the
+    search is linear in the base size for each root choice; the non-tree
+    edges then accept or reject the choice.
     """
-    components: list[list[Label]] = []
-    seen: set[Label] = set()
-    for root in base.vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in base.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        components.append(comp)
-
-    def component_solutions(comp: list[Label]) -> list[dict[Label, Perm]]:
-        root = comp[0]
+    per_component: list[list[dict[Label, Perm]]] = []
+    for tree in spanning_forest(base):
+        root, *rest = tree
+        non_tree = [
+            (v, w)
+            for v in tree
+            for w in base.neighbors(v)
+            if base.index[v] < base.index[w] and tree[v] != w and tree[w] != v
+        ]
         sols = []
         for g_root in auts:
-            g: dict[Label, Perm] = {root: g_root}
-            queue = [root]
-            ok = True
-            while queue and ok:
-                v = queue.pop(0)
-                for w in base.neighbors(v):
-                    forced = phi2[(v, w)].compose(g[v]).compose(phi1[(v, w)].inverse())
-                    if w in g:
-                        if g[w] != forced:
-                            ok = False
-                            break
-                    else:
-                        g[w] = forced
-                        queue.append(w)
-            if ok:
+            g = {root: g_root}
+            for w in rest:
+                v = tree[w]
+                g[w] = phi2[(v, w)].compose(g[v]).compose(phi1[(v, w)].inverse())
+            if all(g[w].compose(phi1[(v, w)]) == phi2[(v, w)].compose(g[v]) for v, w in non_tree):
                 sols.append(g)
-        return sols
-
-    per_component = [component_solutions(c) for c in components]
-    if any(not sols for sols in per_component):
-        return
+        if not sols:
+            return
+        per_component.append(sols)
     for combo in itertools.product(*per_component):
         merged: dict[Label, Perm] = {}
         for part in combo:
@@ -459,19 +439,9 @@ def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
     return Matrix(out)
 
 
-def bundle_adjacency(fv: FiberVoltage, aut_bound: int = DEFAULT_FIBER_AUT_BOUND) -> Matrix:
+def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     """Adjacency matrix of the voltage total space, computed by the closed
     formula: voltage indicators tensored with fiber actions, plus the fiber
     adjacency on the diagonal blocks."""
-    auts = fiber_automorphisms(fv.fiber, aut_bound)
-    n, m = fv.base.n, fv.fiber.n
-    out = np.zeros((n * m, n * m))
-    for psi in auts:
-        indicator = voltage_indicator(fv, psi)
-        if not indicator.data.any():
-            continue
-        out += np.kron(indicator.data, perm_block(psi).data)
-    out += np.kron(np.eye(n), adjacency_matrix(fv.fiber).data)
-    result = Matrix(out)
-    assert result.is_adjacency()
-    return result
+    terms = [(voltage_indicator(fv, psi), perm_block(psi)) for psi in sorted(set(fv.phi.values()))]
+    return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)

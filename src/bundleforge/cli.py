@@ -204,10 +204,13 @@ def cmd_bundle_verify(args) -> int:
             base = Graph.from_json(proj_data["base"])
         else:
             # Infer the base as the image graph of a surjective projection.
+            missing = [v for v in total.vertices if v not in mapping]
+            if missing:
+                raise ParseError(f"projection map undefined on total vertices {missing}")
             base_vs, seen = [], set()
             for v in total.vertices:
-                w = mapping.get(v)
-                if w is not None and w not in seen:
+                w = mapping[v]
+                if w not in seen:
                     base_vs.append(w)
                     seen.add(w)
             base_es = {

@@ -9,6 +9,7 @@ to a single vertex.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -50,34 +51,34 @@ def pair_label(a: Label, b: Label) -> Label:
     return f"({a},{b})"
 
 
+def split_composite(label: str, sep: str, what: str) -> tuple[Label, Label]:
+    """Strip the outer parentheses of a composite label and split the rest
+    at the first separator outside nested parentheses.
+
+    Raises ParseError naming ``what`` when either step fails.
+    """
+    if label.startswith("(") and label.endswith(")"):
+        body = label[1:-1]
+        depth = 0
+        for i, ch in enumerate(body):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == sep and depth == 0:
+                return body[:i], body[i + 1 :]
+    raise ParseError(f"bad {what}: {label!r}")
+
+
 def split_pair_label(label: Label) -> tuple[Label, Label]:
     """Invert :func:`pair_label`, splitting at the top-level comma."""
-    if not (label.startswith("(") and label.endswith(")")):
-        raise ParseError(f"not a pair label: {label!r}")
-    body = label[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ParseError(f"not a pair label: {label!r}")
+    return split_composite(label, ",", "pair label")
 
 
 def split_edge_key(key: str) -> tuple[str, str]:
     """Split a "v,w" oriented-edge key at the top-level comma, respecting
     parenthesized composite labels."""
-    depth = 0
-    for i, ch in enumerate(key):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return key[:i], key[i + 1 :]
-    raise ParseError(f"bad oriented edge key: {key!r}")
+    return split_composite(f"({key})", ",", "oriented edge key")
 
 
 @dataclass(frozen=True)
@@ -341,6 +342,32 @@ def image_graph(f: GraphMorphism) -> Graph:
         if fa != fb:
             es.add((fa, fb))
     return make_graph(vs, es)
+
+
+def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:
+    """Breadth-first spanning forest, one tree per connected component.
+
+    Each tree is rooted at its component's first vertex in stored order and
+    maps its vertices, in visit order, to their tree parent (None at the
+    root).  Neighbors are visited in stored order, so the forest is stable.
+    """
+    trees: list[dict[Label, Optional[Label]]] = []
+    seen: set[Label] = set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        tree: dict[Label, Optional[Label]] = {root: None}
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    tree[w] = v
+                    queue.append(w)
+        trees.append(tree)
+    return trees
 
 
 # --- isomorphism search ------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bundles import GraphBundle, verify_bundle
 from .errors import (
@@ -90,9 +90,12 @@ class FiniteGroup:
     def from_json(data: Mapping) -> FiniteGroup:
         try:
             elements = [str(e) for e in data["elements"]]
-            rows = data["table"]
+            rows = [list(row) for row in data["table"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad group JSON: {exc}") from exc
+        n = len(elements)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ParseError(f"group table must have {n} rows of {n} entries")
         table = {}
         for i, x in enumerate(elements):
             for j, y in enumerate(elements):
@@ -224,68 +227,25 @@ def compose_homs(g: GroupHom, f: GroupHom) -> GroupHom:
     return hom(f.domain, g.codomain, {x: g(f(x)) for x in f.domain.elements})
 
 
-def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Brute-force isomorphism test via generator images and closure."""
-    if a.order != b.order:
-        return False
-    if sorted(map(a.element_order, a.elements)) != sorted(map(b.element_order, b.elements)):
-        return False
+def _homs_by_closure(
+    a: FiniteGroup,
+    b: FiniteGroup,
+    candidates: Callable[[Label], list[Label]],
+    accept: Callable[[dict[Label, Label]], bool],
+) -> Iterator[dict[Label, Label]]:
+    """Yield every homomorphism a -> b, as an element map, that sends each
+    greedily chosen generator g of a into candidates(g) and passes accept.
+
+    Each choice of generator images is closed under right multiplication by
+    the generators; a choice is dropped as soon as two words disagree.
+    """
     gens: list[Label] = []
     generated: set[Label] = {a.identity}
     for x in a.elements:
         if x not in generated:
             gens.append(x)
             generated = set(a.generated_subgroup(gens))
-    if not gens:
-        return True
-
-    candidates = [
-        [y for y in b.elements if b.element_order(y) == a.element_order(g)] for g in gens
-    ]
-
-    def try_images(images: tuple[Label, ...]) -> bool:
-        phi: dict[Label, Label] = {a.identity: b.identity}
-        frontier = [a.identity]
-        while frontier:
-            x = frontier.pop()
-            for g, img in zip(gens, images):
-                y = a.mul(x, g)
-                fy = b.mul(phi[x], img)
-                if y in phi:
-                    if phi[y] != fy:
-                        return False
-                else:
-                    phi[y] = fy
-                    frontier.append(y)
-        if len(phi) != a.order or len(set(phi.values())) != a.order:
-            return False
-        return all(
-            phi[a.mul(x, y)] == b.mul(phi[x], phi[y])
-            for x in a.elements
-            for y in a.elements
-        )
-
-    return any(try_images(images) for images in itertools.product(*candidates))
-
-
-def surjective_homs(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:
-    """All surjective homomorphisms, by closing candidate generator images."""
-    if a.order % b.order != 0:
-        return []
-    gens: list[Label] = []
-    generated: set[Label] = {a.identity}
-    for x in a.elements:
-        if x not in generated:
-            gens.append(x)
-            generated = set(a.generated_subgroup(gens))
-    if not gens:
-        return [hom(a, b, {a.identity: b.identity})] if b.order == 1 else []
-    candidates = [
-        [y for y in b.elements if a.element_order(g) % b.element_order(y) == 0]
-        for g in gens
-    ]
-    out: list[GroupHom] = []
-    for images in itertools.product(*candidates):
+    for images in itertools.product(*(candidates(g) for g in gens)):
         phi: dict[Label, Label] = {a.identity: b.identity}
         frontier = [a.identity]
         consistent = True
@@ -301,17 +261,42 @@ def surjective_homs(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:
                 else:
                     phi[y] = fy
                     frontier.append(y)
-        if not consistent or len(phi) != a.order:
-            continue
-        if set(phi.values()) != set(b.elements):
+        if not consistent or not accept(phi):
             continue
         if all(
             phi[a.mul(x, y)] == b.mul(phi[x], phi[y])
             for x in a.elements
             for y in a.elements
         ):
-            out.append(GroupHom(a, b, phi))
-    return out
+            yield phi
+
+
+def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Brute-force isomorphism test via generator images and closure."""
+    if a.order != b.order:
+        return False
+    if sorted(map(a.element_order, a.elements)) != sorted(map(b.element_order, b.elements)):
+        return False
+    isos = _homs_by_closure(
+        a,
+        b,
+        lambda g: [y for y in b.elements if b.element_order(y) == a.element_order(g)],
+        lambda phi: len(set(phi.values())) == a.order,
+    )
+    return next(isos, None) is not None
+
+
+def surjective_homs(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:
+    """All surjective homomorphisms, by closing candidate generator images."""
+    if a.order % b.order != 0:
+        return []
+    homs = _homs_by_closure(
+        a,
+        b,
+        lambda g: [y for y in b.elements if a.element_order(g) % b.element_order(y) == 0],
+        lambda phi: set(phi.values()) == set(b.elements),
+    )
+    return [GroupHom(a, b, phi) for phi in homs]
 
 
 def admissible_generating_sets(ker: FiniteGroup, ambient: FiniteGroup) -> list[GeneratorSystem]:

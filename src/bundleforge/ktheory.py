@@ -25,6 +25,7 @@ from .graphs import (
     automorphisms,
     find_isomorphism,
     make_graph,
+    spanning_forest,
 )
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
@@ -52,40 +53,27 @@ def fiber_power(f: Graph, n: int) -> Graph:
 
 @dataclass(frozen=True)
 class _ForestGauge:
-    """Spanning-forest data for canonicalizing voltages over one base graph."""
+    """Spanning-forest data for canonicalizing voltages over one base graph.
+
+    parent maps every base vertex, in breadth-first visit order, to its
+    tree parent (None at a component root)."""
 
     base: Graph
-    tree: frozenset[frozenset[Label]]
-    parent_order: tuple[Label, ...]
+    parent: Mapping[Label, Optional[Label]]
     component_of: Mapping[Label, int]
     non_tree_positions: tuple[int, ...]
 
 
 def _forest_gauge(base: Graph) -> _ForestGauge:
-    tree: set[frozenset[Label]] = set()
-    comp_of: dict[Label, int] = {}
-    order: list[Label] = []
-    for root in base.vertices:
-        if root in comp_of:
-            continue
-        cid = (max(comp_of.values()) + 1) if comp_of else 0
-        comp_of[root] = cid
-        order.append(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in base.neighbors(v):
-                if w not in comp_of:
-                    comp_of[w] = cid
-                    order.append(w)
-                    tree.add(frozenset((v, w)))
-                    queue.append(w)
+    trees = spanning_forest(base)
+    parent = {v: p for tree in trees for v, p in tree.items()}
+    component_of = {v: cid for cid, tree in enumerate(trees) for v in tree}
     non_tree = tuple(
         pos
         for pos, (a, b) in enumerate(base.edge_list())
-        if frozenset((a, b)) not in tree
+        if parent[a] != b and parent[b] != a
     )
-    return _ForestGauge(base, frozenset(tree), tuple(order), comp_of, non_tree)
+    return _ForestGauge(base, parent, component_of, non_tree)
 
 
 def _canonical_key(
@@ -99,12 +87,8 @@ def _canonical_key(
     base = gauge.base
     ident = Perm.identity(fiber_size)
     h: dict[Label, Perm] = {}
-    for v in gauge.parent_order:
-        if v not in h:
-            h[v] = ident
-        for w in base.neighbors(v):
-            if frozenset((v, w)) in gauge.tree and w not in h:
-                h[w] = h[v].compose(value_of(v, w).inverse())
+    for w, v in gauge.parent.items():
+        h[w] = ident if v is None else h[v].compose(value_of(v, w).inverse())
     edge_list = base.edge_list()
     by_component: dict[int, list[tuple[int, Perm]]] = {}
     for pos in gauge.non_tree_positions:

@@ -169,6 +169,22 @@ def perm_block(sigma: Perm) -> Matrix:
     return perm_matrix(sigma.inverse())
 
 
+def voltage_adjacency(n: int, fiber_adjacency: Matrix, terms: Iterable[tuple[Matrix, Matrix]]) -> Matrix:
+    """Adjacency of a voltage-type total space over an n-vertex base, in
+    (base, fiber) lexicographic order: I_n ⊗ fiber_adjacency plus
+    indicator ⊗ block for every (indicator, block) term.
+
+    The bundle, covering, pullback and subdirect adjacency theorems all
+    take this shape, with one term per distinct voltage value used.
+    """
+    out = np.kron(np.eye(n), fiber_adjacency.data)
+    for indicator, block in terms:
+        out += np.kron(indicator.data, block.data)
+    result = Matrix(out)
+    assert result.is_adjacency()
+    return result
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Real eigenvalue multiset, sorted descending with multiplicity."""

@@ -24,7 +24,7 @@ from .graphs import (
     split_pair_label,
     validate_morphism,
 )
-from .matrices import Matrix, Spectrum, perm_block
+from .matrices import Matrix, Spectrum, perm_block, voltage_adjacency, zeros
 from .perms import Perm
 
 
@@ -231,18 +231,16 @@ def covering_total_graph(base: Graph, cv: CoveringVoltage) -> Graph:
 def covering_adjacency(base: Graph, cv: CoveringVoltage) -> Matrix:
     """Adjacency of the covering total space in lexicographic (vertex, index) order.
 
-    Realizes the block identity: summed over the voltage values, the base
-    indicator matrix of each permutation tensored with its fiber action.
+    Realizes the block identity with an edgeless fiber: summed over the
+    voltage values, the base indicator matrix of each permutation tensored
+    with its fiber action.
     """
-    n, k = base.n, cv.k
-    out = np.zeros((n * k, n * k))
-    used = sorted({perm for perm in cv.sigma.values()})
-    for perm in used:
+    n = base.n
+    terms = []
+    for perm in sorted(set(cv.sigma.values())):
         indicator = np.zeros((n, n))
         for (v, w), value in cv.sigma.items():
             if value == perm:
                 indicator[base.index[v], base.index[w]] = 1.0
-        out += np.kron(indicator, perm_block(perm).data)
-    m = Matrix(out)
-    assert m.is_adjacency()
-    return m
+        terms.append((Matrix(indicator), perm_block(perm)))
+    return voltage_adjacency(n, zeros(cv.k, cv.k), terms)

@@ -18,7 +18,6 @@ from .bundles import (
     FiberVoltage,
     GraphBundle,
     bundles_equivalent,
-    fiber_automorphisms,
     make_fiber_voltage,
     verify_bundle,
     voltage_indicator,
@@ -33,10 +32,19 @@ from .graphs import (
     make_morphism,
     pair_label,
     preserves_edges,
+    split_composite,
     split_pair_label,
     validate_morphism,
 )
-from .matrices import Matrix, adjacency_matrix, hadamard, identity, perm_block
+from .matrices import (
+    Matrix,
+    adjacency_matrix,
+    hadamard,
+    identity,
+    kronecker,
+    perm_block,
+    voltage_adjacency,
+)
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
 
@@ -72,16 +80,8 @@ def pullback_vertex(v: Label, x: Label) -> Label:
 
 
 def split_pullback_vertex(label: Label) -> tuple[Label, Label]:
-    body = label[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ValueError(f"not a pullback vertex label: {label!r}")
+    """Invert :func:`pullback_vertex`, splitting at the top-level bar."""
+    return split_composite(label, "|", "pullback vertex label")
 
 
 def _typed_fiber_product(
@@ -211,24 +211,16 @@ def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
     return hadamard(adjacency_matrix(f.domain), pullback_b_matrix(f, fv, psi))
 
 
-def pullback_adjacency(
-    f: GraphMorphism, fv: FiberVoltage, aut_bound: int = DEFAULT_FIBER_AUT_BOUND
-) -> Matrix:
-    """Adjacency of the pullback total space, by the closed matrix formula."""
+def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
+    """Adjacency of the pullback total space, by the closed matrix formula.
+
+    The sum runs over the voltage values used plus the identity, which the
+    collapsed edges carry."""
     if f.codomain != fv.base:
         raise BaseMismatch("codomain of the morphism must equal the voltage base")
-    auts = fiber_automorphisms(fv.fiber, aut_bound)
-    n, m = f.domain.n, fv.fiber.n
-    out = np.zeros((n * m, n * m))
-    for psi in auts:
-        indicator = pullback_indicator(f, fv, psi)
-        if not indicator.data.any():
-            continue
-        out += np.kron(indicator.data, perm_block(psi).data)
-    out += np.kron(np.eye(n), adjacency_matrix(fv.fiber).data)
-    result = Matrix(out)
-    assert result.is_adjacency()
-    return result
+    values = sorted(set(fv.phi.values()) | {Perm.identity(fv.fiber.n)})
+    terms = [(pullback_indicator(f, fv, psi), perm_block(psi)) for psi in values]
+    return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 
 def canonical_map(f: GraphMorphism, b: GraphBundle, pb: Optional[PullbackBundle] = None) -> GraphMorphism:
@@ -296,38 +288,24 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     )
 
 
-def subdirect_adjacency(
-    fv1: FiberVoltage, fv2: FiberVoltage, aut_bound: int = DEFAULT_FIBER_AUT_BOUND
-) -> Matrix:
+def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     """Adjacency of the subdirect total space in (base, fiber1, fiber2)
-    lexicographic order, by the closed double-sum formula."""
+    lexicographic order, by the closed double-sum formula over the pairs of
+    voltage values used on a common oriented edge."""
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
     base = fv1.base
     n = base.n
-    m1, m2 = fv1.fiber.n, fv2.fiber.n
-    auts1 = fiber_automorphisms(fv1.fiber, aut_bound)
-    auts2 = fiber_automorphisms(fv2.fiber, aut_bound)
-    out = np.zeros((n * m1 * m2, n * m1 * m2))
-    for psi1 in auts1:
-        for psi2 in auts2:
-            indicator = np.zeros((n, n))
-            hit = False
-            for (v, w), value in fv1.phi.items():
-                if value == psi1 and fv2.phi[(v, w)] == psi2:
-                    indicator[base.index[v], base.index[w]] = 1.0
-                    hit = True
-            if not hit:
-                continue
-            block = np.kron(perm_block(psi1).data, perm_block(psi2).data)
-            out += np.kron(indicator, block)
-    a1 = adjacency_matrix(fv1.fiber).data
-    a2 = adjacency_matrix(fv2.fiber).data
-    out += np.kron(np.eye(n), np.kron(a1, np.eye(m2)))
-    out += np.kron(np.eye(n), np.kron(np.eye(m1), a2))
-    result = Matrix(out)
-    assert result.is_adjacency()
-    return result
+    terms = []
+    for psi1, psi2 in sorted({(value, fv2.phi[edge]) for edge, value in fv1.phi.items()}):
+        indicator = np.zeros((n, n))
+        for (v, w), value in fv1.phi.items():
+            if value == psi1 and fv2.phi[(v, w)] == psi2:
+                indicator[base.index[v], base.index[w]] = 1.0
+        terms.append((Matrix(indicator), kronecker(perm_block(psi1), perm_block(psi2))))
+    a1, a2 = adjacency_matrix(fv1.fiber), adjacency_matrix(fv2.fiber)
+    fiber_adjacency = kronecker(a1, identity(fv2.fiber.n)) + kronecker(identity(fv1.fiber.n), a2)
+    return voltage_adjacency(n, fiber_adjacency, terms)
 
 
 def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:

@@ -1,6 +1,6 @@
 import pytest
 
-from bundleforge import complete_graph, cycle_graph, empty_graph, path_graph
+from bundleforge import Perm, complete_graph, cycle_graph, empty_graph, make_fiber_voltage, path_graph
 from bundleforge.named import (
     hexagonal_prism,
     mobius_ladder_3,
@@ -74,3 +74,13 @@ def q_m3_c3(m3):
 @pytest.fixture
 def m3_voltage():
     return twisted_ladder_voltage()
+
+
+@pytest.fixture
+def c9_rotation_voltage(c6):
+    """Rotations of a 9-cycle fiber over the hexagon: four distinct values,
+    on a fiber too large for automorphism enumeration."""
+    rotation = Perm(tuple((i + 1) % 9 for i in range(9)))
+    ident = Perm.identity(9)
+    values = [rotation, rotation.compose(rotation), ident, rotation.inverse(), rotation, ident]
+    return make_fiber_voltage(c6, cycle_graph(9), dict(zip(c6.edge_list(), values)))

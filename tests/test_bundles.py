@@ -209,13 +209,15 @@ class TestBundleAdjacency:
         direct = adjacency_matrix(voltage_bundle(m3_voltage).total)
         assert formula == direct
 
-    def test_non_involutive_voltage_formula(self):
-        # Three-cycle voltages catch any transposed fiber-action convention.
+    def test_non_involutive_voltage_formula(self, c9_rotation_voltage):
+        # Rotation voltages catch any transposed fiber-action convention; the
+        # 9-cycle fiber is beyond automorphism enumeration.
         base = path_graph(2)
         fiber = empty_graph(3)
         cycle3 = Perm((1, 2, 0))
         fv = make_fiber_voltage(base, fiber, {("1", "2"): cycle3})
-        assert bundle_adjacency(fv) == adjacency_matrix(voltage_bundle(fv).total)
+        for voltage in (fv, c9_rotation_voltage):
+            assert bundle_adjacency(voltage) == adjacency_matrix(voltage_bundle(voltage).total)
 
     def test_k3_fiber_with_rotation(self, c3, k3):
         cycle3 = Perm((1, 2, 0))

@@ -96,6 +96,14 @@ class TestBundleCommands:
         assert code == 0
         assert "valid bundle: 2-vertex fiber over 3-vertex base" in out
 
+    def test_verify_partial_projection_is_input_error(self, capsys, tmp_path):
+        total = write_json(tmp_path, "m3.json", mobius_ladder_3().to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        proj = write_json(tmp_path, "q.json", {"map": {"1": "1", "2": "2"}})
+        code, _, err = run(capsys, "bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber)
+        assert code == 2
+        assert "undefined" in err
+
     def test_verify_rejects_cover_as_edge_bundle(self, capsys, tmp_path):
         total = write_json(tmp_path, "c6.json", cycle_graph(6).to_json())
         fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
@@ -143,6 +151,16 @@ class TestGroupCommands:
         code, out, _ = run(capsys, "cayley", "--group", path, "--gens", "1,3")
         assert code == 0
         assert "symmetrized" in out and "'5'" in out
+
+    def test_cayley_short_table_row_is_input_error(self, capsys, tmp_path):
+        group = write_json(
+            tmp_path,
+            "z3.json",
+            {"elements": ["0", "1", "2"], "table": [["0", "1", "2"], ["1", "2"], ["2", "0", "1"]]},
+        )
+        code, _, err = run(capsys, "cayley", "--group", group, "--gens", "1")
+        assert code == 2
+        assert "input error" in err
 
     def test_subdirect_group_case(self, capsys):
         code, out, _ = run(capsys, "subdirect-group", "--case", "z2z3-z6")

@@ -29,6 +29,7 @@ from bundleforge.errors import (
     NotAGroup,
     NotAHomomorphism,
     NotSurjective,
+    ParseError,
 )
 from bundleforge.graphs import is_isomorphism, split_pair_label
 from bundleforge.groups import (
@@ -111,6 +112,52 @@ class TestGroupConstruction:
 
     def test_json_roundtrip(self, z6):
         assert FiniteGroup.from_json(z6.to_json()).table == dict(z6.table)
+
+    def test_ragged_table_is_parse_error(self, z6):
+        data = z6.to_json()
+        data["table"][1] = data["table"][1][:-1]
+        with pytest.raises(ParseError):
+            FiniteGroup.from_json(data)
+
+
+def quaternion_group() -> FiniteGroup:
+    """Q8 on signed units: i*j = k, j*k = i, k*i = j, each unit squaring to -1."""
+    units = ["1", "i", "j", "k"]
+    unit_product = {
+        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
+    }
+
+    def unit_mul(a: str, b: str) -> tuple[int, str]:
+        if a == "1":
+            return 1, b
+        if b == "1":
+            return 1, a
+        if a == b:
+            return -1, "1"
+        return unit_product[(a, b)]
+
+    elems = [(s, u) for s in (1, -1) for u in units]
+    label = {(s, u): ("" if s == 1 else "-") + u for s, u in elems}
+    table = {}
+    for s1, u1 in elems:
+        for s2, u2 in elems:
+            sign, unit = unit_mul(u1, u2)
+            table[(label[(s1, u1)], label[(s2, u2)])] = label[(s1 * s2 * sign, unit)]
+    return make_group([label[e] for e in elems], table)
+
+
+class TestGroupIsomorphism:
+    def test_same_order_statistics_not_isomorphic(self):
+        # Both groups have one identity, three involutions and twelve
+        # elements of order four, so only the closure can tell them apart.
+        z4z4 = direct_product(cyclic(4), cyclic(4))
+        z2q8 = direct_product(cyclic(2), quaternion_group())
+        stats = [sorted(map(g.element_order, g.elements)) for g in (z4z4, z2q8)]
+        assert stats[0] == stats[1]
+        assert not group_isomorphic(z4z4, z2q8)
+        assert not group_isomorphic(z2q8, z4z4)
+        assert group_isomorphic(z2q8, direct_product(quaternion_group(), cyclic(2)))
 
 
 class TestHomomorphisms:

@@ -34,7 +34,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge.bundles import with_fiber
-from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree
+from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree, ParseError
 from bundleforge.matrices import from_rows, identity as identity_matrix
 from bundleforge.named import (
     m3_bundle,
@@ -46,6 +46,8 @@ from bundleforge.named import (
 from bundleforge.pullback import (
     pullback_b_matrix,
     pullback_indicator,
+    pullback_vertex,
+    split_pullback_vertex,
     subdirect_voltage,
     typed_edge_counts,
 )
@@ -123,6 +125,16 @@ class TestPullbackBundle:
         assert bundles_equivalent(pb1, pb2) is not None
 
 
+class TestPullbackVertexLabels:
+    def test_split_inverts_label(self):
+        assert split_pullback_vertex(pullback_vertex("(1,2)", "(a|b)")) == ("(1,2)", "(a|b)")
+
+    @pytest.mark.parametrize("label", ["a|b", "xa|by", "(ab)", "(a|b"])
+    def test_malformed_label_is_parse_error(self, label):
+        with pytest.raises(ParseError):
+            split_pullback_vertex(label)
+
+
 class TestPullbackVoltage:
     def test_identity_keeps_voltage(self, m3_voltage, c3):
         out = pullback_voltage(identity_morphism(c3), m3_voltage)
@@ -178,10 +190,14 @@ class TestPullbackAdjacency:
         out = pullback_indicator(p_c6_c3, m3_voltage, SWAP)
         assert out == from_rows(HADAMARD_SWAP_ROWS)
 
-    def test_formula_matches_construction(self, p_c6_c3, m3_voltage):
-        formula = pullback_adjacency(p_c6_c3, m3_voltage)
-        direct = adjacency_matrix(pullback_bundle(p_c6_c3, voltage_bundle(m3_voltage)).total)
-        assert formula == direct
+    def test_formula_matches_construction(self, c6, p_c6_c3, m3_voltage, c9_rotation_voltage):
+        # The heptagon wraps onto the hexagon, collapsing its edge {6, 7}.
+        c7 = cycle_graph(7)
+        wrap = make_morphism(c7, c6, {v: v if v != "7" else "6" for v in c7.vertices})
+        for f, fv in ((p_c6_c3, m3_voltage), (wrap, c9_rotation_voltage)):
+            formula = pullback_adjacency(f, fv)
+            direct = adjacency_matrix(pullback_bundle(f, voltage_bundle(fv)).total)
+            assert formula == direct
 
     def test_identity_reduces_to_bundle_formula(self, c3, m3_voltage):
         from bundleforge import bundle_adjacency
@@ -322,16 +338,20 @@ class TestSubdirectAdjacency:
         sp = subdirect_product(voltage_bundle(fv1), voltage_bundle(m3_voltage))
         assert subdirect_adjacency(fv1, m3_voltage) == adjacency_matrix(sp.total)
 
-    def test_double_twist_matches_construction(self, m3_voltage):
-        sp = subdirect_product(voltage_bundle(m3_voltage), voltage_bundle(m3_voltage))
-        assert subdirect_adjacency(m3_voltage, m3_voltage) == adjacency_matrix(sp.total)
+    def test_double_twist_matches_construction(self, c6, k2, m3_voltage, c9_rotation_voltage):
+        hexagon_twist = make_fiber_voltage(
+            c6, k2, {e: SWAP if e == ("1", "2") else IDENT for e in c6.edge_list()}
+        )
+        for fv1, fv2 in ((m3_voltage, m3_voltage), (c9_rotation_voltage, hexagon_twist)):
+            sp = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2))
+            assert subdirect_adjacency(fv1, fv2) == adjacency_matrix(sp.total)
 
     def test_voltage_route_agrees(self, c3, k2, m3_voltage):
         fv1 = trivial_voltage(c3, k2)
         combined = subdirect_voltage(fv1, m3_voltage)
         from bundleforge import bundle_adjacency
 
-        assert bundle_adjacency(combined, aut_bound=8) == subdirect_adjacency(fv1, m3_voltage)
+        assert bundle_adjacency(combined) == subdirect_adjacency(fv1, m3_voltage)
 
 
 class TestPairMorphism:
