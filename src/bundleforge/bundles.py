@@ -173,12 +173,9 @@ class GraphBundle:
     fiber_isos: Mapping[Label, Mapping[Label, Label]]
     transitions: Mapping[tuple[Label, Label], Mapping[Label, Label]]
 
-    @cached_property
+    @property
     def fibers(self) -> dict[Label, tuple[Label, ...]]:
-        out: dict[Label, list[Label]] = {v: [] for v in self.base.vertices}
-        for x in self.total.vertices:
-            out[self.projection(x)].append(x)
-        return {v: tuple(xs) for v, xs in out.items()}
+        return self.projection.preimages
 
     @cached_property
     def inverse_fiber_isos(self) -> dict[Label, dict[Label, Label]]:
@@ -217,7 +214,13 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     return GraphBundle(total, projection, base, fiber, fiber_isos, transitions)
 
 
-def _check_conditions(total: Graph, p: GraphMorphism, fiber: Graph):
+def _check_conditions(
+    total: Graph,
+    p: GraphMorphism,
+    fiber: Graph,
+    fibers: Mapping[Label, tuple[Label, ...]],
+    fiber_graphs: Mapping[Label, Graph],
+):
     """Covering plus transition-isomorphism conditions; returns transitions."""
     base = p.codomain
     cross = [(a, b) for a, b in total.edge_list() if p(a) != p(b)]
@@ -227,10 +230,6 @@ def _check_conditions(total: Graph, p: GraphMorphism, fiber: Graph):
         covering = verify_kfold_covering(p_tilde, fiber.n)
     except (FiberSizeMismatch, NoLifting) as exc:
         raise NotACovering(f"edge-deleted total space is not a {fiber.n}-fold covering: {exc}") from exc
-    fibers: dict[Label, list[Label]] = {v: [] for v in base.vertices}
-    for x in total.vertices:
-        fibers[p(x)].append(x)
-    fiber_graphs = {v: induced_subgraph(total, fibers[v]) for v in base.vertices}
     transitions: dict[tuple[Label, Label], dict[Label, Label]] = {}
     for a, b in base.edge_list():
         for v, w in ((a, b), (b, a)):
@@ -245,12 +244,13 @@ def _check_conditions(total: Graph, p: GraphMorphism, fiber: Graph):
     return transitions
 
 
-def _check_local_triviality(total: Graph, p: GraphMorphism, fiber: Graph) -> None:
+def _check_local_triviality(
+    total: Graph, p: GraphMorphism, fiber: Graph, fibers: Mapping[Label, tuple[Label, ...]]
+) -> None:
     base = p.codomain
     k2f = cartesian_product(complete_graph(2), fiber)
     for v, w in base.edge_list():
-        pre = [x for x in total.vertices if p(x) in (v, w)]
-        local = induced_subgraph(total, pre)
+        local = induced_subgraph(total, fibers[v] + fibers[w])
         if find_isomorphism(local, k2f) is None:
             raise LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
 
@@ -266,13 +266,12 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
     base = p.codomain
-    fibers: dict[Label, list[Label]] = {v: [] for v in base.vertices}
-    for x in total.vertices:
-        fibers[p(x)].append(x)
+    fibers = p.preimages
+    fiber_graphs: dict[Label, Graph] = {}
     sigma: dict[Label, dict[Label, Label]] = {}
     for v in base.vertices:
-        fib = induced_subgraph(total, fibers[v])
-        iso = find_isomorphism(fib, fiber)
+        fiber_graphs[v] = induced_subgraph(total, fibers[v])
+        iso = find_isomorphism(fiber_graphs[v], fiber)
         if iso is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")
         sigma[v] = iso
@@ -280,13 +279,13 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     definition_error: Exception | None = None
     transitions: dict[tuple[Label, Label], dict[Label, Label]] | None = None
     try:
-        transitions = _check_conditions(total, p, fiber)
+        transitions = _check_conditions(total, p, fiber, fibers, fiber_graphs)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 
     local_error: Exception | None = None
     try:
-        _check_local_triviality(total, p, fiber)
+        _check_local_triviality(total, p, fiber, fibers)
     except LocalTrivialityFails as exc:
         local_error = exc
 

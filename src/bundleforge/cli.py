@@ -555,21 +555,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_limits(args) -> None:
+    """Validate the node budget and --n-max, then install the budget.
+
+    Raises ParseError for a negative value or a non-integer environment
+    budget.
+    """
+    budget, source = args.budget, "--budget"
+    env = os.environ.get("BUNDLEFORGE_BUDGET")
+    if budget is None and env:
+        source = "BUNDLEFORGE_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(f"bad BUNDLEFORGE_BUDGET: {env!r}") from None
+    if budget is not None and budget < 0:
+        raise ParseError(f"{source} must not be negative, got {budget}")
+    if getattr(args, "n_max", 0) < 0:
+        raise ParseError(f"--n-max must not be negative, got {args.n_max}")
+    if budget is not None:
+        graphs_mod.DEFAULT_NODE_BUDGET = budget
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("BUNDLEFORGE_BUDGET")
-        if env:
-            try:
-                budget = int(env)
-            except ValueError:
-                print(f"bad BUNDLEFORGE_BUDGET: {env!r}", file=sys.stderr)
-                return EXIT_INPUT
-    if budget is not None:
-        graphs_mod.DEFAULT_NODE_BUDGET = budget
     try:
+        _apply_limits(args)
         return args.func(args)
     except (SearchBudgetExceeded, EnumerationBoundExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -124,15 +124,20 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
 
-    def edge_list(self) -> list[tuple[Label, Label]]:
-        """Edges with endpoints in vertex order, sorted by endpoint indices."""
+    @cached_property
+    def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
         idx = self.index
-        out = []
-        for e in self.edges:
-            a, b = sorted(e, key=idx.__getitem__)
-            out.append((a, b))
-        out.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
-        return out
+        return tuple(
+            (a, b) for a in self.vertices for b in self.adjacency[a] if idx[a] < idx[b]
+        )
+
+    def edge_list(self) -> list[tuple[Label, Label]]:
+        """Edges with endpoints in vertex order, sorted by endpoint indices.
+
+        A fresh list over an order computed once per graph.  This stays a
+        method, not a property, so it can be rebound on the class.
+        """
+        return list(self._edge_order)
 
     def to_json(self) -> dict:
         return {
@@ -236,6 +241,14 @@ class GraphMorphism:
     def map(self) -> dict[Label, Label]:
         return dict(self.pairs)
 
+    @cached_property
+    def preimages(self) -> dict[Label, tuple[Label, ...]]:
+        """Domain vertices over each codomain vertex, in domain order."""
+        out: dict[Label, list[Label]] = {v: [] for v in self.codomain.vertices}
+        for x, v in self.pairs:
+            out[v].append(x)
+        return {v: tuple(xs) for v, xs in out.items()}
+
     def __call__(self, v: Label) -> Label:
         try:
             return self.map[v]
@@ -300,11 +313,12 @@ def preserves_edges(f: GraphMorphism) -> bool:
 def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
     """Subgraph on the given vertices with all edges among them, order inherited."""
     want = {canon_label(v) for v in subset}
+    idx = g.index
     for v in want:
-        if v not in g.index:
+        if v not in idx:
             raise UnknownVertex(f"vertex {v!r} not in graph")
-    vs = [v for v in g.vertices if v in want]
-    es = [(a, b) for a, b in g.edge_list() if a in want and b in want]
+    vs = sorted(want, key=idx.__getitem__)
+    es = [(a, b) for a in vs for b in g.adjacency[a] if b in want and idx[a] < idx[b]]
     return make_graph(vs, es)
 
 
@@ -324,24 +338,7 @@ def fiber(f: GraphMorphism, v: object) -> Graph:
     v = canon_label(v)
     if v not in f.codomain.index:
         raise UnknownVertex(f"vertex {v!r} not in codomain")
-    pre = [x for x in f.domain.vertices if f(x) == v]
-    return induced_subgraph(f.domain, pre)
-
-
-def image_graph(f: GraphMorphism) -> Graph:
-    """Image of the morphism: image vertices plus images of non-collapsed edges."""
-    vs = []
-    seen = set()
-    for v in f.codomain.vertices:
-        if v in set(f.map.values()) and v not in seen:
-            vs.append(v)
-            seen.add(v)
-    es = set()
-    for a, b in f.domain.edge_list():
-        fa, fb = f(a), f(b)
-        if fa != fb:
-            es.add((fa, fb))
-    return make_graph(vs, es)
+    return induced_subgraph(f.domain, f.preimages[v])
 
 
 def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:

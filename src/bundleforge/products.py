@@ -92,7 +92,7 @@ class Covering:
     liftings: Mapping[tuple[Label, Label], Mapping[Label, Label]]
 
     def fiber_vertices(self, v: Label) -> tuple[Label, ...]:
-        return tuple(x for x in self.total.vertices if self.projection(x) == v)
+        return self.projection.preimages.get(v, ())
 
 
 def verify_kfold_covering(p: GraphMorphism, k: int) -> Covering:
@@ -105,9 +105,7 @@ def verify_kfold_covering(p: GraphMorphism, k: int) -> Covering:
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
     total, base = p.domain, p.codomain
-    fibers: dict[Label, list[Label]] = {v: [] for v in base.vertices}
-    for x in total.vertices:
-        fibers[p(x)].append(x)
+    fibers = p.preimages
     for v in base.vertices:
         if len(fibers[v]) != k:
             raise FiberSizeMismatch(f"fiber over {v!r} has {len(fibers[v])} vertices, expected {k}")

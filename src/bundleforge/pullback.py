@@ -93,31 +93,37 @@ def _typed_fiber_product(
     label_fn: Callable[[Label, Label], Label],
 ) -> tuple[Graph, tuple[TypedEdge, ...]]:
     """Fiber product on compatible pairs, left coordinate major, with the
-    three-kind edge rule (kind II collapses on the left coordinate)."""
-    pairs = [
-        (a, b)
-        for a in left.vertices
-        for b in right.vertices
-        if left_to_target[a] == right_to_target[b]
-    ]
+    three-kind edge rule (kind II collapses on the left coordinate).
+
+    The later neighbours of each pair (a, b) are found by walking the
+    neighbours of a in left and of b in right.  Neighbour lists are in
+    stored order and pairs are left major, so the edges come out in pair
+    order: for each pair, first the (a, b2), then the (a2, ...) by a2.
+    """
+    right_over: dict[Label, list[Label]] = {}
+    for b in right.vertices:
+        right_over.setdefault(right_to_target[b], []).append(b)
+    pairs = [(a, b) for a in left.vertices for b in right_over.get(left_to_target[a], ())]
+    position = {pair: i for i, pair in enumerate(pairs)}
     labels = [label_fn(a, b) for a, b in pairs]
-    index = {p: label_fn(*p) for p in pairs}
     typed: list[TypedEdge] = []
     for i, (a, b) in enumerate(pairs):
-        for a2, b2 in pairs[i + 1 :]:
-            if a == a2 and right.has_edge(b, b2):
-                kind = EDGE_KIND_FIBER
-            elif left.has_edge(a, a2) and left_to_target[a] == left_to_target[a2] and b == b2:
-                kind = EDGE_KIND_COLLAPSED
-            elif (
-                left.has_edge(a, a2)
-                and target.has_edge(left_to_target[a], left_to_target[a2])
-                and right.has_edge(b, b2)
-            ):
-                kind = EDGE_KIND_DIAGONAL
-            else:
-                continue
-            typed.append(TypedEdge((index[(a, b)], index[(a2, b2)]), kind))
+        t = left_to_target[a]
+        for b2 in right.adjacency[b]:
+            j = position.get((a, b2), -1)
+            if j > i:
+                typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_FIBER))
+        for a2 in left.adjacency[a]:
+            t2 = left_to_target[a2]
+            if t2 == t:
+                j = position.get((a2, b), -1)
+                if j > i:
+                    typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_COLLAPSED))
+            elif target.has_edge(t, t2):
+                for b2 in right.adjacency[b]:
+                    j = position.get((a2, b2), -1)
+                    if j > i:
+                        typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_DIAGONAL))
     graph = make_graph(labels, [e.endpoints for e in typed])
     return graph, tuple(typed)
 

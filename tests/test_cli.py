@@ -228,3 +228,34 @@ class TestExitCodes:
             assert code == 3
         finally:
             graphs_mod.DEFAULT_NODE_BUDGET = saved
+
+    def test_negative_n_max_is_input_error(self, capsys):
+        code, out, err = run(capsys, "ktheory", "--case", "c3-k2", "--n-max", "-1")
+        assert code == 2
+        assert "--n-max" in err
+        assert out == ""
+
+    def test_negative_budget_is_input_error(self, capsys):
+        import bundleforge.graphs as graphs_mod
+
+        saved = graphs_mod.DEFAULT_NODE_BUDGET
+        try:
+            code, _, err = run(capsys, "--budget", "-5", "bundle-verify", "--case", "m62")
+            assert code == 2
+            assert "input error" in err
+            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
+        finally:
+            graphs_mod.DEFAULT_NODE_BUDGET = saved
+
+    def test_negative_env_budget_is_input_error(self, capsys, monkeypatch):
+        import bundleforge.graphs as graphs_mod
+
+        saved = graphs_mod.DEFAULT_NODE_BUDGET
+        monkeypatch.setenv("BUNDLEFORGE_BUDGET", "-5")
+        try:
+            code, _, err = run(capsys, "bundle-verify", "--case", "m62")
+            assert code == 2
+            assert "BUNDLEFORGE_BUDGET" in err
+            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
+        finally:
+            graphs_mod.DEFAULT_NODE_BUDGET = saved

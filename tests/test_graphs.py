@@ -257,6 +257,16 @@ class TestSerialization:
         assert dot.startswith("graph G {")
         assert '"1" -- "2";' in dot
 
+    def test_edge_list_is_a_fresh_copy(self, c6):
+        before = c6.edge_list()
+        data = c6.to_json()
+        first = c6.edge_list()
+        first.append(("1", "3"))
+        first.reverse()
+        assert c6.edge_list() == before
+        assert c6.edge_list() is not first
+        assert c6.to_json() == data
+
 
 @st.composite
 def small_graph(draw):
@@ -283,3 +293,27 @@ def test_random_morphism_composition_stays_valid(g1, g2, data):
         return
     composed_ok, _ = validate_morphism(compose(g, f))
     assert composed_ok
+
+
+@st.composite
+def shuffled_graph_and_subset(draw):
+    """A random graph on up to 8 vertices stored in a shuffled order, plus a
+    random vertex subset listed in its own shuffled order, repeats allowed."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    labels = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+    pairs = list(itertools.combinations(labels, 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = make_graph(labels, [p for p, keep in zip(pairs, mask) if keep])
+    subset = draw(st.lists(st.sampled_from(labels), max_size=n + 2)) if n else []
+    return g, subset
+
+
+@given(shuffled_graph_and_subset())
+@settings(max_examples=150, deadline=None)
+def test_induced_subgraph_matches_edge_filter(case):
+    g, subset = case
+    want = set(subset)
+    sub = induced_subgraph(g, subset)
+    assert sub.vertices == tuple(v for v in g.vertices if v in want)
+    assert sub.edges == frozenset(e for e in g.edges if e <= want)
+    assert sub.edge_list() == [(a, b) for a, b in g.edge_list() if a in want and b in want]

@@ -43,7 +43,12 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
+from bundleforge.graphs import automorphisms, complete_graph, pair_label
 from bundleforge.pullback import (
+    EDGE_KIND_COLLAPSED,
+    EDGE_KIND_DIAGONAL,
+    EDGE_KIND_FIBER,
+    TypedEdge,
     pullback_b_matrix,
     pullback_indicator,
     pullback_vertex,
@@ -422,3 +427,99 @@ class TestMixedBaseDiagnostic:
     def test_link_must_connect_bases(self, c4):
         with pytest.raises(BaseMismatch):
             mixed_base_subdirect(m3_bundle(), c6k2_bundle(), identity_morphism(c4))
+
+
+def all_pairs_typed_edges(left, left_to_target, right, right_to_target, target, label_fn):
+    """Reference three-kind rule: test every pair of compatible vertices,
+    in pair order.  Returns the pair labels and the typed edges."""
+    pairs = [
+        (a, b)
+        for a in left.vertices
+        for b in right.vertices
+        if left_to_target[a] == right_to_target[b]
+    ]
+    typed = []
+    for i, (a, b) in enumerate(pairs):
+        for a2, b2 in pairs[i + 1 :]:
+            if a == a2 and right.has_edge(b, b2):
+                kind = EDGE_KIND_FIBER
+            elif left.has_edge(a, a2) and left_to_target[a] == left_to_target[a2] and b == b2:
+                kind = EDGE_KIND_COLLAPSED
+            elif (
+                left.has_edge(a, a2)
+                and target.has_edge(left_to_target[a], left_to_target[a2])
+                and right.has_edge(b, b2)
+            ):
+                kind = EDGE_KIND_DIAGONAL
+            else:
+                continue
+            typed.append(TypedEdge((label_fn(a, b), label_fn(a2, b2)), kind))
+    return tuple(label_fn(a, b) for a, b in pairs), tuple(typed)
+
+
+class TestTypedEdgesAgainstAllPairs:
+    """The adjacency walk gives the all-pairs rule's edges, in its order and
+    with its kinds."""
+
+    FIBERS = [complete_graph(2), complete_graph(3), cycle_graph(4)]
+
+    @staticmethod
+    def random_bundle(rng, base, fiber):
+        auts = automorphisms(fiber)
+        return voltage_bundle(
+            make_fiber_voltage(base, fiber, {e: rng.choice(auts) for e in base.edge_list()})
+        )
+
+    def test_subdirect_products(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            base = rng.choice([cycle_graph(max(n, 3)), path_graph(n)])
+            b1 = self.random_bundle(rng, base, rng.choice(self.FIBERS))
+            b2 = self.random_bundle(rng, base, rng.choice(self.FIBERS))
+            sp = subdirect_product(b1, b2)
+            labels, typed = all_pairs_typed_edges(
+                b1.total, b1.projection.map, b2.total, b2.projection.map, base, pair_label
+            )
+            assert sp.total.vertices == labels
+            assert sp.typed_edges == typed
+
+    def test_folding_pullbacks(self):
+        rng = random.Random(12)
+        collapsed = 0
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            base = path_graph(n)
+            fold = make_morphism(
+                path_graph(n + 1), base, {str(i): str(min(i, n)) for i in range(1, n + 2)}
+            )
+            b = self.random_bundle(rng, base, rng.choice(self.FIBERS))
+            pb = pullback_bundle(fold, b)
+            labels, typed = all_pairs_typed_edges(
+                fold.domain, fold.map, b.total, b.projection.map, base, pullback_vertex
+            )
+            assert pb.total.vertices == labels
+            assert pb.typed_edges == typed
+            collapsed += typed_edge_counts(typed)[EDGE_KIND_COLLAPSED]
+        assert collapsed > 0
+
+    def test_mixed_base_products(self, p_c6_c3):
+        rng = random.Random(13)
+        cases = [(m3_bundle(), c6k2_bundle(), p_c6_c3)]
+        for _ in range(15):
+            n = rng.randint(3, 5)
+            base, cover = cycle_graph(n), cycle_graph(2 * n)
+            link = make_morphism(cover, base, {str(i): str((i - 1) % n + 1) for i in range(1, 2 * n + 1)})
+            cases.append((
+                self.random_bundle(rng, base, rng.choice(self.FIBERS)),
+                self.random_bundle(rng, cover, rng.choice(self.FIBERS)),
+                link,
+            ))
+        for b1, b2, link in cases:
+            out = mixed_base_subdirect(b1, b2, link)
+            labels, typed = all_pairs_typed_edges(
+                b1.total, b1.projection.map, b2.total, compose(link, b2.projection).map,
+                b1.base, pair_label,
+            )
+            assert out.graph.vertices == labels
+            assert out.typed_edges == typed
