@@ -90,9 +90,12 @@ class FiberVoltage:
             oriented.add((b, a))
         if set(self.phi) != oriented:
             raise ParseError("voltage must cover exactly the oriented edges of the base")
+        checked: set[Perm] = set()
         for (v, w), perm in self.phi.items():
-            if not is_fiber_automorphism(self.fiber, perm):
-                raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
+            if perm not in checked:
+                if not is_fiber_automorphism(self.fiber, perm):
+                    raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
+                checked.add(perm)
             if self.phi[(w, v)] != perm.inverse():
                 raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
 

@@ -3,25 +3,30 @@ box-power fiber bundles over a base, the abelian monoid they form under the
 subdirect product, bounded Grothendieck-group verdicts, and the induced
 contravariant class maps.
 
-Class enumeration canonicalizes voltages by gauge fixing: every voltage is
-equivalent to one that is trivial on a spanning forest, and the residual
-non-tree values are determined up to a constant fiber-automorphism
-conjugation per component.  Two voltages are equivalent exactly when these
-canonical forms coincide.
+Two voltages are equivalent when a gauge transform
+φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in Aut(F), takes one to
+the other.  Every voltage is equivalent to one that is trivial on a
+spanning forest (Gross and Tucker), so enumeration walks only the
+|Aut(F^n)|^β values of the β non-tree edges.  Those are equivalent exactly
+under conjugation by one automorphism per component, and the walk marks
+each such orbit when it first meets it.  Each class has one canonical
+form, its lexicographically least serial over all gauge transforms,
+computed greedily edge by edge; it is the class key, the representative and
+the lookup of classify and of the addition table.  This form need not be
+trivial on the spanning forest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .bundles import FiberVoltage, make_fiber_voltage
 from .errors import BaseMismatch, EnumerationBoundExceeded
 from .graphs import (
     Graph,
     GraphMorphism,
-    Label,
     automorphisms,
     find_isomorphism,
     make_graph,
@@ -51,66 +56,152 @@ def fiber_power(f: Graph, n: int) -> Graph:
     return g
 
 
+#: A permutation as its image tuple.  The canonicalization composes these
+#: directly: a Perm validates every result, and a walk can make millions.
+Images = tuple[int, ...]
+
+
+def _compose(p: Images, q: Images) -> Images:
+    """p after q, on image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _invert(p: Images) -> Images:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
-class _ForestGauge:
-    """Spanning-forest data for canonicalizing voltages over one base graph.
+class _Gauge:
+    """Gauge transforms φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in
+    Aut(F), of the voltages over one base.
 
-    parent maps every base vertex, in breadth-first visit order, to its
-    tree parent (None at a component root)."""
+    ends holds the vertex indices of each base edge in position order, and
+    inverse maps the image tuple of every automorphism to that of its
+    inverse."""
 
-    base: Graph
-    parent: Mapping[Label, Optional[Label]]
-    component_of: Mapping[Label, int]
-    non_tree_positions: tuple[int, ...]
+    ends: tuple[tuple[int, int], ...]
+    n_vertices: int
+    auts: tuple[Images, ...]
+    inverse: Mapping[Images, Images]
+    identity: Images
+
+    def least_serial(self, serial: Sequence[Images]) -> tuple[Images, ...]:
+        """The lexicographically least serial over all gauge transforms of a
+        voltage, given by its serial: the canonical form of its class.
+
+        Edge values are fixed greedily in position order over a union-find
+        of the partial components the fixed edges span.  A component keeps
+        the gauges still allowed at its root; a member u has gauge
+        left[u] ∘ x ∘ right[u], where x is the root's gauge."""
+        inv = self.inverse
+        whole = len(self.auts)
+        root = list(range(self.n_vertices))
+        members = [[v] for v in range(self.n_vertices)]
+        left = [self.identity] * self.n_vertices
+        right = [self.identity] * self.n_vertices
+        allowed: list[Sequence[Images]] = [self.auts] * self.n_vertices
+        out: list[Images] = []
+        for (a, b), phi in zip(self.ends, serial):
+            ra, rb = root[a], root[b]
+            # The edge takes left[b] ∘ y ∘ m ∘ x⁻¹ ∘ left[a]⁻¹ for root gauges x, y.
+            m = _compose(_compose(right[b], phi), inv[right[a]])
+            qa = inv[left[a]]
+            if ra == rb:
+                values = [
+                    (_compose(left[b], _compose(x, _compose(m, _compose(inv[x], qa)))), x)
+                    for x in allowed[ra]
+                ]
+                best = min(value for value, _ in values)
+                allowed[ra] = [x for value, x in values if value == best]
+                out.append(best)
+                continue
+            if len(allowed[ra]) == whole or len(allowed[rb]) == whole:
+                # A free side can absorb any value: the edge takes the identity.
+                best = self.identity
+            else:
+                heads = [_compose(left[b], y) for y in allowed[rb]]
+                tails = [_compose(m, _compose(inv[x], qa)) for x in allowed[ra]]
+                best = min(_compose(h, t) for h in heads for t in tails)
+            # b's root gauge is now inv[left[b]] ∘ best ∘ left[a] ∘ x ∘ m⁻¹.
+            shift = _compose(_compose(inv[left[b]], best), left[a])
+            m_inv = inv[m]
+            if len(allowed[rb]) < whole:
+                kept = set(allowed[rb])
+                allowed[ra] = [
+                    x for x in allowed[ra] if _compose(_compose(shift, x), m_inv) in kept
+                ]
+            for u in members[rb]:
+                root[u] = ra
+                left[u] = _compose(left[u], shift)
+                right[u] = _compose(m_inv, right[u])
+            members[ra].extend(members[rb])
+            out.append(best)
+        return tuple(out)
 
 
-def _forest_gauge(base: Graph) -> _ForestGauge:
+def _gauge(base: Graph, auts: Sequence[Perm]) -> _Gauge:
+    idx = base.index
+    ends = tuple((idx[a], idx[b]) for a, b in base.edge_list())
+    images = tuple(p.images for p in auts)
+    inverse = {p: _invert(p) for p in images}
+    return _Gauge(ends, base.n, images, inverse, tuple(range(len(images[0]))))
+
+
+def _cycle_slots(base: Graph) -> tuple[list[int], list[list[int]]]:
+    """Positions of the base edges off the breadth-first spanning forest, and
+    their slots in that list grouped by connected component."""
     trees = spanning_forest(base)
     parent = {v: p for tree in trees for v, p in tree.items()}
-    component_of = {v: cid for cid, tree in enumerate(trees) for v in tree}
-    non_tree = tuple(
-        pos
-        for pos, (a, b) in enumerate(base.edge_list())
-        if parent[a] != b and parent[b] != a
-    )
-    return _ForestGauge(base, parent, component_of, non_tree)
+    component = {v: cid for cid, tree in enumerate(trees) for v in tree}
+    positions: list[int] = []
+    slots: dict[int, list[int]] = {}
+    for pos, (a, b) in enumerate(base.edge_list()):
+        if parent[a] != b and parent[b] != a:
+            slots.setdefault(component[a], []).append(len(positions))
+            positions.append(pos)
+    return positions, list(slots.values())
 
 
-def _canonical_key(
-    gauge: _ForestGauge,
-    value_of: Callable[[Label, Label], Perm],
-    auts: list[Perm],
-    fiber_size: int,
-) -> tuple:
-    """Complete equivalence invariant of a voltage: the lexicographically
-    least conjugate of its gauge-fixed non-tree values, per component."""
-    base = gauge.base
-    ident = Perm.identity(fiber_size)
-    h: dict[Label, Perm] = {}
-    for w, v in gauge.parent.items():
-        h[w] = ident if v is None else h[v].compose(value_of(v, w).inverse())
-    edge_list = base.edge_list()
-    by_component: dict[int, list[tuple[int, Perm]]] = {}
-    for pos in gauge.non_tree_positions:
-        a, b = edge_list[pos]
-        residual = h[b].compose(value_of(a, b)).compose(h[a].inverse())
-        by_component.setdefault(gauge.component_of[a], []).append((pos, residual))
-    parts: list[tuple[int, tuple[int, ...]]] = []
-    for cid in sorted(by_component):
-        entries = by_component[cid]
-        best = min(
-            tuple(val.conjugate(c).images for _, val in entries) for c in auts
-        )
-        parts.extend((pos, images) for (pos, _), images in zip(entries, best))
-    parts.sort()
-    return tuple(parts)
+def _orbit_representatives(gauge: _Gauge, slots: list[list[int]]) -> Iterator[tuple[Images, ...]]:
+    """One tuple of non-tree values per class.
+
+    Two voltages trivial on the spanning forest are equivalent exactly when
+    a gauge constant on each component, acting by conjugation, takes one to
+    the other.  Tuples are walked in serial order, and the first of each
+    orbit marks the whole orbit in a bitmap over the tuples' serial numbers."""
+    auts, inv = gauge.auts, gauge.inverse
+    k = len(auts)
+    beta = sum(map(len, slots))
+    index = {p: i for i, p in enumerate(auts)}
+    weight = [k ** (beta - 1 - s) for s in range(beta)]
+    seen = bytearray(k**beta)
+    for code, values in enumerate(itertools.product(range(k), repeat=beta)):
+        if seen[code]:
+            continue
+        parts = [
+            {
+                sum(weight[s] * index[_compose(_compose(g, auts[values[s]]), inv[g])] for s in group)
+                for g in auts
+            }
+            for group in slots
+        ]
+        for combo in itertools.product(*parts):
+            seen[sum(combo)] = 1
+        yield tuple(auts[i] for i in values)
+
+
+def _serial_over(base: Graph, fv: FiberVoltage) -> tuple[Images, ...]:
+    """Image tuples of a voltage over the base's edges, in position order."""
+    return tuple(fv.phi[(a, b)].images for a, b in base.edge_list())
 
 
 def voltage_class_key(fv: FiberVoltage, aut_bound: int = 10) -> tuple:
     """Equivalence-class invariant of a voltage bundle (same key, same class)."""
-    gauge = _forest_gauge(fv.base)
-    auts = automorphisms(fv.fiber, bound=aut_bound)
-    return _canonical_key(gauge, lambda v, w: fv.phi[(v, w)], auts, fv.fiber.n)
+    gauge = _gauge(fv.base, automorphisms(fv.fiber, bound=aut_bound))
+    return gauge.least_serial(_serial_over(fv.base, fv))
 
 
 @dataclass(frozen=True)
@@ -138,7 +229,7 @@ class KClassMonoid:
     classes: tuple[BundleClass, ...]
     add_table: Mapping[tuple[int, int], Optional[int]]
     _keys: Mapping[int, Mapping[tuple, int]] = field(default_factory=dict)
-    _auts: Mapping[int, tuple[Perm, ...]] = field(default_factory=dict)
+    _gauges: Mapping[int, _Gauge] = field(default_factory=dict)
 
     def classes_at(self, n: int) -> tuple[BundleClass, ...]:
         return tuple(c for c in self.classes if c.n == n)
@@ -151,11 +242,7 @@ class KClassMonoid:
 
     def classify(self, fv: FiberVoltage, n: int) -> int:
         """Class id of a voltage with fiber equal to the n-th fiber power."""
-        gauge = _forest_gauge(self.base)
-        key = _canonical_key(
-            gauge, lambda v, w: fv.phi[(v, w)], list(self._auts[n]), fv.fiber.n
-        )
-        return self._keys[n][key]
+        return self._keys[n][self._gauges[n].least_serial(_serial_over(self.base, fv))]
 
     def add(self, i: int, j: int) -> Optional[int]:
         return self.add_table[(i, j)]
@@ -170,52 +257,46 @@ def enumerate_bundle_classes(
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
     aut_bound: int = 10,
 ) -> KClassMonoid:
-    """Exhaustively enumerate voltage assignments for every fiber power up to
-    n_max, quotient them by equivalence, and fill the addition table."""
+    """Enumerate the voltage classes for every fiber power up to n_max and
+    fill the addition table.
+
+    Only the voltages that are trivial on the spanning forest are walked,
+    |Aut(F^n)|^β of them for cycle rank β; max_assignments caps that walk.
+    One voltage per class is canonicalized.  Each class is keyed and
+    represented by its least serial, and class ids follow the order of
+    those serials."""
     if base.n > max_base_vertices:
         raise EnumerationBoundExceeded(
             f"base has {base.n} vertices, enumeration capped at {max_base_vertices}"
         )
-    gauge = _forest_gauge(base)
     edges = base.edge_list()
-    orient: dict[tuple[Label, Label], tuple[int, bool]] = {}
-    for pos, (a, b) in enumerate(edges):
-        orient[(a, b)] = (pos, False)
-        orient[(b, a)] = (pos, True)
+    non_tree, slots = _cycle_slots(base)
 
     powers: dict[int, Graph] = {}
-    auts_by_n: dict[int, tuple[Perm, ...]] = {}
+    gauges: dict[int, _Gauge] = {}
     keys_by_n: dict[int, dict[tuple, int]] = {}
     classes: list[BundleClass] = []
 
     for n in range(n_max + 1):
         fn = fiber_power(fiber, n)
         powers[n] = fn
-        auts = automorphisms(fn, bound=aut_bound)
-        auts_by_n[n] = tuple(auts)
-        total = len(auts) ** len(edges)
+        gauge = gauges[n] = _gauge(base, automorphisms(fn, bound=aut_bound))
+        total = len(gauge.auts) ** len(non_tree)
         if total > max_assignments:
             raise EnumerationBoundExceeded(
                 f"{total} voltage assignments at fiber power {n} exceed the cap {max_assignments}"
             )
-        best_serial: dict[tuple, tuple] = {}
-        for assignment in itertools.product(auts, repeat=len(edges)):
-            def value_of(v: Label, w: Label, _a=assignment) -> Perm:
-                pos, flip = orient[(v, w)]
-                return _a[pos].inverse() if flip else _a[pos]
-
-            key = _canonical_key(gauge, value_of, auts, fn.n)
-            serial = tuple(p.images for p in assignment)
-            if key not in best_serial or serial < best_serial[key]:
-                best_serial[key] = serial
+        serial = [gauge.identity] * len(edges)
+        least = []
+        for values in _orbit_representatives(gauge, slots):
+            for pos, value in zip(non_tree, values):
+                serial[pos] = value
+            least.append(gauge.least_serial(serial))
         keys_by_n[n] = {}
-        for key in sorted(best_serial, key=best_serial.__getitem__):
+        for key in sorted(least):
             class_id = len(classes)
-            serial = best_serial[key]
             rep = make_fiber_voltage(
-                base,
-                fn,
-                {edges[pos]: Perm(serial[pos]) for pos in range(len(edges))},
+                base, fn, {edge: Perm(images) for edge, images in zip(edges, key)}
             )
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
@@ -240,14 +321,11 @@ def enumerate_bundle_classes(
                 continue
             _, lam = alignment(c1.n, c2.n)
             n_sum = c1.n + c2.n
-            fn = powers[n_sum]
-
-            def value_of(v: Label, w: Label, _a=c1.representative, _b=c2.representative) -> Perm:
-                combined = perm_kron(_a.phi[(v, w)], _b.phi[(v, w)])
-                return combined.conjugate(lam)
-
-            key = _canonical_key(gauge, value_of, list(auts_by_n[n_sum]), fn.n)
-            add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][key]
+            serial = [
+                perm_kron(c1.representative.phi[e], c2.representative.phi[e]).conjugate(lam).images
+                for e in edges
+            ]
+            add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][gauges[n_sum].least_serial(serial)]
 
     return KClassMonoid(
         base,
@@ -256,7 +334,7 @@ def enumerate_bundle_classes(
         tuple(classes),
         add_table,
         keys_by_n,
-        auts_by_n,
+        gauges,
     )
 
 

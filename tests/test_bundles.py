@@ -304,6 +304,28 @@ class TestVoltageValidation:
         with pytest.raises(ParseError):
             make_fiber_voltage(c3, p3, {e: bad for e in c3.edge_list()})
 
+    def test_rejects_non_automorphism_on_last_edge(self, c3, p3):
+        # Each distinct value is checked once; a bad value that first shows
+        # up on the last edge is still caught and named.
+        edges = c3.edge_list()
+        a, b = edges[-1]
+        assignments = {e: Perm.identity(3) for e in edges[:-1]}
+        assignments[(a, b)] = Perm((1, 0, 2))
+        with pytest.raises(ParseError, match=rf"voltage on \('{a}', '{b}'\) is not a fiber automorphism"):
+            make_fiber_voltage(c3, p3, assignments)
+
+    def test_rejects_non_inverse_on_last_edge(self, c3, k2):
+        # The inverse check stays on every oriented edge, even when the
+        # value itself was already checked on an earlier edge.
+        phi = {}
+        for v, w in c3.edge_list():
+            phi[(v, w)] = SWAP
+            phi[(w, v)] = SWAP
+        a, b = c3.edge_list()[-1]
+        phi[(b, a)] = IDENT
+        with pytest.raises(ParseError, match="must invert"):
+            FiberVoltage(c3, k2, phi)
+
     def test_rejects_missing_edge(self, c3, k2):
         with pytest.raises(ParseError):
             make_fiber_voltage(c3, k2, {("1", "2"): IDENT})

@@ -181,6 +181,17 @@ class TestKtheoryCommand:
         assert report["class_counts"] == [1, 2]
         assert set(report) == {"verb", "n_max", "class_counts", "classes", "add_table"}
 
+    def test_square_base_cube_power_from_files(self, capsys, tmp_path):
+        # 48^4 assignments walked in full would exceed the cap; gauge fixing
+        # walks 48 and answers with the Burnside counts.
+        base = write_json(tmp_path, "c4.json", cycle_graph(4).to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        code, out, _ = run(
+            capsys, "ktheory", "--base", base, "--fiber", fiber, "--n-max", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["class_counts"] == [1, 2, 5, 10]
+
 
 class TestExportCommand:
     def test_json_roundtrip(self, capsys, tmp_path):

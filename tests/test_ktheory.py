@@ -1,11 +1,16 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleforge import (
     KGroupElement,
     Perm,
+    automorphisms,
     bundles_equivalent,
+    cartesian_product,
     complete_graph,
     compose,
     cycle_graph,
@@ -17,16 +22,75 @@ from bundleforge import (
     identity_morphism,
     k0_map,
     make_fiber_voltage,
+    make_graph,
     make_morphism,
     path_graph,
     star_graph,
     voltage_bundle,
 )
 from bundleforge.errors import EnumerationBoundExceeded
+from bundleforge.graphs import spanning_forest
 from bundleforge.ktheory import voltage_class_key
+from bundleforge.perms import kron as perm_kron
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
+
+#: Two triangles {a, b, e} and {c, d, f}, then the bridge (e, f) last in
+#: edge order: the bridge joins two components whose gauges are already
+#: constrained.
+BRIDGE_AFTER_CYCLES = make_graph(
+    list("abcdef"),
+    [("a", "b"), ("b", "e"), ("a", "e"), ("c", "d"), ("d", "f"), ("c", "f"), ("e", "f")],
+)
+#: An edge and a triangle, disjoint.
+EDGE_AND_TRIANGLE = make_graph(
+    list("vwxyz"), [("v", "w"), ("x", "y"), ("y", "z"), ("x", "z")]
+)
+
+
+def twist_table(auts):
+    """twist[x][p][y] is the index of x ∘ p ∘ y⁻¹ in auts.  automorphisms()
+    sorts by image tuple, so index order is serial order."""
+    pos = {p: i for i, p in enumerate(auts)}
+    return [[[pos[x.compose(p).compose(y.inverse())] for y in auts] for p in auts] for x in auts]
+
+
+def all_assignments_classes(base, fiber, n_max):
+    """Reference enumeration: walk every voltage assignment in serial order.
+
+    The first assignment met of each class is its least serial and gets the
+    next class id; its whole orbit, over every gauge g in Aut(F^n)^V, is
+    then marked with that id.  Returns the classes as (n, serial) in id
+    order and, per fiber power, the class id of every serial."""
+    idx = base.index
+    ends = [(idx[a], idx[b]) for a, b in base.edge_list()]
+    classes = []
+    class_of = {}
+    for n in range(n_max + 1):
+        auts = automorphisms(fiber_power(fiber, n), bound=10)
+        twist = twist_table(auts)
+        seen = {}
+        for assignment in itertools.product(range(len(auts)), repeat=len(ends)):
+            if assignment in seen:
+                continue
+            class_id = len(classes)
+            classes.append((n, tuple(auts[i].images for i in assignment)))
+            for g in itertools.product(range(len(auts)), repeat=base.n):
+                orbit_point = tuple(twist[g[b]][p][g[a]] for (a, b), p in zip(ends, assignment))
+                seen[orbit_point] = class_id
+        class_of[n] = {tuple(auts[i].images for i in a): cid for a, cid in seen.items()}
+    return classes, class_of
+
+
+def burnside_count(auts, beta):
+    """Orbits of Aut^β under simultaneous conjugation: the mean over g of
+    the β-th power of the centralizer order of g."""
+    total = sum(
+        sum(1 for h in auts if g.compose(h) == h.compose(g)) ** beta for g in auts
+    )
+    assert total % len(auts) == 0
+    return total // len(auts)
 
 
 class TestFiberPower:
@@ -88,9 +152,172 @@ class TestEnumeration:
         with pytest.raises(EnumerationBoundExceeded):
             enumerate_bundle_classes(cycle_graph(7), k2, 1)
 
-    def test_assignment_cap(self, c3, k2):
-        with pytest.raises(EnumerationBoundExceeded):
-            enumerate_bundle_classes(c3, k2, 1, max_assignments=4)
+    def test_assignment_cap(self, k3):
+        # The cap counts the walk actually done: |Aut(K3)|^β = 6^3 = 216
+        # forest-trivial assignments over K4.
+        with pytest.raises(EnumerationBoundExceeded, match="216 voltage assignments"):
+            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=100)
+        m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=216)
+        assert len(m.classes_at(1)) == 49
+
+
+class TestAgainstAllAssignments:
+    @pytest.mark.parametrize(
+        "base,fiber,n_max",
+        [
+            (EDGE_AND_TRIANGLE, complete_graph(2), 2),
+            (EDGE_AND_TRIANGLE, empty_graph(3), 1),
+            (BRIDGE_AFTER_CYCLES, complete_graph(2), 1),
+            (BRIDGE_AFTER_CYCLES, empty_graph(3), 1),
+        ],
+        ids=["edge+triangle-k2", "edge+triangle-3k1", "bridge-k2", "bridge-3k1"],
+    )
+    def test_ids_serials_sums_and_lookups(self, base, fiber, n_max):
+        m = enumerate_bundle_classes(base, fiber, n_max)
+        classes, class_of = all_assignments_classes(base, fiber, n_max)
+        assert [(c.n, c.representative.serialized()) for c in m.classes] == classes
+        assert all(c.key == c.representative.serialized() for c in m.classes)
+        powers = [fiber_power(fiber, n) for n in range(n_max + 1)]
+        for c1 in m.classes:
+            for c2 in m.classes:
+                n_sum = c1.n + c2.n
+                if n_sum > n_max:
+                    assert m.add(c1.class_id, c2.class_id) is None
+                    continue
+                box = cartesian_product(powers[c1.n], powers[c2.n])
+                iso = find_isomorphism(box, powers[n_sum])
+                lam = Perm(tuple(powers[n_sum].index[iso[v]] for v in box.vertices))
+                serial = tuple(
+                    perm_kron(c1.representative.phi[e], c2.representative.phi[e])
+                    .conjugate(lam)
+                    .images
+                    for e in base.edge_list()
+                )
+                assert m.add(c1.class_id, c2.class_id) == class_of[n_sum][serial]
+        rng = random.Random(11)
+        for n in range(n_max + 1):
+            auts = automorphisms(powers[n], bound=10)
+            for _ in range(20):
+                fv = make_fiber_voltage(
+                    base, powers[n], {e: rng.choice(auts) for e in base.edge_list()}
+                )
+                assert m.classify(fv, n) == class_of[n][fv.serialized()]
+
+    def test_least_serial_need_not_be_forest_trivial(self):
+        m = enumerate_bundle_classes(BRIDGE_AFTER_CYCLES, empty_graph(3), 1)
+        parent = {v: p for tree in spanning_forest(BRIDGE_AFTER_CYCLES) for v, p in tree.items()}
+        tree_edges = [
+            (a, b) for a, b in BRIDGE_AFTER_CYCLES.edge_list() if parent[a] == b or parent[b] == a
+        ]
+        off_forest = [
+            c for c in m.classes_at(1)
+            if any(not c.representative.phi[e].is_identity() for e in tree_edges)
+        ]
+        assert (len(m.classes_at(1)), len(off_forest)) == (11, 8)
+
+
+class TestBurnsideCounts:
+    def test_square_base_edge_fiber_to_cube(self, c4, k2):
+        # 48^4 assignments at n=3: refused by cap when every one was walked.
+        m = enumerate_bundle_classes(c4, k2, 3)
+        counts = [len(m.classes_at(n)) for n in range(4)]
+        assert counts == [1, 2, 5, 10]
+        assert counts == [burnside_count(automorphisms(fiber_power(k2, n)), 1) for n in range(4)]
+
+    def test_two_triangles_count_per_component(self, k2, k3):
+        # Gauges act on each component on its own: the counts multiply.
+        two_triangles = make_graph(
+            list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+        )
+        m = enumerate_bundle_classes(two_triangles, k2, 2)
+        per_triangle = [burnside_count(automorphisms(fiber_power(k2, n)), 1) for n in range(3)]
+        assert [len(m.classes_at(n)) for n in range(3)] == [c * c for c in per_triangle] == [1, 4, 25]
+        m = enumerate_bundle_classes(two_triangles, k3, 1)
+        assert len(m.classes_at(1)) == burnside_count(automorphisms(k3), 1) ** 2 == 9
+
+    def test_complete_base_triangle_fiber(self, k3):
+        m = enumerate_bundle_classes(complete_graph(4), k3, 1)
+        counts = [len(m.classes_at(n)) for n in range(2)]
+        assert counts == [1, 49]
+        assert counts[1] == burnside_count(automorphisms(k3), 3)
+
+
+GAUGE_FIBERS = [complete_graph(2), empty_graph(3), complete_graph(3), cycle_graph(4), path_graph(3)]
+
+
+@st.composite
+def voltage_and_gauge(draw, max_vertices=5):
+    k = draw(st.integers(2, max_vertices))
+    labels = draw(st.permutations([f"u{i}" for i in range(k)]))
+    pairs = [(labels[i], labels[j]) for i in range(k) for j in range(i + 1, k)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    base = make_graph(labels, edges)
+    fiber = draw(st.sampled_from(GAUGE_FIBERS))
+    auts = automorphisms(fiber)
+    fv = make_fiber_voltage(base, fiber, {e: draw(st.sampled_from(auts)) for e in base.edge_list()})
+    gauge = {v: draw(st.sampled_from(auts)) for v in base.vertices}
+    return fv, gauge
+
+
+def gauge_transform(fv, gauge):
+    return make_fiber_voltage(
+        fv.base,
+        fv.fiber,
+        {(a, b): gauge[b].compose(fv.phi[(a, b)]).compose(gauge[a].inverse()) for a, b in fv.base.edge_list()},
+    )
+
+
+@given(voltage_and_gauge())
+@settings(max_examples=80, deadline=None)
+def test_key_is_gauge_invariant(case):
+    fv, gauge = case
+    key = voltage_class_key(fv)
+    assert voltage_class_key(gauge_transform(fv, gauge)) == key
+    assert key <= fv.serialized()
+
+
+def brute_least_serial(fv):
+    """The least serial over every gauge in Aut(F)^V, by exhaustion."""
+    auts = automorphisms(fv.fiber)
+    twist = twist_table(auts)
+    idx = fv.base.index
+    ends = [(idx[a], idx[b]) for a, b in fv.base.edge_list()]
+    values = [auts.index(fv.phi[e]) for e in fv.base.edge_list()]
+    least = min(
+        tuple(twist[g[b]][p][g[a]] for (a, b), p in zip(ends, values))
+        for g in itertools.product(range(len(auts)), repeat=fv.base.n)
+    )
+    return tuple(auts[i].images for i in least)
+
+
+@given(voltage_and_gauge(max_vertices=4))
+@settings(max_examples=60, deadline=None)
+def test_key_is_least_serial_over_all_gauges(case):
+    fv, _ = case
+    assert voltage_class_key(fv) == brute_least_serial(fv)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # Triangle {a, b, f} closes, triangle {c, d, e} closes, (d, f)
+        # merges the two, and (e, f) then closes a cycle across them.
+        [("a", "b"), ("a", "f"), ("b", "f"), ("c", "d"), ("c", "e"), ("d", "e"), ("d", "f"), ("e", "f")],
+        # Triangle {a, b, d} closes, the free c joins it by (c, d), e joins
+        # c, and (d, e) closes a cycle through the joined vertex.
+        [("a", "b"), ("a", "d"), ("b", "d"), ("c", "d"), ("c", "e"), ("d", "e")],
+    ],
+    ids=["two-constrained-merge", "free-joins-constrained"],
+)
+def test_key_after_merging_into_a_constrained_component(edges):
+    base = make_graph(sorted({v for e in edges for v in e}), edges)
+    assert base.edge_list() == edges
+    fiber = empty_graph(3)
+    auts = automorphisms(fiber)
+    rng = random.Random(3)
+    for _ in range(6):
+        fv = make_fiber_voltage(base, fiber, {e: rng.choice(auts) for e in base.edge_list()})
+        assert voltage_class_key(fv) == brute_least_serial(fv)
 
 
 class TestCanonicalKeyAgreesWithSearch:
