@@ -7,9 +7,7 @@ Two voltages are equivalent when a gauge transform
 φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in Aut(F), takes one to
 the other.  Every voltage is equivalent to one that is trivial on a
 spanning forest (Gross and Tucker), so enumeration walks only the
-|Aut(F^n)|^β values of the β non-tree edges.  Those are equivalent exactly
-under conjugation by one automorphism per component, and the walk marks
-each such orbit when it first meets it.  Each class has one canonical
+|Aut(F^n)|^β values of the β non-tree edges.  Each class has one canonical
 form, its lexicographically least serial over all gauge transforms,
 computed greedily edge by edge; it is the class key, the representative and
 the lookup of classify and of the addition table.  This form need not be
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bundles import FiberVoltage, make_fiber_voltage
 from .errors import BaseMismatch, EnumerationBoundExceeded
@@ -71,6 +69,33 @@ def _invert(p: Images) -> Images:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def _least_product(heads: Sequence[Images], tails: Sequence[Images]) -> Images:
+    """The lexicographically least h ∘ t over h in heads and t in tails.
+
+    Position by position, the pairs still least so far form blocks
+    hs × ts; a block splits by the image j = t[i], keeping the heads with the
+    least h[j].  The head sets of the blocks stay disjoint, so this costs
+    O(deg² · |heads| + deg · |tails|), not |heads| · |tails| compositions."""
+    blocks = [(heads, tails)]
+    out: list[int] = []
+    for i in range(len(heads[0])):
+        best = len(heads[0])
+        kept: list[tuple[Sequence[Images], Sequence[Images]]] = []
+        for hs, ts in blocks:
+            by_image: dict[int, list[Images]] = {}
+            for t in ts:
+                by_image.setdefault(t[i], []).append(t)
+            for j, tj in by_image.items():
+                low = min(h[j] for h in hs)
+                if low < best:
+                    best, kept = low, []
+                if low == best:
+                    kept.append(([h for h in hs if h[j] == low], tj))
+        out.append(best)
+        blocks = kept
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -124,7 +149,7 @@ class _Gauge:
             else:
                 heads = [_compose(left[b], y) for y in allowed[rb]]
                 tails = [_compose(m, _compose(inv[x], qa)) for x in allowed[ra]]
-                best = min(_compose(h, t) for h in heads for t in tails)
+                best = _least_product(heads, tails)
             # b's root gauge is now inv[left[b]] ∘ best ∘ left[a] ∘ x ∘ m⁻¹.
             shift = _compose(_compose(inv[left[b]], best), left[a])
             m_inv = inv[m]
@@ -150,47 +175,10 @@ def _gauge(base: Graph, auts: Sequence[Perm]) -> _Gauge:
     return _Gauge(ends, base.n, images, inverse, tuple(range(len(images[0]))))
 
 
-def _cycle_slots(base: Graph) -> tuple[list[int], list[list[int]]]:
-    """Positions of the base edges off the breadth-first spanning forest, and
-    their slots in that list grouped by connected component."""
-    trees = spanning_forest(base)
-    parent = {v: p for tree in trees for v, p in tree.items()}
-    component = {v: cid for cid, tree in enumerate(trees) for v in tree}
-    positions: list[int] = []
-    slots: dict[int, list[int]] = {}
-    for pos, (a, b) in enumerate(base.edge_list()):
-        if parent[a] != b and parent[b] != a:
-            slots.setdefault(component[a], []).append(len(positions))
-            positions.append(pos)
-    return positions, list(slots.values())
-
-
-def _orbit_representatives(gauge: _Gauge, slots: list[list[int]]) -> Iterator[tuple[Images, ...]]:
-    """One tuple of non-tree values per class.
-
-    Two voltages trivial on the spanning forest are equivalent exactly when
-    a gauge constant on each component, acting by conjugation, takes one to
-    the other.  Tuples are walked in serial order, and the first of each
-    orbit marks the whole orbit in a bitmap over the tuples' serial numbers."""
-    auts, inv = gauge.auts, gauge.inverse
-    k = len(auts)
-    beta = sum(map(len, slots))
-    index = {p: i for i, p in enumerate(auts)}
-    weight = [k ** (beta - 1 - s) for s in range(beta)]
-    seen = bytearray(k**beta)
-    for code, values in enumerate(itertools.product(range(k), repeat=beta)):
-        if seen[code]:
-            continue
-        parts = [
-            {
-                sum(weight[s] * index[_compose(_compose(g, auts[values[s]]), inv[g])] for s in group)
-                for g in auts
-            }
-            for group in slots
-        ]
-        for combo in itertools.product(*parts):
-            seen[sum(combo)] = 1
-        yield tuple(auts[i] for i in values)
+def _cycle_positions(base: Graph) -> list[int]:
+    """Positions of the base edges off the breadth-first spanning forest."""
+    parent = {v: p for tree in spanning_forest(base) for v, p in tree.items()}
+    return [pos for pos, (a, b) in enumerate(base.edge_list()) if parent[a] != b and parent[b] != a]
 
 
 def _serial_over(base: Graph, fv: FiberVoltage) -> tuple[Images, ...]:
@@ -261,16 +249,17 @@ def enumerate_bundle_classes(
     fill the addition table.
 
     Only the voltages that are trivial on the spanning forest are walked,
-    |Aut(F^n)|^β of them for cycle rank β; max_assignments caps that walk.
-    One voltage per class is canonicalized.  Each class is keyed and
-    represented by its least serial, and class ids follow the order of
-    those serials."""
+    |Aut(F^n)|^β of them for cycle rank β.  max_assignments caps that walk
+    times the |Aut(F^n)| gauges tried to canonicalize each voltage, and the
+    addition table, one entry per ordered pair of classes.  Each class is
+    keyed and represented by its least serial, and class ids follow the
+    order of those serials."""
     if base.n > max_base_vertices:
         raise EnumerationBoundExceeded(
             f"base has {base.n} vertices, enumeration capped at {max_base_vertices}"
         )
     edges = base.edge_list()
-    non_tree, slots = _cycle_slots(base)
+    non_tree = _cycle_positions(base)
 
     powers: dict[int, Graph] = {}
     gauges: dict[int, _Gauge] = {}
@@ -281,17 +270,20 @@ def enumerate_bundle_classes(
         fn = fiber_power(fiber, n)
         powers[n] = fn
         gauge = gauges[n] = _gauge(base, automorphisms(fn, bound=aut_bound))
-        total = len(gauge.auts) ** len(non_tree)
-        if total > max_assignments:
+        k = len(gauge.auts)
+        total = k ** len(non_tree)
+        # Canonicalizing a voltage minimizes its first cycle edge over all k gauges.
+        if total * (k if non_tree else 1) > max_assignments:
             raise EnumerationBoundExceeded(
-                f"{total} voltage assignments at fiber power {n} exceed the cap {max_assignments}"
+                f"{total} voltage assignments at fiber power {n}, each canonicalized over "
+                f"{k} gauges, exceed the cap {max_assignments}"
             )
         serial = [gauge.identity] * len(edges)
-        least = []
-        for values in _orbit_representatives(gauge, slots):
+        least = set()
+        for values in itertools.product(gauge.auts, repeat=len(non_tree)):
             for pos, value in zip(non_tree, values):
                 serial[pos] = value
-            least.append(gauge.least_serial(serial))
+            least.add(gauge.least_serial(serial))
         keys_by_n[n] = {}
         for key in sorted(least):
             class_id = len(classes)
@@ -300,6 +292,11 @@ def enumerate_bundle_classes(
             )
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
+        if len(classes) ** 2 > max_assignments:
+            raise EnumerationBoundExceeded(
+                f"{len(classes)} classes up to fiber power {n} need {len(classes) ** 2} "
+                f"addition-table entries, over the cap {max_assignments}"
+            )
 
     boxes: dict[tuple[int, int], tuple[Graph, Perm]] = {}
 

@@ -192,6 +192,17 @@ class TestKtheoryCommand:
         assert code == 0
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10]
 
+    def test_complete_base_cube_power_refused(self, capsys, tmp_path):
+        # 48^3 walked tuples, each canonicalized over the 48 automorphisms of
+        # Q3, exceed the cap; so would its 5,633^2-entry addition table.
+        base = write_json(tmp_path, "k4.json", complete_graph(4).to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        code, out, _ = run(
+            capsys, "ktheory", "--base", base, "--fiber", fiber, "--n-max", "3", "--json"
+        )
+        assert code == 3
+        assert out == ""
+
 
 class TestExportCommand:
     def test_json_roundtrip(self, capsys, tmp_path):

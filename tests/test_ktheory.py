@@ -30,7 +30,7 @@ from bundleforge import (
 )
 from bundleforge.errors import EnumerationBoundExceeded
 from bundleforge.graphs import spanning_forest
-from bundleforge.ktheory import voltage_class_key
+from bundleforge.ktheory import _least_product, voltage_class_key
 from bundleforge.perms import kron as perm_kron
 
 SWAP = Perm((1, 0))
@@ -154,11 +154,36 @@ class TestEnumeration:
 
     def test_assignment_cap(self, k3):
         # The cap counts the walk actually done: |Aut(K3)|^β = 6^3 = 216
-        # forest-trivial assignments over K4.
+        # forest-trivial assignments over K4, each canonicalized over 6 gauges.
         with pytest.raises(EnumerationBoundExceeded, match="216 voltage assignments"):
-            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=100)
-        m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=216)
+            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=1295)
+        # The cap also counts the addition table: (1 + 49)^2 = 2500 entries.
+        with pytest.raises(EnumerationBoundExceeded, match="addition-table entries"):
+            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2499)
+        m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2500)
         assert len(m.classes_at(1)) == 49
+
+    @pytest.mark.parametrize(
+        "base,fiber,n_max,walked",
+        [
+            # 5,040 tuples, each minimizing its cycle edge over Aut(K7).
+            (cycle_graph(3), complete_graph(7), 1, 5040),
+            # 48^3 tuples over Aut(Q3), and 5,633 classes: a 31.7M-entry table.
+            (complete_graph(4), complete_graph(2), 3, 110592),
+        ],
+        ids=["c3-k7", "k4-k2-cube"],
+    )
+    def test_canonicalization_cap(self, base, fiber, n_max, walked):
+        with pytest.raises(EnumerationBoundExceeded, match=f"{walked} voltage assignments"):
+            enumerate_bundle_classes(base, fiber, n_max)
+
+    def test_addition_table_cap_after_the_walk(self, k2):
+        # K4/K2 to n=2 canonicalizes 8^3 tuples over 8 gauges at n=2 and
+        # finds 1 + 8 + 176 classes, 185^2 = 34225 table entries.
+        with pytest.raises(EnumerationBoundExceeded, match="185 classes up to fiber power 2 need 34225"):
+            enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34224)
+        m = enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34225)
+        assert len(m.add_table) == 34225
 
 
 class TestAgainstAllAssignments:
@@ -318,6 +343,17 @@ def test_key_after_merging_into_a_constrained_component(edges):
     for _ in range(6):
         fv = make_fiber_voltage(base, fiber, {e: rng.choice(auts) for e in base.edge_list()})
         assert voltage_class_key(fv) == brute_least_serial(fv)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_least_product_matches_every_pair(data):
+    k = data.draw(st.integers(1, 5))
+    perms = st.permutations(range(k)).map(tuple)
+    heads = data.draw(st.lists(perms, min_size=1, max_size=12, unique=True))
+    tails = data.draw(st.lists(perms, min_size=1, max_size=12, unique=True))
+    brute = min(tuple(h[i] for i in t) for h in heads for t in tails)
+    assert _least_product(heads, tails) == brute
 
 
 class TestCanonicalKeyAgreesWithSearch:
