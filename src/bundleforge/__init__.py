@@ -3,8 +3,9 @@
 Submodules:
   graphs    finite simple graphs, weak morphisms, isomorphism search
   matrices  dense matrices, Kronecker/Hadamard products, Jacobi eigensolver
-  products  box and strong products, k-fold coverings, covering voltages
-  bundles   fiber voltages, bundle verification, equivalence, adjacency
+  products  box and strong products, fiber voltages and their adjacency,
+            k-fold coverings and covering voltages
+  bundles   bundle verification, equivalence (re-exports fiber voltages)
   pullback  pullback bundles, subdirect products, typed edges, sections
   ktheory   bundle-class monoids and bounded Grothendieck verdicts
   groups    finite groups, Cayley graphs, subdirect groups, bundle theorems
@@ -35,7 +36,6 @@ from .matrices import Matrix, Spectrum, adjacency_matrix, hadamard, kronecker, p
 from .perms import Perm
 from .products import (
     Covering,
-    CoveringVoltage,
     cartesian_product,
     cartesian_spectrum,
     covering_adjacency,

@@ -1,5 +1,7 @@
 """Graph bundles over a base graph: construction from fiber voltages,
-structural verification, equivalence testing, and the adjacency formula.
+structural verification, and equivalence testing.  Fiber voltages and
+their adjacency formula live in products, below this module, and are
+re-exported here.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
-import numpy as np
-
 from .errors import (
     BaseMismatch,
     FiberMismatch,
@@ -25,7 +25,6 @@ from .errors import (
     NoLifting,
     NotACovering,
     NotAMorphism,
-    ParseError,
     TransitionNotIso,
 )
 from .graphs import (
@@ -39,121 +38,27 @@ from .graphs import (
     make_morphism,
     pair_label,
     spanning_forest,
-    split_edge_key,
     validate_morphism,
 )
 from .graphs import automorphisms as graph_automorphisms
-from .matrices import Matrix, adjacency_matrix, perm_block, voltage_adjacency
 from .perms import Perm
-from .products import cartesian_product, verify_kfold_covering
+from .products import (
+    FiberVoltage,
+    bundle_adjacency,
+    cartesian_product,
+    is_fiber_automorphism,
+    make_fiber_voltage,
+    trivial_voltage,
+    verify_kfold_covering,
+    voltage_indicator,
+)
 
 #: Default cap on fiber size for automorphism-group enumeration.
 DEFAULT_FIBER_AUT_BOUND = 8
 
 
-def fiber_automorphisms(fiber: Graph, aut_bound: int = DEFAULT_FIBER_AUT_BOUND) -> list[Perm]:
-    return graph_automorphisms(fiber, bound=aut_bound)
-
-
-def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
-    if perm.n != fiber.n:
-        return False
-    idx = fiber.index
-    return all(
-        fiber.has_edge(fiber.vertices[perm(idx[a])], fiber.vertices[perm(idx[b])])
-        for a, b in fiber.edge_list()
-    )
-
-
-def aut_from_label_map(fiber: Graph, mapping: Mapping[Label, Label]) -> Perm:
-    """Convert a label-to-label fiber automorphism into an index permutation."""
-    idx = fiber.index
-    return Perm(tuple(idx[mapping[v]] for v in fiber.vertices))
-
-
-@dataclass(frozen=True, eq=False)
-class FiberVoltage:
-    """Assignment of fiber automorphisms to the oriented edges of a base graph.
-
-    phi holds both orientations; the reverse orientation always carries the
-    inverse permutation.  Permutations act on fiber vertex indices.
-    """
-
-    base: Graph
-    fiber: Graph
-    phi: Mapping[tuple[Label, Label], Perm]
-
-    def __post_init__(self) -> None:
-        oriented = set()
-        for a, b in self.base.edge_list():
-            oriented.add((a, b))
-            oriented.add((b, a))
-        if set(self.phi) != oriented:
-            raise ParseError("voltage must cover exactly the oriented edges of the base")
-        checked: set[Perm] = set()
-        for (v, w), perm in self.phi.items():
-            if perm not in checked:
-                if not is_fiber_automorphism(self.fiber, perm):
-                    raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
-                checked.add(perm)
-            if self.phi[(w, v)] != perm.inverse():
-                raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
-
-    def apply(self, v: Label, w: Label, f: Label) -> Label:
-        """Image of fiber vertex f under the voltage of oriented edge (v, w)."""
-        perm = self.phi[(v, w)]
-        return self.fiber.vertices[perm(self.fiber.index[f])]
-
-    def serialized(self) -> tuple[tuple[int, ...], ...]:
-        """Image tuples over canonically oriented edges, in base edge order."""
-        return tuple(self.phi[(a, b)].images for a, b in self.base.edge_list())
-
-    def to_json(self) -> dict:
-        phi = {}
-        for a, b in self.base.edge_list():
-            perm = self.phi[(a, b)]
-            phi[f"{a},{b}"] = [self.fiber.vertices[perm(i)] for i in range(self.fiber.n)]
-        return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
-
-    @staticmethod
-    def from_json(data: Mapping) -> FiberVoltage:
-        try:
-            base = Graph.from_json(data["base"])
-            fiber = Graph.from_json(data["fiber"])
-            raw = data["phi"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad fiber voltage JSON: {exc}") from exc
-        assignments = {}
-        for key, images in raw.items():
-            v, w = split_edge_key(key)
-            idx = fiber.index
-            try:
-                perm = Perm(tuple(idx[label] for label in images))
-            except KeyError as exc:
-                raise ParseError(f"unknown fiber vertex in voltage: {exc}") from exc
-            assignments[(v, w)] = perm
-        return make_fiber_voltage(base, fiber, assignments)
-
-
-def make_fiber_voltage(
-    base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
-) -> FiberVoltage:
-    """Build a voltage from one orientation per edge; inverses are derived."""
-    phi: dict[tuple[Label, Label], Perm] = {}
-    for (v, w), perm in assignments.items():
-        if (w, v) in phi and phi[(w, v)] != perm.inverse():
-            raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
-        phi[(v, w)] = perm
-        phi[(w, v)] = perm.inverse()
-    for a, b in base.edge_list():
-        if (a, b) not in phi:
-            raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")
-    return FiberVoltage(base, fiber, phi)
-
-
-def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
-    ident = Perm.identity(fiber.n)
-    return make_fiber_voltage(base, fiber, {(a, b): ident for a, b in base.edge_list()})
+def fiber_automorphisms(fiber: Graph) -> list[Perm]:
+    return graph_automorphisms(fiber, bound=DEFAULT_FIBER_AUT_BOUND)
 
 
 def identity_bundle(base: Graph) -> GraphBundle:
@@ -372,9 +277,7 @@ def _witness_from_gauge(b1: GraphBundle, b2: GraphBundle, g: Mapping[Label, Perm
     return mapping
 
 
-def bundles_equivalent(
-    b1: GraphBundle, b2: GraphBundle, aut_bound: int = DEFAULT_FIBER_AUT_BOUND
-) -> Optional[dict[Label, Label]]:
+def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label, Label]]:
     """Search for an equivalence: a total-space isomorphism over the identity
     on the base.  Returns the lexicographically least witness, or None.
 
@@ -385,7 +288,7 @@ def bundles_equivalent(
         raise BaseMismatch("bundles have different base graphs")
     if b1.fiber != b2.fiber:
         raise FiberMismatch("bundles have different fiber graphs")
-    auts = fiber_automorphisms(b1.fiber, aut_bound)
+    auts = fiber_automorphisms(b1.fiber)
     phi1 = bundle_to_voltage(b1).phi
     phi2 = bundle_to_voltage(b2).phi
     witnesses = [
@@ -406,10 +309,17 @@ def is_equivalence_witness(b1: GraphBundle, b2: GraphBundle, mapping: Mapping[La
     return all(b2.projection(mapping[x]) == b1.projection(x) for x in b1.total.vertices)
 
 
-def is_trivial(b: GraphBundle, aut_bound: int = DEFAULT_FIBER_AUT_BOUND) -> bool:
-    """True when the bundle is equivalent to the box product over the same base."""
-    reference = voltage_bundle(trivial_voltage(b.base, b.fiber))
-    return bundles_equivalent(b, reference, aut_bound) is not None
+def is_trivial(b: GraphBundle) -> bool:
+    """True when the bundle is equivalent to the box product over the same base.
+
+    No automorphism of the fiber is enumerated: composing every gauge of a
+    trivialization with one fixed automorphism gives another, so a
+    trivialization exists iff one exists with the identity at every root.
+    """
+    phi = bundle_to_voltage(b).phi
+    ident = Perm.identity(b.fiber.n)
+    trivial_phi = {edge: ident for edge in phi}
+    return next(_gauge_witnesses(b.base, [ident], phi, trivial_phi), None) is not None
 
 
 def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:
@@ -427,23 +337,3 @@ def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:
         v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()
     }
     return GraphBundle(b.total, b.projection, b.base, new_fiber, fiber_isos, b.transitions)
-
-
-# --- adjacency ----------------------------------------------------------------
-
-def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
-    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
-    n = fv.base.n
-    out = np.zeros((n, n))
-    for (v, w), perm in fv.phi.items():
-        if perm == psi:
-            out[fv.base.index[v], fv.base.index[w]] = 1.0
-    return Matrix(out)
-
-
-def bundle_adjacency(fv: FiberVoltage) -> Matrix:
-    """Adjacency matrix of the voltage total space, computed by the closed
-    formula: voltage indicators tensored with fiber actions, plus the fiber
-    adjacency on the diagonal blocks."""
-    terms = [(voltage_indicator(fv, psi), perm_block(psi)) for psi in sorted(set(fv.phi.values()))]
-    return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)

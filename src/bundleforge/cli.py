@@ -556,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_limits(args) -> None:
-    """Validate the node budget and --n-max, then install the budget.
+    """Validate the node budget and --n-max, then install the budget for
+    this run; main puts the previous budget back when the verb returns.
 
     Raises ParseError for a negative value or a non-integer environment
     budget.
@@ -580,6 +581,7 @@ def _apply_limits(args) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_budget = graphs_mod.DEFAULT_NODE_BUDGET
     try:
         _apply_limits(args)
         return args.func(args)
@@ -592,6 +594,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BundleForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        graphs_mod.DEFAULT_NODE_BUDGET = saved_budget
 
 
 if __name__ == "__main__":

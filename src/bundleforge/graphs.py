@@ -8,7 +8,6 @@ to a single vertex.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,9 +106,6 @@ class Graph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def has_vertex(self, v: Label) -> bool:
-        return v in self.index
-
     def has_edge(self, a: Label, b: Label) -> bool:
         return frozenset((a, b)) in self.edges
 
@@ -190,14 +186,6 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
             raise UnknownEndpoint(f"edge endpoint not a vertex: {{{a!r}, {b!r}}}")
         es.add(frozenset((a, b)))
     return Graph(vs, frozenset(es))
-
-
-def graph_from_json_str(text: str) -> Graph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    return Graph.from_json(data)
 
 
 # --- standard small graphs -------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import Graph, Label, make_graph, make_morphism, pair_label, split_pair_label
-from .pullback import SubdirectBundle, subdirect_product
+from .pullback import subdirect_product
 
 #: Exhaustive group-axiom checks are performed up to this many elements;
 #: beyond it associativity is only spot-checked.
@@ -154,10 +154,6 @@ def cyclic(n: int) -> FiniteGroup:
     return make_group(elems, table)
 
 
-def trivial_group() -> FiniteGroup:
-    return cyclic(1)
-
-
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     elems = [pair_label(x, y) for x in a.elements for y in b.elements]
     table = {}
@@ -221,10 +217,6 @@ def kernel(h: GroupHom) -> FiniteGroup:
 
 def is_surjective(h: GroupHom) -> bool:
     return set(h.mapping.values()) == set(h.codomain.elements)
-
-
-def compose_homs(g: GroupHom, f: GroupHom) -> GroupHom:
-    return hom(f.domain, g.codomain, {x: g(f(x)) for x in f.domain.elements})
 
 
 def _homs_by_closure(
@@ -566,16 +558,3 @@ def verify_invariance(
     ).total
     return lhs == rhs
 
-
-def cayley_subdirect_bundle(
-    phi1: GroupHom,
-    phi2: GroupHom,
-    s1: GeneratorSystem,
-    s01: GeneratorSystem,
-    s02: GeneratorSystem,
-) -> SubdirectBundle:
-    """Subdirect product of the two Cayley bundles (the right-hand side of
-    the invariance identity), returned with its bundle structure."""
-    return subdirect_product(
-        cayley_bundle(phi1, s1, s01), cayley_bundle(phi2, s1, s02)
-    )

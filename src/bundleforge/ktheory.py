@@ -181,15 +181,10 @@ def _cycle_positions(base: Graph) -> list[int]:
     return [pos for pos, (a, b) in enumerate(base.edge_list()) if parent[a] != b and parent[b] != a]
 
 
-def _serial_over(base: Graph, fv: FiberVoltage) -> tuple[Images, ...]:
-    """Image tuples of a voltage over the base's edges, in position order."""
-    return tuple(fv.phi[(a, b)].images for a, b in base.edge_list())
-
-
-def voltage_class_key(fv: FiberVoltage, aut_bound: int = 10) -> tuple:
+def voltage_class_key(fv: FiberVoltage) -> tuple:
     """Equivalence-class invariant of a voltage bundle (same key, same class)."""
-    gauge = _gauge(fv.base, automorphisms(fv.fiber, bound=aut_bound))
-    return gauge.least_serial(_serial_over(fv.base, fv))
+    gauge = _gauge(fv.base, automorphisms(fv.fiber))
+    return gauge.least_serial(fv.serialized())
 
 
 @dataclass(frozen=True)
@@ -225,12 +220,11 @@ class KClassMonoid:
     def trivial_class(self, n: int) -> BundleClass:
         return self.classes_at(n)[0]
 
-    def class_by_id(self, class_id: int) -> BundleClass:
-        return self.classes[class_id]
-
     def classify(self, fv: FiberVoltage, n: int) -> int:
         """Class id of a voltage with fiber equal to the n-th fiber power."""
-        return self._keys[n][self._gauges[n].least_serial(_serial_over(self.base, fv))]
+        if fv.base != self.base:
+            raise BaseMismatch("voltage is over a different base than the monoid")
+        return self._keys[n][self._gauges[n].least_serial(fv.serialized())]
 
     def add(self, i: int, j: int) -> Optional[int]:
         return self.add_table[(i, j)]
@@ -243,7 +237,6 @@ def enumerate_bundle_classes(
     *,
     max_base_vertices: int = DEFAULT_MAX_BASE_VERTICES,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-    aut_bound: int = 10,
 ) -> KClassMonoid:
     """Enumerate the voltage classes for every fiber power up to n_max and
     fill the addition table.
@@ -269,7 +262,7 @@ def enumerate_bundle_classes(
     for n in range(n_max + 1):
         fn = fiber_power(fiber, n)
         powers[n] = fn
-        gauge = gauges[n] = _gauge(base, automorphisms(fn, bound=aut_bound))
+        gauge = gauges[n] = _gauge(base, automorphisms(fn))
         k = len(gauge.auts)
         total = k ** len(non_tree)
         # Canonicalizing a voltage minimizes its first cycle edge over all k gauges.

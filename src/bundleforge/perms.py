@@ -22,14 +22,6 @@ class Perm:
     def identity(n: int) -> Perm:
         return Perm(tuple(range(n)))
 
-    @staticmethod
-    def from_cycles(n: int, *cycles: tuple[int, ...]) -> Perm:
-        images = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a] = b
-        return Perm(tuple(images))
-
     @property
     def n(self) -> int:
         return len(self.images)

@@ -1,8 +1,10 @@
-"""Cartesian and strong graph products, k-fold coverings, and covering voltages.
+"""Cartesian and strong graph products, fiber voltages and their adjacency
+formula, k-fold coverings, and covering voltages.
 
 Product vertices are labeled "(u,v)" and ordered lexicographically from the
 stored factor orders, which keeps the Kronecker adjacency identities exact
-at the index level.
+at the index level.  A k-fold covering voltage is a fiber voltage over the
+edgeless fiber on k vertices, so coverings share the bundle formula.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import FiberSizeMismatch, NoLifting, NotAMorphism, ParseError
+from .errors import BaseMismatch, FiberSizeMismatch, NoLifting, NotAMorphism, ParseError
 from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    empty_graph,
     make_graph,
     make_morphism,
     pair_label,
@@ -24,7 +27,7 @@ from .graphs import (
     split_pair_label,
     validate_morphism,
 )
-from .matrices import Matrix, Spectrum, perm_block, voltage_adjacency, zeros
+from .matrices import Matrix, Spectrum, adjacency_matrix, perm_block, voltage_adjacency
 from .perms import Perm
 
 
@@ -56,11 +59,6 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
     return make_graph(base.vertices, edges)
 
 
-def first_projection(product: Graph, g1: Graph) -> GraphMorphism:
-    """Coordinate-drop morphism from a product-labeled graph onto its first factor."""
-    return make_morphism(product, g1, {v: split_pair_label(v)[0] for v in product.vertices})
-
-
 def second_projection(product: Graph, g2: Graph) -> GraphMorphism:
     return make_morphism(product, g2, {v: split_pair_label(v)[1] for v in product.vertices})
 
@@ -73,6 +71,121 @@ def cartesian_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
 def strong_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Closed-form strong-product spectrum: every a + b + a*b."""
     return Spectrum(tuple(a + b + a * b for a in s1.eigenvalues for b in s2.eigenvalues))
+
+
+# --- fiber voltages -------------------------------------------------------------
+
+def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
+    if perm.n != fiber.n:
+        return False
+    idx = fiber.index
+    return all(
+        fiber.has_edge(fiber.vertices[perm(idx[a])], fiber.vertices[perm(idx[b])])
+        for a, b in fiber.edge_list()
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FiberVoltage:
+    """Assignment of fiber automorphisms to the oriented edges of a base graph.
+
+    phi holds both orientations; the reverse orientation always carries the
+    inverse permutation.  Permutations act on fiber vertex indices.
+    """
+
+    base: Graph
+    fiber: Graph
+    phi: Mapping[tuple[Label, Label], Perm]
+
+    def __post_init__(self) -> None:
+        oriented = set()
+        for a, b in self.base.edge_list():
+            oriented.add((a, b))
+            oriented.add((b, a))
+        if set(self.phi) != oriented:
+            raise ParseError("voltage must cover exactly the oriented edges of the base")
+        checked: set[Perm] = set()
+        for (v, w), perm in self.phi.items():
+            if perm not in checked:
+                if not is_fiber_automorphism(self.fiber, perm):
+                    raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
+                checked.add(perm)
+            if self.phi[(w, v)] != perm.inverse():
+                raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
+
+    def apply(self, v: Label, w: Label, f: Label) -> Label:
+        """Image of fiber vertex f under the voltage of oriented edge (v, w)."""
+        perm = self.phi[(v, w)]
+        return self.fiber.vertices[perm(self.fiber.index[f])]
+
+    def serialized(self) -> tuple[tuple[int, ...], ...]:
+        """Image tuples over canonically oriented edges, in base edge order."""
+        return tuple(self.phi[(a, b)].images for a, b in self.base.edge_list())
+
+    def to_json(self) -> dict:
+        phi = {}
+        for a, b in self.base.edge_list():
+            perm = self.phi[(a, b)]
+            phi[f"{a},{b}"] = [self.fiber.vertices[perm(i)] for i in range(self.fiber.n)]
+        return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
+
+    @staticmethod
+    def from_json(data: Mapping) -> FiberVoltage:
+        try:
+            base = Graph.from_json(data["base"])
+            fiber = Graph.from_json(data["fiber"])
+            raw = data["phi"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad fiber voltage JSON: {exc}") from exc
+        assignments = {}
+        for key, images in raw.items():
+            v, w = split_edge_key(key)
+            idx = fiber.index
+            try:
+                perm = Perm(tuple(idx[label] for label in images))
+            except KeyError as exc:
+                raise ParseError(f"unknown fiber vertex in voltage: {exc}") from exc
+            assignments[(v, w)] = perm
+        return make_fiber_voltage(base, fiber, assignments)
+
+
+def make_fiber_voltage(
+    base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
+) -> FiberVoltage:
+    """Build a voltage from one orientation per edge; inverses are derived."""
+    phi: dict[tuple[Label, Label], Perm] = {}
+    for (v, w), perm in assignments.items():
+        if (w, v) in phi and phi[(w, v)] != perm.inverse():
+            raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
+        phi[(v, w)] = perm
+        phi[(w, v)] = perm.inverse()
+    for a, b in base.edge_list():
+        if (a, b) not in phi:
+            raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")
+    return FiberVoltage(base, fiber, phi)
+
+
+def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
+    ident = Perm.identity(fiber.n)
+    return make_fiber_voltage(base, fiber, {(a, b): ident for a, b in base.edge_list()})
+
+
+def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
+    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
+    n = fv.base.n
+    out = np.zeros((n, n))
+    for (v, w), perm in fv.phi.items():
+        if perm == psi:
+            out[fv.base.index[v], fv.base.index[w]] = 1.0
+    return Matrix(out)
+
+
+def bundle_adjacency(fv: FiberVoltage) -> Matrix:
+    """Adjacency matrix of the voltage total space, computed by the closed
+    formula: voltage indicators tensored with fiber actions, plus the fiber
+    adjacency on the diagonal blocks."""
+    terms = [(voltage_indicator(fv, psi), perm_block(psi)) for psi in sorted(set(fv.phi.values()))]
+    return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
 
 
 # --- coverings ---------------------------------------------------------------
@@ -127,67 +240,15 @@ def verify_kfold_covering(p: GraphMorphism, k: int) -> Covering:
     return Covering(total, p, base, k, liftings)
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringVoltage:
-    """Permutation voltages on the oriented edges of a base graph.
-
-    sigma maps each oriented edge (v, w) to a permutation of the fiber
-    indices 0..k-1, with sigma[(w, v)] the inverse of sigma[(v, w)].
-    """
-
-    base: Graph
-    k: int
-    sigma: Mapping[tuple[Label, Label], Perm]
-
-    def __post_init__(self) -> None:
-        for (v, w), perm in self.sigma.items():
-            if perm.n != self.k:
-                raise ParseError(f"voltage on ({v!r}, {w!r}) acts on {perm.n} points, expected {self.k}")
-            if self.sigma[(w, v)] != perm.inverse():
-                raise ParseError(f"voltage on ({w!r}, {v!r}) is not the inverse of ({v!r}, {w!r})")
-        oriented = {(v, w) for v, w in self.sigma}
-        expected = set()
-        for a, b in self.base.edge_list():
-            expected.add((a, b))
-            expected.add((b, a))
-        if oriented != expected:
-            raise ParseError("voltage must be defined on exactly the oriented edges of the base")
-
-    def to_json(self) -> dict:
-        out = {}
-        for a, b in self.base.edge_list():
-            out[f"{a},{b}"] = list(self.sigma[(a, b)].images)
-        return {"k": self.k, "sigma": out}
-
-    @staticmethod
-    def from_json(base: Graph, data: Mapping) -> CoveringVoltage:
-        try:
-            k = int(data["k"])
-            raw = data["sigma"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad covering voltage JSON: {exc}") from exc
-        sigma: dict[tuple[Label, Label], Perm] = {}
-        for key, images in raw.items():
-            v, w = split_edge_key(key)
-            perm = Perm(tuple(images))
-            sigma[(v, w)] = perm
-            sigma[(w, v)] = perm.inverse()
-        return CoveringVoltage(base, k, sigma)
 
 
-def make_covering_voltage(base: Graph, k: int, assignments: Mapping[tuple[Label, Label], Perm]) -> CoveringVoltage:
-    """Build a voltage from one orientation per edge; inverses are derived."""
-    sigma: dict[tuple[Label, Label], Perm] = {}
-    for (v, w), perm in assignments.items():
-        sigma[(v, w)] = perm
-        sigma[(w, v)] = perm.inverse()
-    for a, b in base.edge_list():
-        if (a, b) not in sigma:
-            raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")
-    return CoveringVoltage(base, k, sigma)
+def make_covering_voltage(base: Graph, k: int, assignments: Mapping[tuple[Label, Label], Perm]) -> FiberVoltage:
+    """A k-fold covering voltage: a fiber voltage over the edgeless fiber on
+    k vertices, from one orientation per edge."""
+    return make_fiber_voltage(base, empty_graph(k), assignments)
 
 
-def covering_voltage(cov: Covering, labeling: Optional[Mapping[Label, Mapping[Label, int]]] = None) -> CoveringVoltage:
+def covering_voltage(cov: Covering, labeling: Optional[Mapping[Label, Mapping[Label, int]]] = None) -> FiberVoltage:
     """Read permutation voltages off the liftings of a verified covering.
 
     labeling[v] maps each total vertex over v to a fiber index 0..k-1; the
@@ -202,7 +263,7 @@ def covering_voltage(cov: Covering, labeling: Optional[Mapping[Label, Mapping[La
     inverse_labeling = {
         v: {i: x for x, i in labeling[v].items()} for v in base.vertices
     }
-    sigma: dict[tuple[Label, Label], Perm] = {}
+    phi: dict[tuple[Label, Label], Perm] = {}
     for a, b in base.edge_list():
         for v, w in ((a, b), (b, a)):
             images = [0] * cov.k
@@ -210,35 +271,13 @@ def covering_voltage(cov: Covering, labeling: Optional[Mapping[Label, Mapping[La
                 x = inverse_labeling[v][i]
                 y = cov.liftings[(v, x)][w]
                 images[i] = labeling[w][y]
-            sigma[(v, w)] = Perm(tuple(images))
-    return CoveringVoltage(base, cov.k, sigma)
+            phi[(v, w)] = Perm(tuple(images))
+    return FiberVoltage(base, empty_graph(cov.k), phi)
 
 
-def covering_total_graph(base: Graph, cv: CoveringVoltage) -> Graph:
-    """Total space determined by a covering voltage, on labels (v,i)."""
-    k = cv.k
-    vs = [pair_label(v, str(i + 1)) for v in base.vertices for i in range(k)]
-    edges = []
-    for a, b in base.edge_list():
-        perm = cv.sigma[(a, b)]
-        for i in range(k):
-            edges.append((pair_label(a, str(i + 1)), pair_label(b, str(perm(i) + 1))))
-    return make_graph(vs, edges)
-
-
-def covering_adjacency(base: Graph, cv: CoveringVoltage) -> Matrix:
-    """Adjacency of the covering total space in lexicographic (vertex, index) order.
-
-    Realizes the block identity with an edgeless fiber: summed over the
-    voltage values, the base indicator matrix of each permutation tensored
-    with its fiber action.
-    """
-    n = base.n
-    terms = []
-    for perm in sorted(set(cv.sigma.values())):
-        indicator = np.zeros((n, n))
-        for (v, w), value in cv.sigma.items():
-            if value == perm:
-                indicator[base.index[v], base.index[w]] = 1.0
-        terms.append((Matrix(indicator), perm_block(perm)))
-    return voltage_adjacency(n, zeros(cv.k, cv.k), terms)
+def covering_adjacency(base: Graph, cv: FiberVoltage) -> Matrix:
+    """Adjacency of the covering total space in lexicographic (vertex, index)
+    order: the bundle formula, whose fiber term vanishes for an edgeless fiber."""
+    if cv.base != base:
+        raise BaseMismatch("covering voltage is over a different base graph")
+    return bundle_adjacency(cv)

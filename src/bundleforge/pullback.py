@@ -14,7 +14,6 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .bundles import (
-    DEFAULT_FIBER_AUT_BOUND,
     FiberVoltage,
     GraphBundle,
     bundles_equivalent,
@@ -130,13 +129,9 @@ def _typed_fiber_product(
 
 @dataclass(frozen=True, eq=False)
 class PullbackBundle(GraphBundle):
-    """Pullback of a bundle along a base morphism, with its typed edges and
-    the decoding of each total vertex back to its (base, total) pair."""
+    """Pullback of a bundle along a base morphism, with its typed edges."""
 
     typed_edges: tuple[TypedEdge, ...] = ()
-
-    def pair_of(self, label: Label) -> tuple[Label, Label]:
-        return split_pullback_vertex(label)
 
 
 def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
@@ -245,14 +240,12 @@ def canonical_map(f: GraphMorphism, b: GraphBundle, pb: Optional[PullbackBundle]
     return univ
 
 
-def compose_pullbacks_check(
-    f: GraphMorphism, g: GraphMorphism, b: GraphBundle, aut_bound: int = DEFAULT_FIBER_AUT_BOUND
-) -> bool:
+def compose_pullbacks_check(f: GraphMorphism, g: GraphMorphism, b: GraphBundle) -> bool:
     """Functoriality: pulling back along g then f agrees, up to equivalence,
     with pulling back along the composite g ∘ f."""
     twice = pullback_bundle(f, pullback_bundle(g, b))
     once = pullback_bundle(compose(g, f), b)
-    return bundles_equivalent(twice, once, aut_bound) is not None
+    return bundles_equivalent(twice, once) is not None
 
 
 # --- subdirect product ---------------------------------------------------------
@@ -263,9 +256,6 @@ class SubdirectBundle(GraphBundle):
     fiber is the box product of the factor fibers."""
 
     typed_edges: tuple[TypedEdge, ...] = ()
-
-    def pair_of(self, label: Label) -> tuple[Label, Label]:
-        return split_pair_label(label)
 
 
 def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:

@@ -195,6 +195,59 @@ class TestTriviality:
             )
             assert is_trivial(voltage_bundle(fv))
 
+    def test_nine_vertex_fiber(self, c6, c9_rotation_voltage):
+        # Aut(C9) is past the enumeration bound; triviality needs none of it.
+        assert not is_trivial(voltage_bundle(c9_rotation_voltage))
+        rotation = Perm(tuple((i + 1) % 9 for i in range(9)))
+        reflection = Perm(tuple(-i % 9 for i in range(9)))
+        gauge = {v: Perm.identity(9) for v in c6.vertices}
+        for i, v in enumerate(c6.vertices):
+            for _ in range(i):
+                gauge[v] = rotation.compose(gauge[v])
+            if i % 2:
+                gauge[v] = gauge[v].compose(reflection)
+        twisted = make_fiber_voltage(
+            c6, cycle_graph(9), {(a, b): gauge[b].compose(gauge[a].inverse()) for a, b in c6.edge_list()}
+        )
+        assert len(set(twisted.phi.values())) > 1
+        assert is_trivial(voltage_bundle(twisted))
+
+    def test_agrees_with_equivalence_to_box_product(self):
+        # Independent route: an equivalence to the trivial bundle, searched
+        # over Aut(F).  Half the voltages are gauge transforms of the trivial
+        # one, the rest are drawn from Aut(F) edge by edge.
+        rng = random.Random(29)
+        bases = [
+            cycle_graph(3),
+            cycle_graph(5),
+            complete_graph(4),
+            path_graph(4),
+            make_graph(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d"), ("d", "e"), ("c", "e")]),
+        ]
+        fibers = [
+            complete_graph(2),
+            complete_graph(3),
+            path_graph(3),
+            cycle_graph(4),
+            empty_graph(3),
+            star_graph(3),
+            cycle_graph(8),
+        ]
+        verdicts = []
+        for _ in range(400):
+            base, fiber = rng.choice(bases), rng.choice(fibers)
+            auts = fiber_automorphisms(fiber)
+            if rng.random() < 0.5:
+                gauge = {v: rng.choice(auts) for v in base.vertices}
+                assignments = {(a, b): gauge[b].compose(gauge[a].inverse()) for a, b in base.edge_list()}
+            else:
+                assignments = {e: rng.choice(auts) for e in base.edge_list()}
+            b = voltage_bundle(make_fiber_voltage(base, fiber, assignments))
+            expected = bundles_equivalent(b, voltage_bundle(trivial_voltage(base, fiber))) is not None
+            assert is_trivial(b) == expected
+            verdicts.append(expected)
+        assert 100 < sum(verdicts) < 350
+
 
 class TestBundleAdjacency:
     def test_trivial_voltage_reduces_to_box_formula(self, c3, k2):

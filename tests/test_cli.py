@@ -3,7 +3,7 @@ import json
 
 from bundleforge import Graph, cycle_graph, complete_graph
 from bundleforge.cli import main
-from bundleforge.named import mobius_ladder_3, named_graph
+from bundleforge.named import m3_bundle, mobius_ladder_3, named_graph
 
 
 def run(capsys, *argv):
@@ -78,6 +78,15 @@ class TestBundleCommands:
         assert code == 0
         total = Graph.from_json(json.loads(out_path.read_text()))
         assert total.n == 6 and len(total.edges) == 9
+
+    def test_build_nine_vertex_fiber(self, capsys, tmp_path, c9_rotation_voltage):
+        # Triviality enumerates no automorphisms, so a 9-vertex fiber is decided.
+        path = write_json(tmp_path, "v.json", c9_rotation_voltage.to_json())
+        code, out, _ = run(capsys, "bundle-build", "--voltage", path, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["trivial"] is False
+        assert report["formula_matches_construction"] is True
 
     def test_verify_named_cases(self, capsys):
         for case in ("m3", "m62", "prism", "c6-c3-covering"):
@@ -237,6 +246,9 @@ class TestExitCodes:
             code, _, err = run(capsys, "--budget", "1", "bundle-verify", "--case", "m62")
             assert code == 3
             assert "budget" in err
+            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
+            # The next in-process search runs under the default budget again.
+            assert m3_bundle().total.n == 6
         finally:
             graphs_mod.DEFAULT_NODE_BUDGET = saved
 
@@ -248,6 +260,7 @@ class TestExitCodes:
         try:
             code, _, err = run(capsys, "bundle-verify", "--case", "m62")
             assert code == 3
+            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
         finally:
             graphs_mod.DEFAULT_NODE_BUDGET = saved
 

@@ -28,7 +28,7 @@ from bundleforge import (
     star_graph,
     voltage_bundle,
 )
-from bundleforge.errors import EnumerationBoundExceeded
+from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded
 from bundleforge.graphs import spanning_forest
 from bundleforge.ktheory import _least_product, voltage_class_key
 from bundleforge.perms import kron as perm_kron
@@ -536,3 +536,11 @@ class TestClassMaps:
         )
         assert bundles_equivalent(voltage_bundle(regauged), voltage_bundle(twisted)) is not None
         assert m.classify(regauged, 1) == m.classify(twisted, 1)
+
+    def test_voltage_over_another_base_is_rejected(self, c3, k2):
+        # Same edge count, other labels: a serial alone would match a class.
+        m = enumerate_bundle_classes(c3, k2, 1)
+        other = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        fv = make_fiber_voltage(other, k2, {e: SWAP for e in other.edge_list()})
+        with pytest.raises(BaseMismatch):
+            m.classify(fv, 1)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from bundleforge import (
+    FiberVoltage,
     Perm,
     adjacency_matrix,
     cartesian_product,
@@ -11,6 +12,7 @@ from bundleforge import (
     covering_adjacency,
     covering_voltage,
     cycle_graph,
+    empty_graph,
     find_isomorphism,
     kronecker,
     make_graph,
@@ -19,10 +21,11 @@ from bundleforge import (
     strong_product,
     strong_spectrum,
     verify_kfold_covering,
+    voltage_bundle,
 )
-from bundleforge.errors import FiberSizeMismatch, NoLifting
+from bundleforge.errors import BaseMismatch, FiberSizeMismatch, NoLifting
 from bundleforge.matrices import Spectrum, graph_spectrum, identity
-from bundleforge.products import CoveringVoltage, covering_total_graph, make_covering_voltage
+from bundleforge.products import make_covering_voltage
 
 SPECTRUM_FAMILY = ["k2", "k3", "c4", "c6", "p3"]
 
@@ -153,11 +156,11 @@ class TestCoveringVoltage:
     def test_c6_voltages_and_monodromy(self, p_c6_c3):
         cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
         swap, ident = Perm((1, 0)), Perm((0, 1))
-        assert cv.sigma[("1", "2")] == swap
-        assert cv.sigma[("2", "3")] == ident
-        assert cv.sigma[("1", "3")] == ident
+        assert cv.phi[("1", "2")] == swap
+        assert cv.phi[("2", "3")] == ident
+        assert cv.phi[("1", "3")] == ident
         # Around the 3-cycle the sheets exchange: the cover is connected.
-        around = cv.sigma[("3", "1")].compose(cv.sigma[("2", "3")]).compose(cv.sigma[("1", "2")])
+        around = cv.phi[("3", "1")].compose(cv.phi[("2", "3")]).compose(cv.phi[("1", "2")])
         assert around == swap
 
     def test_disjoint_double_cover_trivial_voltage(self, c3):
@@ -167,24 +170,25 @@ class TestCoveringVoltage:
         )
         p = make_morphism(two, c3, {"a1": "1", "b1": "2", "c1": "3", "a2": "1", "b2": "2", "c2": "3"})
         cv = covering_voltage(verify_kfold_covering(p, 2))
-        assert all(perm.is_identity() for perm in cv.sigma.values())
+        assert all(perm.is_identity() for perm in cv.phi.values())
 
     def test_inverse_symmetry(self, p_c6_c3):
         cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
-        for (v, w), perm in cv.sigma.items():
-            assert cv.sigma[(w, v)].compose(perm).is_identity()
+        for (v, w), perm in cv.phi.items():
+            assert cv.phi[(w, v)].compose(perm).is_identity()
 
     def test_json_roundtrip(self, c3, p_c6_c3):
         cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
-        again = CoveringVoltage.from_json(c3, cv.to_json())
-        assert again.sigma == dict(cv.sigma)
+        again = FiberVoltage.from_json(cv.to_json())
+        assert again.base == c3 and again.fiber == cv.fiber
+        assert again.phi == dict(cv.phi)
 
 
 class TestCoveringAdjacency:
     def test_c6_cover_reconstructs_hexagon(self, c3, c6, p_c6_c3):
         cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
         a = covering_adjacency(c3, cv)
-        total = covering_total_graph(c3, cv)
+        total = voltage_bundle(cv).total
         assert a == adjacency_matrix(total)
         assert find_isomorphism(total, c6) is not None
 
@@ -193,11 +197,18 @@ class TestCoveringAdjacency:
         cv = make_covering_voltage(c6, 2, {(a, b): ident for a, b in c6.edge_list()})
         assert covering_adjacency(c6, cv) == kronecker(adjacency_matrix(c6), identity(2))
 
+    def test_voltage_over_another_base_is_rejected(self, c3, c6):
+        # A covering voltage is a fiber voltage over the edgeless fiber.
+        cv = make_covering_voltage(c3, 2, {e: Perm((1, 0)) for e in c3.edge_list()})
+        assert cv.fiber == empty_graph(2)
+        with pytest.raises(BaseMismatch):
+            covering_adjacency(c6, cv)
+
     def test_single_edge_swap_gives_disjoint_cover(self, k2):
         # A tree has only disjoint covers, so the swapped sheet voltage
         # still yields two disjoint edges rather than a 4-cycle.
         cv = make_covering_voltage(k2, 2, {("1", "2"): Perm((1, 0))})
-        total = covering_total_graph(k2, cv)
+        total = voltage_bundle(cv).total
         assert covering_adjacency(k2, cv) == adjacency_matrix(total)
         two_edges = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert find_isomorphism(total, two_edges) is not None
@@ -214,12 +225,12 @@ class TestCoveringAdjacency:
             for _ in range(10):
                 assignments = {e: rng.choice(perms3) for e in base.edge_list()}
                 cv = make_covering_voltage(base, 3, assignments)
-                total = covering_total_graph(base, cv)
+                total = voltage_bundle(cv).total
                 p = make_morphism(
                     total, base, {v: v.rsplit(",", 1)[0][1:] for v in total.vertices}
                 )
                 extracted = covering_voltage(verify_kfold_covering(p, 3))
-                assert dict(extracted.sigma) == dict(cv.sigma)
+                assert dict(extracted.phi) == dict(cv.phi)
 
     def test_row_sums_match_base_degree(self, c3, p_c6_c3):
         cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
