@@ -1,7 +1,10 @@
 """Graph bundles over a base graph: construction from fiber voltages,
-structural verification, and equivalence testing.  Fiber voltages and
-their adjacency formula live in products, below this module, and are
-re-exported here.
+structural verification, and equivalence by holonomy, the voltage carried
+around the fundamental cycle of each edge off a spanning forest: two
+bundles are equivalent exactly when one fiber automorphism per component
+conjugates every holonomy of one onto the other.  Fiber voltages and their
+adjacency formula live in products, below this module, and are re-exported
+here.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -11,11 +14,11 @@ an implementation bug, not bad input, and raises immediately.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
+from . import graphs
 from .errors import (
     BaseMismatch,
     FiberMismatch,
@@ -25,6 +28,7 @@ from .errors import (
     NoLifting,
     NotACovering,
     NotAMorphism,
+    SearchBudgetExceeded,
     TransitionNotIso,
 )
 from .graphs import (
@@ -34,32 +38,23 @@ from .graphs import (
     complete_graph,
     find_isomorphism,
     induced_subgraph,
+    is_isomorphism,
     make_graph,
     make_morphism,
     pair_label,
     spanning_forest,
     validate_morphism,
 )
-from .graphs import automorphisms as graph_automorphisms
 from .perms import Perm
 from .products import (
     FiberVoltage,
     bundle_adjacency,
     cartesian_product,
-    is_fiber_automorphism,
     make_fiber_voltage,
     trivial_voltage,
     verify_kfold_covering,
     voltage_indicator,
 )
-
-#: Default cap on fiber size for automorphism-group enumeration.
-DEFAULT_FIBER_AUT_BOUND = 8
-
-
-def fiber_automorphisms(fiber: Graph) -> list[Perm]:
-    return graph_automorphisms(fiber, bound=DEFAULT_FIBER_AUT_BOUND)
-
 
 def identity_bundle(base: Graph) -> GraphBundle:
     """The base over itself with a one-vertex fiber; neutral for the
@@ -226,100 +221,120 @@ def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
 
 # --- equivalence -------------------------------------------------------------
 
-def _gauge_witnesses(
-    base: Graph,
-    auts: list[Perm],
-    phi1: Mapping[tuple[Label, Label], Perm],
-    phi2: Mapping[tuple[Label, Label], Perm],
-) -> Iterator[dict[Label, Perm]]:
-    """Yield all per-vertex automorphism families g with
-    phi2(v,w) = g_w ∘ phi1(v,w) ∘ g_v⁻¹ on every oriented base edge.
-
-    The root value of each component forces g along a spanning tree, so the
-    search is linear in the base size for each root choice; the non-tree
-    edges then accept or reject the choice.
-    """
-    per_component: list[list[dict[Label, Perm]]] = []
+def _holonomies(fv: FiberVoltage) -> Iterator[tuple[dict[Label, Perm], list[Perm]]]:
+    """Per spanning-forest component, the transport t[v] of the voltage from
+    the root along the tree, and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of each
+    non-tree edge (v, w): the voltage carried around its fundamental cycle."""
+    base, phi = fv.base, fv.phi
     for tree in spanning_forest(base):
-        root, *rest = tree
-        non_tree = [
-            (v, w)
+        t: dict[Label, Perm] = {}
+        for w, v in tree.items():
+            t[w] = Perm.identity(fv.fiber.n) if v is None else phi[(v, w)].compose(t[v])
+        yield t, [
+            t[w].inverse().compose(phi[(v, w)]).compose(t[v])
             for v in tree
-            for w in base.neighbors(v)
+            for w in base.adjacency[v]
             if base.index[v] < base.index[w] and tree[v] != w and tree[w] != v
         ]
-        sols = []
-        for g_root in auts:
-            g = {root: g_root}
-            for w in rest:
-                v = tree[w]
-                g[w] = phi2[(v, w)].compose(g[v]).compose(phi1[(v, w)].inverse())
-            if all(g[w].compose(phi1[(v, w)]) == phi2[(v, w)].compose(g[v]) for v, w in non_tree):
-                sols.append(g)
-        if not sols:
-            return
-        per_component.append(sols)
-    for combo in itertools.product(*per_component):
-        merged: dict[Label, Perm] = {}
-        for part in combo:
-            merged.update(part)
-        yield merged
 
 
-def _witness_from_gauge(b1: GraphBundle, b2: GraphBundle, g: Mapping[Label, Perm]) -> dict[Label, Label]:
-    fiber = b1.fiber
-    mapping: dict[Label, Label] = {}
-    for v in b1.base.vertices:
-        inv2 = b2.inverse_fiber_isos[v]
-        for x in b1.fibers[v]:
-            i = fiber.index[b1.fiber_isos[v][x]]
-            mapping[x] = inv2[fiber.vertices[g[v](i)]]
-    return mapping
+def _least_conjugator(
+    fiber: Graph, h1: list[Perm], h2: list[Perm], order: list[tuple[int, list[int]]]
+) -> Optional[Perm]:
+    """The first fiber automorphism g with g ∘ h1[k] = h2[k] ∘ g for every k,
+    placing the points of order in turn with their candidate images in the
+    order given, or None.  Placing a point forces its images under every
+    holonomy; each candidate tried is one node of graphs.DEFAULT_NODE_BUDGET."""
+    if any(a.cycle_type() != b.cycle_type() for a, b in zip(h1, h2)):
+        return None
+    nbrs = [{fiber.index[u] for u in fiber.adjacency[f]} for f in fiber.vertices]
+    g: dict[int, int] = {}
+    used: set[int] = set()
+    budget, nodes = graphs.DEFAULT_NODE_BUDGET, 0
+
+    def place(j: int, k: int) -> bool:
+        todo = [(j, k)]
+        while todo:
+            j, k = todo.pop()
+            if g.get(j) == k:
+                continue
+            if j in g or k in used:
+                return False
+            if any((i in nbrs[j]) != (g[i] in nbrs[k]) for i in g):
+                return False
+            g[j] = k
+            used.add(k)
+            todo.extend((a(j), b(k)) for a, b in zip(h1, h2))
+        return True
+
+    # A frame per placed decision: its position, next candidate and len(g) before it.
+    frames: list[tuple[int, int, int]] = []
+    pos = start = 0
+    while pos < len(order):
+        j, candidates = order[pos]
+        if j in g:
+            pos += 1
+            continue
+        if start < len(candidates):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"conjugator search exceeded {budget} nodes")
+            frames.append((pos, start + 1, len(g)))
+            if place(j, candidates[start]):
+                pos, start = pos + 1, 0
+                continue
+        elif not frames:
+            return None
+        pos, start, mark = frames.pop()
+        while len(g) > mark:
+            used.discard(g.popitem()[1])
+    return Perm(tuple(g[i] for i in range(fiber.n)))
 
 
 def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label, Label]]:
     """Search for an equivalence: a total-space isomorphism over the identity
     on the base.  Returns the lexicographically least witness, or None.
 
-    The search ranges over per-vertex fiber automorphisms only, never raw
-    vertex bijections of the total spaces.
+    With t1, t2 the tree transports of the two voltages, a vertex x of b1
+    over v sits at the root point j = t1[v]⁻¹(σ1_v(x)) and goes to the
+    vertex of b2 over v at t2[v](g(j)).  Each point's images are tried in
+    the order of the labels they give at its first vertex in
+    b1.total.vertices, so the first g found is the least.
     """
     if b1.base != b2.base:
         raise BaseMismatch("bundles have different base graphs")
     if b1.fiber != b2.fiber:
         raise FiberMismatch("bundles have different fiber graphs")
-    auts = fiber_automorphisms(b1.fiber)
-    phi1 = bundle_to_voltage(b1).phi
-    phi2 = bundle_to_voltage(b2).phi
-    witnesses = [
-        _witness_from_gauge(b1, b2, g)
-        for g in _gauge_witnesses(b1.base, auts, phi1, phi2)
-    ]
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda m: tuple(m[x] for x in b1.total.vertices))
+    fiber, position = b1.fiber, b1.total.index
+    witness: dict[Label, Label] = {}
+    for (t1, h1), (t2, h2) in zip(_holonomies(bundle_to_voltage(b1)), _holonomies(bundle_to_voltage(b2))):
+        label = {v: [b2.inverse_fiber_isos[v][fiber.vertices[t2[v](k)]] for k in range(fiber.n)] for v in t2}
+        back = {v: t.inverse() for v, t in t1.items()}
+        points = {x: (v, back[v](fiber.index[b1.fiber_isos[v][x]])) for v in t1 for x in b1.fibers[v]}
+        reach: dict[int, list[int]] = {}
+        for x in sorted(points, key=position.__getitem__):
+            v, j = points[x]
+            if j not in reach:
+                reach[j] = sorted(range(fiber.n), key=label[v].__getitem__)
+        g = _least_conjugator(fiber, h1, h2, list(reach.items()))
+        if g is None:
+            return None
+        witness.update((x, label[v][g(j)]) for x, (v, j) in points.items())
+    return {x: witness[x] for v in b1.base.vertices for x in b1.fibers[v]}
 
 
 def is_equivalence_witness(b1: GraphBundle, b2: GraphBundle, mapping: Mapping[Label, Label]) -> bool:
     """Validate a proposed total-space map as a bundle equivalence."""
-    from .graphs import is_isomorphism
-
     if not is_isomorphism(dict(mapping), b1.total, b2.total):
         return False
     return all(b2.projection(mapping[x]) == b1.projection(x) for x in b1.total.vertices)
 
 
 def is_trivial(b: GraphBundle) -> bool:
-    """True when the bundle is equivalent to the box product over the same base.
-
-    No automorphism of the fiber is enumerated: composing every gauge of a
-    trivialization with one fixed automorphism gives another, so a
-    trivialization exists iff one exists with the identity at every root.
-    """
-    phi = bundle_to_voltage(b).phi
-    ident = Perm.identity(b.fiber.n)
-    trivial_phi = {edge: ident for edge in phi}
-    return next(_gauge_witnesses(b.base, [ident], phi, trivial_phi), None) is not None
+    """True when the bundle is equivalent to the box product over the same
+    base: exactly when every holonomy is the identity, since g ∘ h ∘ g⁻¹ is
+    the identity only for h the identity."""
+    return all(h.is_identity() for _, hs in _holonomies(bundle_to_voltage(b)) for h in hs)
 
 
 def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:

@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
 )
-from .graphs import Graph, find_isomorphism, make_morphism
+from .graphs import Graph, Label, canon_label, find_isomorphism, make_morphism
 from .groups import (
     FiniteGroup,
     cayley_graph,
@@ -77,6 +77,16 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
+
+
+def _load_map(path: str) -> tuple[dict[Label, Label], dict]:
+    """Read a JSON object whose "map" is an object of labels; returns the
+    map, with its labels canonicalized, and the whole object."""
+    data = _load_json(path)
+    raw = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path} needs a 'map' object")
+    return {canon_label(k): canon_label(v) for k, v in raw.items()}, data
 
 
 def _load_graph(path: Optional[str], case: Optional[str]) -> Graph:
@@ -193,11 +203,7 @@ def cmd_bundle_verify(args) -> int:
     else:
         total = _load_graph(args.total, None)
         fiber_graph = _load_graph(args.fiber, None)
-        proj_data = _load_json(args.proj)
-        try:
-            mapping = {str(k): str(v) for k, v in proj_data["map"].items()}
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ParseError(f"projection JSON needs a 'map' object: {exc}") from exc
+        mapping, proj_data = _load_map(args.proj)
         if args.base:
             base = _load_graph(args.base, None)
         elif "base" in proj_data:
@@ -253,7 +259,7 @@ def cmd_pullback(args) -> int:
             raise ParseError("pullback needs --voltage, --morphism, and --domain (or --case)")
         fv = FiberVoltage.from_json(_load_json(args.voltage))
         domain = _load_graph(args.domain, None)
-        f = make_morphism(domain, fv.base, _load_json(args.morphism)["map"])
+        f = make_morphism(domain, fv.base, _load_map(args.morphism)[0])
     pulled = pullback_voltage(f, fv)
     pb = pullback_bundle(f, voltage_bundle(fv))
     formula = pullback_adjacency(f, fv)
@@ -383,8 +389,8 @@ def cmd_subdirect_group(args) -> int:
         a = FiniteGroup.from_json(_load_json(args.group_a))
         b = FiniteGroup.from_json(_load_json(args.group_b))
         c = FiniteGroup.from_json(_load_json(args.group_c))
-        eps_a = make_hom(a, c, _load_json(args.eps_a)["map"])
-        eps_b = make_hom(b, c, _load_json(args.eps_b)["map"])
+        eps_a = make_hom(a, c, _load_map(args.eps_a)[0])
+        eps_b = make_hom(b, c, _load_map(args.eps_b)[0])
         sd = subdirect_group(eps_a, eps_b)
     report = {
         "verb": "subdirect-group",

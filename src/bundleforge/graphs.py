@@ -148,7 +148,11 @@ class Graph:
             edges = data["edges"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"graph JSON needs 'vertices' and 'edges': {exc}") from exc
-        return make_graph(vertices, [tuple(e) for e in edges])
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise ParseError("graph JSON 'vertices' and 'edges' must be lists")
+        if not all(isinstance(e, list) for e in edges):
+            raise ParseError("every graph JSON edge must be a list of two vertices")
+        return make_graph(vertices, edges)
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -436,19 +440,17 @@ def is_isomorphism(mapping: Mapping[Label, Label], g: Graph, h: Graph) -> bool:
     return all(h.has_edge(mapping[a], mapping[b]) for a, b in g.edge_list())
 
 
-def automorphisms(g: Graph, bound: int = DEFAULT_AUT_BOUND, budget: int | None = None) -> list[Perm]:
+def automorphisms(g: Graph) -> list[Perm]:
     """Enumerate all automorphisms as permutations of vertex indices.
 
     The list contains the identity, is closed under composition and
     inverse, and is sorted by image tuple for determinism.
     """
-    if g.n > bound:
+    if g.n > DEFAULT_AUT_BOUND:
         raise EnumerationBoundExceeded(
-            f"automorphism enumeration capped at {bound} vertices, graph has {g.n}"
+            f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
         )
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    search = _IsoSearch(g, g, budget)
+    search = _IsoSearch(g, g, DEFAULT_NODE_BUDGET)
     found: list[Perm] = []
 
     def extend(i: int, mapping: dict[Label, Label], used: set[Label]) -> None:
@@ -460,8 +462,8 @@ def automorphisms(g: Graph, bound: int = DEFAULT_AUT_BOUND, budget: int | None =
             if w in used:
                 continue
             search.nodes += 1
-            if search.nodes > budget:
-                raise SearchBudgetExceeded(f"automorphism search exceeded {budget} nodes")
+            if search.nodes > search.budget:
+                raise SearchBudgetExceeded(f"automorphism search exceeded {search.budget} nodes")
             if not search._feasible(v, w, mapping):
                 continue
             mapping[v] = w

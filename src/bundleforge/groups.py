@@ -112,7 +112,8 @@ def make_group(elements: Sequence[object], table: Mapping[tuple[object, object],
     Raises NotAGroup naming the violated axiom and a witness.
     """
     elems = tuple(str(e) for e in elements)
-    if len(set(elems)) != len(elems):
+    members = set(elems)
+    if len(members) != len(elems):
         raise NotAGroup("duplicate element labels")
     t: dict[tuple[Label, Label], Label] = {}
     for x in elems:
@@ -121,7 +122,7 @@ def make_group(elements: Sequence[object], table: Mapping[tuple[object, object],
                 z = str(table[(x, y)])
             except KeyError:
                 raise NotAGroup(f"table missing product ({x!r}, {y!r})") from None
-            if z not in set(elems):
+            if z not in members:
                 raise NotAGroup(f"closure fails: ({x!r}, {y!r}) -> {z!r}")
             t[(x, y)] = z
     identity = None

@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     GraphMorphism,
     automorphisms,
-    find_isomorphism,
     make_graph,
     spanning_forest,
 )
@@ -254,14 +253,12 @@ def enumerate_bundle_classes(
     edges = base.edge_list()
     non_tree = _cycle_positions(base)
 
-    powers: dict[int, Graph] = {}
     gauges: dict[int, _Gauge] = {}
     keys_by_n: dict[int, dict[tuple, int]] = {}
     classes: list[BundleClass] = []
 
     for n in range(n_max + 1):
         fn = fiber_power(fiber, n)
-        powers[n] = fn
         gauge = gauges[n] = _gauge(base, automorphisms(fn))
         k = len(gauge.auts)
         total = k ** len(non_tree)
@@ -291,30 +288,15 @@ def enumerate_bundle_classes(
                 f"addition-table entries, over the cap {max_assignments}"
             )
 
-    boxes: dict[tuple[int, int], tuple[Graph, Perm]] = {}
-
-    def alignment(n1: int, n2: int) -> tuple[Graph, Perm]:
-        if (n1, n2) not in boxes:
-            box = cartesian_product(powers[n1], powers[n2])
-            target = powers[n1 + n2]
-            iso = find_isomorphism(box, target)
-            assert iso is not None
-            lam = Perm(tuple(target.index[iso[v]] for v in box.vertices))
-            boxes[(n1, n2)] = (box, lam)
-        return boxes[(n1, n2)]
-
     add_table: dict[tuple[int, int], Optional[int]] = {}
     for c1 in classes:
         for c2 in classes:
             if c1.n + c2.n > n_max:
                 add_table[(c1.class_id, c2.class_id)] = None
                 continue
-            _, lam = alignment(c1.n, c2.n)
+            # F^a □ F^b lists its vertices in the index order of F^(a+b).
             n_sum = c1.n + c2.n
-            serial = [
-                perm_kron(c1.representative.phi[e], c2.representative.phi[e]).conjugate(lam).images
-                for e in edges
-            ]
+            serial = [perm_kron(c1.representative.phi[e], c2.representative.phi[e]).images for e in edges]
             add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][gauges[n_sum].least_serial(serial)]
 
     return KClassMonoid(

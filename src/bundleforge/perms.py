@@ -43,6 +43,20 @@ class Perm:
         """Return g ∘ self ∘ g⁻¹."""
         return g.compose(self).compose(g.inverse())
 
+    def cycle_type(self) -> list[int]:
+        """Cycle lengths in ascending order, fixed points included."""
+        seen = [False] * self.n
+        lengths = []
+        for start in range(self.n):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = self.images[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        return sorted(lengths)
+
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 

@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    canon_label,
     empty_graph,
     make_graph,
     make_morphism,
@@ -137,12 +138,15 @@ class FiberVoltage:
             raw = data["phi"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad fiber voltage JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(f"fiber voltage 'phi' must be an object, got {raw!r}")
         assignments = {}
         for key, images in raw.items():
             v, w = split_edge_key(key)
-            idx = fiber.index
+            if not isinstance(images, list):
+                raise ParseError(f"voltage on {key!r} must be a list of fiber vertices, got {images!r}")
             try:
-                perm = Perm(tuple(idx[label] for label in images))
+                perm = Perm(tuple(fiber.index[canon_label(label)] for label in images))
             except KeyError as exc:
                 raise ParseError(f"unknown fiber vertex in voltage: {exc}") from exc
             assignments[(v, w)] = perm

@@ -12,6 +12,7 @@ import time
 from bundleforge import (
     Perm,
     adjacency_matrix,
+    automorphisms,
     bundle_adjacency,
     bundles_equivalent,
     cartesian_product,
@@ -45,7 +46,7 @@ from bundleforge import (
     verify_invariance,
     voltage_bundle,
 )
-from bundleforge.bundles import fiber_automorphisms, is_equivalence_witness, with_fiber
+from bundleforge.bundles import is_equivalence_witness, with_fiber
 from bundleforge.errors import NoTransversalSection
 from bundleforge.graphs import split_pair_label
 from bundleforge.groups import admissible_generating_sets, symmetric_generating_sets
@@ -75,7 +76,7 @@ def test_criterion_01_adjacency_formula_vs_construction():
     for base in bases:
         edges = base.edge_list()
         for fiber in fibers:
-            auts = fiber_automorphisms(fiber)
+            auts = automorphisms(fiber)
             total = len(auts) ** len(edges)
             if total <= 10_000:
                 assignments = itertools.product(auts, repeat=len(edges))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from bundleforge import (
     FiberVoltage,
     Perm,
     adjacency_matrix,
+    automorphisms,
     bundle_adjacency,
     bundle_to_voltage,
     bundles_equivalent,
@@ -28,7 +30,9 @@ from bundleforge import (
     verify_bundle,
     voltage_bundle,
 )
-from bundleforge.bundles import fiber_automorphisms, is_equivalence_witness
+from bundleforge import graphs
+from bundleforge.graphs import spanning_forest
+from bundleforge.bundles import is_equivalence_witness
 from bundleforge.errors import (
     BaseMismatch,
     FiberMismatch,
@@ -36,6 +40,7 @@ from bundleforge.errors import (
     LocalTrivialityFails,
     NotACovering,
     ParseError,
+    SearchBudgetExceeded,
     TransitionNotIso,
 )
 from bundleforge.matrices import identity as identity_matrix
@@ -174,6 +179,173 @@ class TestEquivalence:
                 assert e13
 
 
+def reference_gauges(base, auts, phi1, phi2):
+    """Every gauge g with phi2(v,w) = g_w ∘ phi1(v,w) ∘ g_v⁻¹, found by trying
+    each automorphism at the root of each component: an independent route
+    to the holonomy search, for fibers small enough to enumerate."""
+    per_component = []
+    for tree in spanning_forest(base):
+        root, *rest = tree
+        non_tree = [
+            (v, w)
+            for v in tree
+            for w in base.neighbors(v)
+            if base.index[v] < base.index[w] and tree[v] != w and tree[w] != v
+        ]
+        sols = []
+        for g_root in auts:
+            g = {root: g_root}
+            for w in rest:
+                v = tree[w]
+                g[w] = phi2[(v, w)].compose(g[v]).compose(phi1[(v, w)].inverse())
+            if all(g[w].compose(phi1[(v, w)]) == phi2[(v, w)].compose(g[v]) for v, w in non_tree):
+                sols.append(g)
+        if not sols:
+            return
+        per_component.append(sols)
+    for combo in itertools.product(*per_component):
+        merged = {}
+        for part in combo:
+            merged.update(part)
+        yield merged
+
+
+def reference_equivalence(b1, b2, auts):
+    """The least witness over all gauges from auts = Aut(F), or None."""
+    fiber = b1.fiber
+    witnesses = []
+    for g in reference_gauges(b1.base, auts, bundle_to_voltage(b1).phi, bundle_to_voltage(b2).phi):
+        mapping = {}
+        for v in b1.base.vertices:
+            inv2 = b2.inverse_fiber_isos[v]
+            for x in b1.fibers[v]:
+                i = fiber.index[b1.fiber_isos[v][x]]
+                mapping[x] = inv2[fiber.vertices[g[v](i)]]
+        witnesses.append(mapping)
+    if not witnesses:
+        return None
+    return min(witnesses, key=lambda m: tuple(m[x] for x in b1.total.vertices))
+
+
+def reverified(b, rng):
+    """The same bundle verified again from a total with shuffled vertex
+    order, so the fiber identifications are no longer the identity."""
+    order = list(b.total.vertices)
+    rng.shuffle(order)
+    total = make_graph(order, b.total.edge_list())
+    return verify_bundle(total, make_morphism(total, b.base, b.projection.map), b.fiber)
+
+
+def gauge_transform(fv, gauge):
+    return make_fiber_voltage(
+        fv.base,
+        fv.fiber,
+        {(a, b): gauge[b].compose(fv.phi[(a, b)]).compose(gauge[a].inverse()) for a, b in fv.base.edge_list()},
+    )
+
+
+class TestEquivalenceAgainstAutEnumeration:
+    def test_witnesses_match_reference(self):
+        rng = random.Random(41)
+        bases = [
+            cycle_graph(3),
+            cycle_graph(4),
+            path_graph(3),
+            make_graph(["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("3", "4")]),
+            make_graph(["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")]),
+            make_graph(["a", "b", "c", "d"], [("b", "c"), ("c", "d"), ("b", "d")]),
+            make_graph(["a", "b"], []),
+        ]
+        fibers = [
+            complete_graph(1),
+            complete_graph(2),
+            complete_graph(3),
+            path_graph(3),
+            cycle_graph(4),
+            cycle_graph(5),
+            empty_graph(3),
+            empty_graph(4),
+            star_graph(3),
+        ]
+        auts = {f: automorphisms(f) for f in fibers}
+        equivalent = 0
+        pairs = 2600
+        for _ in range(pairs):
+            base, fiber = rng.choice(bases), rng.choice(fibers)
+            fv1 = make_fiber_voltage(base, fiber, {e: rng.choice(auts[fiber]) for e in base.edge_list()})
+            if rng.random() < 0.6:
+                fv2 = gauge_transform(fv1, {v: rng.choice(auts[fiber]) for v in base.vertices})
+            else:
+                fv2 = make_fiber_voltage(base, fiber, {e: rng.choice(auts[fiber]) for e in base.edge_list()})
+            b1 = reverified(voltage_bundle(fv1), rng)
+            b2 = voltage_bundle(fv2)
+            expected = reference_equivalence(b1, b2, auts[fiber])
+            witness = bundles_equivalent(b1, b2)
+            assert witness == expected
+            if witness is not None:
+                assert list(witness) == list(expected)
+                assert is_equivalence_witness(b1, b2, witness)
+                equivalent += 1
+            ident = {e: Perm.identity(fiber.n) for e in fv1.phi}
+            trivializations = reference_gauges(base, auts[fiber], fv1.phi, ident)
+            assert is_trivial(b1) == (next(trivializations, None) is not None)
+        assert equivalent > 0.6 * pairs and pairs - equivalent > 300
+
+    def test_nine_vertex_fiber_equivalence(self, c6, c9_rotation_voltage):
+        rotation = Perm(tuple((i + 1) % 9 for i in range(9)))
+        reflection = Perm(tuple(-i % 9 for i in range(9)))
+        gauge = {v: Perm.identity(9) for v in c6.vertices}
+        for i, v in enumerate(c6.vertices):
+            for _ in range(i):
+                gauge[v] = rotation.compose(gauge[v])
+            if i % 3 == 1:
+                gauge[v] = gauge[v].compose(reflection)
+        b1 = voltage_bundle(c9_rotation_voltage)
+        b2 = voltage_bundle(gauge_transform(c9_rotation_voltage, gauge))
+        witness = bundles_equivalent(b1, b2)
+        assert witness is not None and is_equivalence_witness(b1, b2, witness)
+        # The holonomy r^k and the holonomy r^2k are both 9-cycles, and no
+        # automorphism of C9 conjugates one onto the other.
+        doubled = make_fiber_voltage(
+            c6, cycle_graph(9), {e: p.compose(p) for e, p in c9_rotation_voltage.phi.items()}
+        )
+        assert bundles_equivalent(b1, voltage_bundle(doubled)) is None
+
+    def test_eight_point_fiber_is_fast(self):
+        rng = random.Random(5)
+        base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("3", "4")])
+        fiber = empty_graph(8)
+
+        def shuffled():
+            images = list(range(8))
+            rng.shuffle(images)
+            return Perm(tuple(images))
+
+        fv = make_fiber_voltage(base, fiber, {e: shuffled() for e in base.edge_list()})
+        b1 = voltage_bundle(fv)
+        b2 = voltage_bundle(gauge_transform(fv, {v: shuffled() for v in base.vertices}))
+        start = time.perf_counter()
+        witness = bundles_equivalent(b1, b2)
+        assert time.perf_counter() - start < 0.5
+        assert witness is not None and is_equivalence_witness(b1, b2, witness)
+
+    def test_cycle_types_differ_rejected_without_search(self, c3, monkeypatch):
+        fiber = empty_graph(10)
+        ident = Perm.identity(10)
+        swap = Perm((1, 0) + tuple(range(2, 10)))
+        double = Perm((1, 0, 3, 2) + tuple(range(4, 10)))
+        b1 = voltage_bundle(make_fiber_voltage(c3, fiber, {("1", "2"): swap, ("2", "3"): ident, ("1", "3"): ident}))
+        b2 = voltage_bundle(make_fiber_voltage(c3, fiber, {("1", "2"): double, ("2", "3"): ident, ("1", "3"): ident}))
+        monkeypatch.setattr(graphs, "DEFAULT_NODE_BUDGET", 0)
+        assert bundles_equivalent(b1, b2) is None
+
+    def test_node_budget_bounds_the_search(self, c3, monkeypatch):
+        b = voltage_bundle(trivial_voltage(c3, empty_graph(10)))
+        monkeypatch.setattr(graphs, "DEFAULT_NODE_BUDGET", 3)
+        with pytest.raises(SearchBudgetExceeded):
+            bundles_equivalent(b, b)
+
+
 class TestTriviality:
     def test_prism_trivial(self, c3, k2):
         assert is_trivial(voltage_bundle(trivial_voltage(c3, k2)))
@@ -236,7 +408,7 @@ class TestTriviality:
         verdicts = []
         for _ in range(400):
             base, fiber = rng.choice(bases), rng.choice(fibers)
-            auts = fiber_automorphisms(fiber)
+            auts = automorphisms(fiber)
             if rng.random() < 0.5:
                 gauge = {v: rng.choice(auts) for v in base.vertices}
                 assignments = {(a, b): gauge[b].compose(gauge[a].inverse()) for a, b in base.edge_list()}
@@ -281,7 +453,7 @@ class TestBundleAdjacency:
 
     def test_random_formula_vs_construction(self, c4, k2):
         rng = random.Random(11)
-        auts = fiber_automorphisms(k2)
+        auts = automorphisms(k2)
         for _ in range(20):
             assignment = {e: rng.choice(auts) for e in c4.edge_list()}
             fv = make_fiber_voltage(c4, k2, assignment)
@@ -340,7 +512,7 @@ class TestCharacterizationAgreement:
         for _ in range(40):
             base = rng.choice(bases)
             fiber = rng.choice(fibers)
-            auts = fiber_automorphisms(fiber)
+            auts = automorphisms(fiber)
             fv = make_fiber_voltage(
                 base, fiber, {e: rng.choice(auts) for e in base.edge_list()}
             )

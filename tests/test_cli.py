@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from bundleforge import Graph, cycle_graph, complete_graph
 from bundleforge.cli import main
@@ -294,3 +295,81 @@ class TestExitCodes:
             assert graphs_mod.DEFAULT_NODE_BUDGET == saved
         finally:
             graphs_mod.DEFAULT_NODE_BUDGET = saved
+
+
+class TestMalformedInputFiles:
+    """Malformed voltage, graph and map files exit 2 with an input error."""
+
+    @pytest.mark.parametrize(
+        "phi",
+        [[], {"1,3": 5}, {"1,3": [["2"], "1"]}, {"1,3": "21"}],
+        ids=["phi-list", "image-int", "image-nested-list", "image-string"],
+    )
+    def test_malformed_voltage(self, capsys, tmp_path, phi):
+        # Each image replaces the twist ["2", "1"] of an otherwise valid voltage.
+        from bundleforge.named import twisted_ladder_voltage
+
+        data = twisted_ladder_voltage().to_json()
+        data["phi"] = dict(data["phi"], **phi) if isinstance(phi, dict) else phi
+        path = write_json(tmp_path, "v.json", data)
+        code, _, err = run(capsys, "bundle-build", "--voltage", path)
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize(
+        "graph",
+        [{"vertices": ["1", "2"], "edges": 5}, {"vertices": 5, "edges": []}, {"vertices": ["1", "2"], "edges": [5]}],
+        ids=["edges-int", "vertices-int", "edge-int"],
+    )
+    def test_malformed_graph(self, capsys, tmp_path, graph):
+        code, _, err = run(capsys, "spectrum", "--graph", write_json(tmp_path, "g.json", graph))
+        assert code == 2
+        assert "input error" in err
+
+    def pullback_args(self, tmp_path, morphism):
+        from bundleforge.named import twisted_ladder_voltage
+
+        return [
+            "pullback",
+            "--voltage", write_json(tmp_path, "v.json", twisted_ladder_voltage().to_json()),
+            "--domain", write_json(tmp_path, "c6.json", cycle_graph(6).to_json()),
+            "--morphism", write_json(tmp_path, "f.json", morphism),
+        ]
+
+    def test_pullback_from_files(self, capsys, tmp_path):
+        from bundleforge.named import mod3_projection
+
+        morphism = mod3_projection(cycle_graph(6)).to_json()
+        code, out, _ = run(capsys, *self.pullback_args(tmp_path, morphism), "--json")
+        assert code == 0
+        assert json.loads(out)["total_vertices"] == 12
+
+    @pytest.mark.parametrize("morphism", [{"mapping": {}}, {"map": [1]}, [1]], ids=["no-map", "map-list", "list"])
+    def test_malformed_morphism(self, capsys, tmp_path, morphism):
+        code, _, err = run(capsys, *self.pullback_args(tmp_path, morphism))
+        assert code == 2
+        assert "input error" in err
+
+    def subdirect_group_args(self, tmp_path, eps_a):
+        from bundleforge.named import invariance_case_z2z3_z6
+
+        case = invariance_case_z2z3_z6()
+        phi1, phi2 = case["phi1"], case["phi2"]
+        return [
+            "subdirect-group",
+            "--group-a", write_json(tmp_path, "a.json", phi1.domain.to_json()),
+            "--group-b", write_json(tmp_path, "b.json", phi2.domain.to_json()),
+            "--group-c", write_json(tmp_path, "c.json", phi1.codomain.to_json()),
+            "--eps-a", write_json(tmp_path, "ea.json", eps_a if eps_a is not None else phi1.to_json()),
+            "--eps-b", write_json(tmp_path, "eb.json", phi2.to_json()),
+        ]
+
+    def test_subdirect_group_from_files(self, capsys, tmp_path):
+        code, out, _ = run(capsys, *self.subdirect_group_args(tmp_path, None), "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == 12
+
+    def test_eps_without_map(self, capsys, tmp_path):
+        code, _, err = run(capsys, *self.subdirect_group_args(tmp_path, {"mapping": {}}))
+        assert code == 2
+        assert "input error" in err

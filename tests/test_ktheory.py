@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bundleforge import (
     KGroupElement,
     Perm,
+    adjacency_matrix,
     automorphisms,
     bundles_equivalent,
     cartesian_product,
@@ -68,7 +69,7 @@ def all_assignments_classes(base, fiber, n_max):
     classes = []
     class_of = {}
     for n in range(n_max + 1):
-        auts = automorphisms(fiber_power(fiber, n), bound=10)
+        auts = automorphisms(fiber_power(fiber, n))
         twist = twist_table(auts)
         seen = {}
         for assignment in itertools.product(range(len(auts)), repeat=len(ends)):
@@ -110,6 +111,19 @@ class TestFiberPower:
 
     def test_first_power_is_the_graph(self, k3):
         assert fiber_power(k3, 1) == k3
+
+    @pytest.mark.parametrize(
+        "fiber",
+        [complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4), empty_graph(2), star_graph(3)],
+        ids=["K2", "K3", "P3", "C4", "2K1", "K1,3"],
+    )
+    def test_box_of_powers_lists_vertices_in_power_order(self, fiber):
+        # The addition table sums voltages by kron without realigning F^a □ F^b
+        # onto F^(a+b): their vertex orders must give the same adjacency.
+        for a, b in itertools.product(range(3), repeat=2):
+            if fiber.n ** (a + b) <= 64:
+                box = cartesian_product(fiber_power(fiber, a), fiber_power(fiber, b))
+                assert adjacency_matrix(box) == adjacency_matrix(fiber_power(fiber, a + b))
 
 
 class TestEnumeration:
@@ -221,7 +235,7 @@ class TestAgainstAllAssignments:
                 assert m.add(c1.class_id, c2.class_id) == class_of[n_sum][serial]
         rng = random.Random(11)
         for n in range(n_max + 1):
-            auts = automorphisms(powers[n], bound=10)
+            auts = automorphisms(powers[n])
             for _ in range(20):
                 fv = make_fiber_voltage(
                     base, powers[n], {e: rng.choice(auts) for e in base.edge_list()}
