@@ -355,6 +355,9 @@ def cmd_cayley(args) -> int:
             raise ParseError("cayley needs --group and --gens (or --case)")
         group = FiniteGroup.from_json(_load_json(args.group))
         gens = [s.strip() for s in args.gens.split(",") if s.strip()]
+        unknown = [s for s in gens if s not in group.index]
+        if unknown:
+            raise ParseError(f"--gens labels are not group elements: {unknown}")
     closed, added = symmetric_closure(group, gens)
     s = generator_system(group, closed)
     g = cayley_graph(group, s)

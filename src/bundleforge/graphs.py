@@ -8,7 +8,7 @@ to a single vertex.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -36,12 +36,10 @@ DEFAULT_AUT_BOUND = 10
 
 def canon_label(x: object) -> Label:
     """Canonicalize a vertex label; integers become their decimal strings."""
-    if isinstance(x, bool):
-        raise ParseError(f"unsupported vertex label type: {x!r}")
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, str):
         return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return str(x)
     raise ParseError(f"unsupported vertex label type: {x!r}")
 
 
@@ -119,6 +117,31 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
+
+    @cached_property
+    def neighbor_sets(self) -> dict[Label, frozenset[Label]]:
+        return {v: frozenset(ns) for v, ns in self.adjacency.items()}
+
+    @cached_property
+    def signature(self) -> dict[Label, tuple[int, ...]]:
+        """Each vertex's sorted neighbour degrees, an isomorphism invariant
+        computed once per graph; its length is the vertex's degree."""
+        adj = self.adjacency
+        deg = {v: len(ns) for v, ns in adj.items()}
+        return {v: tuple(sorted(map(deg.__getitem__, ns))) for v, ns in adj.items()}
+
+    @cached_property
+    def signature_classes(self) -> dict[tuple[int, ...], tuple[Label, ...]]:
+        """Vertices grouped by signature, each class in stored order."""
+        classes: dict[tuple[int, ...], list[Label]] = {}
+        sig = self.signature
+        for v in self.vertices:
+            classes.setdefault(sig[v], []).append(v)
+        return {s: tuple(vs) for s, vs in classes.items()}
+
+    @cached_property
+    def signature_histogram(self) -> Counter[tuple[int, ...]]:
+        return Counter(self.signature.values())
 
     @cached_property
     def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
@@ -303,15 +326,23 @@ def preserves_edges(f: GraphMorphism) -> bool:
 
 
 def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
-    """Subgraph on the given vertices with all edges among them, order inherited."""
+    """Subgraph on the given vertices with all edges among them, order inherited.
+
+    The labels and edges of g are already valid, so the result is built
+    from g's filtered neighbour lists without going through make_graph.
+    """
     want = {canon_label(v) for v in subset}
     idx = g.index
     for v in want:
         if v not in idx:
             raise UnknownVertex(f"vertex {v!r} not in graph")
-    vs = sorted(want, key=idx.__getitem__)
-    es = [(a, b) for a in vs for b in g.adjacency[a] if b in want and idx[a] < idx[b]]
-    return make_graph(vs, es)
+    vs = tuple(sorted(want, key=idx.__getitem__))
+    adjacency = {a: tuple(b for b in g.adjacency[a] if b in want) for a in vs}
+    order = tuple((a, b) for a in vs for b in adjacency[a] if idx[a] < idx[b])
+    sub = Graph(vs, frozenset(frozenset(e) for e in order))
+    sub.__dict__["adjacency"] = adjacency
+    sub.__dict__["_edge_order"] = order
+    return sub
 
 
 def neighborhood(g: Graph, v: object) -> Graph:
@@ -362,22 +393,28 @@ def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:
 # --- isomorphism search ------------------------------------------------------
 
 class _IsoSearch:
-    """Backtracking vertex-map search with degree and neighbor-degree pruning."""
+    """Backtracking vertex-map search over signature classes.
+
+    The vertices of g are matched in stored order.  The candidates for v
+    are only the vertices of h with v's signature (degree and sorted
+    neighbour degrees), in h's stored order; a node is one such candidate
+    tried.  Earlier versions tried every unused vertex of h, so a search
+    now spends at most as many nodes, and a budget that ran out there can
+    suffice now.  The signatures are cached on each graph, so this object
+    computes nothing up front.
+    """
 
     def __init__(self, g: Graph, h: Graph, budget: int):
         self.g = g
         self.h = h
         self.budget = budget
         self.nodes = 0
-        # Neighbor degree multisets are isomorphism invariants used for pruning.
-        self.g_sig = {v: sorted(g.degree(u) for u in g.neighbors(v)) for v in g.vertices}
-        self.h_sig = {v: sorted(h.degree(u) for u in h.neighbors(v)) for v in h.vertices}
 
     def run(self) -> Optional[dict[Label, Label]]:
         g, h = self.g, self.h
         if g.n != h.n or len(g.edges) != len(h.edges):
             return None
-        if g.degree_sequence() != h.degree_sequence():
+        if g.signature_histogram != h.signature_histogram:
             return None
         mapping: dict[Label, Label] = {}
         used: set[Label] = set()
@@ -389,13 +426,13 @@ class _IsoSearch:
         if i == self.g.n:
             return True
         v = self.g.vertices[i]
-        for w in self.h.vertices:
+        for w in self.h.signature_classes[self.g.signature[v]]:
             if w in used:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(f"isomorphism search exceeded {self.budget} nodes")
-            if not self._feasible(v, w, mapping):
+            if not self._feasible(v, w, mapping, used):
                 continue
             mapping[v] = w
             used.add(w)
@@ -405,24 +442,29 @@ class _IsoSearch:
             used.discard(w)
         return False
 
-    def _feasible(self, v: Label, w: Label, mapping: dict[Label, Label]) -> bool:
-        if self.g.degree(v) != self.h.degree(w):
-            return False
-        if self.g_sig[v] != self.h_sig[w]:
-            return False
-        for u, wu in mapping.items():
-            if self.g.has_edge(v, u) != self.h.has_edge(w, wu):
-                return False
-        return True
+    def _feasible(self, v: Label, w: Label, mapping: dict[Label, Label], used: set[Label]) -> bool:
+        """The VF2 rule in O(deg v): the mapped neighbours of v land in N(w),
+        and as many used vertices are adjacent to w."""
+        nw = self.h.neighbor_sets[w]
+        mapped = 0
+        for u in self.g.adjacency[v]:
+            wu = mapping.get(u)
+            if wu is not None:
+                if wu not in nw:
+                    return False
+                mapped += 1
+        return mapped == len(nw & used)
 
 
 def find_isomorphism(g: Graph, h: Graph, budget: int | None = None) -> Optional[dict[Label, Label]]:
     """Find a graph isomorphism g -> h, or None.
 
-    Deterministic: vertices of g are matched in stored order against
-    candidates in h's stored order, so the first witness found is stable.
-    Raises SearchBudgetExceeded (meaning "unknown") when the node budget
-    runs out.
+    Deterministic: vertices of g are matched in stored order against the
+    vertices of h with the same signature, in h's stored order, so the
+    first witness found is stable.  Graphs with different signature
+    histograms are rejected before any node is spent.  Raises
+    SearchBudgetExceeded (meaning "unknown") when the node budget runs out;
+    a node is one tried candidate of matching signature.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -458,13 +500,13 @@ def automorphisms(g: Graph) -> list[Perm]:
             found.append(Perm(tuple(g.index[mapping[v]] for v in g.vertices)))
             return
         v = g.vertices[i]
-        for w in g.vertices:
+        for w in g.signature_classes[g.signature[v]]:
             if w in used:
                 continue
             search.nodes += 1
             if search.nodes > search.budget:
                 raise SearchBudgetExceeded(f"automorphism search exceeded {search.budget} nodes")
-            if not search._feasible(v, w, mapping):
+            if not search._feasible(v, w, mapping, used):
                 continue
             mapping[v] = w
             used.add(w)

@@ -89,10 +89,15 @@ class FiniteGroup:
     @staticmethod
     def from_json(data: Mapping) -> FiniteGroup:
         try:
-            elements = [str(e) for e in data["elements"]]
-            rows = [list(row) for row in data["table"]]
+            elements = data["elements"]
+            rows = data["table"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad group JSON: {exc}") from exc
+        if not isinstance(elements, list) or not isinstance(rows, list):
+            raise ParseError("group JSON 'elements' and 'table' must be lists")
+        if not all(isinstance(row, list) for row in rows):
+            raise ParseError("every group JSON table row must be a list")
+        elements = [str(e) for e in elements]
         n = len(elements)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParseError(f"group table must have {n} rows of {n} entries")

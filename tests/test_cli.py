@@ -172,6 +172,12 @@ class TestGroupCommands:
         assert code == 2
         assert "input error" in err
 
+    def test_cayley_unknown_generator_is_input_error(self, capsys, tmp_path):
+        group = write_json(tmp_path, "z2.json", {"elements": ["a", "b"], "table": [["a", "b"], ["b", "a"]]})
+        code, _, err = run(capsys, "cayley", "--group", group, "--gens", "e")
+        assert code == 2
+        assert "input error" in err and "'e'" in err
+
     def test_subdirect_group_case(self, capsys):
         code, out, _ = run(capsys, "subdirect-group", "--case", "z2z3-z6")
         assert code == 0
@@ -323,6 +329,20 @@ class TestMalformedInputFiles:
     )
     def test_malformed_graph(self, capsys, tmp_path, graph):
         code, _, err = run(capsys, "spectrum", "--graph", write_json(tmp_path, "g.json", graph))
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            {"elements": "ab", "table": [["a", "b"], ["b", "a"]]},
+            {"elements": ["a", "b"], "table": "abba"},
+            {"elements": ["a", "b"], "table": ["ab", "ba"]},
+        ],
+        ids=["elements-string", "table-string", "row-string"],
+    )
+    def test_malformed_group(self, capsys, tmp_path, group):
+        code, _, err = run(capsys, "cayley", "--group", write_json(tmp_path, "g.json", group), "--gens", "b")
         assert code == 2
         assert "input error" in err
 

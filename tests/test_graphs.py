@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bundleforge.graphs as graphs_mod
 from bundleforge import (
+    Perm,
     automorphisms,
     compose,
     cycle_graph,
@@ -27,7 +29,7 @@ from bundleforge.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, is_isomorphism, perm_label_map
+from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, perm_label_map
 from bundleforge.named import hexagonal_prism, twisted_hexagonal_ladder
 
 
@@ -130,6 +132,16 @@ class TestSubgraphs:
     def test_unknown_vertex(self, k3):
         with pytest.raises(UnknownVertex):
             induced_subgraph(k3, ["9"])
+
+    def test_unknown_integer_vertex(self, k3):
+        with pytest.raises(UnknownVertex):
+            induced_subgraph(k3, [1, 9])
+
+    def test_integer_labels_canonicalized(self, c6):
+        sub = induced_subgraph(c6, [2, 1, "3"])
+        assert sub.vertices == ("1", "2", "3")
+        assert sub.edge_list() == [("1", "2"), ("2", "3")]
+        assert sub.adjacency == {"1": ("2",), "2": ("1", "3"), "3": ("2",)}
 
     def test_neighborhood_is_star_only(self, k3):
         star = neighborhood(k3, "1")
@@ -317,3 +329,190 @@ def test_induced_subgraph_matches_edge_filter(case):
     assert sub.vertices == tuple(v for v in g.vertices if v in want)
     assert sub.edges == frozenset(e for e in g.edges if e <= want)
     assert sub.edge_list() == [(a, b) for a, b in g.edge_list() if a in want and b in want]
+
+
+@given(shuffled_graph_and_subset())
+@settings(max_examples=150, deadline=None)
+def test_induced_subgraph_matches_make_graph(case):
+    # The subgraph is built from g's adjacency lists; make_graph on the same
+    # vertices and edges is the independent route.
+    g, subset = case
+    sub = induced_subgraph(g, subset)
+    want = set(subset)
+    vs = [v for v in g.vertices if v in want]
+    expected = make_graph(vs, [(a, b) for a, b in g.edge_list() if a in want and b in want])
+    assert sub == expected
+    assert sub.vertices == expected.vertices
+    assert sub.edges == expected.edges
+    assert sub.adjacency == expected.adjacency
+    assert sub.edge_list() == expected.edge_list()
+    assert sub.signature == expected.signature
+
+
+# --- reference isomorphism search -------------------------------------------
+#
+# The search as it was before it took candidates from signature classes and
+# checked feasibility in O(deg v): every unused vertex of h is a candidate,
+# and feasibility compares adjacency against every mapped pair.  The current
+# search must return the same witness and the same automorphism list, and
+# try no more nodes.
+
+
+class ReferenceIsoSearch:
+    def __init__(self, g, h, budget):
+        self.g = g
+        self.h = h
+        self.budget = budget
+        self.nodes = 0
+        self.g_sig = {v: sorted(g.degree(u) for u in g.neighbors(v)) for v in g.vertices}
+        self.h_sig = {v: sorted(h.degree(u) for u in h.neighbors(v)) for v in h.vertices}
+
+    def run(self):
+        g, h = self.g, self.h
+        if g.n != h.n or len(g.edges) != len(h.edges):
+            return None
+        if g.degree_sequence() != h.degree_sequence():
+            return None
+        mapping, used = {}, set()
+        if self._extend(0, mapping, used):
+            return dict(mapping)
+        return None
+
+    def _extend(self, i, mapping, used):
+        if i == self.g.n:
+            return True
+        v = self.g.vertices[i]
+        for w in self.h.vertices:
+            if w in used:
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {self.budget} nodes")
+            if not self.feasible(v, w, mapping):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if self._extend(i + 1, mapping, used):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    def feasible(self, v, w, mapping):
+        if self.g.degree(v) != self.h.degree(w):
+            return False
+        if self.g_sig[v] != self.h_sig[w]:
+            return False
+        for u, wu in mapping.items():
+            if self.g.has_edge(v, u) != self.h.has_edge(w, wu):
+                return False
+        return True
+
+
+def reference_automorphisms(g):
+    """The reference list of automorphisms and the nodes it tried."""
+    search = ReferenceIsoSearch(g, g, graphs_mod.DEFAULT_NODE_BUDGET)
+    found = []
+
+    def extend(i, mapping, used):
+        if i == g.n:
+            found.append(Perm(tuple(g.index[mapping[v]] for v in g.vertices)))
+            return
+        v = g.vertices[i]
+        for w in g.vertices:
+            if w in used:
+                continue
+            search.nodes += 1
+            if not search.feasible(v, w, mapping):
+                continue
+            mapping[v] = w
+            used.add(w)
+            extend(i + 1, mapping, used)
+            del mapping[v]
+            used.discard(w)
+
+    extend(0, {}, set())
+    return sorted(found), search.nodes
+
+
+@st.composite
+def graph_up_to_8(draw, n=None):
+    if n is None:
+        n = draw(st.integers(min_value=0, max_value=8))
+    labels = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+    pairs = list(itertools.combinations(labels, 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(labels, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def search_pair(draw):
+    """A graph and a second graph on as many vertices, stored in a shuffled
+    order: a relabelled copy, a copy after one degree-preserving edge swap,
+    or an unrelated graph."""
+    g = draw(graph_up_to_8())
+    kind = draw(st.sampled_from(["copy", "swap", "other"]))
+    if kind == "other":
+        return g, draw(graph_up_to_8(n=g.n))
+    edges = [tuple(e) for e in g.edge_list()]
+    swaps = [
+        (i, j)
+        for i, (a, b) in enumerate(edges)
+        for j, (c, d) in enumerate(edges)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b)
+    ]
+    if kind == "swap" and swaps:
+        i, j = draw(st.sampled_from(swaps))
+        (a, b), (c, d) = edges[i], edges[j]
+        edges = [e for k, e in enumerate(edges) if k not in (i, j)] + [(a, d), (c, b)]
+    relabel = dict(zip(g.vertices, draw(st.permutations(list(g.vertices)))))
+    order = draw(st.permutations(list(g.vertices)))
+    return g, make_graph(order, [(relabel[a], relabel[b]) for a, b in edges])
+
+
+class TestSearchAgainstReference:
+    @given(search_pair())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_witness_and_no_more_nodes(self, pair):
+        g, h = pair
+        reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
+        expected = reference.run()
+        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
+        found = search.run()
+        assert found == expected
+        if found is not None:
+            assert list(found.items()) == list(expected.items())
+        assert find_isomorphism(g, h) == expected
+        assert search.nodes <= reference.nodes
+
+    @given(graph_up_to_8())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_automorphisms_and_no_more_nodes(self, g):
+        expected, nodes = reference_automorphisms(g)
+        saved = graphs_mod.DEFAULT_NODE_BUDGET
+        # With the reference's node count as the budget, the search must
+        # finish: it may not try more nodes.
+        graphs_mod.DEFAULT_NODE_BUDGET = nodes
+        try:
+            assert automorphisms(g) == expected
+        finally:
+            graphs_mod.DEFAULT_NODE_BUDGET = saved
+
+    def test_prism_and_twisted_ladder_witness(self):
+        g, h = hexagonal_prism(), twisted_hexagonal_ladder()
+        reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
+        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
+        assert list(search.run().items()) == list(reference.run().items())
+        assert search.nodes <= reference.nodes
+
+    def test_histogram_mismatch_spends_no_nodes(self):
+        # P5 and a triangle plus an edge share n, |E| and the degree
+        # sequence, but not the neighbour degrees.
+        g = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
+        h = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 1), (4, 5)])
+        assert g.degree_sequence() == h.degree_sequence()
+        search = _IsoSearch(g, h, 0)
+        assert search.run() is None
+        assert search.nodes == 0
+        with pytest.raises(SearchBudgetExceeded):
+            ReferenceIsoSearch(g, h, 0).run()

@@ -119,6 +119,14 @@ class TestGroupConstruction:
         with pytest.raises(ParseError):
             FiniteGroup.from_json(data)
 
+    @pytest.mark.parametrize("field,value", [("elements", "012"), ("table", "x"), ("table", ["012", "120", "201"])])
+    def test_non_list_fields_are_parse_errors(self, field, value):
+        # A string would otherwise be read character by character.
+        data = cyclic(3).to_json()
+        data[field] = value
+        with pytest.raises(ParseError):
+            FiniteGroup.from_json(data)
+
 
 def quaternion_group() -> FiniteGroup:
     """Q8 on signed units: i*j = k, j*k = i, k*i = j, each unit squaring to -1."""
