@@ -136,10 +136,11 @@ def cmd_spectrum(args) -> int:
             grouped[-1][1] += 1
         else:
             grouped.append([x, 1])
+    # Adding 0.0 turns a rounded -0.0 into 0.0, whatever the sign of the noise.
     report = {
         "verb": "spectrum",
-        "eigenvalues": [round(x, 9) for x in eig.eigenvalues],
-        "multiplicities": [[round(v, 9), m] for v, m in grouped],
+        "eigenvalues": [round(x, 9) + 0.0 for x in eig.eigenvalues],
+        "multiplicities": [[round(v, 9) + 0.0, m] for v, m in grouped],
     }
     _emit(report, args, [str(eig)])
     return EXIT_OK

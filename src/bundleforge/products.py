@@ -106,13 +106,18 @@ class FiberVoltage:
         if set(self.phi) != oriented:
             raise ParseError("voltage must cover exactly the oriented edges of the base")
         checked: set[Perm] = set()
+        inverted: set[tuple[Label, Label]] = set()
         for (v, w), perm in self.phi.items():
             if perm not in checked:
                 if not is_fiber_automorphism(self.fiber, perm):
                     raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
                 checked.add(perm)
+            # Inversion is an involution: one check per edge covers both orientations.
+            if (w, v) in inverted:
+                continue
             if self.phi[(w, v)] != perm.inverse():
                 raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
+            inverted.add((v, w))
 
     def apply(self, v: Label, w: Label, f: Label) -> Label:
         """Image of fiber vertex f under the voltage of oriented edge (v, w)."""
@@ -159,10 +164,11 @@ def make_fiber_voltage(
     """Build a voltage from one orientation per edge; inverses are derived."""
     phi: dict[tuple[Label, Label], Perm] = {}
     for (v, w), perm in assignments.items():
-        if (w, v) in phi and phi[(w, v)] != perm.inverse():
+        inverse = perm.inverse()
+        if (w, v) in phi and phi[(w, v)] != inverse:
             raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
         phi[(v, w)] = perm
-        phi[(w, v)] = perm.inverse()
+        phi[(w, v)] = inverse
     for a, b in base.edge_list():
         if (a, b) not in phi:
             raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")

@@ -551,6 +551,22 @@ class TestVoltageValidation:
         with pytest.raises(ParseError, match="must invert"):
             FiberVoltage(c3, k2, phi)
 
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    @pytest.mark.parametrize("bad_forward", [False, True])
+    def test_rejects_bad_reverse_on_either_orientation(self, c3, k3, reverse_first, bad_forward):
+        # One inverse check per edge still catches a bad value on either
+        # orientation, whichever orientation the mapping lists first.
+        rotation = Perm((1, 2, 0))
+        a, b = c3.edge_list()[1]
+        phi = {}
+        for v, w in c3.edge_list():
+            for key in [(w, v), (v, w)] if reverse_first else [(v, w), (w, v)]:
+                phi[key] = rotation if key == (v, w) else rotation.inverse()
+        bad = (a, b) if bad_forward else (b, a)
+        phi[bad] = phi[bad].inverse()
+        with pytest.raises(ParseError, match="must invert"):
+            FiberVoltage(c3, k3, phi)
+
     def test_rejects_missing_edge(self, c3, k2):
         with pytest.raises(ParseError):
             make_fiber_voltage(c3, k2, {("1", "2"): IDENT})

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,16 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, "spectrum", "--case", "k3", "--json")
         report = json.loads(out)
         assert report["multiplicities"] == [[2.0, 1], [-1.0, 2]]
+
+    @pytest.mark.parametrize("case", ["p3", "c4", "m3", "s3", "c6k2", "fig24"])
+    def test_json_zero_is_unsigned(self, capsys, case):
+        # Rounding noise of either sign must not print as -0.0.
+        code, out, _ = run(capsys, "spectrum", "--case", case, "--json")
+        assert code == 0
+        report = json.loads(out)
+        values = report["eigenvalues"] + [v for v, _ in report["multiplicities"]]
+        assert 0.0 in values
+        assert all(math.copysign(1.0, v) > 0 for v in values if v == 0.0)
 
 
 class TestProductCommand:

@@ -7,13 +7,25 @@ from bundleforge import (
     Perm,
     adjacency_matrix,
     cartesian_product,
+    complete_graph,
+    cycle_graph,
     hadamard,
     kronecker,
+    path_graph,
     perm_matrix,
     spectrum,
+    strong_product,
 )
 from bundleforge.errors import NotABijection, NotSymmetric, ShapeMismatch
-from bundleforge.matrices import Matrix, Spectrum, from_rows, graph_spectrum, identity, perm_block
+from bundleforge.matrices import (
+    Matrix,
+    Spectrum,
+    _round_robin,
+    from_rows,
+    graph_spectrum,
+    identity,
+    perm_block,
+)
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
 A_C6_ROWS = [
@@ -139,16 +151,72 @@ class TestSpectrum:
         assert str(graph_spectrum(k3)) == "2.000000, -1.000000, -1.000000"
 
 
+def assert_matches_lapack(sym):
+    ours = spectrum(Matrix(sym)).eigenvalues
+    reference = sorted(np.linalg.eigvalsh(sym), reverse=True)
+    assert len(ours) == len(reference)
+    assert all(abs(x - y) < 1e-8 for x, y in zip(ours, reference))
+
+
+def random_symmetric(seed, n):
+    a = np.random.default_rng(seed).integers(-3, 4, size=(n, n)).astype(float)
+    return (a + a.T) / 2.0
+
+
 class TestJacobiAgainstLapack:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12))
     @settings(max_examples=40, deadline=None)
     def test_random_symmetric(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(-3, 4, size=(n, n)).astype(float)
-        sym = (a + a.T) / 2.0
-        ours = spectrum(Matrix(sym)).eigenvalues
-        reference = sorted(np.linalg.eigvalsh(sym), reverse=True)
-        assert all(abs(x - y) < 1e-8 for x, y in zip(ours, reference))
+        assert_matches_lapack(random_symmetric(seed, n))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=13, max_value=48))
+    @settings(max_examples=12, deadline=None)
+    def test_random_symmetric_up_to_48(self, seed, n):
+        assert_matches_lapack(random_symmetric(seed, n))
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (cycle_graph, 4, cycle_graph, 3),
+            (cycle_graph, 6, cycle_graph, 8),
+            (cycle_graph, 12, path_graph, 4),
+            (path_graph, 4, complete_graph, 3),
+            (path_graph, 6, path_graph, 8),
+            (complete_graph, 4, complete_graph, 12),
+            (cycle_graph, 16, complete_graph, 3),
+        ],
+    )
+    @pytest.mark.parametrize("product", [cartesian_product, strong_product])
+    def test_products_with_repeated_eigenvalues(self, product, factors):
+        # The product families of the formula-check benchmark, 12 to 48
+        # vertices: their spectra repeat eigenvalues many times over.
+        make1, k1, make2, k2 = factors
+        a = adjacency_matrix(product(make1(k1), make2(k2)))
+        assert 12 <= a.rows <= 48
+        assert_matches_lapack(a.data)
+
+
+def test_spectrum_does_not_use_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle must not call np.linalg")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = graph_spectrum(cartesian_product(cycle_graph(4), complete_graph(3)))
+    assert got.close_to_values([a + b for a in (2, 0, 0, -2) for b in (2, -1, -1)])
+
+
+@pytest.mark.parametrize("n", range(51))
+def test_round_robin_schedule(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == max(n + n % 2 - 1, 0)
+    seen = []
+    for pairs in rounds:
+        touched = [i for pair in pairs for i in pair]
+        assert len(touched) == len(set(touched))
+        assert all(0 <= p < q < n for p, q in pairs)
+        seen.extend(pairs)
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 @st.composite
