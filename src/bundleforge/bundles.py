@@ -244,13 +244,14 @@ def _least_conjugator(
     """The first fiber automorphism g with g ∘ h1[k] = h2[k] ∘ g for every k,
     placing the points of order in turn with their candidate images in the
     order given, or None.  Placing a point forces its images under every
-    holonomy; each candidate tried is one node of graphs.DEFAULT_NODE_BUDGET."""
+    holonomy; each candidate tried is one node of the budget in scope
+    (graphs.node_budget)."""
     if any(a.cycle_type() != b.cycle_type() for a, b in zip(h1, h2)):
         return None
     nbrs = [{fiber.index[u] for u in fiber.adjacency[f]} for f in fiber.vertices]
     g: dict[int, int] = {}
     used: set[int] = set()
-    budget, nodes = graphs.DEFAULT_NODE_BUDGET, 0
+    budget, nodes = graphs.current_budget.get(), 0
 
     def place(j: int, k: int) -> bool:
         todo = [(j, k)]

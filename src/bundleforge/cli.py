@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or true verdict, 1 false verdict (invalid bundle,
-failed equivalence, failed invariance), 2 input error, 3 budget exceeded.
+failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
+4 internal error (an unexpected exception, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> dict:
@@ -565,9 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_limits(args) -> None:
-    """Validate the node budget and --n-max, then install the budget for
-    this run; main puts the previous budget back when the verb returns.
+def _apply_limits(args) -> int:
+    """Validate --n-max and return the node budget for this run: --budget,
+    else BUNDLEFORGE_BUDGET, else the budget already in scope.
 
     Raises ParseError for a negative value or a non-integer environment
     budget.
@@ -584,17 +586,15 @@ def _apply_limits(args) -> None:
         raise ParseError(f"{source} must not be negative, got {budget}")
     if getattr(args, "n_max", 0) < 0:
         raise ParseError(f"--n-max must not be negative, got {args.n_max}")
-    if budget is not None:
-        graphs_mod.DEFAULT_NODE_BUDGET = budget
+    return graphs_mod.current_budget.get() if budget is None else budget
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_budget = graphs_mod.DEFAULT_NODE_BUDGET
     try:
-        _apply_limits(args)
-        return args.func(args)
+        with graphs_mod.node_budget(_apply_limits(args)):
+            return args.func(args)
     except (SearchBudgetExceeded, EnumerationBoundExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -604,8 +604,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BundleForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        graphs_mod.DEFAULT_NODE_BUDGET = saved_budget
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ to a single vertex.
 from __future__ import annotations
 
 from collections import Counter, deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     DuplicateVertex,
@@ -27,8 +29,11 @@ from .perms import Perm
 
 Label = str
 
-#: Default node budget for backtracking isomorphism search.
+#: Node budget of every exhaustive search outside a node_budget block.
 DEFAULT_NODE_BUDGET = 10**7
+
+#: The node budget in scope; set it only through node_budget.
+current_budget: ContextVar[int] = ContextVar("current_budget", default=DEFAULT_NODE_BUDGET)
 
 #: Default vertex cap for full automorphism enumeration.
 DEFAULT_AUT_BOUND = 10
@@ -392,15 +397,24 @@ def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:
 
 # --- isomorphism search ------------------------------------------------------
 
+@contextmanager
+def node_budget(budget: int) -> Iterator[None]:
+    """Give every search started in the block this node budget; the
+    enclosing budget is back when the block ends, also by an exception."""
+    token = current_budget.set(budget)
+    try:
+        yield
+    finally:
+        current_budget.reset(token)
+
+
 class _IsoSearch:
     """Backtracking vertex-map search over signature classes.
 
     The vertices of g are matched in stored order.  The candidates for v
     are only the vertices of h with v's signature (degree and sorted
     neighbour degrees), in h's stored order; a node is one such candidate
-    tried.  Earlier versions tried every unused vertex of h, so a search
-    now spends at most as many nodes, and a budget that ran out there can
-    suffice now.  The signatures are cached on each graph, so this object
+    tried.  The signatures are cached on each graph, so this object
     computes nothing up front.
     """
 
@@ -411,20 +425,26 @@ class _IsoSearch:
         self.nodes = 0
 
     def run(self) -> Optional[dict[Label, Label]]:
+        """The first isomorphism g -> h in search order, or None."""
+        found = self.matches(1)
+        return found[0] if found else None
+
+    def matches(self, limit: Optional[int] = None) -> list[dict[Label, Label]]:
+        """The first limit isomorphisms g -> h in search order, or all of
+        them when limit is None."""
+        self.found: list[dict[Label, Label]] = []
+        self.limit = limit
         g, h = self.g, self.h
-        if g.n != h.n or len(g.edges) != len(h.edges):
-            return None
-        if g.signature_histogram != h.signature_histogram:
-            return None
-        mapping: dict[Label, Label] = {}
-        used: set[Label] = set()
-        if self._extend(0, mapping, used):
-            return dict(mapping)
-        return None
+        if g.n == h.n and len(g.edges) == len(h.edges) and g.signature_histogram == h.signature_histogram:
+            self._extend(0, {}, set())
+        return self.found
 
     def _extend(self, i: int, mapping: dict[Label, Label], used: set[Label]) -> bool:
+        """Extend mapping from the i-th vertex of g on; True once limit
+        isomorphisms are found."""
         if i == self.g.n:
-            return True
+            self.found.append(dict(mapping))
+            return len(self.found) == self.limit
         v = self.g.vertices[i]
         for w in self.h.signature_classes[self.g.signature[v]]:
             if w in used:
@@ -456,19 +476,18 @@ class _IsoSearch:
         return mapped == len(nw & used)
 
 
-def find_isomorphism(g: Graph, h: Graph, budget: int | None = None) -> Optional[dict[Label, Label]]:
+def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
     """Find a graph isomorphism g -> h, or None.
 
     Deterministic: vertices of g are matched in stored order against the
     vertices of h with the same signature, in h's stored order, so the
     first witness found is stable.  Graphs with different signature
     histograms are rejected before any node is spent.  Raises
-    SearchBudgetExceeded (meaning "unknown") when the node budget runs out;
-    a node is one tried candidate of matching signature.
+    SearchBudgetExceeded (meaning "unknown") when the node budget in scope
+    (see node_budget) runs out; a node is one tried candidate of matching
+    signature.
     """
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    return _IsoSearch(g, h, budget).run()
+    return _IsoSearch(g, h, current_budget.get()).run()
 
 
 def is_isomorphism(mapping: Mapping[Label, Label], g: Graph, h: Graph) -> bool:
@@ -492,30 +511,9 @@ def automorphisms(g: Graph) -> list[Perm]:
         raise EnumerationBoundExceeded(
             f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
         )
-    search = _IsoSearch(g, g, DEFAULT_NODE_BUDGET)
-    found: list[Perm] = []
-
-    def extend(i: int, mapping: dict[Label, Label], used: set[Label]) -> None:
-        if i == g.n:
-            found.append(Perm(tuple(g.index[mapping[v]] for v in g.vertices)))
-            return
-        v = g.vertices[i]
-        for w in g.signature_classes[g.signature[v]]:
-            if w in used:
-                continue
-            search.nodes += 1
-            if search.nodes > search.budget:
-                raise SearchBudgetExceeded(f"automorphism search exceeded {search.budget} nodes")
-            if not search._feasible(v, w, mapping, used):
-                continue
-            mapping[v] = w
-            used.add(w)
-            extend(i + 1, mapping, used)
-            del mapping[v]
-            used.discard(w)
-
-    extend(0, {}, set())
-    return sorted(found)
+    idx = g.index
+    search = _IsoSearch(g, g, current_budget.get())
+    return sorted(Perm(tuple(idx[m[v]] for v in g.vertices)) for m in search.matches())
 
 
 def perm_label_map(g: Graph, perm: Perm) -> dict[Label, Label]:

@@ -234,7 +234,6 @@ def enumerate_bundle_classes(
     fiber: Graph,
     n_max: int = DEFAULT_N_MAX,
     *,
-    max_base_vertices: int = DEFAULT_MAX_BASE_VERTICES,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> KClassMonoid:
     """Enumerate the voltage classes for every fiber power up to n_max and
@@ -246,9 +245,9 @@ def enumerate_bundle_classes(
     addition table, one entry per ordered pair of classes.  Each class is
     keyed and represented by its least serial, and class ids follow the
     order of those serials."""
-    if base.n > max_base_vertices:
+    if base.n > DEFAULT_MAX_BASE_VERTICES:
         raise EnumerationBoundExceeded(
-            f"base has {base.n} vertices, enumeration capped at {max_base_vertices}"
+            f"base has {base.n} vertices, enumeration capped at {DEFAULT_MAX_BASE_VERTICES}"
         )
     edges = base.edge_list()
     non_tree = _cycle_positions(base)

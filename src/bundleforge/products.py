@@ -10,7 +10,7 @@ edgeless fiber on k vertices, so coverings share the bundle formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -258,31 +258,18 @@ def make_covering_voltage(base: Graph, k: int, assignments: Mapping[tuple[Label,
     return make_fiber_voltage(base, empty_graph(k), assignments)
 
 
-def covering_voltage(cov: Covering, labeling: Optional[Mapping[Label, Mapping[Label, int]]] = None) -> FiberVoltage:
+def covering_voltage(cov: Covering) -> FiberVoltage:
     """Read permutation voltages off the liftings of a verified covering.
 
-    labeling[v] maps each total vertex over v to a fiber index 0..k-1; the
-    default labels each fiber by its sorted vertex order.
+    Each fiber is labelled 0..k-1 in the vertex order of the total space.
     """
-    base = cov.base
-    if labeling is None:
-        labeling = {
-            v: {x: i for i, x in enumerate(cov.fiber_vertices(v))}
-            for v in base.vertices
-        }
-    inverse_labeling = {
-        v: {i: x for x, i in labeling[v].items()} for v in base.vertices
-    }
+    index = {v: {x: i for i, x in enumerate(cov.fiber_vertices(v))} for v in cov.base.vertices}
     phi: dict[tuple[Label, Label], Perm] = {}
-    for a, b in base.edge_list():
+    for a, b in cov.base.edge_list():
         for v, w in ((a, b), (b, a)):
-            images = [0] * cov.k
-            for i in range(cov.k):
-                x = inverse_labeling[v][i]
-                y = cov.liftings[(v, x)][w]
-                images[i] = labeling[w][y]
-            phi[(v, w)] = Perm(tuple(images))
-    return FiberVoltage(base, empty_graph(cov.k), phi)
+            lifts = (cov.liftings[(v, x)][w] for x in cov.fiber_vertices(v))
+            phi[(v, w)] = Perm(tuple(index[w][y] for y in lifts))
+    return FiberVoltage(cov.base, empty_graph(cov.k), phi)
 
 
 def covering_adjacency(base: Graph, cv: FiberVoltage) -> Matrix:

@@ -329,20 +329,19 @@ class TestEquivalenceAgainstAutEnumeration:
         assert time.perf_counter() - start < 0.5
         assert witness is not None and is_equivalence_witness(b1, b2, witness)
 
-    def test_cycle_types_differ_rejected_without_search(self, c3, monkeypatch):
+    def test_cycle_types_differ_rejected_without_search(self, c3):
         fiber = empty_graph(10)
         ident = Perm.identity(10)
         swap = Perm((1, 0) + tuple(range(2, 10)))
         double = Perm((1, 0, 3, 2) + tuple(range(4, 10)))
         b1 = voltage_bundle(make_fiber_voltage(c3, fiber, {("1", "2"): swap, ("2", "3"): ident, ("1", "3"): ident}))
         b2 = voltage_bundle(make_fiber_voltage(c3, fiber, {("1", "2"): double, ("2", "3"): ident, ("1", "3"): ident}))
-        monkeypatch.setattr(graphs, "DEFAULT_NODE_BUDGET", 0)
-        assert bundles_equivalent(b1, b2) is None
+        with graphs.node_budget(0):
+            assert bundles_equivalent(b1, b2) is None
 
-    def test_node_budget_bounds_the_search(self, c3, monkeypatch):
+    def test_node_budget_bounds_the_search(self, c3):
         b = voltage_bundle(trivial_voltage(c3, empty_graph(10)))
-        monkeypatch.setattr(graphs, "DEFAULT_NODE_BUDGET", 3)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded), graphs.node_budget(3):
             bundles_equivalent(b, b)
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cycle_graph, complete_graph
+from bundleforge import Graph, cli, cycle_graph, complete_graph
 from bundleforge.cli import main
 from bundleforge.named import m3_bundle, mobius_ladder_3, named_graph
 
@@ -259,28 +259,32 @@ class TestExitCodes:
     def test_budget_exhaustion(self, capsys):
         import bundleforge.graphs as graphs_mod
 
-        saved = graphs_mod.DEFAULT_NODE_BUDGET
-        try:
-            code, _, err = run(capsys, "--budget", "1", "bundle-verify", "--case", "m62")
-            assert code == 3
-            assert "budget" in err
-            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
-            # The next in-process search runs under the default budget again.
-            assert m3_bundle().total.n == 6
-        finally:
-            graphs_mod.DEFAULT_NODE_BUDGET = saved
+        saved = graphs_mod.current_budget.get()
+        code, _, err = run(capsys, "--budget", "1", "bundle-verify", "--case", "m62")
+        assert code == 3
+        assert "budget" in err
+        assert graphs_mod.current_budget.get() == saved == 10**7 == graphs_mod.DEFAULT_NODE_BUDGET
+        # The next in-process search runs under the default budget again.
+        assert m3_bundle().total.n == 6
 
     def test_env_budget_override(self, capsys, monkeypatch):
         import bundleforge.graphs as graphs_mod
 
-        saved = graphs_mod.DEFAULT_NODE_BUDGET
+        saved = graphs_mod.current_budget.get()
         monkeypatch.setenv("BUNDLEFORGE_BUDGET", "1")
-        try:
-            code, _, err = run(capsys, "bundle-verify", "--case", "m62")
-            assert code == 3
-            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
-        finally:
-            graphs_mod.DEFAULT_NODE_BUDGET = saved
+        code, _, err = run(capsys, "bundle-verify", "--case", "m62")
+        assert code == 3
+        assert graphs_mod.current_budget.get() == saved
+
+    def test_budget_in_scope_is_the_default(self, capsys):
+        import bundleforge.graphs as graphs_mod
+
+        with graphs_mod.node_budget(1):
+            code, _, _ = run(capsys, "bundle-verify", "--case", "m62")
+        assert code == 3
+        with graphs_mod.node_budget(1):
+            code, _, _ = run(capsys, "--budget", "100", "bundle-verify", "--case", "m62")
+        assert code == 0
 
     def test_negative_n_max_is_input_error(self, capsys):
         code, out, err = run(capsys, "ktheory", "--case", "c3-k2", "--n-max", "-1")
@@ -291,27 +295,32 @@ class TestExitCodes:
     def test_negative_budget_is_input_error(self, capsys):
         import bundleforge.graphs as graphs_mod
 
-        saved = graphs_mod.DEFAULT_NODE_BUDGET
-        try:
-            code, _, err = run(capsys, "--budget", "-5", "bundle-verify", "--case", "m62")
-            assert code == 2
-            assert "input error" in err
-            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
-        finally:
-            graphs_mod.DEFAULT_NODE_BUDGET = saved
+        saved = graphs_mod.current_budget.get()
+        code, _, err = run(capsys, "--budget", "-5", "bundle-verify", "--case", "m62")
+        assert code == 2
+        assert "input error" in err
+        assert graphs_mod.current_budget.get() == saved
 
     def test_negative_env_budget_is_input_error(self, capsys, monkeypatch):
         import bundleforge.graphs as graphs_mod
 
-        saved = graphs_mod.DEFAULT_NODE_BUDGET
+        saved = graphs_mod.current_budget.get()
         monkeypatch.setenv("BUNDLEFORGE_BUDGET", "-5")
-        try:
-            code, _, err = run(capsys, "bundle-verify", "--case", "m62")
-            assert code == 2
-            assert "BUNDLEFORGE_BUDGET" in err
-            assert graphs_mod.DEFAULT_NODE_BUDGET == saved
-        finally:
-            graphs_mod.DEFAULT_NODE_BUDGET = saved
+        code, _, err = run(capsys, "bundle-verify", "--case", "m62")
+        assert code == 2
+        assert "BUNDLEFORGE_BUDGET" in err
+        assert graphs_mod.current_budget.get() == saved
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "graph_spectrum", broken)
+        code, out, err = run(capsys, "spectrum", "--case", "k3")
+        assert code == 4
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestMalformedInputFiles:

@@ -29,7 +29,7 @@ from bundleforge.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, perm_label_map
+from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, node_budget, perm_label_map
 from bundleforge.named import hexagonal_prism, twisted_hexagonal_ladder
 
 
@@ -209,11 +209,35 @@ class TestIsomorphism:
         assert c6.degree_sequence() == h.degree_sequence()
 
     def test_budget_exceeded_signals_unknown(self, c6):
-        with pytest.raises(SearchBudgetExceeded):
-            find_isomorphism(c6, cycle_graph(6), budget=1)
+        with pytest.raises(SearchBudgetExceeded), node_budget(1):
+            find_isomorphism(c6, cycle_graph(6))
 
     def test_deterministic_witness(self, k3, c3):
         assert find_isomorphism(k3, c3) == find_isomorphism(k3, c3)
+
+
+class TestNodeBudget:
+    def test_restored_after_exception_in_block(self, c6):
+        with pytest.raises(SearchBudgetExceeded), node_budget(1):
+            assert graphs_mod.current_budget.get() == 1
+            find_isomorphism(c6, cycle_graph(6))
+        assert graphs_mod.current_budget.get() == 10**7
+        assert find_isomorphism(c6, cycle_graph(6)) is not None
+
+    def test_nested_blocks_restore_the_outer_value(self, c6):
+        with node_budget(5):
+            with node_budget(1):
+                assert graphs_mod.current_budget.get() == 1
+            assert graphs_mod.current_budget.get() == 5
+            with pytest.raises(SearchBudgetExceeded), node_budget(2):
+                find_isomorphism(c6, cycle_graph(6))
+            assert graphs_mod.current_budget.get() == 5
+        assert graphs_mod.current_budget.get() == 10**7
+
+    def test_automorphisms_read_the_budget(self, c6):
+        with pytest.raises(SearchBudgetExceeded), node_budget(3):
+            automorphisms(c6)
+        assert len(automorphisms(c6)) == 12
 
 
 class TestAutomorphisms:
@@ -489,14 +513,10 @@ class TestSearchAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_same_automorphisms_and_no_more_nodes(self, g):
         expected, nodes = reference_automorphisms(g)
-        saved = graphs_mod.DEFAULT_NODE_BUDGET
         # With the reference's node count as the budget, the search must
         # finish: it may not try more nodes.
-        graphs_mod.DEFAULT_NODE_BUDGET = nodes
-        try:
+        with node_budget(nodes):
             assert automorphisms(g) == expected
-        finally:
-            graphs_mod.DEFAULT_NODE_BUDGET = saved
 
     def test_prism_and_twisted_ladder_witness(self):
         g, h = hexagonal_prism(), twisted_hexagonal_ladder()
