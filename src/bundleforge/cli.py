@@ -8,6 +8,7 @@ failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -469,7 +470,10 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every main call starts from the same tree."""
     parser = argparse.ArgumentParser(
         prog="bundleforge",
         description="Graph bundles: products, pullbacks, subdirect products, "

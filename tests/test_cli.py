@@ -323,6 +323,44 @@ class TestExitCodes:
         assert out == ""
 
 
+class TestConsecutiveCalls:
+    """main parses with one parser per process, yet every call behaves like
+    a fresh run."""
+
+    def test_budget_does_not_carry_over(self, capsys):
+        code, _, _ = run(capsys, "--budget", "1", "bundle-verify", "--case", "m62")
+        assert code == 3
+        code, _, err = run(capsys, "bundle-verify", "--case", "m62")
+        assert code == 0
+        assert err == ""
+
+    def test_json_flag_does_not_carry_over(self, capsys):
+        code, text, _ = run(capsys, "spectrum", "--case", "k3")
+        assert code == 0
+        code, out, _ = run(capsys, "spectrum", "--case", "k3", "--json")
+        assert code == 0
+        assert json.loads(out)["verb"] == "spectrum"
+        code, again, _ = run(capsys, "spectrum", "--case", "k3")
+        assert code == 0
+        assert again == text == "2.000000, -1.000000, -1.000000\n"
+
+    def test_usage_error_then_valid_verb(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--no-such-flag"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "spectrum", "--case", "k2")
+        assert code == 0
+        assert out == "1.000000, -1.000000\n"
+        assert err == ""
+
+    def test_one_parser_per_process(self, capsys):
+        run(capsys, "spectrum", "--case", "k2")
+        run(capsys, "export", "--case", "k2", "--format", "json")
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestMalformedInputFiles:
     """Malformed voltage, graph and map files exit 2 with an input error."""
 

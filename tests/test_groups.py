@@ -1,6 +1,9 @@
+import ast
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleforge import (
     cayley_bundle,
@@ -31,7 +34,7 @@ from bundleforge.errors import (
     NotSurjective,
     ParseError,
 )
-from bundleforge.graphs import is_isomorphism, split_pair_label
+from bundleforge.graphs import is_isomorphism, pair_label, split_pair_label
 from bundleforge.groups import (
     FiniteGroup,
     group_isomorphic,
@@ -126,6 +129,149 @@ class TestGroupConstruction:
         data[field] = value
         with pytest.raises(ParseError):
             FiniteGroup.from_json(data)
+
+
+def reference_is_associative(elems, table) -> bool:
+    """Every triple of the table: the definition itself, an independent
+    route to make_group's generator-restricted test."""
+    return all(
+        table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
+        for x, y, z in itertools.product(elems, repeat=3)
+    )
+
+
+def associativity_witness(exc: NotAGroup) -> tuple[str, str, str]:
+    message = str(exc)
+    prefix = "associativity fails at "
+    assert message.startswith(prefix), message
+    return ast.literal_eval(message[len(prefix):])
+
+
+def fails_at(table, witness) -> bool:
+    x, s, y = witness
+    return table[(table[(x, s)], y)] != table[(x, table[(s, y)])]
+
+
+#: A loop of order 5: a Latin square with an identity in which every element
+#: is its own inverse, yet not associative.  It passes every group axiom
+#: but associativity.
+LOOP5 = {"e": "eabcd", "a": "aecdb", "b": "bdeac", "c": "cbdea", "d": "dcabe"}
+
+
+def loop5_table() -> tuple[list[str], dict[tuple[str, str], str], str]:
+    elems = list(LOOP5)
+    return elems, {(x, y): LOOP5[x][i] for x in elems for i, y in enumerate(elems)}, "e"
+
+
+def group_table(g: FiniteGroup) -> tuple[list[str], dict[tuple[str, str], str], str]:
+    return list(g.elements), dict(g.table), g.identity
+
+
+def product_table(a, b):
+    """Componentwise product of two (elements, table, identity) triples."""
+    (ea, ta, ia), (eb, tb, ib) = a, b
+    elems = [pair_label(x, y) for x in ea for y in eb]
+    table = {
+        (pair_label(x1, y1), pair_label(x2, y2)): pair_label(ta[(x1, x2)], tb[(y1, y2)])
+        for x1 in ea
+        for y1 in eb
+        for x2 in ea
+        for y2 in eb
+    }
+    return elems, table, pair_label(ia, ib)
+
+
+def swap_in_row(table, x, y1, y2) -> None:
+    table[(x, y1)], table[(x, y2)] = table[(x, y2)], table[(x, y1)]
+
+
+# Groups of order 1-12, and the loop alone and times Z2: there (1,e) lies in
+# the middle nucleus, so it is a generator whose checks all pass.
+BASE_TABLES = (
+    [group_table(cyclic(n)) for n in range(1, 13)]
+    + [
+        group_table(direct_product(cyclic(a), cyclic(b)))
+        for a, b in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 6), (3, 4)]
+    ]
+    + [group_table(symmetric_group_3()), group_table(direct_product(symmetric_group_3(), cyclic(2)))]
+    + [loop5_table(), product_table(group_table(cyclic(2)), loop5_table())]
+)
+
+
+@st.composite
+def relabelled_tables(draw):
+    """A base table under fresh labels and element order, with up to two
+    pairs of products swapped within a row.  Swaps avoid the identity's row
+    and column and every product equal to the identity, so identity and
+    inverses survive and only associativity can fail."""
+    elems, table, identity = draw(st.sampled_from(BASE_TABLES))
+    names = draw(st.permutations([f"g{i}" for i in range(len(elems))]))
+    rename = dict(zip(elems, names))
+    table = {(rename[x], rename[y]): rename[z] for (x, y), z in table.items()}
+    e = rename[identity]
+    for _ in range(draw(st.integers(0, 2))):
+        cells = [(x, y) for (x, y), z in table.items() if e not in (x, y, z)]
+        if not cells:
+            break
+        x, y1 = draw(st.sampled_from(sorted(cells)))
+        row = sorted(y for (x2, y) in cells if x2 == x and y != y1)
+        if row:
+            swap_in_row(table, x, y1, draw(st.sampled_from(row)))
+    return draw(st.permutations(names)), table
+
+
+class TestLightAssociativity:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(relabelled_tables())
+    def test_verdict_matches_every_triple(self, case):
+        elems, table = case
+        expected = reference_is_associative(elems, table)
+        try:
+            make_group(elems, table)
+        except NotAGroup as exc:
+            assert fails_at(table, associativity_witness(exc))
+            assert not expected
+        else:
+            assert expected
+
+    def test_nucleus_generators_first_still_rejected(self):
+        # Listed first, the Z2 x Z2 part gives the first two generators.
+        # Both pass every check in the middle slot, so a test that stopped
+        # before the generators span would accept this loop.
+        z2z2 = group_table(direct_product(cyclic(2), cyclic(2)))
+        elems, table, _ = product_table(z2z2, loop5_table())
+        nucleus = [pair_label(x, "e") for x in z2z2[0]]
+        elems = nucleus + [x for x in elems if x not in nucleus]
+        assert not any(fails_at(table, (x, s, y)) for s in nucleus for x in elems for y in elems)
+        assert not reference_is_associative(elems, table)
+        with pytest.raises(NotAGroup) as info:
+            make_group(elems, table)
+        assert fails_at(table, associativity_witness(info.value))
+
+    def test_beyond_old_sampling_cap_accepted(self):
+        g = direct_product(cyclic(6), cyclic(12))
+        assert g.order == 72
+        again = make_group(g.elements, g.table)
+        assert again.identity == "(0,0)"
+        assert dict(again.table) == dict(g.table)
+
+    def test_beyond_old_sampling_cap_swap_rejected(self):
+        elems, table, identity = group_table(direct_product(cyclic(6), cyclic(12)))
+        x, y1, y2 = "(1,1)", "(0,1)", "(0,2)"
+        assert identity not in (table[(x, y1)], table[(x, y2)])
+        swap_in_row(table, x, y1, y2)
+        with pytest.raises(NotAGroup) as info:
+            make_group(elems, table)
+        assert fails_at(table, associativity_witness(info.value))
+
+    def test_inverses_come_with_the_group(self):
+        g = make_group(*group_table(symmetric_group_3())[:2])
+        assert "inverses" in vars(g)
+        scanned = {
+            x: next(y for y in g.elements if g.mul(x, y) == g.identity) for x in g.elements
+        }
+        assert g.inverses == scanned
+        assert list(g.inverses) == list(g.elements)
 
 
 def quaternion_group() -> FiniteGroup:
