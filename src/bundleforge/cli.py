@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
 )
-from .graphs import Graph, Label, canon_label, find_isomorphism, make_morphism
+from .graphs import Graph, Label, canon_label, find_isomorphism, make_morphism, split_composite
 from .groups import (
     FiniteGroup,
     cayley_graph,
@@ -348,6 +348,19 @@ def cmd_subdirect(args) -> int:
     return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
 
 
+def _split_gens(text: str) -> list[str]:
+    """Split ``--gens`` at its top-level commas with the composite-label
+    parser, so "(1,0),(0,1)" names two direct-product elements."""
+    parts = []
+    while True:
+        try:
+            head, text = split_composite(f"({text})", ",", "--gens")
+        except ParseError:
+            parts.append(text)
+            return [s.strip() for s in parts if s.strip()]
+        parts.append(head)
+
+
 def cmd_cayley(args) -> int:
     if args.case:
         if args.case not in CAYLEY_CASES:
@@ -358,7 +371,7 @@ def cmd_cayley(args) -> int:
         if not (args.group and args.gens):
             raise ParseError("cayley needs --group and --gens (or --case)")
         group = FiniteGroup.from_json(_load_json(args.group))
-        gens = [s.strip() for s in args.gens.split(",") if s.strip()]
+        gens = _split_gens(args.gens)
         unknown = [s for s in gens if s not in group.index]
         if unknown:
             raise ParseError(f"--gens labels are not group elements: {unknown}")

@@ -10,7 +10,7 @@ edgeless fiber on k vertices, so coverings share the bundle formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -180,21 +180,41 @@ def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
     return make_fiber_voltage(base, fiber, {(a, b): ident for a, b in base.edge_list()})
 
 
+def _indicator(base: Graph, edges: Iterable[tuple[Label, Label]]) -> Matrix:
+    """Base-indexed 0/1 matrix marking the given oriented edges."""
+    out = np.zeros((base.n, base.n))
+    idx = base.index
+    for v, w in edges:
+        out[idx[v], idx[w]] = 1.0
+    return Matrix(out)
+
+
 def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
     """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
-    n = fv.base.n
-    out = np.zeros((n, n))
-    for (v, w), perm in fv.phi.items():
-        if perm == psi:
-            out[fv.base.index[v], fv.base.index[w]] = 1.0
-    return Matrix(out)
+    return _indicator(fv.base, (edge for edge, perm in fv.phi.items() if perm == psi))
+
+
+def voltage_indicators(
+    base: Graph, values: Mapping[tuple[Label, Label], Hashable], extra: Iterable[Hashable] = ()
+) -> Iterator[tuple[Hashable, Matrix]]:
+    """(value, indicator) for each distinct value on the oriented edges and
+    each ``extra`` value, whose indicator may be zero.
+
+    The edges are grouped in one pass; the indicators are yielded one at a
+    time, so a caller streaming them holds one dense indicator at once.
+    """
+    groups: dict[Hashable, list[tuple[Label, Label]]] = {value: [] for value in extra}
+    for edge, value in values.items():
+        groups.setdefault(value, []).append(edge)
+    for value, edges in groups.items():
+        yield value, _indicator(base, edges)
 
 
 def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     """Adjacency matrix of the voltage total space, computed by the closed
     formula: voltage indicators tensored with fiber actions, plus the fiber
     adjacency on the diagonal blocks."""
-    terms = [(voltage_indicator(fv, psi), perm_block(psi)) for psi in sorted(set(fv.phi.values()))]
+    terms = ((indicator, perm_block(psi)) for psi, indicator in voltage_indicators(fv.base, fv.phi))
     return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
 
 

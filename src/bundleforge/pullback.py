@@ -19,7 +19,6 @@ from .bundles import (
     bundles_equivalent,
     make_fiber_voltage,
     verify_bundle,
-    voltage_indicator,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree, NotAMorphism
 from .graphs import (
@@ -45,7 +44,7 @@ from .matrices import (
     voltage_adjacency,
 )
 from .perms import Perm, kron as perm_kron
-from .products import cartesian_product
+from .products import cartesian_product, voltage_indicator, voltage_indicators
 
 EDGE_KIND_FIBER = "I"
 EDGE_KIND_COLLAPSED = "II"
@@ -193,17 +192,18 @@ def morphism_matrix(f: GraphMorphism) -> MorphismMatrix:
     return MorphismMatrix(Matrix(m), f)
 
 
-def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
-    """The conjugated indicator block for one fiber automorphism.
-
-    For the identity the collapsed edges contribute as well, so the middle
-    factor gains an identity summand (sized by the codomain).
-    """
-    m = morphism_matrix(f).matrix
-    middle = voltage_indicator(fv, psi)
+def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:
+    """M^T · indicator · M, where for the identity the collapsed edges
+    contribute as well, so the middle factor gains an identity summand
+    (sized by the codomain)."""
     if psi.is_identity():
-        middle = middle + identity(fv.base.n)
-    return m.transpose() @ middle @ m
+        indicator = indicator + identity(indicator.rows)
+    return m.transpose() @ indicator @ m
+
+
+def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
+    """The conjugated indicator block for one fiber automorphism."""
+    return _conjugated_block(morphism_matrix(f).matrix, voltage_indicator(fv, psi), psi)
 
 
 def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
@@ -216,11 +216,16 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     """Adjacency of the pullback total space, by the closed matrix formula.
 
     The sum runs over the voltage values used plus the identity, which the
-    collapsed edges carry."""
+    collapsed edges carry.  The morphism matrix and the domain adjacency
+    are built once, and the voltage indicators in one pass over the edges."""
     if f.codomain != fv.base:
         raise BaseMismatch("codomain of the morphism must equal the voltage base")
-    values = sorted(set(fv.phi.values()) | {Perm.identity(fv.fiber.n)})
-    terms = [(pullback_indicator(f, fv, psi), perm_block(psi)) for psi in values]
+    m = morphism_matrix(f).matrix
+    domain_adjacency = adjacency_matrix(f.domain)
+    terms = (
+        (hadamard(domain_adjacency, _conjugated_block(m, indicator, psi)), perm_block(psi))
+        for psi, indicator in voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),))
+    )
     return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 
@@ -290,18 +295,14 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     voltage values used on a common oriented edge."""
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
-    base = fv1.base
-    n = base.n
-    terms = []
-    for psi1, psi2 in sorted({(value, fv2.phi[edge]) for edge, value in fv1.phi.items()}):
-        indicator = np.zeros((n, n))
-        for (v, w), value in fv1.phi.items():
-            if value == psi1 and fv2.phi[(v, w)] == psi2:
-                indicator[base.index[v], base.index[w]] = 1.0
-        terms.append((Matrix(indicator), kronecker(perm_block(psi1), perm_block(psi2))))
+    pairs = {edge: (value, fv2.phi[edge]) for edge, value in fv1.phi.items()}
+    terms = (
+        (indicator, kronecker(perm_block(psi1), perm_block(psi2)))
+        for (psi1, psi2), indicator in voltage_indicators(fv1.base, pairs)
+    )
     a1, a2 = adjacency_matrix(fv1.fiber), adjacency_matrix(fv2.fiber)
     fiber_adjacency = kronecker(a1, identity(fv2.fiber.n)) + kronecker(identity(fv1.fiber.n), a2)
-    return voltage_adjacency(n, fiber_adjacency, terms)
+    return voltage_adjacency(fv1.base.n, fiber_adjacency, terms)
 
 
 def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:

@@ -1,0 +1,244 @@
+"""The adjacency formulas against two independent routes.
+
+Every formula matrix must be byte-identical to the dense reference below,
+the sum of Kronecker products with indicators rescanned per voltage value,
+and to the adjacency matrix of the constructed total space.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bundleforge import (
+    Perm,
+    adjacency_matrix,
+    automorphisms,
+    bundle_adjacency,
+    complete_graph,
+    covering_adjacency,
+    cycle_graph,
+    empty_graph,
+    make_fiber_voltage,
+    make_graph,
+    make_morphism,
+    path_graph,
+    pullback_adjacency,
+    pullback_bundle,
+    subdirect_adjacency,
+    subdirect_product,
+    voltage_bundle,
+)
+from bundleforge.errors import ShapeMismatch
+from bundleforge.matrices import Matrix, from_rows, identity, kronecker, perm_block, voltage_adjacency
+
+FIBERS = {
+    "K2": complete_graph(2),
+    "K4": complete_graph(4),
+    "C5": cycle_graph(5),
+    "P3": path_graph(3),
+    "1K1": empty_graph(1),
+    "2K1": empty_graph(2),
+    "3K1": empty_graph(3),
+}
+
+FORMULA_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+# --- the dense reference -------------------------------------------------------
+
+
+def reference_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for e in g.edges:
+        u, v = tuple(e)
+        a[g.index[u], g.index[v]] = 1.0
+        a[g.index[v], g.index[u]] = 1.0
+    return a
+
+
+def reference_indicator(base, phi, keep):
+    out = np.zeros((base.n, base.n))
+    for (v, w), value in phi.items():
+        if keep(value, (v, w)):
+            out[base.index[v], base.index[w]] = 1.0
+    return out
+
+
+def reference_voltage_adjacency(n, fiber_adjacency, terms):
+    out = kronecker(identity(n), Matrix(fiber_adjacency)).data.copy()
+    for indicator, block in terms:
+        out += kronecker(Matrix(indicator), block).data
+    return out
+
+
+def reference_bundle(fv):
+    terms = [
+        (reference_indicator(fv.base, fv.phi, lambda value, _: value == psi), perm_block(psi))
+        for psi in sorted(set(fv.phi.values()))
+    ]
+    return reference_voltage_adjacency(fv.base.n, reference_adjacency(fv.fiber), terms)
+
+
+def reference_pullback(f, fv):
+    m = np.zeros((f.codomain.n, f.domain.n))
+    for v in f.domain.vertices:
+        m[f.codomain.index[f(v)], f.domain.index[v]] = 1.0
+    domain_adjacency = reference_adjacency(f.domain)
+    terms = []
+    for psi in sorted(set(fv.phi.values()) | {Perm.identity(fv.fiber.n)}):
+        middle = reference_indicator(fv.base, fv.phi, lambda value, _: value == psi)
+        if psi.is_identity():
+            middle = middle + np.eye(fv.base.n)
+        terms.append((domain_adjacency * (m.T @ middle @ m), perm_block(psi)))
+    return reference_voltage_adjacency(f.domain.n, reference_adjacency(fv.fiber), terms)
+
+
+def reference_subdirect(fv1, fv2):
+    terms = []
+    for psi1, psi2 in sorted({(value, fv2.phi[edge]) for edge, value in fv1.phi.items()}):
+        indicator = reference_indicator(
+            fv1.base, fv1.phi, lambda value, edge: value == psi1 and fv2.phi[edge] == psi2
+        )
+        terms.append((indicator, kronecker(perm_block(psi1), perm_block(psi2))))
+    a1, a2 = Matrix(reference_adjacency(fv1.fiber)), Matrix(reference_adjacency(fv2.fiber))
+    fiber_adjacency = kronecker(a1, identity(fv2.fiber.n)) + kronecker(identity(fv1.fiber.n), a2)
+    return reference_voltage_adjacency(fv1.base.n, fiber_adjacency.data, terms)
+
+
+def assert_identical(formula, *others):
+    for other in others:
+        data = other.data if isinstance(other, Matrix) else other
+        assert formula.data.shape == data.shape
+        assert formula.data.tobytes() == data.tobytes()
+
+
+# --- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def relabelled(draw, g):
+    """g with its vertices stored in a drawn order."""
+    order = draw(st.permutations(g.vertices))
+    return make_graph(order, g.edge_list())
+
+
+@st.composite
+def bases(draw, max_n=5):
+    """A graph on 1..max_n vertices with any edge set, stored in a drawn order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(str(i), str(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return draw(relabelled(make_graph([str(i) for i in range(1, n + 1)], edges)))
+
+
+@st.composite
+def voltages(draw, base, fiber):
+    auts = automorphisms(fiber)
+    return make_fiber_voltage(base, fiber, {e: draw(st.sampled_from(auts)) for e in base.edge_list()})
+
+
+@st.composite
+def fibers(draw, names=tuple(FIBERS)):
+    return draw(relabelled(FIBERS[draw(st.sampled_from(names))]))
+
+
+@st.composite
+def collapsing_walk(draw, base):
+    """A morphism from a path into base along a lazy walk: a step stays put
+    (a collapsed edge) or moves to a neighbour."""
+    steps = draw(st.integers(1, 7))
+    walk = [draw(st.sampled_from(base.vertices))]
+    for _ in range(steps - 1):
+        walk.append(draw(st.sampled_from((walk[-1], *base.neighbors(walk[-1])))))
+    domain = draw(relabelled(path_graph(len(walk))))
+    return make_morphism(domain, base, {str(i + 1): v for i, v in enumerate(walk)})
+
+
+@st.composite
+def double_cover(draw, base):
+    """The projection of a random 2-fold covering of base."""
+    cover = draw(voltages(base, empty_graph(2)))
+    return voltage_bundle(cover).projection
+
+
+# --- the properties ------------------------------------------------------------
+
+
+def test_adjacency_matrix_keeps_stored_order():
+    g = make_graph(["c", "a", "b", "d"], [("a", "b"), ("d", "c"), ("c", "a")])
+    assert adjacency_matrix(g) == from_rows([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    assert adjacency_matrix(empty_graph(3)) == Matrix(np.zeros((3, 3)))
+    assert adjacency_matrix(make_graph([], [])).shape == (0, 0)
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_adjacency_matrix_matches_reference(data):
+    g = data.draw(st.one_of(bases(7), fibers()))
+    assert_identical(adjacency_matrix(g), reference_adjacency(g))
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_bundle_adjacency(data):
+    base = data.draw(bases())
+    fv = data.draw(voltages(base, data.draw(fibers())))
+    assert_identical(bundle_adjacency(fv), reference_bundle(fv), adjacency_matrix(voltage_bundle(fv).total))
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_covering_adjacency(data):
+    base = data.draw(bases())
+    k = data.draw(st.integers(1, 3))
+    cv = data.draw(voltages(base, empty_graph(k)))
+    total = voltage_bundle(cv).total
+    assert_identical(covering_adjacency(base, cv), reference_bundle(cv), adjacency_matrix(total))
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_pullback_adjacency(data):
+    base = data.draw(bases(4))
+    fv = data.draw(voltages(base, data.draw(fibers())))
+    f = data.draw(st.one_of(double_cover(base), collapsing_walk(base)))
+    total = pullback_bundle(f, voltage_bundle(fv)).total
+    assert_identical(pullback_adjacency(f, fv), reference_pullback(f, fv), adjacency_matrix(total))
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_subdirect_adjacency(data):
+    base = data.draw(bases(4))
+    small = ("K2", "P3", "1K1", "2K1", "3K1")
+    fv1 = data.draw(voltages(base, data.draw(fibers())))
+    fv2 = data.draw(voltages(base, data.draw(fibers(small))))
+    total = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2)).total
+    assert_identical(subdirect_adjacency(fv1, fv2), reference_subdirect(fv1, fv2), adjacency_matrix(total))
+
+
+# --- the kernel on its own -----------------------------------------------------
+
+
+EDGE = from_rows([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # The same term twice.
+        [(EDGE, identity(2)), (EDGE, identity(2))],
+        # Two terms whose union is an adjacency matrix but which share the
+        # entries (0, 2) and (2, 0): an assigning scatter would accept them.
+        [(EDGE, identity(2)), (EDGE, from_rows([[1, 0], [0, 0]]))],
+    ],
+)
+def test_overlapping_terms_are_rejected(terms):
+    with pytest.raises(AssertionError):
+        voltage_adjacency(2, Matrix(np.zeros((2, 2))), iter(terms))
+
+
+def test_term_of_wrong_shape_is_rejected():
+    with pytest.raises(ShapeMismatch):
+        voltage_adjacency(2, Matrix(np.zeros((2, 2))), [(EDGE, identity(3))])
+

@@ -173,6 +173,25 @@ class TestGroupCommands:
         assert code == 0
         assert "symmetrized" in out and "'5'" in out
 
+    def test_cayley_composite_generators(self, capsys, tmp_path):
+        from bundleforge import cyclic, direct_product
+
+        path = write_json(tmp_path, "z6z12.json", direct_product(cyclic(6), cyclic(12)).to_json())
+        code, out, _ = run(capsys, "cayley", "--group", path, "--gens", "(1,0),(0,1)", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["vertices"], report["edges"]) == (72, 144)
+        assert sorted(report["generators"]) == ["(0,1)", "(0,11)", "(1,0)", "(5,0)"]
+
+    @pytest.mark.parametrize("gens", ["(1,0", "1,0)", "(1,0)),(0,1", "(1,0),((0,1)"])
+    def test_cayley_unbalanced_generators_are_input_error(self, capsys, tmp_path, gens):
+        from bundleforge import cyclic, direct_product
+
+        path = write_json(tmp_path, "z6z12.json", direct_product(cyclic(6), cyclic(12)).to_json())
+        code, _, err = run(capsys, "cayley", "--group", path, "--gens", gens)
+        assert code == 2
+        assert "input error" in err
+
     def test_cayley_short_table_row_is_input_error(self, capsys, tmp_path):
         group = write_json(
             tmp_path,
