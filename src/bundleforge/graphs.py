@@ -124,10 +124,6 @@ class Graph:
         return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
 
     @cached_property
-    def neighbor_sets(self) -> dict[Label, frozenset[Label]]:
-        return {v: frozenset(ns) for v, ns in self.adjacency.items()}
-
-    @cached_property
     def signature(self) -> dict[Label, tuple[int, ...]]:
         """Each vertex's sorted neighbour degrees, an isomorphism invariant
         computed once per graph; its length is the vertex's degree."""
@@ -136,17 +132,33 @@ class Graph:
         return {v: tuple(sorted(map(deg.__getitem__, ns))) for v, ns in adj.items()}
 
     @cached_property
-    def signature_classes(self) -> dict[tuple[int, ...], tuple[Label, ...]]:
-        """Vertices grouped by signature, each class in stored order."""
-        classes: dict[tuple[int, ...], list[Label]] = {}
-        sig = self.signature
-        for v in self.vertices:
-            classes.setdefault(sig[v], []).append(v)
-        return {s: tuple(vs) for s, vs in classes.items()}
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask over vertex indices, in
+        stored order."""
+        idx = self.index
+        masks = [0] * len(self.vertices)
+        for a, b in self.edges:
+            i, j = idx[a], idx[b]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     @cached_property
-    def signature_histogram(self) -> Counter[tuple[int, ...]]:
-        return Counter(self.signature.values())
+    def signature_masks(self) -> dict[tuple[int, ...], int]:
+        """Vertices grouped by signature, each class a bitmask over vertex
+        indices."""
+        masks: dict[tuple[int, ...], int] = {}
+        sig = self.signature
+        for i, v in enumerate(self.vertices):
+            s = sig[v]
+            masks[s] = masks.get(s, 0) | 1 << i
+        return masks
+
+    @cached_property
+    def signature_histogram(self) -> dict[tuple[int, ...], int]:
+        """How many vertices have each signature.  A plain dict, so that
+        comparing two histograms costs no Python-level loop."""
+        return dict(Counter(self.signature.values()))
 
     @cached_property
     def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
@@ -409,13 +421,22 @@ def node_budget(budget: int) -> Iterator[None]:
 
 
 class _IsoSearch:
-    """Backtracking vertex-map search over signature classes.
+    """Forward-checking vertex-map search in the VF2 order, on an explicit
+    stack.
 
-    The vertices of g are matched in stored order.  The candidates for v
-    are only the vertices of h with v's signature (degree and sorted
-    neighbour degrees), in h's stored order; a node is one such candidate
-    tried.  The signatures are cached on each graph, so this object
-    computes nothing up front.
+    The vertices of g are matched in stored order.  Each keeps a candidate
+    domain, a bitmask over h's vertex indices that starts as the h-vertices
+    with its signature (degree and sorted neighbour degrees).  Placing
+    v -> w cuts the domain of each later neighbour of v down to N(w), and a
+    trail puts the domains back on backtrack; the placement is undone at
+    once when one of those domains has no unused vertex left.  w is
+    accepted only when as many used vertices are adjacent to w as v has
+    earlier neighbours (the VF2 rule, one popcount).  Candidates are tried
+    in h's stored order and only maps with no completion are pruned, so
+    the matches come in the order of a plain backtracking search.  A node
+    is one unused candidate tried from the domain.  The masks and the
+    signatures are cached on each graph; a call builds only the domains
+    and the later-neighbour lists.
     """
 
     def __init__(self, g: Graph, h: Graph, budget: int):
@@ -432,48 +453,86 @@ class _IsoSearch:
     def matches(self, limit: Optional[int] = None) -> list[dict[Label, Label]]:
         """The first limit isomorphisms g -> h in search order, or all of
         them when limit is None."""
-        self.found: list[dict[Label, Label]] = []
-        self.limit = limit
         g, h = self.g, self.h
-        if g.n == h.n and len(g.edges) == len(h.edges) and g.signature_histogram == h.signature_histogram:
-            self._extend(0, {}, set())
-        return self.found
-
-    def _extend(self, i: int, mapping: dict[Label, Label], used: set[Label]) -> bool:
-        """Extend mapping from the i-th vertex of g on; True once limit
-        isomorphisms are found."""
-        if i == self.g.n:
-            self.found.append(dict(mapping))
-            return len(self.found) == self.limit
-        v = self.g.vertices[i]
-        for w in self.h.signature_classes[self.g.signature[v]]:
-            if w in used:
+        found: list[dict[Label, Label]] = []
+        if g.n != h.n or len(g.edges) != len(h.edges) or g.signature_histogram != h.signature_histogram:
+            return found
+        n = g.n
+        if n == 0:
+            return [{}]
+        classes = h.signature_masks
+        nbr = h.neighbor_masks
+        adj = g.adjacency
+        gv, hv = g.vertices, h.vertices
+        dom = {v: classes[s] for v, s in g.signature.items()}
+        later: dict[Label, list[Label]] = {v: [] for v in gv}
+        for a, b in g._edge_order:
+            later[a].append(b)
+        full = (1 << n) - 1
+        # One frame per placed vertex: its untried candidates, its image,
+        # the trail length before its forward check, its later neighbours
+        # and its number of earlier neighbours.
+        stack: list[tuple[int, int, int, list[Label], int]] = []
+        trail: list[tuple[Label, int]] = []
+        used = 0
+        nodes, budget = self.nodes, self.budget
+        i = 0
+        v = gv[0]
+        lt = later[v]
+        earlier = len(adj[v]) - len(lt)
+        cand = dom[v]
+        while True:
+            if not cand:
+                if not i:
+                    break
+                # Level i is exhausted: undo the placement below it.
+                cand, w, mark, lt, earlier = stack.pop()
+                i -= 1
+                used ^= 1 << w
+                while len(trail) > mark:
+                    u, d = trail.pop()
+                    dom[u] = d
                 continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchBudgetExceeded(f"isomorphism search exceeded {self.budget} nodes")
-            if not self._feasible(v, w, mapping, used):
+            bit = cand & -cand
+            cand ^= bit
+            nodes += 1
+            if nodes > budget:
+                self.nodes = nodes
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+            w = bit.bit_length() - 1
+            nw = nbr[w]
+            if (nw & used).bit_count() != earlier:
                 continue
-            mapping[v] = w
-            used.add(w)
-            if self._extend(i + 1, mapping, used):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    def _feasible(self, v: Label, w: Label, mapping: dict[Label, Label], used: set[Label]) -> bool:
-        """The VF2 rule in O(deg v): the mapped neighbours of v land in N(w),
-        and as many used vertices are adjacent to w."""
-        nw = self.h.neighbor_sets[w]
-        mapped = 0
-        for u in self.g.adjacency[v]:
-            wu = mapping.get(u)
-            if wu is not None:
-                if wu not in nw:
-                    return False
-                mapped += 1
-        return mapped == len(nw & used)
+            free = full ^ used ^ bit
+            mark = len(trail)
+            for u in lt:
+                d = dom[u]
+                nd = d & nw
+                if nd != d:
+                    trail.append((u, d))
+                    dom[u] = nd
+                if not nd & free:
+                    break
+            else:
+                if i + 1 < n:
+                    stack.append((cand, w, mark, lt, earlier))
+                    used |= bit
+                    i += 1
+                    v = gv[i]
+                    lt = later[v]
+                    earlier = len(adj[v]) - len(lt)
+                    cand = dom[v] & free
+                    continue
+                images = [frame[1] for frame in stack]
+                images.append(w)
+                found.append(dict(zip(gv, map(hv.__getitem__, images))))
+                if len(found) == limit:
+                    break
+            while len(trail) > mark:
+                u, d = trail.pop()
+                dom[u] = d
+        self.nodes = nodes
+        return found
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
@@ -481,11 +540,14 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
 
     Deterministic: vertices of g are matched in stored order against the
     vertices of h with the same signature, in h's stored order, so the
-    first witness found is stable.  Graphs with different signature
-    histograms are rejected before any node is spent.  Raises
-    SearchBudgetExceeded (meaning "unknown") when the node budget in scope
-    (see node_budget) runs out; a node is one tried candidate of matching
-    signature.
+    first witness found is stable.  The search checks forward: a vertex's
+    domain shrinks as its neighbours are placed, and a placement that
+    leaves a later neighbour without candidates is undone at once.  Graphs
+    with different signature histograms are rejected before any node is
+    spent.  Raises SearchBudgetExceeded (meaning "unknown") when the node
+    budget in scope (see node_budget) runs out; a node is one candidate
+    tried from a vertex's domain.  The search keeps its own stack, so the
+    size of g is not limited by Python's recursion limit.
     """
     return _IsoSearch(g, h, current_budget.get()).run()
 

@@ -384,20 +384,29 @@ class SubdirectGroup:
 def subdirect_group(eps_a: GroupHom, eps_b: GroupHom) -> SubdirectGroup:
     """Build the subdirect product of two epimorphisms onto a common group
     and verify its structural identities (kernel isomorphisms, order, and
-    the quotient by the product of the kernels)."""
+    the quotient by the product of the kernels).
+
+    E is built from its own pairs: the (x, y) with eps_a(x) = eps_b(y), in
+    the order of A × B, multiplied componentwise.  Its table costs |E|²
+    products, not the (|A||B|)² of the whole direct product, and
+    make_group checks it, closure included.
+    """
     if eps_a.codomain is not eps_b.codomain and eps_a.codomain.elements != eps_b.codomain.elements:
         raise NotSurjective("epimorphisms must share a codomain")
     if not is_surjective(eps_a) or not is_surjective(eps_b):
         raise NotSurjective("both structure maps must be surjective")
     a, b, c = eps_a.domain, eps_b.domain, eps_a.codomain
-    dp = direct_product(a, b)
-    members = [
-        pair_label(x, y)
-        for x in a.elements
-        for y in b.elements
-        if eps_a(x) == eps_b(y)
-    ]
-    e = subgroup(dp, members)
+    pairs = [(x, y) for x in a.elements for y in b.elements if eps_a(x) == eps_b(y)]
+    labels = [pair_label(x, y) for x, y in pairs]
+    ta, tb = a.table, b.table
+    e = make_group(
+        labels,
+        {
+            (p, q): pair_label(ta[x1, x2], tb[y1, y2])
+            for (x1, y1), p in zip(pairs, labels)
+            for (x2, y2), q in zip(pairs, labels)
+        },
+    )
     delta_a = hom(e, a, {m: split_pair_label(m)[0] for m in e.elements})
     delta_b = hom(e, b, {m: split_pair_label(m)[1] for m in e.elements})
     assert is_surjective(delta_a) and is_surjective(delta_b)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cli, cycle_graph, complete_graph
+from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph
 from bundleforge.cli import main
+from bundleforge.graphs import split_pair_label
 from bundleforge.named import m3_bundle, mobius_ladder_3, named_graph
 
 
@@ -116,6 +117,19 @@ class TestBundleCommands:
         code, out, _ = run(capsys, "bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber)
         assert code == 0
         assert "valid bundle: 2-vertex fiber over 3-vertex base" in out
+
+    def test_verify_c800_fiber_over_c8(self, capsys, tmp_path):
+        # Local triviality compares 1,600-vertex graphs (K2 □ C800).
+        base, fib = cycle_graph(8), cycle_graph(800)
+        product = cartesian_product(base, fib)
+        total = write_json(tmp_path, "total.json", product.to_json())
+        fiber = write_json(tmp_path, "c800.json", fib.to_json())
+        proj = write_json(
+            tmp_path, "p.json", {"map": {v: split_pair_label(v)[0] for v in product.vertices}}
+        )
+        code, out, _ = run(capsys, "bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber)
+        assert code == 0
+        assert "valid bundle: 800-vertex fiber over 8-vertex base, total 6400" in out
 
     def test_verify_partial_projection_is_input_error(self, capsys, tmp_path):
         total = write_json(tmp_path, "m3.json", mobius_ladder_3().to_json())

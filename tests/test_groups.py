@@ -387,6 +387,61 @@ class TestSubdirectGroup:
         assert group_isomorphic(q, sd.amalgam)
 
 
+# --- reference subdirect group ---------------------------------------------------
+#
+# The route subdirect_group took before it built E from its own pairs: the
+# whole direct product A × B, cut down to the pairs with equal images.  E
+# must come out with the same elements, table and identity, in the same
+# order.
+
+
+def reference_subdirect_e(eps_a, eps_b) -> FiniteGroup:
+    a, b = eps_a.domain, eps_b.domain
+    members = [
+        pair_label(x, y)
+        for x in a.elements
+        for y in b.elements
+        if eps_a(x) == eps_b(y)
+    ]
+    return subgroup(direct_product(a, b), members)
+
+
+def assert_same_group(e, expected):
+    assert e.elements == expected.elements
+    assert list(e.table.items()) == list(expected.table.items())
+    assert e.identity == expected.identity
+    assert e.to_json() == expected.to_json()
+
+
+class TestSubdirectGroupAgainstReference:
+    def test_every_epimorphism_pair_among_small_groups(self):
+        groups = [
+            cyclic(2),
+            cyclic(3),
+            cyclic(4),
+            cyclic(6),
+            direct_product(cyclic(2), cyclic(2)),
+            direct_product(cyclic(2), cyclic(3)),
+        ]
+        pairs = 0
+        for target in groups:
+            epis = [eps for a in groups for eps in surjective_homs(a, target)]
+            for ea, eb in itertools.product(epis, repeat=2):
+                assert_same_group(subdirect_group(ea, eb).E, reference_subdirect_e(ea, eb))
+                pairs += 1
+        assert pairs == 157
+
+    def test_sign_map_of_s3(self):
+        s3, z2 = symmetric_group_3(), cyclic(2)
+        (sign,) = surjective_homs(s3, z2)
+        assert sign("102") == "1" and sign("120") == "0"
+        others = [eps for a in (z2, cyclic(4), cyclic(6)) for eps in surjective_homs(a, z2)]
+        for ea, eb in [(sign, sign)] + [(sign, o) for o in others] + [(o, sign) for o in others]:
+            sd = subdirect_group(ea, eb)
+            assert_same_group(sd.E, reference_subdirect_e(ea, eb))
+        assert subdirect_group(sign, sign).E.order == 18
+
+
 class TestGeneratorSystems:
     def test_rejects_identity(self, z6):
         with pytest.raises(InvalidGeneratorSystem):

@@ -159,6 +159,37 @@ def test_relabelled_petersen(data):
     assert not nx.is_isomorphic(to_nx(g), to_nx(prism))
 
 
+@st.composite
+def regular_pair_12_to_40(draw):
+    """A random 3- or 4-regular graph on 12 to 40 vertices, stored in
+    breadth-first order, and either a relabelled copy or a copy after one
+    degree-preserving edge swap, both in a shuffled order.
+
+    The search matches g's vertices in stored order; in breadth-first order
+    each vertex after the first of its component has a placed neighbour."""
+    d = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(min_value=6, max_value=20)) * 2
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    nx_g = nx.random_regular_graph(d, n, seed=seed)
+    order = [v for comp in nx.connected_components(nx_g) for v in nx.bfs_tree(nx_g, min(comp))]
+    g = make_graph([str(v) for v in order], [(str(a), str(b)) for a, b in nx_g.edges()])
+    nx_h = nx_g.copy()
+    if draw(st.booleans()):
+        nx.double_edge_swap(nx_h, nswap=1, max_tries=1000, seed=seed)
+    h = relabelled(make_graph([str(v) for v in nx_h.nodes()], [(str(a), str(b)) for a, b in nx_h.edges()]), draw)
+    return g, h
+
+
+@given(regular_pair_12_to_40())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_regular_graphs_up_to_40_vertices_agree_with_networkx(pair):
+    g, h = pair
+    witness = find_isomorphism(g, h)
+    assert (witness is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
+    if witness is not None:
+        assert is_isomorphism(witness, g, h)
+
+
 def test_petersen_automorphisms_agree_with_networkx():
     g = petersen()
     assert len(automorphisms(g)) == 120 == sum(1 for _ in GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter())
