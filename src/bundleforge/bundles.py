@@ -6,6 +6,12 @@ conjugates every holonomy of one onto the other.  Fiber voltages and their
 adjacency formula live in products, below this module, and are re-exported
 here.
 
+A GraphBundle holds what verification proves: the total space, the
+projection (whose codomain is the base), the fiber and one identification
+sigma_v of each fiber with it.  Its voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹,
+with psi_vw(x) the one neighbour of x over w, is read off the total space
+on first use.
+
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
 local triviality over every base edge; disagreement between them would be
@@ -66,15 +72,18 @@ def identity_bundle(base: Graph) -> GraphBundle:
 
 @dataclass(frozen=True, eq=False)
 class GraphBundle:
-    """A verified bundle: total space, projection, base, fiber, and the
-    per-vertex fiber identifications sigma with per-edge transitions psi."""
+    """A verified bundle: total space, projection, fiber, and the per-vertex
+    fiber identifications sigma.  The base is the projection's codomain and
+    the voltage is derived from these on first use."""
 
     total: Graph
     projection: GraphMorphism
-    base: Graph
     fiber: Graph
     fiber_isos: Mapping[Label, Mapping[Label, Label]]
-    transitions: Mapping[tuple[Label, Label], Mapping[Label, Label]]
+
+    @property
+    def base(self) -> Graph:
+        return self.projection.codomain
 
     @property
     def fibers(self) -> dict[Label, tuple[Label, ...]]:
@@ -83,6 +92,22 @@ class GraphBundle:
     @cached_property
     def inverse_fiber_isos(self) -> dict[Label, dict[Label, Label]]:
         return {v: {f: x for x, f in iso.items()} for v, iso in self.fiber_isos.items()}
+
+    @cached_property
+    def voltage(self) -> FiberVoltage:
+        """The voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on every oriented base
+        edge, where psi_vw(x) is the one neighbour of x over w."""
+        fiber, over = self.fiber, self.projection.map
+        idx = fiber.index
+        assignments: dict[tuple[Label, Label], Perm] = {}
+        for v, w in self.base.edge_list():
+            inv_sigma_v, sigma_w = self.inverse_fiber_isos[v], self.fiber_isos[w]
+            images = []
+            for f in fiber.vertices:
+                y = next(y for y in self.total.adjacency[inv_sigma_v[f]] if over[y] == w)
+                images.append(idx[sigma_w[y]])
+            assignments[(v, w)] = Perm(tuple(images))
+        return make_fiber_voltage(self.base, fiber, assignments)
 
     def __repr__(self) -> str:
         return (
@@ -108,23 +133,16 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     fiber_isos = {
         v: {pair_label(v, f): f for f in fiber.vertices} for v in base.vertices
     }
-    transitions: dict[tuple[Label, Label], dict[Label, Label]] = {}
-    for a, b in base.edge_list():
-        for v, w in ((a, b), (b, a)):
-            transitions[(v, w)] = {
-                pair_label(v, f): pair_label(w, fv.apply(v, w, f)) for f in fiber.vertices
-            }
-    return GraphBundle(total, projection, base, fiber, fiber_isos, transitions)
+    return GraphBundle(total, projection, fiber, fiber_isos)
 
 
 def _check_conditions(
-    total: Graph,
-    p: GraphMorphism,
-    fiber: Graph,
-    fibers: Mapping[Label, tuple[Label, ...]],
-    fiber_graphs: Mapping[Label, Graph],
-):
-    """Covering plus transition-isomorphism conditions; returns transitions."""
+    total: Graph, p: GraphMorphism, fiber: Graph, fiber_graphs: Mapping[Label, Graph]
+) -> None:
+    """Covering plus transition-isomorphism conditions.  One orientation per
+    base edge suffices: psi_vw is a bijection between fibers with as many
+    edges as F, so an edge-preserving psi_vw is an isomorphism, and psi_wv
+    is its inverse."""
     base = p.codomain
     cross = [(a, b) for a, b in total.edge_list() if p(a) != p(b)]
     skeleton = make_graph(total.vertices, cross)
@@ -133,18 +151,11 @@ def _check_conditions(
         covering = verify_kfold_covering(p_tilde, fiber.n)
     except (FiberSizeMismatch, NoLifting) as exc:
         raise NotACovering(f"edge-deleted total space is not a {fiber.n}-fold covering: {exc}") from exc
-    transitions: dict[tuple[Label, Label], dict[Label, Label]] = {}
-    for a, b in base.edge_list():
-        for v, w in ((a, b), (b, a)):
-            psi = {x: covering.liftings[(v, x)][w] for x in fibers[v]}
-            fib_v, fib_w = fiber_graphs[v], fiber_graphs[w]
-            forward_ok = all(
-                fib_w.has_edge(psi[x], psi[y]) for x, y in fib_v.edge_list()
-            )
-            if not forward_ok or len(fib_v.edges) != len(fib_w.edges):
-                raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
-            transitions[(v, w)] = psi
-    return transitions
+    for v, w in base.edge_list():
+        fib_v, fib_w = fiber_graphs[v], fiber_graphs[w]
+        psi = {x: covering.liftings[(v, x)][w] for x in fib_v.vertices}
+        if not all(fib_w.has_edge(psi[x], psi[y]) for x, y in fib_v.edge_list()):
+            raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
 
 
 def _check_local_triviality(
@@ -180,9 +191,8 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         sigma[v] = iso
 
     definition_error: Exception | None = None
-    transitions: dict[tuple[Label, Label], dict[Label, Label]] | None = None
     try:
-        transitions = _check_conditions(total, p, fiber, fibers, fiber_graphs)
+        _check_conditions(total, p, fiber, fiber_graphs)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 
@@ -199,24 +209,12 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         )
     if definition_error is not None:
         raise definition_error
-    assert transitions is not None
-    return GraphBundle(total, p, base, fiber, sigma, transitions)
+    return GraphBundle(total, p, fiber, sigma)
 
 
 def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
-    """Extract the voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on every oriented edge."""
-    fiber = b.fiber
-    idx = fiber.index
-    assignments: dict[tuple[Label, Label], Perm] = {}
-    for a, w in b.base.edge_list():
-        images = [0] * fiber.n
-        inv_sigma_v = b.inverse_fiber_isos[a]
-        for i, f in enumerate(fiber.vertices):
-            x = inv_sigma_v[f]
-            y = b.transitions[(a, w)][x]
-            images[i] = idx[b.fiber_isos[w][y]]
-        assignments[(a, w)] = Perm(tuple(images))
-    return make_fiber_voltage(b.base, fiber, assignments)
+    """The voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on every oriented edge."""
+    return b.voltage
 
 
 # --- equivalence -------------------------------------------------------------
@@ -308,7 +306,7 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
         raise FiberMismatch("bundles have different fiber graphs")
     fiber, position = b1.fiber, b1.total.index
     witness: dict[Label, Label] = {}
-    for (t1, h1), (t2, h2) in zip(_holonomies(bundle_to_voltage(b1)), _holonomies(bundle_to_voltage(b2))):
+    for (t1, h1), (t2, h2) in zip(_holonomies(b1.voltage), _holonomies(b2.voltage)):
         label = {v: [b2.inverse_fiber_isos[v][fiber.vertices[t2[v](k)]] for k in range(fiber.n)] for v in t2}
         back = {v: t.inverse() for v, t in t1.items()}
         points = {x: (v, back[v](fiber.index[b1.fiber_isos[v][x]])) for v in t1 for x in b1.fibers[v]}
@@ -335,7 +333,7 @@ def is_trivial(b: GraphBundle) -> bool:
     """True when the bundle is equivalent to the box product over the same
     base: exactly when every holonomy is the identity, since g ∘ h ∘ g⁻¹ is
     the identity only for h the identity."""
-    return all(h.is_identity() for _, hs in _holonomies(bundle_to_voltage(b)) for h in hs)
+    return all(h.is_identity() for _, hs in _holonomies(b.voltage) for h in hs)
 
 
 def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:
@@ -352,4 +350,4 @@ def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:
     fiber_isos = {
         v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()
     }
-    return GraphBundle(b.total, b.projection, b.base, new_fiber, fiber_isos, b.transitions)
+    return GraphBundle(b.total, b.projection, new_fiber, fiber_isos)

@@ -197,13 +197,7 @@ def cmd_bundle_verify(args) -> int:
         }
         if args.case not in builders:
             raise ParseError(f"unknown bundle case {args.case!r}; choices: {sorted(builders)}")
-        try:
-            b = builders[args.case]()
-        except (SearchBudgetExceeded, EnumerationBoundExceeded):
-            raise
-        except BundleForgeError as exc:
-            _emit({"verb": "bundle-verify", "valid": False, "reason": str(exc)}, args, [f"invalid: {exc}"])
-            return EXIT_FALSE
+        build = builders[args.case]
     else:
         total = _load_graph(args.total, None)
         fiber_graph = _load_graph(args.fiber, None)
@@ -229,14 +223,14 @@ def cmd_bundle_verify(args) -> int:
                 if mapping[a] != mapping[b]
             }
             base = graphs_mod.make_graph(base_vs, base_es)
-        p = make_morphism(total, base, mapping)
-        try:
-            b = verify_bundle(total, p, fiber_graph)
-        except (SearchBudgetExceeded, EnumerationBoundExceeded):
-            raise
-        except BundleForgeError as exc:
-            _emit({"verb": "bundle-verify", "valid": False, "reason": str(exc)}, args, [f"invalid: {exc}"])
-            return EXIT_FALSE
+        build = functools.partial(verify_bundle, total, make_morphism(total, base, mapping), fiber_graph)
+    try:
+        b = build()
+    except (SearchBudgetExceeded, EnumerationBoundExceeded):
+        raise
+    except BundleForgeError as exc:
+        _emit({"verb": "bundle-verify", "valid": False, "reason": str(exc)}, args, [f"invalid: {exc}"])
+        return EXIT_FALSE
     report = {
         "verb": "bundle-verify",
         "valid": True,

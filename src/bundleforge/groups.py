@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .bundles import GraphBundle, verify_bundle
@@ -30,25 +29,14 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group given by an ordered element list and a Cayley table."""
+    """Finite group given by an ordered element list and a Cayley table,
+    with the element positions and inverses that make_group finds."""
 
     elements: tuple[Label, ...]
     table: Mapping[tuple[Label, Label], Label]
     identity: Label
-
-    @cached_property
-    def index(self) -> dict[Label, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def inverses(self) -> dict[Label, Label]:
-        inv = {}
-        for x in self.elements:
-            for y in self.elements:
-                if self.table[(x, y)] == self.identity:
-                    inv[x] = y
-                    break
-        return inv
+    index: Mapping[Label, int]
+    inverses: Mapping[Label, Label]
 
     @property
     def order(self) -> int:
@@ -186,10 +174,7 @@ def make_group(elements: Sequence[object], table: Mapping[tuple[object, object],
                 raise NotAGroup(
                     f"associativity fails at ({elems[x]!r}, {elems[s]!r}, {elems[y]!r})"
                 )
-    group = FiniteGroup(elems, t, elems[e])
-    group.__dict__["index"] = index
-    group.__dict__["inverses"] = inverses
-    return group
+    return FiniteGroup(elems, t, elems[e], index, inverses)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -148,13 +148,7 @@ def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
     )
     verified = verify_bundle(total, projection, b.fiber)
     return PullbackBundle(
-        verified.total,
-        verified.projection,
-        verified.base,
-        verified.fiber,
-        verified.fiber_isos,
-        verified.transitions,
-        typed,
+        verified.total, verified.projection, verified.fiber, verified.fiber_isos, typed
     )
 
 
@@ -279,13 +273,7 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     fiber = cartesian_product(b1.fiber, b2.fiber)
     verified = verify_bundle(total, projection, fiber)
     return SubdirectBundle(
-        verified.total,
-        verified.projection,
-        verified.base,
-        verified.fiber,
-        verified.fiber_isos,
-        verified.transitions,
-        typed,
+        verified.total, verified.projection, verified.fiber, verified.fiber_isos, typed
     )
 
 

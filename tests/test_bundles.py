@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -31,7 +32,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import graphs
-from bundleforge.graphs import spanning_forest
+from bundleforge.graphs import pair_label, spanning_forest
 from bundleforge.bundles import is_equivalence_witness
 from bundleforge.errors import (
     BaseMismatch,
@@ -44,6 +45,7 @@ from bundleforge.errors import (
     TransitionNotIso,
 )
 from bundleforge.matrices import identity as identity_matrix
+from bundleforge.pullback import pullback_bundle, subdirect_product
 from bundleforge.named import (
     c6k2_bundle,
     m3_bundle,
@@ -102,6 +104,29 @@ class TestVerifyBundle:
     def test_cover_is_an_edgeless_fiber_bundle(self, c6, two_k1, p_c6_c3):
         b = verify_bundle(c6, p_c6_c3, two_k1)
         assert b.fiber == two_k1
+
+    def test_twisted_matching_is_not_a_transition_iso(self, k2):
+        # Two copies of the path a-b-c joined by a-b', b-a', c-c': a
+        # one-to-one matching between the fibers that sends the edge b-c to
+        # the non-edge a'-c'.  The total space has a 5-cycle, so it is not
+        # K2 □ P3 either.
+        p3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        total = make_graph(
+            ["a", "b", "c", "a'", "b'", "c'"],
+            [("a", "b"), ("b", "c"), ("a'", "b'"), ("b'", "c'"),
+             ("a", "b'"), ("b", "a'"), ("c", "c'")],
+        )
+        base_v, base_w = k2.vertices
+        over = {x: base_w if x.endswith("'") else base_v for x in total.vertices}
+        with pytest.raises(TransitionNotIso, match=rf"base edge \('{base_v}', '{base_w}'\)"):
+            verify_bundle(total, make_morphism(total, k2, over), p3)
+
+    def test_bundle_holds_only_what_verification_proves(self, m3, k2, q_m3_c3):
+        b = verify_bundle(m3, q_m3_c3, k2)
+        assert [f.name for f in dataclasses.fields(b)] == ["total", "projection", "fiber", "fiber_isos"]
+        assert b.base is q_m3_c3.codomain
+        assert "voltage" not in vars(b)
+        assert b.voltage is bundle_to_voltage(b)
 
 
 class TestVoltageExtraction:
@@ -472,6 +497,15 @@ class TestStructuralCounts:
         assert b.fiber.n == 1
 
 
+def assert_voltage_rebuilds_total(b):
+    """x -> (p(x), sigma_p(x)(x)) is an equivalence from b onto the bundle
+    built from b.voltage, so the voltage read off b agrees with its total
+    space edge by edge."""
+    p, sigma = b.projection, b.fiber_isos
+    mapping = {x: pair_label(p(x), sigma[p(x)][x]) for x in b.total.vertices}
+    assert is_equivalence_witness(b, voltage_bundle(b.voltage), mapping)
+
+
 class TestCharacterizationAgreement:
     def test_mutated_totals_fail_both_characterizations(self, c3, k2, m3_voltage):
         # Both bundle characterizations must reject every single-edge
@@ -506,6 +540,7 @@ class TestCharacterizationAgreement:
 
     def test_random_voltage_bundles_reverify(self):
         rng = random.Random(31)
+        extra = random.Random(32)
         bases = [cycle_graph(3), cycle_graph(4), path_graph(3), star_graph(3)]
         fibers = [complete_graph(2), empty_graph(2), complete_graph(3), path_graph(3)]
         for _ in range(40):
@@ -519,6 +554,20 @@ class TestCharacterizationAgreement:
             again = verify_bundle(b.total, b.projection, fiber)
             assert again.total == b.total
             assert bundle_to_voltage(again).phi == dict(bundle_to_voltage(b).phi)
+            assert dict(again.voltage.phi) == dict(fv.phi)
+            # The pullbacks and subdirect products draw from their own
+            # generator, so the 40 draws above stay as they were.
+            walk = [extra.choice(base.vertices)]
+            for _ in range(extra.randint(1, 4)):
+                walk.append(extra.choice((walk[-1],) + base.neighbors(walk[-1])))
+            path = path_graph(len(walk))
+            f = make_morphism(path, base, dict(zip(path.vertices, walk)))
+            fiber2 = extra.choice(fibers)
+            other = voltage_bundle(make_fiber_voltage(
+                base, fiber2, {e: extra.choice(automorphisms(fiber2)) for e in base.edge_list()}
+            ))
+            for bundle in (b, again, pullback_bundle(f, b), subdirect_product(b, other)):
+                assert_voltage_rebuilds_total(bundle)
 
 
 class TestVoltageValidation:

@@ -300,6 +300,23 @@ class TestExitCodes:
         # The next in-process search runs under the default budget again.
         assert m3_bundle().total.n == 6
 
+    def test_budget_exhaustion_on_files(self, capsys, tmp_path):
+        # The file branch lets a spent budget through as exit 3, not as an
+        # invalid bundle.
+        total = write_json(tmp_path, "m3.json", mobius_ladder_3().to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        proj = write_json(
+            tmp_path, "q.json", {"map": {str(x): str(x % 3 + 1) for x in range(1, 7)}}
+        )
+        argv = ["bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber]
+        code, out, err = run(capsys, "--budget", "1", *argv)
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "valid bundle" in out
+
     def test_env_budget_override(self, capsys, monkeypatch):
         import bundleforge.graphs as graphs_mod
 
