@@ -8,9 +8,9 @@ here.
 
 A GraphBundle holds what verification proves: the total space, the
 projection (whose codomain is the base), the fiber and one identification
-sigma_v of each fiber with it.  Its voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹,
-with psi_vw(x) the one neighbour of x over w, is read off the total space
-on first use.
+sigma_v of each fiber with it.  Its voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹
+is read off the total space on first use, through the same transition
+psi_vw (x to its one neighbour over w) that the definition check reads.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -22,16 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from . import graphs
 from .errors import (
     BaseMismatch,
     FiberMismatch,
     FiberNotIsomorphic,
-    FiberSizeMismatch,
     LocalTrivialityFails,
-    NoLifting,
     NotACovering,
     NotAMorphism,
     SearchBudgetExceeded,
@@ -58,8 +56,6 @@ from .products import (
     cartesian_product,
     make_fiber_voltage,
     trivial_voltage,
-    verify_kfold_covering,
-    voltage_indicator,
 )
 
 def identity_bundle(base: Graph) -> GraphBundle:
@@ -96,17 +92,13 @@ class GraphBundle:
     @cached_property
     def voltage(self) -> FiberVoltage:
         """The voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on every oriented base
-        edge, where psi_vw(x) is the one neighbour of x over w."""
-        fiber, over = self.fiber, self.projection.map
-        idx = fiber.index
+        edge, with psi_vw the transition that verification checked."""
+        fiber, idx = self.fiber, self.fiber.index
         assignments: dict[tuple[Label, Label], Perm] = {}
         for v, w in self.base.edge_list():
+            psi = _transition(self.total, self.projection.map, self.fibers[v], v, w)
             inv_sigma_v, sigma_w = self.inverse_fiber_isos[v], self.fiber_isos[w]
-            images = []
-            for f in fiber.vertices:
-                y = next(y for y in self.total.adjacency[inv_sigma_v[f]] if over[y] == w)
-                images.append(idx[sigma_w[y]])
-            assignments[(v, w)] = Perm(tuple(images))
+            assignments[(v, w)] = Perm(tuple(idx[sigma_w[psi[inv_sigma_v[f]]]] for f in fiber.vertices))
         return make_fiber_voltage(self.base, fiber, assignments)
 
     def __repr__(self) -> str:
@@ -136,36 +128,46 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     return GraphBundle(total, projection, fiber, fiber_isos)
 
 
-def _check_conditions(
-    total: Graph, p: GraphMorphism, fiber: Graph, fiber_graphs: Mapping[Label, Graph]
-) -> None:
-    """Covering plus transition-isomorphism conditions.  One orientation per
-    base edge suffices: psi_vw is a bijection between fibers with as many
-    edges as F, so an edge-preserving psi_vw is an isomorphism, and psi_wv
-    is its inverse."""
-    base = p.codomain
-    cross = [(a, b) for a, b in total.edge_list() if p(a) != p(b)]
-    skeleton = make_graph(total.vertices, cross)
-    p_tilde = make_morphism(skeleton, base, p.map)
-    try:
-        covering = verify_kfold_covering(p_tilde, fiber.n)
-    except (FiberSizeMismatch, NoLifting) as exc:
-        raise NotACovering(f"edge-deleted total space is not a {fiber.n}-fold covering: {exc}") from exc
-    for v, w in base.edge_list():
-        fib_v, fib_w = fiber_graphs[v], fiber_graphs[w]
-        psi = {x: covering.liftings[(v, x)][w] for x in fib_v.vertices}
-        if not all(fib_w.has_edge(psi[x], psi[y]) for x, y in fib_v.edge_list()):
+def _transition(
+    total: Graph, over: Mapping[Label, Label], xs: Iterable[Label], v: Label, w: Label
+) -> dict[Label, Label]:
+    """psi_vw: each x in xs, the vertices over v, to its one neighbour over
+    w.  Raises NotACovering when some x has none or two, or two x share one;
+    between fibers of equal size, an injective psi_vw is a bijection."""
+    psi: dict[Label, Label] = {}
+    for x in xs:
+        ys = [y for y in total.adjacency[x] if over[y] == w]
+        if len(ys) != 1:
+            raise NotACovering(f"vertex {x!r} over {v!r} has {len(ys)} neighbours over {w!r}")
+        psi[x] = ys[0]
+    if len(set(psi.values())) != len(psi):
+        raise NotACovering(f"transition over base edge ({v!r}, {w!r}) is not one-to-one")
+    return psi
+
+
+def _check_conditions(total: Graph, p: GraphMorphism, fiber_graphs: Mapping[Label, Graph]) -> None:
+    """Covering, then transition isomorphisms, over fibers isomorphic to F:
+    every psi_vw is read before any is checked, so a covering failure comes
+    before a transition failure.  One orientation per base edge suffices:
+    psi_vw is a bijection between fibers with as many edges as F, so an
+    edge-preserving psi_vw is an isomorphism, and psi_wv is its inverse."""
+    psis = [(v, w, _transition(total, p.map, fiber_graphs[v].vertices, v, w)) for v, w in p.codomain.edge_list()]
+    for v, w, psi in psis:
+        if not all(fiber_graphs[w].has_edge(psi[x], psi[y]) for x, y in fiber_graphs[v].edge_list()):
             raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
 
 
 def _check_local_triviality(
     total: Graph, p: GraphMorphism, fiber: Graph, fibers: Mapping[Label, tuple[Label, ...]]
 ) -> None:
+    """The preimage of each base edge vw is K2 □ F over the edge, not just up
+    to isomorphism: the fiber over v goes onto (1, F), that over w onto (2, F)."""
     base = p.codomain
     k2f = cartesian_product(complete_graph(2), fiber)
     for v, w in base.edge_list():
         local = induced_subgraph(total, fibers[v] + fibers[w])
-        if find_isomorphism(local, k2f) is None:
+        ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
+        if find_isomorphism(local, k2f, over=(p.map, ends)) is None:
             raise LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
 
 
@@ -192,7 +194,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
 
     definition_error: Exception | None = None
     try:
-        _check_conditions(total, p, fiber, fiber_graphs)
+        _check_conditions(total, p, fiber_graphs)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 

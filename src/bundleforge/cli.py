@@ -33,6 +33,7 @@ from .groups import (
     FiniteGroup,
     cayley_graph,
     generator_system,
+    hom,
     kernel,
     subdirect_group,
     symmetric_closure,
@@ -398,13 +399,11 @@ def cmd_subdirect_group(args) -> int:
     else:
         if not (args.group_a and args.group_b and args.group_c and args.eps_a and args.eps_b):
             raise ParseError("subdirect-group needs the two groups, the amalgam, and both maps")
-        from .groups import hom as make_hom
-
         a = FiniteGroup.from_json(_load_json(args.group_a))
         b = FiniteGroup.from_json(_load_json(args.group_b))
         c = FiniteGroup.from_json(_load_json(args.group_c))
-        eps_a = make_hom(a, c, _load_map(args.eps_a)[0])
-        eps_b = make_hom(b, c, _load_map(args.eps_b)[0])
+        eps_a = hom(a, c, _load_map(args.eps_a)[0])
+        eps_b = hom(b, c, _load_map(args.eps_b)[0])
         sd = subdirect_group(eps_a, eps_b)
     report = {
         "verb": "subdirect-group",

@@ -426,7 +426,8 @@ class _IsoSearch:
 
     The vertices of g are matched in stored order.  Each keeps a candidate
     domain, a bitmask over h's vertex indices that starts as the h-vertices
-    with its signature (degree and sorted neighbour degrees).  Placing
+    with its signature (degree and sorted neighbour degrees), cut to the
+    vertices of v's label when over = (pg, ph) labels both graphs.  Placing
     v -> w cuts the domain of each later neighbour of v down to N(w), and a
     trail puts the domains back on backtrack; the placement is undone at
     once when one of those domains has no unused vertex left.  w is
@@ -439,10 +440,11 @@ class _IsoSearch:
     and the later-neighbour lists.
     """
 
-    def __init__(self, g: Graph, h: Graph, budget: int):
+    def __init__(self, g: Graph, h: Graph, budget: int, over: Optional[tuple[Mapping, Mapping]] = None):
         self.g = g
         self.h = h
         self.budget = budget
+        self.over = over
         self.nodes = 0
 
     def run(self) -> Optional[dict[Label, Label]]:
@@ -465,6 +467,12 @@ class _IsoSearch:
         adj = g.adjacency
         gv, hv = g.vertices, h.vertices
         dom = {v: classes[s] for v, s in g.signature.items()}
+        if self.over is not None:
+            pg, ph = self.over
+            within: dict[Label, int] = {}
+            for j, y in enumerate(hv):
+                within[ph[y]] = within.get(ph[y], 0) | 1 << j
+            dom = {v: d & within.get(pg[v], 0) for v, d in dom.items()}
         later: dict[Label, list[Label]] = {v: [] for v in gv}
         for a, b in g._edge_order:
             later[a].append(b)
@@ -535,8 +543,11 @@ class _IsoSearch:
         return found
 
 
-def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
-    """Find a graph isomorphism g -> h, or None.
+def find_isomorphism(
+    g: Graph, h: Graph, over: Optional[tuple[Mapping, Mapping]] = None
+) -> Optional[dict[Label, Label]]:
+    """Find a graph isomorphism g -> h, or None; with over = (pg, ph), one
+    that sends each x to a vertex y with ph[y] == pg[x].
 
     Deterministic: vertices of g are matched in stored order against the
     vertices of h with the same signature, in h's stored order, so the
@@ -549,7 +560,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
     tried from a vertex's domain.  The search keeps its own stack, so the
     size of g is not limited by Python's recursion limit.
     """
-    return _IsoSearch(g, h, current_budget.get()).run()
+    return _IsoSearch(g, h, current_budget.get(), over).run()
 
 
 def is_isomorphism(mapping: Mapping[Label, Label], g: Graph, h: Graph) -> bool:

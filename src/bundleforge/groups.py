@@ -57,16 +57,7 @@ class FiniteGroup:
 
     def generated_subgroup(self, gens: Iterable[Label]) -> tuple[Label, ...]:
         """Closure of a generating set, in ambient element order."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+        seen = _closure([self.identity], list(gens), self.mul)
         return tuple(e for e in self.elements if e in seen)
 
     def to_json(self) -> dict:
@@ -100,23 +91,29 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order})"
 
 
+def _closure(start: Iterable[_T], gens: Sequence[_T], mul: Callable[[_T, _T], _T]) -> set[_T]:
+    """Everything reached from start by right multiplication with gens."""
+    reached = set(start)
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
 def _greedy_generators(elements: Iterable[_T], identity: _T, mul: Callable[[_T, _T], _T]) -> list[_T]:
     """Generators picked in element order: each element not yet reached
     from the identity by right multiplication with the earlier picks."""
     gens: list[_T] = []
     reached = {identity}
     for x in elements:
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = list(reached)
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = mul(y, g)
-                if z not in reached:
-                    reached.add(z)
-                    frontier.append(z)
+        if x not in reached:
+            gens.append(x)
+            reached = _closure(reached, gens, mul)
     return gens
 
 

@@ -17,6 +17,7 @@ from .graphs import (
     make_graph,
     make_morphism,
     path_graph,
+    split_pair_label,
     star_graph,
 )
 from .groups import (
@@ -167,8 +168,6 @@ def c6_c3_covering_bundle() -> GraphBundle:
 def invariance_case_z2z3_z6() -> dict:
     """Generator data for the subdirect product of the order-6 groups over
     the cyclic group of order 3."""
-    from .graphs import split_pair_label
-
     z2, z3, z6 = cyclic(2), cyclic(3), cyclic(6)
     z2z3 = direct_product(z2, z3)
     phi1 = hom(z2z3, z3, {e: split_pair_label(e)[1] for e in z2z3.elements})

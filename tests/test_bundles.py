@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundleforge import (
     FiberVoltage,
@@ -29,16 +30,19 @@ from bundleforge import (
     trivial_voltage,
     validate_morphism,
     verify_bundle,
+    verify_kfold_covering,
     voltage_bundle,
 )
 from bundleforge import graphs
-from bundleforge.graphs import pair_label, spanning_forest
+from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest
 from bundleforge.bundles import is_equivalence_witness
 from bundleforge.errors import (
     BaseMismatch,
     FiberMismatch,
     FiberNotIsomorphic,
+    FiberSizeMismatch,
     LocalTrivialityFails,
+    NoLifting,
     NotACovering,
     ParseError,
     SearchBudgetExceeded,
@@ -120,6 +124,41 @@ class TestVerifyBundle:
         over = {x: base_w if x.endswith("'") else base_v for x in total.vertices}
         with pytest.raises(TransitionNotIso, match=rf"base edge \('{base_v}', '{base_w}'\)"):
             verify_bundle(total, make_morphism(total, k2, over), p3)
+
+    @pytest.mark.parametrize("order", [("v", "w"), ("w", "v")])
+    def test_shared_neighbour_is_not_a_covering(self, order, two_k1):
+        # x1 and x2 over v both meet y1 over w, and y2 over w is isolated.
+        # Read from v, every x has exactly one neighbour over w; only the
+        # one-to-one test of psi_vw sees that this is no covering.
+        base = make_graph(order, [("v", "w")])
+        total = make_graph(["x1", "x2", "y1", "y2"], [("x1", "y1"), ("x2", "y1")])
+        over = {"x1": "v", "x2": "v", "y1": "w", "y2": "w"}
+        with pytest.raises(NotACovering):
+            verify_bundle(total, make_morphism(total, base, over), two_k1)
+
+    def test_domino_across_the_fibers_is_not_a_bundle(self, k2, p3):
+        # The preimage of the base edge is the domino K2 □ P3, but the fibers
+        # a-b-c and a'-b'-c' cut across it and b has no neighbour over the
+        # other end.  Local triviality holds only up to isomorphism, not
+        # over the edge, so both characterizations reject.
+        total = make_graph(
+            ["a", "b", "c", "a'", "b'", "c'"],
+            [("a", "b"), ("b", "c"), ("a'", "b'"), ("b'", "c'"), ("a", "a'"), ("c", "c'"), ("c", "a'")],
+        )
+        assert find_isomorphism(total, cartesian_product(k2, p3)) is not None
+        base_v, base_w = k2.vertices
+        over = {x: base_w if x.endswith("'") else base_v for x in total.vertices}
+        with pytest.raises(NotACovering, match=f"'b' over '{base_v}' has 0 neighbours"):
+            verify_bundle(total, make_morphism(total, k2, over), p3)
+
+    def test_missing_cross_edge_is_not_a_covering(self, k2, c3):
+        # The fibers are still triangles, but (1,1) has no neighbour over 2.
+        b = voltage_bundle(trivial_voltage(k2, c3))
+        edges = [e for e in b.total.edge_list() if set(e) != {"(1,1)", "(2,1)"}]
+        assert len(edges) == len(b.total.edges) - 1
+        total = make_graph(b.total.vertices, edges)
+        with pytest.raises(NotACovering):
+            verify_bundle(total, make_morphism(total, k2, b.projection.map), c3)
 
     def test_bundle_holds_only_what_verification_proves(self, m3, k2, q_m3_c3):
         b = verify_bundle(m3, q_m3_c3, k2)
@@ -568,6 +607,90 @@ class TestCharacterizationAgreement:
             ))
             for bundle in (b, again, pullback_bundle(f, b), subdirect_product(b, other)):
                 assert_voltage_rebuilds_total(bundle)
+
+
+def reference_check_conditions(total, p, fiber, fiber_graphs):
+    """The definition checked through a covering skeleton: the cross edges
+    as a graph of their own, verified as a |F|-fold covering of the base,
+    with each transition read off the covering's liftings."""
+    base = p.codomain
+    cross = [(a, b) for a, b in total.edge_list() if p(a) != p(b)]
+    skeleton = make_graph(total.vertices, cross)
+    try:
+        covering = verify_kfold_covering(make_morphism(skeleton, base, p.map), fiber.n)
+    except (FiberSizeMismatch, NoLifting) as exc:
+        raise NotACovering(str(exc)) from exc
+    for v, w in base.edge_list():
+        fib_v, fib_w = fiber_graphs[v], fiber_graphs[w]
+        psi = {x: covering.liftings[(v, x)][w] for x in fib_v.vertices}
+        if not all(fib_w.has_edge(psi[x], psi[y]) for x, y in fib_v.edge_list()):
+            raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
+
+
+def outcome(check, *args):
+    """The class of the definition failure check raises, or None."""
+    try:
+        check(*args)
+    except (NotACovering, TransitionNotIso) as exc:
+        return type(exc)
+    return None
+
+
+ROUTE_FIBERS = {
+    "K2": complete_graph(2),
+    "P3": path_graph(3),
+    "C4": cycle_graph(4),
+    "2K1": empty_graph(2),
+    "K3": complete_graph(3),
+}
+
+
+@st.composite
+def mutated_voltage_totals(draw):
+    """A voltage total over a base on 2-5 vertices, stored in a drawn order,
+    with 1-3 of its cross edges between the fibers over one base edge
+    deleted, added, re-pointed, or two of them swapped.  A swap keeps the
+    covering and aims at the transition check.  Fiber edges are never
+    touched."""
+    n = draw(st.integers(2, 5))
+    labels = [str(i) for i in range(1, n + 1)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    base_edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    base = make_graph(draw(st.permutations(labels)), base_edges)
+    fiber = ROUTE_FIBERS[draw(st.sampled_from(sorted(ROUTE_FIBERS)))]
+    auts = automorphisms(fiber)
+    b = voltage_bundle(make_fiber_voltage(
+        base, fiber, {e: draw(st.sampled_from(auts)) for e in base.edge_list()}
+    ))
+    edges = {frozenset(e) for e in b.total.edges}
+    for _ in range(draw(st.integers(1, 3))):
+        v, w = draw(st.sampled_from(base.edge_list()))
+        xs, ys = b.fibers[v], b.fibers[w]
+        cross = [(x, y) for x in xs for y in ys if frozenset((x, y)) in edges]
+        kind = draw(st.sampled_from(["delete", "add", "repoint", "swap"]))
+        if kind == "add":
+            edges.add(frozenset((draw(st.sampled_from(xs)), draw(st.sampled_from(ys)))))
+        elif kind == "swap" and len(cross) >= 2:
+            (x1, y1), (x2, y2) = draw(st.lists(st.sampled_from(cross), min_size=2, max_size=2, unique=True))
+            edges -= {frozenset((x1, y1)), frozenset((x2, y2))}
+            edges |= {frozenset((x1, y2)), frozenset((x2, y1))}
+        elif kind in ("delete", "repoint") and cross:
+            x, y = draw(st.sampled_from(cross))
+            edges.discard(frozenset((x, y)))
+            if kind == "repoint":
+                edges.add(frozenset((x, draw(st.sampled_from(ys)))))
+    total = make_graph(b.total.vertices, sorted(tuple(sorted(e)) for e in edges))
+    return total, make_morphism(total, base, b.projection.map), fiber
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_voltage_totals())
+def test_definition_matches_skeleton_route(case):
+    total, p, fiber = case
+    fiber_graphs = {v: induced_subgraph(total, xs) for v, xs in p.preimages.items()}
+    assert all(find_isomorphism(g, fiber) is not None for g in fiber_graphs.values())
+    expected = outcome(reference_check_conditions, total, p, fiber, fiber_graphs)
+    assert outcome(verify_bundle, total, p, fiber) is expected
 
 
 class TestVoltageValidation:

@@ -64,6 +64,15 @@ class TestProductCommand:
         assert code == 0
         assert "6 vertices, 9 edges" in out
 
+    @pytest.mark.parametrize("op", ["cartesian", "strong"])
+    def test_pair_label_collision_exits_2(self, capsys, tmp_path, op):
+        g1 = write_json(tmp_path, "a.json", {"vertices": ["1", "1,a"], "edges": [["1", "1,a"]]})
+        g2 = write_json(tmp_path, "b.json", {"vertices": ["a,b", "b"], "edges": [["a,b", "b"]]})
+        code, out, err = run(capsys, "product", "--op", op, "--g1", g1, "--g2", g2)
+        assert code == 2
+        assert out == ""
+        assert "duplicate vertex '(1,a,b)'" in err
+
     def test_strong_json_schema(self, capsys, tmp_path):
         g1 = write_json(tmp_path, "a.json", complete_graph(2).to_json())
         g2 = write_json(tmp_path, "b.json", complete_graph(3).to_json())

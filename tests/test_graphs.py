@@ -227,6 +227,28 @@ class TestIsomorphism:
     def test_deterministic_witness(self, k3, c3):
         assert find_isomorphism(k3, c3) == find_isomorphism(k3, c3)
 
+    def test_over_keeps_each_vertex_on_its_label(self):
+        g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        h = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+        pg = {"a": "x", "b": "y", "c": "y"}
+        assert find_isomorphism(g, h, over=(pg, {"1": "y", "2": "y", "3": "x"})) == {"a": "3", "b": "2", "c": "1"}
+        assert find_isomorphism(g, h, over=(pg, {"1": "y", "2": "x", "3": "y"})) is None
+        assert find_isomorphism(g, h, over=(pg, {"1": "z", "2": "y", "3": "y"})) is None
+
+    def test_domino_over_its_rungs_only(self, k2):
+        # The domino K2 □ P3 with the paths a-b-c and a'-b'-c' cut across it:
+        # isomorphic to K2 □ P3, but by no map that keeps each path on a side.
+        g = make_graph(
+            ["a", "b", "c", "a'", "b'", "c'"],
+            [("a", "b"), ("b", "c"), ("a'", "b'"), ("b'", "c'"), ("a", "a'"), ("c", "c'"), ("c", "a'")],
+        )
+        h = cartesian_product(k2, make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")]))
+        side = {x: x[1] for x in h.vertices}
+        pg = {x: "2" if x.endswith("'") else "1" for x in g.vertices}
+        assert find_isomorphism(g, h) is not None
+        assert find_isomorphism(g, h, over=(pg, side)) is None
+        assert find_isomorphism(h, h, over=(side, side)) == {x: x for x in h.vertices}
+
 
 class TestLargeGraphs:
     # The search keeps its own stack: a graph of more vertices than Python

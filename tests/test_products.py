@@ -20,10 +20,11 @@ from bundleforge import (
     path_graph,
     strong_product,
     strong_spectrum,
+    trivial_voltage,
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, FiberSizeMismatch, NoLifting
+from bundleforge.errors import BaseMismatch, DuplicateVertex, FiberSizeMismatch, NoLifting
 from bundleforge.matrices import Spectrum, graph_spectrum, identity
 from bundleforge.products import make_covering_voltage
 
@@ -61,6 +62,16 @@ class TestCartesianProduct:
         a1, a2 = adjacency_matrix(k3), adjacency_matrix(c4)
         formula = kronecker(a1, identity(4)) + kronecker(identity(3), a2)
         assert formula == adjacency_matrix(cartesian_product(k3, c4))
+
+    def test_pair_label_collision_is_a_duplicate_vertex(self):
+        # ("1", "a,b") and ("1,a", "b") both print as "(1,a,b)": the builders
+        # rely on make_graph to catch the clash.
+        base = make_graph(["1", "1,a"], [("1", "1,a")])
+        fiber = make_graph(["a,b", "b"], [("a,b", "b")])
+        with pytest.raises(DuplicateVertex, match=r"\(1,a,b\)"):
+            cartesian_product(base, fiber)
+        with pytest.raises(DuplicateVertex, match=r"\(1,a,b\)"):
+            voltage_bundle(trivial_voltage(base, fiber))
 
 
 class TestStrongProduct:
