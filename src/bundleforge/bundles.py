@@ -16,6 +16,14 @@ A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
 local triviality over every base edge; disagreement between them would be
 an implementation bug, not bad input, and raises immediately.
+
+Both routes run on every call, and each searches once per distinct shape.
+The shape of a vertex set, in the total's order, is each vertex's neighbour
+positions within the set; it is exact, and the isomorphism search reads
+nothing else of the set, so sets of one shape get one answer.  The fiber
+check keys fibers by shape and reuses a witness by position; local
+triviality keys edge preimages by shape and by which vertices lie over v.
+A call costs O(|V|·|F| + |E|·|F|) plus one search per distinct shape.
 """
 
 from __future__ import annotations
@@ -41,12 +49,13 @@ from .graphs import (
     Label,
     complete_graph,
     find_isomorphism,
-    induced_subgraph,
+    induced_adjacency,
     is_isomorphism,
     make_graph,
     make_morphism,
     pair_label,
     spanning_forest,
+    subgraph_of_shape,
     validate_morphism,
 )
 from .perms import Perm
@@ -145,29 +154,37 @@ def _transition(
     return psi
 
 
-def _check_conditions(total: Graph, p: GraphMorphism, fiber_graphs: Mapping[Label, Graph]) -> None:
+def _check_conditions(total: Graph, p: GraphMorphism) -> None:
     """Covering, then transition isomorphisms, over fibers isomorphic to F:
     every psi_vw is read before any is checked, so a covering failure comes
     before a transition failure.  One orientation per base edge suffices:
     psi_vw is a bijection between fibers with as many edges as F, so an
-    edge-preserving psi_vw is an isomorphism, and psi_wv is its inverse."""
-    psis = [(v, w, _transition(total, p.map, fiber_graphs[v].vertices, v, w)) for v, w in p.codomain.edge_list()]
+    edge-preserving psi_vw is an isomorphism, and psi_wv is its inverse.
+    The fiber edges are read off the total: x'y' is one exactly when x' and
+    y' lie over one base vertex and are adjacent in the total."""
+    over, fibers, adj = p.map, p.preimages, total.adjacency
+    psis = [(v, w, _transition(total, over, fibers[v], v, w)) for v, w in p.codomain.edge_list()]
     for v, w, psi in psis:
-        if not all(fiber_graphs[w].has_edge(psi[x], psi[y]) for x, y in fiber_graphs[v].edge_list()):
+        if not all(psi[y] in adj[psi[x]] for x in fibers[v] for y in adj[x] if over[y] == v):
             raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
 
 
-def _check_local_triviality(
-    total: Graph, p: GraphMorphism, fiber: Graph, fibers: Mapping[Label, tuple[Label, ...]]
-) -> None:
+def _check_local_triviality(total: Graph, p: GraphMorphism, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
-    to isomorphism: the fiber over v goes onto (1, F), that over w onto (2, F)."""
-    base = p.codomain
+    to isomorphism: the fiber over v goes onto (1, F), that over w onto (2, F).
+    The search sees only the preimage's shape and which of its vertices lie
+    over v, so it runs once per distinct pair of the two."""
     k2f = cartesian_product(complete_graph(2), fiber)
-    for v, w in base.edge_list():
-        local = induced_subgraph(total, fibers[v] + fibers[w])
-        ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
-        if find_isomorphism(local, k2f, over=(p.map, ends)) is None:
+    over, fibers, idx = p.map, p.preimages, total.index
+    boxed: dict[tuple, bool] = {}
+    for v, w in p.codomain.edge_list():
+        xs = sorted(fibers[v] + fibers[w], key=idx.__getitem__)
+        shape = induced_adjacency(total, xs)
+        key = (shape, tuple(over[x] == v for x in xs))
+        if key not in boxed:
+            ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
+            boxed[key] = find_isomorphism(subgraph_of_shape(xs, shape), k2f, over=(over, ends)) is not None
+        if not boxed[key]:
             raise LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
 
 
@@ -177,30 +194,38 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     Both the three-condition definition and the local-triviality
     characterization are evaluated; they must agree, and the first failing
     witness of the definition is raised when both reject.
+
+    Each fiber is searched against F once per distinct shape: a fiber with
+    the shape of an earlier one takes that one's witness by position, which
+    is the witness a fresh search would return.
     """
     ok, bad = validate_morphism(p)
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
-    base = p.codomain
-    fibers = p.preimages
-    fiber_graphs: dict[Label, Graph] = {}
+    idx, fvs = total.index, fiber.vertices
+    # Per fiber shape, the position in F of each vertex's image, or None.
+    placed: dict[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]] = {}
     sigma: dict[Label, dict[Label, Label]] = {}
-    for v in base.vertices:
-        fiber_graphs[v] = induced_subgraph(total, fibers[v])
-        iso = find_isomorphism(fiber_graphs[v], fiber)
-        if iso is None:
+    for v, xs in p.preimages.items():
+        xs = sorted(xs, key=idx.__getitem__)
+        shape = induced_adjacency(total, xs)
+        if shape not in placed:
+            iso = find_isomorphism(subgraph_of_shape(xs, shape), fiber)
+            placed[shape] = None if iso is None else tuple(fiber.index[iso[x]] for x in xs)
+        at = placed[shape]
+        if at is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")
-        sigma[v] = iso
+        sigma[v] = dict(zip(xs, map(fvs.__getitem__, at)))
 
     definition_error: Exception | None = None
     try:
-        _check_conditions(total, p, fiber_graphs)
+        _check_conditions(total, p)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 
     local_error: Exception | None = None
     try:
-        _check_local_triviality(total, p, fiber, fibers)
+        _check_local_triviality(total, p, fiber)
     except LocalTrivialityFails as exc:
         local_error = exc
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicateVertex,
@@ -342,24 +342,38 @@ def preserves_edges(f: GraphMorphism) -> bool:
     return all(f(a) != f(b) for a, b in f.domain.edge_list())
 
 
-def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
-    """Subgraph on the given vertices with all edges among them, order inherited.
+def induced_adjacency(g: Graph, xs: Sequence[Label]) -> tuple[tuple[int, ...], ...]:
+    """The shape of xs in g: each vertex's neighbour positions within xs,
+    in increasing order when xs is in g's stored order.  Two vertex sets
+    have the same shape exactly when position i -> i is an isomorphism of
+    their induced subgraphs that keeps the vertex order."""
+    pos = {x: i for i, x in enumerate(xs)}
+    adj = g.adjacency
+    return tuple(tuple(j for j in map(pos.get, adj[x]) if j is not None) for x in xs)
 
-    The labels and edges of g are already valid, so the result is built
-    from g's filtered neighbour lists without going through make_graph.
-    """
+
+def subgraph_of_shape(xs: Sequence[Label], shape: Sequence[Sequence[int]]) -> Graph:
+    """The graph on xs, in that order, with the edges that shape gives by
+    position.  The labels and the shape are trusted (as induced_adjacency
+    returns them), so nothing goes through make_graph."""
+    vs = tuple(xs)
+    adjacency = {x: tuple(vs[j] for j in nb) for x, nb in zip(vs, shape)}
+    order = tuple((vs[i], vs[j]) for i, nb in enumerate(shape) for j in nb if i < j)
+    sub = Graph(vs, frozenset(frozenset(e) for e in order))
+    sub.__dict__["adjacency"] = adjacency
+    sub.__dict__["_edge_order"] = order
+    return sub
+
+
+def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
+    """Subgraph on the given vertices with all edges among them, order inherited."""
     want = {canon_label(v) for v in subset}
     idx = g.index
     for v in want:
         if v not in idx:
             raise UnknownVertex(f"vertex {v!r} not in graph")
-    vs = tuple(sorted(want, key=idx.__getitem__))
-    adjacency = {a: tuple(b for b in g.adjacency[a] if b in want) for a in vs}
-    order = tuple((a, b) for a in vs for b in adjacency[a] if idx[a] < idx[b])
-    sub = Graph(vs, frozenset(frozenset(e) for e in order))
-    sub.__dict__["adjacency"] = adjacency
-    sub.__dict__["_edge_order"] = order
-    return sub
+    vs = sorted(want, key=idx.__getitem__)
+    return subgraph_of_shape(vs, induced_adjacency(g, vs))
 
 
 def neighborhood(g: Graph, v: object) -> Graph:

@@ -21,7 +21,7 @@ from .errors import (
     NotSurjective,
     ParseError,
 )
-from .graphs import Graph, Label, make_graph, make_morphism, pair_label, split_pair_label
+from .graphs import Graph, Label, make_graph, make_morphism, pair_label
 from .pullback import subdirect_product
 
 _T = TypeVar("_T")
@@ -389,17 +389,13 @@ def subdirect_group(eps_a: GroupHom, eps_b: GroupHom) -> SubdirectGroup:
             for (x2, y2), q in zip(pairs, labels)
         },
     )
-    delta_a = hom(e, a, {m: split_pair_label(m)[0] for m in e.elements})
-    delta_b = hom(e, b, {m: split_pair_label(m)[1] for m in e.elements})
+    delta_a = hom(e, a, {m: x for (x, _), m in zip(pairs, labels)})
+    delta_b = hom(e, b, {m: y for (_, y), m in zip(pairs, labels)})
     assert is_surjective(delta_a) and is_surjective(delta_b)
     assert e.order * c.order == a.order * b.order
     assert group_isomorphic(kernel(delta_a), kernel(eps_b))
     assert group_isomorphic(kernel(delta_b), kernel(eps_a))
-    inner = [
-        m
-        for m in e.elements
-        if eps_a(split_pair_label(m)[0]) == c.identity
-    ]
+    inner = [m for (x, _), m in zip(pairs, labels) if eps_a(x) == c.identity]
     assert group_isomorphic(quotient_group(e, subgroup(e, inner)), c)
     return SubdirectGroup(e, delta_a, delta_b, c, eps_a, eps_b)
 

@@ -33,17 +33,19 @@ from bundleforge import (
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge import graphs
+from bundleforge import bundles, graphs
 from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest
-from bundleforge.bundles import is_equivalence_witness
+from bundleforge.bundles import _transition, is_equivalence_witness
 from bundleforge.errors import (
     BaseMismatch,
+    BundleForgeError,
     FiberMismatch,
     FiberNotIsomorphic,
     FiberSizeMismatch,
     LocalTrivialityFails,
     NoLifting,
     NotACovering,
+    NotAMorphism,
     ParseError,
     SearchBudgetExceeded,
     TransitionNotIso,
@@ -150,6 +152,22 @@ class TestVerifyBundle:
         over = {x: base_w if x.endswith("'") else base_v for x in total.vertices}
         with pytest.raises(NotACovering, match=f"'b' over '{base_v}' has 0 neighbours"):
             verify_bundle(total, make_morphism(total, k2, over), p3)
+
+    def test_edge_preimages_of_one_shape_differ_by_side(self, p3):
+        # Over the base 1-2 3-4, both edge preimages are the domino K2 □ P3
+        # with the same edges by position (0-1, 1-2, 3-4, 4-5, 0-3, 1-4,
+        # 2-5).  Over 1-2 the fibers are x0-x1-x2 and x3-x4-x5.  Over 3-4
+        # they are y0-y3-y4 and y1-y2-y5, paths too, but they cut across
+        # the domino.  Only the side of each vertex tells the two preimages
+        # apart, and the second one is no covering.
+        domino = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+        xs, ys = [f"x{i}" for i in range(6)], [f"y{i}" for i in range(6)]
+        total = make_graph(xs + ys, [(c[i], c[j]) for c in (xs, ys) for i, j in domino])
+        base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
+        over = {x: "1" if x in xs[:3] else "2" for x in xs}
+        over.update({y: "3" if y in (ys[0], ys[3], ys[4]) else "4" for y in ys})
+        with pytest.raises(NotACovering, match="'y3' over '3' has 0 neighbours over '4'"):
+            verify_bundle(total, make_morphism(total, base, over), p3)
 
     def test_missing_cross_edge_is_not_a_covering(self, k2, c3):
         # The fibers are still triangles, but (1,1) has no neighbour over 2.
@@ -691,6 +709,115 @@ def test_definition_matches_skeleton_route(case):
     assert all(find_isomorphism(g, fiber) is not None for g in fiber_graphs.values())
     expected = outcome(reference_check_conditions, total, p, fiber, fiber_graphs)
     assert outcome(verify_bundle, total, p, fiber) is expected
+
+
+def reference_verify_bundle(total, p, fiber):
+    """verify_bundle before fiber and edge shapes were memoized: one induced
+    subgraph and one search per base vertex and per base edge.  Returns the
+    fiber identifications sigma."""
+    ok, bad = validate_morphism(p)
+    if not ok:
+        raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
+    base, fibers = p.codomain, p.preimages
+    fiber_graphs, sigma = {}, {}
+    for v in base.vertices:
+        fiber_graphs[v] = induced_subgraph(total, fibers[v])
+        iso = find_isomorphism(fiber_graphs[v], fiber)
+        if iso is None:
+            raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")
+        sigma[v] = iso
+    definition_error = None
+    try:
+        psis = [(v, w, _transition(total, p.map, fiber_graphs[v].vertices, v, w)) for v, w in base.edge_list()]
+        for v, w, psi in psis:
+            if not all(fiber_graphs[w].has_edge(psi[x], psi[y]) for x, y in fiber_graphs[v].edge_list()):
+                raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
+    except (NotACovering, TransitionNotIso) as exc:
+        definition_error = exc
+    local_error = None
+    k2f = cartesian_product(complete_graph(2), fiber)
+    for v, w in base.edge_list():
+        local = induced_subgraph(total, fibers[v] + fibers[w])
+        ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
+        if find_isomorphism(local, k2f, over=(p.map, ends)) is None:
+            local_error = LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
+            break
+    if (definition_error is None) != (local_error is None):
+        raise AssertionError(
+            "internal error: bundle definition and local triviality disagree: "
+            f"{definition_error or local_error}"
+        )
+    if definition_error is not None:
+        raise definition_error
+    return sigma
+
+
+def verdict(check, *args):
+    """The class and message of the error check raises, or the repr of the
+    fiber identifications it returns, which shows their order too."""
+    try:
+        result = check(*args)
+    except (BundleForgeError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return repr(getattr(result, "fiber_isos", result))
+
+
+@st.composite
+def reordered_totals(draw):
+    """A mutated voltage total, half the time stored in a drawn vertex order
+    so that fibers and edge preimages alike in the bundle differ in shape,
+    checked against its own fiber or another one of the same order."""
+    total, p, fiber = draw(mutated_voltage_totals())
+    if draw(st.booleans()):
+        total = make_graph(draw(st.permutations(total.vertices)), total.edge_list())
+        p = make_morphism(total, p.codomain, p.map)
+    others = [f for f in ROUTE_FIBERS.values() if f.n == fiber.n and f is not fiber]
+    if others and draw(st.integers(0, 3)) == 0:
+        fiber = draw(st.sampled_from(others))
+    return total, p, fiber
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(reordered_totals())
+def test_memoized_verify_matches_reference_route(case):
+    assert verdict(verify_bundle, *case) == verdict(reference_verify_bundle, *case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(reordered_totals(), st.integers(1, 24))
+def test_memoized_verify_matches_reference_route_under_budget(case, budget):
+    with graphs.node_budget(budget):
+        assert verdict(verify_bundle, *case) == verdict(reference_verify_bundle, *case)
+
+
+class TestSearchCount:
+    """verify_bundle searches once per distinct fiber shape and once per
+    distinct edge shape.  In a voltage bundle over C96 stored base-major,
+    every fiber has the shape of F, and an edge preimage's shape is fixed
+    by the voltage on the edge's canonical orientation."""
+
+    @staticmethod
+    def count_searches(monkeypatch, fv):
+        b = voltage_bundle(fv)
+        calls = []
+        search = bundles.find_isomorphism
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(bundles, "find_isomorphism", counted)
+        assert repr(verify_bundle(b.total, b.projection, b.fiber).fiber_isos) == repr(b.fiber_isos)
+        return len(calls)
+
+    def test_trivial_voltage_makes_two_searches(self, monkeypatch, c4):
+        assert self.count_searches(monkeypatch, trivial_voltage(cycle_graph(96), c4)) == 2
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 8])
+    def test_one_search_per_voltage_value(self, monkeypatch, c4, distinct):
+        base, values = cycle_graph(96), automorphisms(c4)[:distinct]
+        fv = make_fiber_voltage(base, c4, {e: values[i % distinct] for i, e in enumerate(base.edge_list())})
+        assert self.count_searches(monkeypatch, fv) == 1 + distinct
 
 
 class TestVoltageValidation:

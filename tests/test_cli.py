@@ -506,6 +506,22 @@ class TestMalformedInputFiles:
         assert code == 0
         assert json.loads(out)["order"] == 12
 
+    def test_subdirect_group_with_comma_labels(self, capsys, tmp_path):
+        z2 = {"elements": ["e,0", "g,1"], "table": [["e,0", "g,1"], ["g,1", "e,0"]]}
+        eps = {"map": {"e,0": "0", "g,1": "1"}}
+        code, out, _ = run(
+            capsys,
+            "subdirect-group",
+            "--group-a", write_json(tmp_path, "a.json", z2),
+            "--group-b", write_json(tmp_path, "b.json", z2),
+            "--group-c", write_json(tmp_path, "c.json", {"elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]}),
+            "--eps-a", write_json(tmp_path, "ea.json", eps),
+            "--eps-b", write_json(tmp_path, "eb.json", eps),
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["order"] == 2
+
     def test_eps_without_map(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.subdirect_group_args(tmp_path, {"mapping": {}}))
         assert code == 2

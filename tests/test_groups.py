@@ -386,6 +386,16 @@ class TestSubdirectGroup:
         q = quotient_group(sd.E, subgroup(sd.E, inner))
         assert group_isomorphic(q, sd.amalgam)
 
+    def test_labels_with_top_level_commas(self):
+        z2 = make_group(
+            ["e,0", "g,1"],
+            {("e,0", "e,0"): "e,0", ("e,0", "g,1"): "g,1", ("g,1", "e,0"): "g,1", ("g,1", "g,1"): "e,0"},
+        )
+        eps = hom(z2, cyclic(2), {"e,0": "0", "g,1": "1"})
+        sd = subdirect_group(eps, eps)
+        assert sd.E.order == 2
+        assert sd.delta_A.mapping == sd.delta_B.mapping == dict(zip(sd.E.elements, z2.elements))
+
 
 # --- reference subdirect group ---------------------------------------------------
 #
