@@ -11,6 +11,8 @@ projection (whose codomain is the base), the fiber and one identification
 sigma_v of each fiber with it.  Its voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹
 is read off the total space on first use, through the same transition
 psi_vw (x to its one neighbour over w) that the definition check reads.
+Verification proved every psi_vw an isomorphism, so that voltage, like the
+total of voltage_bundle, skips the validation of user data.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -47,6 +49,7 @@ from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    _trusted_graph,
     complete_graph,
     find_isomorphism,
     induced_adjacency,
@@ -79,7 +82,8 @@ def identity_bundle(base: Graph) -> GraphBundle:
 class GraphBundle:
     """A verified bundle: total space, projection, fiber, and the per-vertex
     fiber identifications sigma.  The base is the projection's codomain and
-    the voltage is derived from these on first use."""
+    the voltage is derived from these on first use, trusting them: a bundle
+    comes from verify_bundle or voltage_bundle, as its subclasses do."""
 
     total: Graph
     projection: GraphMorphism
@@ -107,8 +111,8 @@ class GraphBundle:
         for v, w in self.base.edge_list():
             psi = _transition(self.total, self.projection.map, self.fibers[v], v, w)
             inv_sigma_v, sigma_w = self.inverse_fiber_isos[v], self.fiber_isos[w]
-            assignments[(v, w)] = Perm(tuple(idx[sigma_w[psi[inv_sigma_v[f]]]] for f in fiber.vertices))
-        return make_fiber_voltage(self.base, fiber, assignments)
+            assignments[(v, w)] = Perm._trusted(tuple(idx[sigma_w[psi[inv_sigma_v[f]]]] for f in fiber.vertices))
+        return FiberVoltage._trusted(self.base, fiber, assignments)
 
     def __repr__(self) -> str:
         return (
@@ -121,20 +125,16 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     """Total space of a fiber voltage: vertices (v,f), cross edges twisted by
     the voltage, plus one copy of the fiber over each base vertex."""
     base, fiber = fv.base, fv.fiber
-    vs = [pair_label(v, f) for v in base.vertices for f in fiber.vertices]
-    edges = []
-    for v in base.vertices:
-        for a, b in fiber.edge_list():
-            edges.append((pair_label(v, a), pair_label(v, b)))
+    fvs, fidx = fiber.vertices, fiber.index
+    labels = {v: [pair_label(v, f) for f in fvs] for v in base.vertices}
+    fiber_edges = [(fidx[a], fidx[b]) for a, b in fiber.edge_list()]
+    edges = [(xs[i], xs[j]) for xs in labels.values() for i, j in fiber_edges]
     for a, b in base.edge_list():
-        for f in fiber.vertices:
-            edges.append((pair_label(a, f), pair_label(b, fv.apply(a, b, f))))
-    total = make_graph(vs, edges)
-    projection = make_morphism(total, base, {pair_label(v, f): v for v in base.vertices for f in fiber.vertices})
-    fiber_isos = {
-        v: {pair_label(v, f): f for f in fiber.vertices} for v in base.vertices
-    }
-    return GraphBundle(total, projection, fiber, fiber_isos)
+        edges += zip(labels[a], map(labels[b].__getitem__, fv.phi[(a, b)].images))
+    pairs = tuple((x, v) for v, xs in labels.items() for x in xs)
+    total = _trusted_graph(tuple(x for x, _ in pairs), edges)
+    fiber_isos = {v: dict(zip(xs, fvs)) for v, xs in labels.items()}
+    return GraphBundle(total, GraphMorphism(total, base, pairs), fiber, fiber_isos)
 
 
 def _transition(

@@ -213,11 +213,7 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
     Raises DuplicateVertex, LoopEdge, or UnknownEndpoint on bad input.
     """
     vs = tuple(canon_label(v) for v in vertices)
-    seen: set[Label] = set()
-    for v in vs:
-        if v in seen:
-            raise DuplicateVertex(f"duplicate vertex {v!r}")
-        seen.add(v)
+    seen = _distinct(vs)
     es: set[frozenset[Label]] = set()
     for raw in edges:
         pair = tuple(raw)
@@ -230,6 +226,24 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
             raise UnknownEndpoint(f"edge endpoint not a vertex: {{{a!r}, {b!r}}}")
         es.add(frozenset((a, b)))
     return Graph(vs, frozenset(es))
+
+
+def _distinct(vs: Sequence[Label]) -> set[Label]:
+    """The labels as a set; raises DuplicateVertex at the first repeat."""
+    seen: set[Label] = set()
+    for v in vs:
+        if v in seen:
+            raise DuplicateVertex(f"duplicate vertex {v!r}")
+        seen.add(v)
+    return seen
+
+
+def _trusted_graph(vertices: tuple[Label, ...], edges: Iterable[tuple[Label, Label]]) -> Graph:
+    """A graph the library has just generated: its labels are strings and
+    each edge joins two distinct listed vertices by construction, so only
+    the labels are checked for clashes."""
+    _distinct(vertices)
+    return Graph(vertices, frozenset(map(frozenset, edges)))
 
 
 # --- standard small graphs -------------------------------------------------
@@ -600,7 +614,7 @@ def automorphisms(g: Graph) -> list[Perm]:
         )
     idx = g.index
     search = _IsoSearch(g, g, current_budget.get())
-    return sorted(Perm(tuple(idx[m[v]] for v in g.vertices)) for m in search.matches())
+    return sorted(Perm._trusted(tuple(idx[m[v]] for v in g.vertices)) for m in search.matches())
 
 
 def perm_label_map(g: Graph, perm: Perm) -> dict[Label, Label]:

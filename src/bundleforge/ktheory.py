@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .bundles import FiberVoltage, make_fiber_voltage
-from .errors import BaseMismatch, EnumerationBoundExceeded
+from .bundles import FiberVoltage
+from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -54,7 +54,7 @@ def fiber_power(f: Graph, n: int) -> Graph:
 
 
 #: A permutation as its image tuple.  The canonicalization composes these
-#: directly: a Perm validates every result, and a walk can make millions.
+#: directly: a Perm is one more object per result, and a walk can make millions.
 Images = tuple[int, ...]
 
 
@@ -276,8 +276,8 @@ def enumerate_bundle_classes(
         keys_by_n[n] = {}
         for key in sorted(least):
             class_id = len(classes)
-            rep = make_fiber_voltage(
-                base, fn, {edge: Perm(images) for edge, images in zip(edges, key)}
+            rep = FiberVoltage._trusted(
+                base, fn, {edge: Perm._trusted(images) for edge, images in zip(edges, key)}
             )
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
@@ -349,11 +349,20 @@ def k0_map(
     m_codomain: KClassMonoid,
     m_domain: Optional[KClassMonoid] = None,
 ) -> dict[int, int]:
-    """Contravariant class map induced by pulling representatives back along f."""
+    """Contravariant class map induced by pulling representatives back along
+    f; a given m_domain needs f's domain, the fiber and n_max of m_codomain."""
     if f.codomain != m_codomain.base:
         raise BaseMismatch("codomain of the morphism must equal the monoid base")
     if m_domain is None:
         m_domain = enumerate_bundle_classes(f.domain, m_codomain.fiber, m_codomain.n_max)
+    elif m_domain.base != f.domain:
+        raise BaseMismatch("domain monoid must be over the domain of the morphism")
+    elif m_domain.fiber != m_codomain.fiber:
+        raise FiberMismatch("domain and codomain monoids have different fibers")
+    elif m_domain.n_max < m_codomain.n_max:
+        raise EnumerationBoundExceeded(
+            f"domain monoid stops at fiber power {m_domain.n_max}, below {m_codomain.n_max}"
+        )
     mapping: dict[int, int] = {}
     for c in m_codomain.classes:
         pulled = pullback_voltage(f, c.representative)

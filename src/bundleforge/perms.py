@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotABijection
+from .errors import NotABijection, ShapeMismatch
 
 
 @dataclass(frozen=True, order=True)
@@ -18,9 +18,17 @@ class Perm:
         if sorted(self.images) != list(range(n)):
             raise NotABijection(f"not a permutation of 0..{n - 1}: {self.images}")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Perm:
+        """A Perm from images that are a permutation by construction; the
+        sort in __post_init__ is skipped."""
+        perm = object.__new__(cls)
+        perm.__dict__["images"] = images
+        return perm
+
     @staticmethod
     def identity(n: int) -> Perm:
-        return Perm(tuple(range(n)))
+        return Perm._trusted(tuple(range(n)))
 
     @property
     def n(self) -> int:
@@ -30,14 +38,17 @@ class Perm:
         return self.images[i]
 
     def compose(self, other: Perm) -> Perm:
-        """Return self after other: i maps to self(other(i))."""
-        return Perm(tuple(self.images[j] for j in other.images))
+        """Return self after other: i maps to self(other(i)).  Raises
+        ShapeMismatch when the two act on different numbers of points."""
+        if len(self.images) != len(other.images):
+            raise ShapeMismatch(f"cannot compose permutations of {self.n} and {other.n} points")
+        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> Perm:
         inv = [0] * self.n
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(tuple(inv))
+        return Perm._trusted(tuple(inv))
 
     def conjugate(self, g: Perm) -> Perm:
         """Return g ∘ self ∘ g⁻¹."""
@@ -67,8 +78,4 @@ class Perm:
 def kron(a: Perm, b: Perm) -> Perm:
     """Product action on pairs in lexicographic index order: (i, j) -> (a(i), b(j))."""
     nb = b.n
-    images = [0] * (a.n * nb)
-    for i in range(a.n):
-        for j in range(nb):
-            images[i * nb + j] = a(i) * nb + b(j)
-    return Perm(tuple(images))
+    return Perm._trusted(tuple(i * nb + j for i in a.images for j in b.images))

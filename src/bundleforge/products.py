@@ -5,6 +5,11 @@ Product vertices are labeled "(u,v)" and ordered lexicographically from the
 stored factor orders, which keeps the Kronecker adjacency identities exact
 at the index level.  A k-fold covering voltage is a fiber voltage over the
 edgeless fiber on k vertices, so coverings share the bundle formula.
+
+make_fiber_voltage and FiberVoltage(...) validate user data.  Voltages whose
+values are automorphisms by construction (trivial_voltage and those derived
+in bundles, pullback and ktheory) go through FiberVoltage._trusted, and the
+products check only their generated labels for clashes.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    _trusted_graph,
     canon_label,
     empty_graph,
-    make_graph,
     make_morphism,
     pair_label,
     split_edge_key,
@@ -32,21 +37,12 @@ from .matrices import Matrix, Spectrum, adjacency_matrix, perm_block, voltage_ad
 from .perms import Perm
 
 
-def _product_vertices(g1: Graph, g2: Graph) -> list[Label]:
-    return [pair_label(u, v) for u in g1.vertices for v in g2.vertices]
-
-
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Box product: adjacent when one coordinate is adjacent and the other equal."""
-    vs = _product_vertices(g1, g2)
-    edges = []
-    for a1, b1 in g1.edge_list():
-        for v in g2.vertices:
-            edges.append((pair_label(a1, v), pair_label(b1, v)))
-    for u in g1.vertices:
-        for a2, b2 in g2.edge_list():
-            edges.append((pair_label(u, a2), pair_label(u, b2)))
-    return make_graph(vs, edges)
+    edges = [(pair_label(a1, v), pair_label(b1, v)) for a1, b1 in g1.edge_list() for v in g2.vertices]
+    e2 = g2.edge_list()
+    edges += [(pair_label(u, a2), pair_label(u, b2)) for u in g1.vertices for a2, b2 in e2]
+    return _trusted_graph(tuple(pair_label(u, v) for u in g1.vertices for v in g2.vertices), edges)
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:
@@ -57,7 +53,7 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
         for a2, b2 in g2.edge_list():
             edges.append((pair_label(a1, a2), pair_label(b1, b2)))
             edges.append((pair_label(a1, b2), pair_label(b1, a2)))
-    return make_graph(base.vertices, edges)
+    return _trusted_graph(base.vertices, edges)
 
 
 def second_projection(product: Graph, g2: Graph) -> GraphMorphism:
@@ -105,24 +101,31 @@ class FiberVoltage:
             oriented.add((b, a))
         if set(self.phi) != oriented:
             raise ParseError("voltage must cover exactly the oriented edges of the base")
-        checked: set[Perm] = set()
-        inverted: set[tuple[Label, Label]] = set()
+        # Each distinct value is checked and inverted once.
+        inverses: dict[Perm, Perm] = {}
         for (v, w), perm in self.phi.items():
-            if perm not in checked:
+            inverse = inverses.get(perm)
+            if inverse is None:
                 if not is_fiber_automorphism(self.fiber, perm):
                     raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
-                checked.add(perm)
-            # Inversion is an involution: one check per edge covers both orientations.
-            if (w, v) in inverted:
-                continue
-            if self.phi[(w, v)] != perm.inverse():
+                inverse = inverses[perm] = perm.inverse()
+            if self.phi[(w, v)] != inverse:
                 raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
-            inverted.add((v, w))
 
-    def apply(self, v: Label, w: Label, f: Label) -> Label:
-        """Image of fiber vertex f under the voltage of oriented edge (v, w)."""
-        perm = self.phi[(v, w)]
-        return self.fiber.vertices[perm(self.fiber.index[f])]
+    @classmethod
+    def _trusted(
+        cls, base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
+    ) -> FiberVoltage:
+        """A voltage whose values are fiber automorphisms by construction,
+        given on one orientation of every base edge: the reverse orientation
+        gets the inverse, and __post_init__ is skipped."""
+        phi: dict[tuple[Label, Label], Perm] = {}
+        for (v, w), perm in assignments.items():
+            phi[(v, w)] = perm
+            phi[(w, v)] = perm.inverse()
+        fv = object.__new__(cls)
+        fv.__dict__.update(base=base, fiber=fiber, phi=phi)
+        return fv
 
     def serialized(self) -> tuple[tuple[int, ...], ...]:
         """Image tuples over canonically oriented edges, in base edge order."""
@@ -177,7 +180,7 @@ def make_fiber_voltage(
 
 def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
     ident = Perm.identity(fiber.n)
-    return make_fiber_voltage(base, fiber, {(a, b): ident for a, b in base.edge_list()})
+    return FiberVoltage._trusted(base, fiber, {(a, b): ident for a, b in base.edge_list()})
 
 
 def _indicator(base: Graph, edges: Iterable[tuple[Label, Label]]) -> Matrix:
@@ -268,8 +271,6 @@ def verify_kfold_covering(p: GraphMorphism, k: int) -> Covering:
             lift.update(images)
             liftings[(v, x)] = lift
     return Covering(total, p, base, k, liftings)
-
-
 
 
 def make_covering_voltage(base: Graph, k: int, assignments: Mapping[tuple[Label, Label], Perm]) -> FiberVoltage:

@@ -17,7 +17,6 @@ from .bundles import (
     FiberVoltage,
     GraphBundle,
     bundles_equivalent,
-    make_fiber_voltage,
     verify_bundle,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree, NotAMorphism
@@ -25,13 +24,12 @@ from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    _trusted_graph,
     compose,
-    make_graph,
     make_morphism,
     pair_label,
     preserves_edges,
     split_composite,
-    split_pair_label,
     validate_morphism,
 )
 from .matrices import (
@@ -89,9 +87,10 @@ def _typed_fiber_product(
     right_to_target: Mapping[Label, Label],
     target: Graph,
     label_fn: Callable[[Label, Label], Label],
-) -> tuple[Graph, tuple[TypedEdge, ...]]:
+) -> tuple[Graph, tuple[TypedEdge, ...], list[tuple[Label, Label]]]:
     """Fiber product on compatible pairs, left coordinate major, with the
-    three-kind edge rule (kind II collapses on the left coordinate).
+    three-kind edge rule (kind II collapses on the left coordinate).  Also
+    returns the pair (a, b) behind each vertex, in vertex order.
 
     The later neighbours of each pair (a, b) are found by walking the
     neighbours of a in left and of b in right.  Neighbour lists are in
@@ -122,8 +121,8 @@ def _typed_fiber_product(
                     j = position.get((a2, b2), -1)
                     if j > i:
                         typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_DIAGONAL))
-    graph = make_graph(labels, [e.endpoints for e in typed])
-    return graph, tuple(typed)
+    graph = _trusted_graph(tuple(labels), [e.endpoints for e in typed])
+    return graph, tuple(typed), pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +139,10 @@ def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
     ok, bad = validate_morphism(f)
     if not ok:
         raise NotAMorphism(f"not a morphism; violating edges: {bad}")
-    total, typed = _typed_fiber_product(
+    total, typed, pairs = _typed_fiber_product(
         f.domain, f.map, b.total, b.projection.map, b.base, pullback_vertex
     )
-    projection = make_morphism(
-        total, f.domain, {x: split_pullback_vertex(x)[0] for x in total.vertices}
-    )
+    projection = GraphMorphism(total, f.domain, tuple(zip(total.vertices, (a for a, _ in pairs))))
     verified = verify_bundle(total, projection, b.fiber)
     return PullbackBundle(
         verified.total, verified.projection, verified.fiber, verified.fiber_isos, typed
@@ -167,7 +164,7 @@ def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
             assignments[(v, w)] = ident
         else:
             assignments[(v, w)] = fv.phi[(f(v), f(w))]
-    return make_fiber_voltage(f.domain, fv.fiber, assignments)
+    return FiberVoltage._trusted(f.domain, fv.fiber, assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,14 +259,11 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     over the common base, with vertex pairs (x, y) as first-class labels."""
     if b1.base != b2.base:
         raise BaseMismatch("subdirect product needs a common base graph")
-    total, typed = _typed_fiber_product(
+    total, typed, pairs = _typed_fiber_product(
         b1.total, b1.projection.map, b2.total, b2.projection.map, b1.base, pair_label
     )
-    projection = make_morphism(
-        total,
-        b1.base,
-        {lab: b1.projection(split_pair_label(lab)[0]) for lab in total.vertices},
-    )
+    over = b1.projection.map
+    projection = GraphMorphism(total, b1.base, tuple(zip(total.vertices, (over[a] for a, _ in pairs))))
     fiber = cartesian_product(b1.fiber, b2.fiber)
     verified = verify_bundle(total, projection, fiber)
     return SubdirectBundle(
@@ -303,7 +297,7 @@ def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:
         (v, w): perm_kron(fv1.phi[(v, w)], fv2.phi[(v, w)])
         for v, w in fv1.base.edge_list()
     }
-    return make_fiber_voltage(fv1.base, fiber, assignments)
+    return FiberVoltage._trusted(fv1.base, fiber, assignments)
 
 
 def pair_morphism(
@@ -374,7 +368,7 @@ def mixed_base_subdirect(b1: GraphBundle, b2: GraphBundle, link: GraphMorphism) 
     if link.domain != b2.base or link.codomain != b1.base:
         raise BaseMismatch("link must map the second base onto the first base")
     composed = compose(link, b2.projection)
-    graph, typed = _typed_fiber_product(
+    graph, typed, _ = _typed_fiber_product(
         b1.total, b1.projection.map, b2.total, composed.map, b1.base, pair_label
     )
     return MixedBaseProduct(graph, typed, base_mismatch=b1.base != b2.base)

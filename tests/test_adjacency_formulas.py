@@ -14,6 +14,7 @@ from bundleforge import (
     adjacency_matrix,
     automorphisms,
     bundle_adjacency,
+    cartesian_product,
     complete_graph,
     covering_adjacency,
     cycle_graph,
@@ -24,11 +25,15 @@ from bundleforge import (
     path_graph,
     pullback_adjacency,
     pullback_bundle,
+    pullback_voltage,
+    strong_product,
     subdirect_adjacency,
     subdirect_product,
+    trivial_voltage,
     voltage_bundle,
 )
 from bundleforge.errors import ShapeMismatch
+from bundleforge.pullback import subdirect_voltage
 from bundleforge.matrices import Matrix, from_rows, identity, kronecker, perm_block, voltage_adjacency
 
 FIBERS = {
@@ -215,6 +220,41 @@ def test_subdirect_adjacency(data):
     fv2 = data.draw(voltages(base, data.draw(fibers(small))))
     total = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2)).total
     assert_identical(subdirect_adjacency(fv1, fv2), reference_subdirect(fv1, fv2), adjacency_matrix(total))
+
+
+# --- trusted builds against the validating constructors ------------------------
+
+
+def assert_voltage_validates(fv):
+    one_way = {(v, w): fv.phi[(v, w)] for v, w in fv.base.edge_list()}
+    assert make_fiber_voltage(fv.base, fv.fiber, one_way).phi == fv.phi
+
+
+def assert_bundle_validates(b):
+    assert make_graph(b.total.vertices, b.total.edge_list()) == b.total
+    assert make_morphism(b.total, b.base, b.projection.map).pairs == b.projection.pairs
+    assert_voltage_validates(b.voltage)
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_trusted_builds_equal_validated_ones(data):
+    """The totals, projections and voltages built without re-validation
+    equal what make_graph, make_morphism and make_fiber_voltage build from
+    the same data."""
+    base = data.draw(bases(4))
+    fiber = data.draw(fibers())
+    fv1 = data.draw(voltages(base, fiber))
+    fv2 = data.draw(voltages(base, data.draw(fibers(("K2", "P3", "1K1", "2K1")))))
+    f = data.draw(st.one_of(double_cover(base), collapsing_walk(base)))
+    for g in (cartesian_product(base, fiber), strong_product(base, fiber)):
+        assert make_graph(g.vertices, g.edge_list()) == g
+    b1 = voltage_bundle(fv1)
+    assert b1.voltage.phi == fv1.phi
+    for b in (b1, pullback_bundle(f, b1), subdirect_product(b1, voltage_bundle(fv2))):
+        assert_bundle_validates(b)
+    for fv in (trivial_voltage(base, fiber), pullback_voltage(f, fv1), subdirect_voltage(fv1, fv2)):
+        assert_voltage_validates(fv)
 
 
 # --- the kernel on its own -----------------------------------------------------

@@ -784,6 +784,19 @@ def test_memoized_verify_matches_reference_route(case):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@given(reordered_totals())
+def test_read_off_voltage_equals_validated(case):
+    """On the accepted cases, the voltage read off without re-validation is
+    the one make_fiber_voltage builds from its canonical orientations."""
+    try:
+        b = verify_bundle(*case)
+    except BundleForgeError:
+        return
+    one_way = {(v, w): b.voltage.phi[(v, w)] for v, w in b.base.edge_list()}
+    assert make_fiber_voltage(b.base, b.fiber, one_way).phi == b.voltage.phi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(reordered_totals(), st.integers(1, 24))
 def test_memoized_verify_matches_reference_route_under_budget(case, budget):
     with graphs.node_budget(budget):

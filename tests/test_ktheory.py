@@ -29,7 +29,7 @@ from bundleforge import (
     star_graph,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded
+from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from bundleforge.graphs import spanning_forest
 from bundleforge.ktheory import _least_product, voltage_class_key
 from bundleforge.perms import kron as perm_kron
@@ -216,6 +216,10 @@ class TestAgainstAllAssignments:
         classes, class_of = all_assignments_classes(base, fiber, n_max)
         assert [(c.n, c.representative.serialized()) for c in m.classes] == classes
         assert all(c.key == c.representative.serialized() for c in m.classes)
+        for c in m.classes:
+            rep = c.representative
+            one_way = {e: rep.phi[e] for e in base.edge_list()}
+            assert make_fiber_voltage(base, rep.fiber, one_way).phi == rep.phi
         powers = [fiber_power(fiber, n) for n in range(n_max + 1)]
         for c1 in m.classes:
             for c2 in m.classes:
@@ -550,6 +554,22 @@ class TestClassMaps:
         )
         assert bundles_equivalent(voltage_bundle(regauged), voltage_bundle(twisted)) is not None
         assert m.classify(regauged, 1) == m.classify(twisted, 1)
+
+    def test_domain_monoid_of_another_fiber(self, c3, p3, k2):
+        fold = make_morphism(c3, p3, {"1": "1", "2": "2", "3": "2"})
+        with pytest.raises(FiberMismatch):
+            k0_map(fold, enumerate_bundle_classes(p3, k2, 1), enumerate_bundle_classes(c3, p3, 1))
+
+    def test_domain_monoid_over_another_base(self, c3, p3, k2):
+        fold = make_morphism(c3, p3, {"1": "1", "2": "2", "3": "2"})
+        with pytest.raises(BaseMismatch, match="domain of the morphism"):
+            k0_map(fold, enumerate_bundle_classes(p3, k2, 1), enumerate_bundle_classes(p3, k2, 1))
+
+    def test_domain_monoid_of_lower_power(self, c3, k2):
+        m1, m2 = enumerate_bundle_classes(c3, k2, 1), enumerate_bundle_classes(c3, k2, 2)
+        with pytest.raises(EnumerationBoundExceeded, match="fiber power 1"):
+            k0_map(identity_morphism(c3), m2, m1)
+        assert k0_map(identity_morphism(c3), m1, m2) == {c.class_id: c.class_id for c in m1.classes}
 
     def test_voltage_over_another_base_is_rejected(self, c3, k2):
         # Same edge count, other labels: a serial alone would match a class.

@@ -65,7 +65,7 @@ class TestCartesianProduct:
 
     def test_pair_label_collision_is_a_duplicate_vertex(self):
         # ("1", "a,b") and ("1,a", "b") both print as "(1,a,b)": the builders
-        # rely on make_graph to catch the clash.
+        # check their generated labels for clashes and raise make_graph's error.
         base = make_graph(["1", "1,a"], [("1", "1,a")])
         fiber = make_graph(["a,b", "b"], [("a,b", "b")])
         with pytest.raises(DuplicateVertex, match=r"\(1,a,b\)"):

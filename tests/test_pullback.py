@@ -31,6 +31,7 @@ from bundleforge import (
     subdirect_product,
     trivial_voltage,
     validate_morphism,
+    verify_bundle,
     voltage_bundle,
 )
 from bundleforge.bundles import with_fiber
@@ -138,6 +139,20 @@ class TestPullbackVertexLabels:
     def test_malformed_label_is_parse_error(self, label):
         with pytest.raises(ParseError):
             split_pullback_vertex(label)
+
+
+    def test_labels_with_top_level_separators(self, k2):
+        # A bar in a domain label and a comma in a total label sit at the top
+        # level of the composite labels, which no split can read back; the
+        # projections come from the pairs the products are built from.
+        vs = ["a,1", "b,1", "a,2", "b,2"]
+        total = make_graph(vs, [("a,1", "b,1"), ("a,2", "b,2"), ("a,1", "a,2"), ("b,1", "b,2")])
+        b = verify_bundle(total, make_morphism(total, k2, {x: x[-1] for x in vs}), k2)
+        sp = subdirect_product(b, b)
+        assert sp.projection("(a,1,b,1)") == "1" and sp.projection("(b,2,a,2)") == "2"
+        domain = make_graph(["x|1", "x|2"], [("x|1", "x|2")])
+        pb = pullback_bundle(make_morphism(domain, k2, {"x|1": "1", "x|2": "2"}), b)
+        assert pb.projection.map == {"(x|1|a,1)": "x|1", "(x|1|b,1)": "x|1", "(x|2|a,2)": "x|2", "(x|2|b,2)": "x|2"}
 
 
 class TestPullbackVoltage:
