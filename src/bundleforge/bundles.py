@@ -246,21 +246,27 @@ def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
 
 # --- equivalence -------------------------------------------------------------
 
+def _forest_cycles(base: Graph) -> list[tuple[dict[Label, Optional[Label]], list[tuple[Label, Label]]]]:
+    """Per component of the breadth-first spanning forest, the tree and the
+    edges (v, w) off it, with v before w in the base, in the tree's visit
+    order of v: one fundamental cycle each."""
+    idx, adj = base.index, base.adjacency
+    return [
+        (tree, [(v, w) for v in tree for w in adj[v] if idx[v] < idx[w] and tree[v] != w and tree[w] != v])
+        for tree in spanning_forest(base)
+    ]
+
+
 def _holonomies(fv: FiberVoltage) -> Iterator[tuple[dict[Label, Perm], list[Perm]]]:
     """Per spanning-forest component, the transport t[v] of the voltage from
     the root along the tree, and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of each
     non-tree edge (v, w): the voltage carried around its fundamental cycle."""
-    base, phi = fv.base, fv.phi
-    for tree in spanning_forest(base):
+    phi = fv.phi
+    for tree, cycles in _forest_cycles(fv.base):
         t: dict[Label, Perm] = {}
         for w, v in tree.items():
             t[w] = Perm.identity(fv.fiber.n) if v is None else phi[(v, w)].compose(t[v])
-        yield t, [
-            t[w].inverse().compose(phi[(v, w)]).compose(t[v])
-            for v in tree
-            for w in base.adjacency[v]
-            if base.index[v] < base.index[w] and tree[v] != w and tree[w] != v
-        ]
+        yield t, [t[w].inverse().compose(phi[(v, w)]).compose(t[v]) for v, w in cycles]
 
 
 def _least_conjugator(

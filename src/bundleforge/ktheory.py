@@ -5,29 +5,39 @@ contravariant class maps.
 
 Two voltages are equivalent when a gauge transform
 φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in Aut(F), takes one to
-the other.  Every voltage is equivalent to one that is trivial on a
-spanning forest (Gross and Tucker), so enumeration walks only the
-|Aut(F^n)|^β values of the β non-tree edges.  Each class has one canonical
-form, its lexicographically least serial over all gauge transforms,
-computed greedily edge by edge; it is the class key, the representative and
-the lookup of classify and of the addition table.  This form need not be
-trivial on the spanning forest.
+the other.  On a component of the base, a gauge conjugates every holonomy
+(bundles._holonomies) by its value at the root, so the classes over a
+component of cycle rank β are the orbits of Aut(F)^β under simultaneous
+conjugation (Kwak and Lee 1990), and over a disconnected base the
+products of these.
+
+A class is keyed by the least holonomy tuple of its orbit, permutations
+compared by image tuple: the least conjugate of the first holonomy, then
+the least conjugate of the next under the automorphisms that achieve those
+before it, which form a coset of their centralizer.  So keying walks down
+the stabilizer chain of Aut(F^n), and enumeration walks all of it: at each
+level the least element of each orbit of the stabilizer, then that
+element's centralizer in it.  The keys come out in lexicographic order,
+and class ids follow it.  A representative is its key on the edges off the
+spanning forest and the identity on the tree, so the holonomies of a sum
+of two are the Kronecker products of their keys, and an addition-table
+entry keys β products.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .bundles import FiberVoltage
+from .bundles import FiberVoltage, _forest_cycles, _holonomies
 from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from .graphs import (
     Graph,
     GraphMorphism,
+    Label,
     automorphisms,
     make_graph,
-    spanning_forest,
 )
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
@@ -53,8 +63,7 @@ def fiber_power(f: Graph, n: int) -> Graph:
     return g
 
 
-#: A permutation as its image tuple.  The canonicalization composes these
-#: directly: a Perm is one more object per result, and a walk can make millions.
+#: A permutation as its image tuple, which the chain composes directly.
 Images = tuple[int, ...]
 
 
@@ -63,127 +72,117 @@ def _compose(p: Images, q: Images) -> Images:
     return tuple(map(p.__getitem__, q))
 
 
-def _invert(p: Images) -> Images:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+@dataclass(eq=False)
+class _Orbits:
+    """A subgroup H of Aut(F^n) acting on Aut(F^n) by conjugation.
+
+    where[y] is (r, c): r is the least element of the orbit of y and c, in
+    H, has c ∘ y ∘ c⁻¹ = r.  centralizer lists, for each least element r in
+    ascending order, the elements of H that commute with r; below[r] holds
+    the orbits of that centralizer once read."""
+
+    where: dict[Images, tuple[Images, Images]]
+    centralizer: dict[Images, tuple[Images, ...]]
+    below: dict[Images, _Orbits] = field(default_factory=dict)
 
 
-def _least_product(heads: Sequence[Images], tails: Sequence[Images]) -> Images:
-    """The lexicographically least h ∘ t over h in heads and t in tails.
+class _Chain:
+    """The stabilizer chain of Aut(F^n) acting on itself by conjugation,
+    read on demand.  Each subgroup met is split into orbits once, by one
+    conjugation per element of the subgroup and orbit; a split that would
+    take the count of conjugations past limit raises instead."""
 
-    Position by position, the pairs still least so far form blocks
-    hs × ts; a block splits by the image j = t[i], keeping the heads with the
-    least h[j].  The head sets of the blocks stay disjoint, so this costs
-    O(deg² · |heads| + deg · |tails|), not |heads| · |tails| compositions."""
-    blocks = [(heads, tails)]
-    out: list[int] = []
-    for i in range(len(heads[0])):
-        best = len(heads[0])
-        kept: list[tuple[Sequence[Images], Sequence[Images]]] = []
-        for hs, ts in blocks:
-            by_image: dict[int, list[Images]] = {}
-            for t in ts:
-                by_image.setdefault(t[i], []).append(t)
-            for j, tj in by_image.items():
-                low = min(h[j] for h in hs)
-                if low < best:
-                    best, kept = low, []
-                if low == best:
-                    kept.append(([h for h in hs if h[j] == low], tj))
-        out.append(best)
-        blocks = kept
-    return tuple(out)
+    def __init__(self, fiber: Graph, conjugations: int = 0, limit: Optional[int] = None):
+        self.fiber = fiber
+        auts = automorphisms(fiber)
+        self.auts = tuple(p.images for p in auts)
+        self.inverse = {p.images: p.inverse().images for p in auts}
+        self.conjugations, self.limit = conjugations, limit
+        self._split: dict[tuple[Images, ...], _Orbits] = {}
 
-
-@dataclass(frozen=True)
-class _Gauge:
-    """Gauge transforms φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in
-    Aut(F), of the voltages over one base.
-
-    ends holds the vertex indices of each base edge in position order, and
-    inverse maps the image tuple of every automorphism to that of its
-    inverse."""
-
-    ends: tuple[tuple[int, int], ...]
-    n_vertices: int
-    auts: tuple[Images, ...]
-    inverse: Mapping[Images, Images]
-    identity: Images
-
-    def least_serial(self, serial: Sequence[Images]) -> tuple[Images, ...]:
-        """The lexicographically least serial over all gauge transforms of a
-        voltage, given by its serial: the canonical form of its class.
-
-        Edge values are fixed greedily in position order over a union-find
-        of the partial components the fixed edges span.  A component keeps
-        the gauges still allowed at its root; a member u has gauge
-        left[u] ∘ x ∘ right[u], where x is the root's gauge."""
+    def orbits(self, group: tuple[Images, ...]) -> _Orbits:
+        found = self._split.get(group)
+        if found is not None:
+            return found
         inv = self.inverse
-        whole = len(self.auts)
-        root = list(range(self.n_vertices))
-        members = [[v] for v in range(self.n_vertices)]
-        left = [self.identity] * self.n_vertices
-        right = [self.identity] * self.n_vertices
-        allowed: list[Sequence[Images]] = [self.auts] * self.n_vertices
-        out: list[Images] = []
-        for (a, b), phi in zip(self.ends, serial):
-            ra, rb = root[a], root[b]
-            # The edge takes left[b] ∘ y ∘ m ∘ x⁻¹ ∘ left[a]⁻¹ for root gauges x, y.
-            m = _compose(_compose(right[b], phi), inv[right[a]])
-            qa = inv[left[a]]
-            if ra == rb:
-                values = [
-                    (_compose(left[b], _compose(x, _compose(m, _compose(inv[x], qa)))), x)
-                    for x in allowed[ra]
-                ]
-                best = min(value for value, _ in values)
-                allowed[ra] = [x for value, x in values if value == best]
-                out.append(best)
+        where: dict[Images, tuple[Images, Images]] = {}
+        centralizer: dict[Images, tuple[Images, ...]] = {}
+        for y in self.auts:
+            if y in where:
                 continue
-            if len(allowed[ra]) == whole or len(allowed[rb]) == whole:
-                # A free side can absorb any value: the edge takes the identity.
-                best = self.identity
+            self.conjugations += len(group)
+            if self.limit is not None and self.conjugations > self.limit:
+                raise EnumerationBoundExceeded(
+                    f"the stabilizer chain of {len(self.auts)} fiber automorphisms needs over "
+                    f"{self.limit} conjugations, the cap"
+                )
+            fixed = []
+            for h in group:
+                z = _compose(h, _compose(y, inv[h]))
+                if z == y:
+                    fixed.append(h)
+                where.setdefault(z, (y, inv[h]))
+            centralizer[y] = tuple(fixed)
+        found = self._split[group] = _Orbits(where, centralizer)
+        return found
+
+    @cached_property
+    def top(self) -> _Orbits:
+        return self.orbits(self.auts)
+
+    def below(self, node: _Orbits, rep: Images) -> _Orbits:
+        child = node.below.get(rep)
+        if child is None:
+            child = node.below[rep] = self.orbits(node.centralizer[rep])
+        return child
+
+    def keys(self, fresh: Sequence[bool], node: Optional[_Orbits] = None) -> Iterator[tuple[Images, ...]]:
+        """Every class key, in lexicographic order, of holonomy tuples whose
+        entry i starts a component when fresh[i]: each entry is the least
+        element of an orbit of the stabilizer that the entries before it in
+        its component leave."""
+        if not fresh:
+            yield ()
+            return
+        if fresh[0]:
+            node = self.top
+        for rep in node.centralizer:
+            below = None if len(fresh) == 1 or fresh[1] else self.below(node, rep)
+            for rest in self.keys(fresh[1:], below):
+                yield (rep,) + rest
+
+    def key(self, holonomies: Sequence[Images], fresh: Sequence[bool]) -> tuple[Images, ...]:
+        """The class key of holonomy tuples, with fresh as in keys: per
+        component, the least conjugate of the first holonomy, then the least
+        conjugate of the next under the automorphisms that achieve those
+        before it, a coset x of the stabilizer reached."""
+        out: list[Images] = []
+        for h, new in zip(holonomies, fresh):
+            if new:
+                node, x = self.top, self.auts[0]
             else:
-                heads = [_compose(left[b], y) for y in allowed[rb]]
-                tails = [_compose(m, _compose(inv[x], qa)) for x in allowed[ra]]
-                best = _least_product(heads, tails)
-            # b's root gauge is now inv[left[b]] ∘ best ∘ left[a] ∘ x ∘ m⁻¹.
-            shift = _compose(_compose(inv[left[b]], best), left[a])
-            m_inv = inv[m]
-            if len(allowed[rb]) < whole:
-                kept = set(allowed[rb])
-                allowed[ra] = [
-                    x for x in allowed[ra] if _compose(_compose(shift, x), m_inv) in kept
-                ]
-            for u in members[rb]:
-                root[u] = ra
-                left[u] = _compose(left[u], shift)
-                right[u] = _compose(m_inv, right[u])
-            members[ra].extend(members[rb])
-            out.append(best)
+                node = self.below(node, out[-1])
+            rep, c = node.where[_compose(x, _compose(h, self.inverse[x]))]
+            out.append(rep)
+            x = _compose(c, x)
         return tuple(out)
 
 
-def _gauge(base: Graph, auts: Sequence[Perm]) -> _Gauge:
-    idx = base.index
-    ends = tuple((idx[a], idx[b]) for a, b in base.edge_list())
-    images = tuple(p.images for p in auts)
-    inverse = {p: _invert(p) for p in images}
-    return _Gauge(ends, base.n, images, inverse, tuple(range(len(images[0]))))
+def _cycle_edges(base: Graph) -> tuple[list[tuple[Label, Label]], tuple[bool, ...]]:
+    """The edges off the spanning forest in holonomy order, and for each
+    whether it is the first of its component."""
+    forest = _forest_cycles(base)
+    return [e for _, es in forest for e in es], tuple(i == 0 for _, es in forest for i in range(len(es)))
 
 
-def _cycle_positions(base: Graph) -> list[int]:
-    """Positions of the base edges off the breadth-first spanning forest."""
-    parent = {v: p for tree in spanning_forest(base) for v, p in tree.items()}
-    return [pos for pos, (a, b) in enumerate(base.edge_list()) if parent[a] != b and parent[b] != a]
+def _holonomy_images(fv: FiberVoltage) -> list[Images]:
+    return [h.images for _, hs in _holonomies(fv) for h in hs]
 
 
 def voltage_class_key(fv: FiberVoltage) -> tuple:
-    """Equivalence-class invariant of a voltage bundle (same key, same class)."""
-    gauge = _gauge(fv.base, automorphisms(fv.fiber))
-    return gauge.least_serial(fv.serialized())
+    """Equivalence-class key of a voltage bundle (same key, same class): the
+    least simultaneous conjugate of each component's holonomies."""
+    return _Chain(fv.fiber).key(_holonomy_images(fv), _cycle_edges(fv.base)[1])
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,8 @@ class KClassMonoid:
     classes: tuple[BundleClass, ...]
     add_table: Mapping[tuple[int, int], Optional[int]]
     _keys: Mapping[int, Mapping[tuple, int]] = field(default_factory=dict)
-    _gauges: Mapping[int, _Gauge] = field(default_factory=dict)
+    _chains: Mapping[int, _Chain] = field(default_factory=dict)
+    _fresh: tuple[bool, ...] = ()
 
     def classes_at(self, n: int) -> tuple[BundleClass, ...]:
         return tuple(c for c in self.classes if c.n == n)
@@ -223,7 +223,14 @@ class KClassMonoid:
         """Class id of a voltage with fiber equal to the n-th fiber power."""
         if fv.base != self.base:
             raise BaseMismatch("voltage is over a different base than the monoid")
-        return self._keys[n][self._gauges[n].least_serial(fv.serialized())]
+        if n < 0:
+            raise ValueError("fiber power needs n >= 0")
+        if n > self.n_max:
+            raise EnumerationBoundExceeded(f"fiber power {n} is over the monoid's bound {self.n_max}")
+        chain = self._chains[n]
+        if fv.fiber != chain.fiber:
+            raise FiberMismatch(f"voltage fiber is not fiber power {n} of the monoid's fiber")
+        return self._keys[n][chain.key(_holonomy_images(fv), self._fresh)]
 
     def add(self, i: int, j: int) -> Optional[int]:
         return self.add_table[(i, j)]
@@ -239,74 +246,55 @@ def enumerate_bundle_classes(
     """Enumerate the voltage classes for every fiber power up to n_max and
     fill the addition table.
 
-    Only the voltages that are trivial on the spanning forest are walked,
-    |Aut(F^n)|^β of them for cycle rank β.  max_assignments caps that walk
-    times the |Aut(F^n)| gauges tried to canonicalize each voltage, and the
-    addition table, one entry per ordered pair of classes.  Each class is
-    keyed and represented by its least serial, and class ids follow the
-    order of those serials."""
+    The classes at power n are the keys of a walk down the stabilizer chain
+    of Aut(F^n), to the depth of the cycle rank of each base component;
+    class ids follow the order of the keys.  max_assignments caps the
+    conjugations of the walk, summed over the powers: each stabilizer met is
+    split into orbits once, with one conjugation per element and orbit.  It
+    also caps the addition table, one entry per ordered pair of classes,
+    counted as the classes are found."""
+    if n_max < 0:
+        raise ValueError("enumeration needs n_max >= 0")
     if base.n > DEFAULT_MAX_BASE_VERTICES:
         raise EnumerationBoundExceeded(
             f"base has {base.n} vertices, enumeration capped at {DEFAULT_MAX_BASE_VERTICES}"
         )
-    edges = base.edge_list()
-    non_tree = _cycle_positions(base)
-
-    gauges: dict[int, _Gauge] = {}
+    cycles, fresh = _cycle_edges(base)
+    chains: dict[int, _Chain] = {}
     keys_by_n: dict[int, dict[tuple, int]] = {}
     classes: list[BundleClass] = []
 
+    conjugations = 0
     for n in range(n_max + 1):
         fn = fiber_power(fiber, n)
-        gauge = gauges[n] = _gauge(base, automorphisms(fn))
-        k = len(gauge.auts)
-        total = k ** len(non_tree)
-        # Canonicalizing a voltage minimizes its first cycle edge over all k gauges.
-        if total * (k if non_tree else 1) > max_assignments:
-            raise EnumerationBoundExceeded(
-                f"{total} voltage assignments at fiber power {n}, each canonicalized over "
-                f"{k} gauges, exceed the cap {max_assignments}"
-            )
-        serial = [gauge.identity] * len(edges)
-        least = set()
-        for values in itertools.product(gauge.auts, repeat=len(non_tree)):
-            for pos, value in zip(non_tree, values):
-                serial[pos] = value
-            least.add(gauge.least_serial(serial))
+        chain = chains[n] = _Chain(fn, conjugations, max_assignments)
+        tree = dict.fromkeys(base.edge_list(), Perm.identity(fn.n))
         keys_by_n[n] = {}
-        for key in sorted(least):
+        for key in chain.keys(fresh):
             class_id = len(classes)
-            rep = FiberVoltage._trusted(
-                base, fn, {edge: Perm._trusted(images) for edge, images in zip(edges, key)}
-            )
+            if (class_id + 1) ** 2 > max_assignments:
+                raise EnumerationBoundExceeded(
+                    f"{class_id + 1} classes by fiber power {n} already need {(class_id + 1) ** 2} "
+                    f"addition-table entries, over the cap {max_assignments}"
+                )
+            rep = FiberVoltage._trusted(base, fn, {**tree, **dict(zip(cycles, map(Perm._trusted, key)))})
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
-        if len(classes) ** 2 > max_assignments:
-            raise EnumerationBoundExceeded(
-                f"{len(classes)} classes up to fiber power {n} need {len(classes) ** 2} "
-                f"addition-table entries, over the cap {max_assignments}"
-            )
+        conjugations = chain.conjugations
 
     add_table: dict[tuple[int, int], Optional[int]] = {}
     for c1 in classes:
         for c2 in classes:
-            if c1.n + c2.n > n_max:
+            n_sum = c1.n + c2.n
+            if n_sum > n_max:
                 add_table[(c1.class_id, c2.class_id)] = None
                 continue
-            # F^a □ F^b lists its vertices in the index order of F^(a+b).
-            n_sum = c1.n + c2.n
-            serial = [perm_kron(c1.representative.phi[e], c2.representative.phi[e]).images for e in edges]
-            add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][gauges[n_sum].least_serial(serial)]
+            # The sum's holonomies are the krons of the keys; F^a □ F^b lists
+            # its vertices in the index order of F^(a+b).
+            sums = [perm_kron(c1.representative.phi[e], c2.representative.phi[e]).images for e in cycles]
+            add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][chains[n_sum].key(sums, fresh)]
 
-    return KClassMonoid(
-        base,
-        fiber,
-        n_max,
-        tuple(classes),
-        add_table,
-        keys_by_n,
-        gauges,
-    )
+    return KClassMonoid(base, fiber, n_max, tuple(classes), add_table, keys_by_n, chains, fresh)
 
 
 @dataclass(frozen=True)

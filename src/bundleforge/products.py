@@ -120,9 +120,13 @@ class FiberVoltage:
         given on one orientation of every base edge: the reverse orientation
         gets the inverse, and __post_init__ is skipped."""
         phi: dict[tuple[Label, Label], Perm] = {}
+        inverses: dict[Perm, Perm] = {}
         for (v, w), perm in assignments.items():
+            inverse = inverses.get(perm)
+            if inverse is None:
+                inverse = inverses[perm] = perm.inverse()
             phi[(v, w)] = perm
-            phi[(w, v)] = perm.inverse()
+            phi[(w, v)] = inverse
         fv = object.__new__(cls)
         fv.__dict__.update(base=base, fiber=fiber, phi=phi)
         return fv
@@ -164,10 +168,14 @@ class FiberVoltage:
 def make_fiber_voltage(
     base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
 ) -> FiberVoltage:
-    """Build a voltage from one orientation per edge; inverses are derived."""
+    """Build a voltage from one orientation per edge; inverses are derived,
+    once per distinct value."""
     phi: dict[tuple[Label, Label], Perm] = {}
+    inverses: dict[Perm, Perm] = {}
     for (v, w), perm in assignments.items():
-        inverse = perm.inverse()
+        inverse = inverses.get(perm)
+        if inverse is None:
+            inverse = inverses[perm] = perm.inverse()
         if (w, v) in phi and phi[(w, v)] != inverse:
             raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
         phi[(v, w)] = perm

@@ -250,9 +250,30 @@ class TestKtheoryCommand:
         assert report["class_counts"] == [1, 2]
         assert set(report) == {"verb", "n_max", "class_counts", "classes", "add_table"}
 
+    def test_classes_and_table_pinned(self, capsys):
+        # Ids follow the holonomy keys; a voltage digest lists the edges
+        # (1,2), (1,3), (2,3), and only (2,3) lies off the spanning tree.
+        code, out, _ = run(capsys, "ktheory", "--case", "c3-k2", "--n-max", "2", "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert [(c["class_id"], c["n"], c["voltage"]) for c in report["classes"]] == [
+            (0, 0, "0;0;0"),
+            (1, 1, "0,1;0,1;0,1"),
+            (2, 1, "0,1;0,1;1,0"),
+            (3, 2, "0,1,2,3;0,1,2,3;0,1,2,3"),
+            (4, 2, "0,1,2,3;0,1,2,3;0,2,1,3"),
+            (5, 2, "0,1,2,3;0,1,2,3;1,0,3,2"),
+            (6, 2, "0,1,2,3;0,1,2,3;1,3,0,2"),
+            (7, 2, "0,1,2,3;0,1,2,3;3,2,1,0"),
+        ]
+        in_bound = {f"0,{i}": i for i in range(8)}
+        in_bound.update({f"{i},0": i for i in range(8)})
+        in_bound.update({"1,1": 3, "1,2": 5, "2,1": 5, "2,2": 7})
+        assert report["add_table"] == {f"{i},{j}": in_bound.get(f"{i},{j}") for i in range(8) for j in range(8)}
+
     def test_square_base_cube_power_from_files(self, capsys, tmp_path):
-        # 48^4 assignments walked in full would exceed the cap; gauge fixing
-        # walks 48 and answers with the Burnside counts.
+        # 48^4 assignments walked in full would exceed the cap; the orbits of
+        # Aut(Q3) by conjugation give the Burnside counts.
         base = write_json(tmp_path, "c4.json", cycle_graph(4).to_json())
         fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
         code, out, _ = run(
@@ -262,8 +283,8 @@ class TestKtheoryCommand:
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10]
 
     def test_complete_base_cube_power_refused(self, capsys, tmp_path):
-        # 48^3 walked tuples, each canonicalized over the 48 automorphisms of
-        # Q3, exceed the cap; so would its 5,633^2-entry addition table.
+        # 5,633 classes need a 31.7M-entry addition table, over the cap; the
+        # enumeration stops at the 1,001st class.
         base = write_json(tmp_path, "k4.json", complete_graph(4).to_json())
         fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
         code, out, _ = run(

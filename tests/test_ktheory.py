@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -29,9 +31,10 @@ from bundleforge import (
     star_graph,
     voltage_bundle,
 )
+from bundleforge.bundles import _holonomies
 from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from bundleforge.graphs import spanning_forest
-from bundleforge.ktheory import _least_product, voltage_class_key
+from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS, DEFAULT_MAX_BASE_VERTICES, voltage_class_key
 from bundleforge.perms import kron as perm_kron
 
 SWAP = Perm((1, 0))
@@ -92,6 +95,205 @@ def burnside_count(auts, beta):
     )
     assert total % len(auts) == 0
     return total // len(auts)
+
+
+# --- the gauge walk: the reference route --------------------------------------
+#
+# Every voltage is gauge-equivalent to one trivial on a spanning forest, so
+# this route walks the |Aut(F^n)|^β forest-trivial voltages and keys each by
+# its least serial over all gauge transforms, computed greedily edge by edge.
+# It never reads a holonomy, so it is independent of the library's orbit
+# route, which it checks.
+
+
+def _compose(p, q):
+    """p after q, on image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _invert(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _least_product(heads, tails):
+    """The lexicographically least h ∘ t over h in heads and t in tails.
+
+    Position by position, the pairs still least so far form blocks
+    hs × ts; a block splits by the image j = t[i], keeping the heads with the
+    least h[j].  The head sets of the blocks stay disjoint, so this costs
+    O(deg² · |heads| + deg · |tails|), not |heads| · |tails| compositions."""
+    blocks = [(heads, tails)]
+    out = []
+    for i in range(len(heads[0])):
+        best = len(heads[0])
+        kept = []
+        for hs, ts in blocks:
+            by_image = {}
+            for t in ts:
+                by_image.setdefault(t[i], []).append(t)
+            for j, tj in by_image.items():
+                low = min(h[j] for h in hs)
+                if low < best:
+                    best, kept = low, []
+                if low == best:
+                    kept.append(([h for h in hs if h[j] == low], tj))
+        out.append(best)
+        blocks = kept
+    return tuple(out)
+
+
+class _Gauge:
+    """Gauge transforms φ'(v, w) = g_w ∘ φ(v, w) ∘ g_v⁻¹, with every g_v in
+    Aut(F), of the voltages over one base."""
+
+    def __init__(self, base, auts):
+        idx = base.index
+        self.ends = tuple((idx[a], idx[b]) for a, b in base.edge_list())
+        self.n_vertices = base.n
+        self.auts = tuple(p.images for p in auts)
+        self.inverse = {p: _invert(p) for p in self.auts}
+        self.identity = tuple(range(len(self.auts[0])))
+
+    def least_serial(self, serial):
+        """The lexicographically least serial over all gauge transforms of a
+        voltage, given by its serial: the canonical form of its class.
+
+        Edge values are fixed greedily in position order over a union-find
+        of the partial components the fixed edges span.  A component keeps
+        the gauges still allowed at its root; a member u has gauge
+        left[u] ∘ x ∘ right[u], where x is the root's gauge."""
+        inv = self.inverse
+        whole = len(self.auts)
+        root = list(range(self.n_vertices))
+        members = [[v] for v in range(self.n_vertices)]
+        left = [self.identity] * self.n_vertices
+        right = [self.identity] * self.n_vertices
+        allowed = [self.auts] * self.n_vertices
+        out = []
+        for (a, b), phi in zip(self.ends, serial):
+            ra, rb = root[a], root[b]
+            # The edge takes left[b] ∘ y ∘ m ∘ x⁻¹ ∘ left[a]⁻¹ for root gauges x, y.
+            m = _compose(_compose(right[b], phi), inv[right[a]])
+            qa = inv[left[a]]
+            if ra == rb:
+                values = [
+                    (_compose(left[b], _compose(x, _compose(m, _compose(inv[x], qa)))), x)
+                    for x in allowed[ra]
+                ]
+                best = min(value for value, _ in values)
+                allowed[ra] = [x for value, x in values if value == best]
+                out.append(best)
+                continue
+            if len(allowed[ra]) == whole or len(allowed[rb]) == whole:
+                # A free side can absorb any value: the edge takes the identity.
+                best = self.identity
+            else:
+                heads = [_compose(left[b], y) for y in allowed[rb]]
+                tails = [_compose(m, _compose(inv[x], qa)) for x in allowed[ra]]
+                best = _least_product(heads, tails)
+            # b's root gauge is now inv[left[b]] ∘ best ∘ left[a] ∘ x ∘ m⁻¹.
+            shift = _compose(_compose(inv[left[b]], best), left[a])
+            m_inv = inv[m]
+            if len(allowed[rb]) < whole:
+                kept = set(allowed[rb])
+                allowed[ra] = [
+                    x for x in allowed[ra] if _compose(_compose(shift, x), m_inv) in kept
+                ]
+            for u in members[rb]:
+                root[u] = ra
+                left[u] = _compose(left[u], shift)
+                right[u] = _compose(m_inv, right[u])
+            members[ra].extend(members[rb])
+            out.append(best)
+        return tuple(out)
+
+
+def least_serial(fv):
+    """The reference key of a voltage: its least serial over all gauges."""
+    return _Gauge(fv.base, automorphisms(fv.fiber)).least_serial(fv.serialized())
+
+
+def cycle_positions(base):
+    """Positions of the base edges off the breadth-first spanning forest."""
+    parent = {v: p for tree in spanning_forest(base) for v, p in tree.items()}
+    return [pos for pos, (a, b) in enumerate(base.edge_list()) if parent[a] != b and parent[b] != a]
+
+
+class GaugeWalk:
+    """Bundle classes by the gauge walk, with the caps the walk had.
+
+    classes lists (n, least serial) in serial order; add_table maps each
+    ordered pair of class indices to the index of the sum, or None out of
+    bound.  max_assignments caps the walk times the |Aut(F^n)| gauges tried
+    per voltage, and the table."""
+
+    def __init__(self, base, fiber, n_max, max_assignments=DEFAULT_MAX_ASSIGNMENTS):
+        if base.n > DEFAULT_MAX_BASE_VERTICES:
+            raise EnumerationBoundExceeded("base over the vertex cap")
+        self.base, self.edges = base, base.edge_list()
+        non_tree = cycle_positions(base)
+        self.powers = [fiber_power(fiber, n) for n in range(n_max + 1)]
+        self.gauges, self.keys, self.classes = {}, {}, []
+        for n, fn in enumerate(self.powers):
+            gauge = self.gauges[n] = _Gauge(base, automorphisms(fn))
+            k = len(gauge.auts)
+            if k ** len(non_tree) * (k if non_tree else 1) > max_assignments:
+                raise EnumerationBoundExceeded("walk over the cap")
+            serial = [gauge.identity] * len(self.edges)
+            least = set()
+            for values in itertools.product(gauge.auts, repeat=len(non_tree)):
+                for pos, value in zip(non_tree, values):
+                    serial[pos] = value
+                least.add(gauge.least_serial(serial))
+            self.keys[n] = {}
+            for key in sorted(least):
+                self.keys[n][key] = len(self.classes)
+                self.classes.append((n, key))
+            if len(self.classes) ** 2 > max_assignments:
+                raise EnumerationBoundExceeded("addition table over the cap")
+        self.add_table = {}
+        for i, (n1, key1) in enumerate(self.classes):
+            for j, (n2, key2) in enumerate(self.classes):
+                n_sum = n1 + n2
+                if n_sum > n_max:
+                    self.add_table[(i, j)] = None
+                    continue
+                serial = [perm_kron(Perm(a), Perm(b)).images for a, b in zip(key1, key2)]
+                self.add_table[(i, j)] = self.keys[n_sum][self.gauges[n_sum].least_serial(serial)]
+
+    def representative(self, i):
+        n, key = self.classes[i]
+        return make_fiber_voltage(self.base, self.powers[n], dict(zip(self.edges, map(Perm, key))))
+
+    def classify(self, fv, n):
+        return self.keys[n][self.gauges[n].least_serial(fv.serialized())]
+
+
+def holonomy_tuple(fv):
+    return tuple(h.images for _, hs in _holonomies(fv) for h in hs)
+
+
+def assert_routes_agree(m, ref, rng, draws=5):
+    """The classes of m and of the gauge walk ref correspond one to one
+    through classify of the walk's representatives, the correspondence
+    carries ref's addition table onto m's, and random voltages fall in
+    corresponding classes."""
+    to_new = {}
+    for i, (n, _) in enumerate(ref.classes):
+        to_new[i] = m.classify(ref.representative(i), n)
+        assert m.classes[to_new[i]].n == n
+    assert sorted(to_new.values()) == list(range(len(m.classes)))
+    assert len(m.add_table) == len(ref.add_table)
+    for (i, j), k in ref.add_table.items():
+        assert m.add(to_new[i], to_new[j]) == (None if k is None else to_new[k])
+    for n, fn in enumerate(ref.powers):
+        auts = automorphisms(fn)
+        for _ in range(draws):
+            fv = make_fiber_voltage(ref.base, fn, {e: rng.choice(auts) for e in ref.edges})
+            assert m.classify(fv, n) == to_new[ref.classify(fv, n)]
 
 
 class TestFiberPower:
@@ -162,39 +364,58 @@ class TestEnumeration:
         m = enumerate_bundle_classes(base, fiber, n_max)
         assert all(len(m.classes_at(n)) == 1 for n in range(n_max + 1))
 
+    def test_negative_bound_is_rejected(self, c3, k2):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            enumerate_bundle_classes(c3, k2, -1)
+
     def test_base_size_cap(self, k2):
         with pytest.raises(EnumerationBoundExceeded):
             enumerate_bundle_classes(cycle_graph(7), k2, 1)
 
-    def test_assignment_cap(self, k3):
-        # The cap counts the walk actually done: |Aut(K3)|^β = 6^3 = 216
-        # forest-trivial assignments over K4, each canonicalized over 6 gauges.
-        with pytest.raises(EnumerationBoundExceeded, match="216 voltage assignments"):
-            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=1295)
-        # The cap also counts the addition table: (1 + 49)^2 = 2500 entries.
-        with pytest.raises(EnumerationBoundExceeded, match="addition-table entries"):
+    def test_assignment_cap(self, c3, k3):
+        # The cap counts the conjugations of the chain walk actually done: 1
+        # for Aut of a point, then 18 to split S3 into its 3 conjugacy
+        # classes, one conjugation per element and class.
+        with pytest.raises(EnumerationBoundExceeded, match="over 18 conjugations"):
+            enumerate_bundle_classes(c3, k3, 1, max_assignments=18)
+        assert len(enumerate_bundle_classes(c3, k3, 1, max_assignments=19).classes_at(1)) == 3
+        # The cap also counts the addition table, as classes are found: over
+        # K4 the 7th class already needs 49 entries, and all 1 + 49 need 2500.
+        with pytest.raises(EnumerationBoundExceeded, match="7 classes by fiber power 1 already need 49 "):
+            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=48)
+        with pytest.raises(EnumerationBoundExceeded, match="50 classes by fiber power 1 already need 2500 "):
             enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2499)
         m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2500)
         assert len(m.classes_at(1)) == 49
 
     @pytest.mark.parametrize(
-        "base,fiber,n_max,walked",
+        "base,fiber,n_max,work,counts",
         [
-            # 5,040 tuples, each minimizing its cycle edge over Aut(K7).
-            (cycle_graph(3), complete_graph(7), 1, 5040),
-            # 48^3 tuples over Aut(Q3), and 5,633 classes: a 31.7M-entry table.
-            (complete_graph(4), complete_graph(2), 3, 110592),
+            # One conjugation for Aut of a point, then the 15 conjugacy
+            # classes of S7, each found by conjugating with all 5,040
+            # elements: the gauge walk needed 5,040^2.
+            (cycle_graph(3), complete_graph(7), 1, 1 + 15 * 5040, [1, 15]),
+            # The chain is cheap, but 5,633 classes need a 31.7M-entry table,
+            # refused when the 1,001st class is found.
+            (complete_graph(4), complete_graph(2), 3, None, None),
         ],
         ids=["c3-k7", "k4-k2-cube"],
     )
-    def test_canonicalization_cap(self, base, fiber, n_max, walked):
-        with pytest.raises(EnumerationBoundExceeded, match=f"{walked} voltage assignments"):
-            enumerate_bundle_classes(base, fiber, n_max)
+    def test_canonicalization_cap(self, base, fiber, n_max, work, counts):
+        if work is None:
+            with pytest.raises(EnumerationBoundExceeded, match="1001 classes by fiber power 3 already need 1002001"):
+                enumerate_bundle_classes(base, fiber, n_max)
+            return
+        with pytest.raises(EnumerationBoundExceeded, match=f"over {work - 1} conjugations"):
+            enumerate_bundle_classes(base, fiber, n_max, max_assignments=work - 1)
+        m = enumerate_bundle_classes(base, fiber, n_max, max_assignments=work)
+        assert [len(m.classes_at(n)) for n in range(n_max + 1)] == counts
 
     def test_addition_table_cap_after_the_walk(self, k2):
-        # K4/K2 to n=2 canonicalizes 8^3 tuples over 8 gauges at n=2 and
-        # finds 1 + 8 + 176 classes, 185^2 = 34225 table entries.
-        with pytest.raises(EnumerationBoundExceeded, match="185 classes up to fiber power 2 need 34225"):
+        # K4/K2 to n=2 walks the chain of Aut(C4) in 133 conjugations and
+        # finds 1 + 8 + 176 classes, 185^2 = 34225 table entries: the table
+        # cap stops the walk at the last class.
+        with pytest.raises(EnumerationBoundExceeded, match="185 classes by fiber power 2 already need 34225"):
             enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34224)
         m = enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34225)
         assert len(m.add_table) == 34225
@@ -214,12 +435,23 @@ class TestAgainstAllAssignments:
     def test_ids_serials_sums_and_lookups(self, base, fiber, n_max):
         m = enumerate_bundle_classes(base, fiber, n_max)
         classes, class_of = all_assignments_classes(base, fiber, n_max)
-        assert [(c.n, c.representative.serialized()) for c in m.classes] == classes
-        assert all(c.key == c.representative.serialized() for c in m.classes)
+        # Ids follow (power, key); a representative is its key on the edges
+        # off the forest and the identity on the tree, so its holonomies
+        # are the key.
+        assert [c.class_id for c in m.classes] == list(range(len(m.classes)))
+        assert [(c.n, c.key) for c in m.classes] == sorted((c.n, c.key) for c in m.classes)
+        parent = {v: p for tree in spanning_forest(base) for v, p in tree.items()}
+        tree_edges = [(a, b) for a, b in base.edge_list() if parent[a] == b or parent[b] == a]
         for c in m.classes:
             rep = c.representative
+            assert holonomy_tuple(rep) == c.key
+            assert all(rep.phi[e].is_identity() for e in tree_edges)
             one_way = {e: rep.phi[e] for e in base.edge_list()}
             assert make_fiber_voltage(base, rep.fiber, one_way).phi == rep.phi
+        # One class per orbit of the exhaustive walk, at the same power.
+        to_ref = {c.class_id: class_of[c.n][c.representative.serialized()] for c in m.classes}
+        assert sorted(to_ref.values()) == list(range(len(classes)))
+        assert all(classes[to_ref[c.class_id]][0] == c.n for c in m.classes)
         powers = [fiber_power(fiber, n) for n in range(n_max + 1)]
         for c1 in m.classes:
             for c2 in m.classes:
@@ -236,7 +468,7 @@ class TestAgainstAllAssignments:
                     .images
                     for e in base.edge_list()
                 )
-                assert m.add(c1.class_id, c2.class_id) == class_of[n_sum][serial]
+                assert to_ref[m.add(c1.class_id, c2.class_id)] == class_of[n_sum][serial]
         rng = random.Random(11)
         for n in range(n_max + 1):
             auts = automorphisms(powers[n])
@@ -244,19 +476,62 @@ class TestAgainstAllAssignments:
                 fv = make_fiber_voltage(
                     base, powers[n], {e: rng.choice(auts) for e in base.edge_list()}
                 )
-                assert m.classify(fv, n) == class_of[n][fv.serialized()]
+                assert to_ref[m.classify(fv, n)] == class_of[n][fv.serialized()]
 
     def test_least_serial_need_not_be_forest_trivial(self):
-        m = enumerate_bundle_classes(BRIDGE_AFTER_CYCLES, empty_graph(3), 1)
+        # The gauge walk's least serials leave the forest on 8 of 11 classes;
+        # the orbit route's representatives never do.
+        ref = GaugeWalk(BRIDGE_AFTER_CYCLES, empty_graph(3), 1)
         parent = {v: p for tree in spanning_forest(BRIDGE_AFTER_CYCLES) for v, p in tree.items()}
-        tree_edges = [
-            (a, b) for a, b in BRIDGE_AFTER_CYCLES.edge_list() if parent[a] == b or parent[b] == a
+        tree_positions = [
+            pos for pos, (a, b) in enumerate(BRIDGE_AFTER_CYCLES.edge_list()) if parent[a] == b or parent[b] == a
         ]
-        off_forest = [
-            c for c in m.classes_at(1)
-            if any(not c.representative.phi[e].is_identity() for e in tree_edges)
-        ]
-        assert (len(m.classes_at(1)), len(off_forest)) == (11, 8)
+        at_one = [key for n, key in ref.classes if n == 1]
+        off_forest = [key for key in at_one if any(key[pos] != (0, 1, 2) for pos in tree_positions)]
+        assert (len(at_one), len(off_forest)) == (11, 8)
+        m = enumerate_bundle_classes(BRIDGE_AFTER_CYCLES, empty_graph(3), 1)
+        assert len(m.classes_at(1)) == 11
+        assert all(c.representative.serialized()[pos] == (0, 1, 2) for c in m.classes_at(1) for pos in tree_positions)
+
+
+def small_graphs(max_vertices):
+    """One graph per isomorphism class on 1 to max_vertices vertices,
+    disconnected ones included."""
+    out = []
+    for k in range(1, max_vertices + 1):
+        pairs = list(itertools.combinations(range(k), 2))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            form = min(
+                tuple(sorted(tuple(sorted((s[a], s[b]))) for a, b in edges))
+                for s in itertools.permutations(range(k))
+            )
+            if form not in seen:
+                seen.add(form)
+                out.append(make_graph([str(i) for i in range(k)], [(str(a), str(b)) for a, b in edges]))
+    return out
+
+
+class TestRoutesAgree:
+    @pytest.mark.parametrize(
+        "fiber,n_max,covered",
+        [(complete_graph(2), 2, 48), (path_graph(3), 1, 52), (complete_graph(3), 1, 50)],
+        ids=["K2", "P3", "K3"],
+    )
+    def test_every_base_on_at_most_five_vertices(self, fiber, n_max, covered):
+        # Every case of the 52 graphs that the gauge walk answers under the
+        # default cap; it refuses the densest few.
+        rng = random.Random(7)
+        answered = 0
+        for base in small_graphs(5):
+            try:
+                ref = GaugeWalk(base, fiber, n_max)
+            except EnumerationBoundExceeded:
+                continue
+            assert_routes_agree(enumerate_bundle_classes(base, fiber, n_max), ref, rng)
+            answered += 1
+        assert answered == covered
 
 
 class TestBurnsideCounts:
@@ -277,6 +552,31 @@ class TestBurnsideCounts:
         assert [len(m.classes_at(n)) for n in range(3)] == [c * c for c in per_triangle] == [1, 4, 25]
         m = enumerate_bundle_classes(two_triangles, k3, 1)
         assert len(m.classes_at(1)) == burnside_count(automorphisms(k3), 1) ** 2 == 9
+
+    def test_triangle_base_k7_fiber(self, c3):
+        # The gauge walk needed 5,040^2 conjugations and was refused.  Aut(K7)
+        # is S7, where the centralizer of g has order prod k^m_k · m_k! over
+        # its m_k cycles of length k; Burnside averages that order over S7.
+        auts = automorphisms(complete_graph(7))
+        assert len(auts) == math.factorial(7)
+
+        def centralizer_order(g):
+            lengths = collections.Counter(g.cycle_type())
+            return math.prod(k ** m * math.factorial(m) for k, m in lengths.items())
+
+        total = sum(centralizer_order(g) for g in auts)
+        assert total % len(auts) == 0
+        m = enumerate_bundle_classes(c3, complete_graph(7), 1)
+        assert len(m.classes_at(1)) == total // len(auts) == 15
+
+    def test_k4_minus_edge_k2_fiber_to_cube(self, k2):
+        # Cycle rank 2: the gauge walk canonicalized 48^2 voltages over 48
+        # gauges each at n = 3; the chain reads the same counts.
+        k4e = make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
+        m = enumerate_bundle_classes(k4e, k2, 3)
+        counts = [len(m.classes_at(n)) for n in range(4)]
+        assert counts == [burnside_count(automorphisms(fiber_power(k2, n)), 2) for n in range(4)]
+        assert counts == [1, 4, 28, 172]
 
     def test_complete_base_triangle_fiber(self, k3):
         m = enumerate_bundle_classes(complete_graph(4), k3, 1)
@@ -316,7 +616,7 @@ def test_key_is_gauge_invariant(case):
     fv, gauge = case
     key = voltage_class_key(fv)
     assert voltage_class_key(gauge_transform(fv, gauge)) == key
-    assert key <= fv.serialized()
+    assert key <= holonomy_tuple(fv)
 
 
 def brute_least_serial(fv):
@@ -333,11 +633,50 @@ def brute_least_serial(fv):
     return tuple(auts[i].images for i in least)
 
 
+def brute_least_conjugate(fv):
+    """Per component, the least simultaneous conjugate of the holonomies
+    over every fiber automorphism, by exhaustion."""
+    auts = automorphisms(fv.fiber)
+    return tuple(
+        h for _, hs in _holonomies(fv) for h in min(tuple(x.conjugate(g).images for x in hs) for g in auts)
+    )
+
+
+def gauge_between(fv1, fv2):
+    """Whether some gauge in Aut(F)^V takes fv1 to fv2, by exhaustion."""
+    auts = automorphisms(fv1.fiber)
+    twist = twist_table(auts)
+    idx = fv1.base.index
+    edges = [(idx[a], idx[b], auts.index(fv1.phi[(a, b)]), auts.index(fv2.phi[(a, b)])) for a, b in fv1.base.edge_list()]
+    return any(
+        all(twist[g[b]][p1][g[a]] == p2 for a, b, p1, p2 in edges)
+        for g in itertools.product(range(len(auts)), repeat=fv1.base.n)
+    )
+
+
 @given(voltage_and_gauge(max_vertices=4))
 @settings(max_examples=60, deadline=None)
 def test_key_is_least_serial_over_all_gauges(case):
+    # The key is the least holonomy tuple over the gauges, which conjugate
+    # each component's holonomies by the gauge at its root.
     fv, _ = case
-    assert voltage_class_key(fv) == brute_least_serial(fv)
+    assert voltage_class_key(fv) == brute_least_conjugate(fv)
+
+
+@given(voltage_and_gauge(max_vertices=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_keys_equal_exactly_when_a_gauge_exists(case, data):
+    fv, gauge = case
+    other = gauge_transform(fv, gauge)
+    auts = automorphisms(fv.fiber)
+    edges = fv.base.edge_list()
+    how = data.draw(st.sampled_from(["gauge", "one edge", "random"]))
+    if how == "one edge" and edges:
+        e = data.draw(st.sampled_from(edges))
+        other = make_fiber_voltage(fv.base, fv.fiber, {**{d: other.phi[d] for d in edges}, e: data.draw(st.sampled_from(auts))})
+    elif how == "random":
+        other = make_fiber_voltage(fv.base, fv.fiber, {d: data.draw(st.sampled_from(auts)) for d in edges})
+    assert (voltage_class_key(fv) == voltage_class_key(other)) == gauge_between(fv, other)
 
 
 @pytest.mark.parametrize(
@@ -360,7 +699,8 @@ def test_key_after_merging_into_a_constrained_component(edges):
     rng = random.Random(3)
     for _ in range(6):
         fv = make_fiber_voltage(base, fiber, {e: rng.choice(auts) for e in base.edge_list()})
-        assert voltage_class_key(fv) == brute_least_serial(fv)
+        assert least_serial(fv) == brute_least_serial(fv)
+        assert voltage_class_key(fv) == brute_least_conjugate(fv)
 
 
 @given(st.data())
@@ -570,6 +910,20 @@ class TestClassMaps:
         with pytest.raises(EnumerationBoundExceeded, match="fiber power 1"):
             k0_map(identity_morphism(c3), m2, m1)
         assert k0_map(identity_morphism(c3), m1, m2) == {c.class_id: c.class_id for c in m1.classes}
+
+    def test_voltage_of_another_fiber_is_rejected(self, c3, k2, k3):
+        m = enumerate_bundle_classes(c3, k2, 1)
+        fv = make_fiber_voltage(c3, k3, {e: Perm((1, 2, 0)) for e in c3.edge_list()})
+        with pytest.raises(FiberMismatch, match="fiber power 1"):
+            m.classify(fv, 1)
+        with pytest.raises(FiberMismatch, match="fiber power 0"):
+            m.classify(m.classes_at(1)[1].representative, 0)
+
+    def test_power_over_the_bound_is_rejected(self, c3, k2):
+        m = enumerate_bundle_classes(c3, k2, 1)
+        fv = make_fiber_voltage(c3, fiber_power(k2, 2), {e: Perm((1, 0, 3, 2)) for e in c3.edge_list()})
+        with pytest.raises(EnumerationBoundExceeded, match="fiber power 2"):
+            m.classify(fv, 2)
 
     def test_voltage_over_another_base_is_rejected(self, c3, k2):
         # Same edge count, other labels: a serial alone would match a class.
