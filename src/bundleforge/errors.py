@@ -59,6 +59,14 @@ class NotSymmetric(BundleForgeError):
     pass
 
 
+class NotFinite(BundleForgeError):
+    """A matrix handed to the eigensolver has an infinite or NaN entry."""
+
+
+class NotConverged(BundleForgeError):
+    """The Jacobi iteration hit its sweep cap; carries the off-diagonal norm left."""
+
+
 class NotABijection(BundleForgeError):
     pass
 

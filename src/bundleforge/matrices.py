@@ -9,8 +9,15 @@ the kernel to.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package: it is a self-contained parallel-ordered (round-robin) cyclic
-Jacobi iteration on dense symmetric matrices (Brent & Luk, 1985), adequate
-up to a few hundred rows.  It calls nothing from ``np.linalg``.
+Jacobi iteration on dense symmetric matrices (Brent & Luk, 1985).  It calls
+nothing from ``np.linalg``.  One round makes a fixed handful of array calls
+whatever its number of pairs (one gather, one arctan, two scatters into a
+reused rotation matrix, and JᵀaJ), which is what a round below about 100
+rows costs.  It refuses non-finite input and raises when its sweep cap runs
+out.
+
+Arrays this module builds itself are wrapped by :meth:`Matrix._trusted`,
+without the copy that the public ``Matrix(arr)`` makes.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotSymmetric, ParseError, ShapeMismatch
+from .errors import NotConverged, NotFinite, NotSymmetric, ParseError, ShapeMismatch
 from .graphs import Graph
 from .perms import Perm
 
@@ -50,6 +57,15 @@ class Matrix:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> Matrix:
+        """A Matrix around a 2-dimensional float array the library has just
+        built and hands over; it is frozen in place, without the copy."""
+        arr.flags.writeable = False
+        matrix = object.__new__(cls)
+        matrix.__dict__["data"] = arr
+        return matrix
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -74,34 +90,32 @@ class Matrix:
         return hash((self.shape, self.data.tobytes()))
 
     def allclose(self, other: Matrix, tol: float = 1e-9) -> bool:
-        return self.shape == other.shape and bool(np.allclose(self.data, other.data, atol=tol))
+        return self.shape == other.shape and bool(np.allclose(self.data, other.data, rtol=0.0, atol=tol))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.data.T)
+        return Matrix._trusted(self.data.T)
 
     def __add__(self, other: Matrix) -> Matrix:
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(self.data + other.data)
+        return Matrix._trusted(self.data + other.data)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return Matrix(self.data @ other.data)
+        return Matrix._trusted(self.data @ other.data)
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return self.rows == self.cols and bool(np.allclose(self.data, self.data.T, atol=tol))
+        return self.rows == self.cols and bool(np.allclose(self.data, self.data.T, rtol=0.0, atol=tol))
 
     def is_adjacency(self) -> bool:
-        """Square, symmetric, zero diagonal, all entries 0 or 1."""
+        """Square, symmetric, zero diagonal, all entries 0 or 1.
+
+        a = (aᵀ ≠ 0) entrywise exactly when every entry is 0 or 1 and a is
+        symmetric; such a diagonal is zero exactly when the trace is.
+        """
         a = self.data
-        if self.rows != self.cols:
-            return False
-        if not np.array_equal(a, a.T):
-            return False
-        if np.any(np.diag(a) != 0.0):
-            return False
-        return bool(np.all((a == 0.0) | (a == 1.0)))
+        return self.rows == self.cols and not a.trace() and bool((a == (a.T != 0.0)).all())
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": self.data.tolist()}
@@ -126,11 +140,11 @@ def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return Matrix(np.eye(n))
+    return Matrix._trusted(np.eye(n))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix(np.zeros((rows, cols)))
+    return Matrix._trusted(np.zeros((rows, cols)))
 
 
 def adjacency_matrix(g: Graph) -> Matrix:
@@ -145,21 +159,21 @@ def adjacency_matrix(g: Graph) -> Matrix:
     ends = np.fromiter((idx[u] for e in g.edges for u in e), np.intp, 2 * len(g.edges)).reshape(-1, 2)
     a[ends[:, 0], ends[:, 1]] = 1.0
     a[ends[:, 1], ends[:, 0]] = 1.0
-    m = Matrix(a)
+    m = Matrix._trusted(a)
     assert m.is_adjacency()
     return m
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Block matrix whose (i, j) block is a[i, j] * b."""
-    return Matrix(np.kron(a.data, b.data))
+    return Matrix._trusted(np.kron(a.data, b.data))
 
 
 def hadamard(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise product of two same-shaped matrices."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return Matrix(a.data * b.data)
+    return Matrix._trusted(a.data * b.data)
 
 
 def perm_matrix(sigma: Perm | Sequence[int]) -> Matrix:
@@ -170,7 +184,7 @@ def perm_matrix(sigma: Perm | Sequence[int]) -> Matrix:
     p = np.zeros((n, n))
     for i in range(n):
         p[sigma(i), i] = 1.0
-    return Matrix(p)
+    return Matrix._trusted(p)
 
 
 def perm_block(sigma: Perm) -> Matrix:
@@ -204,7 +218,7 @@ def voltage_adjacency(n: int, fiber_adjacency: Matrix, terms: Iterable[tuple[Mat
         i, j = np.nonzero(indicator.data)
         r, c = np.nonzero(block.data)
         out[np.add.outer(i * m, r), np.add.outer(j * m, c)] += np.outer(indicator.data[i, j], block.data[r, c])
-    result = Matrix(out)
+    result = Matrix._trusted(out)
     assert result.is_adjacency()
     return result
 
@@ -257,44 +271,71 @@ def _round_robin(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
+@lru_cache(maxsize=128)
+def _round_entries(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Flat indices into an n×n array for each nonempty :func:`_round_robin`
+    round, whose pairs (p, q) have p < q.
+
+    Per round: a (3, k) array of the (p, p), (q, q) and (p, q) entries, one
+    row each; the 4k rotation entries (p, p), (q, q), (p, q), (q, p); and
+    the identity's values at those entries.
+    """
+    rounds = []
+    for pairs in _round_robin(n):
+        if not pairs:
+            continue
+        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        pp, qq, pq = p * n + p, q * n + q, p * n + q
+        rounds.append((np.stack((pp, qq, pq)), np.concatenate((pp, qq, pq, q * n + p)), np.repeat((1.0, 0.0), 2 * len(pairs))))
+    return tuple(rounds)
+
+
 def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Parallel-ordered (round-robin) cyclic Jacobi iteration (Brent & Luk,
     SIAM J. Sci. Stat. Comput. 6(1), 1985); returns unsorted eigenvalues.
 
     A sweep rotates every pair once, one :func:`_round_robin` round at a
     time.  The rotations of a round touch disjoint pairs, so they commute:
-    the round is applied at once as a = J^T a J, which equals applying its
-    rotations one after another.
+    the round is applied at once as a = JᵀaJ, which equals applying its
+    rotations one after another.  The angle of pair (p, q) is
+    θ = ½·arctan(2a_pq / (a_qq − a_pp)), the smaller rotation (|θ| ≤ π/4)
+    that zeroes a_pq; equal diagonals give ±π/4 through the infinite
+    argument.  A pair with |a_pq| below JACOBI_THRESHOLD / n gets θ = 0, so
+    an exact identity block, and a round where no pair rotates is skipped.
+    One J serves the whole solve: the round writes its cosines and sines
+    into it at :func:`_round_entries`' cached indices, and after the
+    products writes the identity back.
+
+    Raises NotConverged when JACOBI_MAX_SWEEPS sweeps leave an off-diagonal
+    Frobenius norm of JACOBI_THRESHOLD or more.
     """
     a = a.copy()
     n = a.shape[0]
-    rounds = [tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)) for pairs in _round_robin(n) if pairs]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-        if off < JACOBI_THRESHOLD:
-            break
-        for p, q in rounds:
-            apq = a[p, q]
-            rotated = np.abs(apq) >= JACOBI_THRESHOLD / n
-            if not rotated.all():
-                p, q, apq = p[rotated], q[rotated], apq[rotated]
-                if not p.size:
+    rounds = _round_entries(n)
+    j = np.eye(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+            off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
+            if off < JACOBI_THRESHOLD:
+                return np.diag(a)
+            if sweeps == JACOBI_MAX_SWEEPS:
+                raise NotConverged(f"Jacobi iteration left an off-diagonal norm of {off:.3g} after {sweeps} sweeps")
+            for entries, rotation, eye in rounds:
+                app, aqq, apq = a.take(entries)
+                unrotated = np.abs(apq) < JACOBI_THRESHOLD / n
+                if unrotated.all():
                     continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            j = np.eye(n)
-            j[p, p] = c
-            j[q, q] = c
-            j[p, q] = s
-            j[q, p] = -s
-            a = j.T @ a @ j
-    return np.diag(a)
+                theta = np.where(unrotated, 0.0, 0.5 * np.arctan(2.0 * apq / (aqq - app)))
+                c, s = np.cos(theta), np.sin(theta)
+                j.put(rotation, np.concatenate((c, c, s, -s)))
+                a = j.T @ a @ j
+                j.put(rotation, eye)
 
 
 def spectrum(a: Matrix) -> Spectrum:
-    """All real eigenvalues of a symmetric matrix, with multiplicity."""
+    """All real eigenvalues of a finite symmetric matrix, with multiplicity."""
+    if not np.isfinite(a.data).all():
+        raise NotFinite("spectrum requires finite entries")
     if not a.is_symmetric():
         raise NotSymmetric("spectrum requires a square symmetric matrix")
     return Spectrum(tuple(_jacobi_eigenvalues(a.data)))

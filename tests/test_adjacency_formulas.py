@@ -34,7 +34,17 @@ from bundleforge import (
 )
 from bundleforge.errors import ShapeMismatch
 from bundleforge.pullback import subdirect_voltage
-from bundleforge.matrices import Matrix, from_rows, identity, kronecker, perm_block, voltage_adjacency
+from bundleforge.matrices import (
+    Matrix,
+    from_rows,
+    hadamard,
+    identity,
+    kronecker,
+    perm_block,
+    perm_matrix,
+    voltage_adjacency,
+    zeros,
+)
 
 FIBERS = {
     "K2": complete_graph(2),
@@ -255,6 +265,49 @@ def test_trusted_builds_equal_validated_ones(data):
         assert_bundle_validates(b)
     for fv in (trivial_voltage(base, fiber), pullback_voltage(f, fv1), subdirect_voltage(fv1, fv2)):
         assert_voltage_validates(fv)
+
+
+def reference_is_adjacency(a):
+    """The adjacency test spelled out one condition at a time."""
+    return (
+        a.shape[0] == a.shape[1]
+        and np.array_equal(a, a.T)
+        and not np.any(np.diag(a) != 0.0)
+        and bool(np.all((a == 0.0) | (a == 1.0)))
+    )
+
+
+@FORMULA_SETTINGS
+@given(st.data())
+def test_trusted_matrices_equal_validated_ones(data):
+    """The matrices the library wraps without a copy equal what the public
+    Matrix constructor builds from the same array, are frozen, and pass the
+    one-pass adjacency test exactly when they pass the spelled-out one."""
+    base = data.draw(bases())
+    fiber = data.draw(fibers())
+    fv = data.draw(voltages(base, fiber))
+    psi = data.draw(st.sampled_from(automorphisms(fiber)))
+    a_base, a_fiber = adjacency_matrix(base), adjacency_matrix(fiber)
+    a_total = bundle_adjacency(fv)
+    built = [
+        a_base,
+        a_total,
+        adjacency_matrix(voltage_bundle(fv).total),
+        kronecker(a_base, a_fiber),
+        hadamard(a_total, a_total.transpose()),
+        a_total @ a_total,
+        a_total + identity(a_total.rows),
+        a_total.transpose(),
+        perm_matrix(psi),
+        perm_block(psi),
+        identity(fiber.n),
+        zeros(base.n, fiber.n),
+    ]
+    for m in built:
+        assert not m.data.flags.writeable
+        validated = Matrix(m.data)
+        assert validated == m and validated.data.dtype == m.data.dtype
+        assert m.is_adjacency() == reference_is_adjacency(m.data)
 
 
 # --- the kernel on its own -----------------------------------------------------
