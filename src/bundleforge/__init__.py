@@ -4,7 +4,7 @@ Submodules:
   graphs    finite simple graphs, weak morphisms, isomorphism search
   matrices  dense matrices, Kronecker/Hadamard products, Jacobi eigensolver
   products  box and strong products, fiber voltages and their adjacency,
-            k-fold coverings and covering voltages
+            k-fold coverings (bundles over an edgeless fiber)
   bundles   bundle verification, equivalence (re-exports fiber voltages)
   pullback  pullback bundles, subdirect products, typed edges, sections
   ktheory   bundle-class monoids and bounded Grothendieck verdicts
@@ -26,7 +26,6 @@ from .graphs import (
     induced_subgraph,
     make_graph,
     make_morphism,
-    neighborhood,
     path_graph,
     preserves_edges,
     star_graph,
@@ -35,11 +34,9 @@ from .graphs import (
 from .matrices import Matrix, Spectrum, adjacency_matrix, hadamard, kronecker, perm_matrix, spectrum
 from .perms import Perm
 from .products import (
-    Covering,
     cartesian_product,
     cartesian_spectrum,
     covering_adjacency,
-    covering_voltage,
     strong_product,
     strong_spectrum,
     verify_kfold_covering,
@@ -50,7 +47,6 @@ from .bundles import (
     bundle_adjacency,
     bundle_to_voltage,
     bundles_equivalent,
-    identity_bundle,
     is_trivial,
     make_fiber_voltage,
     trivial_voltage,

@@ -4,7 +4,9 @@ around the fundamental cycle of each edge off a spanning forest: two
 bundles are equivalent exactly when one fiber automorphism per component
 conjugates every holonomy of one onto the other.  Fiber voltages and their
 adjacency formula live in products, below this module, and are re-exported
-here.
+here.  A k-fold covering is a bundle over the edgeless fiber on k vertices:
+products.verify_kfold_covering is verify_bundle with that fiber, and the
+covering's permutation voltage is the bundle's voltage.
 
 A GraphBundle holds what verification proves: the total space, the
 projection (whose codomain is the base), the fiber and one identification
@@ -53,9 +55,6 @@ from .graphs import (
     complete_graph,
     find_isomorphism,
     induced_adjacency,
-    is_isomorphism,
-    make_graph,
-    make_morphism,
     pair_label,
     spanning_forest,
     subgraph_of_shape,
@@ -69,13 +68,6 @@ from .products import (
     make_fiber_voltage,
     trivial_voltage,
 )
-
-def identity_bundle(base: Graph) -> GraphBundle:
-    """The base over itself with a one-vertex fiber; neutral for the
-    subdirect product."""
-    point = make_graph(["1"], [])
-    projection = make_morphism(base, base, {v: v for v in base.vertices})
-    return verify_bundle(base, projection, point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,32 +347,8 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     return {x: witness[x] for v in b1.base.vertices for x in b1.fibers[v]}
 
 
-def is_equivalence_witness(b1: GraphBundle, b2: GraphBundle, mapping: Mapping[Label, Label]) -> bool:
-    """Validate a proposed total-space map as a bundle equivalence."""
-    if not is_isomorphism(dict(mapping), b1.total, b2.total):
-        return False
-    return all(b2.projection(mapping[x]) == b1.projection(x) for x in b1.total.vertices)
-
-
 def is_trivial(b: GraphBundle) -> bool:
     """True when the bundle is equivalent to the box product over the same
     base: exactly when every holonomy is the identity, since g ∘ h ∘ g⁻¹ is
     the identity only for h the identity."""
     return all(h.is_identity() for _, hs in _holonomies(b.voltage) for h in hs)
-
-
-def with_fiber(b: GraphBundle, new_fiber: Graph) -> GraphBundle:
-    """Re-express a bundle with an isomorphic replacement fiber graph.
-
-    Any graph isomorphism works as the alignment: the residual ambiguity is
-    a constant automorphism twist, which bundle equivalence absorbs.
-    """
-    if b.fiber == new_fiber:
-        return b
-    lam = find_isomorphism(b.fiber, new_fiber)
-    if lam is None:
-        raise FiberMismatch("replacement fiber is not isomorphic to the bundle fiber")
-    fiber_isos = {
-        v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()
-    }
-    return GraphBundle(b.total, b.projection, new_fiber, fiber_isos)

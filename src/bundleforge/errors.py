@@ -71,16 +71,6 @@ class NotABijection(BundleForgeError):
     pass
 
 
-# --- coverings ----------------------------------------------------------
-
-class FiberSizeMismatch(BundleForgeError):
-    """A fiber does not contain exactly k vertices; carries the base vertex."""
-
-
-class NoLifting(BundleForgeError):
-    """The projection is not invertible on some star; carries (v, x)."""
-
-
 # --- bundles ------------------------------------------------------------
 
 class FiberNotIsomorphic(BundleForgeError):

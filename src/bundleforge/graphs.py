@@ -390,17 +390,6 @@ def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
     return subgraph_of_shape(vs, induced_adjacency(g, vs))
 
 
-def neighborhood(g: Graph, v: object) -> Graph:
-    """Star graph on v and its neighbors: only the edges at v are kept."""
-    v = canon_label(v)
-    if v not in g.index:
-        raise UnknownVertex(f"vertex {v!r} not in graph")
-    nbrs = g.neighbors(v)
-    keep = {v, *nbrs}
-    vs = [u for u in g.vertices if u in keep]
-    return make_graph(vs, [(v, w) for w in nbrs])
-
-
 def fiber(f: GraphMorphism, v: object) -> Graph:
     """Induced subgraph of the domain on the preimage of v."""
     v = canon_label(v)
@@ -615,8 +604,3 @@ def automorphisms(g: Graph) -> list[Perm]:
     idx = g.index
     search = _IsoSearch(g, g, current_budget.get())
     return sorted(Perm._trusted(tuple(idx[m[v]] for v in g.vertices)) for m in search.matches())
-
-
-def perm_label_map(g: Graph, perm: Perm) -> dict[Label, Label]:
-    """Turn an index permutation into a label-to-label automorphism map."""
-    return {g.vertices[i]: g.vertices[perm(i)] for i in range(g.n)}

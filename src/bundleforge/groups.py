@@ -256,7 +256,10 @@ def _homs_by_closure(
     greedily chosen generator g of a into candidates(g) and passes accept.
 
     Each choice of generator images is closed under right multiplication by
-    the generators; a choice is dropped as soon as two words disagree.
+    the generators; a choice is dropped as soon as two words disagree.  A
+    consistent closure is a homomorphism: the y with phi(xy) = phi(x)phi(y)
+    for every x contain the identity and are closed under right
+    multiplication by the generators, so they are all of a.
     """
     gens = _greedy_generators(a.elements, a.identity, a.mul)
     for images in itertools.product(*(candidates(g) for g in gens)):
@@ -275,13 +278,7 @@ def _homs_by_closure(
                 else:
                     phi[y] = fy
                     frontier.append(y)
-        if not consistent or not accept(phi):
-            continue
-        if all(
-            phi[a.mul(x, y)] == b.mul(phi[x], phi[y])
-            for x in a.elements
-            for y in a.elements
-        ):
+        if consistent and accept(phi):
             yield phi
 
 
@@ -371,7 +368,8 @@ def subdirect_group(eps_a: GroupHom, eps_b: GroupHom) -> SubdirectGroup:
     E is built from its own pairs: the (x, y) with eps_a(x) = eps_b(y), in
     the order of A × B, multiplied componentwise.  Its table costs |E|²
     products, not the (|A||B|)² of the whole direct product, and
-    make_group checks it, closure included.
+    make_group checks it, closure included.  The projections delta_A and
+    delta_B are homomorphisms by construction, so they are not re-checked.
     """
     if eps_a.codomain is not eps_b.codomain and eps_a.codomain.elements != eps_b.codomain.elements:
         raise NotSurjective("epimorphisms must share a codomain")
@@ -389,8 +387,8 @@ def subdirect_group(eps_a: GroupHom, eps_b: GroupHom) -> SubdirectGroup:
             for (x2, y2), q in zip(pairs, labels)
         },
     )
-    delta_a = hom(e, a, {m: x for (x, _), m in zip(pairs, labels)})
-    delta_b = hom(e, b, {m: y for (_, y), m in zip(pairs, labels)})
+    delta_a = GroupHom(e, a, {m: x for (x, _), m in zip(pairs, labels)})
+    delta_b = GroupHom(e, b, {m: y for (_, y), m in zip(pairs, labels)})
     assert is_surjective(delta_a) and is_surjective(delta_b)
     assert e.order * c.order == a.order * b.order
     assert group_isomorphic(kernel(delta_a), kernel(eps_b))
@@ -471,12 +469,7 @@ def cayley_graph(g: FiniteGroup, s: GeneratorSystem) -> Graph:
 
 def is_admissible(s0: GeneratorSystem, ambient: FiniteGroup) -> bool:
     """True when the set is closed under conjugation by every ambient element."""
-    members = set(s0.members)
-    return all(
-        ambient.mul(ambient.mul(a, x), ambient.inv(a)) in members
-        for a in ambient.elements
-        for x in members
-    )
+    return is_normal(ambient, s0.members)
 
 
 def transversal_section(phi: GroupHom, s1: GeneratorSystem) -> dict[Label, Label]:

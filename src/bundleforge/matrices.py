@@ -33,7 +33,7 @@ from .errors import NotConverged, NotFinite, NotSymmetric, ParseError, ShapeMism
 from .graphs import Graph
 from .perms import Perm
 
-#: Off-diagonal Frobenius norm threshold for Jacobi convergence.
+#: Floor of the off-diagonal Frobenius norm tolerance for Jacobi convergence.
 JACOBI_THRESHOLD = 1e-12
 
 #: Maximum number of cyclic Jacobi sweeps.
@@ -300,29 +300,34 @@ def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     rotations one after another.  The angle of pair (p, q) is
     θ = ½·arctan(2a_pq / (a_qq − a_pp)), the smaller rotation (|θ| ≤ π/4)
     that zeroes a_pq; equal diagonals give ±π/4 through the infinite
-    argument.  A pair with |a_pq| below JACOBI_THRESHOLD / n gets θ = 0, so
-    an exact identity block, and a round where no pair rotates is skipped.
+    argument.  A pair with |a_pq| below tol / n gets θ = 0, so an exact
+    identity block, and a round where no pair rotates is skipped.
     One J serves the whole solve: the round writes its cosines and sines
     into it at :func:`_round_entries`' cached indices, and after the
     products writes the identity back.
 
-    Raises NotConverged when JACOBI_MAX_SWEEPS sweeps leave an off-diagonal
-    Frobenius norm of JACOBI_THRESHOLD or more.
+    The tolerance tol = max(JACOBI_THRESHOLD, n·eps·‖a‖_F) is fixed per
+    solve: rounding leaves about eps·|a| in each entry, which an absolute
+    threshold cannot reach once the entries are large.  For 0/1 matrices of
+    up to 48 rows it is JACOBI_THRESHOLD.  Raises NotConverged when
+    JACOBI_MAX_SWEEPS sweeps leave an off-diagonal Frobenius norm of tol or
+    more.
     """
     a = a.copy()
     n = a.shape[0]
+    tol = max(JACOBI_THRESHOLD, n * np.finfo(float).eps * np.sqrt(np.sum(a * a)))
     rounds = _round_entries(n)
     j = np.eye(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweeps in range(JACOBI_MAX_SWEEPS + 1):
             off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-            if off < JACOBI_THRESHOLD:
+            if off < tol:
                 return np.diag(a)
             if sweeps == JACOBI_MAX_SWEEPS:
                 raise NotConverged(f"Jacobi iteration left an off-diagonal norm of {off:.3g} after {sweeps} sweeps")
             for entries, rotation, eye in rounds:
                 app, aqq, apq = a.take(entries)
-                unrotated = np.abs(apq) < JACOBI_THRESHOLD / n
+                unrotated = np.abs(apq) < tol / n
                 if unrotated.all():
                     continue
                 theta = np.where(unrotated, 0.0, 0.5 * np.arctan(2.0 * apq / (aqq - app)))

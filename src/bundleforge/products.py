@@ -1,10 +1,11 @@
 """Cartesian and strong graph products, fiber voltages and their adjacency
-formula, k-fold coverings, and covering voltages.
+formula, and k-fold coverings.
 
 Product vertices are labeled "(u,v)" and ordered lexicographically from the
 stored factor orders, which keeps the Kronecker adjacency identities exact
-at the index level.  A k-fold covering voltage is a fiber voltage over the
-edgeless fiber on k vertices, so coverings share the bundle formula.
+at the index level.  A k-fold covering is a bundle over the edgeless fiber
+on k vertices: it is verified by bundles.verify_bundle, its permutation
+voltage is that bundle's voltage, and its adjacency is the bundle formula.
 
 make_fiber_voltage and FiberVoltage(...) validate user data.  Voltages whose
 values are automorphisms by construction (trivial_voltage and those derived
@@ -15,11 +16,11 @@ products check only their generated labels for clashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BaseMismatch, FiberSizeMismatch, NoLifting, NotAMorphism, ParseError
+from .errors import BaseMismatch, ParseError
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -27,14 +28,14 @@ from .graphs import (
     _trusted_graph,
     canon_label,
     empty_graph,
-    make_morphism,
     pair_label,
     split_edge_key,
-    split_pair_label,
-    validate_morphism,
 )
 from .matrices import Matrix, Spectrum, adjacency_matrix, perm_block, voltage_adjacency
 from .perms import Perm
+
+if TYPE_CHECKING:
+    from .bundles import GraphBundle
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -54,10 +55,6 @@ def strong_product(g1: Graph, g2: Graph) -> Graph:
             edges.append((pair_label(a1, a2), pair_label(b1, b2)))
             edges.append((pair_label(a1, b2), pair_label(b1, a2)))
     return _trusted_graph(base.vertices, edges)
-
-
-def second_projection(product: Graph, g2: Graph) -> GraphMorphism:
-    return make_morphism(product, g2, {v: split_pair_label(v)[1] for v in product.vertices})
 
 
 def cartesian_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -231,74 +228,19 @@ def bundle_adjacency(fv: FiberVoltage) -> Matrix:
 
 # --- coverings ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Covering:
-    """A verified k-fold covering with all lifting maps materialized.
+def verify_kfold_covering(p: GraphMorphism, k: int) -> GraphBundle:
+    """Verify p as a k-fold covering: a bundle over the edgeless fiber on k
+    vertices, whose voltage is the covering's permutation voltage.  Returns
+    the GraphBundle of bundles.verify_bundle and raises its errors."""
+    from .bundles import verify_bundle
 
-    liftings[(v, x)] maps every vertex of the base star N(v) to the
-    corresponding vertex of the star N(x) in the total space.
-    """
-
-    total: Graph
-    projection: GraphMorphism
-    base: Graph
-    k: int
-    liftings: Mapping[tuple[Label, Label], Mapping[Label, Label]]
-
-    def fiber_vertices(self, v: Label) -> tuple[Label, ...]:
-        return self.projection.preimages.get(v, ())
-
-
-def verify_kfold_covering(p: GraphMorphism, k: int) -> Covering:
-    """Check the k-fold covering conditions and materialize every lifting.
-
-    Raises FiberSizeMismatch(v) when a fiber does not have k vertices and
-    NoLifting(v, x) when the projection is not invertible on some star.
-    """
-    ok, bad = validate_morphism(p)
-    if not ok:
-        raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
-    total, base = p.domain, p.codomain
-    fibers = p.preimages
-    for v in base.vertices:
-        if len(fibers[v]) != k:
-            raise FiberSizeMismatch(f"fiber over {v!r} has {len(fibers[v])} vertices, expected {k}")
-    liftings: dict[tuple[Label, Label], dict[Label, Label]] = {}
-    for v in base.vertices:
-        base_nbrs = base.neighbors(v)
-        for x in fibers[v]:
-            lift: dict[Label, Label] = {v: x}
-            images: dict[Label, Label] = {}
-            for y in total.neighbors(x):
-                w = p(y)
-                if w not in base_nbrs or w in images:
-                    raise NoLifting(f"no lifting at base {v!r}, total {x!r}: star not invertible")
-                images[w] = y
-            if set(images) != set(base_nbrs):
-                raise NoLifting(f"no lifting at base {v!r}, total {x!r}: star not invertible")
-            lift.update(images)
-            liftings[(v, x)] = lift
-    return Covering(total, p, base, k, liftings)
+    return verify_bundle(p.domain, p, empty_graph(k))
 
 
 def make_covering_voltage(base: Graph, k: int, assignments: Mapping[tuple[Label, Label], Perm]) -> FiberVoltage:
     """A k-fold covering voltage: a fiber voltage over the edgeless fiber on
     k vertices, from one orientation per edge."""
     return make_fiber_voltage(base, empty_graph(k), assignments)
-
-
-def covering_voltage(cov: Covering) -> FiberVoltage:
-    """Read permutation voltages off the liftings of a verified covering.
-
-    Each fiber is labelled 0..k-1 in the vertex order of the total space.
-    """
-    index = {v: {x: i for i, x in enumerate(cov.fiber_vertices(v))} for v in cov.base.vertices}
-    phi: dict[tuple[Label, Label], Perm] = {}
-    for a, b in cov.base.edge_list():
-        for v, w in ((a, b), (b, a)):
-            lifts = (cov.liftings[(v, x)][w] for x in cov.fiber_vertices(v))
-            phi[(v, w)] = Perm(tuple(index[w][y] for y in lifts))
-    return FiberVoltage(cov.base, empty_graph(cov.k), phi)
 
 
 def covering_adjacency(base: Graph, cv: FiberVoltage) -> Matrix:

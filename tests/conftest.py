@@ -1,6 +1,21 @@
 import pytest
+from hypothesis import settings
 
-from bundleforge import Perm, complete_graph, cycle_graph, empty_graph, make_fiber_voltage, path_graph
+from bundleforge import (
+    GraphBundle,
+    Perm,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    find_isomorphism,
+    make_fiber_voltage,
+    make_graph,
+    make_morphism,
+    path_graph,
+    verify_bundle,
+)
+from bundleforge.errors import FiberMismatch
+from bundleforge.graphs import is_isomorphism
 from bundleforge.named import (
     hexagonal_prism,
     mobius_ladder_3,
@@ -8,6 +23,41 @@ from bundleforge.named import (
     twisted_hexagonal_ladder,
     twisted_ladder_voltage,
 )
+
+# Every hypothesis test draws the same examples on every run; each keeps its
+# own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
+
+def identity_bundle(base):
+    """The base over itself with a one-vertex fiber; neutral for the
+    subdirect product."""
+    point = make_graph(["1"], [])
+    projection = make_morphism(base, base, {v: v for v in base.vertices})
+    return verify_bundle(base, projection, point)
+
+
+def with_fiber(b, new_fiber):
+    """Re-express a bundle with an isomorphic replacement fiber graph.
+
+    Any graph isomorphism works as the alignment: the residual ambiguity is
+    a constant automorphism twist, which bundle equivalence absorbs.
+    """
+    if b.fiber == new_fiber:
+        return b
+    lam = find_isomorphism(b.fiber, new_fiber)
+    if lam is None:
+        raise FiberMismatch("replacement fiber is not isomorphic to the bundle fiber")
+    fiber_isos = {v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()}
+    return GraphBundle(b.total, b.projection, new_fiber, fiber_isos)
+
+
+def is_equivalence_witness(b1, b2, mapping):
+    """Validate a proposed total-space map as a bundle equivalence."""
+    if not is_isomorphism(dict(mapping), b1.total, b2.total):
+        return False
+    return all(b2.projection(mapping[x]) == b1.projection(x) for x in b1.total.vertices)
 
 
 @pytest.fixture

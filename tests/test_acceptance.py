@@ -28,7 +28,6 @@ from bundleforge import (
     enumerate_bundle_classes,
     find_isomorphism,
     generator_system,
-    identity_bundle,
     hom,
     kernel,
     make_fiber_voltage,
@@ -46,7 +45,6 @@ from bundleforge import (
     verify_invariance,
     voltage_bundle,
 )
-from bundleforge.bundles import is_equivalence_witness, with_fiber
 from bundleforge.errors import NoTransversalSection
 from bundleforge.graphs import split_pair_label
 from bundleforge.groups import admissible_generating_sets, symmetric_generating_sets
@@ -60,6 +58,8 @@ from bundleforge.named import (
     twisted_ladder_voltage,
 )
 from bundleforge.pullback import pullback_indicator
+
+from conftest import identity_bundle, is_equivalence_witness, with_fiber
 
 
 def report(criterion: str, elapsed: float) -> None:

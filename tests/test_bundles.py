@@ -19,7 +19,6 @@ from bundleforge import (
     cycle_graph,
     empty_graph,
     find_isomorphism,
-    identity_bundle,
     is_trivial,
     kronecker,
     make_fiber_voltage,
@@ -34,16 +33,14 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import bundles, graphs
-from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest
-from bundleforge.bundles import _transition, is_equivalence_witness
+from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest, split_pair_label
+from bundleforge.bundles import _transition
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
     FiberMismatch,
     FiberNotIsomorphic,
-    FiberSizeMismatch,
     LocalTrivialityFails,
-    NoLifting,
     NotACovering,
     NotAMorphism,
     ParseError,
@@ -51,12 +48,15 @@ from bundleforge.errors import (
     TransitionNotIso,
 )
 from bundleforge.matrices import identity as identity_matrix
+from bundleforge.products import make_covering_voltage
 from bundleforge.pullback import pullback_bundle, subdirect_product
 from bundleforge.named import (
     c6k2_bundle,
     m3_bundle,
     m62_bundle,
 )
+
+from conftest import identity_bundle, is_equivalence_witness
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -93,9 +93,7 @@ class TestVoltageBundle:
 class TestVerifyBundle:
     def test_prism_projection(self, c3, k2):
         prism = cartesian_product(k2, c3)
-        from bundleforge.products import second_projection
-
-        p = second_projection(prism, c3)
+        p = make_morphism(prism, c3, {x: split_pair_label(x)[1] for x in prism.vertices})
         b = verify_bundle(prism, p, k2)
         assert b.base == c3
 
@@ -627,20 +625,58 @@ class TestCharacterizationAgreement:
                 assert_voltage_rebuilds_total(bundle)
 
 
+def reference_liftings(p, k):
+    """The k-fold covering check by star lifting, independent of
+    verify_bundle: every fiber has k vertices, and p maps the star of each x
+    over v one-to-one onto the star of v.  Returns the liftings, (v, x) to
+    the map from the base star of v onto the star of x; raises
+    NotACovering."""
+    ok, bad = validate_morphism(p)
+    if not ok:
+        raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
+    total, base, fibers = p.domain, p.codomain, p.preimages
+    for v in base.vertices:
+        if len(fibers[v]) != k:
+            raise NotACovering(f"fiber over {v!r} has {len(fibers[v])} vertices, expected {k}")
+    liftings = {}
+    for v in base.vertices:
+        base_nbrs = base.neighbors(v)
+        for x in fibers[v]:
+            images = {}
+            for y in total.neighbors(x):
+                w = p(y)
+                if w not in base_nbrs or w in images:
+                    raise NotACovering(f"no lifting at base {v!r}, total {x!r}: star not invertible")
+                images[w] = y
+            if set(images) != set(base_nbrs):
+                raise NotACovering(f"no lifting at base {v!r}, total {x!r}: star not invertible")
+            liftings[(v, x)] = {v: x, **images}
+    return liftings
+
+
+def reference_covering_voltage(p, k):
+    """The permutation voltage read off the liftings, each fiber numbered
+    0..k-1 in the total's vertex order."""
+    liftings, base, fibers = reference_liftings(p, k), p.codomain, p.preimages
+    index = {v: {x: i for i, x in enumerate(xs)} for v, xs in fibers.items()}
+    phi = {}
+    for a, b in base.edge_list():
+        for v, w in ((a, b), (b, a)):
+            phi[(v, w)] = Perm(tuple(index[w][liftings[(v, x)][w]] for x in fibers[v]))
+    return FiberVoltage(base, empty_graph(k), phi)
+
+
 def reference_check_conditions(total, p, fiber, fiber_graphs):
     """The definition checked through a covering skeleton: the cross edges
-    as a graph of their own, verified as a |F|-fold covering of the base,
-    with each transition read off the covering's liftings."""
+    as a graph of their own, verified as a |F|-fold covering of the base by
+    star lifting, with each transition read off the liftings."""
     base = p.codomain
     cross = [(a, b) for a, b in total.edge_list() if p(a) != p(b)]
     skeleton = make_graph(total.vertices, cross)
-    try:
-        covering = verify_kfold_covering(make_morphism(skeleton, base, p.map), fiber.n)
-    except (FiberSizeMismatch, NoLifting) as exc:
-        raise NotACovering(str(exc)) from exc
+    liftings = reference_liftings(make_morphism(skeleton, base, p.map), fiber.n)
     for v, w in base.edge_list():
         fib_v, fib_w = fiber_graphs[v], fiber_graphs[w]
-        psi = {x: covering.liftings[(v, x)][w] for x in fib_v.vertices}
+        psi = {x: liftings[(v, x)][w] for x in fib_v.vertices}
         if not all(fib_w.has_edge(psi[x], psi[y]) for x, y in fib_v.edge_list()):
             raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
 
@@ -709,6 +745,82 @@ def test_definition_matches_skeleton_route(case):
     assert all(find_isomorphism(g, fiber) is not None for g in fiber_graphs.values())
     expected = outcome(reference_check_conditions, total, p, fiber, fiber_graphs)
     assert outcome(verify_bundle, total, p, fiber) is expected
+
+
+PAW = make_graph(["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("2", "3"), ("3", "4")])
+COVERING_BASES = [cycle_graph(3), cycle_graph(4), path_graph(3), complete_graph(4), PAW]
+COVERING_MUTATIONS = ["none", "swap", "drop", "add", "move", "fold"]
+
+
+def mutated_covering(rng, kind):
+    """A k-fold covering from make_covering_voltage over C3, C4, P3, K4 or
+    the paw, k = 1..4, stored in a shuffled vertex order, after one
+    mutation: none, two cross edges over one base edge swapped (still a
+    covering), an edge dropped or added, one vertex's image moved, or k off
+    by one.  Returns the projection and the fold count to check."""
+    base, k = rng.choice(COVERING_BASES), rng.randint(1, 4)
+
+    def perm():
+        images = list(range(k))
+        rng.shuffle(images)
+        return Perm(tuple(images))
+
+    b = voltage_bundle(make_covering_voltage(base, k, {e: perm() for e in base.edge_list()}))
+    xs, over = list(b.total.vertices), dict(b.projection.map)
+    edges = {frozenset(e) for e in b.total.edges}
+    if kind == "swap":
+        v, w = rng.choice(base.edge_list())
+        cross = [(x, y) for x in b.fibers[v] for y in b.fibers[w] if frozenset((x, y)) in edges]
+        if len(cross) >= 2:
+            (x1, y1), (x2, y2) = rng.sample(cross, 2)
+            edges -= {frozenset((x1, y1)), frozenset((x2, y2))}
+            edges |= {frozenset((x1, y2)), frozenset((x2, y1))}
+    elif kind == "drop":
+        edges.remove(rng.choice(sorted(edges, key=sorted)))
+    elif kind == "add":
+        non_edges = [frozenset((x, y)) for i, x in enumerate(xs) for y in xs[i + 1 :]]
+        non_edges = [e for e in non_edges if e not in edges]
+        if non_edges:
+            edges.add(rng.choice(non_edges))
+    elif kind == "move":
+        x = rng.choice(xs)
+        over[x] = rng.choice([v for v in base.vertices if v != over[x]])
+    elif kind == "fold":
+        k += rng.choice([-1, 1]) if k > 1 else 1
+    rng.shuffle(xs)
+    total = make_graph(xs, [tuple(e) for e in edges])
+    return make_morphism(total, base, over), k
+
+
+def test_covering_check_matches_star_lifting():
+    # verify_kfold_covering is verify_bundle over the edgeless fiber; the
+    # star-lifting reference accepts the same projections and reads the
+    # same voltage off them.
+    rng = random.Random(19)
+    accepted = dict.fromkeys(COVERING_MUTATIONS, 0)
+    rejected = dict.fromkeys(COVERING_MUTATIONS, 0)
+    for i in range(1200):
+        kind = COVERING_MUTATIONS[i % len(COVERING_MUTATIONS)]
+        p, k = mutated_covering(rng, kind)
+        try:
+            expected = reference_covering_voltage(p, k)
+        except (NotAMorphism, NotACovering):
+            expected = None
+        try:
+            b = verify_kfold_covering(p, k)
+        except (NotAMorphism, FiberNotIsomorphic, NotACovering):
+            assert expected is None, (kind, p.pairs, p.domain.edge_list())
+            rejected[kind] += 1
+            continue
+        assert expected is not None, (kind, p.pairs, p.domain.edge_list())
+        assert b.fiber == empty_graph(k)
+        assert dict(b.voltage.phi) == dict(expected.phi)
+        accepted[kind] += 1
+    # "add" leaves a covering only at k = 1 over C3 or K4, whose totals are
+    # complete graphs.
+    assert rejected["none"] == rejected["swap"] == 0
+    assert accepted["drop"] == accepted["move"] == accepted["fold"] == 0
+    assert min(rejected[kind] for kind in ("drop", "add", "move", "fold")) > 150
 
 
 def reference_verify_bundle(total, p, fiber):

@@ -19,7 +19,6 @@ from bundleforge import (
     induced_subgraph,
     make_graph,
     make_morphism,
-    neighborhood,
     preserves_edges,
     validate_morphism,
 )
@@ -32,7 +31,7 @@ from bundleforge.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, node_budget, perm_label_map
+from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, node_budget
 from bundleforge.named import (
     c6k2_bundle,
     hexagonal_prism,
@@ -154,22 +153,6 @@ class TestSubgraphs:
         assert sub.vertices == ("1", "2", "3")
         assert sub.edge_list() == [("1", "2"), ("2", "3")]
         assert sub.adjacency == {"1": ("2",), "2": ("1", "3"), "3": ("2",)}
-
-    def test_neighborhood_is_star_only(self, k3):
-        star = neighborhood(k3, "1")
-        assert star.vertices == ("1", "2", "3")
-        # The edge between the two neighbors is excluded.
-        assert len(star.edges) == 2
-        assert not star.has_edge("2", "3")
-
-    def test_neighborhood_c6(self, c6):
-        star = neighborhood(c6, "1")
-        assert star.vertices == ("1", "2", "6")
-        assert star.has_edge("1", "2") and star.has_edge("1", "6")
-
-    def test_neighborhood_isolated(self):
-        g = make_graph(["v"], [])
-        assert neighborhood(g, "v") == g
 
 
 class TestFibers:
@@ -328,11 +311,6 @@ class TestAutomorphisms:
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBoundExceeded):
             automorphisms(cycle_graph(11))
-
-    def test_label_map_roundtrip(self, c4):
-        for p in automorphisms(c4):
-            mapping = perm_label_map(c4, p)
-            assert is_isomorphism(mapping, c4, c4)
 
 
 class TestSerialization:

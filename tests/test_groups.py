@@ -37,6 +37,7 @@ from bundleforge.errors import (
 from bundleforge.graphs import is_isomorphism, pair_label, split_pair_label
 from bundleforge.groups import (
     FiniteGroup,
+    _homs_by_closure,
     group_isomorphic,
     quotient_group,
     subgroup,
@@ -344,6 +345,22 @@ class TestHomomorphisms:
         assert all(is_surjective(h) for h in homs)
         assert surjective_homs(z3, cyclic(4)) == []
 
+    def test_closed_maps_are_homomorphisms(self):
+        # _homs_by_closure yields without a product check; hom() checks every
+        # product.  Every generator image is a candidate here, so the maps
+        # include all that surjective_homs and group_isomorphic can see.
+        groups = [
+            cyclic(1), cyclic(2), cyclic(3), cyclic(4), cyclic(6),
+            direct_product(cyclic(2), cyclic(2)), symmetric_group_3(), quaternion_group(),
+        ]
+        for a, b in itertools.product(groups, repeat=2):
+            maps = list(_homs_by_closure(a, b, lambda g: list(b.elements), lambda phi: True))
+            assert maps and len({tuple(m[x] for x in a.elements) for m in maps}) == len(maps)
+            for m in maps:
+                hom(a, b, m)
+            for h in surjective_homs(a, b):
+                assert hom(a, b, h.mapping).mapping == h.mapping
+
 
 class TestSubdirectGroup:
     def test_order_twelve(self, phi1, phi2):
@@ -437,7 +454,11 @@ class TestSubdirectGroupAgainstReference:
         for target in groups:
             epis = [eps for a in groups for eps in surjective_homs(a, target)]
             for ea, eb in itertools.product(epis, repeat=2):
-                assert_same_group(subdirect_group(ea, eb).E, reference_subdirect_e(ea, eb))
+                sd = subdirect_group(ea, eb)
+                assert_same_group(sd.E, reference_subdirect_e(ea, eb))
+                # The projections are built without a product check.
+                hom(sd.E, ea.domain, sd.delta_A.mapping)
+                hom(sd.E, eb.domain, sd.delta_B.mapping)
                 pairs += 1
         assert pairs == 157
 

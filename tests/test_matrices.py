@@ -230,6 +230,18 @@ class TestJacobiAgainstLapack:
         assert a.rows == 96
         assert_matches_lapack(a.data)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+    def test_scaled_random_symmetric(self, scale):
+        # Rounding leaves about eps·|a| in every entry, which an absolute
+        # threshold of 1e-12 cannot reach at these scales; the tolerance
+        # grows with the norm.
+        a = np.random.default_rng(20).standard_normal((20, 20))
+        sym = scale * (a + a.T) / 2.0
+        ours = spectrum(Matrix(sym)).eigenvalues
+        reference = sorted(np.linalg.eigvalsh(sym), reverse=True)
+        size = max(abs(x) for x in reference)
+        assert all(abs(x - y) <= 1e-9 * size for x, y in zip(ours, reference))
+
     @pytest.mark.parametrize(
         "factors",
         [

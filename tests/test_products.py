@@ -10,7 +10,6 @@ from bundleforge import (
     cartesian_spectrum,
     complete_graph,
     covering_adjacency,
-    covering_voltage,
     cycle_graph,
     empty_graph,
     find_isomorphism,
@@ -24,7 +23,7 @@ from bundleforge import (
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, DuplicateVertex, FiberSizeMismatch, NoLifting
+from bundleforge.errors import BaseMismatch, DuplicateVertex, FiberNotIsomorphic, NotACovering
 from bundleforge.matrices import Spectrum, graph_spectrum, identity
 from bundleforge.products import make_covering_voltage
 
@@ -140,32 +139,38 @@ class TestProductSpectra:
 
 class TestCoverings:
     def test_c6_double_cover(self, p_c6_c3):
-        cov = verify_kfold_covering(p_c6_c3, 2)
-        assert cov.k == 2
-        assert cov.fiber_vertices("1") == ("3", "6")
-        # Each lifting inverts the star projection.
-        lift = cov.liftings[("1", "3")]
-        assert lift["1"] == "3"
-        assert set(lift) == {"1", "2", "3"}
+        b = verify_kfold_covering(p_c6_c3, 2)
+        assert b.fiber.n == 2
+        assert b.fibers["1"] == ("3", "6")
+        # Each fiber is numbered in the order of the total space.
+        assert b.fiber_isos["1"] == {"3": "1", "6": "2"}
 
     def test_identity_is_onefold(self, k3):
-        cov = verify_kfold_covering(make_morphism(k3, k3, {v: v for v in k3.vertices}), 1)
-        assert cov.k == 1
+        b = verify_kfold_covering(make_morphism(k3, k3, {v: v for v in k3.vertices}), 1)
+        assert b.fiber.n == 1
 
     def test_collapse_has_no_lifting(self, k2):
+        # The collapsed edge lies inside the fiber, which is not edgeless.
         k1 = make_graph(["u"], [])
         f = make_morphism(k2, k1, {"1": "u", "2": "u"})
-        with pytest.raises(NoLifting):
+        with pytest.raises(FiberNotIsomorphic):
             verify_kfold_covering(f, 2)
 
     def test_wrong_fold_count(self, p_c6_c3):
-        with pytest.raises(FiberSizeMismatch):
+        with pytest.raises(FiberNotIsomorphic):
             verify_kfold_covering(p_c6_c3, 3)
+
+    def test_star_not_invertible(self, k2):
+        # The path a-b-c-d folded onto K2: b meets both a and c over "1".
+        p4 = make_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+        f = make_morphism(p4, k2, {"a": "1", "b": "2", "c": "1", "d": "2"})
+        with pytest.raises(NotACovering):
+            verify_kfold_covering(f, 2)
 
 
 class TestCoveringVoltage:
     def test_c6_voltages_and_monodromy(self, p_c6_c3):
-        cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
+        cv = verify_kfold_covering(p_c6_c3, 2).voltage
         swap, ident = Perm((1, 0)), Perm((0, 1))
         assert cv.phi[("1", "2")] == swap
         assert cv.phi[("2", "3")] == ident
@@ -180,16 +185,16 @@ class TestCoveringVoltage:
             [("a1", "b1"), ("b1", "c1"), ("a1", "c1"), ("a2", "b2"), ("b2", "c2"), ("a2", "c2")],
         )
         p = make_morphism(two, c3, {"a1": "1", "b1": "2", "c1": "3", "a2": "1", "b2": "2", "c2": "3"})
-        cv = covering_voltage(verify_kfold_covering(p, 2))
+        cv = verify_kfold_covering(p, 2).voltage
         assert all(perm.is_identity() for perm in cv.phi.values())
 
     def test_inverse_symmetry(self, p_c6_c3):
-        cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
+        cv = verify_kfold_covering(p_c6_c3, 2).voltage
         for (v, w), perm in cv.phi.items():
             assert cv.phi[(w, v)].compose(perm).is_identity()
 
     def test_json_roundtrip(self, c3, p_c6_c3):
-        cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
+        cv = verify_kfold_covering(p_c6_c3, 2).voltage
         again = FiberVoltage.from_json(cv.to_json())
         assert again.base == c3 and again.fiber == cv.fiber
         assert again.phi == dict(cv.phi)
@@ -197,7 +202,7 @@ class TestCoveringVoltage:
 
 class TestCoveringAdjacency:
     def test_c6_cover_reconstructs_hexagon(self, c3, c6, p_c6_c3):
-        cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
+        cv = verify_kfold_covering(p_c6_c3, 2).voltage
         a = covering_adjacency(c3, cv)
         total = voltage_bundle(cv).total
         assert a == adjacency_matrix(total)
@@ -226,8 +231,8 @@ class TestCoveringAdjacency:
         assert find_isomorphism(total, cycle_graph(4)) is None
 
     def test_voltage_roundtrip_through_total_graph(self, c3, c4):
-        # Building the total space of a voltage and reading the voltage back
-        # off its liftings reproduces the input exactly.
+        # Building the total space of a voltage and verifying it as a
+        # covering reproduces the input voltage exactly.
         import random
 
         rng = random.Random(17)
@@ -240,11 +245,11 @@ class TestCoveringAdjacency:
                 p = make_morphism(
                     total, base, {v: v.rsplit(",", 1)[0][1:] for v in total.vertices}
                 )
-                extracted = covering_voltage(verify_kfold_covering(p, 3))
+                extracted = verify_kfold_covering(p, 3).voltage
                 assert dict(extracted.phi) == dict(cv.phi)
 
     def test_row_sums_match_base_degree(self, c3, p_c6_c3):
-        cv = covering_voltage(verify_kfold_covering(p_c6_c3, 2))
+        cv = verify_kfold_covering(p_c6_c3, 2).voltage
         a = covering_adjacency(c3, cv)
         for i, v in enumerate(c3.vertices):
             for j in range(2):

@@ -12,7 +12,6 @@ from bundleforge import (
     compose_pullbacks_check,
     cycle_graph,
     find_isomorphism,
-    identity_bundle,
     identity_morphism,
     is_section,
     is_trivial,
@@ -34,7 +33,6 @@ from bundleforge import (
     verify_bundle,
     voltage_bundle,
 )
-from bundleforge.bundles import with_fiber
 from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree, ParseError
 from bundleforge.matrices import from_rows, identity as identity_matrix
 from bundleforge.named import (
@@ -57,6 +55,8 @@ from bundleforge.pullback import (
     subdirect_voltage,
     typed_edge_counts,
 )
+
+from conftest import identity_bundle, with_fiber
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
