@@ -22,14 +22,26 @@ and class ids follow it.  A representative is its key on the edges off the
 spanning forest and the identity on the tree, so the holonomies of a sum
 of two are the Kronecker products of their keys, and an addition-table
 entry keys β products.
+
+Aut(F^n) is read only when a key needs it, so a base with no cycle lists
+no automorphism.  Enumeration searches Aut(F) once.  When F is connected
+with a prime number of vertices, it is prime under the box product, whose
+factors multiply the vertex counts, and Aut(F^n) = Aut(F) ≀ S_n (Hammack,
+Imrich and Klavžar, Handbook of Product Graphs, 2nd ed. 2011, ch. 6): each
+power's group is generated from that one search, sorted as the search
+sorts it, for powers of up to the square of the search's vertex bound.
+Any other power is searched.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import graphs
 from .bundles import FiberVoltage, _forest_cycles, _holonomies
 from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from .graphs import (
@@ -38,6 +50,7 @@ from .graphs import (
     Label,
     automorphisms,
     make_graph,
+    spanning_forest,
 )
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
@@ -72,6 +85,27 @@ def _compose(p: Images, q: Images) -> Images:
     return tuple(map(p.__getitem__, q))
 
 
+def _wreath(factor: Sequence[Images], n: int) -> tuple[Images, ...]:
+    """Aut(F) ≀ S_n, given Aut(F) as image tuples, on the index order of
+    fiber_power(F, n), sorted by image tuple: coordinate k of a vertex,
+    after σ, goes to a_k(i_k) at position σ(k).  That order reads the first
+    coordinate as the most significant digit, so position j weighs m^(n-1-j)."""
+    m = len(factor[0])
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        weights = [m ** (n - 1 - j) for j in sigma]
+        scaled = [[[w * i for i in a] for a in factor] for w in weights]
+        for digits in itertools.product(*scaled):
+            out.append(tuple(map(sum, itertools.product(*digits))))
+    return tuple(sorted(out))
+
+
+def _box_prime(g: Graph) -> bool:
+    """Connected with a prime number of vertices, so prime under the box
+    product, whose factors multiply the vertex counts."""
+    return g.n > 1 and all(g.n % d for d in range(2, math.isqrt(g.n) + 1)) and len(spanning_forest(g)) == 1
+
+
 @dataclass(eq=False)
 class _Orbits:
     """A subgroup H of Aut(F^n) acting on Aut(F^n) by conjugation.
@@ -88,17 +122,48 @@ class _Orbits:
 
 class _Chain:
     """The stabilizer chain of Aut(F^n) acting on itself by conjugation,
-    read on demand.  Each subgroup met is split into orbits once, by one
-    conjugation per element of the subgroup and orbit; a split that would
-    take the count of conjugations past limit raises instead."""
+    read on demand.  The group itself is read on first use: searched, or,
+    given wreath = (c, n) where the fiber is the n-th box power of c.fiber
+    and its group is Aut(c.fiber) ≀ S_n, generated from c's group.  Each
+    subgroup met is split into orbits once, by one conjugation per element
+    of the subgroup and orbit; a split that would take the count of
+    conjugations past limit raises instead, and so does generating a group
+    whose first split would."""
 
-    def __init__(self, fiber: Graph, conjugations: int = 0, limit: Optional[int] = None):
-        self.fiber = fiber
-        auts = automorphisms(fiber)
-        self.auts = tuple(p.images for p in auts)
-        self.inverse = {p.images: p.inverse().images for p in auts}
+    def __init__(
+        self,
+        fiber: Graph,
+        conjugations: int = 0,
+        limit: Optional[int] = None,
+        wreath: Optional[tuple[_Chain, int]] = None,
+    ):
+        self.fiber, self.wreath = fiber, wreath
         self.conjugations, self.limit = conjugations, limit
         self._split: dict[tuple[Images, ...], _Orbits] = {}
+
+    @cached_property
+    def auts(self) -> tuple[Images, ...]:
+        if self.fiber.n == 1:  # the zeroth power, with the identity alone
+            return ((0,),)
+        if self.wreath is None:
+            return tuple(p.images for p in automorphisms(self.fiber))
+        factor, n = self.wreath
+        # The first split conjugates by every element at least once.
+        order = len(factor.auts) ** n * math.factorial(n)
+        self._afford(order, order)
+        return _wreath(factor.auts, n)
+
+    @cached_property
+    def inverse(self) -> dict[Images, Images]:
+        return {p: Perm._trusted(p).inverse().images for p in self.auts}
+
+    def _afford(self, count: int, order: int) -> None:
+        """Raise unless count more conjugations stay within limit."""
+        if self.limit is not None and self.conjugations + count > self.limit:
+            raise EnumerationBoundExceeded(
+                f"the stabilizer chain of {order} fiber automorphisms needs over "
+                f"{self.limit} conjugations, the cap"
+            )
 
     def orbits(self, group: tuple[Images, ...]) -> _Orbits:
         found = self._split.get(group)
@@ -110,12 +175,8 @@ class _Chain:
         for y in self.auts:
             if y in where:
                 continue
+            self._afford(len(group), len(self.auts))
             self.conjugations += len(group)
-            if self.limit is not None and self.conjugations > self.limit:
-                raise EnumerationBoundExceeded(
-                    f"the stabilizer chain of {len(self.auts)} fiber automorphisms needs over "
-                    f"{self.limit} conjugations, the cap"
-                )
             fixed = []
             for h in group:
                 z = _compose(h, _compose(y, inv[h]))
@@ -216,24 +277,32 @@ class KClassMonoid:
     def classes_at(self, n: int) -> tuple[BundleClass, ...]:
         return tuple(c for c in self.classes if c.n == n)
 
+    def _check_power(self, n: int) -> None:
+        if n < 0:
+            raise ValueError("fiber power needs n >= 0")
+        if n > self.n_max:
+            raise EnumerationBoundExceeded(f"fiber power {n} is over the monoid's bound {self.n_max}")
+
     def trivial_class(self, n: int) -> BundleClass:
+        self._check_power(n)
         return self.classes_at(n)[0]
 
     def classify(self, fv: FiberVoltage, n: int) -> int:
         """Class id of a voltage with fiber equal to the n-th fiber power."""
         if fv.base != self.base:
             raise BaseMismatch("voltage is over a different base than the monoid")
-        if n < 0:
-            raise ValueError("fiber power needs n >= 0")
-        if n > self.n_max:
-            raise EnumerationBoundExceeded(f"fiber power {n} is over the monoid's bound {self.n_max}")
+        self._check_power(n)
         chain = self._chains[n]
         if fv.fiber != chain.fiber:
             raise FiberMismatch(f"voltage fiber is not fiber power {n} of the monoid's fiber")
         return self._keys[n][chain.key(_holonomy_images(fv), self._fresh)]
 
     def add(self, i: int, j: int) -> Optional[int]:
-        return self.add_table[(i, j)]
+        try:
+            return self.add_table[(i, j)]
+        except KeyError:
+            unknown = next(c for c in (i, j) if c not in range(len(self.classes)))
+            raise ValueError(f"no class with id {unknown!r}; the ids run from 0 to {len(self.classes) - 1}") from None
 
 
 def enumerate_bundle_classes(
@@ -250,9 +319,12 @@ def enumerate_bundle_classes(
     of Aut(F^n), to the depth of the cycle rank of each base component;
     class ids follow the order of the keys.  max_assignments caps the
     conjugations of the walk, summed over the powers: each stabilizer met is
-    split into orbits once, with one conjugation per element and orbit.  It
-    also caps the addition table, one entry per ordered pair of classes,
-    counted as the classes are found."""
+    split into orbits once, with one conjugation per element and orbit, and
+    a group generated as Aut(F) ≀ S_n is refused before it is generated when
+    its first split would pass the cap.  It also caps the addition table,
+    one entry per ordered pair of classes, counted as the classes are found.
+    A fiber power of more than graphs.DEFAULT_AUT_BOUND² vertices is refused
+    before it is built."""
     if n_max < 0:
         raise ValueError("enumeration needs n_max >= 0")
     if base.n > DEFAULT_MAX_BASE_VERTICES:
@@ -265,9 +337,18 @@ def enumerate_bundle_classes(
     classes: list[BundleClass] = []
 
     conjugations = 0
+    wreath = _box_prime(fiber)
+    # Past the search's vertex bound only generated groups are read, up to
+    # max_assignments elements; the square of that bound keeps each element,
+    # and each power built over a tree, small.
+    max_power_vertices = graphs.DEFAULT_AUT_BOUND ** 2
     for n in range(n_max + 1):
+        if fiber.n ** n > max_power_vertices:
+            raise EnumerationBoundExceeded(
+                f"fiber power {n} has {fiber.n ** n} vertices, enumeration capped at {max_power_vertices}"
+            )
         fn = fiber_power(fiber, n)
-        chain = chains[n] = _Chain(fn, conjugations, max_assignments)
+        chain = chains[n] = _Chain(fn, conjugations, max_assignments, (chains[1], n) if n > 1 and wreath else None)
         tree = dict.fromkeys(base.edge_list(), Perm.identity(fn.n))
         keys_by_n[n] = {}
         for key in chain.keys(fresh):
@@ -318,7 +399,8 @@ def _chain_add(m: KClassMonoid, ids: list[int]) -> Optional[int]:
 def grothendieck_equal(m: KClassMonoid, e1: KGroupElement, e2: KGroupElement) -> str:
     """Decide e1 = e2 in the group of differences, searching the enumerated
     classes for a balancing element.  Returns "true", "false", or "unknown"
-    when only out-of-bound sums remain.
+    when only out-of-bound sums remain; an id that names no class raises
+    ValueError, through KClassMonoid.add.
     """
     saw_out_of_bound = False
     for r in m.classes:

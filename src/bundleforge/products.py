@@ -194,7 +194,7 @@ def _indicator(base: Graph, edges: Iterable[tuple[Label, Label]]) -> Matrix:
     idx = base.index
     for v, w in edges:
         out[idx[v], idx[w]] = 1.0
-    return Matrix(out)
+    return Matrix._trusted(out)
 
 
 def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:

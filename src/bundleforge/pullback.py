@@ -180,7 +180,7 @@ def morphism_matrix(f: GraphMorphism) -> MorphismMatrix:
     m = np.zeros((rows, cols))
     for v in f.domain.vertices:
         m[f.codomain.index[f(v)], f.domain.index[v]] = 1.0
-    return MorphismMatrix(Matrix(m), f)
+    return MorphismMatrix(Matrix._trusted(m), f)
 
 
 def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:

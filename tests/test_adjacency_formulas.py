@@ -22,6 +22,7 @@ from bundleforge import (
     make_fiber_voltage,
     make_graph,
     make_morphism,
+    morphism_matrix,
     path_graph,
     pullback_adjacency,
     pullback_bundle,
@@ -33,6 +34,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge.errors import ShapeMismatch
+from bundleforge.products import voltage_indicator
 from bundleforge.pullback import subdirect_voltage
 from bundleforge.matrices import (
     Matrix,
@@ -302,6 +304,8 @@ def test_trusted_matrices_equal_validated_ones(data):
         perm_block(psi),
         identity(fiber.n),
         zeros(base.n, fiber.n),
+        voltage_indicator(fv, psi),
+        morphism_matrix(voltage_bundle(fv).projection).matrix,
     ]
     for m in built:
         assert not m.data.flags.writeable

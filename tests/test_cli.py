@@ -282,6 +282,21 @@ class TestKtheoryCommand:
         assert code == 0
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10]
 
+    def test_fourth_power_past_the_search_bound(self, capsys, tmp_path):
+        # K2^4 has 16 vertices, over the automorphism search's bound; its
+        # group comes from Aut(K2) ≀ S4.  The counts are the bipartition
+        # numbers, over a triangle and over a square alike.
+        code, out, _ = run(capsys, "ktheory", "--case", "c3-k2", "--n-max", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["class_counts"] == [1, 2, 5, 10, 20]
+        base = write_json(tmp_path, "c4.json", cycle_graph(4).to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        code, out, _ = run(
+            capsys, "ktheory", "--base", base, "--fiber", fiber, "--n-max", "4", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["class_counts"] == [1, 2, 5, 10, 20]
+
     def test_complete_base_cube_power_refused(self, capsys, tmp_path):
         # 5,633 classes need a 31.7M-entry addition table, over the cap; the
         # enumeration stops at the 1,001st class.

@@ -3,10 +3,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundleforge import graphs, ktheory
 from bundleforge import (
     KGroupElement,
     Perm,
@@ -89,10 +91,10 @@ def all_assignments_classes(base, fiber, n_max):
 
 def burnside_count(auts, beta):
     """Orbits of Aut^β under simultaneous conjugation: the mean over g of
-    the β-th power of the centralizer order of g."""
-    total = sum(
-        sum(1 for h in auts if g.compose(h) == h.compose(g)) ** beta for g in auts
-    )
+    the β-th power of the centralizer order of g, read by comparing g ∘ h
+    with h ∘ g for all h at once."""
+    images = np.array([p.images for p in auts])
+    total = sum(int((g[images] == images[:, g]).all(axis=1).sum()) ** beta for g in images)
     assert total % len(auts) == 0
     return total // len(auts)
 
@@ -368,6 +370,15 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="n_max >= 0"):
             enumerate_bundle_classes(c3, k2, -1)
 
+    def test_trivial_class_off_the_powers_is_refused(self, c3, k2):
+        # As classify refuses the same powers.
+        m = enumerate_bundle_classes(c3, k2, 1)
+        with pytest.raises(ValueError, match="fiber power needs n >= 0"):
+            m.trivial_class(-1)
+        with pytest.raises(EnumerationBoundExceeded, match="fiber power 2 is over the monoid's bound 1"):
+            m.trivial_class(2)
+        assert [m.trivial_class(n).class_id for n in range(2)] == [0, 1]
+
     def test_base_size_cap(self, k2):
         with pytest.raises(EnumerationBoundExceeded):
             enumerate_bundle_classes(cycle_graph(7), k2, 1)
@@ -583,6 +594,152 @@ class TestBurnsideCounts:
         counts = [len(m.classes_at(n)) for n in range(2)]
         assert counts == [1, 49]
         assert counts[1] == burnside_count(automorphisms(k3), 3)
+
+
+# --- Aut(F^n) from one search on F: the wreath route ------------------------
+#
+# For a connected fiber F with a prime number of vertices, the enumeration
+# generates Aut(F^n) as Aut(F) ≀ S_n; any other power is searched.  These
+# tests hold the generated groups against the search, the reference route.
+
+
+def searched(fiber, n):
+    return tuple(p.images for p in automorphisms(fiber_power(fiber, n)))
+
+
+def enumerated_group(fiber, n):
+    """Aut(F^n) as the enumeration reads it; over a tree base, nothing
+    else reads it."""
+    return enumerate_bundle_classes(path_graph(2), fiber, n)._chains[n].auts
+
+
+class TestWreathRoute:
+    def test_generated_equals_searched_on_two_and_three_vertices(self):
+        covered = []
+        for fiber in small_graphs(3):
+            if fiber.n < 2 or len(spanning_forest(fiber)) > 1:
+                continue
+            for n in range(4):
+                if fiber.n ** n <= graphs.DEFAULT_AUT_BOUND:
+                    assert enumerated_group(fiber, n) == searched(fiber, n)
+                    covered.append((len(fiber.edges), n))
+        assert sorted(covered) == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize(
+        "fiber,n,order",
+        [(complete_graph(2), 4, 384), (complete_graph(3), 3, 1296), (cycle_graph(5), 2, 200), (path_graph(5), 2, 8)],
+        ids=["K2^4", "K3^3", "C5^2", "P5^2"],
+    )
+    def test_generated_equals_searched_past_the_bound(self, monkeypatch, fiber, n, order):
+        generated = enumerated_group(fiber, n)
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 27)
+        assert generated == searched(fiber, n)
+        assert len(generated) == order
+
+    def test_composite_order_fiber_is_searched(self, monkeypatch, c4):
+        # C4 □ C4 is Q4 = K2^4: its group is Aut(K2) ≀ S4, of order 384,
+        # not Aut(C4) ≀ S2, of order 128.
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
+        assert len(enumerated_group(c4, 2)) == 384 == len(searched(c4, 2))
+
+    def test_disconnected_fiber_is_searched(self):
+        # (2K1)^2 is 4K1, with all 24 permutations, not the 8 of Aut(2K1) ≀ S2.
+        assert len(enumerated_group(empty_graph(2), 2)) == 24 == len(searched(empty_graph(2), 2))
+
+    @pytest.mark.parametrize(
+        "base,fiber,n_max",
+        [
+            (make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")]), complete_graph(2), 3),
+            (cycle_graph(3), complete_graph(3), 2),
+            (EDGE_AND_TRIANGLE, path_graph(3), 2),
+        ],
+        ids=["k4-e-k2", "c3-k3", "edge+triangle-p3"],
+    )
+    def test_monoid_equals_the_searched_one(self, monkeypatch, base, fiber, n_max):
+        m = enumerate_bundle_classes(base, fiber, n_max)
+        monkeypatch.setattr(ktheory, "_box_prime", lambda g: False)
+        ref = enumerate_bundle_classes(base, fiber, n_max)
+        assert [(c.class_id, c.n, c.key, c.representative.serialized()) for c in m.classes] == [
+            (c.class_id, c.n, c.key, c.representative.serialized()) for c in ref.classes
+        ]
+        assert list(m.add_table.items()) == list(ref.add_table.items())
+        assert all(m._chains[n].auts == ref._chains[n].auts for n in range(n_max + 1))
+
+
+class TestPowersPastTheSearchBound:
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The powers whose group is generated, in call order."""
+        calls = []
+        wreath = ktheory._wreath
+
+        def spy(factor, n):
+            calls.append(n)
+            return wreath(factor, n)
+
+        monkeypatch.setattr(ktheory, "_wreath", spy)
+        return calls
+
+    def test_triangle_base_triangle_fiber_to_cube(self, monkeypatch, c3, k3):
+        m = enumerate_bundle_classes(c3, k3, 3)
+        counts = [len(m.classes_at(n)) for n in range(4)]
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 27)
+        assert counts == [burnside_count(automorphisms(fiber_power(k3, n)), 1) for n in range(4)] == [1, 3, 9, 22]
+
+    def test_cap_refuses_a_generated_group_before_generating_it(self, generated, c3, k3):
+        # The first split of Aut(K3^3) conjugates by all 6^3 · 3! = 1,296
+        # elements at least once.
+        spent = enumerate_bundle_classes(c3, k3, 2)._chains[2].conjugations
+        generated.clear()
+        cap = spent + 1296 - 1
+        with pytest.raises(EnumerationBoundExceeded, match=f"chain of 1296 fiber automorphisms needs over {cap} conj"):
+            enumerate_bundle_classes(c3, k3, 3, max_assignments=cap)
+        assert generated == [2]
+        generated.clear()
+        with pytest.raises(EnumerationBoundExceeded, match=f"chain of 1296 fiber automorphisms needs over {cap + 1} conj"):
+            enumerate_bundle_classes(c3, k3, 3, max_assignments=cap + 1)
+        assert generated == [2, 3]
+
+    def test_powers_past_the_square_of_the_search_bound_are_refused(self, generated, c3, p3, k2):
+        # Over a tree no group is read, so only the vertex count stops the
+        # powers.  Over a triangle the cap would let Aut(C5^4) be generated:
+        # 240,000 automorphisms on 625 points.
+        with pytest.raises(EnumerationBoundExceeded, match="fiber power 7 has 128 vertices, enumeration capped at 100"):
+            enumerate_bundle_classes(p3, k2, 7)
+        assert len(enumerate_bundle_classes(p3, k2, 6).classes) == 7
+        with pytest.raises(EnumerationBoundExceeded, match="fiber power 3 has 125 vertices, enumeration capped at 100"):
+            enumerate_bundle_classes(c3, cycle_graph(5), 4)
+        assert generated == [2]
+
+
+class TestSearchesPerEnumeration:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def spy(g):
+            calls.append(g.n)
+            return automorphisms(g)
+
+        monkeypatch.setattr(ktheory, "automorphisms", spy)
+        return calls
+
+    def test_tree_base_searches_nothing(self, searches, p3, k2):
+        m = enumerate_bundle_classes(p3, k2, 3)
+        assert [len(m.classes_at(n)) for n in range(4)] == [1, 1, 1, 1]
+        assert searches == []
+
+    def test_cycle_base_searches_the_fiber_once(self, searches, c3, k2):
+        m = enumerate_bundle_classes(c3, k2, 3)
+        assert [len(m.classes_at(n)) for n in range(4)] == [1, 2, 5, 10]
+        assert searches == [2]
+
+    def test_class_map_along_a_path_searches_nothing(self, searches, c3, p3, k2):
+        m = enumerate_bundle_classes(c3, k2, 3)
+        searches.clear()
+        mapping = k0_map(make_morphism(p3, c3, {"1": "1", "2": "2", "3": "3"}), m)
+        assert mapping == {c.class_id: c.n for c in m.classes}
+        assert searches == []
 
 
 GAUGE_FIBERS = [complete_graph(2), empty_graph(3), complete_graph(3), cycle_graph(4), path_graph(3)]
@@ -802,6 +959,11 @@ class TestAddition:
         one = monoid.classes_at(1)[0].class_id
         assert monoid.add(top, one) is None
 
+    @pytest.mark.parametrize("i,j,bad", [(0, 8, 8), (8, 0, 8), (-1, 2, -1), (2, "1", "'1'")])
+    def test_unknown_class_id_is_named(self, monoid, i, j, bad):
+        with pytest.raises(ValueError, match=f"no class with id {bad}; the ids run from 0 to 7"):
+            monoid.add(i, j)
+
     def test_twist_sum_classes(self, monoid):
         # Twisted + twisted lands in a different class from trivial + twisted.
         trivial1, twisted1 = (c.class_id for c in monoid.classes_at(1))
@@ -828,6 +990,14 @@ class TestGrothendieck:
         verdict = grothendieck_equal(m, KGroupElement(c[2], c[0]), KGroupElement(c[1], c[0]))
         assert verdict in ("false", "unknown")
         assert verdict != "true"
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_unknown_class_id_is_named(self, c3, k2, position):
+        m = enumerate_bundle_classes(c3, k2, 1)
+        ids = [0, 1, 2, 1]
+        ids[position] = 3
+        with pytest.raises(ValueError, match="no class with id 3; the ids run from 0 to 2"):
+            grothendieck_equal(m, KGroupElement(*ids[:2]), KGroupElement(*ids[2:]))
 
     def test_triangle_twist_regression(self, c3, k2):
         # Frozen regression: at the default bound the balancing search for

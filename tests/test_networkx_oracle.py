@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleforge import automorphisms, find_isomorphism, make_graph
+from bundleforge import (
+    automorphisms,
+    cycle_graph,
+    enumerate_bundle_classes,
+    fiber_power,
+    find_isomorphism,
+    make_graph,
+    path_graph,
+)
 from bundleforge.graphs import is_isomorphism
 
 nx = pytest.importorskip("networkx")
@@ -193,6 +201,17 @@ def test_regular_graphs_up_to_40_vertices_agree_with_networkx(pair):
 def test_petersen_automorphisms_agree_with_networkx():
     g = petersen()
     assert len(automorphisms(g)) == 120 == sum(1 for _ in GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter())
+
+
+def test_wreath_group_of_c5_square_agrees_with_networkx():
+    # C5 □ C5 has 25 vertices, past the search's bound: K-class enumeration
+    # reads its group off Aut(C5) ≀ S2.
+    c5 = cycle_graph(5)
+    g = fiber_power(c5, 2)
+    auts = enumerate_bundle_classes(path_graph(2), c5, 2)._chains[2].auts
+    matched = {tuple(g.index[m[v]] for v in g.vertices) for m in GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter()}
+    assert len(auts) == 200 == len(matched)
+    assert set(auts) == matched
 
 
 def test_networkx_separates_shrikhande_and_rook_graph():
