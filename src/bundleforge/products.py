@@ -31,30 +31,39 @@ from .graphs import (
     pair_label,
     split_edge_key,
 )
-from .matrices import Matrix, Spectrum, adjacency_matrix, perm_block, voltage_adjacency
+from .matrices import Matrix, Spectrum, adjacency_matrix, voltage_adjacency
 from .perms import Perm
 
 if TYPE_CHECKING:
     from .bundles import GraphBundle
 
 
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Box product: adjacent when one coordinate is adjacent and the other equal."""
+def _box_edges(g1: Graph, g2: Graph) -> list[tuple[Label, Label]]:
+    """Edges of g1 □ g2: one coordinate adjacent and the other equal."""
     edges = [(pair_label(a1, v), pair_label(b1, v)) for a1, b1 in g1.edge_list() for v in g2.vertices]
     e2 = g2.edge_list()
     edges += [(pair_label(u, a2), pair_label(u, b2)) for u in g1.vertices for a2, b2 in e2]
-    return _trusted_graph(tuple(pair_label(u, v) for u in g1.vertices for v in g2.vertices), edges)
+    return edges
+
+
+def _pair_vertices(g1: Graph, g2: Graph) -> tuple[Label, ...]:
+    return tuple(pair_label(u, v) for u in g1.vertices for v in g2.vertices)
+
+
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """Box product: adjacent when one coordinate is adjacent and the other equal."""
+    return _trusted_graph(_pair_vertices(g1, g2), _box_edges(g1, g2))
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian edges plus diagonal edges where both coordinates are adjacent."""
-    base = cartesian_product(g1, g2)
-    edges = list(base.edge_list())
+    edges = _box_edges(g1, g2)
+    e2 = g2.edge_list()
     for a1, b1 in g1.edge_list():
-        for a2, b2 in g2.edge_list():
+        for a2, b2 in e2:
             edges.append((pair_label(a1, a2), pair_label(b1, b2)))
             edges.append((pair_label(a1, b2), pair_label(b1, a2)))
-    return _trusted_graph(base.vertices, edges)
+    return _trusted_graph(_pair_vertices(g1, g2), edges)
 
 
 def cartesian_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -188,41 +197,42 @@ def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
     return FiberVoltage._trusted(base, fiber, {(a, b): ident for a, b in base.edge_list()})
 
 
-def _indicator(base: Graph, edges: Iterable[tuple[Label, Label]]) -> Matrix:
-    """Base-indexed 0/1 matrix marking the given oriented edges."""
-    out = np.zeros((base.n, base.n))
-    idx = base.index
-    for v, w in edges:
-        out[idx[v], idx[w]] = 1.0
+def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
+    """n×n 0/1 matrix with ones at the given (row, column) pairs."""
+    out = np.zeros((n, n))
+    out[list(rows), list(cols)] = 1.0
     return Matrix._trusted(out)
-
-
-def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
-    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
-    return _indicator(fv.base, (edge for edge, perm in fv.phi.items() if perm == psi))
 
 
 def voltage_indicators(
     base: Graph, values: Mapping[tuple[Label, Label], Hashable], extra: Iterable[Hashable] = ()
-) -> Iterator[tuple[Hashable, Matrix]]:
-    """(value, indicator) for each distinct value on the oriented edges and
-    each ``extra`` value, whose indicator may be zero.
+) -> Iterator[tuple[Hashable, tuple[list[int], list[int]]]]:
+    """(value, (rows, cols)) for each distinct value on the oriented edges
+    and each ``extra`` value, whose lists may be empty: the base indices of
+    the edges carrying the value, so its 0/1 indicator by its ones.  The
+    edges are grouped in one pass."""
+    idx = base.index
+    groups: dict[Hashable, tuple[list[int], list[int]]] = {value: ([], []) for value in extra}
+    for (v, w), value in values.items():
+        group = groups.get(value)
+        if group is None:
+            group = groups[value] = ([], [])
+        group[0].append(idx[v])
+        group[1].append(idx[w])
+    yield from groups.items()
 
-    The edges are grouped in one pass; the indicators are yielded one at a
-    time, so a caller streaming them holds one dense indicator at once.
-    """
-    groups: dict[Hashable, list[tuple[Label, Label]]] = {value: [] for value in extra}
-    for edge, value in values.items():
-        groups.setdefault(value, []).append(edge)
-    for value, edges in groups.items():
-        yield value, _indicator(base, edges)
+
+def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
+    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
+    rows, cols = dict(voltage_indicators(fv.base, fv.phi, (psi,)))[psi]
+    return _indicator(fv.base.n, rows, cols)
 
 
 def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     """Adjacency matrix of the voltage total space, computed by the closed
     formula: voltage indicators tensored with fiber actions, plus the fiber
     adjacency on the diagonal blocks."""
-    terms = ((indicator, perm_block(psi)) for psi, indicator in voltage_indicators(fv.base, fv.phi))
+    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv.base, fv.phi))
     return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
 
 

@@ -32,17 +32,9 @@ from .graphs import (
     split_composite,
     validate_morphism,
 )
-from .matrices import (
-    Matrix,
-    adjacency_matrix,
-    hadamard,
-    identity,
-    kronecker,
-    perm_block,
-    voltage_adjacency,
-)
+from .matrices import Matrix, adjacency_matrix, hadamard, identity, voltage_adjacency
 from .perms import Perm, kron as perm_kron
-from .products import cartesian_product, voltage_indicator, voltage_indicators
+from .products import _indicator, cartesian_product, voltage_indicator, voltage_indicators
 
 EDGE_KIND_FIBER = "I"
 EDGE_KIND_COLLAPSED = "II"
@@ -132,13 +124,18 @@ class PullbackBundle(GraphBundle):
     typed_edges: tuple[TypedEdge, ...] = ()
 
 
-def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
-    """Pull a bundle back along f into a verified bundle over f's domain."""
-    if f.codomain != b.base:
-        raise BaseMismatch("codomain of the morphism must equal the bundle base")
+def _check_pullback(f: GraphMorphism, base: Graph, what: str) -> None:
+    """Raise unless f maps into base and is a morphism."""
+    if f.codomain != base:
+        raise BaseMismatch(f"codomain of the morphism must equal the {what} base")
     ok, bad = validate_morphism(f)
     if not ok:
         raise NotAMorphism(f"not a morphism; violating edges: {bad}")
+
+
+def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
+    """Pull a bundle back along f into a verified bundle over f's domain."""
+    _check_pullback(f, b.base, "bundle")
     total, typed, pairs = _typed_fiber_product(
         f.domain, f.map, b.total, b.projection.map, b.base, pullback_vertex
     )
@@ -152,11 +149,7 @@ def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
 def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     """Induced voltage on f's domain: identity on collapsed edges, the
     original voltage of the image edge otherwise."""
-    if f.codomain != fv.base:
-        raise BaseMismatch("codomain of the morphism must equal the voltage base")
-    ok, bad = validate_morphism(f)
-    if not ok:
-        raise NotAMorphism(f"not a morphism; violating edges: {bad}")
+    _check_pullback(f, fv.base, "voltage")
     ident = Perm.identity(fv.fiber.n)
     assignments = {}
     for v, w in f.domain.edge_list():
@@ -199,7 +192,9 @@ def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
 
 def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
     """Voltage indicator of the pulled-back voltage, computed matricially as
-    the Hadamard product of the domain adjacency with the conjugated block."""
+    the Hadamard product of the domain adjacency with the conjugated block.
+    Raises NotAMorphism when f is not a morphism."""
+    _check_pullback(f, fv.base, "voltage")
     return hadamard(adjacency_matrix(f.domain), pullback_b_matrix(f, fv, psi))
 
 
@@ -207,16 +202,19 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     """Adjacency of the pullback total space, by the closed matrix formula.
 
     The sum runs over the voltage values used plus the identity, which the
-    collapsed edges carry.  The morphism matrix and the domain adjacency
-    are built once, and the voltage indicators in one pass over the edges."""
-    if f.codomain != fv.base:
-        raise BaseMismatch("codomain of the morphism must equal the voltage base")
+    collapsed edges carry; each term is the block A_D ∘ (Mᵀ B_ψ M) of
+    :func:`pullback_indicator`, handed to the kernel by its ones: Mᵀ X M
+    reads X at (f(i), f(j)), so the block is 0/1 like B_ψ + I.  The
+    morphism matrix and the domain adjacency are built once, and the
+    voltage indicators in one pass over the edges.  Raises NotAMorphism
+    when f is not a morphism."""
+    _check_pullback(f, fv.base, "voltage")
     m = morphism_matrix(f).matrix
     domain_adjacency = adjacency_matrix(f.domain)
-    terms = (
-        (hadamard(domain_adjacency, _conjugated_block(m, indicator, psi)), perm_block(psi))
-        for psi, indicator in voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),))
-    )
+    terms = []
+    for psi, (rows, cols) in voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),)):
+        block = hadamard(domain_adjacency, _conjugated_block(m, _indicator(fv.base.n, rows, cols), psi))
+        terms.append((*np.nonzero(block.data), psi))
     return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 
@@ -274,16 +272,20 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
 def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     """Adjacency of the subdirect total space in (base, fiber1, fiber2)
     lexicographic order, by the closed double-sum formula over the pairs of
-    voltage values used on a common oriented edge."""
+    voltage values used on a common oriented edge, each acting as the
+    Kronecker product of its two permutations."""
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
     pairs = {edge: (value, fv2.phi[edge]) for edge, value in fv1.phi.items()}
     terms = (
-        (indicator, kronecker(perm_block(psi1), perm_block(psi2)))
-        for (psi1, psi2), indicator in voltage_indicators(fv1.base, pairs)
+        (rows, cols, perm_kron(psi1, psi2))
+        for (psi1, psi2), (rows, cols) in voltage_indicators(fv1.base, pairs)
     )
-    a1, a2 = adjacency_matrix(fv1.fiber), adjacency_matrix(fv2.fiber)
-    fiber_adjacency = kronecker(a1, identity(fv2.fiber.n)) + kronecker(identity(fv1.fiber.n), a2)
+    # A(F1 □ F2) = A1 ⊗ I + I ⊗ A2 is the trivial bundle of F2 over F1.
+    r, c = np.nonzero(adjacency_matrix(fv1.fiber).data)
+    fiber_adjacency = voltage_adjacency(
+        fv1.fiber.n, adjacency_matrix(fv2.fiber), [(r, c, Perm.identity(fv2.fiber.n))]
+    )
     return voltage_adjacency(fv1.base.n, fiber_adjacency, terms)
 
 

@@ -33,6 +33,7 @@ from bundleforge import (
     trivial_voltage,
     voltage_bundle,
 )
+from bundleforge import matrices, products, pullback
 from bundleforge.errors import ShapeMismatch
 from bundleforge.products import voltage_indicator
 from bundleforge.pullback import subdirect_voltage
@@ -42,7 +43,6 @@ from bundleforge.matrices import (
     hadamard,
     identity,
     kronecker,
-    perm_block,
     perm_matrix,
     voltage_adjacency,
     zeros,
@@ -79,6 +79,13 @@ def reference_indicator(base, phi, keep):
         if keep(value, (v, w)):
             out[base.index[v], base.index[w]] = 1.0
     return out
+
+
+def perm_block(sigma):
+    """Row-action permutation block: entry (i, j) = 1 iff j = sigma(i), the
+    transpose of perm_matrix.  The fiber index flows forward along the
+    oriented edge, so this is the dense block of a voltage value."""
+    return perm_matrix(sigma.inverse())
 
 
 def reference_voltage_adjacency(n, fiber_adjacency, terms):
@@ -317,25 +324,101 @@ def test_trusted_matrices_equal_validated_ones(data):
 # --- the kernel on its own -----------------------------------------------------
 
 
-EDGE = from_rows([[0, 1], [1, 0]])
+#: Both orientations of the one edge of a 2-vertex base, in coordinate form.
+EDGE = ([0, 1], [1, 0])
+
+
+def dense(n, rows, cols):
+    out = np.zeros((n, n))
+    np.add.at(out, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)), 1.0)
+    return out
 
 
 @pytest.mark.parametrize(
     "terms",
     [
         # The same term twice.
-        [(EDGE, identity(2)), (EDGE, identity(2))],
-        # Two terms whose union is an adjacency matrix but which share the
-        # entries (0, 2) and (2, 0): an assigning scatter would accept them.
-        [(EDGE, identity(2)), (EDGE, from_rows([[1, 0], [0, 0]]))],
+        [(*EDGE, Perm.identity(2)), (*EDGE, Perm.identity(2))],
+        # Two permutation terms on one edge that share the entry (2, 2) of
+        # the block, so (2, 5) and (5, 2) of the total: an assigning
+        # scatter would accept them.
+        [(*EDGE, Perm.identity(3)), (*EDGE, Perm((1, 0, 2)))],
     ],
 )
 def test_overlapping_terms_are_rejected(terms):
+    m = terms[0][2].n
     with pytest.raises(AssertionError):
-        voltage_adjacency(2, Matrix(np.zeros((2, 2))), iter(terms))
+        voltage_adjacency(2, zeros(m, m), iter(terms))
 
 
 def test_term_of_wrong_shape_is_rejected():
+    # A permutation on 3 points over a 2-vertex fiber.
     with pytest.raises(ShapeMismatch):
-        voltage_adjacency(2, Matrix(np.zeros((2, 2))), [(EDGE, identity(3))])
+        voltage_adjacency(2, zeros(2, 2), [(*EDGE, Perm.identity(3))])
+    # The index 2 outside the 2-vertex base.
+    with pytest.raises(ShapeMismatch):
+        voltage_adjacency(2, zeros(2, 2), [([0, 2], [2, 0], Perm.identity(2))])
+    # Row and column lists of unequal length.
+    with pytest.raises(ShapeMismatch):
+        voltage_adjacency(2, zeros(2, 2), [([0, 1], [1], Perm.identity(2))])
+    with pytest.raises(ShapeMismatch):
+        voltage_adjacency(2, Matrix(np.zeros((2, 3))), [])
 
+
+@st.composite
+def kernel_terms(draw):
+    """(n, fiber adjacency, terms): random permutation terms on random
+    oriented edges, which may repeat across terms; most terms come with
+    their mirror, the reverse edges under the inverse permutation."""
+    n = draw(st.integers(1, 4))
+    fiber = draw(fibers(("K2", "P3", "1K1", "2K1", "3K1")))
+    m = fiber.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+        sigma = Perm(tuple(draw(st.permutations(range(m)))))
+        rows, cols = [i for i, _ in edges], [j for _, j in edges]
+        terms.append((rows, cols, sigma))
+        if draw(st.booleans()) or draw(st.booleans()):
+            terms.append((cols, rows, sigma.inverse()))
+    return n, adjacency_matrix(fiber), terms
+
+
+@FORMULA_SETTINGS
+@given(kernel_terms())
+def test_kernel_matches_dense_reference(case):
+    """The scatter equals the dense np.kron sum, and raises exactly when
+    that sum is no adjacency matrix."""
+    n, fiber_adjacency, terms = case
+    reference = reference_voltage_adjacency(
+        n, fiber_adjacency.data, [(dense(n, r, c), perm_block(sigma)) for r, c, sigma in terms]
+    )
+    if reference_is_adjacency(reference):
+        assert_identical(voltage_adjacency(n, fiber_adjacency, terms), reference)
+    else:
+        with pytest.raises(AssertionError):
+            voltage_adjacency(n, fiber_adjacency, terms)
+
+
+def test_formulas_build_no_dense_term(monkeypatch):
+    """The bundle, covering and subdirect formulas hand the kernel index
+    lists and permutations: no dense indicator, permutation block or
+    Kronecker product is built per voltage value."""
+    base = cycle_graph(4)
+    edges = base.edge_list()
+    fv = make_fiber_voltage(base, complete_graph(2), {e: Perm((i % 2, 1 - i % 2)) for i, e in enumerate(edges)})
+    cover = make_fiber_voltage(base, empty_graph(3), {e: Perm((1, 2, 0)) for e in edges})
+    expected = [reference_bundle(fv), reference_bundle(cover), reference_subdirect(fv, cover)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a formula built a dense per-value term")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    for module in (matrices, products, pullback):
+        for name in ("_indicator", "kronecker", "perm_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = [bundle_adjacency(fv), covering_adjacency(base, cover), subdirect_adjacency(fv, cover)]
+    for formula, reference in zip(got, expected):
+        assert_identical(formula, reference)

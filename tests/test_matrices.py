@@ -27,7 +27,8 @@ from bundleforge.matrices import (
     from_rows,
     graph_spectrum,
     identity,
-    perm_block,
+    voltage_adjacency,
+    zeros,
 )
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
@@ -115,8 +116,12 @@ class TestPermMatrix:
         assert perm_matrix(s.compose(t)) == perm_matrix(s) @ perm_matrix(t)
 
     def test_block_is_transpose(self):
+        # A voltage value acts on the fiber index along its oriented edge:
+        # the kernel's block of s over the edge (0, 1) is the transpose of
+        # perm_matrix(s).
         s = Perm((1, 2, 0))
-        assert perm_block(s) == perm_matrix(s).transpose()
+        total = voltage_adjacency(2, zeros(3, 3), [([0], [1], s), ([1], [0], s.inverse())])
+        assert Matrix(total.data[:3, 3:]) == perm_matrix(s).transpose()
 
     def test_not_a_bijection(self):
         with pytest.raises(NotABijection):

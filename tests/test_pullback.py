@@ -33,7 +33,7 @@ from bundleforge import (
     verify_bundle,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree, ParseError
+from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree, NotAMorphism, ParseError
 from bundleforge.matrices import from_rows, identity as identity_matrix
 from bundleforge.named import (
     m3_bundle,
@@ -237,6 +237,24 @@ class TestPullbackAdjacency:
 
         pulled = pullback_voltage(p_c6_c3, m3_voltage)
         assert bundle_adjacency(pulled) == pullback_adjacency(p_c6_c3, m3_voltage)
+
+    def test_formulas_refuse_a_map_that_is_not_a_morphism(self):
+        # The edge a–b lands on 1 and 3, which the path 1–2–3 does not join:
+        # every pullback route refuses the map with the same message.
+        p3 = path_graph(3)
+        fv = make_fiber_voltage(p3, complete_graph(2), {e: SWAP for e in p3.edge_list()})
+        f = make_morphism(make_graph(["a", "b"], [("a", "b")]), p3, {"a": "1", "b": "3"})
+        messages = set()
+        for route in (
+            lambda: pullback_adjacency(f, fv),
+            lambda: pullback_indicator(f, fv, IDENT),
+            lambda: pullback_voltage(f, fv),
+            lambda: pullback_bundle(f, voltage_bundle(fv)),
+        ):
+            with pytest.raises(NotAMorphism) as raised:
+                route()
+            messages.add(str(raised.value))
+        assert messages == {"not a morphism; violating edges: [('a', 'b')]"}
 
 
 class TestCanonicalMap:
