@@ -24,10 +24,14 @@ an implementation bug, not bad input, and raises immediately.
 Both routes run on every call, and each searches once per distinct shape.
 The shape of a vertex set, in the total's order, is each vertex's neighbour
 positions within the set; it is exact, and the isomorphism search reads
-nothing else of the set, so sets of one shape get one answer.  The fiber
-check keys fibers by shape and reuses a witness by position; local
-triviality keys edge preimages by shape and by which vertices lie over v.
-A call costs O(|V|·|F| + |E|·|F|) plus one search per distinct shape.
+nothing else of the set, so sets of one shape get one answer.  Both
+routes hand the shape straight to the search kernel, graphs.search_shape,
+and build no graph for it.  The fiber check keys fibers by shape, searches
+each against F's cached profile and reuses a witness by position; local
+triviality keys edge preimages by shape and by which vertices lie over v,
+and searches them against a K2 □ F profile built once per call from F's
+shape, with each side of the edge a mask of positions.  A call costs
+O(|V|·|F| + |E|·|F|) plus one search per distinct shape.
 """
 
 from __future__ import annotations
@@ -52,19 +56,16 @@ from .graphs import (
     GraphMorphism,
     Label,
     _trusted_graph,
-    complete_graph,
-    find_isomorphism,
     induced_adjacency,
     pair_label,
+    search_shape,
     spanning_forest,
-    subgraph_of_shape,
     validate_morphism,
 )
 from .perms import Perm
 from .products import (
     FiberVoltage,
     bundle_adjacency,
-    cartesian_product,
     make_fiber_voltage,
     trivial_voltage,
 )
@@ -161,21 +162,36 @@ def _check_conditions(total: Graph, p: GraphMorphism) -> None:
             raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
 
 
+def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
+    """The search profile of K2 □ F, built from F's shape: copy i of f sits
+    at position i·|F| + f, the vertex order of
+    cartesian_product(complete_graph(2), F)."""
+    n, shape = fiber.n, induced_adjacency(fiber, fiber.vertices)
+    return graphs.search_profile(
+        [[i * n + j for j in nb] + [(1 - i) * n + f] for i in (0, 1) for f, nb in enumerate(shape)]
+    )
+
+
 def _check_local_triviality(total: Graph, p: GraphMorphism, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
-    to isomorphism: the fiber over v goes onto (1, F), that over w onto (2, F).
-    The search sees only the preimage's shape and which of its vertices lie
+    to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
+    positions of K2 □ F, and that over w onto copy 2, the high ones.  The
+    search sees only the preimage's shape and which of its vertices lie
     over v, so it runs once per distinct pair of the two."""
-    k2f = cartesian_product(complete_graph(2), fiber)
+    k2f = _box_k2_profile(fiber)
+    low = (1 << fiber.n) - 1
+    high = low << fiber.n
+    budget = graphs.current_budget.get()
     over, fibers, idx = p.map, p.preimages, total.index
     boxed: dict[tuple, bool] = {}
     for v, w in p.codomain.edge_list():
         xs = sorted(fibers[v] + fibers[w], key=idx.__getitem__)
         shape = induced_adjacency(total, xs)
-        key = (shape, tuple(over[x] == v for x in xs))
+        sides = tuple(over[x] == v for x in xs)
+        key = (shape, sides)
         if key not in boxed:
-            ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
-            boxed[key] = find_isomorphism(subgraph_of_shape(xs, shape), k2f, over=(over, ends)) is not None
+            within = [low if side else high for side in sides]
+            boxed[key] = bool(search_shape(shape, k2f, budget, 1, within)[0])
         if not boxed[key]:
             raise LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
 
@@ -194,7 +210,8 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     ok, bad = validate_morphism(p)
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
-    idx, fvs = total.index, fiber.vertices
+    idx, fvs, profile = total.index, fiber.vertices, fiber.profile
+    budget = graphs.current_budget.get()
     # Per fiber shape, the position in F of each vertex's image, or None.
     placed: dict[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]] = {}
     sigma: dict[Label, dict[Label, Label]] = {}
@@ -202,8 +219,8 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         xs = sorted(xs, key=idx.__getitem__)
         shape = induced_adjacency(total, xs)
         if shape not in placed:
-            iso = find_isomorphism(subgraph_of_shape(xs, shape), fiber)
-            placed[shape] = None if iso is None else tuple(fiber.index[iso[x]] for x in xs)
+            found, _ = search_shape(shape, profile, budget, 1)
+            placed[shape] = found[0] if found else None
         at = placed[shape]
         if at is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")

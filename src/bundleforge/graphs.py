@@ -4,16 +4,23 @@ Vertices are opaque string labels with an explicit, persisted order; the
 order fixes adjacency-matrix rows and makes every set-valued result
 deterministic.  Morphisms are weak: an edge may map to an edge or collapse
 to a single vertex.
+
+The isomorphism search is one kernel over vertex positions, search_shape:
+it takes g as its shape (each position's neighbour positions, as
+induced_adjacency returns them) and h as a SearchProfile (signature
+classes and neighbours as bitmasks, the signature histogram and the edge
+count), and returns image positions.  find_isomorphism and automorphisms
+are label wrappers over it; a Graph caches its own profile.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateVertex,
@@ -124,41 +131,10 @@ class Graph:
         return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
 
     @cached_property
-    def signature(self) -> dict[Label, tuple[int, ...]]:
-        """Each vertex's sorted neighbour degrees, an isomorphism invariant
-        computed once per graph; its length is the vertex's degree."""
-        adj = self.adjacency
-        deg = {v: len(ns) for v, ns in adj.items()}
-        return {v: tuple(sorted(map(deg.__getitem__, ns))) for v, ns in adj.items()}
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Each vertex's neighbours as a bitmask over vertex indices, in
-        stored order."""
-        idx = self.index
-        masks = [0] * len(self.vertices)
-        for a, b in self.edges:
-            i, j = idx[a], idx[b]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
-
-    @cached_property
-    def signature_masks(self) -> dict[tuple[int, ...], int]:
-        """Vertices grouped by signature, each class a bitmask over vertex
-        indices."""
-        masks: dict[tuple[int, ...], int] = {}
-        sig = self.signature
-        for i, v in enumerate(self.vertices):
-            s = sig[v]
-            masks[s] = masks.get(s, 0) | 1 << i
-        return masks
-
-    @cached_property
-    def signature_histogram(self) -> dict[tuple[int, ...], int]:
-        """How many vertices have each signature.  A plain dict, so that
-        comparing two histograms costs no Python-level loop."""
-        return dict(Counter(self.signature.values()))
+    def profile(self) -> SearchProfile:
+        """What the isomorphism search reads of this graph as its target,
+        computed once per graph."""
+        return search_profile(induced_adjacency(self, self.vertices))
 
     @cached_property
     def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
@@ -437,25 +413,172 @@ def node_budget(budget: int) -> Iterator[None]:
         current_budget.reset(token)
 
 
-class _IsoSearch:
-    """Forward-checking vertex-map search in the VF2 order, on an explicit
-    stack.
+class SearchProfile(NamedTuple):
+    """What the search reads of its target, by vertex position: the
+    positions of each signature (degree and sorted neighbour degrees) as a
+    bitmask, each position's neighbours as a bitmask, how many positions
+    have each signature, and the number of edges."""
 
-    The vertices of g are matched in stored order.  Each keeps a candidate
-    domain, a bitmask over h's vertex indices that starts as the h-vertices
-    with its signature (degree and sorted neighbour degrees), cut to the
-    vertices of v's label when over = (pg, ph) labels both graphs.  Placing
-    v -> w cuts the domain of each later neighbour of v down to N(w), and a
-    trail puts the domains back on backtrack; the placement is undone at
-    once when one of those domains has no unused vertex left.  w is
-    accepted only when as many used vertices are adjacent to w as v has
-    earlier neighbours (the VF2 rule, one popcount).  Candidates are tried
-    in h's stored order and only maps with no completion are pruned, so
-    the matches come in the order of a plain backtracking search.  A node
-    is one unused candidate tried from the domain.  The masks and the
-    signatures are cached on each graph; a call builds only the domains
-    and the later-neighbour lists.
+    classes: dict[tuple[int, ...], int]
+    neighbors: tuple[int, ...]
+    histogram: dict[tuple[int, ...], int]
+    edges: int
+
+
+def _signatures(shape: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each position's sorted neighbour degrees, an isomorphism invariant
+    whose length is the position's degree."""
+    deg = [len(nb) for nb in shape]
+    return [tuple(sorted(map(deg.__getitem__, nb))) for nb in shape]
+
+
+def _histogram(sigs: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """How many times each signature occurs.  A plain loop: on the handful
+    of positions of a fiber, dict(Counter(...)) costs about four times as
+    much."""
+    counts: dict[tuple[int, ...], int] = {}
+    for s in sigs:
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+def search_profile(shape: Sequence[Sequence[int]]) -> SearchProfile:
+    """The profile of the graph whose shape, each position's neighbour
+    positions, is given."""
+    sigs = _signatures(shape)
+    classes: dict[tuple[int, ...], int] = {}
+    neighbors = []
+    for i, (s, nb) in enumerate(zip(sigs, shape)):
+        classes[s] = classes.get(s, 0) | 1 << i
+        mask = 0
+        for j in nb:
+            mask |= 1 << j
+        neighbors.append(mask)
+    return SearchProfile(classes, tuple(neighbors), _histogram(sigs), sum(map(len, shape)) // 2)
+
+
+def search_shape(
+    shape: Sequence[Sequence[int]],
+    profile: SearchProfile,
+    budget: int,
+    limit: Optional[int] = None,
+    within: Optional[Sequence[int]] = None,
+) -> tuple[list[tuple[int, ...]], int]:
+    """The isomorphism search, the one kernel behind find_isomorphism,
+    automorphisms and verify_bundle: forward checking in the VF2 order
+    (Cordella et al., IEEE TPAMI 26(10), 2004), on an explicit stack.
+
+    g is given by its shape, each position's neighbour positions (as
+    induced_adjacency returns them), and h by its profile.  Returns the
+    first limit isomorphisms in search order, or all of them when limit is
+    None, each as the tuple of h-positions of g's positions 0, 1, ..., and
+    the number of nodes spent.
+
+    The positions of g are matched in order.  Each keeps a candidate
+    domain, a bitmask over h's positions that starts as the positions with
+    its signature, cut to within[i] when within is given.  Placing i -> w
+    cuts the domain of each later neighbour of i down to N(w), and a trail
+    puts the domains back on backtrack; the placement is undone at once
+    when one of those domains has no unused position left.  w is accepted
+    only when as many used positions are adjacent to w as i has earlier
+    neighbours (the VF2 rule, one popcount).  Candidates are tried in
+    increasing position and only maps with no completion are pruned, so
+    the matches come in the order of a plain backtracking search.  Graphs
+    with different sizes, edge counts or signature histograms are rejected
+    before any node is spent.  A node is one unused candidate tried from a
+    domain; the node after the budget-th raises SearchBudgetExceeded.  The
+    shape and the profile are trusted: nothing here checks that they
+    describe simple graphs.
     """
+    found: list[tuple[int, ...]] = []
+    n = len(shape)
+    if n != len(profile.neighbors) or sum(map(len, shape)) != 2 * profile.edges:
+        return found, 0
+    sigs = _signatures(shape)
+    if _histogram(sigs) != profile.histogram:
+        return found, 0
+    if n == 0:
+        return [()], 0
+    classes, nbr = profile.classes, profile.neighbors
+    dom = [classes[s] for s in sigs]
+    if within is not None:
+        dom = [d & m for d, m in zip(dom, within)]
+    later = [[j for j in nb if j > i] for i, nb in enumerate(shape)]
+    earlier = [len(nb) - len(lt) for nb, lt in zip(shape, later)]
+    full = (1 << n) - 1
+    # One frame per placed position: its untried candidates, its image and
+    # the trail length before its forward check.
+    stack: list[tuple[int, int, int]] = []
+    trail: list[tuple[int, int]] = []
+    used = nodes = i = 0
+    cand = dom[0]
+    while True:
+        if not cand:
+            if not i:
+                break
+            # Level i is exhausted: undo the placement below it.
+            cand, w, mark = stack.pop()
+            i -= 1
+            used ^= 1 << w
+            while len(trail) > mark:
+                u, d = trail.pop()
+                dom[u] = d
+            continue
+        bit = cand & -cand
+        cand ^= bit
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+        w = bit.bit_length() - 1
+        nw = nbr[w]
+        if (nw & used).bit_count() != earlier[i]:
+            continue
+        free = full ^ used ^ bit
+        mark = len(trail)
+        for u in later[i]:
+            d = dom[u]
+            nd = d & nw
+            if nd != d:
+                trail.append((u, d))
+                dom[u] = nd
+            if not nd & free:
+                break
+        else:
+            if i + 1 < n:
+                stack.append((cand, w, mark))
+                used |= bit
+                i += 1
+                cand = dom[i] & free
+                continue
+            found.append(tuple(frame[1] for frame in stack) + (w,))
+            if len(found) == limit:
+                break
+        while len(trail) > mark:
+            u, d = trail.pop()
+            dom[u] = d
+    return found, nodes
+
+
+def _label_masks(g: Graph, h: Graph, pg: Mapping, ph: Mapping) -> list[int]:
+    """Per vertex of g, in stored order, the h-positions y with ph[y] ==
+    pg[x].  Raises UnknownVertex for a vertex that its map lacks."""
+    within: dict[object, int] = {}
+    for j, y in enumerate(h.vertices):
+        if y not in ph:
+            raise UnknownVertex(f"vertex {y!r} of h has no label in ph")
+        within[ph[y]] = within.get(ph[y], 0) | 1 << j
+    masks = []
+    for x in g.vertices:
+        if x not in pg:
+            raise UnknownVertex(f"vertex {x!r} of g has no label in pg")
+        masks.append(within.get(pg[x], 0))
+    return masks
+
+
+class _IsoSearch:
+    """search_shape in labels: g's vertices in stored order against h's
+    cached profile, cut by over = (pg, ph) to the vertices y of h with
+    ph[y] == pg[x].  nodes adds up the nodes its searches spent."""
 
     def __init__(self, g: Graph, h: Graph, budget: int, over: Optional[tuple[Mapping, Mapping]] = None):
         self.g = g
@@ -473,109 +596,30 @@ class _IsoSearch:
         """The first limit isomorphisms g -> h in search order, or all of
         them when limit is None."""
         g, h = self.g, self.h
-        found: list[dict[Label, Label]] = []
-        if g.n != h.n or len(g.edges) != len(h.edges) or g.signature_histogram != h.signature_histogram:
-            return found
-        n = g.n
-        if n == 0:
-            return [{}]
-        classes = h.signature_masks
-        nbr = h.neighbor_masks
-        adj = g.adjacency
-        gv, hv = g.vertices, h.vertices
-        dom = {v: classes[s] for v, s in g.signature.items()}
-        if self.over is not None:
-            pg, ph = self.over
-            within: dict[Label, int] = {}
-            for j, y in enumerate(hv):
-                within[ph[y]] = within.get(ph[y], 0) | 1 << j
-            dom = {v: d & within.get(pg[v], 0) for v, d in dom.items()}
-        later: dict[Label, list[Label]] = {v: [] for v in gv}
-        for a, b in g._edge_order:
-            later[a].append(b)
-        full = (1 << n) - 1
-        # One frame per placed vertex: its untried candidates, its image,
-        # the trail length before its forward check, its later neighbours
-        # and its number of earlier neighbours.
-        stack: list[tuple[int, int, int, list[Label], int]] = []
-        trail: list[tuple[Label, int]] = []
-        used = 0
-        nodes, budget = self.nodes, self.budget
-        i = 0
-        v = gv[0]
-        lt = later[v]
-        earlier = len(adj[v]) - len(lt)
-        cand = dom[v]
-        while True:
-            if not cand:
-                if not i:
-                    break
-                # Level i is exhausted: undo the placement below it.
-                cand, w, mark, lt, earlier = stack.pop()
-                i -= 1
-                used ^= 1 << w
-                while len(trail) > mark:
-                    u, d = trail.pop()
-                    dom[u] = d
-                continue
-            bit = cand & -cand
-            cand ^= bit
-            nodes += 1
-            if nodes > budget:
-                self.nodes = nodes
-                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
-            w = bit.bit_length() - 1
-            nw = nbr[w]
-            if (nw & used).bit_count() != earlier:
-                continue
-            free = full ^ used ^ bit
-            mark = len(trail)
-            for u in lt:
-                d = dom[u]
-                nd = d & nw
-                if nd != d:
-                    trail.append((u, d))
-                    dom[u] = nd
-                if not nd & free:
-                    break
-            else:
-                if i + 1 < n:
-                    stack.append((cand, w, mark, lt, earlier))
-                    used |= bit
-                    i += 1
-                    v = gv[i]
-                    lt = later[v]
-                    earlier = len(adj[v]) - len(lt)
-                    cand = dom[v] & free
-                    continue
-                images = [frame[1] for frame in stack]
-                images.append(w)
-                found.append(dict(zip(gv, map(hv.__getitem__, images))))
-                if len(found) == limit:
-                    break
-            while len(trail) > mark:
-                u, d = trail.pop()
-                dom[u] = d
-        self.nodes = nodes
-        return found
+        within = None if self.over is None else _label_masks(g, h, *self.over)
+        images, nodes = search_shape(induced_adjacency(g, g.vertices), h.profile, self.budget, limit, within)
+        self.nodes += nodes
+        return [dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images]
 
 
 def find_isomorphism(
     g: Graph, h: Graph, over: Optional[tuple[Mapping, Mapping]] = None
 ) -> Optional[dict[Label, Label]]:
     """Find a graph isomorphism g -> h, or None; with over = (pg, ph), one
-    that sends each x to a vertex y with ph[y] == pg[x].
+    that sends each x to a vertex y with ph[y] == pg[x].  Raises
+    UnknownVertex when pg lacks a vertex of g or ph one of h.
 
     Deterministic: vertices of g are matched in stored order against the
     vertices of h with the same signature, in h's stored order, so the
-    first witness found is stable.  The search checks forward: a vertex's
-    domain shrinks as its neighbours are placed, and a placement that
-    leaves a later neighbour without candidates is undone at once.  Graphs
-    with different signature histograms are rejected before any node is
-    spent.  Raises SearchBudgetExceeded (meaning "unknown") when the node
-    budget in scope (see node_budget) runs out; a node is one candidate
-    tried from a vertex's domain.  The search keeps its own stack, so the
-    size of g is not limited by Python's recursion limit.
+    first witness found is stable.  The search (search_shape) checks
+    forward: a vertex's domain shrinks as its neighbours are placed, and a
+    placement that leaves a later neighbour without candidates is undone
+    at once.  Graphs with different signature histograms are rejected
+    before any node is spent.  Raises SearchBudgetExceeded (meaning
+    "unknown") when the node budget in scope (see node_budget) runs out; a
+    node is one candidate tried from a vertex's domain.  The search keeps
+    its own stack, so the size of g is not limited by Python's recursion
+    limit.
     """
     return _IsoSearch(g, h, current_budget.get(), over).run()
 
@@ -601,6 +645,5 @@ def automorphisms(g: Graph) -> list[Perm]:
         raise EnumerationBoundExceeded(
             f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
         )
-    idx = g.index
-    search = _IsoSearch(g, g, current_budget.get())
-    return sorted(Perm._trusted(tuple(idx[m[v]] for v in g.vertices)) for m in search.matches())
+    images, _ = search_shape(induced_adjacency(g, g.vertices), g.profile, current_budget.get())
+    return sorted(map(Perm._trusted, images))

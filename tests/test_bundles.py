@@ -32,7 +32,7 @@ from bundleforge import (
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge import bundles, graphs
+from bundleforge import bundles, graphs, products
 from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest, split_pair_label
 from bundleforge.bundles import _transition
 from bundleforge.errors import (
@@ -925,13 +925,13 @@ class TestSearchCount:
     def count_searches(monkeypatch, fv):
         b = voltage_bundle(fv)
         calls = []
-        search = bundles.find_isomorphism
+        search = bundles.search_shape
 
         def counted(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(bundles, "find_isomorphism", counted)
+        monkeypatch.setattr(bundles, "search_shape", counted)
         assert repr(verify_bundle(b.total, b.projection, b.fiber).fiber_isos) == repr(b.fiber_isos)
         return len(calls)
 
@@ -943,6 +943,56 @@ class TestSearchCount:
         base, values = cycle_graph(96), automorphisms(c4)[:distinct]
         fv = make_fiber_voltage(base, c4, {e: values[i % distinct] for i, e in enumerate(base.edge_list())})
         assert self.count_searches(monkeypatch, fv) == 1 + distinct
+
+    def test_verify_builds_no_graph_and_no_label_search(self, monkeypatch, c4):
+        """Both routes hand the kernel shapes and profiles: no subgraph of a
+        shape, no K2 □ F from labels and no label-level search."""
+        base = cycle_graph(6)
+        values = automorphisms(c4)[:3]
+        b = voltage_bundle(make_fiber_voltage(base, c4, {e: values[i % 3] for i, e in enumerate(base.edge_list())}))
+        # Without one cross edge the fibers still pass, and both routes reject.
+        over = b.projection.map
+        cut = next(e for e in b.total.edge_list() if over[e[0]] != over[e[1]])
+        bad = make_graph(b.total.vertices, [e for e in b.total.edge_list() if e != cut])
+        bad_p = make_morphism(bad, base, over)
+        expected = [verdict(verify_bundle, b.total, b.projection, c4), verdict(verify_bundle, bad, bad_p, c4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_bundle built a graph or searched by labels")
+
+        for module in (graphs, bundles, products):
+            for name in ("subgraph_of_shape", "cartesian_product", "complete_graph", "find_isomorphism"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        got = [verdict(verify_bundle, b.total, b.projection, c4), verdict(verify_bundle, bad, bad_p, c4)]
+        assert got == expected
+        assert expected[1][0] is NotACovering
+
+
+@st.composite
+def graph_up_to_8(draw):
+    labels = [str(i) for i in range(draw(st.integers(0, 8)))]
+    pairs = list(itertools.combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(labels, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(graph_up_to_8())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_box_k2_profile_matches_the_label_product(fiber):
+    """The K2 □ F profile built by index arithmetic is the profile of
+    cartesian_product(complete_graph(2), F), the label route."""
+    assert bundles._box_k2_profile(fiber) == cartesian_product(complete_graph(2), fiber).profile
+
+
+class TestBudgetPins:
+    def test_m62_needs_five_nodes(self):
+        """The largest search of verify_bundle on m62 spends five nodes: a
+        budget of four raises, five passes."""
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 4 nodes"), graphs.node_budget(4):
+            m62_bundle()
+        with graphs.node_budget(5):
+            assert m62_bundle().fiber.n == 2
 
 
 class TestVoltageValidation:

@@ -232,6 +232,14 @@ class TestIsomorphism:
         assert find_isomorphism(g, h, over=(pg, side)) is None
         assert find_isomorphism(h, h, over=(side, side)) == {x: x for x in h.vertices}
 
+    def test_over_names_a_vertex_its_map_lacks(self):
+        p3 = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+        full = {"1": "x", "2": "x", "3": "x"}
+        with pytest.raises(UnknownVertex, match=r"vertex '3' of g has no label in pg"):
+            find_isomorphism(p3, p3, over=({"1": "x", "2": "x"}, full))
+        with pytest.raises(UnknownVertex, match=r"vertex '2' of h has no label in ph"):
+            find_isomorphism(p3, p3, over=(full, {"1": "x", "3": "x"}))
+
 
 class TestLargeGraphs:
     # The search keeps its own stack: a graph of more vertices than Python
@@ -405,7 +413,7 @@ def test_induced_subgraph_matches_make_graph(case):
     assert sub.edges == expected.edges
     assert sub.adjacency == expected.adjacency
     assert sub.edge_list() == expected.edge_list()
-    assert sub.signature == expected.signature
+    assert sub.profile == expected.profile
 
 
 # --- reference isomorphism search -------------------------------------------
