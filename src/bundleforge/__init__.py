@@ -2,7 +2,8 @@
 
 Submodules:
   graphs    finite simple graphs, weak morphisms, isomorphism search
-  matrices  dense matrices, Kronecker/Hadamard products, Jacobi eigensolver
+  matrices  dense matrices, Kronecker/Hadamard products, the symmetric
+            eigensolver (Householder tridiagonalization + implicit QL)
   products  box and strong products, fiber voltages and their adjacency,
             k-fold coverings (bundles over an edgeless fiber)
   bundles   bundle verification, equivalence (re-exports fiber voltages)

@@ -49,6 +49,7 @@ from .errors import (
     NotACovering,
     NotAMorphism,
     SearchBudgetExceeded,
+    TotalMismatch,
     TransitionNotIso,
 )
 from .graphs import (
@@ -206,7 +207,11 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     Each fiber is searched against F once per distinct shape: a fiber with
     the shape of an earlier one takes that one's witness by position, which
     is the witness a fresh search would return.
+
+    Raises TotalMismatch, before any check, when p's domain is not total.
     """
+    if p.domain is not total and p.domain != total:
+        raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
     ok, bad = validate_morphism(p)
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")

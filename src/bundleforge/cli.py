@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -132,6 +133,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ParseError(f"--tolerance must be finite and not negative, got {args.tolerance}")
     g = _load_graph(args.graph, args.case)
     eig = graph_spectrum(g)
     grouped: list[list] = []

@@ -64,7 +64,8 @@ class NotFinite(BundleForgeError):
 
 
 class NotConverged(BundleForgeError):
-    """The Jacobi iteration hit its sweep cap; carries the off-diagonal norm left."""
+    """Implicit QL hit its per-eigenvalue iteration cap; names the eigenvalue
+    not isolated and the iterations spent on it."""
 
 
 class NotABijection(BundleForgeError):
@@ -95,6 +96,10 @@ class BaseMismatch(BundleForgeError):
 
 class FiberMismatch(BundleForgeError):
     pass
+
+
+class TotalMismatch(BundleForgeError):
+    """A projection's domain is not the total space it is verified against."""
 
 
 # --- pullbacks and pairings ----------------------------------------------

@@ -314,13 +314,18 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
     """Check the weak morphism condition on every domain edge.
 
     Returns (ok, violations) where each violation is a domain edge whose
-    image is neither a codomain edge nor a single vertex.
+    image is neither a codomain edge nor a single vertex, in edge_list
+    order.  Raises UnknownVertex for a domain vertex the map leaves out.
     """
-    bad = []
-    for a, b in f.domain.edge_list():
-        fa, fb = f(a), f(b)
-        if fa != fb and not f.codomain.has_edge(fa, fb):
-            bad.append((a, b))
+    m, adj = f.map, f.codomain.adjacency
+    try:
+        bad = [
+            (a, b)
+            for a, b in f.domain.edge_list()
+            if (fa := m[a]) != (fb := m[b]) and fb not in adj.get(fa, ())
+        ]
+    except KeyError as exc:
+        raise UnknownVertex(f"vertex {exc.args[0]!r} not in morphism domain") from None
     return (not bad, bad)
 
 

@@ -1,5 +1,5 @@
 """Dense matrices, Kronecker and Hadamard products, the voltage-adjacency
-kernel, and a Jacobi eigensolver.
+kernel, and a symmetric eigensolver.
 
 The kernel :func:`voltage_adjacency` evaluates I ⊗ A(F) + Σ A_ψ ⊗ P_ψ from
 each term's base nonzeros and permutation, as one flat index array summed
@@ -8,13 +8,14 @@ of array calls per formula.  :func:`kronecker` is the dense ``np.kron``,
 the reference the tests hold the kernel to.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
-the package: it is a self-contained parallel-ordered (round-robin) cyclic
-Jacobi iteration on dense symmetric matrices (Brent & Luk, 1985).  It calls
-nothing from ``np.linalg``.  One round makes a fixed handful of array calls
-whatever its number of pairs (one gather, one arctan, two scatters into a
-reused rotation matrix, and JᵀaJ), which is what a round below about 100
-rows costs.  It refuses non-finite input and raises when its sweep cap runs
-out.
+the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
+reduces a dense symmetric matrix to tridiagonal form by Householder
+reflections, each a symmetric rank-2 update of the trailing block, and
+solves the tridiagonal matrix by implicit QL with a Wilkinson shift
+(EISPACK ``tql1``) on plain Python floats: O(n³) per solve, with no
+matrix-matrix product.  It refuses non-finite input and raises when
+QL_MAX_ITERATIONS sweeps leave an eigenvalue unisolated.  The tests keep a
+cyclic Jacobi solver as an independent reference route.
 
 Arrays this module builds itself are wrapped by :meth:`Matrix._trusted`,
 without the copy that the public ``Matrix(arr)`` makes.
@@ -22,8 +23,8 @@ without the copy that the public ``Matrix(arr)`` makes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,11 +33,8 @@ from .errors import NotConverged, NotFinite, NotSymmetric, ParseError, ShapeMism
 from .graphs import Graph
 from .perms import Perm
 
-#: Floor of the off-diagonal Frobenius norm tolerance for Jacobi convergence.
-JACOBI_THRESHOLD = 1e-12
-
-#: Maximum number of cyclic Jacobi sweeps.
-JACOBI_MAX_SWEEPS = 100
+#: Most implicit QL sweeps spent isolating one eigenvalue, as in EISPACK.
+QL_MAX_ITERATIONS = 30
 
 #: Tolerance for eigenvalue multiset comparisons.
 SPECTRUM_TOLERANCE = 1e-9
@@ -269,101 +267,109 @@ class Spectrum:
         return ", ".join(f"{x if abs(x) >= 5e-7 else 0.0:.6f}" for x in self.eigenvalues)
 
 
-@lru_cache(maxsize=128)
-def _round_robin(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Round-robin (tournament) ordering of the pairs of range(n).
+def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
+    """Householder reduction of a symmetric array, overwritten in place, to a
+    tridiagonal T with the same eigenvalues; returns T's diagonal and
+    subdiagonal as Python floats.
 
-    With m = n rounded up to even there are m - 1 rounds; the pairs of a
-    round are disjoint, and every pair (p, q) with p < q appears in exactly
-    one round.  For odd n the pairs with the dummy index n are dropped.
+    Step k reflects column k below its subdiagonal onto its first entry:
+    H = I − 2vvᵀ with unit v, applied to the trailing block A₂₂ as the
+    symmetric rank-2 update A₂₂ ← A₂₂ − vwᵀ − wvᵀ, where p = A₂₂v and
+    w = 2(p − (vᵀp)v).  That is HA₂₂H without a dense H or a matrix-matrix
+    product: O(m²) per step on an m-row block, O(n³) in all.  A column whose
+    entries below the subdiagonal are already zero is left alone, so a
+    diagonal or zero array comes back exactly.  The reflected columns are
+    not cleared: T is read from the diagonal and the subdiagonal alone.
     """
-    m = n + n % 2
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            p, q = sorted((players[i], players[m - 1 - i]))
-            if q < n:
-                pairs.append((p, q))
-        rounds.append(tuple(pairs))
-        players = [players[0], players[-1], *players[1:-1]]
-    return tuple(rounds)
-
-
-@lru_cache(maxsize=128)
-def _round_entries(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Flat indices into an n×n array for each nonempty :func:`_round_robin`
-    round, whose pairs (p, q) have p < q.
-
-    Per round: a (3, k) array of the (p, p), (q, q) and (p, q) entries, one
-    row each; the 4k rotation entries (p, p), (q, q), (p, q), (q, p); and
-    the identity's values at those entries.
-    """
-    rounds = []
-    for pairs in _round_robin(n):
-        if not pairs:
-            continue
-        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-        pp, qq, pq = p * n + p, q * n + q, p * n + q
-        rounds.append((np.stack((pp, qq, pq)), np.concatenate((pp, qq, pq, q * n + p)), np.repeat((1.0, 0.0), 2 * len(pairs))))
-    return tuple(rounds)
-
-
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Parallel-ordered (round-robin) cyclic Jacobi iteration (Brent & Luk,
-    SIAM J. Sci. Stat. Comput. 6(1), 1985); returns unsorted eigenvalues.
-
-    A sweep rotates every pair once, one :func:`_round_robin` round at a
-    time.  The rotations of a round touch disjoint pairs, so they commute:
-    the round is applied at once as a = JᵀaJ, which equals applying its
-    rotations one after another.  The angle of pair (p, q) is
-    θ = ½·arctan(2a_pq / (a_qq − a_pp)), the smaller rotation (|θ| ≤ π/4)
-    that zeroes a_pq; equal diagonals give ±π/4 through the infinite
-    argument.  A pair with |a_pq| below tol / n gets θ = 0, so an exact
-    identity block, and a round where no pair rotates is skipped.
-    One J serves the whole solve: the round writes its cosines and sines
-    into it at :func:`_round_entries`' cached indices, and after the
-    products writes the identity back.
-
-    The tolerance tol = max(JACOBI_THRESHOLD, n·eps·‖a‖_F) is fixed per
-    solve: rounding leaves about eps·|a| in each entry, which an absolute
-    threshold cannot reach once the entries are large.  For 0/1 matrices of
-    up to 48 rows it is JACOBI_THRESHOLD.  Raises NotConverged when
-    JACOBI_MAX_SWEEPS sweeps leave an off-diagonal Frobenius norm of tol or
-    more.
-    """
-    a = a.copy()
     n = a.shape[0]
-    tol = max(JACOBI_THRESHOLD, n * np.finfo(float).eps * np.sqrt(np.sum(a * a)))
-    rounds = _round_entries(n)
-    j = np.eye(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sweeps in range(JACOBI_MAX_SWEEPS + 1):
-            off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-            if off < tol:
-                return np.diag(a)
-            if sweeps == JACOBI_MAX_SWEEPS:
-                raise NotConverged(f"Jacobi iteration left an off-diagonal norm of {off:.3g} after {sweeps} sweeps")
-            for entries, rotation, eye in rounds:
-                app, aqq, apq = a.take(entries)
-                unrotated = np.abs(apq) < tol / n
-                if unrotated.all():
-                    continue
-                theta = np.where(unrotated, 0.0, 0.5 * np.arctan(2.0 * apq / (aqq - app)))
-                c, s = np.cos(theta), np.sin(theta)
-                j.put(rotation, np.concatenate((c, c, s, -s)))
-                a = j.T @ a @ j
-                j.put(rotation, eye)
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        if not x[1:].any():
+            continue
+        alpha = -math.copysign(math.sqrt(x @ x), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v /= math.sqrt(v @ v)
+        a[k + 1, k] = alpha
+        block = a[k + 1 :, k + 1 :]
+        p = block @ v
+        w = 2.0 * (p - (v @ p) * v)
+        block -= v[:, None] * w
+        block -= w[:, None] * v
+    return a.diagonal().tolist(), a.diagonal(-1).tolist()
+
+
+def _ql_eigenvalues(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues, unsorted, of the symmetric tridiagonal matrix with
+    diagonal d and subdiagonal e, by implicit QL with a Wilkinson shift
+    (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 1968; EISPACK
+    ``tql1``), on plain Python floats.  Overwrites d.
+
+    Eigenvalue l is isolated once some e[m], m ≥ l, is negligible, and each
+    QL sweep runs from m up to l.  Negligible means tst1 + |e[m]| == tst1,
+    where tst1 is the largest |d[i]| + |e[i]| over i ≤ l (EISPACK's running
+    norm of T); relative to |d[m]| + |d[m+1]| alone, the zero diagonal and
+    the repeated zero eigenvalues of an adjacency matrix can stall until
+    the cap.  The shift is the eigenvalue of the
+    leading 2×2 block nearer d[l].  Raises NotConverged when eigenvalue l is
+    not isolated in QL_MAX_ITERATIONS sweeps.
+    """
+    n = len(d)
+    e = [*e, 0.0]
+    tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        for iterations in range(QL_MAX_ITERATIONS + 1):
+            m = l
+            while tst1 + abs(e[m]) != tst1:
+                m += 1
+            if m == l:
+                break
+            if iterations == QL_MAX_ITERATIONS:
+                raise NotConverged(
+                    f"QL iteration left eigenvalue {l + 1} of {n} (now {d[l]:.6g}) "
+                    f"unisolated after {iterations} iterations"
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # The rotation underflowed: T splits at i + 1.
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
 
 def spectrum(a: Matrix) -> Spectrum:
-    """All real eigenvalues of a finite symmetric matrix, with multiplicity."""
+    """All real eigenvalues of a finite symmetric matrix, with multiplicity.
+
+    The matrix is scaled by a power of two to entries below 2, which is
+    exact and keeps the reflections' norms from overflowing or
+    underflowing, then tridiagonalized and solved by implicit QL.
+    """
     if not np.isfinite(a.data).all():
         raise NotFinite("spectrum requires finite entries")
     if not a.is_symmetric():
         raise NotSymmetric("spectrum requires a square symmetric matrix")
-    return Spectrum(tuple(_jacobi_eigenvalues(a.data)))
+    scale = 2.0 ** (math.frexp(np.abs(a.data).max(initial=0.0))[1] - 1)
+    d, e = _tridiagonalize(a.data / scale)
+    return Spectrum(tuple(x * scale for x in _ql_eigenvalues(d, e)))
 
 
 def graph_spectrum(g: Graph) -> Spectrum:

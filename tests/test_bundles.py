@@ -45,6 +45,7 @@ from bundleforge.errors import (
     NotAMorphism,
     ParseError,
     SearchBudgetExceeded,
+    TotalMismatch,
     TransitionNotIso,
 )
 from bundleforge.matrices import identity as identity_matrix
@@ -108,6 +109,21 @@ class TestVerifyBundle:
     def test_cover_is_an_edgeless_fiber_bundle(self, c6, two_k1, p_c6_c3):
         b = verify_bundle(c6, p_c6_c3, two_k1)
         assert b.fiber == two_k1
+
+    def test_equal_total_is_accepted(self, two_k1, p_c6_c3):
+        assert verify_bundle(cycle_graph(6), p_c6_c3, two_k1).total == cycle_graph(6)
+
+    @pytest.mark.parametrize(
+        "total",
+        [make_graph(list("abcdef"), [("a", "b")]), path_graph(6)],
+        ids=["other-labels", "p6"],
+    )
+    def test_projection_from_another_total(self, total, two_k1, p_c6_c3):
+        # p is defined on C6.  On other labels the checks would meet a
+        # vertex p does not map; on P6 the morphism check would read C6's
+        # edges and the transitions P6's.
+        with pytest.raises(TotalMismatch, match="is not the total space"):
+            verify_bundle(total, p_c6_c3, two_k1)
 
     def test_twisted_matching_is_not_a_transition_iso(self, k2):
         # Two copies of the path a-b-c joined by a-b', b-a', c-c': a

@@ -45,6 +45,19 @@ class TestSpectrumCommand:
         report = json.loads(out)
         assert report["multiplicities"] == [[2.0, 1], [-1.0, 2]]
 
+    @pytest.mark.parametrize("tolerance", ["-1", "-1e-12", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_input_error(self, capsys, tolerance):
+        # Before, -1 and nan split K3's double eigenvalue -1 into two groups.
+        code, out, err = run(capsys, "spectrum", "--case", "k3", f"--tolerance={tolerance}", "--json")
+        assert code == 2
+        assert out == ""
+        assert "--tolerance must be finite and not negative" in err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--case", "k2", "--tolerance", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["multiplicities"] == [[1.0, 1], [-1.0, 1]]
+
     @pytest.mark.parametrize("case", ["p3", "c4", "m3", "s3", "c6k2", "fig24"])
     def test_json_zero_is_unsigned(self, capsys, case):
         # Rounding noise of either sign must not print as -0.0.

@@ -31,7 +31,7 @@ from bundleforge.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, _IsoSearch, is_isomorphism, node_budget
+from bundleforge.graphs import Graph, GraphMorphism, _IsoSearch, is_isomorphism, node_budget
 from bundleforge.named import (
     c6k2_bundle,
     hexagonal_prism,
@@ -101,6 +101,27 @@ class TestMorphisms:
     def test_totality_enforced(self, k2, k3):
         with pytest.raises(UnknownVertex):
             make_morphism(k2, k3, {"1": "1"})
+
+    def test_map_missing_a_vertex_raises(self, k3):
+        # A morphism built without make_morphism's totality check.
+        f = GraphMorphism(k3, k3, (("1", "1"), ("2", "2")))
+        with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
+            validate_morphism(f)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_violations_match_call_reference(self, seed):
+        # The violations, in order, are the domain edges whose images read
+        # through GraphMorphism.__call__ and Graph.has_edge are neither an
+        # edge nor one vertex.
+        rng = random.Random(seed)
+        domain, codomain = (
+            make_graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+            for n in (rng.randint(1, 9), rng.randint(1, 5))
+        )
+        f = make_morphism(domain, codomain, {v: rng.choice(codomain.vertices) for v in domain.vertices})
+        expected = [(a, b) for a, b in domain.edge_list() if f(a) != f(b) and not codomain.has_edge(f(a), f(b))]
+        assert validate_morphism(f) == (not expected, expected)
 
     def test_preserves_edges_identity(self, c6):
         assert preserves_edges(identity_morphism(c6))
