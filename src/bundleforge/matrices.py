@@ -2,10 +2,13 @@
 kernel, and a symmetric eigensolver.
 
 The kernel :func:`voltage_adjacency` evaluates I ⊗ A(F) + Σ A_ψ ⊗ P_ψ from
-each term's base nonzeros and permutation, as one flat index array summed
-by one ``np.bincount``: O((|V||F|)² + Σ nnz(A_ψ)·|F|) work in a fixed number
-of array calls per formula.  :func:`kronecker` is the dense ``np.kron``,
-the reference the tests hold the kernel to.
+each term's base nonzeros and permutation, as one flat index array written
+into a zero output: a fixed number of array calls per formula, and no pass
+over the (|V||F|)² output but the one that allocates it.  That the sum is
+an adjacency matrix is asserted on the sorted index array, in
+O(nnz log nnz); :meth:`Matrix.is_adjacency` is the dense form of the same
+test, which the tests apply to every formula output.  :func:`kronecker` is
+the dense ``np.kron``, the reference the tests hold the kernel to.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
@@ -23,6 +26,7 @@ without the copy that the public ``Matrix(arr)`` makes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -144,21 +148,28 @@ def zeros(rows: int, cols: int) -> Matrix:
     return Matrix._trusted(np.zeros((rows, cols)))
 
 
+def _edge_ends(g: Graph) -> np.ndarray:
+    """The edges as an |E|×2 array of vertex indices, one row per edge in
+    edge-set order, built from the edge set and not from the sorted
+    ``edge_list``, which would first build the sorted neighbour lists of a
+    graph that may never need them."""
+    ends = map(g.index.__getitem__, itertools.chain.from_iterable(g.edges))
+    return np.fromiter(ends, np.intp, 2 * len(g.edges)).reshape(-1, 2)
+
+
 def adjacency_matrix(g: Graph) -> Matrix:
     """0/1 adjacency matrix indexed by the graph's stored vertex order.
 
-    The entries are set from index arrays of the edge set, not from the
-    sorted ``edge_list``, which would first build the sorted neighbour
-    lists of a graph that may never need them.
+    Each edge is set at both orientations, so the result is 0/1 and
+    symmetric by construction; only a loop, an edge with equal ends, could
+    make it no adjacency matrix, and that is asserted on the index pairs.
     """
     a = np.zeros((g.n, g.n))
-    idx = g.index
-    ends = np.fromiter((idx[u] for e in g.edges for u in e), np.intp, 2 * len(g.edges)).reshape(-1, 2)
+    ends = _edge_ends(g)
+    assert (ends[:, 0] != ends[:, 1]).all()
     a[ends[:, 0], ends[:, 1]] = 1.0
     a[ends[:, 1], ends[:, 0]] = 1.0
-    m = Matrix._trusted(a)
-    assert m.is_adjacency()
-    return m
+    return Matrix._trusted(a)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
@@ -197,11 +208,15 @@ def voltage_adjacency(
     The bundle, covering, pullback and subdirect adjacency theorems all
     take this shape, with one term per distinct voltage value used.  Entry
     (i, j) of A lands at (i·m + r, j·m + σ(r)) for every fiber index r, so
-    the whole sum is one flat index array and one ``np.bincount`` into the
-    (n·m)² output: a fixed number of array calls whatever the number of
-    terms, and O((n·m)² + Σ nnz(A)·m) work.  The fiber adjacency, like A,
-    is read by its nonzeros.  Entries are counted, never assigned, so an
-    entry covered twice reads 2 and fails the adjacency check.  A
+    the whole sum is one flat index array, set to 1 in a zero (n·m)² output:
+    a fixed number of array calls whatever the number of terms.  The fiber
+    adjacency, like A, is read by its nonzeros.
+
+    The sum is an adjacency matrix exactly when, in the sorted index array,
+    no index repeats (no entry is covered twice, so setting equals
+    counting), none lies on the diagonal, and the transposed indices
+    c·size + r, sorted, are the same array (the sum is symmetric).  That is
+    asserted in O(nnz log nnz), with no pass over the output.  A
     permutation on other than m points, an index outside the base or row
     and column lists of unequal length raise ShapeMismatch.
     """
@@ -231,14 +246,13 @@ def voltage_adjacency(
         # Row k holds the images of the permutation of nonzero k's term.
         sigma = np.array(images, dtype=np.intp)[np.repeat(np.arange(len(counts)), counts)]
         flat.append(((i * (m * size) + j * m)[:, None] + np.arange(m) * size + sigma).ravel())
-    flat = np.concatenate(flat)
-    # Unit weights count straight into a float output: at 768 rows that is
-    # about ten times faster than an integer count converted to float.
-    # With no entry at all, bincount returns integers.
-    out = np.bincount(flat, np.ones(flat.size), size * size).astype(float, copy=False)
-    result = Matrix._trusted(out.reshape(size, size))
-    assert result.is_adjacency()
-    return result
+    flat = np.sort(np.concatenate(flat))
+    r, c = np.divmod(flat, size)
+    assert (flat[1:] != flat[:-1]).all() and (r != c).all()
+    assert np.array_equal(np.sort(c * size + r), flat)
+    out = np.zeros(size * size)
+    out[flat] = 1.0
+    return Matrix._trusted(out.reshape(size, size))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BaseMismatch, ParseError
+from .errors import BaseMismatch, ParseError, ShapeMismatch
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -79,13 +79,13 @@ def strong_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
 # --- fiber voltages -------------------------------------------------------------
 
 def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
+    """True when perm, on fiber vertex indices, maps every edge to an edge:
+    a bijection on a finite graph that does is an automorphism."""
     if perm.n != fiber.n:
         return False
-    idx = fiber.index
-    return all(
-        fiber.has_edge(fiber.vertices[perm(idx[a])], fiber.vertices[perm(idx[b])])
-        for a, b in fiber.edge_list()
-    )
+    vs, adj = fiber.vertices, fiber.adjacency
+    image = dict(zip(vs, map(vs.__getitem__, perm.images)))
+    return all(image[b] in adj[image[a]] for a, b in fiber.edge_list())
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +133,12 @@ class FiberVoltage:
                 inverse = inverses[perm] = perm.inverse()
             phi[(v, w)] = perm
             phi[(w, v)] = inverse
+        return cls._of_phi(base, fiber, phi)
+
+    @classmethod
+    def _of_phi(cls, base: Graph, fiber: Graph, phi: dict[tuple[Label, Label], Perm]) -> FiberVoltage:
+        """A voltage around a phi on both orientations that already holds
+        what __post_init__ checks; it is taken as it is."""
         fv = object.__new__(cls)
         fv.__dict__.update(base=base, fiber=fiber, phi=phi)
         return fv
@@ -175,21 +181,39 @@ def make_fiber_voltage(
     base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
 ) -> FiberVoltage:
     """Build a voltage from one orientation per edge; inverses are derived,
-    once per distinct value."""
+    once per distinct value.
+
+    Validates once, with FiberVoltage(...)'s errors in its order: after
+    the inverse pass (conflicting orientations), a missing edge, then an
+    oriented edge off the base, then each distinct assigned value, in
+    assignment order, against the fiber.  The inverse of an automorphism is
+    one, so derived values are not checked, and the phi built here, whose
+    orientations invert each other by construction, skips __post_init__.
+    """
     phi: dict[tuple[Label, Label], Perm] = {}
     inverses: dict[Perm, Perm] = {}
+    first_edge: dict[Perm, tuple[Label, Label]] = {}
     for (v, w), perm in assignments.items():
         inverse = inverses.get(perm)
         if inverse is None:
             inverse = inverses[perm] = perm.inverse()
+            first_edge[perm] = (v, w)
         if (w, v) in phi and phi[(w, v)] != inverse:
             raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
         phi[(v, w)] = perm
         phi[(w, v)] = inverse
-    for a, b in base.edge_list():
+    edges = base.edge_list()
+    for a, b in edges:
         if (a, b) not in phi:
             raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")
-    return FiberVoltage(base, fiber, phi)
+    # Every oriented base edge is in phi, so phi has no other key exactly
+    # when it has no more than 2|E| keys.
+    if len(phi) != 2 * len(edges):
+        raise ParseError("voltage must cover exactly the oriented edges of the base")
+    for perm, (v, w) in first_edge.items():
+        if not is_fiber_automorphism(fiber, perm):
+            raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
+    return FiberVoltage._of_phi(base, fiber, phi)
 
 
 def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
@@ -223,7 +247,12 @@ def voltage_indicators(
 
 
 def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
-    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi."""
+    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi.
+    Raises ShapeMismatch when psi does not act on the fiber's vertices."""
+    if psi.n != fv.fiber.n:
+        raise ShapeMismatch(
+            f"a permutation of {psi.n} points is no voltage value on a {fv.fiber.n}-vertex fiber"
+        )
     rows, cols = dict(voltage_indicators(fv.base, fv.phi, (psi,)))[psi]
     return _indicator(fv.base.n, rows, cols)
 

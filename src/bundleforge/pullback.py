@@ -32,9 +32,9 @@ from .graphs import (
     split_composite,
     validate_morphism,
 )
-from .matrices import Matrix, adjacency_matrix, hadamard, identity, voltage_adjacency
+from .matrices import Matrix, _edge_ends, adjacency_matrix, hadamard, identity, voltage_adjacency
 from .perms import Perm, kron as perm_kron
-from .products import _indicator, cartesian_product, voltage_indicator, voltage_indicators
+from .products import cartesian_product, voltage_indicator, voltage_indicators
 
 EDGE_KIND_FIBER = "I"
 EDGE_KIND_COLLAPSED = "II"
@@ -186,15 +186,18 @@ def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:
 
 
 def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
-    """The conjugated indicator block for one fiber automorphism."""
+    """The conjugated indicator block for one fiber automorphism.  Raises
+    BaseMismatch when f does not map into the voltage's base, NotAMorphism
+    when f is not a morphism, and ShapeMismatch when psi does not act on
+    the fiber."""
+    _check_pullback(f, fv.base, "voltage")
     return _conjugated_block(morphism_matrix(f).matrix, voltage_indicator(fv, psi), psi)
 
 
 def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
     """Voltage indicator of the pulled-back voltage, computed matricially as
     the Hadamard product of the domain adjacency with the conjugated block.
-    Raises NotAMorphism when f is not a morphism."""
-    _check_pullback(f, fv.base, "voltage")
+    Raises the errors of :func:`pullback_b_matrix`."""
     return hadamard(adjacency_matrix(f.domain), pullback_b_matrix(f, fv, psi))
 
 
@@ -202,19 +205,33 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     """Adjacency of the pullback total space, by the closed matrix formula.
 
     The sum runs over the voltage values used plus the identity, which the
-    collapsed edges carry; each term is the block A_D ∘ (Mᵀ B_ψ M) of
-    :func:`pullback_indicator`, handed to the kernel by its ones: Mᵀ X M
-    reads X at (f(i), f(j)), so the block is 0/1 like B_ψ + I.  The
-    morphism matrix and the domain adjacency are built once, and the
-    voltage indicators in one pass over the edges.  Raises NotAMorphism
-    when f is not a morphism."""
+    collapsed edges carry; the term of ψ is the block A_D ∘ (Mᵀ(B_ψ + [ψ =
+    id]·I)M) of :func:`pullback_indicator`.  Mᵀ X M reads X at (f(i),
+    f(j)), so on a domain edge (i, j) exactly one block is 1: that of the
+    voltage on (f(i), f(j)), or of the identity when f(i) = f(j).  So the
+    value ids are written once into a base-indexed array, with the identity
+    on its diagonal, read once at the images of the domain's oriented
+    edges, and the edges grouped by id into the kernel's terms: no
+    morphism matrix, dense indicator or matrix product is built.  Raises
+    NotAMorphism when f is not a morphism."""
     _check_pullback(f, fv.base, "voltage")
-    m = morphism_matrix(f).matrix
-    domain_adjacency = adjacency_matrix(f.domain)
-    terms = []
-    for psi, (rows, cols) in voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),)):
-        block = hadamard(domain_adjacency, _conjugated_block(m, _indicator(fv.base.n, rows, cols), psi))
-        terms.append((*np.nonzero(block.data), psi))
+    n = fv.base.n
+    # The extra value, the identity, comes first: id 0, which the zero
+    # diagonal holds.  Since f is a morphism, no other entry off the base
+    # edges is read.
+    values, ids = [], np.zeros((n, n), dtype=np.intp)
+    for k, (psi, (rows, cols)) in enumerate(voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),))):
+        values.append(psi)
+        ids[rows, cols] = k
+    ends = _edge_ends(f.domain)
+    i, j = np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
+    cidx, over = f.codomain.index, f.map
+    image = np.fromiter((cidx[over[x]] for x in f.domain.vertices), np.intp, f.domain.n)
+    value_ids = ids[image[i], image[j]]
+    order = np.argsort(value_ids, kind="stable")
+    i, j = i[order], j[order]
+    bounds = np.searchsorted(value_ids[order], np.arange(len(values) + 1))
+    terms = [(i[a:b], j[a:b], psi) for psi, a, b in zip(values, bounds[:-1], bounds[1:])]
     return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 

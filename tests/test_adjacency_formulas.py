@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundleforge import (
+    FiberVoltage,
     Perm,
     adjacency_matrix,
     automorphisms,
@@ -130,6 +131,9 @@ def reference_subdirect(fv1, fv2):
 
 
 def assert_identical(formula, *others):
+    """formula is byte-identical to each of others, and passes the dense
+    adjacency test, which the library asserts on index arrays only."""
+    assert formula.is_adjacency()
     for other in others:
         data = other.data if isinstance(other, Matrix) else other
         assert formula.data.shape == data.shape
@@ -245,8 +249,12 @@ def test_subdirect_adjacency(data):
 
 
 def assert_voltage_validates(fv):
+    """make_fiber_voltage rebuilds fv from one orientation per edge, and
+    both it and fv pass the full check of the public constructor."""
     one_way = {(v, w): fv.phi[(v, w)] for v, w in fv.base.edge_list()}
-    assert make_fiber_voltage(fv.base, fv.fiber, one_way).phi == fv.phi
+    validated = make_fiber_voltage(fv.base, fv.fiber, one_way)
+    assert validated.phi == fv.phi
+    assert FiberVoltage(fv.base, fv.fiber, validated.phi).phi == fv.phi
 
 
 def assert_bundle_validates(b):
@@ -351,6 +359,23 @@ def test_overlapping_terms_are_rejected(terms):
         voltage_adjacency(2, zeros(m, m), iter(terms))
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # A loop: entry (0, 0) of the base block lands on the diagonal.
+        [([0], [0], Perm.identity(2))],
+        # One orientation only: (0, 2) and (1, 3) with no mirror.
+        [([0], [1], Perm.identity(2))],
+        # One edge listed twice within a term covers its entries twice.
+        [([0, 1, 0, 1], [1, 0, 1, 0], Perm((1, 0)))],
+    ],
+    ids=["loop", "one-orientation", "covered-twice"],
+)
+def test_non_adjacency_sums_are_rejected(terms):
+    with pytest.raises(AssertionError):
+        voltage_adjacency(2, zeros(2, 2), terms)
+
+
 def test_term_of_wrong_shape_is_rejected():
     # A permutation on 3 points over a 2-vertex fiber.
     with pytest.raises(ShapeMismatch):
@@ -402,23 +427,40 @@ def test_kernel_matches_dense_reference(case):
 
 
 def test_formulas_build_no_dense_term(monkeypatch):
-    """The bundle, covering and subdirect formulas hand the kernel index
-    lists and permutations: no dense indicator, permutation block or
-    Kronecker product is built per voltage value."""
+    """The bundle, covering, subdirect and pullback formulas hand the kernel
+    index lists and permutations: no dense indicator, permutation block,
+    Kronecker product, morphism matrix, matrix product or Hadamard product
+    is built per voltage value."""
     base = cycle_graph(4)
     edges = base.edge_list()
     fv = make_fiber_voltage(base, complete_graph(2), {e: Perm((i % 2, 1 - i % 2)) for i, e in enumerate(edges)})
     cover = make_fiber_voltage(base, empty_graph(3), {e: Perm((1, 2, 0)) for e in edges})
-    expected = [reference_bundle(fv), reference_bundle(cover), reference_subdirect(fv, cover)]
+    double = voltage_bundle(make_fiber_voltage(base, empty_graph(2), {e: Perm((1, 0)) for e in edges})).projection
+    # A walk 1 1 2 3 3 4 1 along the 4-cycle: two collapsed edges.
+    walk = make_morphism(path_graph(7), base, dict(zip("1234567", "1123341")))
+    expected = [
+        reference_bundle(fv),
+        reference_bundle(cover),
+        reference_subdirect(fv, cover),
+        reference_pullback(double, fv),
+        reference_pullback(walk, fv),
+    ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a formula built a dense per-value term")
 
     monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
     for module in (matrices, products, pullback):
-        for name in ("_indicator", "kronecker", "perm_matrix"):
+        for name in ("_indicator", "kronecker", "perm_matrix", "hadamard", "morphism_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    got = [bundle_adjacency(fv), covering_adjacency(base, cover), subdirect_adjacency(fv, cover)]
+    got = [
+        bundle_adjacency(fv),
+        covering_adjacency(base, cover),
+        subdirect_adjacency(fv, cover),
+        pullback_adjacency(double, fv),
+        pullback_adjacency(walk, fv),
+    ]
     for formula, reference in zip(got, expected):
         assert_identical(formula, reference)

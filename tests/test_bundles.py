@@ -1060,6 +1060,68 @@ class TestVoltageValidation:
         with pytest.raises(ParseError):
             make_fiber_voltage(c3, k2, {("1", "2"): IDENT})
 
+    #: Over C3 with a P3 fiber (1–2–3): FLIP reverses the path, BAD swaps an
+    #: end with the middle, and ROTATE is a 3-cycle; only FLIP is an
+    #: automorphism besides the identity.
+    FLIP, BAD, ROTATE, I3 = Perm((2, 1, 0)), Perm((1, 0, 2)), Perm((1, 2, 0)), Perm.identity(3)
+
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            # A conflict comes first, before the missing {1, 3} and BAD.
+            (
+                {("1", "2"): FLIP, ("2", "1"): I3, ("2", "3"): BAD},
+                r"^conflicting voltages on edge \{'2', '1'\}$",
+            ),
+            # A missing edge comes before an edge off the base and BAD.
+            (
+                {("1", "2"): BAD, ("2", "3"): I3, ("1", "4"): I3},
+                r"^missing voltage for edge \{'1', '3'\}$",
+            ),
+            # An edge off the base, or a loop, comes before BAD.
+            (
+                {("1", "2"): BAD, ("1", "3"): I3, ("2", "3"): I3, ("3", "4"): I3},
+                r"^voltage must cover exactly the oriented edges of the base$",
+            ),
+            (
+                {("1", "2"): BAD, ("1", "3"): I3, ("2", "3"): I3, ("2", "2"): I3},
+                r"^voltage must cover exactly the oriented edges of the base$",
+            ),
+            # The first value that fails, in assignment order, is named on
+            # the orientation it was given.
+            (
+                {("1", "3"): FLIP, ("3", "2"): ROTATE, ("1", "2"): BAD},
+                r"^voltage on \('3', '2'\) is not a fiber automorphism$",
+            ),
+            (
+                {("1", "2"): FLIP, ("1", "3"): ROTATE.inverse(), ("2", "3"): ROTATE},
+                r"^voltage on \('1', '3'\) is not a fiber automorphism$",
+            ),
+        ],
+    )
+    def test_errors_keep_their_order(self, c3, p3, assignments, message):
+        with pytest.raises(ParseError, match=message):
+            make_fiber_voltage(c3, p3, assignments)
+
+    def test_each_assigned_value_is_checked_once(self, c4, monkeypatch):
+        # Over C4 with a C4 fiber, the assigned values R, I and R² have four
+        # distinct values among both orientations, R⁻¹ too; only the three
+        # assigned ones are checked, each once, in assignment order.
+        r = Perm((1, 2, 3, 0))
+        r2, ident = r.compose(r), Perm.identity(4)
+        checked = []
+
+        def spy(fiber, perm):
+            checked.append(perm)
+            return check(fiber, perm)
+
+        check = products.is_fiber_automorphism
+        monkeypatch.setattr(products, "is_fiber_automorphism", spy)
+        values = [r, ident, r, r2]
+        fv = make_fiber_voltage(c4, c4, dict(zip(c4.edge_list(), values)))
+        assert checked == [r, ident, r2]
+        assert FiberVoltage(c4, c4, fv.phi).phi == fv.phi
+
     def test_json_roundtrip(self, m3_voltage):
         again = FiberVoltage.from_json(m3_voltage.to_json())
         assert again.phi == dict(m3_voltage.phi)

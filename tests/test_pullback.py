@@ -33,8 +33,16 @@ from bundleforge import (
     verify_bundle,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, CompositeCollapses, CompositesDisagree, NotAMorphism, ParseError
+from bundleforge.errors import (
+    BaseMismatch,
+    CompositeCollapses,
+    CompositesDisagree,
+    NotAMorphism,
+    ParseError,
+    ShapeMismatch,
+)
 from bundleforge.matrices import from_rows, identity as identity_matrix
+from bundleforge.products import voltage_indicator
 from bundleforge.named import (
     m3_bundle,
     m62_bundle,
@@ -248,6 +256,7 @@ class TestPullbackAdjacency:
         for route in (
             lambda: pullback_adjacency(f, fv),
             lambda: pullback_indicator(f, fv, IDENT),
+            lambda: pullback_b_matrix(f, fv, IDENT),
             lambda: pullback_voltage(f, fv),
             lambda: pullback_bundle(f, voltage_bundle(fv)),
         ):
@@ -255,6 +264,31 @@ class TestPullbackAdjacency:
                 route()
             messages.add(str(raised.value))
         assert messages == {"not a morphism; violating edges: [('a', 'b')]"}
+
+    @pytest.mark.parametrize("route", [pullback_adjacency, pullback_b_matrix, pullback_indicator])
+    def test_formulas_refuse_a_map_off_the_base(self, route, m3_voltage):
+        # The identity of P3 has the labels of C3 but not its edge {1, 3}:
+        # no route may read the voltage over C3 through it.
+        p3 = identity_morphism(path_graph(3))
+        args = (p3, m3_voltage) if route is pullback_adjacency else (p3, m3_voltage, IDENT)
+        with pytest.raises(BaseMismatch, match="codomain of the morphism must equal the voltage base"):
+            route(*args)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda fv, psi: voltage_indicator(fv, psi),
+            lambda fv, psi: pullback_b_matrix(identity_morphism(fv.base), fv, psi),
+            lambda fv, psi: pullback_indicator(identity_morphism(fv.base), fv, psi),
+        ],
+        ids=["voltage_indicator", "pullback_b_matrix", "pullback_indicator"],
+    )
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_value_of_the_wrong_size_is_refused(self, route, points, m3_voltage):
+        # The identity on 3 points is no value of a K2 fiber, and no stand-in
+        # for its identity, which carries the collapsed edges.
+        with pytest.raises(ShapeMismatch, match=f"a permutation of {points} points is no voltage value on a 2-vertex fiber"):
+            route(m3_voltage, Perm.identity(points))
 
 
 class TestCanonicalMap:
