@@ -47,7 +47,6 @@ from .errors import (
     FiberNotIsomorphic,
     LocalTrivialityFails,
     NotACovering,
-    NotAMorphism,
     SearchBudgetExceeded,
     TotalMismatch,
     TransitionNotIso,
@@ -59,9 +58,9 @@ from .graphs import (
     _trusted_graph,
     induced_adjacency,
     pair_label,
+    require_morphism,
     search_shape,
     spanning_forest,
-    validate_morphism,
 )
 from .perms import Perm
 from .products import (
@@ -212,9 +211,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     """
     if p.domain is not total and p.domain != total:
         raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
-    ok, bad = validate_morphism(p)
-    if not ok:
-        raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
+    require_morphism(p, "projection is not a morphism")
     idx, fvs, profile = total.index, fiber.vertices, fiber.profile
     budget = graphs.current_budget.get()
     # Per fiber shape, the position in F of each vertex's image, or None.

@@ -329,11 +329,17 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
     return (not bad, bad)
 
 
-def preserves_edges(f: GraphMorphism) -> bool:
-    """True when no domain edge collapses.  Requires a valid morphism."""
+def require_morphism(f: GraphMorphism, what: str = "not a morphism") -> None:
+    """Raise NotAMorphism, with what as the message prefix, naming the
+    violating edges when f is not a morphism."""
     ok, bad = validate_morphism(f)
     if not ok:
-        raise NotAMorphism(f"not a morphism; violating edges: {bad}")
+        raise NotAMorphism(f"{what}; violating edges: {bad}")
+
+
+def preserves_edges(f: GraphMorphism) -> bool:
+    """True when no domain edge collapses.  Requires a valid morphism."""
+    require_morphism(f)
     return all(f(a) != f(b) for a, b in f.domain.edge_list())
 
 

@@ -2,14 +2,17 @@
 products, generator systems with transversal sections, Cayley graphs, and
 the bundle structure they induce on a surjective homomorphism.
 
-Every Cayley table is checked exactly, at every order: associativity by
-Light's test on a greedily chosen generating set (see make_group).
+A table from outside (make_group, FiniteGroup.from_json) is checked
+exactly, at every order, associativity by Light's test.  Groups derived from
+validated groups are groups by construction and are built directly, and
+subdirect_group checks the paper's identities through explicit maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .bundles import GraphBundle, verify_bundle
@@ -30,13 +33,16 @@ _T = TypeVar("_T")
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite group given by an ordered element list and a Cayley table,
-    with the element positions and inverses that make_group finds."""
+    with its identity and inverses."""
 
     elements: tuple[Label, ...]
     table: Mapping[tuple[Label, Label], Label]
     identity: Label
-    index: Mapping[Label, int]
     inverses: Mapping[Label, Label]
+
+    @cached_property
+    def index(self) -> dict[Label, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -171,39 +177,60 @@ def make_group(elements: Sequence[object], table: Mapping[tuple[object, object],
                 raise NotAGroup(
                     f"associativity fails at ({elems[x]!r}, {elems[s]!r}, {elems[y]!r})"
                 )
-    return FiniteGroup(elems, t, elems[e], index, inverses)
+    return FiniteGroup(elems, t, elems[e], inverses)
 
 
 def cyclic(n: int) -> FiniteGroup:
     """Additive cyclic group on labels 0..n-1."""
-    elems = [str(i) for i in range(n)]
-    table = {(str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)}
-    return make_group(elems, table)
+    if n < 1:
+        raise NotAGroup("no identity element")
+    elems = tuple(str(i) for i in range(n))
+    table = {(elems[i], elems[j]): elems[(i + j) % n] for i in range(n) for j in range(n)}
+    return FiniteGroup(elems, table, elems[0], {x: elems[-i % n] for i, x in enumerate(elems)})
+
+
+def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """Same elements in the same order, and the same table."""
+    return g is h or (g.elements == h.elements and g.table == h.table)
+
+
+def _pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Sequence[tuple[Label, Label]]) -> FiniteGroup:
+    """Componentwise group on pairs of a and b, in the given order.  The
+    pairs must form a subgroup of a × b; only their labels are checked,
+    since pair_label can give two pairs one label."""
+    labels = tuple(pair_label(x, y) for x, y in pairs)
+    if len(set(labels)) != len(labels):
+        raise NotAGroup("duplicate element labels")
+    label_of = dict(zip(pairs, labels))
+    ta, tb = a.table, b.table
+    table = {
+        (p, q): label_of[ta[x1, x2], tb[y1, y2]]
+        for (x1, y1), p in zip(pairs, labels)
+        for (x2, y2), q in zip(pairs, labels)
+    }
+    inverses = {p: label_of[a.inv(x), b.inv(y)] for (x, y), p in zip(pairs, labels)}
+    return FiniteGroup(labels, table, label_of[a.identity, b.identity], inverses)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    elems = [pair_label(x, y) for x in a.elements for y in b.elements]
-    table = {}
-    for x1 in a.elements:
-        for y1 in b.elements:
-            for x2 in a.elements:
-                for y2 in b.elements:
-                    table[(pair_label(x1, y1), pair_label(x2, y2))] = pair_label(
-                        a.mul(x1, x2), b.mul(y1, y2)
-                    )
-    return make_group(elems, table)
+    return _pair_group(a, b, list(itertools.product(a.elements, b.elements)))
 
 
 def subgroup(g: FiniteGroup, members: Iterable[Label]) -> FiniteGroup:
-    """Subgroup on the given members with the induced table, ambient order kept."""
+    """Subgroup on the given members with the induced table, ambient order
+    kept.  A nonempty finite subset closed under the product is a subgroup,
+    so closure is all that is checked."""
     want = set(members)
-    elems = [e for e in g.elements if e in want]
+    elems = tuple(e for e in g.elements if e in want)
+    if not elems:
+        raise NotAGroup("empty subset is not a subgroup")
+    table = {}
     for x in elems:
         for y in elems:
-            if g.mul(x, y) not in want:
+            z = table[x, y] = g.mul(x, y)
+            if z not in want:
                 raise NotAGroup(f"subset not closed: ({x!r}, {y!r})")
-    table = {(x, y): g.mul(x, y) for x in elems for y in elems}
-    return make_group(elems, table)
+    return FiniteGroup(elems, table, g.identity, {x: g.inv(x) for x in elems})
 
 
 # --- homomorphisms ------------------------------------------------------------
@@ -282,21 +309,6 @@ def _homs_by_closure(
             yield phi
 
 
-def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Brute-force isomorphism test via generator images and closure."""
-    if a.order != b.order:
-        return False
-    if sorted(map(a.element_order, a.elements)) != sorted(map(b.element_order, b.elements)):
-        return False
-    isos = _homs_by_closure(
-        a,
-        b,
-        lambda g: [y for y in b.elements if b.element_order(y) == a.element_order(g)],
-        lambda phi: len(set(phi.values())) == a.order,
-    )
-    return next(isos, None) is not None
-
-
 def surjective_homs(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:
     """All surjective homomorphisms, by closing candidate generator images."""
     if a.order % b.order != 0:
@@ -323,28 +335,6 @@ def is_normal(g: FiniteGroup, members: Iterable[Label]) -> bool:
     )
 
 
-def quotient_group(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
-    """Quotient by a normal subgroup; cosets are labeled by their first
-    member in ambient order."""
-    if not is_normal(g, n.elements):
-        raise NotAGroup("quotient requires a normal subgroup")
-    n_set = set(n.elements)
-    leader_of: dict[Label, Label] = {}
-    leaders: list[Label] = []
-    for x in g.elements:
-        if x in leader_of:
-            continue
-        coset = {g.mul(x, h) for h in n_set}
-        leader = next(e for e in g.elements if e in coset)
-        leaders.append(leader)
-        for y in coset:
-            leader_of[y] = leader
-    table = {
-        (p, q): leader_of[g.mul(p, q)] for p in leaders for q in leaders
-    }
-    return make_group(leaders, table)
-
-
 # --- subdirect product of groups ------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -361,40 +351,32 @@ class SubdirectGroup:
 
 
 def subdirect_group(eps_a: GroupHom, eps_b: GroupHom) -> SubdirectGroup:
-    """Build the subdirect product of two epimorphisms onto a common group
-    and verify its structural identities (kernel isomorphisms, order, and
-    the quotient by the product of the kernels).
-
-    E is built from its own pairs: the (x, y) with eps_a(x) = eps_b(y), in
-    the order of A × B, multiplied componentwise.  Its table costs |E|²
-    products, not the (|A||B|)² of the whole direct product, and
-    make_group checks it, closure included.  The projections delta_A and
-    delta_B are homomorphisms by construction, so they are not re-checked.
+    """Build the subdirect product of two epimorphisms onto one group C (one
+    table; else NotSurjective) and check its identities by the maps of their
+    proof.  E is the pairs (x, y) with eps_a(x) = eps_b(y), in the order of
+    A × B, multiplied componentwise: |E|² products, a group by construction.
+    y -> (e_A, y) maps ker eps_B onto ker delta_A (the pairs with first
+    coordinate e_A), x -> (x, e_B) maps ker eps_A onto ker delta_B, and
+    (x, y) -> eps_A(x) maps E onto C with kernel ker eps_A × ker eps_B, so
+    |E| = |kernel|·|C| gives E/(ker delta_A·ker delta_B) ≅ C.
     """
-    if eps_a.codomain is not eps_b.codomain and eps_a.codomain.elements != eps_b.codomain.elements:
+    a, b, c = eps_a.domain, eps_b.domain, eps_a.codomain
+    if not _same_group(c, eps_b.codomain):
         raise NotSurjective("epimorphisms must share a codomain")
     if not is_surjective(eps_a) or not is_surjective(eps_b):
         raise NotSurjective("both structure maps must be surjective")
-    a, b, c = eps_a.domain, eps_b.domain, eps_a.codomain
     pairs = [(x, y) for x in a.elements for y in b.elements if eps_a(x) == eps_b(y)]
-    labels = [pair_label(x, y) for x, y in pairs]
-    ta, tb = a.table, b.table
-    e = make_group(
-        labels,
-        {
-            (p, q): pair_label(ta[x1, x2], tb[y1, y2])
-            for (x1, y1), p in zip(pairs, labels)
-            for (x2, y2), q in zip(pairs, labels)
-        },
-    )
-    delta_a = GroupHom(e, a, {m: x for (x, _), m in zip(pairs, labels)})
-    delta_b = GroupHom(e, b, {m: y for (_, y), m in zip(pairs, labels)})
+    e = _pair_group(a, b, pairs)
+    delta_a = GroupHom(e, a, {m: x for (x, _), m in zip(pairs, e.elements)})
+    delta_b = GroupHom(e, b, {m: y for (_, y), m in zip(pairs, e.elements)})
     assert is_surjective(delta_a) and is_surjective(delta_b)
-    assert e.order * c.order == a.order * b.order
-    assert group_isomorphic(kernel(delta_a), kernel(eps_b))
-    assert group_isomorphic(kernel(delta_b), kernel(eps_a))
-    inner = [m for (x, _), m in zip(pairs, labels) if eps_a(x) == c.identity]
-    assert group_isomorphic(quotient_group(e, subgroup(e, inner)), c)
+    ker_a = [x for x in a.elements if eps_a(x) == c.identity]
+    ker_b = [y for y in b.elements if eps_b(y) == c.identity]
+    assert [y for x, y in pairs if x == a.identity] == ker_b
+    assert [x for x, y in pairs if y == b.identity] == ker_a
+    inner = [(x, y) for x, y in pairs if eps_a(x) == c.identity]
+    assert inner == list(itertools.product(ker_a, ker_b))
+    assert e.order == len(inner) * c.order
     return SubdirectGroup(e, delta_a, delta_b, c, eps_a, eps_b)
 
 
@@ -414,9 +396,23 @@ class GeneratorSystem:
         return len(self.members)
 
 
+def _element_set(g: FiniteGroup, members: Iterable[object]) -> set[Label]:
+    """The members as labels; raises InvalidGeneratorSystem naming non-elements."""
+    raw = dict.fromkeys(str(x) for x in members)
+    unknown = [x for x in raw if x not in g.index]
+    if unknown:
+        raise InvalidGeneratorSystem(f"labels are not group elements: {unknown}")
+    return set(raw)
+
+
+def _require_over(s: GeneratorSystem, g: FiniteGroup) -> None:
+    if not _same_group(s.group, g):
+        raise InvalidGeneratorSystem("generator system belongs to a different group")
+
+
 def symmetric_closure(g: FiniteGroup, members: Iterable[object]) -> tuple[tuple[Label, ...], tuple[Label, ...]]:
     """Close a set under inverses; returns (closed set, elements added)."""
-    raw = {str(x) for x in members}
+    raw = _element_set(g, members)
     closed = set(raw)
     for x in raw:
         closed.add(g.inv(x))
@@ -426,8 +422,10 @@ def symmetric_closure(g: FiniteGroup, members: Iterable[object]) -> tuple[tuple[
 
 
 def generator_system(g: FiniteGroup, members: Iterable[object]) -> GeneratorSystem:
-    """Validate a symmetric generating set; the identity is rejected."""
-    s = tuple(e for e in g.elements if e in {str(x) for x in members})
+    """Validate a symmetric generating set; the identity and labels that
+    are not elements are rejected."""
+    want = _element_set(g, members)
+    s = tuple(e for e in g.elements if e in want)
     if g.identity in s:
         raise InvalidGeneratorSystem("generating set contains the identity")
     sset = set(s)
@@ -461,8 +459,7 @@ def symmetric_generating_sets(g: FiniteGroup) -> list[GeneratorSystem]:
 
 def cayley_graph(g: FiniteGroup, s: GeneratorSystem) -> Graph:
     """Undirected Cayley graph: x adjacent to xs for every generator s."""
-    if s.group.elements != g.elements:
-        raise InvalidGeneratorSystem("generator system belongs to a different group")
+    _require_over(s, g)
     edges = [(x, g.mul(x, gen)) for x in g.elements for gen in s.members]
     return make_graph(g.elements, edges)
 
@@ -478,10 +475,12 @@ def transversal_section(phi: GroupHom, s1: GeneratorSystem) -> dict[Label, Label
     Lifts are deterministic: inverse pairs get the first preimage in domain
     order and its inverse; a self-inverse generator needs a self-inverse
     preimage, and when its preimage coset carries none the section does not
-    exist and NoTransversalSection is raised.
+    exist and NoTransversalSection is raised.  A generator system over
+    another group than phi's codomain raises InvalidGeneratorSystem.
     """
     if not is_surjective(phi):
         raise NotSurjective("transversal section needs a surjective homomorphism")
+    _require_over(s1, phi.codomain)
     a = phi.domain
     section: dict[Label, Label] = {}
     for s in s1.members:

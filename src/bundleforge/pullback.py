@@ -19,7 +19,7 @@ from .bundles import (
     bundles_equivalent,
     verify_bundle,
 )
-from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree, NotAMorphism
+from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -29,6 +29,7 @@ from .graphs import (
     make_morphism,
     pair_label,
     preserves_edges,
+    require_morphism,
     split_composite,
     validate_morphism,
 )
@@ -128,9 +129,7 @@ def _check_pullback(f: GraphMorphism, base: Graph, what: str) -> None:
     """Raise unless f maps into base and is a morphism."""
     if f.codomain != base:
         raise BaseMismatch(f"codomain of the morphism must equal the {what} base")
-    ok, bad = validate_morphism(f)
-    if not ok:
-        raise NotAMorphism(f"not a morphism; violating edges: {bad}")
+    require_morphism(f)
 
 
 def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
@@ -242,9 +241,7 @@ def canonical_map(f: GraphMorphism, b: GraphBundle, pb: Optional[PullbackBundle]
         pb = pullback_bundle(f, b)
     mapping = {x: split_pullback_vertex(x)[1] for x in pb.total.vertices}
     univ = make_morphism(pb.total, b.total, mapping)
-    ok, bad = validate_morphism(univ)
-    if not ok:
-        raise NotAMorphism(f"universal map is not a morphism; violating edges: {bad}")
+    require_morphism(univ, "universal map is not a morphism")
     for x in pb.total.vertices:
         if b.projection(univ(x)) != f(pb.projection(x)):
             raise AssertionError("internal error: universal square does not commute")
@@ -343,9 +340,7 @@ def pair_morphism(
         sp = subdirect_product(b1, b2)
     mapping = {y: pair_label(alpha1(y), alpha2(y)) for y in alpha1.domain.vertices}
     paired = make_morphism(alpha1.domain, sp.total, mapping)
-    ok, bad = validate_morphism(paired)
-    if not ok:
-        raise NotAMorphism(f"paired map is not a morphism; violating edges: {bad}")
+    require_morphism(paired, "paired map is not a morphism")
     return paired
 
 

@@ -38,24 +38,76 @@ from bundleforge.graphs import is_isomorphism, pair_label, split_pair_label
 from bundleforge.groups import (
     FiniteGroup,
     _homs_by_closure,
-    group_isomorphic,
-    quotient_group,
+    _pair_group,
+    is_normal,
     subgroup,
     symmetric_generating_sets,
 )
 from bundleforge.named import invariance_case_z2z3_z6, mobius_ladder_3
 
 
+# --- reference routes ----------------------------------------------------------
+#
+# A brute-force isomorphism search and a validated quotient: the independent
+# route the tests hold subdirect_group's explicit-map checks to.
+
+
+def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Brute-force isomorphism test via generator images and closure."""
+    if a.order != b.order:
+        return False
+    if sorted(map(a.element_order, a.elements)) != sorted(map(b.element_order, b.elements)):
+        return False
+    isos = _homs_by_closure(
+        a,
+        b,
+        lambda g: [y for y in b.elements if b.element_order(y) == a.element_order(g)],
+        lambda phi: len(set(phi.values())) == a.order,
+    )
+    return next(isos, None) is not None
+
+
+def quotient_group(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
+    """Quotient by a normal subgroup; cosets are labeled by their first
+    member in ambient order, and make_group checks the table."""
+    if not is_normal(g, n.elements):
+        raise NotAGroup("quotient requires a normal subgroup")
+    n_set = set(n.elements)
+    leader_of: dict[str, str] = {}
+    leaders: list[str] = []
+    for x in g.elements:
+        if x in leader_of:
+            continue
+        coset = {g.mul(x, h) for h in n_set}
+        leader = next(e for e in g.elements if e in coset)
+        leaders.append(leader)
+        for y in coset:
+            leader_of[y] = leader
+    table = {(p, q): leader_of[g.mul(p, q)] for p in leaders for q in leaders}
+    return make_group(leaders, table)
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on one-line permutation labels, its table checked by make_group."""
+    perms = list(itertools.permutations(range(n)))
+    label = {p: "".join(map(str, p)) for p in perms}
+    table = {
+        (label[p], label[q]): label[tuple(p[q[i]] for i in range(n))] for p in perms for q in perms
+    }
+    return make_group([label[p] for p in perms], table)
+
+
 def symmetric_group_3() -> FiniteGroup:
     """S3 presented by one-line permutation labels."""
-    perms = list(itertools.permutations((0, 1, 2)))
-    label = {p: "".join(map(str, p)) for p in perms}
-    table = {}
-    for p in perms:
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(3))
-            table[(label[p], label[q])] = label[comp]
-    return make_group([label[p] for p in perms], table)
+    return symmetric_group(3)
+
+
+def sign_hom(g: FiniteGroup, z2: FiniteGroup):
+    """The sign of a one-line permutation label, as a map onto z2."""
+    def parity(x: str) -> str:
+        return str(sum(a > b for a, b in itertools.combinations(x, 2)) % 2)
+
+    return hom(g, z2, {x: parity(x) for x in g.elements})
 
 
 @pytest.fixture
@@ -440,6 +492,107 @@ def assert_same_group(e, expected):
     assert e.to_json() == expected.to_json()
 
 
+def assert_group_by_construction(g):
+    """A derived group equals what make_group finds in its own table."""
+    again = make_group(g.elements, g.table)
+    assert_same_group(g, again)
+    assert list(g.inverses.items()) == list(again.inverses.items())
+    assert g.index == again.index
+
+
+def assert_identities_by_reference(sd):
+    """The paper's identities by the brute-force route: ker delta_A ≅ ker
+    eps_B, ker delta_B ≅ ker eps_A, and E/(ker delta_A · ker delta_B) ≅ C."""
+    e, c = sd.E, sd.amalgam
+    assert group_isomorphic(kernel(sd.delta_A), kernel(sd.eps_B))
+    assert group_isomorphic(kernel(sd.delta_B), kernel(sd.eps_A))
+    inner = [m for m in e.elements if sd.eps_A(sd.delta_A(m)) == c.identity]
+    assert group_isomorphic(quotient_group(e, subgroup(e, inner)), c)
+
+
+def klein_on_digits() -> FiniteGroup:
+    """Z2 × Z2 on the labels of Z4: k stands for (k // 2, k % 2), so the
+    product is bitwise exclusive or."""
+    elems = [str(k) for k in range(4)]
+    return make_group(elems, {(str(x), str(y)): str(x ^ y) for x in range(4) for y in range(4)})
+
+
+class TestDerivedGroups:
+    """Groups the library derives are built without make_group; each must
+    be exactly the group make_group finds in its table."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclic(self, n):
+        assert_group_by_construction(cyclic(n))
+
+    def test_direct_products(self):
+        factors = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), symmetric_group_3(), quaternion_group()]
+        for a, b in itertools.product(factors, repeat=2):
+            assert_group_by_construction(direct_product(a, b))
+
+    def test_kernels(self):
+        z2 = cyclic(2)
+        homs = [sign_hom(symmetric_group(n), z2) for n in (3, 4)]
+        groups = [cyclic(4), cyclic(6), direct_product(cyclic(2), cyclic(2)), quaternion_group()]
+        for a, b in itertools.product(groups, [z2, cyclic(3), direct_product(cyclic(2), cyclic(2))]):
+            homs += surjective_homs(a, b)
+        assert len(homs) > 10
+        for h in homs:
+            assert_group_by_construction(kernel(h))
+
+    def test_empty_subset_is_not_a_subgroup(self, z6):
+        with pytest.raises(NotAGroup):
+            subgroup(z6, [])
+
+    def test_pair_label_clash(self):
+        # pair_label("1", "a,b") == pair_label("1,a", "b") == "(1,a,b)".
+        def z2_on(e, g):
+            return make_group([e, g], {(e, e): e, (e, g): g, (g, e): g, (g, g): e})
+
+        a, b = z2_on("1", "1,a"), z2_on("b", "a,b")
+        pairs = list(itertools.product(a.elements, b.elements))
+        with pytest.raises(NotAGroup, match="duplicate element labels"):
+            _pair_group(a, b, pairs)
+        with pytest.raises(NotAGroup, match="duplicate element labels"):
+            direct_product(a, b)
+
+    def test_no_make_group_on_derived_groups(self, monkeypatch):
+        import bundleforge.groups as groups
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_group called on a derived group")
+
+        monkeypatch.setattr(groups, "make_group", refuse)
+        with pytest.raises(AssertionError):
+            FiniteGroup.from_json(cyclic(2).to_json())
+        data = invariance_case_z2z3_z6()
+        sd = subdirect_group(data["phi1"], data["phi2"])
+        assert sd.E.order == 12
+        assert kernel(data["phi2"]).elements == ("0", "3")
+        assert direct_product(cyclic(2), cyclic(3)).order == 6
+        assert verify_invariance(data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"])
+
+    def test_codomains_with_one_labelling_and_two_tables(self):
+        # Z4 and Z2 × Z2 both on "0".."3": equal labels, different groups.
+        z4, klein = cyclic(4), klein_on_digits()
+        eps_a = hom(cyclic(8), z4, {str(x): str(x % 4) for x in range(8)})
+        cube = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+        def to_klein(m: str) -> str:
+            pair, _ = split_pair_label(m)
+            x, y = split_pair_label(pair)
+            return str(2 * int(x) + int(y))
+
+        eps_b = hom(cube, klein, {m: to_klein(m) for m in cube.elements})
+        assert z4.elements == klein.elements
+        for first, second in [(eps_a, eps_b), (eps_b, eps_a)]:
+            with pytest.raises(NotSurjective, match="epimorphisms must share a codomain"):
+                subdirect_group(first, second)
+        # Two builds of one group are one codomain.
+        again = hom(cyclic(4), cyclic(4), {str(x): str(x) for x in range(4)})
+        assert subdirect_group(eps_a, again).E.order == 8
+
+
 class TestSubdirectGroupAgainstReference:
     def test_every_epimorphism_pair_among_small_groups(self):
         groups = [
@@ -456,6 +609,8 @@ class TestSubdirectGroupAgainstReference:
             for ea, eb in itertools.product(epis, repeat=2):
                 sd = subdirect_group(ea, eb)
                 assert_same_group(sd.E, reference_subdirect_e(ea, eb))
+                assert_group_by_construction(sd.E)
+                assert_identities_by_reference(sd)
                 # The projections are built without a product check.
                 hom(sd.E, ea.domain, sd.delta_A.mapping)
                 hom(sd.E, eb.domain, sd.delta_B.mapping)
@@ -470,7 +625,18 @@ class TestSubdirectGroupAgainstReference:
         for ea, eb in [(sign, sign)] + [(sign, o) for o in others] + [(o, sign) for o in others]:
             sd = subdirect_group(ea, eb)
             assert_same_group(sd.E, reference_subdirect_e(ea, eb))
+            assert_group_by_construction(sd.E)
+            assert_identities_by_reference(sd)
         assert subdirect_group(sign, sign).E.order == 18
+
+    def test_sign_map_of_s4(self):
+        z2 = cyclic(2)
+        sign = sign_hom(symmetric_group(4), z2)
+        sd = subdirect_group(sign, sign)
+        assert sd.E.order == 288
+        assert_same_group(sd.E, reference_subdirect_e(sign, sign))
+        assert_group_by_construction(sd.E)
+        assert_identities_by_reference(sd)
 
 
 class TestGeneratorSystems:
@@ -485,6 +651,11 @@ class TestGeneratorSystems:
     def test_rejects_non_generating(self, z6):
         with pytest.raises(InvalidGeneratorSystem):
             generator_system(z6, ["2", "4"])
+
+    def test_unknown_labels_are_named(self, z6):
+        for route in (generator_system, symmetric_closure):
+            with pytest.raises(InvalidGeneratorSystem, match="labels are not group elements: \\['banana'\\]"):
+                route(z6, ["1", "5", "banana"])
 
     def test_symmetric_closure_reports_additions(self, z6):
         closed, added = symmetric_closure(z6, ["1", "3"])
@@ -578,6 +749,27 @@ class TestTransversalSections:
         # Both preimages of the involution have order four.
         with pytest.raises(NoTransversalSection):
             transversal_section(phi, s1)
+
+    def test_generator_system_of_another_group(self, phi2):
+        s1 = generator_system(cyclic(4), ["1", "3"])
+        s0 = generator_system(kernel(phi2), ["3"])
+        for route in (
+            lambda: transversal_section(phi2, s1),
+            lambda: induced_generators(phi2, s1, s0),
+            lambda: cayley_bundle(phi2, s1, s0),
+        ):
+            with pytest.raises(InvalidGeneratorSystem, match="generator system belongs to a different group"):
+                route()
+
+    def test_generator_system_of_a_group_with_the_same_labels(self):
+        # {1, 2} generates Z2 × Z2 on the labels of Z4, but is not
+        # symmetric in Z4.
+        z4, s = cyclic(4), generator_system(klein_on_digits(), ["1", "2"])
+        phi = hom(cyclic(8), z4, {str(x): str(x % 4) for x in range(8)})
+        for route in (lambda: transversal_section(phi, s), lambda: cayley_graph(z4, s)):
+            with pytest.raises(InvalidGeneratorSystem, match="generator system belongs to a different group"):
+                route()
+        assert cayley_graph(z4, generator_system(cyclic(4), ["1", "3"])).n == 4
 
     def test_involutive_lift_found_when_present(self, z6):
         phi = hom(z6, cyclic(2), {str(x): str(x % 2) for x in range(6)})
