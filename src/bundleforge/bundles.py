@@ -116,17 +116,19 @@ class GraphBundle:
 
 def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     """Total space of a fiber voltage: vertices (v,f), cross edges twisted by
-    the voltage, plus one copy of the fiber over each base vertex."""
+    the voltage, plus one copy of the fiber over each base vertex.  (v, f)
+    sits at position v·|F| + f, and a base edge vw joins (v, f) to (w,
+    φ(v, w)(f))."""
     base, fiber = fv.base, fv.fiber
-    fvs, fidx = fiber.vertices, fiber.index
-    labels = {v: [pair_label(v, f) for f in fvs] for v in base.vertices}
-    fiber_edges = [(fidx[a], fidx[b]) for a, b in fiber.edge_list()]
-    edges = [(xs[i], xs[j]) for xs in labels.values() for i, j in fiber_edges]
-    for a, b in base.edge_list():
-        edges += zip(labels[a], map(labels[b].__getitem__, fv.phi[(a, b)].images))
-    pairs = tuple((x, v) for v, xs in labels.items() for x in xs)
-    total = _trusted_graph(tuple(x for x, _ in pairs), edges)
-    fiber_isos = {v: dict(zip(xs, fvs)) for v, xs in labels.items()}
+    bvs, fvs, m = base.vertices, fiber.vertices, fiber.n
+    labels = [pair_label(v, f) for v in bvs for f in fvs]
+    ends = [(at + i, at + j) for at in [a * m for a in range(base.n)] for i, j in fiber.ends]
+    for a, w in base.ends:
+        images = fv.phi[(bvs[a], bvs[w])].images
+        ends += zip(range(a * m, a * m + m), [w * m + x for x in images])
+    total = _trusted_graph(tuple(labels), ends)
+    pairs = tuple(zip(labels, (v for v in bvs for _ in fvs)))
+    fiber_isos = {v: dict(zip(labels[a * m : (a + 1) * m], fvs)) for a, v in enumerate(bvs)}
     return GraphBundle(total, GraphMorphism(total, base, pairs), fiber, fiber_isos)
 
 
@@ -166,7 +168,7 @@ def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
     """The search profile of K2 □ F, built from F's shape: copy i of f sits
     at position i·|F| + f, the vertex order of
     cartesian_product(complete_graph(2), F)."""
-    n, shape = fiber.n, induced_adjacency(fiber, fiber.vertices)
+    n, shape = fiber.n, fiber.neighbor_indices
     return graphs.search_profile(
         [[i * n + j for j in nb] + [(1 - i) * n + f] for i in (0, 1) for f, nb in enumerate(shape)]
     )
@@ -290,7 +292,7 @@ def _least_conjugator(
     (graphs.node_budget)."""
     if any(a.cycle_type() != b.cycle_type() for a, b in zip(h1, h2)):
         return None
-    nbrs = [{fiber.index[u] for u in fiber.adjacency[f]} for f in fiber.vertices]
+    nbrs = [set(nb) for nb in fiber.neighbor_indices]
     g: dict[int, int] = {}
     used: set[int] = set()
     budget, nodes = graphs.current_budget.get(), 0

@@ -124,10 +124,10 @@ def cmd_product(args) -> int:
         "verb": "product",
         "op": args.op,
         "vertices": result.n,
-        "edges": len(result.edges),
+        "edges": len(result.ends),
         "graph": result.to_json(),
     }
-    _emit(report, args, [f"{args.op} product: {result.n} vertices, {len(result.edges)} edges"])
+    _emit(report, args, [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"])
     _write_out(args, json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def cmd_bundle_build(args) -> int:
     report = {
         "verb": "bundle-build",
         "total_vertices": b.total.n,
-        "total_edges": len(b.total.edges),
+        "total_edges": len(b.total.ends),
         "formula_matches_construction": formula == direct,
         "trivial": is_trivial(b),
         "graph": b.total.to_json(),
@@ -182,7 +182,7 @@ def cmd_bundle_build(args) -> int:
         report,
         args,
         [
-            f"total space: {b.total.n} vertices, {len(b.total.edges)} edges",
+            f"total space: {b.total.n} vertices, {len(b.total.ends)} edges",
             f"adjacency formula matches construction: {report['formula_matches_construction']}",
             f"trivial: {report['trivial']}",
         ],
@@ -298,7 +298,7 @@ def cmd_subdirect(args) -> int:
             "case": args.case,
             "base_mismatch": mixed.base_mismatch,
             "vertices": mixed.graph.n,
-            "edges": len(mixed.graph.edges),
+            "edges": len(mixed.graph.ends),
             "typed_edges": typed_edges_json(mixed.typed_edges),
             "matches_reference_figure": matches,
         }
@@ -307,7 +307,7 @@ def cmd_subdirect(args) -> int:
             args,
             [
                 "warning: factors live over different bases; result is a plain graph, not a bundle",
-                f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.edges)} edges",
+                f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
                 f"matches reference figure: {matches}",
             ],
         )
@@ -328,7 +328,7 @@ def cmd_subdirect(args) -> int:
     report = {
         "verb": "subdirect",
         "total_vertices": sp.total.n,
-        "total_edges": len(sp.total.edges),
+        "total_edges": len(sp.total.ends),
         "typed_edges": typed_edges_json(sp.typed_edges),
         "fiber_vertices": sp.fiber.n,
         "formula_matches_construction": formula == direct,
@@ -337,7 +337,7 @@ def cmd_subdirect(args) -> int:
         report,
         args,
         [
-            f"subdirect total: {sp.total.n} vertices, {len(sp.total.edges)} edges",
+            f"subdirect total: {sp.total.n} vertices, {len(sp.total.ends)} edges",
             f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
             f"adjacency formula matches construction: {report['formula_matches_construction']}",
         ],
@@ -382,10 +382,10 @@ def cmd_cayley(args) -> int:
         "generators": list(s.members),
         "symmetrized_added": list(added),
         "vertices": g.n,
-        "edges": len(g.edges),
+        "edges": len(g.ends),
         "graph": g.to_json(),
     }
-    lines = [f"Cayley graph: {g.n} vertices, {len(g.edges)} edges"]
+    lines = [f"Cayley graph: {g.n} vertices, {len(g.ends)} edges"]
     if added:
         lines.insert(0, f"note: generating set symmetrized, added {list(added)}")
     _emit(report, args, lines)
@@ -470,7 +470,7 @@ def cmd_invariance_check(args) -> int:
 def cmd_export(args) -> int:
     g = _load_graph(args.graph, args.case)
     text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json(), indent=2)
-    report = {"verb": "export", "format": args.format, "vertices": g.n, "edges": len(g.edges)}
+    report = {"verb": "export", "format": args.format, "vertices": g.n, "edges": len(g.ends)}
     if args.out:
         _write_out(args, text)
         _emit(report, args, [f"wrote {args.format} to {args.out}"])

@@ -5,6 +5,13 @@ order fixes adjacency-matrix rows and makes every set-valued result
 deterministic.  Morphisms are weak: an edge may map to an edge or collapse
 to a single vertex.
 
+A Graph stores its labels and its edges as sorted index pairs (i, j), i <
+j, of vertex positions; the label views and the neighbour positions are
+derived from those pairs on first use.  make_graph validates outside
+input and builds the pairs through the label index it fills; generators
+that hold positions hand _trusted_graph their pairs, with no per-edge
+label work.
+
 The isomorphism search is one kernel over vertex positions, search_shape:
 it takes g as its shape (each position's neighbour positions, as
 induced_adjacency returns them) and h as a SearchProfile (signature
@@ -92,32 +99,53 @@ def split_edge_key(key: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple undirected graph with an ordered vertex sequence."""
+    """Finite simple undirected graph with an ordered vertex sequence.
+
+    What is stored is the vertex labels and ends, each edge once as the
+    pair (i, j) of its endpoints' positions with i < j, the pairs sorted.
+    The form is canonical, so == and hash compare graphs.  Everything else
+    is derived from these on first use: the index of each label, each
+    position's neighbour positions (neighbor_indices) and the label views
+    adjacency, edges and edge_list().
+    """
 
     vertices: tuple[Label, ...]
-    edges: frozenset[frozenset[Label]]
+    ends: tuple[tuple[int, int], ...]
 
     @cached_property
     def index(self) -> dict[Label, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Each position's neighbour positions, increasing.  One pass over
+        the sorted pairs: the lower neighbours of j arrive in order as the
+        pairs (i, j), and then its higher ones as the pairs (j, k)."""
+        nbrs: list[list[int]] = [[] for _ in self.vertices]
+        for i, j in self.ends:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(map(tuple, nbrs))
+
+    @cached_property
     def adjacency(self) -> dict[Label, tuple[Label, ...]]:
         """Neighbor lists, sorted by vertex order."""
-        nbrs: dict[Label, list[Label]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            a, b = tuple(e)
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        idx = self.index
-        return {v: tuple(sorted(ns, key=idx.__getitem__)) for v, ns in nbrs.items()}
+        vs = self.vertices
+        return {v: tuple(map(vs.__getitem__, nb)) for v, nb in zip(vs, self.neighbor_indices)}
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[Label]]:
+        """The edges as a set of two-label sets."""
+        vs = self.vertices
+        return frozenset(frozenset((vs[i], vs[j])) for i, j in self.ends)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def has_edge(self, a: Label, b: Label) -> bool:
-        return frozenset((a, b)) in self.edges
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and j in self.neighbor_indices[i]
 
     def neighbors(self, v: Label) -> tuple[Label, ...]:
         if v not in self.index:
@@ -128,20 +156,18 @@ class Graph:
         return len(self.neighbors(v))
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
+        return tuple(sorted(map(len, self.neighbor_indices)))
 
     @cached_property
     def profile(self) -> SearchProfile:
         """What the isomorphism search reads of this graph as its target,
         computed once per graph."""
-        return search_profile(induced_adjacency(self, self.vertices))
+        return search_profile(self.neighbor_indices)
 
     @cached_property
     def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
-        idx = self.index
-        return tuple(
-            (a, b) for a in self.vertices for b in self.adjacency[a] if idx[a] < idx[b]
-        )
+        vs = self.vertices
+        return tuple((vs[i], vs[j]) for i, j in self.ends)
 
     def edge_list(self) -> list[tuple[Label, Label]]:
         """Edges with endpoints in vertex order, sorted by endpoint indices.
@@ -171,16 +197,20 @@ class Graph:
         return make_graph(vertices, edges)
 
     def to_dot(self) -> str:
+        ids = [_dot_id(v) for v in self.vertices]
         lines = ["graph G {"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for a, b in self.edge_list():
-            lines.append(f'  "{a}" -- "{b}";')
+        lines += [f"  {v};" for v in ids]
+        lines += [f"  {ids[i]} -- {ids[j]};" for i, j in self.ends]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return f"Graph({self.n} vertices, {len(self.edges)} edges)"
+        return f"Graph({self.n} vertices, {len(self.ends)} edges)"
+
+
+def _dot_id(label: Label) -> str:
+    """label as a quoted DOT ID, its backslashes and double quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]]) -> Graph:
@@ -189,8 +219,8 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
     Raises DuplicateVertex, LoopEdge, or UnknownEndpoint on bad input.
     """
     vs = tuple(canon_label(v) for v in vertices)
-    seen = _distinct(vs)
-    es: set[frozenset[Label]] = set()
+    index = _distinct(vs)
+    ends: set[tuple[int, int]] = set()
     for raw in edges:
         pair = tuple(raw)
         if len(pair) != 2:
@@ -198,28 +228,35 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
         a, b = canon_label(pair[0]), canon_label(pair[1])
         if a == b:
             raise LoopEdge(f"loop edge at {a!r}")
-        if a not in seen or b not in seen:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
             raise UnknownEndpoint(f"edge endpoint not a vertex: {{{a!r}, {b!r}}}")
-        es.add(frozenset((a, b)))
-    return Graph(vs, frozenset(es))
+        ends.add((i, j) if i < j else (j, i))
+    g = Graph(vs, tuple(sorted(ends)))
+    g.__dict__["index"] = index
+    return g
 
 
-def _distinct(vs: Sequence[Label]) -> set[Label]:
-    """The labels as a set; raises DuplicateVertex at the first repeat."""
-    seen: set[Label] = set()
-    for v in vs:
-        if v in seen:
+def _distinct(vs: Sequence[Label]) -> dict[Label, int]:
+    """The position of each label; raises DuplicateVertex at the first
+    repeat."""
+    index: dict[Label, int] = {}
+    for i, v in enumerate(vs):
+        if v in index:
             raise DuplicateVertex(f"duplicate vertex {v!r}")
-        seen.add(v)
-    return seen
+        index[v] = i
+    return index
 
 
-def _trusted_graph(vertices: tuple[Label, ...], edges: Iterable[tuple[Label, Label]]) -> Graph:
-    """A graph the library has just generated: its labels are strings and
-    each edge joins two distinct listed vertices by construction, so only
-    the labels are checked for clashes."""
-    _distinct(vertices)
-    return Graph(vertices, frozenset(map(frozenset, edges)))
+def _trusted_graph(vertices: tuple[Label, ...], ends: list[tuple[int, int]]) -> Graph:
+    """A graph the library has just generated, from its edges as index
+    pairs (i, j) with i < j, each edge once, by construction, in any
+    order: the list is sorted in place, and only the labels are checked
+    for clashes, in O(|V|)."""
+    ends.sort()
+    g = Graph(vertices, tuple(ends))
+    g.__dict__["index"] = _distinct(vertices)
+    return g
 
 
 # --- standard small graphs -------------------------------------------------
@@ -348,21 +385,19 @@ def induced_adjacency(g: Graph, xs: Sequence[Label]) -> tuple[tuple[int, ...], .
     in increasing order when xs is in g's stored order.  Two vertex sets
     have the same shape exactly when position i -> i is an isomorphism of
     their induced subgraphs that keeps the vertex order."""
-    pos = {x: i for i, x in enumerate(xs)}
-    adj = g.adjacency
-    return tuple(tuple(j for j in map(pos.get, adj[x]) if j is not None) for x in xs)
+    idx, nbrs = g.index, g.neighbor_indices
+    at = [idx[x] for x in xs]
+    pos = {i: k for k, i in enumerate(at)}
+    return tuple(tuple(k for k in map(pos.get, nbrs[i]) if k is not None) for i in at)
 
 
 def subgraph_of_shape(xs: Sequence[Label], shape: Sequence[Sequence[int]]) -> Graph:
     """The graph on xs, in that order, with the edges that shape gives by
-    position.  The labels and the shape are trusted (as induced_adjacency
-    returns them), so nothing goes through make_graph."""
-    vs = tuple(xs)
-    adjacency = {x: tuple(vs[j] for j in nb) for x, nb in zip(vs, shape)}
-    order = tuple((vs[i], vs[j]) for i, nb in enumerate(shape) for j in nb if i < j)
-    sub = Graph(vs, frozenset(frozenset(e) for e in order))
-    sub.__dict__["adjacency"] = adjacency
-    sub.__dict__["_edge_order"] = order
+    position.  Both are trusted, as induced_adjacency returns them for xs
+    in a graph's stored order, so the shape is the subgraph's
+    neighbor_indices and nothing goes through make_graph."""
+    sub = Graph(tuple(xs), tuple((i, j) for i, nb in enumerate(shape) for j in nb if i < j))
+    sub.__dict__["neighbor_indices"] = tuple(map(tuple, shape))
     return sub
 
 
@@ -608,7 +643,7 @@ class _IsoSearch:
         them when limit is None."""
         g, h = self.g, self.h
         within = None if self.over is None else _label_masks(g, h, *self.over)
-        images, nodes = search_shape(induced_adjacency(g, g.vertices), h.profile, self.budget, limit, within)
+        images, nodes = search_shape(g.neighbor_indices, h.profile, self.budget, limit, within)
         self.nodes += nodes
         return [dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images]
 
@@ -641,9 +676,11 @@ def is_isomorphism(mapping: Mapping[Label, Label], g: Graph, h: Graph) -> bool:
         return False
     if sorted(mapping.values()) != sorted(h.vertices):
         return False
-    if len(g.edges) != len(h.edges):
+    if len(g.ends) != len(h.ends):
         return False
-    return all(h.has_edge(mapping[a], mapping[b]) for a, b in g.edge_list())
+    at = [h.index[mapping[v]] for v in g.vertices]
+    nbrs = h.neighbor_indices
+    return all(at[j] in nbrs[at[i]] for i, j in g.ends)
 
 
 def automorphisms(g: Graph) -> list[Perm]:
@@ -656,5 +693,5 @@ def automorphisms(g: Graph) -> list[Perm]:
         raise EnumerationBoundExceeded(
             f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
         )
-    images, _ = search_shape(induced_adjacency(g, g.vertices), g.profile, current_budget.get())
+    images, _ = search_shape(g.neighbor_indices, g.profile, current_budget.get())
     return sorted(map(Perm._trusted, images))

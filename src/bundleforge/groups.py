@@ -24,7 +24,7 @@ from .errors import (
     NotSurjective,
     ParseError,
 )
-from .graphs import Graph, Label, make_graph, make_morphism, pair_label
+from .graphs import Graph, Label, _trusted_graph, make_morphism, pair_label
 from .pullback import subdirect_product
 
 _T = TypeVar("_T")
@@ -458,10 +458,16 @@ def symmetric_generating_sets(g: FiniteGroup) -> list[GeneratorSystem]:
 
 
 def cayley_graph(g: FiniteGroup, s: GeneratorSystem) -> Graph:
-    """Undirected Cayley graph: x adjacent to xs for every generator s."""
+    """Undirected Cayley graph: x adjacent to xs for every generator s.
+    Raises InvalidGeneratorSystem when the set holds the identity, which
+    would give a loop."""
     _require_over(s, g)
-    edges = [(x, g.mul(x, gen)) for x in g.elements for gen in s.members]
-    return make_graph(g.elements, edges)
+    if g.identity in s.members:
+        raise InvalidGeneratorSystem("generating set contains the identity")
+    idx, table = g.index, g.table
+    steps = ((i, idx[table[(x, gen)]]) for i, x in enumerate(g.elements) for gen in s.members)
+    ends = {(i, j) if i < j else (j, i) for i, j in steps}
+    return _trusted_graph(g.elements, list(ends))
 
 
 def is_admissible(s0: GeneratorSystem, ambient: FiniteGroup) -> bool:

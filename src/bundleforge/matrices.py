@@ -150,11 +150,8 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def _edge_ends(g: Graph) -> np.ndarray:
     """The edges as an |E|×2 array of vertex indices, one row per edge in
-    edge-set order, built from the edge set and not from the sorted
-    ``edge_list``, which would first build the sorted neighbour lists of a
-    graph that may never need them."""
-    ends = map(g.index.__getitem__, itertools.chain.from_iterable(g.edges))
-    return np.fromiter(ends, np.intp, 2 * len(g.edges)).reshape(-1, 2)
+    the graph's sorted order."""
+    return np.fromiter(itertools.chain.from_iterable(g.ends), np.intp, 2 * len(g.ends)).reshape(-1, 2)
 
 
 def adjacency_matrix(g: Graph) -> Matrix:

@@ -26,6 +26,14 @@ class Perm:
         perm.__dict__["images"] = images
         return perm
 
+    def __hash__(self) -> int:
+        """The hash the generated one would give, hash((images,)), computed
+        once: a Perm is looked up in dicts far more often than it is built."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.images,))
+        return h
+
     @staticmethod
     def identity(n: int) -> Perm:
         return Perm._trusted(tuple(range(n)))

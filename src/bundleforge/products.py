@@ -38,32 +38,35 @@ if TYPE_CHECKING:
     from .bundles import GraphBundle
 
 
-def _box_edges(g1: Graph, g2: Graph) -> list[tuple[Label, Label]]:
-    """Edges of g1 □ g2: one coordinate adjacent and the other equal."""
-    edges = [(pair_label(a1, v), pair_label(b1, v)) for a1, b1 in g1.edge_list() for v in g2.vertices]
-    e2 = g2.edge_list()
-    edges += [(pair_label(u, a2), pair_label(u, b2)) for u in g1.vertices for a2, b2 in e2]
-    return edges
-
-
 def _pair_vertices(g1: Graph, g2: Graph) -> tuple[Label, ...]:
     return tuple(pair_label(u, v) for u in g1.vertices for v in g2.vertices)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Box product: adjacent when one coordinate is adjacent and the other equal."""
-    return _trusted_graph(_pair_vertices(g1, g2), _box_edges(g1, g2))
+    """Box product: adjacent when one coordinate is adjacent and the other
+    equal.  (u, x) sits at position u·|g2| + x."""
+    return _trusted_graph(_pair_vertices(g1, g2), _box_ends(g1, g2))
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian edges plus diagonal edges where both coordinates are adjacent."""
-    edges = _box_edges(g1, g2)
-    e2 = g2.edge_list()
-    for a1, b1 in g1.edge_list():
-        for a2, b2 in e2:
-            edges.append((pair_label(a1, a2), pair_label(b1, b2)))
-            edges.append((pair_label(a1, b2), pair_label(b1, a2)))
-    return _trusted_graph(_pair_vertices(g1, g2), edges)
+    n2, e2 = g2.n, g2.ends
+    ends = _box_ends(g1, g2)
+    for a, b in g1.ends:
+        at, bt = a * n2, b * n2
+        ends += [(at + x, bt + y) for x, y in e2]
+        ends += [(at + y, bt + x) for x, y in e2]
+    return _trusted_graph(_pair_vertices(g1, g2), ends)
+
+
+def _box_ends(g1: Graph, g2: Graph) -> list[tuple[int, int]]:
+    """The index pairs of g1 □ g2: a copy of g2 in each block of |g2|
+    positions, and a matching x -> x between the blocks of each g1 edge."""
+    n2, e2 = g2.n, g2.ends
+    ends = [(at + x, at + y) for at in [u * n2 for u in range(g1.n)] for x, y in e2]
+    for u, w in g1.ends:
+        ends += zip(range(u * n2, u * n2 + n2), range(w * n2, w * n2 + n2))
+    return ends
 
 
 def cartesian_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -83,9 +86,8 @@ def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
     a bijection on a finite graph that does is an automorphism."""
     if perm.n != fiber.n:
         return False
-    vs, adj = fiber.vertices, fiber.adjacency
-    image = dict(zip(vs, map(vs.__getitem__, perm.images)))
-    return all(image[b] in adj[image[a]] for a, b in fiber.edge_list())
+    im, nbrs = perm.images, fiber.neighbor_indices
+    return all(im[j] in nbrs[im[i]] for i, j in fiber.ends)
 
 
 @dataclass(frozen=True, eq=False)

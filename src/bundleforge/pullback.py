@@ -85,37 +85,42 @@ def _typed_fiber_product(
     three-kind edge rule (kind II collapses on the left coordinate).  Also
     returns the pair (a, b) behind each vertex, in vertex order.
 
-    The later neighbours of each pair (a, b) are found by walking the
-    neighbours of a in left and of b in right.  Neighbour lists are in
-    stored order and pairs are left major, so the edges come out in pair
-    order: for each pair, first the (a, b2), then the (a2, ...) by a2.
+    The later neighbours of each pair (a, b) are found by walking, by
+    position, the neighbours of a in left and of b in right.  Neighbour
+    lists are increasing and pairs are left major, so the typed edges come
+    out in pair order: for each pair, first the (a, b2), then the (a2, ...)
+    by a2.
     """
-    right_over: dict[Label, list[Label]] = {}
-    for b in right.vertices:
-        right_over.setdefault(right_to_target[b], []).append(b)
-    pairs = [(a, b) for a in left.vertices for b in right_over.get(left_to_target[a], ())]
+    tidx, lvs, rvs = target.index, left.vertices, right.vertices
+    lt = [tidx[left_to_target[a]] for a in lvs]
+    right_over: list[list[int]] = [[] for _ in target.vertices]
+    for b, y in enumerate(rvs):
+        right_over[tidx[right_to_target[y]]].append(b)
+    pairs = [(a, b) for a, t in enumerate(lt) for b in right_over[t]]
     position = {pair: i for i, pair in enumerate(pairs)}
-    labels = [label_fn(a, b) for a, b in pairs]
-    typed: list[TypedEdge] = []
+    labels = [label_fn(lvs[a], rvs[b]) for a, b in pairs]
+    lnb, rnb, tnb = left.neighbor_indices, right.neighbor_indices, target.neighbor_indices
+    found: list[tuple[int, int, str]] = []
     for i, (a, b) in enumerate(pairs):
-        t = left_to_target[a]
-        for b2 in right.adjacency[b]:
+        t = lt[a]
+        for b2 in rnb[b]:
             j = position.get((a, b2), -1)
             if j > i:
-                typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_FIBER))
-        for a2 in left.adjacency[a]:
-            t2 = left_to_target[a2]
+                found.append((i, j, EDGE_KIND_FIBER))
+        for a2 in lnb[a]:
+            t2 = lt[a2]
             if t2 == t:
                 j = position.get((a2, b), -1)
                 if j > i:
-                    typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_COLLAPSED))
-            elif target.has_edge(t, t2):
-                for b2 in right.adjacency[b]:
+                    found.append((i, j, EDGE_KIND_COLLAPSED))
+            elif t2 in tnb[t]:
+                for b2 in rnb[b]:
                     j = position.get((a2, b2), -1)
                     if j > i:
-                        typed.append(TypedEdge((labels[i], labels[j]), EDGE_KIND_DIAGONAL))
-    graph = _trusted_graph(tuple(labels), [e.endpoints for e in typed])
-    return graph, tuple(typed), pairs
+                        found.append((i, j, EDGE_KIND_DIAGONAL))
+    graph = _trusted_graph(tuple(labels), [(i, j) for i, j, _ in found])
+    typed = tuple(TypedEdge((labels[i], labels[j]), kind) for i, j, kind in found)
+    return graph, typed, [(lvs[a], rvs[b]) for a, b in pairs]
 
 
 @dataclass(frozen=True, eq=False)

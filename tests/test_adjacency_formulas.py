@@ -5,6 +5,10 @@ the sum of Kronecker products with indicators rescanned per voltage value,
 and to the adjacency matrix of the constructed total space.
 """
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +38,7 @@ from bundleforge import (
     trivial_voltage,
     voltage_bundle,
 )
-from bundleforge import matrices, products, pullback
+from bundleforge import bundles, matrices, products, pullback
 from bundleforge.errors import ShapeMismatch
 from bundleforge.products import voltage_indicator
 from bundleforge.pullback import subdirect_voltage
@@ -464,3 +468,44 @@ def test_formulas_build_no_dense_term(monkeypatch):
     ]
     for formula, reference in zip(got, expected):
         assert_identical(formula, reference)
+
+
+# --- route independence ----------------------------------------------------------
+
+
+def _resolve(node, names):
+    """The object a call's function expression names, looked up in names,
+    or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, names)
+        return None if owner is None else getattr(owner, node.attr, None)
+    return None
+
+
+def bundleforge_callees(fn):
+    """Every bundleforge function fn calls, by a name or dotted name that
+    its module resolves, and every one those call in turn."""
+    found, todo = set(), [fn]
+    while todo:
+        caller = todo.pop()
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(caller)))):
+            if isinstance(node, ast.Call):
+                target = _resolve(node.func, caller.__globals__)
+                target = getattr(target, "__func__", target)
+                if inspect.isfunction(target) and target.__module__.startswith("bundleforge") and target not in found:
+                    found.add(target)
+                    todo.append(target)
+    return found
+
+
+def test_construction_and_formula_routes_share_no_helper():
+    """The adjacency theorem compares voltage_bundle, the construction
+    route, with voltage_adjacency, the formula route.  A helper both call,
+    directly or through others, would check a routine against itself."""
+    construction = bundleforge_callees(bundles.voltage_bundle)
+    formula = bundleforge_callees(matrices.voltage_adjacency)
+    assert {f.__name__ for f in construction} >= {"_trusted_graph", "pair_label"}
+    assert {f.__name__ for f in formula} >= {"_trusted"}
+    assert not construction & formula, sorted(f.__qualname__ for f in construction & formula)

@@ -336,6 +336,12 @@ class TestExportCommand:
         assert out.startswith("graph G {")
         assert '"1" -- "2";' in out
 
+    def test_dot_output_escapes_labels(self, capsys, tmp_path):
+        path = write_json(tmp_path, "g.json", {"vertices": ['a"b', "c\\"], "edges": [['a"b', "c\\"]]})
+        code, out, _ = run(capsys, "export", "--graph", path, "--format", "dot")
+        assert code == 0
+        assert out.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\";', '  "a\\"b" -- "c\\\\";']
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):

@@ -357,6 +357,10 @@ class TestSerialization:
         assert dot.startswith("graph G {")
         assert '"1" -- "2";' in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = make_graph(['a"b', "c\\"], [('a"b', "c\\")])
+        assert g.to_dot() == 'graph G {\n  "a\\"b";\n  "c\\\\";\n  "a\\"b" -- "c\\\\";\n}\n'
+
     def test_edge_list_is_a_fresh_copy(self, c6):
         before = c6.edge_list()
         data = c6.to_json()

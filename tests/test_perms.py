@@ -1,6 +1,8 @@
 """Permutations: composition across sizes, and the results that skip the
 bijection check against the validating constructor."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,3 +45,26 @@ def test_built_perms_equal_validated_ones(case):
     assert [kron(p, r)(i * r.n + j) for i in range(p.n) for j in range(r.n)] == [
         p(i) * r.n + r(j) for i in range(p.n) for j in range(r.n)
     ]
+
+
+@dataclass(frozen=True, order=True)
+class GeneratedPerm:
+    """A Perm's one field with the hash that dataclass generates."""
+
+    images: tuple
+
+
+@given(st.lists(st.permutations(range(5)), max_size=30))
+@settings(max_examples=50, deadline=None)
+def test_perm_hash_is_the_generated_one(drawn):
+    perms = [Perm(tuple(x)) for x in drawn]
+    trusted = [Perm._trusted(tuple(x)) for x in drawn]
+    generated = [GeneratedPerm(tuple(x)) for x in drawn]
+    for p, q, r in zip(perms, trusted, generated):
+        assert hash(p) == hash(q) == hash(r) == hash(p)
+        assert p == q and {p: 1}[q] == 1
+    assert sorted(perms) == sorted(trusted)
+    assert [p.images for p in sorted(perms)] == [r.images for r in sorted(generated)]
+    # Equal hashes and insertion order give sets the same iteration order.
+    assert [p.images for p in set(perms)] == [r.images for r in set(generated)]
+    assert [p.images for p in dict.fromkeys(trusted)] == [r.images for r in dict.fromkeys(generated)]
