@@ -11,6 +11,14 @@ Submodules:
   ktheory   bundle-class monoids and bounded Grothendieck verdicts
   groups    finite groups, Cayley graphs, subdirect groups, bundle theorems
   cli       command-line interface
+
+Only ``matrices`` imports numpy at load time.  No other module imports
+numpy or the matrix layer at load time: the functions that build a Matrix
+or a Spectrum import them when they run, and the package serves Matrix,
+Spectrum, adjacency_matrix, hadamard and spectrum through a module
+``__getattr__`` that imports the layer on first access and caches each
+name here.  So ``import bundleforge`` and the combinatorial verbs of the
+CLI run without numpy.
 """
 
 from .graphs import (
@@ -32,7 +40,6 @@ from .graphs import (
     star_graph,
     validate_morphism,
 )
-from .matrices import Matrix, Spectrum, adjacency_matrix, hadamard, kronecker, perm_matrix, spectrum
 from .perms import Perm
 from .products import (
     cartesian_product,
@@ -106,3 +113,21 @@ from .groups import (
 )
 
 __version__ = "0.1.0"
+
+#: Public names of the matrix layer, imported with numpy on first access.
+_MATRIX_NAMES = frozenset({"Matrix", "Spectrum", "adjacency_matrix", "hadamard", "spectrum"})
+
+
+def __getattr__(name: str):
+    """A matrix-layer name, imported on first access and then cached in the
+    package, so that later reads are plain attribute lookups (PEP 562)."""
+    if name not in _MATRIX_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import matrices
+
+    value = globals()[name] = getattr(matrices, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MATRIX_NAMES)

@@ -3,6 +3,10 @@
 Exit codes: 0 success or true verdict, 1 false verdict (invalid bundle,
 failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 4 internal error (an unexpected exception, reported without a traceback).
+
+Only the verbs that print a formula check or a spectrum (spectrum,
+bundle-build, pullback and subdirect on voltages) import the matrix layer,
+and with it numpy; every other verb runs without it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .groups import (
     verify_invariance,
 )
 from .ktheory import enumerate_bundle_classes
-from .matrices import adjacency_matrix, graph_spectrum
 from .named import (
     CAYLEY_CASES,
     c6_c3_covering_bundle,
@@ -84,14 +87,21 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _load_map(path: str) -> tuple[dict[Label, Label], dict]:
+def _load_map(path: str, domain: Optional[Graph] = None) -> tuple[dict[Label, Label], dict]:
     """Read a JSON object whose "map" is an object of labels; returns the
-    map, with its labels canonicalized, and the whole object."""
+    map, with its labels canonicalized, and the whole object.  With a
+    domain, a key that is not one of its vertices is refused, where
+    make_morphism would drop it."""
     data = _load_json(path)
     raw = data.get("map") if isinstance(data, dict) else None
     if not isinstance(raw, dict):
         raise ParseError(f"{path} needs a 'map' object")
-    return {canon_label(k): canon_label(v) for k, v in raw.items()}, data
+    mapping = {canon_label(k): canon_label(v) for k, v in raw.items()}
+    if domain is not None:
+        stray = [k for k in mapping if k not in domain.index]
+        if stray:
+            raise ParseError(f"{path} maps labels that are not domain vertices: {stray}")
+    return mapping, data
 
 
 def _load_graph(path: Optional[str], case: Optional[str]) -> Graph:
@@ -133,6 +143,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .matrices import graph_spectrum
+
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(f"--tolerance must be finite and not negative, got {args.tolerance}")
     g = _load_graph(args.graph, args.case)
@@ -166,6 +178,8 @@ def _voltage_from_args(args) -> FiberVoltage:
 
 
 def cmd_bundle_build(args) -> int:
+    from .matrices import adjacency_matrix
+
     fv = _voltage_from_args(args)
     b = voltage_bundle(fv)
     formula = bundle_adjacency(fv)
@@ -205,7 +219,7 @@ def cmd_bundle_verify(args) -> int:
     else:
         total = _load_graph(args.total, None)
         fiber_graph = _load_graph(args.fiber, None)
-        mapping, proj_data = _load_map(args.proj)
+        mapping, proj_data = _load_map(args.proj, total)
         if args.base:
             base = _load_graph(args.base, None)
         elif "base" in proj_data:
@@ -251,6 +265,8 @@ def cmd_bundle_verify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from .matrices import adjacency_matrix
+
     if args.case:
         if args.case != "c6-m3":
             raise ParseError(f"unknown pullback case {args.case!r}; choices: c6-m3")
@@ -261,7 +277,7 @@ def cmd_pullback(args) -> int:
             raise ParseError("pullback needs --voltage, --morphism, and --domain (or --case)")
         fv = FiberVoltage.from_json(_load_json(args.voltage))
         domain = _load_graph(args.domain, None)
-        f = make_morphism(domain, fv.base, _load_map(args.morphism)[0])
+        f = make_morphism(domain, fv.base, _load_map(args.morphism, domain)[0])
     pulled = pullback_voltage(f, fv)
     pb = pullback_bundle(f, voltage_bundle(fv))
     formula = pullback_adjacency(f, fv)
@@ -321,6 +337,8 @@ def cmd_subdirect(args) -> int:
             raise ParseError("subdirect needs --v1 and --v2 voltage files (or --case)")
         fv1 = FiberVoltage.from_json(_load_json(args.v1))
         fv2 = FiberVoltage.from_json(_load_json(args.v2))
+    from .matrices import adjacency_matrix
+
     sp = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2))
     formula = subdirect_adjacency(fv1, fv2)
     direct = adjacency_matrix(sp.total)

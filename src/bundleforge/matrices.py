@@ -7,8 +7,8 @@ into a zero output: a fixed number of array calls per formula, and no pass
 over the (|V||F|)² output but the one that allocates it.  That the sum is
 an adjacency matrix is asserted on the sorted index array, in
 O(nnz log nnz); :meth:`Matrix.is_adjacency` is the dense form of the same
-test, which the tests apply to every formula output.  :func:`kronecker` is
-the dense ``np.kron``, the reference the tests hold the kernel to.
+test, which the tests apply to every formula output.  The tests hold the
+kernel to the dense ``np.kron`` sum, built in their own helper module.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
@@ -107,7 +107,15 @@ class Matrix:
         return Matrix._trusted(self.data @ other.data)
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return self.rows == self.cols and bool(np.allclose(self.data, self.data.T, rtol=0.0, atol=tol))
+        """Square, and each entry within tol of its transpose, as
+        ``np.allclose(a, aᵀ, rtol=0, atol=tol)`` decides: equal infinities
+        match, NaN matches nothing.  inf − inf is NaN, which compares false,
+        so its warning is silenced."""
+        if self.rows != self.cols:
+            return False
+        a, t = self.data, self.data.T
+        with np.errstate(invalid="ignore"):
+            return bool(((a == t) | (np.abs(a - t) <= tol)).all())
 
     def is_adjacency(self) -> bool:
         """Square, symmetric, zero diagonal, all entries 0 or 1.
@@ -169,27 +177,11 @@ def adjacency_matrix(g: Graph) -> Matrix:
     return Matrix._trusted(a)
 
 
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Block matrix whose (i, j) block is a[i, j] * b."""
-    return Matrix._trusted(np.kron(a.data, b.data))
-
-
 def hadamard(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise product of two same-shaped matrices."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
     return Matrix._trusted(a.data * b.data)
-
-
-def perm_matrix(sigma: Perm | Sequence[int]) -> Matrix:
-    """Permutation matrix P with P[sigma(i)][i] = 1, so P e_i = e_sigma(i)."""
-    if not isinstance(sigma, Perm):
-        sigma = Perm(tuple(sigma))
-    n = sigma.n
-    p = np.zeros((n, n))
-    for i in range(n):
-        p[sigma(i), i] = 1.0
-    return Matrix._trusted(p)
 
 
 def voltage_adjacency(

@@ -7,6 +7,11 @@ at the index level.  A k-fold covering is a bundle over the edgeless fiber
 on k vertices: it is verified by bundles.verify_bundle, its permutation
 voltage is that bundle's voltage, and its adjacency is the bundle formula.
 
+The module imports neither numpy nor the matrix layer at load time: the
+functions that build a Matrix or a Spectrum (the voltage indicators, the
+bundle and covering adjacency formulas and the closed-form spectra) import
+it when they run, so the products and voltages load without numpy.
+
 make_fiber_voltage and FiberVoltage(...) validate user data.  Voltages whose
 values are automorphisms by construction (trivial_voltage and those derived
 in bundles, pullback and ktheory) go through FiberVoltage._trusted, and the
@@ -17,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import BaseMismatch, ParseError, ShapeMismatch
 from .graphs import (
@@ -31,11 +34,11 @@ from .graphs import (
     pair_label,
     split_edge_key,
 )
-from .matrices import Matrix, Spectrum, adjacency_matrix, voltage_adjacency
 from .perms import Perm
 
 if TYPE_CHECKING:
     from .bundles import GraphBundle
+    from .matrices import Matrix, Spectrum
 
 
 def _pair_vertices(g1: Graph, g2: Graph) -> tuple[Label, ...]:
@@ -71,11 +74,15 @@ def _box_ends(g1: Graph, g2: Graph) -> list[tuple[int, int]]:
 
 def cartesian_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Closed-form product spectrum: every pairwise sum of eigenvalues."""
+    from .matrices import Spectrum
+
     return Spectrum(tuple(a + b for a in s1.eigenvalues for b in s2.eigenvalues))
 
 
 def strong_spectrum(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Closed-form strong-product spectrum: every a + b + a*b."""
+    from .matrices import Spectrum
+
     return Spectrum(tuple(a + b + a * b for a in s1.eigenvalues for b in s2.eigenvalues))
 
 
@@ -225,6 +232,10 @@ def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
 
 def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     """n×n 0/1 matrix with ones at the given (row, column) pairs."""
+    import numpy as np
+
+    from .matrices import Matrix
+
     out = np.zeros((n, n))
     out[list(rows), list(cols)] = 1.0
     return Matrix._trusted(out)
@@ -263,6 +274,8 @@ def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     """Adjacency matrix of the voltage total space, computed by the closed
     formula: voltage indicators tensored with fiber actions, plus the fiber
     adjacency on the diagonal blocks."""
+    from .matrices import adjacency_matrix, voltage_adjacency
+
     terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv.base, fv.phi))
     return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
 

@@ -4,14 +4,17 @@ and the subdirect product of bundles over a common base.
 Both constructions are instances of one typed fiber product: vertices are
 compatible pairs, and edges come in three kinds (fiber edges, collapsed
 base edges, twisted diagonal edges).
+
+The module imports neither numpy nor the matrix layer at load time: the
+functions that build a Matrix (morphism_matrix, the conjugated blocks and
+indicators, and the pullback and subdirect adjacency formulas) import it
+when they run, so the constructions load without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from .bundles import (
     FiberVoltage,
@@ -33,9 +36,11 @@ from .graphs import (
     split_composite,
     validate_morphism,
 )
-from .matrices import Matrix, _edge_ends, adjacency_matrix, hadamard, identity, voltage_adjacency
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product, voltage_indicator, voltage_indicators
+
+if TYPE_CHECKING:
+    from .matrices import Matrix
 
 EDGE_KIND_FIBER = "I"
 EDGE_KIND_COLLAPSED = "II"
@@ -173,6 +178,10 @@ class MorphismMatrix:
 
 
 def morphism_matrix(f: GraphMorphism) -> MorphismMatrix:
+    import numpy as np
+
+    from .matrices import Matrix
+
     rows, cols = f.codomain.n, f.domain.n
     m = np.zeros((rows, cols))
     for v in f.domain.vertices:
@@ -184,6 +193,8 @@ def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:
     """M^T · indicator · M, where for the identity the collapsed edges
     contribute as well, so the middle factor gains an identity summand
     (sized by the codomain)."""
+    from .matrices import identity
+
     if psi.is_identity():
         indicator = indicator + identity(indicator.rows)
     return m.transpose() @ indicator @ m
@@ -202,6 +213,8 @@ def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
     """Voltage indicator of the pulled-back voltage, computed matricially as
     the Hadamard product of the domain adjacency with the conjugated block.
     Raises the errors of :func:`pullback_b_matrix`."""
+    from .matrices import adjacency_matrix, hadamard
+
     return hadamard(adjacency_matrix(f.domain), pullback_b_matrix(f, fv, psi))
 
 
@@ -218,6 +231,10 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     edges, and the edges grouped by id into the kernel's terms: no
     morphism matrix, dense indicator or matrix product is built.  Raises
     NotAMorphism when f is not a morphism."""
+    import numpy as np
+
+    from .matrices import _edge_ends, adjacency_matrix, voltage_adjacency
+
     _check_pullback(f, fv.base, "voltage")
     n = fv.base.n
     # The extra value, the identity, comes first: id 0, which the zero
@@ -293,6 +310,10 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     lexicographic order, by the closed double-sum formula over the pairs of
     voltage values used on a common oriented edge, each acting as the
     Kronecker product of its two permutations."""
+    import numpy as np
+
+    from .matrices import adjacency_matrix, voltage_adjacency
+
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
     pairs = {edge: (value, fv2.phi[edge]) for edge, value in fv1.phi.items()}

@@ -47,11 +47,12 @@ from bundleforge.matrices import (
     from_rows,
     hadamard,
     identity,
-    kronecker,
-    perm_matrix,
     voltage_adjacency,
     zeros,
 )
+
+import dense_reference
+from dense_reference import kronecker, perm_block, perm_matrix
 
 FIBERS = {
     "K2": complete_graph(2),
@@ -84,13 +85,6 @@ def reference_indicator(base, phi, keep):
         if keep(value, (v, w)):
             out[base.index[v], base.index[w]] = 1.0
     return out
-
-
-def perm_block(sigma):
-    """Row-action permutation block: entry (i, j) = 1 iff j = sigma(i), the
-    transpose of perm_matrix.  The fiber index flows forward along the
-    oriented edge, so this is the dense block of a voltage value."""
-    return perm_matrix(sigma.inverse())
 
 
 def reference_voltage_adjacency(n, fiber_adjacency, terms):
@@ -455,7 +449,7 @@ def test_formulas_build_no_dense_term(monkeypatch):
 
     monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
-    for module in (matrices, products, pullback):
+    for module in (matrices, products, pullback, dense_reference):
         for name in ("_indicator", "kronecker", "perm_matrix", "hadamard", "morphism_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

@@ -20,7 +20,6 @@ from bundleforge import (
     empty_graph,
     find_isomorphism,
     is_trivial,
-    kronecker,
     make_fiber_voltage,
     make_graph,
     make_morphism,
@@ -58,6 +57,7 @@ from bundleforge.named import (
 )
 
 from conftest import identity_bundle, is_equivalence_witness
+from dense_reference import kronecker
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph
+from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
 from bundleforge.named import m3_bundle, mobius_ladder_3, named_graph
@@ -160,6 +160,18 @@ class TestBundleCommands:
         code, _, err = run(capsys, "bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber)
         assert code == 2
         assert "undefined" in err
+
+    def test_verify_refuses_stray_projection_key(self, capsys, tmp_path):
+        # The clean map is a valid bundle; one key off the total space must
+        # not leave the verdict as it was.
+        total = write_json(tmp_path, "m3.json", mobius_ladder_3().to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        mapping = {str(x): str(x % 3 + 1) for x in range(1, 7)}
+        proj = write_json(tmp_path, "q.json", {"map": {**mapping, "zzz": "1"}})
+        code, out, err = run(capsys, "bundle-verify", "--total", total, "--proj", proj, "--fiber", fiber)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "'zzz'" in err
 
     def test_verify_rejects_cover_as_edge_bundle(self, capsys, tmp_path):
         total = write_json(tmp_path, "c6.json", cycle_graph(6).to_json())
@@ -429,7 +441,9 @@ class TestExitCodes:
         def broken(g):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "graph_spectrum", broken)
+        # The spectrum verb imports graph_spectrum from the matrix layer
+        # when it runs, so the layer's own binding is the one to break.
+        monkeypatch.setattr(matrices, "graph_spectrum", broken)
         code, out, err = run(capsys, "spectrum", "--case", "k3")
         assert code == 4
         assert err == "internal error: RuntimeError: boom\n"
@@ -535,6 +549,16 @@ class TestMalformedInputFiles:
         code, out, _ = run(capsys, *self.pullback_args(tmp_path, morphism), "--json")
         assert code == 0
         assert json.loads(out)["total_vertices"] == 12
+
+    def test_pullback_refuses_stray_morphism_key(self, capsys, tmp_path):
+        from bundleforge.named import mod3_projection
+
+        morphism = mod3_projection(cycle_graph(6)).to_json()
+        morphism["map"]["zzz"] = "1"
+        code, out, err = run(capsys, *self.pullback_args(tmp_path, morphism))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "'zzz'" in err
 
     @pytest.mark.parametrize("morphism", [{"mapping": {}}, {"map": [1]}, [1]], ids=["no-map", "map-list", "list"])
     def test_malformed_morphism(self, capsys, tmp_path, morphism):

@@ -13,10 +13,8 @@ from bundleforge import (
     cycle_graph,
     empty_graph,
     hadamard,
-    kronecker,
     make_graph,
     path_graph,
-    perm_matrix,
     spectrum,
     star_graph,
     strong_product,
@@ -32,6 +30,8 @@ from bundleforge.matrices import (
     voltage_adjacency,
     zeros,
 )
+
+from dense_reference import kronecker, perm_matrix
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
 A_C6_ROWS = [
@@ -446,6 +446,46 @@ def test_kronecker_mixed_product(a, b, c, d):
     if a.cols != c.rows or b.cols != d.rows:
         return
     assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)
+
+
+#: Entries that sit at the symmetry tolerance or break arithmetic on it.
+SPECIAL_ENTRIES = [0.0, 1.0, 1.0 + 1e-12, 1.0 + 3e-12, 1000.0, 1000.001, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def square_or_not(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.sampled_from([rows, rows, rows + 1]))
+    entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(-1e6, 1e6))
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(entries).reshape(rows, cols)
+    if rows == cols and draw(st.booleans()):
+        # Mirror the upper triangle, then nudge one entry about the tolerance.
+        a = np.where(np.triu(np.ones_like(a, dtype=bool)), a, a.T)
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a[i, j] += draw(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, 1e-3]))
+    return Matrix(a)
+
+
+@given(square_or_not(), st.sampled_from([0.0, 1e-12, 2e-12, 1e-3, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_is_symmetric_agrees_with_allclose(m, tol):
+    expected = m.rows == m.cols and bool(np.allclose(m.data, m.data.T, rtol=0.0, atol=tol))
+    assert m.is_symmetric(tol) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, symmetric",
+    [
+        ([[0, np.inf], [np.inf, 0]], True),
+        ([[0, np.inf], [-np.inf, 0]], False),
+        ([[0, np.nan], [np.nan, 0]], False),
+        ([[np.nan]], False),
+        ([[0, 1000], [1000.001, 0]], False),
+    ],
+)
+def test_is_symmetric_special_values(rows, symmetric):
+    assert from_rows(rows).is_symmetric() is symmetric
 
 
 def test_matrix_copies_its_source():

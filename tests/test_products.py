@@ -13,7 +13,6 @@ from bundleforge import (
     cycle_graph,
     empty_graph,
     find_isomorphism,
-    kronecker,
     make_graph,
     make_morphism,
     path_graph,
@@ -26,6 +25,8 @@ from bundleforge import (
 from bundleforge.errors import BaseMismatch, DuplicateVertex, FiberNotIsomorphic, NotACovering
 from bundleforge.matrices import Spectrum, graph_spectrum, identity
 from bundleforge.products import make_covering_voltage
+
+from dense_reference import kronecker
 
 SPECTRUM_FAMILY = ["k2", "k3", "c4", "c6", "p3"]
 

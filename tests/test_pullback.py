@@ -15,7 +15,6 @@ from bundleforge import (
     identity_morphism,
     is_section,
     is_trivial,
-    kronecker,
     make_fiber_voltage,
     make_graph,
     make_morphism,
@@ -65,6 +64,7 @@ from bundleforge.pullback import (
 )
 
 from conftest import identity_bundle, with_fiber
+from dense_reference import kronecker
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
