@@ -29,9 +29,7 @@ from .graphs import (
     compose,
     cycle_graph,
     empty_graph,
-    fiber,
     find_isomorphism,
-    identity_morphism,
     induced_subgraph,
     make_graph,
     make_morphism,
@@ -62,7 +60,6 @@ from .bundles import (
     voltage_bundle,
 )
 from .pullback import (
-    MorphismMatrix,
     PullbackBundle,
     SubdirectBundle,
     TypedEdge,

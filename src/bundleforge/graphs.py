@@ -17,7 +17,8 @@ it takes g as its shape (each position's neighbour positions, as
 induced_adjacency returns them) and h as a SearchProfile (signature
 classes and neighbours as bitmasks, the signature histogram and the edge
 count), and returns image positions.  find_isomorphism and automorphisms
-are label wrappers over it; a Graph caches its own profile.
+each read one call of it back in labels, and verify_bundle hands it shapes
+directly; a Graph caches its own profile.
 """
 
 from __future__ import annotations
@@ -336,10 +337,6 @@ def make_morphism(domain: Graph, codomain: Graph, mapping: Mapping[object, objec
     return GraphMorphism(domain, codomain, pairs)
 
 
-def identity_morphism(g: Graph) -> GraphMorphism:
-    return make_morphism(g, g, {v: v for v in g.vertices})
-
-
 def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     """Return g ∘ f.  The codomain of f must equal the domain of g."""
     if f.codomain != g.domain:
@@ -352,17 +349,20 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
 
     Returns (ok, violations) where each violation is a domain edge whose
     image is neither a codomain edge nor a single vertex, in edge_list
-    order.  Raises UnknownVertex for a domain vertex the map leaves out.
+    order.  Raises UnknownVertex first unless the pairs give exactly one
+    image per domain vertex, each a codomain vertex: a GraphMorphism built
+    by hand is checked here, not when it is made.
     """
-    m, adj = f.map, f.codomain.adjacency
-    try:
-        bad = [
-            (a, b)
-            for a, b in f.domain.edge_list()
-            if (fa := m[a]) != (fb := m[b]) and fb not in adj.get(fa, ())
-        ]
-    except KeyError as exc:
-        raise UnknownVertex(f"vertex {exc.args[0]!r} not in morphism domain") from None
+    m, dom, adj = f.map, f.domain.index, f.codomain.adjacency
+    if len(f.pairs) != len(dom) or m.keys() != dom.keys():
+        for x in dom:
+            if x not in m:
+                raise UnknownVertex(f"vertex {x!r} not in morphism domain")
+        raise UnknownVertex("morphism pairs are not one per domain vertex")
+    for y in m.values():
+        if y not in adj:
+            raise UnknownVertex(f"morphism value {y!r} not in codomain")
+    bad = [(a, b) for a, b in f.domain.edge_list() if (fa := m[a]) != (fb := m[b]) and fb not in adj[fa]]
     return (not bad, bad)
 
 
@@ -410,14 +410,6 @@ def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
             raise UnknownVertex(f"vertex {v!r} not in graph")
     vs = sorted(want, key=idx.__getitem__)
     return subgraph_of_shape(vs, induced_adjacency(g, vs))
-
-
-def fiber(f: GraphMorphism, v: object) -> Graph:
-    """Induced subgraph of the domain on the preimage of v."""
-    v = canon_label(v)
-    if v not in f.codomain.index:
-        raise UnknownVertex(f"vertex {v!r} not in codomain")
-    return induced_subgraph(f.domain, f.preimages[v])
 
 
 def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:
@@ -605,82 +597,18 @@ def search_shape(
     return found, nodes
 
 
-def _label_masks(g: Graph, h: Graph, pg: Mapping, ph: Mapping) -> list[int]:
-    """Per vertex of g, in stored order, the h-positions y with ph[y] ==
-    pg[x].  Raises UnknownVertex for a vertex that its map lacks."""
-    within: dict[object, int] = {}
-    for j, y in enumerate(h.vertices):
-        if y not in ph:
-            raise UnknownVertex(f"vertex {y!r} of h has no label in ph")
-        within[ph[y]] = within.get(ph[y], 0) | 1 << j
-    masks = []
-    for x in g.vertices:
-        if x not in pg:
-            raise UnknownVertex(f"vertex {x!r} of g has no label in pg")
-        masks.append(within.get(pg[x], 0))
-    return masks
-
-
-class _IsoSearch:
-    """search_shape in labels: g's vertices in stored order against h's
-    cached profile, cut by over = (pg, ph) to the vertices y of h with
-    ph[y] == pg[x].  nodes adds up the nodes its searches spent."""
-
-    def __init__(self, g: Graph, h: Graph, budget: int, over: Optional[tuple[Mapping, Mapping]] = None):
-        self.g = g
-        self.h = h
-        self.budget = budget
-        self.over = over
-        self.nodes = 0
-
-    def run(self) -> Optional[dict[Label, Label]]:
-        """The first isomorphism g -> h in search order, or None."""
-        found = self.matches(1)
-        return found[0] if found else None
-
-    def matches(self, limit: Optional[int] = None) -> list[dict[Label, Label]]:
-        """The first limit isomorphisms g -> h in search order, or all of
-        them when limit is None."""
-        g, h = self.g, self.h
-        within = None if self.over is None else _label_masks(g, h, *self.over)
-        images, nodes = search_shape(g.neighbor_indices, h.profile, self.budget, limit, within)
-        self.nodes += nodes
-        return [dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images]
-
-
-def find_isomorphism(
-    g: Graph, h: Graph, over: Optional[tuple[Mapping, Mapping]] = None
-) -> Optional[dict[Label, Label]]:
-    """Find a graph isomorphism g -> h, or None; with over = (pg, ph), one
-    that sends each x to a vertex y with ph[y] == pg[x].  Raises
-    UnknownVertex when pg lacks a vertex of g or ph one of h.
+def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
+    """Find a graph isomorphism g -> h, or None: one search_shape call on
+    g's shape against h's cached profile, read back in labels.
 
     Deterministic: vertices of g are matched in stored order against the
     vertices of h with the same signature, in h's stored order, so the
-    first witness found is stable.  The search (search_shape) checks
-    forward: a vertex's domain shrinks as its neighbours are placed, and a
-    placement that leaves a later neighbour without candidates is undone
-    at once.  Graphs with different signature histograms are rejected
-    before any node is spent.  Raises SearchBudgetExceeded (meaning
+    first witness found is stable.  Raises SearchBudgetExceeded (meaning
     "unknown") when the node budget in scope (see node_budget) runs out; a
-    node is one candidate tried from a vertex's domain.  The search keeps
-    its own stack, so the size of g is not limited by Python's recursion
-    limit.
+    node is one candidate tried from a vertex's domain.
     """
-    return _IsoSearch(g, h, current_budget.get(), over).run()
-
-
-def is_isomorphism(mapping: Mapping[Label, Label], g: Graph, h: Graph) -> bool:
-    """Validate a proposed vertex bijection as an isomorphism g -> h."""
-    if set(mapping.keys()) != set(g.vertices):
-        return False
-    if sorted(mapping.values()) != sorted(h.vertices):
-        return False
-    if len(g.ends) != len(h.ends):
-        return False
-    at = [h.index[mapping[v]] for v in g.vertices]
-    nbrs = h.neighbor_indices
-    return all(at[j] in nbrs[at[i]] for i, j in g.ends)
+    found, _ = search_shape(g.neighbor_indices, h.profile, current_budget.get(), 1)
+    return dict(zip(g.vertices, map(h.vertices.__getitem__, found[0]))) if found else None
 
 
 def automorphisms(g: Graph) -> list[Perm]:

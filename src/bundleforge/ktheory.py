@@ -240,12 +240,6 @@ def _holonomy_images(fv: FiberVoltage) -> list[Images]:
     return [h.images for _, hs in _holonomies(fv) for h in hs]
 
 
-def voltage_class_key(fv: FiberVoltage) -> tuple:
-    """Equivalence-class key of a voltage bundle (same key, same class): the
-    least simultaneous conjugate of each component's holonomies."""
-    return _Chain(fv.fiber).key(_holonomy_images(fv), _cycle_edges(fv.base)[1])
-
-
 @dataclass(frozen=True)
 class BundleClass:
     """One equivalence class of fiber-power bundles over a base."""

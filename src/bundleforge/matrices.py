@@ -144,10 +144,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
-    return Matrix(np.asarray(rows, dtype=float))
-
-
 def identity(n: int) -> Matrix:
     return Matrix._trusted(np.eye(n))
 

@@ -19,7 +19,9 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 from .bundles import (
     FiberVoltage,
     GraphBundle,
+    bundle_adjacency,
     bundles_equivalent,
+    trivial_voltage,
     verify_bundle,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree
@@ -169,15 +171,8 @@ def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     return FiberVoltage._trusted(f.domain, fv.fiber, assignments)
 
 
-@dataclass(frozen=True, eq=False)
-class MorphismMatrix:
+def morphism_matrix(f: GraphMorphism) -> Matrix:
     """0/1 matrix of a vertex map: rows index the codomain, columns the domain."""
-
-    matrix: Matrix
-    f: GraphMorphism
-
-
-def morphism_matrix(f: GraphMorphism) -> MorphismMatrix:
     import numpy as np
 
     from .matrices import Matrix
@@ -186,7 +181,7 @@ def morphism_matrix(f: GraphMorphism) -> MorphismMatrix:
     m = np.zeros((rows, cols))
     for v in f.domain.vertices:
         m[f.codomain.index[f(v)], f.domain.index[v]] = 1.0
-    return MorphismMatrix(Matrix._trusted(m), f)
+    return Matrix._trusted(m)
 
 
 def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:
@@ -206,7 +201,7 @@ def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
     when f is not a morphism, and ShapeMismatch when psi does not act on
     the fiber."""
     _check_pullback(f, fv.base, "voltage")
-    return _conjugated_block(morphism_matrix(f).matrix, voltage_indicator(fv, psi), psi)
+    return _conjugated_block(morphism_matrix(f), voltage_indicator(fv, psi), psi)
 
 
 def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
@@ -310,9 +305,7 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     lexicographic order, by the closed double-sum formula over the pairs of
     voltage values used on a common oriented edge, each acting as the
     Kronecker product of its two permutations."""
-    import numpy as np
-
-    from .matrices import adjacency_matrix, voltage_adjacency
+    from .matrices import voltage_adjacency
 
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
@@ -322,10 +315,7 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
         for (psi1, psi2), (rows, cols) in voltage_indicators(fv1.base, pairs)
     )
     # A(F1 □ F2) = A1 ⊗ I + I ⊗ A2 is the trivial bundle of F2 over F1.
-    r, c = np.nonzero(adjacency_matrix(fv1.fiber).data)
-    fiber_adjacency = voltage_adjacency(
-        fv1.fiber.n, adjacency_matrix(fv2.fiber), [(r, c, Perm.identity(fv2.fiber.n))]
-    )
+    fiber_adjacency = bundle_adjacency(trivial_voltage(fv1.fiber, fv2.fiber))
     return voltage_adjacency(fv1.base.n, fiber_adjacency, terms)
 
 

@@ -15,7 +15,6 @@ from bundleforge import (
     verify_bundle,
 )
 from bundleforge.errors import FiberMismatch
-from bundleforge.graphs import is_isomorphism
 from bundleforge.named import (
     hexagonal_prism,
     mobius_ladder_3,
@@ -34,8 +33,7 @@ def identity_bundle(base):
     """The base over itself with a one-vertex fiber; neutral for the
     subdirect product."""
     point = make_graph(["1"], [])
-    projection = make_morphism(base, base, {v: v for v in base.vertices})
-    return verify_bundle(base, projection, point)
+    return verify_bundle(base, identity_morphism(base), point)
 
 
 def with_fiber(b, new_fiber):
@@ -51,6 +49,23 @@ def with_fiber(b, new_fiber):
         raise FiberMismatch("replacement fiber is not isomorphic to the bundle fiber")
     fiber_isos = {v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()}
     return GraphBundle(b.total, b.projection, new_fiber, fiber_isos)
+
+
+def identity_morphism(g):
+    return make_morphism(g, g, {v: v for v in g.vertices})
+
+
+def is_isomorphism(mapping, g, h):
+    """Validate a proposed vertex bijection as an isomorphism g -> h."""
+    if set(mapping.keys()) != set(g.vertices):
+        return False
+    if sorted(mapping.values()) != sorted(h.vertices):
+        return False
+    if len(g.ends) != len(h.ends):
+        return False
+    at = [h.index[mapping[v]] for v in g.vertices]
+    nbrs = h.neighbor_indices
+    return all(at[j] in nbrs[at[i]] for i, j in g.ends)
 
 
 def is_equivalence_witness(b1, b2, mapping):

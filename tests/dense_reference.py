@@ -1,5 +1,5 @@
-"""Dense Kronecker and permutation matrices: the reference the tests hold
-the adjacency formulas to.
+"""Dense matrices from rows, Kronecker products and permutation matrices:
+the reference the tests hold the adjacency formulas to.
 
 The library builds every formula by one index scatter
 (matrices.voltage_adjacency) and never a dense Kronecker product or
@@ -13,6 +13,10 @@ import numpy as np
 
 from bundleforge.matrices import Matrix
 from bundleforge.perms import Perm
+
+
+def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
+    return Matrix(np.asarray(rows, dtype=float))
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

@@ -44,7 +44,6 @@ from bundleforge.products import voltage_indicator
 from bundleforge.pullback import subdirect_voltage
 from bundleforge.matrices import (
     Matrix,
-    from_rows,
     hadamard,
     identity,
     voltage_adjacency,
@@ -52,7 +51,7 @@ from bundleforge.matrices import (
 )
 
 import dense_reference
-from dense_reference import kronecker, perm_block, perm_matrix
+from dense_reference import from_rows, kronecker, perm_block, perm_matrix
 
 FIBERS = {
     "K2": complete_graph(2),
@@ -318,7 +317,7 @@ def test_trusted_matrices_equal_validated_ones(data):
         identity(fiber.n),
         zeros(base.n, fiber.n),
         voltage_indicator(fv, psi),
-        morphism_matrix(voltage_bundle(fv).projection).matrix,
+        morphism_matrix(voltage_bundle(fv).projection),
     ]
     for m in built:
         assert not m.data.flags.writeable
@@ -449,10 +448,16 @@ def test_formulas_build_no_dense_term(monkeypatch):
 
     monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    names = {"_indicator", "kronecker", "perm_matrix", "hadamard", "morphism_matrix"}
+    patched = set()
     for module in (matrices, products, pullback, dense_reference):
-        for name in ("_indicator", "kronecker", "perm_matrix", "hadamard", "morphism_matrix"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+                patched.add(name)
+    # A name that moves out of these modules fails here instead of leaving
+    # the guard.
+    assert patched == names
     got = [
         bundle_adjacency(fv),
         covering_adjacency(base, cover),

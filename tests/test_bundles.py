@@ -32,7 +32,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import bundles, graphs, products
-from bundleforge.graphs import induced_subgraph, pair_label, spanning_forest, split_pair_label
+from bundleforge.graphs import GraphMorphism, induced_subgraph, pair_label, search_shape, spanning_forest, split_pair_label
 from bundleforge.bundles import _transition
 from bundleforge.errors import (
     BaseMismatch,
@@ -46,6 +46,7 @@ from bundleforge.errors import (
     SearchBudgetExceeded,
     TotalMismatch,
     TransitionNotIso,
+    UnknownVertex,
 )
 from bundleforge.matrices import identity as identity_matrix
 from bundleforge.products import make_covering_voltage
@@ -124,6 +125,22 @@ class TestVerifyBundle:
         # edges and the transitions P6's.
         with pytest.raises(TotalMismatch, match="is not the total space"):
             verify_bundle(total, p_c6_c3, two_k1)
+
+    @pytest.mark.parametrize(
+        "e_image, message",
+        [(None, "vertex 'e' not in morphism domain"), ("9", "morphism value '9' not in codomain")],
+        ids=["left-out", "off-the-base"],
+    )
+    def test_hand_built_projection_of_an_isolated_vertex(self, k2, e_image, message):
+        # The 4-cycle a-b-d-c over K2 with fibers {a, b} and {c, d}, plus an
+        # isolated e that the projection leaves out or sends off the base.
+        # No edge reaches e, so only a check of every vertex sees it.
+        total = make_graph(list("abcde"), [("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")])
+        pairs = (("a", "1"), ("b", "1"), ("c", "2"), ("d", "2"))
+        if e_image is not None:
+            pairs += (("e", e_image),)
+        with pytest.raises(UnknownVertex, match=message):
+            verify_bundle(total, GraphMorphism(total, k2, pairs), k2)
 
     def test_twisted_matching_is_not_a_transition_iso(self, k2):
         # Two copies of the path a-b-c joined by a-b', b-a', c-c': a
@@ -866,8 +883,11 @@ def reference_verify_bundle(total, p, fiber):
     k2f = cartesian_product(complete_graph(2), fiber)
     for v, w in base.edge_list():
         local = induced_subgraph(total, fibers[v] + fibers[w])
-        ends = {pair_label(i, f): u for i, u in (("1", v), ("2", w)) for f in fiber.vertices}
-        if find_isomorphism(local, k2f, over=(p.map, ends)) is None:
+        # Each vertex over v may go only onto copy 1 of F, and over w only
+        # onto copy 2: one mask of k2f positions per vertex of local.
+        ends = [u for u in (v, w) for _ in fiber.vertices]
+        within = [sum(1 << j for j, u in enumerate(ends) if u == p.map[x]) for x in local.vertices]
+        if not search_shape(local.neighbor_indices, k2f.profile, graphs.current_budget.get(), 1, within)[0]:
             local_error = LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
             break
     if (definition_error is None) != (local_error is None):

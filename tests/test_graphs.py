@@ -13,9 +13,7 @@ from bundleforge import (
     complete_graph,
     compose,
     cycle_graph,
-    fiber,
     find_isomorphism,
-    identity_morphism,
     induced_subgraph,
     make_graph,
     make_morphism,
@@ -31,7 +29,7 @@ from bundleforge.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, GraphMorphism, _IsoSearch, is_isomorphism, node_budget
+from bundleforge.graphs import Graph, GraphMorphism, node_budget, search_shape
 from bundleforge.named import (
     c6k2_bundle,
     hexagonal_prism,
@@ -42,6 +40,7 @@ from bundleforge.named import (
     twisted_hexagonal_ladder,
 )
 from bundleforge.pullback import mixed_base_subdirect
+from conftest import identity_morphism, is_isomorphism
 
 
 class TestMakeGraph:
@@ -106,6 +105,24 @@ class TestMorphisms:
         # A morphism built without make_morphism's totality check.
         f = GraphMorphism(k3, k3, (("1", "1"), ("2", "2")))
         with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
+            validate_morphism(f)
+
+    @pytest.mark.parametrize(
+        "domain, pairs, message",
+        [
+            # No edge of the left-out vertex reaches the edge check.
+            (["1", "2", "3", "4"], (("1", "1"), ("2", "2"), ("3", "3")), "vertex '4' not in morphism domain"),
+            (["1", "2", "3"], (("1", "1"), ("2", "2"), ("3", "9")), "morphism value '9' not in codomain"),
+            (["1", "2", "3"], (("1", "1"), ("2", "2"), ("3", "3"), ("3", "1")), "not one per domain vertex"),
+            (["1", "2", "3"], (("1", "1"), ("2", "2"), ("3", "3"), ("z", "1")), "not one per domain vertex"),
+        ],
+        ids=["isolated-vertex-left-out", "image-off-codomain", "vertex-twice", "stray-vertex"],
+    )
+    def test_hand_built_pairs_are_checked(self, k3, domain, pairs, message):
+        # One image per domain vertex, each a codomain vertex, is checked
+        # before any edge.
+        f = GraphMorphism(make_graph(domain, k3.edge_list()), k3, pairs)
+        with pytest.raises(UnknownVertex, match=message):
             validate_morphism(f)
 
     @given(st.integers(0, 10_000))
@@ -177,25 +194,39 @@ class TestSubgraphs:
 
 
 class TestFibers:
+    # The fiber over v is the domain's subgraph on preimages[v].
+
     def test_projection_fiber_is_edgeless(self, p_c6_c3):
-        f = fiber(p_c6_c3, "1")
-        assert f.vertices == ("3", "6")
-        assert not f.edges
+        assert p_c6_c3.preimages["1"] == ("3", "6")
+        assert not p_c6_c3.domain.has_edge("3", "6")
 
     def test_identity_fiber_single_vertex(self, k3):
-        f = fiber(identity_morphism(k3), "2")
-        assert f.vertices == ("2",)
+        assert identity_morphism(k3).preimages["2"] == ("2",)
 
     def test_twisted_ladder_fiber_is_an_edge(self, q_m3_c3):
         # The ladder rungs live inside the fibers, so each fiber is a K2.
-        f = fiber(q_m3_c3, "1")
-        assert f.vertices == ("3", "6")
-        assert f.has_edge("3", "6")
+        assert q_m3_c3.preimages["1"] == ("3", "6")
+        assert q_m3_c3.domain.has_edge("3", "6")
 
     def test_fibers_partition_domain(self, p_c6_c3):
-        pieces = [fiber(p_c6_c3, v).vertices for v in p_c6_c3.codomain.vertices]
+        pieces = [p_c6_c3.preimages[v] for v in p_c6_c3.codomain.vertices]
         flat = sorted(itertools.chain.from_iterable(pieces))
         assert flat == sorted(p_c6_c3.domain.vertices)
+
+
+def search(g, h, budget=graphs_mod.DEFAULT_NODE_BUDGET, limit=1, within=None):
+    """search_shape on g's shape against h's profile, read back in labels:
+    the witnesses g -> h and the nodes spent."""
+    images, nodes = search_shape(g.neighbor_indices, h.profile, budget, limit, within)
+    return [dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images], nodes
+
+
+def sided(g, h, pg, ph):
+    """The first isomorphism g -> h that sends each x to a y with ph[y] ==
+    pg[x], or None: the kernel's sided mode, one within mask per vertex."""
+    within = [sum(1 << j for j, y in enumerate(h.vertices) if ph[y] == pg[x]) for x in g.vertices]
+    found, _ = search(g, h, within=within)
+    return found[0] if found else None
 
 
 REFERENCE_WITNESS = {str(i): str(i) for i in range(1, 13)}
@@ -235,9 +266,9 @@ class TestIsomorphism:
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         h = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
         pg = {"a": "x", "b": "y", "c": "y"}
-        assert find_isomorphism(g, h, over=(pg, {"1": "y", "2": "y", "3": "x"})) == {"a": "3", "b": "2", "c": "1"}
-        assert find_isomorphism(g, h, over=(pg, {"1": "y", "2": "x", "3": "y"})) is None
-        assert find_isomorphism(g, h, over=(pg, {"1": "z", "2": "y", "3": "y"})) is None
+        assert sided(g, h, pg, {"1": "y", "2": "y", "3": "x"}) == {"a": "3", "b": "2", "c": "1"}
+        assert sided(g, h, pg, {"1": "y", "2": "x", "3": "y"}) is None
+        assert sided(g, h, pg, {"1": "z", "2": "y", "3": "y"}) is None
 
     def test_domino_over_its_rungs_only(self, k2):
         # The domino K2 □ P3 with the paths a-b-c and a'-b'-c' cut across it:
@@ -250,16 +281,8 @@ class TestIsomorphism:
         side = {x: x[1] for x in h.vertices}
         pg = {x: "2" if x.endswith("'") else "1" for x in g.vertices}
         assert find_isomorphism(g, h) is not None
-        assert find_isomorphism(g, h, over=(pg, side)) is None
-        assert find_isomorphism(h, h, over=(side, side)) == {x: x for x in h.vertices}
-
-    def test_over_names_a_vertex_its_map_lacks(self):
-        p3 = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
-        full = {"1": "x", "2": "x", "3": "x"}
-        with pytest.raises(UnknownVertex, match=r"vertex '3' of g has no label in pg"):
-            find_isomorphism(p3, p3, over=({"1": "x", "2": "x"}, full))
-        with pytest.raises(UnknownVertex, match=r"vertex '2' of h has no label in ph"):
-            find_isomorphism(p3, p3, over=(full, {"1": "x", "3": "x"}))
+        assert sided(g, h, pg, side) is None
+        assert sided(h, h, side, side) == {x: x for x in h.vertices}
 
 
 class TestLargeGraphs:
@@ -608,13 +631,13 @@ class TestSearchAgainstReference:
         g, h = pair
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
         expected = reference.run()
-        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        found = search.run()
+        witnesses, nodes = search(g, h)
+        found = witnesses[0] if witnesses else None
         assert found == expected
         if found is not None:
             assert list(found.items()) == list(expected.items())
         assert find_isomorphism(g, h) == expected
-        assert search.nodes <= reference.nodes
+        assert nodes <= reference.nodes
 
     @given(graph_up_to_8())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -628,9 +651,9 @@ class TestSearchAgainstReference:
     def test_prism_and_twisted_ladder_witness(self):
         g, h = hexagonal_prism(), twisted_hexagonal_ladder()
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        assert list(search.run().items()) == list(reference.run().items())
-        assert search.nodes <= reference.nodes
+        witnesses, nodes = search(g, h)
+        assert list(witnesses[0].items()) == list(reference.run().items())
+        assert nodes <= reference.nodes
 
     @given(regular_pair())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -638,21 +661,21 @@ class TestSearchAgainstReference:
         g, h = pair
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
         expected = reference.run()
-        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        found = search.run()
+        witnesses, nodes = search(g, h)
+        found = witnesses[0] if witnesses else None
         assert found == expected
         if found is not None:
             assert list(found.items()) == list(expected.items())
-        assert search.nodes <= reference.nodes
+        assert nodes <= reference.nodes
 
     @given(regular_graph_10_to_24())
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_regular_graphs_same_automorphisms_and_no_more_nodes(self, g):
         expected, nodes = reference_automorphisms(g)
-        search = _IsoSearch(g, g, graphs_mod.DEFAULT_NODE_BUDGET)
-        found = sorted(Perm(tuple(g.index[m[v]] for v in g.vertices)) for m in search.matches())
+        witnesses, spent = search(g, g, limit=None)
+        found = sorted(Perm(tuple(g.index[m[v]] for v in g.vertices)) for m in witnesses)
         assert found == expected
-        assert search.nodes <= nodes
+        assert spent <= nodes
 
     def test_mixed_base_pair_spends_a_tenth_of_the_reference_nodes(self):
         # The paper's mixed-base figure check: forward checking prunes the
@@ -661,12 +684,12 @@ class TestSearchAgainstReference:
         g = mixed_base_subdirect(m3_bundle(), c6k2_bundle(), link).graph
         h = mixed_base_figure_24()
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        search = _IsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        assert list(search.run().items()) == list(reference.run().items())
-        assert 10 * search.nodes < reference.nodes
+        witnesses, nodes = search(g, h)
+        assert list(witnesses[0].items()) == list(reference.run().items())
+        assert 10 * nodes < reference.nodes
         # The count is deterministic.  Without the check for emptied
         # domains the same search spends 3,403 nodes; the reference 38,993.
-        assert search.nodes == 2109
+        assert nodes == 2109
 
     def test_histogram_mismatch_spends_no_nodes(self):
         # P5 and a triangle plus an edge share n, |E| and the degree
@@ -674,8 +697,6 @@ class TestSearchAgainstReference:
         g = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
         h = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 1), (4, 5)])
         assert g.degree_sequence() == h.degree_sequence()
-        search = _IsoSearch(g, h, 0)
-        assert search.run() is None
-        assert search.nodes == 0
+        assert search(g, h, 0) == ([], 0)
         with pytest.raises(SearchBudgetExceeded):
             ReferenceIsoSearch(g, h, 0).run()

@@ -34,7 +34,7 @@ from bundleforge.errors import (
     NotSurjective,
     ParseError,
 )
-from bundleforge.graphs import is_isomorphism, pair_label, split_pair_label
+from bundleforge.graphs import pair_label, split_pair_label
 from bundleforge.groups import (
     FiniteGroup,
     _homs_by_closure,
@@ -44,6 +44,7 @@ from bundleforge.groups import (
     symmetric_generating_sets,
 )
 from bundleforge.named import invariance_case_z2z3_z6, mobius_ladder_3
+from conftest import is_isomorphism
 
 
 # --- reference routes ----------------------------------------------------------

@@ -24,7 +24,6 @@ from bundleforge import (
     fiber_power,
     find_isomorphism,
     grothendieck_equal,
-    identity_morphism,
     k0_map,
     make_fiber_voltage,
     make_graph,
@@ -36,8 +35,9 @@ from bundleforge import (
 from bundleforge.bundles import _holonomies
 from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from bundleforge.graphs import spanning_forest
-from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS, DEFAULT_MAX_BASE_VERTICES, voltage_class_key
+from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS, DEFAULT_MAX_BASE_VERTICES
 from bundleforge.perms import kron as perm_kron
+from conftest import identity_morphism
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -757,6 +757,13 @@ def voltage_and_gauge(draw, max_vertices=5):
     fv = make_fiber_voltage(base, fiber, {e: draw(st.sampled_from(auts)) for e in base.edge_list()})
     gauge = {v: draw(st.sampled_from(auts)) for v in base.vertices}
     return fv, gauge
+
+
+def voltage_class_key(fv):
+    """The chain key of one voltage on a fresh chain, the route that
+    KClassMonoid.classify takes on the monoid's shared chain: the least
+    simultaneous conjugate of each component's holonomies."""
+    return ktheory._Chain(fv.fiber).key(ktheory._holonomy_images(fv), ktheory._cycle_edges(fv.base)[1])
 
 
 def gauge_transform(fv, gauge):

@@ -24,14 +24,13 @@ from bundleforge.errors import NotABijection, NotConverged, NotFinite, NotSymmet
 from bundleforge.matrices import (
     Matrix,
     Spectrum,
-    from_rows,
     graph_spectrum,
     identity,
     voltage_adjacency,
     zeros,
 )
 
-from dense_reference import kronecker, perm_matrix
+from dense_reference import from_rows, kronecker, perm_matrix
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
 A_C6_ROWS = [

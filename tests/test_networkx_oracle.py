@@ -17,7 +17,7 @@ from bundleforge import (
     make_graph,
     path_graph,
 )
-from bundleforge.graphs import is_isomorphism
+from conftest import is_isomorphism
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402

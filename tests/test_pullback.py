@@ -12,7 +12,6 @@ from bundleforge import (
     compose_pullbacks_check,
     cycle_graph,
     find_isomorphism,
-    identity_morphism,
     is_section,
     is_trivial,
     make_fiber_voltage,
@@ -39,8 +38,9 @@ from bundleforge.errors import (
     NotAMorphism,
     ParseError,
     ShapeMismatch,
+    UnknownVertex,
 )
-from bundleforge.matrices import from_rows, identity as identity_matrix
+from bundleforge.matrices import identity as identity_matrix
 from bundleforge.products import voltage_indicator
 from bundleforge.named import (
     m3_bundle,
@@ -49,7 +49,7 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
-from bundleforge.graphs import automorphisms, complete_graph, pair_label
+from bundleforge.graphs import GraphMorphism, automorphisms, complete_graph, pair_label
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
     EDGE_KIND_DIAGONAL,
@@ -63,8 +63,8 @@ from bundleforge.pullback import (
     typed_edge_counts,
 )
 
-from conftest import identity_bundle, with_fiber
-from dense_reference import kronecker
+from conftest import identity_bundle, identity_morphism, with_fiber
+from dense_reference import from_rows, kronecker
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -116,6 +116,15 @@ class TestPullbackBundle:
         f = identity_morphism(c4)
         with pytest.raises(BaseMismatch):
             pullback_bundle(f, b)
+
+    def test_partial_morphism_is_refused(self, c3, k2, m3_voltage):
+        # Vertex 3 is isolated, so no edge check reads it.
+        domain = make_graph(["1", "2", "3"], [("1", "2")])
+        f = GraphMorphism(domain, c3, (("1", "1"), ("2", "2")))
+        with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
+            pullback_bundle(f, voltage_bundle(trivial_voltage(c3, k2)))
+        with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
+            pullback_voltage(f, m3_voltage)
 
     def test_typed_edges_partition(self, p_c6_c3):
         pb = pullback_bundle(p_c6_c3, m3_bundle())
@@ -185,18 +194,18 @@ class TestPullbackVoltage:
 
 class TestMorphismMatrix:
     def test_hexagon_projection_matrix(self, p_c6_c3):
-        assert morphism_matrix(p_c6_c3).matrix == from_rows(M_P_ROWS)
+        assert morphism_matrix(p_c6_c3) == from_rows(M_P_ROWS)
 
     def test_identity(self, k3):
-        assert morphism_matrix(identity_morphism(k3)).matrix == identity_matrix(3)
+        assert morphism_matrix(identity_morphism(k3)) == identity_matrix(3)
 
     def test_constant_map_all_ones_row(self, k3):
         k1 = make_graph(["u"], [])
         f = make_morphism(k3, k1, {v: "u" for v in k3.vertices})
-        assert morphism_matrix(f).matrix == from_rows([[1, 1, 1]])
+        assert morphism_matrix(f) == from_rows([[1, 1, 1]])
 
     def test_transpose_product_detects_equal_images(self, p_c6_c3):
-        m = morphism_matrix(p_c6_c3).matrix
+        m = morphism_matrix(p_c6_c3)
         mtm = m.transpose() @ m
         dom = p_c6_c3.domain
         for a in dom.vertices:
@@ -205,7 +214,7 @@ class TestMorphismMatrix:
                 assert mtm.data[dom.index[a], dom.index[b]] == expected
 
     def test_columns_sum_to_one(self, q_m3_c3):
-        m = morphism_matrix(q_m3_c3).matrix
+        m = morphism_matrix(q_m3_c3)
         assert all(m.data[:, j].sum() == 1.0 for j in range(m.cols))
 
 
@@ -479,6 +488,12 @@ class TestSections:
         assert is_section(beta, b)
         off = make_morphism(dot, b.total, {"2": "(3,1)"})
         assert not is_section(off, b)
+
+    def test_image_off_the_total_is_refused(self, m3_voltage):
+        b = voltage_bundle(m3_voltage)
+        beta = GraphMorphism(make_graph(["2"], []), b.total, (("2", "(9,1)"),))
+        with pytest.raises(UnknownVertex, match=r"morphism value '\(9,1\)' not in codomain"):
+            is_section(beta, b)
 
 
 class TestMixedBaseDiagnostic:
