@@ -9,36 +9,35 @@ products.verify_kfold_covering is verify_bundle with that fiber, and the
 covering's permutation voltage is the bundle's voltage.
 
 A GraphBundle holds what verification proves: the total space, the
-projection (whose codomain is the base), the fiber and one identification
-sigma_v of each fiber with it.  Its voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹
-is read off the total space on first use, through the same transition
-psi_vw (x to its one neighbour over w) that the definition check reads.
-Verification proved every psi_vw an isomorphism, so that voltage, like the
-total of voltage_bundle, skips the validation of user data.
+projection (whose codomain is the base), the fiber, sigma (the fiber
+position of each total position: sigma_v on the fiber over v) and the
+voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹.  verify_bundle composes it from the
+transitions psi_vw (x to its one neighbour over w) that its definition
+check proved isomorphisms, so it skips the validation of user data, and
+voltage_bundle keeps the voltage it was given.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
 local triviality over every base edge; disagreement between them would be
 an implementation bug, not bad input, and raises immediately.
 
-Both routes run on every call, and each searches once per distinct shape.
-The shape of a vertex set, in the total's order, is each vertex's neighbour
-positions within the set; it is exact, and the isomorphism search reads
-nothing else of the set, so sets of one shape get one answer.  Both
-routes hand the shape straight to the search kernel, graphs.search_shape,
-and build no graph for it.  The fiber check keys fibers by shape, searches
-each against F's cached profile and reuses a witness by position; local
-triviality keys edge preimages by shape and by which vertices lie over v,
-and searches them against a K2 □ F profile built once per call from F's
-shape, with each side of the edge a mask of positions.  A call costs
-O(|V|·|F| + |E|·|F|) plus one search per distinct shape.
+Both routes run on every call, on vertex positions, and each searches
+once per distinct shape.  The shape of a set of positions, increasing, is
+each one's neighbour positions within the set; it is exact, and the
+isomorphism search reads nothing else of the set, so sets of one shape
+get one answer.  Both routes hand the shape straight to the search
+kernel, graphs.search_shape, and build no graph for it.  The fiber check
+keys fibers by shape and reuses a witness by position; local triviality
+keys edge preimages by shape and by which positions lie over v, and
+searches them against a K2 □ F profile built once per call, with each
+side of the edge a mask of positions.  A call costs O(|V|·|F| + |E|·|F|)
+plus one search per distinct shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from . import graphs
 from .errors import (
@@ -73,15 +72,16 @@ from .products import (
 
 @dataclass(frozen=True, eq=False)
 class GraphBundle:
-    """A verified bundle: total space, projection, fiber, and the per-vertex
-    fiber identifications sigma.  The base is the projection's codomain and
-    the voltage is derived from these on first use, trusting them: a bundle
-    comes from verify_bundle or voltage_bundle, as its subclasses do."""
+    """A verified bundle: total space, projection, fiber, sigma (the fiber
+    position of each total position) and the voltage.  The base is the
+    projection's codomain.  The fields are trusted: a bundle comes from
+    verify_bundle or voltage_bundle, as its subclasses do."""
 
     total: Graph
     projection: GraphMorphism
     fiber: Graph
-    fiber_isos: Mapping[Label, Mapping[Label, Label]]
+    sigma: tuple[int, ...]
+    voltage: FiberVoltage
 
     @property
     def base(self) -> Graph:
@@ -91,27 +91,8 @@ class GraphBundle:
     def fibers(self) -> dict[Label, tuple[Label, ...]]:
         return self.projection.preimages
 
-    @cached_property
-    def inverse_fiber_isos(self) -> dict[Label, dict[Label, Label]]:
-        return {v: {f: x for x, f in iso.items()} for v, iso in self.fiber_isos.items()}
-
-    @cached_property
-    def voltage(self) -> FiberVoltage:
-        """The voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on every oriented base
-        edge, with psi_vw the transition that verification checked."""
-        fiber, idx = self.fiber, self.fiber.index
-        assignments: dict[tuple[Label, Label], Perm] = {}
-        for v, w in self.base.edge_list():
-            psi = _transition(self.total, self.projection.map, self.fibers[v], v, w)
-            inv_sigma_v, sigma_w = self.inverse_fiber_isos[v], self.fiber_isos[w]
-            assignments[(v, w)] = Perm._trusted(tuple(idx[sigma_w[psi[inv_sigma_v[f]]]] for f in fiber.vertices))
-        return FiberVoltage._trusted(self.base, fiber, assignments)
-
     def __repr__(self) -> str:
-        return (
-            f"GraphBundle(total {self.total.n} vertices, base {self.base.n}, "
-            f"fiber {self.fiber.n})"
-        )
+        return f"GraphBundle(total {self.total.n} vertices, base {self.base.n}, fiber {self.fiber.n})"
 
 
 def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
@@ -128,40 +109,48 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
         ends += zip(range(a * m, a * m + m), [w * m + x for x in images])
     total = _trusted_graph(tuple(labels), ends)
     pairs = tuple(zip(labels, (v for v in bvs for _ in fvs)))
-    fiber_isos = {v: dict(zip(labels[a * m : (a + 1) * m], fvs)) for a, v in enumerate(bvs)}
-    return GraphBundle(total, GraphMorphism(total, base, pairs), fiber, fiber_isos)
+    return GraphBundle(total, GraphMorphism(total, base, pairs), fiber, tuple(range(m)) * base.n, fv)
 
 
-def _transition(
-    total: Graph, over: Mapping[Label, Label], xs: Iterable[Label], v: Label, w: Label
-) -> dict[Label, Label]:
-    """psi_vw: each x in xs, the vertices over v, to its one neighbour over
-    w.  Raises NotACovering when some x has none or two, or two x share one;
-    between fibers of equal size, an injective psi_vw is a bijection."""
-    psi: dict[Label, Label] = {}
-    for x in xs:
-        ys = [y for y in total.adjacency[x] if over[y] == w]
-        if len(ys) != 1:
-            raise NotACovering(f"vertex {x!r} over {v!r} has {len(ys)} neighbours over {w!r}")
-        psi[x] = ys[0]
-    if len(set(psi.values())) != len(psi):
-        raise NotACovering(f"transition over base edge ({v!r}, {w!r}) is not one-to-one")
-    return psi
+#: Per base vertex, the total positions over it, increasing.
+_Fibers = list[list[int]]
 
 
-def _check_conditions(total: Graph, p: GraphMorphism) -> None:
+def _positions_over(p: GraphMorphism) -> tuple[list[int], _Fibers]:
+    """The base position of each total position, and the total positions
+    over each base vertex, increasing.  p must be a valid morphism."""
+    bidx = p.codomain.index
+    over = [bidx[v] for v in map(p.map.__getitem__, p.domain.vertices)]
+    fibers: _Fibers = [[] for _ in bidx]
+    for x, a in enumerate(over):
+        fibers[a].append(x)
+    return over, fibers
+
+
+def _check_conditions(total: Graph, base: Graph, over: list[int], fibers: _Fibers) -> list[dict[int, int]]:
     """Covering, then transition isomorphisms, over fibers isomorphic to F:
-    every psi_vw is read before any is checked, so a covering failure comes
-    before a transition failure.  One orientation per base edge suffices:
-    psi_vw is a bijection between fibers with as many edges as F, so an
-    edge-preserving psi_vw is an isomorphism, and psi_wv is its inverse.
-    The fiber edges are read off the total: x'y' is one exactly when x' and
-    y' lie over one base vertex and are adjacent in the total."""
-    over, fibers, adj = p.map, p.preimages, total.adjacency
-    psis = [(v, w, _transition(total, over, fibers[v], v, w)) for v, w in p.codomain.edge_list()]
-    for v, w, psi in psis:
-        if not all(psi[y] in adj[psi[x]] for x in fibers[v] for y in adj[x] if over[y] == v):
-            raise TransitionNotIso(f"transition over base edge ({v!r}, {w!r}) is not an isomorphism")
+    psi_vw, x over v to its one neighbour over w, per base edge in
+    base.ends order, is returned once checked.  Every psi_vw is read, and
+    raises NotACovering when some x has none or two or two x share one,
+    before any is checked.  One orientation per edge suffices: a bijection
+    between fibers with as many edges as F that keeps the fiber edges (x, y
+    adjacent and over one base vertex) is an isomorphism."""
+    nbrs, xvs, bvs = total.neighbor_indices, total.vertices, base.vertices
+    psis: list[dict[int, int]] = []
+    for a, b in base.ends:
+        psi: dict[int, int] = {}
+        for x in fibers[a]:
+            ys = [y for y in nbrs[x] if over[y] == b]
+            if len(ys) != 1:
+                raise NotACovering(f"vertex {xvs[x]!r} over {bvs[a]!r} has {len(ys)} neighbours over {bvs[b]!r}")
+            psi[x] = ys[0]
+        if len(set(psi.values())) != len(psi):
+            raise NotACovering(f"transition over base edge ({bvs[a]!r}, {bvs[b]!r}) is not one-to-one")
+        psis.append(psi)
+    for (a, b), psi in zip(base.ends, psis):
+        if not all(psi[y] in nbrs[psi[x]] for x in fibers[a] for y in nbrs[x] if over[y] == a):
+            raise TransitionNotIso(f"transition over base edge ({bvs[a]!r}, {bvs[b]!r}) is not an isomorphism")
+    return psis
 
 
 def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
@@ -174,28 +163,25 @@ def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
     )
 
 
-def _check_local_triviality(total: Graph, p: GraphMorphism, fiber: Graph) -> None:
+def _check_local_triviality(total: Graph, base: Graph, over: list[int], fibers: _Fibers, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
     to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
     positions of K2 □ F, and that over w onto copy 2, the high ones.  The
-    search sees only the preimage's shape and which of its vertices lie
+    search sees only the preimage's shape and which of its positions lie
     over v, so it runs once per distinct pair of the two."""
-    k2f = _box_k2_profile(fiber)
+    k2f, budget, bvs = _box_k2_profile(fiber), graphs.current_budget.get(), base.vertices
     low = (1 << fiber.n) - 1
     high = low << fiber.n
-    budget = graphs.current_budget.get()
-    over, fibers, idx = p.map, p.preimages, total.index
     boxed: dict[tuple, bool] = {}
-    for v, w in p.codomain.edge_list():
-        xs = sorted(fibers[v] + fibers[w], key=idx.__getitem__)
-        shape = induced_adjacency(total, xs)
-        sides = tuple(over[x] == v for x in xs)
-        key = (shape, sides)
-        if key not in boxed:
+    for a, b in base.ends:
+        xs = sorted(fibers[a] + fibers[b])
+        shape, sides = induced_adjacency(total, xs), tuple(over[x] == a for x in xs)
+        if (shape, sides) not in boxed:
             within = [low if side else high for side in sides]
-            boxed[key] = bool(search_shape(shape, k2f, budget, 1, within)[0])
-        if not boxed[key]:
-            raise LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
+            boxed[shape, sides] = bool(search_shape(shape, k2f, budget, 1, within)[0])
+        if not boxed[shape, sides]:
+            edge = f"({bvs[a]!r}, {bvs[b]!r})"
+            raise LocalTrivialityFails(f"preimage of base edge {edge} is not a box product with the fiber")
 
 
 def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
@@ -207,20 +193,20 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
 
     Each fiber is searched against F once per distinct shape: a fiber with
     the shape of an earlier one takes that one's witness by position, which
-    is the witness a fresh search would return.
+    is the witness a fresh search would return.  The voltage is composed
+    from sigma and the transitions the definition check walked.
 
     Raises TotalMismatch, before any check, when p's domain is not total.
     """
     if p.domain is not total and p.domain != total:
         raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
     require_morphism(p, "projection is not a morphism")
-    idx, fvs, profile = total.index, fiber.vertices, fiber.profile
-    budget = graphs.current_budget.get()
+    base, profile, budget = p.codomain, fiber.profile, graphs.current_budget.get()
+    over, fibers = _positions_over(p)
     # Per fiber shape, the position in F of each vertex's image, or None.
     placed: dict[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]] = {}
-    sigma: dict[Label, dict[Label, Label]] = {}
-    for v, xs in p.preimages.items():
-        xs = sorted(xs, key=idx.__getitem__)
+    sigma = [0] * total.n
+    for v, xs in zip(base.vertices, fibers):
         shape = induced_adjacency(total, xs)
         if shape not in placed:
             found, _ = search_shape(shape, profile, budget, 1)
@@ -228,17 +214,18 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         at = placed[shape]
         if at is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")
-        sigma[v] = dict(zip(xs, map(fvs.__getitem__, at)))
+        for x, f in zip(xs, at):
+            sigma[x] = f
 
     definition_error: Exception | None = None
     try:
-        _check_conditions(total, p)
+        psis = _check_conditions(total, base, over, fibers)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 
     local_error: Exception | None = None
     try:
-        _check_local_triviality(total, p, fiber)
+        _check_local_triviality(total, base, over, fibers, fiber)
     except LocalTrivialityFails as exc:
         local_error = exc
 
@@ -249,7 +236,12 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         )
     if definition_error is not None:
         raise definition_error
-    return GraphBundle(total, p, fiber, sigma)
+    bvs, phi = base.vertices, {}
+    for (a, b), psi in zip(base.ends, psis):
+        # sigma_w ∘ psi_vw ∘ sigma_v⁻¹ takes sigma(x) to sigma(psi_vw(x)).
+        images = sorted((sigma[x], sigma[y]) for x, y in psi.items())
+        phi[(bvs[a], bvs[b])] = Perm._trusted(tuple(f for _, f in images))
+    return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage._trusted(base, fiber, phi))
 
 
 def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
@@ -343,30 +335,36 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     With t1, t2 the tree transports of the two voltages, a vertex x of b1
     over v sits at the root point j = t1[v]⁻¹(σ1_v(x)) and goes to the
     vertex of b2 over v at t2[v](g(j)).  Each point's images are tried in
-    the order of the labels they give at its first vertex in
-    b1.total.vertices, so the first g found is the least.
+    the order of the b2 labels they give at its first vertex in
+    b1.total.vertices, not of b2's positions, so the first g found is the
+    least.
     """
     if b1.base != b2.base:
         raise BaseMismatch("bundles have different base graphs")
     if b1.fiber != b2.fiber:
         raise FiberMismatch("bundles have different fiber graphs")
-    fiber, position = b1.fiber, b1.total.index
-    witness: dict[Label, Label] = {}
+    n, bidx, s1, vs2 = b1.fiber.n, b1.base.index, b1.sigma, b2.total.vertices
+    _, fibers1 = _positions_over(b1.projection)
+    # sigma2_v⁻¹: the position of b2's total over each base vertex at each fiber position.
+    at2 = [[0] * n for _ in bidx]
+    for y, (a, f) in enumerate(zip(_positions_over(b2.projection)[0], b2.sigma)):
+        at2[a][f] = y
+    witness: dict[int, Label] = {}
     for (t1, h1), (t2, h2) in zip(_holonomies(b1.voltage), _holonomies(b2.voltage)):
-        label = {v: [b2.inverse_fiber_isos[v][fiber.vertices[t2[v](k)]] for k in range(fiber.n)] for v in t2}
+        label = {v: [vs2[at2[bidx[v]][t2[v](k)]] for k in range(n)] for v in t2}
         back = {v: t.inverse() for v, t in t1.items()}
-        points = {x: (v, back[v](fiber.index[b1.fiber_isos[v][x]])) for v in t1 for x in b1.fibers[v]}
+        points = {x: (v, back[v](s1[x])) for v in t1 for x in fibers1[bidx[v]]}
         reach: dict[int, list[int]] = {}
-        for x in sorted(points, key=position.__getitem__):
+        for x in sorted(points):
             v, j = points[x]
             if j not in reach:
-                reach[j] = sorted(range(fiber.n), key=label[v].__getitem__)
-        g = _least_conjugator(fiber, h1, h2, list(reach.items()))
+                reach[j] = sorted(range(n), key=label[v].__getitem__)
+        g = _least_conjugator(b1.fiber, h1, h2, list(reach.items()))
         if g is None:
             return None
         witness.update((x, label[v][g(j)]) for x, (v, j) in points.items())
-    return {x: witness[x] for v in b1.base.vertices for x in b1.fibers[v]}
-
+    vs1 = b1.total.vertices
+    return {vs1[x]: witness[x] for xs in fibers1 for x in xs}
 
 def is_trivial(b: GraphBundle) -> bool:
     """True when the bundle is equivalent to the box product over the same

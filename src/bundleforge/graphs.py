@@ -303,10 +303,15 @@ class GraphMorphism:
 
     @cached_property
     def preimages(self) -> dict[Label, tuple[Label, ...]]:
-        """Domain vertices over each codomain vertex, in domain order."""
-        out: dict[Label, list[Label]] = {v: [] for v in self.codomain.vertices}
-        for x, v in self.pairs:
-            out[v].append(x)
+        """Domain vertices over each codomain vertex, in domain order; raises
+        UnknownVertex, as make_morphism does, on a missing or stray image."""
+        m, out = self.map, {v: [] for v in self.codomain.vertices}
+        for x in self.domain.vertices:
+            if x not in m:
+                raise UnknownVertex(f"morphism undefined on vertex {x!r}")
+            if m[x] not in out:
+                raise UnknownVertex(f"morphism value {m[x]!r} not in codomain")
+            out[m[x]].append(x)
         return {v: tuple(xs) for v, xs in out.items()}
 
     def __call__(self, v: Label) -> Label:
@@ -380,22 +385,21 @@ def preserves_edges(f: GraphMorphism) -> bool:
     return all(f(a) != f(b) for a, b in f.domain.edge_list())
 
 
-def induced_adjacency(g: Graph, xs: Sequence[Label]) -> tuple[tuple[int, ...], ...]:
-    """The shape of xs in g: each vertex's neighbour positions within xs,
-    in increasing order when xs is in g's stored order.  Two vertex sets
-    have the same shape exactly when position i -> i is an isomorphism of
-    their induced subgraphs that keeps the vertex order."""
-    idx, nbrs = g.index, g.neighbor_indices
-    at = [idx[x] for x in xs]
+def induced_adjacency(g: Graph, at: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The shape of the positions at in g: each one's neighbour positions
+    within at, in increasing order when at is.  Two sets of positions have
+    the same shape exactly when k -> k is an isomorphism of their induced
+    subgraphs that keeps the order."""
+    nbrs = g.neighbor_indices
     pos = {i: k for k, i in enumerate(at)}
     return tuple(tuple(k for k in map(pos.get, nbrs[i]) if k is not None) for i in at)
 
 
 def subgraph_of_shape(xs: Sequence[Label], shape: Sequence[Sequence[int]]) -> Graph:
     """The graph on xs, in that order, with the edges that shape gives by
-    position.  Both are trusted, as induced_adjacency returns them for xs
-    in a graph's stored order, so the shape is the subgraph's
-    neighbor_indices and nothing goes through make_graph."""
+    position.  Both are trusted, as induced_adjacency returns the shape of
+    xs's positions in a graph, in its stored order, so the shape is the
+    subgraph's neighbor_indices and nothing goes through make_graph."""
     sub = Graph(tuple(xs), tuple((i, j) for i, nb in enumerate(shape) for j in nb if i < j))
     sub.__dict__["neighbor_indices"] = tuple(map(tuple, shape))
     return sub
@@ -408,8 +412,8 @@ def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
     for v in want:
         if v not in idx:
             raise UnknownVertex(f"vertex {v!r} not in graph")
-    vs = sorted(want, key=idx.__getitem__)
-    return subgraph_of_shape(vs, induced_adjacency(g, vs))
+    at = sorted(map(idx.__getitem__, want))
+    return subgraph_of_shape([g.vertices[i] for i in at], induced_adjacency(g, at))
 
 
 def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:

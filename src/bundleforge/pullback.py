@@ -152,9 +152,7 @@ def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
     )
     projection = GraphMorphism(total, f.domain, tuple(zip(total.vertices, (a for a, _ in pairs))))
     verified = verify_bundle(total, projection, b.fiber)
-    return PullbackBundle(
-        verified.total, verified.projection, verified.fiber, verified.fiber_isos, typed
-    )
+    return PullbackBundle(total, projection, b.fiber, verified.sigma, verified.voltage, typed)
 
 
 def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
@@ -295,9 +293,7 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     projection = GraphMorphism(total, b1.base, tuple(zip(total.vertices, (over[a] for a, _ in pairs))))
     fiber = cartesian_product(b1.fiber, b2.fiber)
     verified = verify_bundle(total, projection, fiber)
-    return SubdirectBundle(
-        verified.total, verified.projection, verified.fiber, verified.fiber_isos, typed
-    )
+    return SubdirectBundle(total, projection, fiber, verified.sigma, verified.voltage, typed)
 
 
 def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:

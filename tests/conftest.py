@@ -2,19 +2,16 @@ import pytest
 from hypothesis import settings
 
 from bundleforge import (
-    GraphBundle,
     Perm,
     complete_graph,
     cycle_graph,
     empty_graph,
-    find_isomorphism,
     make_fiber_voltage,
     make_graph,
     make_morphism,
     path_graph,
     verify_bundle,
 )
-from bundleforge.errors import FiberMismatch
 from bundleforge.named import (
     hexagonal_prism,
     mobius_ladder_3,
@@ -37,18 +34,15 @@ def identity_bundle(base):
 
 
 def with_fiber(b, new_fiber):
-    """Re-express a bundle with an isomorphic replacement fiber graph.
+    """Re-express a bundle with an isomorphic replacement fiber graph, by
+    verifying it again against that fiber.
 
-    Any graph isomorphism works as the alignment: the residual ambiguity is
-    a constant automorphism twist, which bundle equivalence absorbs.
+    Any fiber identification works: the residual ambiguity is a constant
+    automorphism twist, which bundle equivalence absorbs.
     """
     if b.fiber == new_fiber:
         return b
-    lam = find_isomorphism(b.fiber, new_fiber)
-    if lam is None:
-        raise FiberMismatch("replacement fiber is not isomorphic to the bundle fiber")
-    fiber_isos = {v: {x: lam[f] for x, f in iso.items()} for v, iso in b.fiber_isos.items()}
-    return GraphBundle(b.total, b.projection, new_fiber, fiber_isos)
+    return verify_bundle(b.total, b.projection, new_fiber)
 
 
 def identity_morphism(g):

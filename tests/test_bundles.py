@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import time
@@ -33,7 +34,6 @@ from bundleforge import (
 )
 from bundleforge import bundles, graphs, products
 from bundleforge.graphs import GraphMorphism, induced_subgraph, pair_label, search_shape, spanning_forest, split_pair_label
-from bundleforge.bundles import _transition
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
@@ -73,6 +73,9 @@ class TestVoltageBundle:
     def test_one_twist_gives_twisted_ladder(self, c3, k2, m3, m3_voltage):
         b = voltage_bundle(m3_voltage)
         assert find_isomorphism(b.total, m3) is not None
+
+    def test_keeps_the_voltage_it_was_given(self, m3_voltage):
+        assert voltage_bundle(m3_voltage).voltage is m3_voltage
 
     def test_edgeless_fiber_gives_double_cover(self, c3, c6, two_k1):
         fv = make_fiber_voltage(
@@ -211,10 +214,10 @@ class TestVerifyBundle:
 
     def test_bundle_holds_only_what_verification_proves(self, m3, k2, q_m3_c3):
         b = verify_bundle(m3, q_m3_c3, k2)
-        assert [f.name for f in dataclasses.fields(b)] == ["total", "projection", "fiber", "fiber_isos"]
+        assert [f.name for f in dataclasses.fields(b)] == ["total", "projection", "fiber", "sigma", "voltage"]
         assert b.base is q_m3_c3.codomain
-        assert "voltage" not in vars(b)
         assert b.voltage is bundle_to_voltage(b)
+        assert not isinstance(vars(bundles.GraphBundle).get("voltage"), functools.cached_property)
 
 
 class TestVoltageExtraction:
@@ -325,15 +328,13 @@ def reference_gauges(base, auts, phi1, phi2):
 
 def reference_equivalence(b1, b2, auts):
     """The least witness over all gauges from auts = Aut(F), or None."""
-    fiber = b1.fiber
     witnesses = []
     for g in reference_gauges(b1.base, auts, bundle_to_voltage(b1).phi, bundle_to_voltage(b2).phi):
         mapping = {}
         for v in b1.base.vertices:
-            inv2 = b2.inverse_fiber_isos[v]
+            inv2 = {b2.sigma[b2.total.index[y]]: y for y in b2.fibers[v]}
             for x in b1.fibers[v]:
-                i = fiber.index[b1.fiber_isos[v][x]]
-                mapping[x] = inv2[fiber.vertices[g[v](i)]]
+                mapping[x] = inv2[g[v](b1.sigma[b1.total.index[x]])]
         witnesses.append(mapping)
     if not witnesses:
         return None
@@ -403,6 +404,21 @@ class TestEquivalenceAgainstAutEnumeration:
             trivializations = reference_gauges(base, auts[fiber], fv1.phi, ident)
             assert is_trivial(b1) == (next(trivializations, None) is not None)
         assert equivalent > 0.6 * pairs and pairs - equivalent > 300
+
+    def test_witness_follows_labels_of_a_fiber_stored_out_of_order(self):
+        # K3 stored as c, a, b: b2's labels over each base vertex are not in
+        # its position order, and the least witness follows the labels.
+        rng = random.Random(43)
+        fiber = make_graph(["c", "a", "b"], [("c", "a"), ("a", "b"), ("b", "c")])
+        auts = automorphisms(fiber)
+        for n in range(10, 15):
+            base = cycle_graph(n)
+            for _ in range(12):
+                fv1 = make_fiber_voltage(base, fiber, {e: rng.choice(auts) for e in base.edge_list()})
+                fv2 = gauge_transform(fv1, {v: rng.choice(auts) for v in base.vertices})
+                b1, b2 = reverified(voltage_bundle(fv1), rng), voltage_bundle(fv2)
+                witness, expected = bundles_equivalent(b1, b2), reference_equivalence(b1, b2, auts)
+                assert witness is not None and list(witness.items()) == list(expected.items())
 
     def test_nine_vertex_fiber_equivalence(self, c6, c9_rotation_voltage):
         rotation = Perm(tuple((i + 1) % 9 for i in range(9)))
@@ -589,8 +605,8 @@ def assert_voltage_rebuilds_total(b):
     """x -> (p(x), sigma_p(x)(x)) is an equivalence from b onto the bundle
     built from b.voltage, so the voltage read off b agrees with its total
     space edge by edge."""
-    p, sigma = b.projection, b.fiber_isos
-    mapping = {x: pair_label(p(x), sigma[p(x)][x]) for x in b.total.vertices}
+    p, fvs = b.projection, b.fiber.vertices
+    mapping = {x: pair_label(p(x), fvs[f]) for x, f in zip(b.total.vertices, b.sigma)}
     assert is_equivalence_witness(b, voltage_bundle(b.voltage), mapping)
 
 
@@ -856,10 +872,27 @@ def test_covering_check_matches_star_lifting():
     assert min(rejected[kind] for kind in ("drop", "add", "move", "fold")) > 150
 
 
+def _transition(total, over, xs, v, w):
+    """psi_vw by labels: each x in xs, the vertices over v, to its one
+    neighbour over w.  Raises NotACovering when some x has none or two, or
+    two x share one."""
+    psi = {}
+    for x in xs:
+        ys = [y for y in total.adjacency[x] if over[y] == w]
+        if len(ys) != 1:
+            raise NotACovering(f"vertex {x!r} over {v!r} has {len(ys)} neighbours over {w!r}")
+        psi[x] = ys[0]
+    if len(set(psi.values())) != len(psi):
+        raise NotACovering(f"transition over base edge ({v!r}, {w!r}) is not one-to-one")
+    return psi
+
+
 def reference_verify_bundle(total, p, fiber):
-    """verify_bundle before fiber and edge shapes were memoized: one induced
-    subgraph and one search per base vertex and per base edge.  Returns the
-    fiber identifications sigma."""
+    """verify_bundle before fiber and edge shapes were memoized and before
+    it ran on positions: one induced subgraph and one search per base
+    vertex and per base edge, and the voltage read off by labels.  Returns
+    the fiber identifications sigma, as label maps per base vertex, and the
+    voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹ on both orientations."""
     ok, bad = validate_morphism(p)
     if not ok:
         raise NotAMorphism(f"projection is not a morphism; violating edges: {bad}")
@@ -897,17 +930,27 @@ def reference_verify_bundle(total, p, fiber):
         )
     if definition_error is not None:
         raise definition_error
-    return sigma
+    phi = {}
+    for v, w, psi in psis:
+        back = {f: x for x, f in sigma[v].items()}
+        phi[(v, w)] = Perm(tuple(fiber.index[sigma[w][psi[back[f]]]] for f in fiber.vertices))
+        phi[(w, v)] = phi[(v, w)].inverse()
+    return sigma, phi
 
 
 def verdict(check, *args):
     """The class and message of the error check raises, or the repr of the
-    fiber identifications it returns, which shows their order too."""
+    fiber identifications it returns, which shows their order too, and its
+    voltage."""
     try:
         result = check(*args)
     except (BundleForgeError, AssertionError) as exc:
         return type(exc), str(exc)
-    return repr(getattr(result, "fiber_isos", result))
+    if isinstance(result, tuple):
+        return repr(result[0]), result[1]
+    fvs, at = result.fiber.vertices, result.total.index
+    sigma = {v: {x: fvs[result.sigma[at[x]]] for x in xs} for v, xs in result.fibers.items()}
+    return repr(sigma), dict(result.voltage.phi)
 
 
 @st.composite
@@ -968,7 +1011,7 @@ class TestSearchCount:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(bundles, "search_shape", counted)
-        assert repr(verify_bundle(b.total, b.projection, b.fiber).fiber_isos) == repr(b.fiber_isos)
+        assert verify_bundle(b.total, b.projection, b.fiber).sigma == b.sigma
         return len(calls)
 
     def test_trivial_voltage_makes_two_searches(self, monkeypatch, c4):

@@ -213,6 +213,16 @@ class TestFibers:
         flat = sorted(itertools.chain.from_iterable(pieces))
         assert flat == sorted(p_c6_c3.domain.vertices)
 
+    def test_image_off_the_codomain_is_unknown(self, k3):
+        f = GraphMorphism(k3, k3, (("1", "1"), ("2", "2"), ("3", "9")))
+        with pytest.raises(UnknownVertex, match="morphism value '9' not in codomain"):
+            f.preimages
+
+    def test_fibers_in_domain_order_whatever_the_pair_order(self, p_c6_c3):
+        f = GraphMorphism(p_c6_c3.domain, p_c6_c3.codomain, p_c6_c3.pairs[::-1])
+        assert f.preimages == p_c6_c3.preimages
+        assert f.preimages["1"] == ("3", "6")
+
 
 def search(g, h, budget=graphs_mod.DEFAULT_NODE_BUDGET, limit=1, within=None):
     """search_shape on g's shape against h's profile, read back in labels:

@@ -4,10 +4,13 @@ A Graph stores its edges as sorted index pairs and derives its label views
 from them.  The reference here keeps the edges as a frozenset of two-label
 frozensets and computes every view from labels, as the graph core did
 before it stored pairs.  Every generator that emits index pairs must give
-the graph that make_graph builds from its labels.
+the graph that make_graph builds from its labels, and the bundle routes
+read no label view at all.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,7 @@ from bundleforge import (
     subdirect_product,
     voltage_bundle,
 )
+from bundleforge import bundles
 from bundleforge.graphs import induced_adjacency, induced_subgraph, search_profile
 from bundleforge.errors import InvalidGeneratorSystem
 from bundleforge.groups import GeneratorSystem, cayley_graph, cyclic, direct_product
@@ -91,7 +95,7 @@ def test_views_match_the_label_reference(raw, data):
     subset = data.draw(st.lists(st.sampled_from(labels), unique=True)) if labels else []
     in_order = sorted(subset, key=ref.index.__getitem__)
     for xs in (subset, in_order, list(labels)):
-        assert induced_adjacency(g, xs) == ref.induced_adjacency(xs)
+        assert induced_adjacency(g, [g.index[x] for x in xs]) == ref.induced_adjacency(xs)
     assert g.profile == search_profile(ref.induced_adjacency(ref.vertices))
     assert g.neighbor_indices == ref.induced_adjacency(ref.vertices)
 
@@ -181,3 +185,18 @@ def test_cayley_graphs():
                 assert g == make_graph(group.elements, [(x, group.mul(x, s)) for x in group.elements for s in members])
         with pytest.raises(InvalidGeneratorSystem, match="contains the identity"):
             cayley_graph(group, GeneratorSystem(group, (group.identity,)))
+
+
+LABEL_VIEWS = {"adjacency", "edge_list", "preimages"}
+
+
+@pytest.mark.parametrize(
+    "name", ["verify_bundle", "_check_conditions", "_check_local_triviality", "voltage_bundle", "bundles_equivalent"]
+)
+def test_bundle_routes_read_no_label_view(name):
+    """verify_bundle, its two routes, voltage_bundle and bundles_equivalent
+    run on positions: an AST walk of each body finds no read of a graph's
+    adjacency or edge_list, or of a morphism's preimages."""
+    tree = ast.parse(Path(bundles.__file__).read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    assert not {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)} & LABEL_VIEWS

@@ -144,7 +144,7 @@ class TestCoverings:
         assert b.fiber.n == 2
         assert b.fibers["1"] == ("3", "6")
         # Each fiber is numbered in the order of the total space.
-        assert b.fiber_isos["1"] == {"3": "1", "6": "2"}
+        assert [b.sigma[b.total.index[x]] for x in ("3", "6")] == [0, 1]
 
     def test_identity_is_onefold(self, k3):
         b = verify_kfold_covering(make_morphism(k3, k3, {v: v for v in k3.vertices}), 1)
