@@ -21,23 +21,23 @@ three-condition definition (fibers, covering, transition isomorphisms) and
 local triviality over every base edge; disagreement between them would be
 an implementation bug, not bad input, and raises immediately.
 
-Both routes run on every call, on vertex positions, and each searches
-once per distinct shape.  The shape of a set of positions, increasing, is
-each one's neighbour positions within the set; it is exact, and the
-isomorphism search reads nothing else of the set, so sets of one shape
-get one answer.  Both routes hand the shape straight to the search
-kernel, graphs.search_shape, and build no graph for it.  The fiber check
-keys fibers by shape and reuses a witness by position; local triviality
-keys edge preimages by shape and by which positions lie over v, and
-searches them against a K2 □ F profile built once per call, with each
-side of the edge a mask of positions.  A call costs O(|V|·|F| + |E|·|F|)
-plus one search per distinct shape.
+Both routes run on every call, on vertex positions, and search once per
+distinct key.  One pass over the total's edges files each, by its ends'
+ranks in their fibers, under its base vertex (a fiber edge) or its base
+edge (a cross edge).  A fiber's key is its size and edges; an edge
+preimage's is its fibers' keys, its cross edges and which of its
+positions lie over v.  The key fixes the shape the search reads, each
+position's neighbours within the set, increasing; the shape is built
+only for a new key, goes straight to graphs.search_shape against F or a
+K2 □ F profile built once per call, with each side of the edge a mask,
+and no graph is built.  A call costs O(|V|·|F| + |E|·|F|) plus one
+search per distinct key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import graphs
 from .errors import (
@@ -54,8 +54,9 @@ from .graphs import (
     Graph,
     GraphMorphism,
     Label,
+    _neighbours,
     _trusted_graph,
-    induced_adjacency,
+    _trusted_morphism,
     pair_label,
     require_morphism,
     search_shape,
@@ -87,10 +88,6 @@ class GraphBundle:
     def base(self) -> Graph:
         return self.projection.codomain
 
-    @property
-    def fibers(self) -> dict[Label, tuple[Label, ...]]:
-        return self.projection.preimages
-
     def __repr__(self) -> str:
         return f"GraphBundle(total {self.total.n} vertices, base {self.base.n}, fiber {self.fiber.n})"
 
@@ -108,26 +105,47 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
         images = fv.phi[(bvs[a], bvs[w])].images
         ends += zip(range(a * m, a * m + m), [w * m + x for x in images])
     total = _trusted_graph(tuple(labels), ends)
-    pairs = tuple(zip(labels, (v for v in bvs for _ in fvs)))
-    return GraphBundle(total, GraphMorphism(total, base, pairs), fiber, tuple(range(m)) * base.n, fv)
+    projection = _trusted_morphism(total, base, [a for a in range(base.n) for _ in range(m)])
+    return GraphBundle(total, projection, fiber, tuple(range(m)) * base.n, fv)
 
 
 #: Per base vertex, the total positions over it, increasing.
 _Fibers = list[list[int]]
+#: Fiber kinds, the distinct (size, edges) they index, and cross edges per base edge.
+_Buckets = tuple[list[int], list[tuple[int, list]], list[list[tuple[int, int]]]]
 
 
-def _positions_over(p: GraphMorphism) -> tuple[list[int], _Fibers]:
-    """The base position of each total position, and the total positions
-    over each base vertex, increasing.  p must be a valid morphism."""
-    bidx = p.codomain.index
-    over = [bidx[v] for v in map(p.map.__getitem__, p.domain.vertices)]
-    fibers: _Fibers = [[] for _ in bidx]
+def _positions_over(p: GraphMorphism) -> tuple[tuple[int, ...], _Fibers]:
+    """The base position of each total position, p's position map, and the
+    total positions over each base vertex, increasing."""
+    over, fibers = p.position_map, [[] for _ in p.codomain.vertices]
     for x, a in enumerate(over):
         fibers[a].append(x)
     return over, fibers
 
 
-def _check_conditions(total: Graph, base: Graph, over: list[int], fibers: _Fibers) -> list[dict[int, int]]:
+def _local_edges(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers) -> _Buckets:
+    """One pass over total.ends files each edge as the ranks of its ends in
+    their fibers: a fiber edge under its base vertex, sorted, and a cross
+    edge under its base edge, the end over the edge's first vertex first."""
+    rank = {x: r for xs in fibers for r, x in enumerate(xs)}
+    edge_at = {e: k for k, e in enumerate(base.ends)}
+    inner: list[list[tuple[int, int]]] = [[] for _ in fibers]
+    cross: list[list[tuple[int, int]]] = [[] for _ in base.ends]
+    for x, y in total.ends:
+        a, b = over[x], over[y]
+        if a == b:
+            inner[a].append((rank[x], rank[y]))
+        elif a < b:
+            cross[edge_at[a, b]].append((rank[x], rank[y]))
+        else:
+            cross[edge_at[b, a]].append((rank[y], rank[x]))
+    ids: dict[tuple, int] = {}
+    kinds = [ids.setdefault((len(xs), tuple(es)), len(ids)) for xs, es in zip(fibers, inner)]
+    return kinds, list(ids), cross
+
+
+def _check_conditions(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers) -> list[dict[int, int]]:
     """Covering, then transition isomorphisms, over fibers isomorphic to F:
     psi_vw, x over v to its one neighbour over w, per base edge in
     base.ends order, is returned once checked.  Every psi_vw is read, and
@@ -163,23 +181,26 @@ def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
     )
 
 
-def _check_local_triviality(total: Graph, base: Graph, over: list[int], fibers: _Fibers, fiber: Graph) -> None:
+def _check_local_triviality(base: Graph, over: Sequence[int], fibers: _Fibers, edges: _Buckets, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
     to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
     positions of K2 □ F, and that over w onto copy 2, the high ones.  The
-    search sees only the preimage's shape and which of its positions lie
-    over v, so it runs once per distinct pair of the two."""
+    search sees only the preimage's shape and sides, which the fibers'
+    kinds, the cross edges and the sides fix: one search per distinct key."""
     k2f, budget, bvs = _box_k2_profile(fiber), graphs.current_budget.get(), base.vertices
-    low = (1 << fiber.n) - 1
-    high = low << fiber.n
+    (kinds, shapes, cross), low = edges, (1 << fiber.n) - 1
     boxed: dict[tuple, bool] = {}
-    for a, b in base.ends:
+    for (a, b), between in zip(base.ends, cross):
         xs = sorted(fibers[a] + fibers[b])
-        shape, sides = induced_adjacency(total, xs), tuple(over[x] == a for x in xs)
-        if (shape, sides) not in boxed:
-            within = [low if side else high for side in sides]
-            boxed[shape, sides] = bool(search_shape(shape, k2f, budget, 1, within)[0])
-        if not boxed[shape, sides]:
+        sides = tuple(over[x] == a for x in xs)
+        key = (kinds[a], kinds[b], tuple(between), sides)
+        if key not in boxed:
+            at, fa, fb = {x: k for k, x in enumerate(xs)}, fibers[a], fibers[b]
+            parts = ((fa, fa, shapes[kinds[a]][1]), (fb, fb, shapes[kinds[b]][1]), (fa, fb, between))
+            pairs = sorted(tuple(sorted((at[u[i]], at[w[j]]))) for u, w, es in parts for i, j in es)
+            within = [low if side else low << fiber.n for side in sides]
+            boxed[key] = bool(search_shape(_neighbours(len(xs), pairs), k2f, budget, 1, within)[0])
+        if not boxed[key]:
             edge = f"({bvs[a]!r}, {bvs[b]!r})"
             raise LocalTrivialityFails(f"preimage of base edge {edge} is not a box product with the fiber")
 
@@ -191,10 +212,10 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     characterization are evaluated; they must agree, and the first failing
     witness of the definition is raised when both reject.
 
-    Each fiber is searched against F once per distinct shape: a fiber with
-    the shape of an earlier one takes that one's witness by position, which
-    is the witness a fresh search would return.  The voltage is composed
-    from sigma and the transitions the definition check walked.
+    Each fiber is searched against F once per distinct kind, its size and
+    edges: a fiber of an earlier kind takes that one's witness by position,
+    which is the witness a fresh search would return.  The voltage is
+    composed from sigma and the transitions the definition check walked.
 
     Raises TotalMismatch, before any check, when p's domain is not total.
     """
@@ -203,15 +224,15 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     require_morphism(p, "projection is not a morphism")
     base, profile, budget = p.codomain, fiber.profile, graphs.current_budget.get()
     over, fibers = _positions_over(p)
-    # Per fiber shape, the position in F of each vertex's image, or None.
-    placed: dict[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]] = {}
+    local = kinds, shapes, _ = _local_edges(total, base, over, fibers)
+    # Per fiber kind, the position in F of each vertex's image, or None.
+    placed: dict[int, Optional[tuple[int, ...]]] = {}
     sigma = [0] * total.n
-    for v, xs in zip(base.vertices, fibers):
-        shape = induced_adjacency(total, xs)
-        if shape not in placed:
-            found, _ = search_shape(shape, profile, budget, 1)
-            placed[shape] = found[0] if found else None
-        at = placed[shape]
+    for v, xs, kind in zip(base.vertices, fibers, kinds):
+        if kind not in placed:
+            found, _ = search_shape(_neighbours(*shapes[kind]), profile, budget, 1)
+            placed[kind] = found[0] if found else None
+        at = placed[kind]
         if at is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")
         for x, f in zip(xs, at):
@@ -225,7 +246,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
 
     local_error: Exception | None = None
     try:
-        _check_local_triviality(total, base, over, fibers, fiber)
+        _check_local_triviality(base, over, fibers, local, fiber)
     except LocalTrivialityFails as exc:
         local_error = exc
 
@@ -347,7 +368,7 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     _, fibers1 = _positions_over(b1.projection)
     # sigma2_v⁻¹: the position of b2's total over each base vertex at each fiber position.
     at2 = [[0] * n for _ in bidx]
-    for y, (a, f) in enumerate(zip(_positions_over(b2.projection)[0], b2.sigma)):
+    for y, (a, f) in enumerate(zip(b2.projection.position_map, b2.sigma)):
         at2[a][f] = y
     witness: dict[int, Label] = {}
     for (t1, h1), (t2, h2) in zip(_holonomies(b1.voltage), _holonomies(b2.voltage)):

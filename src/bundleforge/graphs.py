@@ -119,14 +119,8 @@ class Graph:
 
     @cached_property
     def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Each position's neighbour positions, increasing.  One pass over
-        the sorted pairs: the lower neighbours of j arrive in order as the
-        pairs (i, j), and then its higher ones as the pairs (j, k)."""
-        nbrs: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.ends:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(map(tuple, nbrs))
+        """Each position's neighbour positions, increasing."""
+        return _neighbours(len(self.vertices), self.ends)
 
     @cached_property
     def adjacency(self) -> dict[Label, tuple[Label, ...]]:
@@ -207,6 +201,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n} vertices, {len(self.ends)} edges)"
+
+
+def _neighbours(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Each of n positions' neighbours, increasing, from sorted pairs (i, j), i < j."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return tuple(map(tuple, nbrs))
 
 
 def _dot_id(label: Label) -> str:
@@ -302,26 +305,31 @@ class GraphMorphism:
         return dict(self.pairs)
 
     @cached_property
-    def preimages(self) -> dict[Label, tuple[Label, ...]]:
-        """Domain vertices over each codomain vertex, in domain order; raises
+    def position_map(self) -> tuple[int, ...]:
+        """The codomain position of each domain position; raises
         UnknownVertex, as make_morphism does, on a missing or stray image."""
-        m, out = self.map, {v: [] for v in self.codomain.vertices}
+        m, cidx, at = self.map, self.codomain.index, []
         for x in self.domain.vertices:
             if x not in m:
                 raise UnknownVertex(f"morphism undefined on vertex {x!r}")
-            if m[x] not in out:
+            if m[x] not in cidx:
                 raise UnknownVertex(f"morphism value {m[x]!r} not in codomain")
-            out[m[x]].append(x)
-        return {v: tuple(xs) for v, xs in out.items()}
+            at.append(cidx[m[x]])
+        return tuple(at)
+
+    @cached_property
+    def preimages(self) -> dict[Label, tuple[Label, ...]]:
+        """Domain vertices over each codomain vertex, in domain order."""
+        out: list[list[Label]] = [[] for _ in self.codomain.vertices]
+        for x, a in zip(self.domain.vertices, self.position_map):
+            out[a].append(x)
+        return dict(zip(self.codomain.vertices, map(tuple, out)))
 
     def __call__(self, v: Label) -> Label:
         try:
             return self.map[v]
         except KeyError:
             raise UnknownVertex(f"vertex {v!r} not in morphism domain") from None
-
-    def is_surjective(self) -> bool:
-        return set(self.map.values()) == set(self.codomain.vertices)
 
     def to_json(self) -> dict:
         return {"map": {a: b for a, b in self.pairs}}
@@ -333,13 +341,14 @@ class GraphMorphism:
 def make_morphism(domain: Graph, codomain: Graph, mapping: Mapping[object, object]) -> GraphMorphism:
     """Build a morphism, checking totality and codomain membership only."""
     cmap = {canon_label(k): canon_label(v) for k, v in mapping.items()}
-    for v in domain.vertices:
-        if v not in cmap:
-            raise UnknownVertex(f"morphism undefined on vertex {v!r}")
-        if cmap[v] not in codomain.index:
-            raise UnknownVertex(f"morphism value {cmap[v]!r} not in codomain")
-    pairs = tuple((v, cmap[v]) for v in domain.vertices)
-    return GraphMorphism(domain, codomain, pairs)
+    return _trusted_morphism(domain, codomain, GraphMorphism(domain, codomain, tuple(cmap.items())).position_map)
+
+
+def _trusted_morphism(domain: Graph, codomain: Graph, at: Sequence[int]) -> GraphMorphism:
+    """A morphism the library has just built, from its position map."""
+    f = GraphMorphism(domain, codomain, tuple(zip(domain.vertices, map(codomain.vertices.__getitem__, at))))
+    f.__dict__["position_map"] = tuple(at)
+    return f
 
 
 def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
@@ -358,16 +367,17 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
     image per domain vertex, each a codomain vertex: a GraphMorphism built
     by hand is checked here, not when it is made.
     """
-    m, dom, adj = f.map, f.domain.index, f.codomain.adjacency
+    m, dom, cidx = f.map, f.domain.index, f.codomain.index
     if len(f.pairs) != len(dom) or m.keys() != dom.keys():
         for x in dom:
             if x not in m:
                 raise UnknownVertex(f"vertex {x!r} not in morphism domain")
         raise UnknownVertex("morphism pairs are not one per domain vertex")
     for y in m.values():
-        if y not in adj:
+        if y not in cidx:
             raise UnknownVertex(f"morphism value {y!r} not in codomain")
-    bad = [(a, b) for a, b in f.domain.edge_list() if (fa := m[a]) != (fb := m[b]) and fb not in adj[fa]]
+    at, nbrs, vs = f.position_map, f.codomain.neighbor_indices, f.domain.vertices
+    bad = [(vs[i], vs[j]) for i, j in f.domain.ends if (a := at[i]) != (b := at[j]) and b not in nbrs[a]]
     return (not bad, bad)
 
 

@@ -14,7 +14,7 @@ when they run, so the constructions load without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bundles import (
     FiberVoltage,
@@ -30,6 +30,7 @@ from .graphs import (
     GraphMorphism,
     Label,
     _trusted_graph,
+    _trusted_morphism,
     compose,
     make_morphism,
     pair_label,
@@ -82,52 +83,47 @@ def split_pullback_vertex(label: Label) -> tuple[Label, Label]:
 
 def _typed_fiber_product(
     left: Graph,
-    left_to_target: Mapping[Label, Label],
+    left_at: Sequence[int],
     right: Graph,
-    right_to_target: Mapping[Label, Label],
+    right_at: Sequence[int],
     target: Graph,
     label_fn: Callable[[Label, Label], Label],
-) -> tuple[Graph, tuple[TypedEdge, ...], list[tuple[Label, Label]]]:
+) -> tuple[Graph, tuple[TypedEdge, ...], list[int]]:
     """Fiber product on compatible pairs, left coordinate major, with the
-    three-kind edge rule (kind II collapses on the left coordinate).  Also
-    returns the pair (a, b) behind each vertex, in vertex order.
+    three-kind edge rule (kind II collapses on the left coordinate), from
+    the target position of each left and right position.  Also returns the
+    left position of each vertex's pair.
 
-    The later neighbours of each pair (a, b) are found by walking, by
-    position, the neighbours of a in left and of b in right.  Neighbour
-    lists are increasing and pairs are left major, so the typed edges come
-    out in pair order: for each pair, first the (a, b2), then the (a2, ...)
-    by a2.
+    The pair (a, b) sits at off[a] + rank[b], the pairs of the left
+    positions before a plus the right positions before b over a's target.
+    Walking a's neighbours in left and b's in right gives the typed edges
+    in pair order: per pair, first the (a, b2), then the (a2, ...) by a2.
     """
-    tidx, lvs, rvs = target.index, left.vertices, right.vertices
-    lt = [tidx[left_to_target[a]] for a in lvs]
+    lvs, rvs, lt, rt = left.vertices, right.vertices, left_at, right_at
     right_over: list[list[int]] = [[] for _ in target.vertices]
-    for b, y in enumerate(rvs):
-        right_over[tidx[right_to_target[y]]].append(b)
-    pairs = [(a, b) for a, t in enumerate(lt) for b in right_over[t]]
-    position = {pair: i for i, pair in enumerate(pairs)}
+    rank = []
+    for b, t in enumerate(rt):
+        rank.append(len(right_over[t]))
+        right_over[t].append(b)
+    off, pairs = [], []
+    for a, t in enumerate(lt):
+        off.append(len(pairs))
+        pairs += [(a, b) for b in right_over[t]]
     labels = [label_fn(lvs[a], rvs[b]) for a, b in pairs]
     lnb, rnb, tnb = left.neighbor_indices, right.neighbor_indices, target.neighbor_indices
     found: list[tuple[int, int, str]] = []
     for i, (a, b) in enumerate(pairs):
         t = lt[a]
-        for b2 in rnb[b]:
-            j = position.get((a, b2), -1)
-            if j > i:
-                found.append((i, j, EDGE_KIND_FIBER))
+        found += [(i, off[a] + rank[b2], EDGE_KIND_FIBER) for b2 in rnb[b] if b2 > b and rt[b2] == t]
         for a2 in lnb[a]:
             t2 = lt[a2]
-            if t2 == t:
-                j = position.get((a2, b), -1)
-                if j > i:
-                    found.append((i, j, EDGE_KIND_COLLAPSED))
-            elif t2 in tnb[t]:
-                for b2 in rnb[b]:
-                    j = position.get((a2, b2), -1)
-                    if j > i:
-                        found.append((i, j, EDGE_KIND_DIAGONAL))
+            if a2 > a and t2 == t:
+                found.append((i, off[a2] + rank[b], EDGE_KIND_COLLAPSED))
+            elif a2 > a and t2 in tnb[t]:
+                found += [(i, off[a2] + rank[b2], EDGE_KIND_DIAGONAL) for b2 in rnb[b] if rt[b2] == t2]
     graph = _trusted_graph(tuple(labels), [(i, j) for i, j, _ in found])
     typed = tuple(TypedEdge((labels[i], labels[j]), kind) for i, j, kind in found)
-    return graph, typed, [(lvs[a], rvs[b]) for a, b in pairs]
+    return graph, typed, [a for a, _ in pairs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,25 +143,21 @@ def _check_pullback(f: GraphMorphism, base: Graph, what: str) -> None:
 def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
     """Pull a bundle back along f into a verified bundle over f's domain."""
     _check_pullback(f, b.base, "bundle")
-    total, typed, pairs = _typed_fiber_product(
-        f.domain, f.map, b.total, b.projection.map, b.base, pullback_vertex
+    total, typed, lefts = _typed_fiber_product(
+        f.domain, f.position_map, b.total, b.projection.position_map, b.base, pullback_vertex
     )
-    projection = GraphMorphism(total, f.domain, tuple(zip(total.vertices, (a for a, _ in pairs))))
-    verified = verify_bundle(total, projection, b.fiber)
-    return PullbackBundle(total, projection, b.fiber, verified.sigma, verified.voltage, typed)
+    verified = verify_bundle(total, _trusted_morphism(total, f.domain, lefts), b.fiber)
+    return PullbackBundle(total, verified.projection, b.fiber, verified.sigma, verified.voltage, typed)
 
 
 def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     """Induced voltage on f's domain: identity on collapsed edges, the
     original voltage of the image edge otherwise."""
     _check_pullback(f, fv.base, "voltage")
-    ident = Perm.identity(fv.fiber.n)
-    assignments = {}
-    for v, w in f.domain.edge_list():
-        if f(v) == f(w):
-            assignments[(v, w)] = ident
-        else:
-            assignments[(v, w)] = fv.phi[(f(v), f(w))]
+    ident, at, vs, bvs = Perm.identity(fv.fiber.n), f.position_map, f.domain.vertices, fv.base.vertices
+    assignments = {
+        (vs[i], vs[j]): ident if at[i] == at[j] else fv.phi[(bvs[at[i]], bvs[at[j]])] for i, j in f.domain.ends
+    }
     return FiberVoltage._trusted(f.domain, fv.fiber, assignments)
 
 
@@ -175,10 +167,8 @@ def morphism_matrix(f: GraphMorphism) -> Matrix:
 
     from .matrices import Matrix
 
-    rows, cols = f.codomain.n, f.domain.n
-    m = np.zeros((rows, cols))
-    for v in f.domain.vertices:
-        m[f.codomain.index[f(v)], f.domain.index[v]] = 1.0
+    m = np.zeros((f.codomain.n, f.domain.n))
+    m[f.position_map, range(f.domain.n)] = 1.0
     return Matrix._trusted(m)
 
 
@@ -239,8 +229,7 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
         ids[rows, cols] = k
     ends = _edge_ends(f.domain)
     i, j = np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
-    cidx, over = f.codomain.index, f.map
-    image = np.fromiter((cidx[over[x]] for x in f.domain.vertices), np.intp, f.domain.n)
+    image = np.array(f.position_map, dtype=np.intp)
     value_ids = ids[image[i], image[j]]
     order = np.argsort(value_ids, kind="stable")
     i, j = i[order], j[order]
@@ -286,14 +275,13 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     over the common base, with vertex pairs (x, y) as first-class labels."""
     if b1.base != b2.base:
         raise BaseMismatch("subdirect product needs a common base graph")
-    total, typed, pairs = _typed_fiber_product(
-        b1.total, b1.projection.map, b2.total, b2.projection.map, b1.base, pair_label
+    over = b1.projection.position_map
+    total, typed, lefts = _typed_fiber_product(
+        b1.total, over, b2.total, b2.projection.position_map, b1.base, pair_label
     )
-    over = b1.projection.map
-    projection = GraphMorphism(total, b1.base, tuple(zip(total.vertices, (over[a] for a, _ in pairs))))
     fiber = cartesian_product(b1.fiber, b2.fiber)
-    verified = verify_bundle(total, projection, fiber)
-    return SubdirectBundle(total, projection, fiber, verified.sigma, verified.voltage, typed)
+    verified = verify_bundle(total, _trusted_morphism(total, b1.base, [over[a] for a in lefts]), fiber)
+    return SubdirectBundle(total, verified.projection, fiber, verified.sigma, verified.voltage, typed)
 
 
 def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
@@ -395,6 +383,6 @@ def mixed_base_subdirect(b1: GraphBundle, b2: GraphBundle, link: GraphMorphism) 
         raise BaseMismatch("link must map the second base onto the first base")
     composed = compose(link, b2.projection)
     graph, typed, _ = _typed_fiber_product(
-        b1.total, b1.projection.map, b2.total, composed.map, b1.base, pair_label
+        b1.total, b1.projection.position_map, b2.total, composed.position_map, b1.base, pair_label
     )
     return MixedBaseProduct(graph, typed, base_mismatch=b1.base != b2.base)

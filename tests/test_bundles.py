@@ -33,7 +33,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import bundles, graphs, products
-from bundleforge.graphs import GraphMorphism, induced_subgraph, pair_label, search_shape, spanning_forest, split_pair_label
+from bundleforge.graphs import GraphMorphism, induced_adjacency, induced_subgraph, pair_label, search_shape, spanning_forest, split_pair_label
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
@@ -104,7 +104,7 @@ class TestVerifyBundle:
 
     def test_twisted_ladder(self, m3, c3, k2, q_m3_c3):
         b = verify_bundle(m3, q_m3_c3, k2)
-        assert b.fibers["1"] == ("3", "6")
+        assert b.projection.preimages["1"] == ("3", "6")
 
     def test_cover_is_not_a_k2_bundle(self, c6, c3, k2, p_c6_c3):
         with pytest.raises(FiberNotIsomorphic):
@@ -219,6 +219,12 @@ class TestVerifyBundle:
         assert b.voltage is bundle_to_voltage(b)
         assert not isinstance(vars(bundles.GraphBundle).get("voltage"), functools.cached_property)
 
+    def test_fiber_with_no_vertices(self, c3):
+        # Every fiber and every edge preimage is empty: both routes accept.
+        b = voltage_bundle(trivial_voltage(c3, empty_graph(0)))
+        assert b.total.n == 0
+        assert verify_bundle(b.total, b.projection, b.fiber).sigma == ()
+
 
 class TestVoltageExtraction:
     def test_trivial_bundle_extracts_identity(self, c3, k2):
@@ -332,8 +338,8 @@ def reference_equivalence(b1, b2, auts):
     for g in reference_gauges(b1.base, auts, bundle_to_voltage(b1).phi, bundle_to_voltage(b2).phi):
         mapping = {}
         for v in b1.base.vertices:
-            inv2 = {b2.sigma[b2.total.index[y]]: y for y in b2.fibers[v]}
-            for x in b1.fibers[v]:
+            inv2 = {b2.sigma[b2.total.index[y]]: y for y in b2.projection.preimages[v]}
+            for x in b1.projection.preimages[v]:
                 mapping[x] = inv2[g[v](b1.sigma[b1.total.index[x]])]
         witnesses.append(mapping)
     if not witnesses:
@@ -768,7 +774,7 @@ def mutated_voltage_totals(draw):
     edges = {frozenset(e) for e in b.total.edges}
     for _ in range(draw(st.integers(1, 3))):
         v, w = draw(st.sampled_from(base.edge_list()))
-        xs, ys = b.fibers[v], b.fibers[w]
+        xs, ys = b.projection.preimages[v], b.projection.preimages[w]
         cross = [(x, y) for x in xs for y in ys if frozenset((x, y)) in edges]
         kind = draw(st.sampled_from(["delete", "add", "repoint", "swap"]))
         if kind == "add":
@@ -819,7 +825,7 @@ def mutated_covering(rng, kind):
     edges = {frozenset(e) for e in b.total.edges}
     if kind == "swap":
         v, w = rng.choice(base.edge_list())
-        cross = [(x, y) for x in b.fibers[v] for y in b.fibers[w] if frozenset((x, y)) in edges]
+        cross = [(x, y) for x in b.projection.preimages[v] for y in b.projection.preimages[w] if frozenset((x, y)) in edges]
         if len(cross) >= 2:
             (x1, y1), (x2, y2) = rng.sample(cross, 2)
             edges -= {frozenset((x1, y1)), frozenset((x2, y2))}
@@ -949,7 +955,7 @@ def verdict(check, *args):
     if isinstance(result, tuple):
         return repr(result[0]), result[1]
     fvs, at = result.fiber.vertices, result.total.index
-    sigma = {v: {x: fvs[result.sigma[at[x]]] for x in xs} for v, xs in result.fibers.items()}
+    sigma = {v: {x: fvs[result.sigma[at[x]]] for x in xs} for v, xs in result.projection.preimages.items()}
     return repr(sigma), dict(result.voltage.phi)
 
 
@@ -992,6 +998,71 @@ def test_read_off_voltage_equals_validated(case):
 def test_memoized_verify_matches_reference_route_under_budget(case, budget):
     with graphs.node_budget(budget):
         assert verdict(verify_bundle, *case) == verdict(reference_verify_bundle, *case)
+
+
+def reference_search_calls(total, p, fiber):
+    """The search_shape calls of verify_bundle, by induced_adjacency: a
+    search of each fiber whose shape is new, against F, until a fiber is
+    not isomorphic to F; then, per base edge, a search of the preimage's
+    positions, increasing, whose (shape, sides) is new, against K2 □ F with
+    each position's side as its mask, until a preimage is not a box
+    product.  The calls stop where a search exceeds the budget."""
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        return search_shape(*args)
+
+    if not validate_morphism(p)[0]:
+        return calls
+    base, budget = p.codomain, graphs.current_budget.get()
+    over = [base.index[p.map[x]] for x in total.vertices]
+    fibers = [[x for x in range(total.n) if over[x] == a] for a in range(base.n)]
+    try:
+        placed = {}
+        for xs in fibers:
+            shape = induced_adjacency(total, xs)
+            if shape not in placed:
+                placed[shape] = bool(search(shape, fiber.profile, budget, 1)[0])
+            if not placed[shape]:
+                return calls
+        k2f = cartesian_product(complete_graph(2), fiber).profile
+        low = (1 << fiber.n) - 1
+        boxed = {}
+        for a, b in base.ends:
+            xs = sorted(fibers[a] + fibers[b])
+            shape, sides = induced_adjacency(total, xs), tuple(over[x] == a for x in xs)
+            if (shape, sides) not in boxed:
+                within = [low if side else low << fiber.n for side in sides]
+                boxed[shape, sides] = bool(search(shape, k2f, budget, 1, within)[0])
+            if not boxed[shape, sides]:
+                break
+    except SearchBudgetExceeded:
+        pass
+    return calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(reordered_totals(), st.integers(1, 24))
+def test_search_calls_match_the_induced_adjacency_reference(case, budget):
+    """The shapes, profiles and masks verify_bundle hands the search, in
+    order, are those of the reference, so node counts and budget verdicts
+    do not depend on how the keys are built."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return search_shape(*args)
+
+    with graphs.node_budget(budget):
+        expected = reference_search_calls(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bundles, "search_shape", recorded)
+            try:
+                verify_bundle(*case)
+            except BundleForgeError:
+                pass
+    assert calls == expected
 
 
 class TestSearchCount:

@@ -140,6 +140,31 @@ class TestMorphisms:
         expected = [(a, b) for a, b in domain.edge_list() if f(a) != f(b) and not codomain.has_edge(f(a), f(b))]
         assert validate_morphism(f) == (not expected, expected)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_label_reference_on_hand_built_pairs(self, data):
+        # Missing vertices, images off the codomain, repeated and stray
+        # keys, and violating edges, with the pairs in a drawn order.
+        domain, codomain, pairs = data.draw(hand_built_morphisms())
+        built = lambda: GraphMorphism(domain, codomain, pairs)  # noqa: E731
+        assert raised_or(validate_morphism, built()) == raised_or(reference_validate_morphism, built())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_position_map_raises_as_make_morphism_does(self, data):
+        domain, codomain, pairs = data.draw(hand_built_morphisms())
+
+        def through_make_morphism(f):
+            m = make_morphism(domain, codomain, f.map).map
+            at = tuple(codomain.index[m[x]] for x in domain.vertices)
+            return at, {v: tuple(x for x in domain.vertices if m[x] == v) for v in codomain.vertices}
+
+        def read_off(f):
+            return f.position_map, f.preimages
+
+        f, g = GraphMorphism(domain, codomain, pairs), GraphMorphism(domain, codomain, pairs)
+        assert raised_or(read_off, f) == raised_or(through_make_morphism, g)
+
     def test_preserves_edges_identity(self, c6):
         assert preserves_edges(identity_morphism(c6))
 
@@ -162,6 +187,58 @@ class TestMorphisms:
         g = make_morphism(c3, c3, {"1": "2", "2": "3", "3": "1"})
         ok, _ = validate_morphism(compose(g, p_c6_c3))
         assert ok
+
+
+def reference_validate_morphism(f):
+    """validate_morphism by labels: the pairs checked through the label
+    map, then each edge of edge_list read through it and the codomain's
+    adjacency."""
+    m, dom, adj = f.map, f.domain.index, f.codomain.adjacency
+    if len(f.pairs) != len(dom) or m.keys() != dom.keys():
+        for x in dom:
+            if x not in m:
+                raise UnknownVertex(f"vertex {x!r} not in morphism domain")
+        raise UnknownVertex("morphism pairs are not one per domain vertex")
+    for y in m.values():
+        if y not in adj:
+            raise UnknownVertex(f"morphism value {y!r} not in codomain")
+    bad = [(a, b) for a, b in f.domain.edge_list() if (fa := m[a]) != (fb := m[b]) and fb not in adj[fa]]
+    return (not bad, bad)
+
+
+def raised_or(check, f):
+    """What check returns on f, or the class and message of the
+    UnknownVertex it raises."""
+    try:
+        return check(f)
+    except UnknownVertex as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def hand_built_morphisms(draw):
+    """A domain on 0-6 and a sparser codomain on 1-4 vertices, and pairs
+    built without make_morphism, with up to two faults drawn: vertices left
+    out, images off the codomain, a vertex given a second image, or a stray
+    label given one.  The pairs come in a drawn order."""
+    graphs = []
+    for n, keep in ((draw(st.integers(0, 6)), 1), (draw(st.integers(1, 4)), 2)):
+        vs = [str(i) for i in range(n)]
+        graphs.append(make_graph(vs, [e for e in itertools.combinations(vs, 2) if draw(st.integers(0, keep)) == keep]))
+    domain, codomain = graphs
+    faults = draw(st.sets(st.sampled_from(["missing", "off", "repeat", "stray"]), max_size=2))
+    image = st.sampled_from(codomain.vertices)
+    pairs = []
+    for x in domain.vertices:
+        kind = draw(st.integers(0, 3))
+        if kind == 3 and "missing" in faults:
+            continue
+        pairs.append((x, draw(st.sampled_from(["8", "9"])) if kind == 2 and "off" in faults else draw(image)))
+    if "repeat" in faults and domain.n:
+        pairs.append((draw(st.sampled_from(domain.vertices)), draw(image)))
+    if "stray" in faults:
+        pairs.append(("z", draw(image)))
+    return domain, codomain, tuple(draw(st.permutations(pairs)))
 
 
 class TestSubgraphs:

@@ -30,7 +30,8 @@ from bundleforge import (
     subdirect_product,
     voltage_bundle,
 )
-from bundleforge import bundles
+from bundleforge import bundles, pullback
+from bundleforge import graphs as graph_core
 from bundleforge.graphs import induced_adjacency, induced_subgraph, search_profile
 from bundleforge.errors import InvalidGeneratorSystem
 from bundleforge.groups import GeneratorSystem, cayley_graph, cyclic, direct_product
@@ -190,13 +191,31 @@ def test_cayley_graphs():
 LABEL_VIEWS = {"adjacency", "edge_list", "preimages"}
 
 
-@pytest.mark.parametrize(
-    "name", ["verify_bundle", "_check_conditions", "_check_local_triviality", "voltage_bundle", "bundles_equivalent"]
-)
+#: Each function that runs on positions, and the module that defines it.
+POSITION_ROUTES = {
+    name: bundles
+    for name in (
+        "verify_bundle",
+        "_positions_over",
+        "_local_edges",
+        "_check_conditions",
+        "_check_local_triviality",
+        "voltage_bundle",
+        "bundles_equivalent",
+    )
+} | {"validate_morphism": graph_core, "_typed_fiber_product": pullback}
+
+
+@pytest.mark.parametrize("name", list(POSITION_ROUTES))
 def test_bundle_routes_read_no_label_view(name):
-    """verify_bundle, its two routes, voltage_bundle and bundles_equivalent
-    run on positions: an AST walk of each body finds no read of a graph's
-    adjacency or edge_list, or of a morphism's preimages."""
-    tree = ast.parse(Path(bundles.__file__).read_text())
+    """verify_bundle, its two routes and its bucketing of the total's
+    edges, voltage_bundle, bundles_equivalent, validate_morphism and the
+    typed fiber product run on positions: an AST walk of each body finds no
+    read of a graph's adjacency or edge_list, or of a morphism's preimages.
+    Nor does any of them build a shape with induced_adjacency: the fiber
+    check and local triviality read theirs off the bucketed edges."""
+    tree = ast.parse(Path(POSITION_ROUTES[name].__file__).read_text())
     body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
-    assert not {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)} & LABEL_VIEWS
+    names = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert not names & (LABEL_VIEWS | {"induced_adjacency"})

@@ -142,7 +142,7 @@ class TestCoverings:
     def test_c6_double_cover(self, p_c6_c3):
         b = verify_kfold_covering(p_c6_c3, 2)
         assert b.fiber.n == 2
-        assert b.fibers["1"] == ("3", "6")
+        assert b.projection.preimages["1"] == ("3", "6")
         # Each fiber is numbered in the order of the total space.
         assert [b.sigma[b.total.index[x]] for x in ("3", "6")] == [0, 1]
 
