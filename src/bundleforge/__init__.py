@@ -62,7 +62,6 @@ from .bundles import (
 from .pullback import (
     PullbackBundle,
     SubdirectBundle,
-    TypedEdge,
     canonical_map,
     compose_pullbacks_check,
     is_section,

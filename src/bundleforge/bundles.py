@@ -2,7 +2,9 @@
 structural verification, and equivalence by holonomy, the voltage carried
 around the fundamental cycle of each edge off a spanning forest: two
 bundles are equivalent exactly when one fiber automorphism per component
-conjugates every holonomy of one onto the other.  Fiber voltages and their
+conjugates every holonomy of one onto the other.  The holonomies are
+walked on positions, over base.neighbor_indices and the voltage's one
+value per base.ends entry, with no label map.  Fiber voltages and their
 adjacency formula live in products, below this module, and are re-exported
 here.  A k-fold covering is a bundle over the edgeless fiber on k vertices:
 products.verify_kfold_covering is verify_bundle with that fiber, and the
@@ -37,7 +39,7 @@ search per distinct key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import graphs
 from .errors import (
@@ -60,7 +62,6 @@ from .graphs import (
     pair_label,
     require_morphism,
     search_shape,
-    spanning_forest,
 )
 from .perms import Perm
 from .products import (
@@ -101,9 +102,8 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     bvs, fvs, m = base.vertices, fiber.vertices, fiber.n
     labels = [pair_label(v, f) for v in bvs for f in fvs]
     ends = [(at + i, at + j) for at in [a * m for a in range(base.n)] for i, j in fiber.ends]
-    for a, w in base.ends:
-        images = fv.phi[(bvs[a], bvs[w])].images
-        ends += zip(range(a * m, a * m + m), [w * m + x for x in images])
+    for (a, w), perm in zip(base.ends, fv.perms):
+        ends += zip(range(a * m, a * m + m), [w * m + x for x in perm])
     total = _trusted_graph(tuple(labels), ends)
     projection = _trusted_morphism(total, base, [a for a in range(base.n) for _ in range(m)])
     return GraphBundle(total, projection, fiber, tuple(range(m)) * base.n, fv)
@@ -257,12 +257,14 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         )
     if definition_error is not None:
         raise definition_error
-    bvs, phi = base.vertices, {}
-    for (a, b), psi in zip(base.ends, psis):
+    perms = []
+    for psi in psis:
         # sigma_w ∘ psi_vw ∘ sigma_v⁻¹ takes sigma(x) to sigma(psi_vw(x)).
-        images = sorted((sigma[x], sigma[y]) for x, y in psi.items())
-        phi[(bvs[a], bvs[b])] = Perm._trusted(tuple(f for _, f in images))
-    return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage._trusted(base, fiber, phi))
+        value = [0] * fiber.n
+        for x, y in psi.items():
+            value[sigma[x]] = sigma[y]
+        perms.append(tuple.__new__(Perm, value))
+    return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage._trusted(base, fiber, perms))
 
 
 def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
@@ -272,27 +274,46 @@ def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:
 
 # --- equivalence -------------------------------------------------------------
 
-def _forest_cycles(base: Graph) -> list[tuple[dict[Label, Optional[Label]], list[tuple[Label, Label]]]]:
-    """Per component of the breadth-first spanning forest, the tree and the
-    edges (v, w) off it, with v before w in the base, in the tree's visit
-    order of v: one fundamental cycle each."""
-    idx, adj = base.index, base.adjacency
-    return [
-        (tree, [(v, w) for v in tree for w in adj[v] if idx[v] < idx[w] and tree[v] != w and tree[w] != v])
-        for tree in spanning_forest(base)
-    ]
+def _forest_cycles(base: Graph) -> list[tuple[list[tuple[int, Optional[int]]], list[tuple[int, int]]]]:
+    """Per component of the breadth-first spanning forest, rooted at its
+    first position, with neighbours visited in increasing position: its
+    positions in visit order, each with its tree parent (None at the root),
+    and the edges (v, w) off the tree, v < w, in the visit order of v: one
+    fundamental cycle each."""
+    nbrs, seen, forest = base.neighbor_indices, [False] * base.n, []
+    parent: list[Optional[int]] = [None] * base.n
+    for root in range(base.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:  # order grows as the walk reaches new positions
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        cycles = [(v, w) for v in order for w in nbrs[v] if v < w and parent[v] != w and parent[w] != v]
+        forest.append(([(v, parent[v]) for v in order], cycles))
+    return forest
 
 
-def _holonomies(fv: FiberVoltage) -> Iterator[tuple[dict[Label, Perm], list[Perm]]]:
-    """Per spanning-forest component, the transport t[v] of the voltage from
-    the root along the tree, and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of each
-    non-tree edge (v, w): the voltage carried around its fundamental cycle."""
-    phi = fv.phi
+def _holonomies(fv: FiberVoltage) -> tuple[list[Perm], list[tuple[list[int], list[Perm]]]]:
+    """The transport t[v] of the voltage from the root of v's component
+    along the spanning forest, by base position, and per component its
+    positions in visit order and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of
+    each non-tree edge (v, w): the voltage carried around its fundamental
+    cycle."""
+    along, ident = fv._oriented, Perm.identity(fv.fiber.n)
+    t = [ident] * fv.base.n
+    components = []
     for tree, cycles in _forest_cycles(fv.base):
-        t: dict[Label, Perm] = {}
-        for w, v in tree.items():
-            t[w] = Perm.identity(fv.fiber.n) if v is None else phi[(v, w)].compose(t[v])
-        yield t, [t[w].inverse().compose(phi[(v, w)]).compose(t[v]) for v, w in cycles]
+        for w, v in tree:
+            if v is not None:
+                t[w] = along[v, w].compose(t[v])
+        holonomies = [t[w].inverse().compose(along[v, w]).compose(t[v]) for v, w in cycles]
+        components.append(([w for w, _ in tree], holonomies))
+    return t, components
 
 
 def _least_conjugator(
@@ -322,7 +343,7 @@ def _least_conjugator(
                 return False
             g[j] = k
             used.add(k)
-            todo.extend((a(j), b(k)) for a, b in zip(h1, h2))
+            todo.extend((a[j], b[k]) for a, b in zip(h1, h2))
         return True
 
     # A frame per placed decision: its position, next candidate and len(g) before it.
@@ -346,7 +367,7 @@ def _least_conjugator(
         pos, start, mark = frames.pop()
         while len(g) > mark:
             used.discard(g.popitem()[1])
-    return Perm(tuple(g[i] for i in range(fiber.n)))
+    return tuple.__new__(Perm, [g[i] for i in range(fiber.n)])
 
 
 def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label, Label]]:
@@ -355,40 +376,49 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
 
     With t1, t2 the tree transports of the two voltages, a vertex x of b1
     over v sits at the root point j = t1[v]⁻¹(σ1_v(x)) and goes to the
-    vertex of b2 over v at t2[v](g(j)).  Each point's images are tried in
-    the order of the b2 labels they give at its first vertex in
+    vertex of b2 over v at t2[v](g(j)), so at π_v(σ1_v(x)) with π_v = t2[v]
+    ∘ g ∘ t1[v]⁻¹, composed once per base vertex.  Each point's images are
+    tried in the order of the b2 labels they give at its first vertex in
     b1.total.vertices, not of b2's positions, so the first g found is the
-    least.
+    least; those labels are read only at the vertices where a point is
+    first reached.
     """
     if b1.base != b2.base:
         raise BaseMismatch("bundles have different base graphs")
     if b1.fiber != b2.fiber:
         raise FiberMismatch("bundles have different fiber graphs")
-    n, bidx, s1, vs2 = b1.fiber.n, b1.base.index, b1.sigma, b2.total.vertices
-    _, fibers1 = _positions_over(b1.projection)
+    n, s1, vs2 = b1.fiber.n, b1.sigma, b2.total.vertices
+    over1, fibers1 = _positions_over(b1.projection)
     # sigma2_v⁻¹: the position of b2's total over each base vertex at each fiber position.
-    at2 = [[0] * n for _ in bidx]
+    at2 = [[0] * n for _ in fibers1]
     for y, (a, f) in enumerate(zip(b2.projection.position_map, b2.sigma)):
         at2[a][f] = y
-    witness: dict[int, Label] = {}
-    for (t1, h1), (t2, h2) in zip(_holonomies(b1.voltage), _holonomies(b2.voltage)):
-        label = {v: [vs2[at2[bidx[v]][t2[v](k)]] for k in range(n)] for v in t2}
-        back = {v: t.inverse() for v, t in t1.items()}
-        points = {x: (v, back[v](s1[x])) for v in t1 for x in fibers1[bidx[v]]}
-        reach: dict[int, list[int]] = {}
-        for x in sorted(points):
-            v, j = points[x]
-            if j not in reach:
-                reach[j] = sorted(range(n), key=label[v].__getitem__)
-        g = _least_conjugator(b1.fiber, h1, h2, list(reach.items()))
+    t1, components = _holonomies(b1.voltage)
+    t2, components2 = _holonomies(b2.voltage)
+    comp = {v: c for c, (vs, _) in enumerate(components) for v in vs}
+    # Per component, the candidate images of each root point, in the order
+    # the points are first reached; per base vertex, its candidate order.
+    reach: list[dict[int, list[int]]] = [{} for _ in components]
+    order: dict[int, list[int]] = {}
+    for x, v in enumerate(over1):
+        points = reach[comp[v]]
+        if len(points) < n and (j := t1[v].index(s1[x])) not in points:
+            if v not in order:
+                order[v] = sorted(range(n), key=[vs2[at2[v][k]] for k in t2[v]].__getitem__)
+            points[j] = order[v]
+    pi: dict[int, Perm] = {}
+    for (vs, h1), (_, h2), points in zip(components, components2, reach):
+        g = _least_conjugator(b1.fiber, h1, h2, list(points.items()))
         if g is None:
             return None
-        witness.update((x, label[v][g(j)]) for x, (v, j) in points.items())
+        for v in vs:
+            pi[v] = t2[v].compose(g).compose(t1[v].inverse())
     vs1 = b1.total.vertices
-    return {vs1[x]: witness[x] for xs in fibers1 for x in xs}
+    return {vs1[x]: vs2[at2[v][pi[v][s1[x]]]] for v, xs in enumerate(fibers1) for x in xs}
+
 
 def is_trivial(b: GraphBundle) -> bool:
     """True when the bundle is equivalent to the box product over the same
     base: exactly when every holonomy is the identity, since g ∘ h ∘ g⁻¹ is
     the identity only for h the identity."""
-    return all(h.is_identity() for _, hs in _holonomies(b.voltage) for h in hs)
+    return all(h.is_identity() for _, hs in _holonomies(b.voltage)[1] for h in hs)

@@ -285,7 +285,7 @@ def cmd_pullback(args) -> int:
     counts = typed_edge_counts(pb.typed_edges)
     report = {
         "verb": "pullback",
-        "typed_edges": typed_edges_json(pb.typed_edges),
+        "typed_edges": typed_edges_json(pb.total, pb.typed_edges),
         "total_vertices": pb.total.n,
         "formula_matches_construction": formula == direct,
         "pulled_voltage": pulled.to_json()["phi"],
@@ -315,7 +315,7 @@ def cmd_subdirect(args) -> int:
             "base_mismatch": mixed.base_mismatch,
             "vertices": mixed.graph.n,
             "edges": len(mixed.graph.ends),
-            "typed_edges": typed_edges_json(mixed.typed_edges),
+            "typed_edges": typed_edges_json(mixed.graph, mixed.typed_edges),
             "matches_reference_figure": matches,
         }
         _emit(
@@ -347,7 +347,7 @@ def cmd_subdirect(args) -> int:
         "verb": "subdirect",
         "total_vertices": sp.total.n,
         "total_edges": len(sp.total.ends),
-        "typed_edges": typed_edges_json(sp.typed_edges),
+        "typed_edges": typed_edges_json(sp.total, sp.typed_edges),
         "fiber_vertices": sp.fiber.n,
         "formula_matches_construction": formula == direct,
     }
@@ -456,7 +456,7 @@ def cmd_ktheory(args) -> int:
     for n in range(args.n_max + 1):
         for c in monoid.classes_at(n):
             digest = ";".join(
-                ",".join(map(str, images)) for images in c.representative.serialized()
+                ",".join(map(str, images)) for images in c.representative.perms
             )
             rows.append({"n": n, "class_id": c.class_id, "voltage": digest})
     add_table = {f"{i},{j}": v for (i, j), v in monoid.add_table.items()}

@@ -10,7 +10,9 @@ j, of vertex positions; the label views and the neighbour positions are
 derived from those pairs on first use.  make_graph validates outside
 input and builds the pairs through the label index it fills; generators
 that hold positions hand _trusted_graph their pairs, with no per-edge
-label work.
+label work.  Likewise a morphism built by hand keeps its label pairs,
+which validate_morphism checks, and one the library builds keeps only its
+position map, from which its pairs are derived when read.
 
 The isomorphism search is one kernel over vertex positions, search_shape:
 it takes g as its shape (each position's neighbour positions, as
@@ -23,7 +25,6 @@ directly; a Graph caches its own profile.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -218,18 +219,23 @@ def _dot_id(label: Label) -> str:
 
 
 def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]]) -> Graph:
-    """Build a graph, canonicalizing labels and validating the data.
+    """Build a graph, canonicalizing labels and validating the data: a
+    label that is a str is kept as it is, and canon_label reads any other.
 
     Raises DuplicateVertex, LoopEdge, or UnknownEndpoint on bad input.
     """
-    vs = tuple(canon_label(v) for v in vertices)
+    vs = tuple(v if type(v) is str else canon_label(v) for v in vertices)
     index = _distinct(vs)
     ends: set[tuple[int, int]] = set()
     for raw in edges:
         pair = tuple(raw)
         if len(pair) != 2:
             raise ParseError(f"edge must have two endpoints: {raw!r}")
-        a, b = canon_label(pair[0]), canon_label(pair[1])
+        a, b = pair
+        if type(a) is not str:
+            a = canon_label(a)
+        if type(b) is not str:
+            b = canon_label(b)
         if a == b:
             raise LoopEdge(f"loop edge at {a!r}")
         i, j = index.get(a), index.get(b)
@@ -292,13 +298,26 @@ def star_graph(leaves: int) -> Graph:
 
 # --- morphisms --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GraphMorphism:
-    """Total vertex map between graphs; edge conditions are checked separately."""
+    """Total vertex map between graphs; edge conditions are checked separately.
 
-    domain: Graph
-    codomain: Graph
-    pairs: tuple[tuple[Label, Label], ...]
+    Built by hand, GraphMorphism(domain, codomain, pairs) keeps its (x, f(x))
+    label pairs, and validate_morphism checks them.  A morphism the library
+    builds (_trusted_morphism, make_morphism) keeps only position_map, the
+    codomain position of each domain position; its pairs and map are
+    derived when read.
+    """
+
+    def __init__(self, domain: Graph, codomain: Graph, pairs: Sequence[tuple[Label, Label]]) -> None:
+        self.domain, self.codomain, self._pairs = domain, codomain, pairs
+
+    @property
+    def pairs(self) -> Sequence[tuple[Label, Label]]:
+        """The (x, f(x)) label pairs: as given, or in domain order."""
+        if "_pairs" in vars(self):
+            return self._pairs
+        cvs = self.codomain.vertices
+        return tuple(zip(self.domain.vertices, map(cvs.__getitem__, self.position_map)))
 
     @cached_property
     def map(self) -> dict[Label, Label]:
@@ -345,9 +364,10 @@ def make_morphism(domain: Graph, codomain: Graph, mapping: Mapping[object, objec
 
 
 def _trusted_morphism(domain: Graph, codomain: Graph, at: Sequence[int]) -> GraphMorphism:
-    """A morphism the library has just built, from its position map."""
-    f = GraphMorphism(domain, codomain, tuple(zip(domain.vertices, map(codomain.vertices.__getitem__, at))))
-    f.__dict__["position_map"] = tuple(at)
+    """A morphism the library has just built, from its position map, which
+    is all it keeps."""
+    f = object.__new__(GraphMorphism)
+    f.domain, f.codomain, f.position_map = domain, codomain, tuple(at)
     return f
 
 
@@ -363,10 +383,20 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
 
     Returns (ok, violations) where each violation is a domain edge whose
     image is neither a codomain edge nor a single vertex, in edge_list
-    order.  Raises UnknownVertex first unless the pairs give exactly one
-    image per domain vertex, each a codomain vertex: a GraphMorphism built
-    by hand is checked here, not when it is made.
+    order.  On a GraphMorphism built by hand, which is checked here and not
+    when it is made, raises UnknownVertex first unless its pairs give
+    exactly one image per domain vertex, each a codomain vertex; a morphism
+    built from its position map holds that by construction.
     """
+    if "_pairs" in vars(f):
+        _check_pairs(f)
+    at, nbrs, vs = f.position_map, f.codomain.neighbor_indices, f.domain.vertices
+    bad = [(vs[i], vs[j]) for i, j in f.domain.ends if (a := at[i]) != (b := at[j]) and b not in nbrs[a]]
+    return (not bad, bad)
+
+
+def _check_pairs(f: GraphMorphism) -> None:
+    """Raise UnknownVertex unless f's pairs give one image per domain vertex, each a codomain vertex."""
     m, dom, cidx = f.map, f.domain.index, f.codomain.index
     if len(f.pairs) != len(dom) or m.keys() != dom.keys():
         for x in dom:
@@ -376,9 +406,6 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
     for y in m.values():
         if y not in cidx:
             raise UnknownVertex(f"morphism value {y!r} not in codomain")
-    at, nbrs, vs = f.position_map, f.codomain.neighbor_indices, f.domain.vertices
-    bad = [(vs[i], vs[j]) for i, j in f.domain.ends if (a := at[i]) != (b := at[j]) and b not in nbrs[a]]
-    return (not bad, bad)
 
 
 def require_morphism(f: GraphMorphism, what: str = "not a morphism") -> None:
@@ -424,32 +451,6 @@ def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
             raise UnknownVertex(f"vertex {v!r} not in graph")
     at = sorted(map(idx.__getitem__, want))
     return subgraph_of_shape([g.vertices[i] for i in at], induced_adjacency(g, at))
-
-
-def spanning_forest(g: Graph) -> list[dict[Label, Optional[Label]]]:
-    """Breadth-first spanning forest, one tree per connected component.
-
-    Each tree is rooted at its component's first vertex in stored order and
-    maps its vertices, in visit order, to their tree parent (None at the
-    root).  Neighbors are visited in stored order, so the forest is stable.
-    """
-    trees: list[dict[Label, Optional[Label]]] = []
-    seen: set[Label] = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        tree: dict[Label, Optional[Label]] = {root: None}
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    tree[w] = v
-                    queue.append(w)
-        trees.append(tree)
-    return trees
 
 
 # --- isomorphism search ------------------------------------------------------
@@ -636,4 +637,4 @@ def automorphisms(g: Graph) -> list[Perm]:
             f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
         )
     images, _ = search_shape(g.neighbor_indices, g.profile, current_budget.get())
-    return sorted(map(Perm._trusted, images))
+    return [tuple.__new__(Perm, p) for p in sorted(images)]

@@ -47,10 +47,8 @@ from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from .graphs import (
     Graph,
     GraphMorphism,
-    Label,
     automorphisms,
     make_graph,
-    spanning_forest,
 )
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
@@ -76,48 +74,39 @@ def fiber_power(f: Graph, n: int) -> Graph:
     return g
 
 
-#: A permutation as its image tuple, which the chain composes directly.
-Images = tuple[int, ...]
-
-
-def _compose(p: Images, q: Images) -> Images:
-    """p after q, on image tuples."""
-    return tuple(map(p.__getitem__, q))
-
-
-def _wreath(factor: Sequence[Images], n: int) -> tuple[Images, ...]:
-    """Aut(F) ≀ S_n, given Aut(F) as image tuples, on the index order of
-    fiber_power(F, n), sorted by image tuple: coordinate k of a vertex,
-    after σ, goes to a_k(i_k) at position σ(k).  That order reads the first
-    coordinate as the most significant digit, so position j weighs m^(n-1-j)."""
+def _wreath(factor: Sequence[Perm], n: int) -> tuple[Perm, ...]:
+    """Aut(F) ≀ S_n, given Aut(F), on the index order of fiber_power(F, n),
+    sorted: coordinate k of a vertex, after σ, goes to a_k(i_k) at position
+    σ(k).  That order reads the first coordinate as the most significant
+    digit, so position j weighs m^(n-1-j)."""
     m = len(factor[0])
     out = []
     for sigma in itertools.permutations(range(n)):
         weights = [m ** (n - 1 - j) for j in sigma]
         scaled = [[[w * i for i in a] for a in factor] for w in weights]
         for digits in itertools.product(*scaled):
-            out.append(tuple(map(sum, itertools.product(*digits))))
+            out.append(tuple.__new__(Perm, map(sum, itertools.product(*digits))))
     return tuple(sorted(out))
 
 
 def _box_prime(g: Graph) -> bool:
     """Connected with a prime number of vertices, so prime under the box
     product, whose factors multiply the vertex counts."""
-    return g.n > 1 and all(g.n % d for d in range(2, math.isqrt(g.n) + 1)) and len(spanning_forest(g)) == 1
+    return g.n > 1 and all(g.n % d for d in range(2, math.isqrt(g.n) + 1)) and len(_forest_cycles(g)) == 1
 
 
 @dataclass(eq=False)
 class _Orbits:
     """A subgroup H of Aut(F^n) acting on Aut(F^n) by conjugation.
 
-    where[y] is (r, c): r is the least element of the orbit of y and c, in
-    H, has c ∘ y ∘ c⁻¹ = r.  centralizer lists, for each least element r in
-    ascending order, the elements of H that commute with r; below[r] holds
-    the orbits of that centralizer once read."""
+    where[y] is (r, c, c⁻¹): r is the least element of the orbit of y and
+    c, in H, has c ∘ y ∘ c⁻¹ = r.  centralizer lists, for each least
+    element r in ascending order, the elements of H that commute with r;
+    below[r] holds the orbits of that centralizer once read."""
 
-    where: dict[Images, tuple[Images, Images]]
-    centralizer: dict[Images, tuple[Images, ...]]
-    below: dict[Images, _Orbits] = field(default_factory=dict)
+    where: dict[Perm, tuple[Perm, Perm, Perm]]
+    centralizer: dict[Perm, tuple[Perm, ...]]
+    below: dict[Perm, _Orbits] = field(default_factory=dict)
 
 
 class _Chain:
@@ -139,23 +128,19 @@ class _Chain:
     ):
         self.fiber, self.wreath = fiber, wreath
         self.conjugations, self.limit = conjugations, limit
-        self._split: dict[tuple[Images, ...], _Orbits] = {}
+        self._split: dict[tuple[Perm, ...], _Orbits] = {}
 
     @cached_property
-    def auts(self) -> tuple[Images, ...]:
+    def auts(self) -> tuple[Perm, ...]:
         if self.fiber.n == 1:  # the zeroth power, with the identity alone
-            return ((0,),)
+            return (Perm.identity(1),)
         if self.wreath is None:
-            return tuple(p.images for p in automorphisms(self.fiber))
+            return tuple(automorphisms(self.fiber))
         factor, n = self.wreath
         # The first split conjugates by every element at least once.
         order = len(factor.auts) ** n * math.factorial(n)
         self._afford(order, order)
         return _wreath(factor.auts, n)
-
-    @cached_property
-    def inverse(self) -> dict[Images, Images]:
-        return {p: Perm._trusted(p).inverse().images for p in self.auts}
 
     def _afford(self, count: int, order: int) -> None:
         """Raise unless count more conjugations stay within limit."""
@@ -165,24 +150,25 @@ class _Chain:
                 f"{self.limit} conjugations, the cap"
             )
 
-    def orbits(self, group: tuple[Images, ...]) -> _Orbits:
+    def orbits(self, group: tuple[Perm, ...]) -> _Orbits:
         found = self._split.get(group)
         if found is not None:
             return found
-        inv = self.inverse
-        where: dict[Images, tuple[Images, Images]] = {}
-        centralizer: dict[Images, tuple[Images, ...]] = {}
+        pairs = [(h, h.inverse()) for h in group]
+        where: dict[Perm, tuple[Perm, Perm, Perm]] = {}
+        centralizer: dict[Perm, tuple[Perm, ...]] = {}
         for y in self.auts:
             if y in where:
                 continue
             self._afford(len(group), len(self.auts))
             self.conjugations += len(group)
             fixed = []
-            for h in group:
-                z = _compose(h, _compose(y, inv[h]))
+            for h, inv in pairs:
+                # h ∘ y ∘ h⁻¹, read only as a key: a Perm is its image tuple.
+                z = tuple(map(h.__getitem__, map(y.__getitem__, inv)))
                 if z == y:
                     fixed.append(h)
-                where.setdefault(z, (y, inv[h]))
+                where.setdefault(z, (y, inv, h))
             centralizer[y] = tuple(fixed)
         found = self._split[group] = _Orbits(where, centralizer)
         return found
@@ -191,13 +177,13 @@ class _Chain:
     def top(self) -> _Orbits:
         return self.orbits(self.auts)
 
-    def below(self, node: _Orbits, rep: Images) -> _Orbits:
+    def below(self, node: _Orbits, rep: Perm) -> _Orbits:
         child = node.below.get(rep)
         if child is None:
             child = node.below[rep] = self.orbits(node.centralizer[rep])
         return child
 
-    def keys(self, fresh: Sequence[bool], node: Optional[_Orbits] = None) -> Iterator[tuple[Images, ...]]:
+    def keys(self, fresh: Sequence[bool], node: Optional[_Orbits] = None) -> Iterator[tuple[Perm, ...]]:
         """Every class key, in lexicographic order, of holonomy tuples whose
         entry i starts a component when fresh[i]: each entry is the least
         element of an orbit of the stabilizer that the entries before it in
@@ -212,32 +198,29 @@ class _Chain:
             for rest in self.keys(fresh[1:], below):
                 yield (rep,) + rest
 
-    def key(self, holonomies: Sequence[Images], fresh: Sequence[bool]) -> tuple[Images, ...]:
+    def key(self, holonomies: Sequence[Perm], fresh: Sequence[bool]) -> tuple[Perm, ...]:
         """The class key of holonomy tuples, with fresh as in keys: per
         component, the least conjugate of the first holonomy, then the least
         conjugate of the next under the automorphisms that achieve those
-        before it, a coset x of the stabilizer reached."""
-        out: list[Images] = []
+        before it, a coset x of the stabilizer reached, kept with x⁻¹."""
+        out: list[Perm] = []
         for h, new in zip(holonomies, fresh):
             if new:
-                node, x = self.top, self.auts[0]
+                node, x, inv = self.top, self.auts[0], self.auts[0]
             else:
                 node = self.below(node, out[-1])
-            rep, c = node.where[_compose(x, _compose(h, self.inverse[x]))]
+            # x ∘ h ∘ x⁻¹, read only as a key.
+            rep, c, c_inv = node.where[tuple(map(x.__getitem__, map(h.__getitem__, inv)))]
             out.append(rep)
-            x = _compose(c, x)
+            x, inv = c.compose(x), inv.compose(c_inv)
         return tuple(out)
 
 
-def _cycle_edges(base: Graph) -> tuple[list[tuple[Label, Label]], tuple[bool, ...]]:
-    """The edges off the spanning forest in holonomy order, and for each
-    whether it is the first of its component."""
-    forest = _forest_cycles(base)
-    return [e for _, es in forest for e in es], tuple(i == 0 for _, es in forest for i in range(len(es)))
-
-
-def _holonomy_images(fv: FiberVoltage) -> list[Images]:
-    return [h.images for _, hs in _holonomies(fv) for h in hs]
+def _cycle_edges(base: Graph) -> tuple[list[int], tuple[bool, ...]]:
+    """The base.ends positions of the edges off the spanning forest, in
+    holonomy order, and for each whether it is the first of its component."""
+    forest, edge_at = _forest_cycles(base), {e: k for k, e in enumerate(base.ends)}
+    return [edge_at[e] for _, es in forest for e in es], tuple(i == 0 for _, es in forest for i in range(len(es)))
 
 
 @dataclass(frozen=True)
@@ -289,7 +272,7 @@ class KClassMonoid:
         chain = self._chains[n]
         if fv.fiber != chain.fiber:
             raise FiberMismatch(f"voltage fiber is not fiber power {n} of the monoid's fiber")
-        return self._keys[n][chain.key(_holonomy_images(fv), self._fresh)]
+        return self._keys[n][chain.key([h for _, hs in _holonomies(fv)[1] for h in hs], self._fresh)]
 
     def add(self, i: int, j: int) -> Optional[int]:
         try:
@@ -343,7 +326,7 @@ def enumerate_bundle_classes(
             )
         fn = fiber_power(fiber, n)
         chain = chains[n] = _Chain(fn, conjugations, max_assignments, (chains[1], n) if n > 1 and wreath else None)
-        tree = dict.fromkeys(base.edge_list(), Perm.identity(fn.n))
+        ident = Perm.identity(fn.n)
         keys_by_n[n] = {}
         for key in chain.keys(fresh):
             class_id = len(classes)
@@ -352,7 +335,10 @@ def enumerate_bundle_classes(
                     f"{class_id + 1} classes by fiber power {n} already need {(class_id + 1) ** 2} "
                     f"addition-table entries, over the cap {max_assignments}"
                 )
-            rep = FiberVoltage._trusted(base, fn, {**tree, **dict(zip(cycles, map(Perm._trusted, key)))})
+            perms = [ident] * len(base.ends)
+            for k, value in zip(cycles, key):
+                perms[k] = value
+            rep = FiberVoltage._trusted(base, fn, perms)
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
         conjugations = chain.conjugations
@@ -366,7 +352,7 @@ def enumerate_bundle_classes(
                 continue
             # The sum's holonomies are the krons of the keys; F^a □ F^b lists
             # its vertices in the index order of F^(a+b).
-            sums = [perm_kron(c1.representative.phi[e], c2.representative.phi[e]).images for e in cycles]
+            sums = [perm_kron(c1.representative.perms[k], c2.representative.perms[k]) for k in cycles]
             add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][chains[n_sum].key(sums, fresh)]
 
     return KClassMonoid(base, fiber, n_max, tuple(classes), add_table, keys_by_n, chains, fresh)

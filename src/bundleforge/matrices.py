@@ -219,7 +219,7 @@ def voltage_adjacency(
         if len(r):
             rows.append(r)
             cols.append(c)
-            images.append(sigma.images)
+            images.append(sigma)
             counts.append(len(r))
     # I_n ⊗ fiber_adjacency: the fiber's nonzeros on each diagonal block.
     fr, fc = np.nonzero(fiber_adjacency.data)

@@ -1,89 +1,70 @@
-"""Finite permutations on {0, ..., n-1}, stored in one-line (image tuple) form."""
+"""Finite permutations on {0, ..., n-1}, in one-line form.
+
+A Perm is its image tuple: p[i] is the image of i, and it equals, hashes
+and orders as that tuple.  Perm(images) validates; what the library
+derives is built with tuple.__new__(Perm, ...), as these methods do."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import NotABijection, ShapeMismatch
 
 
-@dataclass(frozen=True, order=True)
-class Perm:
-    """Permutation given by its image tuple: i maps to images[i]."""
+class Perm(tuple):
+    """Permutation given by its image tuple: i maps to p[i]."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise NotABijection(f"not a permutation of 0..{n - 1}: {self.images}")
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> Perm:
-        """A Perm from images that are a permutation by construction; the
-        sort in __post_init__ is skipped."""
-        perm = object.__new__(cls)
-        perm.__dict__["images"] = images
-        return perm
-
-    def __hash__(self) -> int:
-        """The hash the generated one would give, hash((images,)), computed
-        once: a Perm is looked up in dicts far more often than it is built."""
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.images,))
-        return h
+    def __new__(cls, images: Iterable[int]) -> Perm:
+        p = tuple.__new__(cls, images)
+        if sorted(p) != list(range(len(p))):
+            raise NotABijection(f"not a permutation of 0..{len(p) - 1}: {tuple(p)}")
+        return p
 
     @staticmethod
     def identity(n: int) -> Perm:
-        return Perm._trusted(tuple(range(n)))
+        return tuple.__new__(Perm, range(n))
 
     @property
     def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
+        return len(self)
 
     def compose(self, other: Perm) -> Perm:
-        """Return self after other: i maps to self(other(i)).  Raises
+        """Return self after other: i maps to self[other[i]].  Raises
         ShapeMismatch when the two act on different numbers of points."""
-        if len(self.images) != len(other.images):
-            raise ShapeMismatch(f"cannot compose permutations of {self.n} and {other.n} points")
-        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
+        if len(self) != len(other):
+            raise ShapeMismatch(f"cannot compose permutations of {len(self)} and {len(other)} points")
+        return tuple.__new__(Perm, map(self.__getitem__, other))
 
     def inverse(self) -> Perm:
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Perm._trusted(tuple(inv))
-
-    def conjugate(self, g: Perm) -> Perm:
-        """Return g ∘ self ∘ g⁻¹."""
-        return g.compose(self).compose(g.inverse())
+        return tuple.__new__(Perm, inv)
 
     def cycle_type(self) -> list[int]:
         """Cycle lengths in ascending order, fixed points included."""
-        seen = [False] * self.n
+        seen = [False] * len(self)
         lengths = []
-        for start in range(self.n):
+        for start in range(len(self)):
             length, i = 0, start
             while not seen[i]:
                 seen[i] = True
-                i = self.images[i]
+                i = self[i]
                 length += 1
             if length:
                 lengths.append(length)
         return sorted(lengths)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self == tuple(range(len(self)))
 
     def __repr__(self) -> str:
-        return f"Perm{self.images}"
+        return f"Perm{tuple.__repr__(self)}"
 
 
 def kron(a: Perm, b: Perm) -> Perm:
-    """Product action on pairs in lexicographic index order: (i, j) -> (a(i), b(j))."""
-    nb = b.n
-    return Perm._trusted(tuple(i * nb + j for i in a.images for j in b.images))
+    """Product action on pairs in lexicographic index order: (i, j) -> (a[i], b[j])."""
+    nb = len(b)
+    return tuple.__new__(Perm, [i * nb + j for i in a for j in b])

@@ -12,16 +12,18 @@ functions that build a Matrix or a Spectrum (the voltage indicators, the
 bundle and covering adjacency formulas and the closed-form spectra) import
 it when they run, so the products and voltages load without numpy.
 
-make_fiber_voltage and FiberVoltage(...) validate user data.  Voltages whose
-values are automorphisms by construction (trivial_voltage and those derived
-in bundles, pullback and ktheory) go through FiberVoltage._trusted, and the
+A FiberVoltage stores one permutation per base.ends entry, by position;
+its label view phi is derived when read.  make_fiber_voltage and
+FiberVoltage(...) validate user data.  Voltages whose values are
+automorphisms by construction (trivial_voltage and those derived in
+bundles, pullback and ktheory) go through FiberVoltage._trusted, and the
 products check only their generated labels for clashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import BaseMismatch, ParseError, ShapeMismatch
 from .graphs import (
@@ -93,74 +95,75 @@ def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
     a bijection on a finite graph that does is an automorphism."""
     if perm.n != fiber.n:
         return False
-    im, nbrs = perm.images, fiber.neighbor_indices
-    return all(im[j] in nbrs[im[i]] for i, j in fiber.ends)
+    nbrs = fiber.neighbor_indices
+    return all(perm[j] in nbrs[perm[i]] for i, j in fiber.ends)
 
 
-@dataclass(frozen=True, eq=False)
 class FiberVoltage:
     """Assignment of fiber automorphisms to the oriented edges of a base graph.
 
-    phi holds both orientations; the reverse orientation always carries the
-    inverse permutation.  Permutations act on fiber vertex indices.
+    What is stored is perms, one permutation of fiber vertex indices per
+    base.ends entry: perms[k] is the voltage from the vertex at i to the one
+    at j for base.ends[k] = (i, j), and the reverse orientation carries its
+    inverse.  phi, the label view on both orientations, is derived on first
+    read; FiberVoltage(base, fiber, phi) validates a given one and keeps
+    only its values.
     """
 
-    base: Graph
-    fiber: Graph
-    phi: Mapping[tuple[Label, Label], Perm]
-
-    def __post_init__(self) -> None:
+    def __init__(self, base: Graph, fiber: Graph, phi: Mapping[tuple[Label, Label], Perm]) -> None:
         oriented = set()
-        for a, b in self.base.edge_list():
+        for a, b in base.edge_list():
             oriented.add((a, b))
             oriented.add((b, a))
-        if set(self.phi) != oriented:
+        if set(phi) != oriented:
             raise ParseError("voltage must cover exactly the oriented edges of the base")
         # Each distinct value is checked and inverted once.
         inverses: dict[Perm, Perm] = {}
-        for (v, w), perm in self.phi.items():
+        for (v, w), perm in phi.items():
             inverse = inverses.get(perm)
             if inverse is None:
-                if not is_fiber_automorphism(self.fiber, perm):
+                if not is_fiber_automorphism(fiber, perm):
                     raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
                 inverse = inverses[perm] = perm.inverse()
-            if self.phi[(w, v)] != inverse:
+            if phi[(w, v)] != inverse:
                 raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
+        self.base, self.fiber, bvs = base, fiber, base.vertices
+        self.perms = tuple(phi[bvs[i], bvs[j]] for i, j in base.ends)
 
     @classmethod
-    def _trusted(
-        cls, base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
-    ) -> FiberVoltage:
-        """A voltage whose values are fiber automorphisms by construction,
-        given on one orientation of every base edge: the reverse orientation
-        gets the inverse, and __post_init__ is skipped."""
-        phi: dict[tuple[Label, Label], Perm] = {}
+    def _trusted(cls, base: Graph, fiber: Graph, perms: Iterable[Perm]) -> FiberVoltage:
+        """A voltage whose values, one per base.ends entry, are fiber
+        automorphisms by construction; nothing is checked."""
+        fv = object.__new__(cls)
+        fv.base, fv.fiber, fv.perms = base, fiber, tuple(perms)
+        return fv
+
+    @cached_property
+    def _oriented(self) -> dict[tuple[int, int], Perm]:
+        """The voltage on both orientations of each base edge, keyed by
+        positions, in base.ends order: (i, j) carries perms[k] for
+        base.ends[k] = (i, j), and (j, i) its inverse, computed once per
+        distinct value."""
+        out: dict[tuple[int, int], Perm] = {}
         inverses: dict[Perm, Perm] = {}
-        for (v, w), perm in assignments.items():
+        for (i, j), perm in zip(self.base.ends, self.perms):
             inverse = inverses.get(perm)
             if inverse is None:
                 inverse = inverses[perm] = perm.inverse()
-            phi[(v, w)] = perm
-            phi[(w, v)] = inverse
-        return cls._of_phi(base, fiber, phi)
+            out[i, j] = perm
+            out[j, i] = inverse
+        return out
 
-    @classmethod
-    def _of_phi(cls, base: Graph, fiber: Graph, phi: dict[tuple[Label, Label], Perm]) -> FiberVoltage:
-        """A voltage around a phi on both orientations that already holds
-        what __post_init__ checks; it is taken as it is."""
-        fv = object.__new__(cls)
-        fv.__dict__.update(base=base, fiber=fiber, phi=phi)
-        return fv
-
-    def serialized(self) -> tuple[tuple[int, ...], ...]:
-        """Image tuples over canonically oriented edges, in base edge order."""
-        return tuple(self.phi[(a, b)].images for a, b in self.base.edge_list())
+    @cached_property
+    def phi(self) -> dict[tuple[Label, Label], Perm]:
+        """The label view: the voltage on both orientations of every base
+        edge, keyed by vertex labels."""
+        bvs = self.base.vertices
+        return {(bvs[i], bvs[j]): perm for (i, j), perm in self._oriented.items()}
 
     def to_json(self) -> dict:
-        phi = {}
-        for a, b in self.base.edge_list():
-            perm = self.phi[(a, b)]
-            phi[f"{a},{b}"] = [self.fiber.vertices[perm(i)] for i in range(self.fiber.n)]
+        bvs, fvs = self.base.vertices, self.fiber.vertices
+        phi = {f"{bvs[i]},{bvs[j]}": [fvs[x] for x in perm] for (i, j), perm in zip(self.base.ends, self.perms)}
         return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
 
     @staticmethod
@@ -189,17 +192,21 @@ class FiberVoltage:
 def make_fiber_voltage(
     base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
 ) -> FiberVoltage:
-    """Build a voltage from one orientation per edge; inverses are derived,
-    once per distinct value.
+    """Build a voltage from one orientation per edge: each value lands on
+    its base.ends entry, inverted, once per distinct value, when given
+    against it.
 
     Validates once, with FiberVoltage(...)'s errors in its order: after
-    the inverse pass (conflicting orientations), a missing edge, then an
-    oriented edge off the base, then each distinct assigned value, in
-    assignment order, against the fiber.  The inverse of an automorphism is
-    one, so derived values are not checked, and the phi built here, whose
-    orientations invert each other by construction, skips __post_init__.
+    the pass over the assignments (conflicting orientations), a missing
+    edge, then an oriented edge off the base, then each distinct assigned
+    value, in assignment order, against the fiber.  The inverse of an
+    automorphism is one, so inverted values are not checked.
     """
-    phi: dict[tuple[Label, Label], Perm] = {}
+    idx, ends = base.index, base.ends
+    edge_at = {e: k for k, e in enumerate(ends)}
+    perms: list[Optional[Perm]] = [None] * len(ends)
+    # Oriented keys that are no base edge, kept for the conflict check.
+    stray: dict[tuple[Label, Label], Perm] = {}
     inverses: dict[Perm, Perm] = {}
     first_edge: dict[Perm, tuple[Label, Label]] = {}
     for (v, w), perm in assignments.items():
@@ -207,27 +214,31 @@ def make_fiber_voltage(
         if inverse is None:
             inverse = inverses[perm] = perm.inverse()
             first_edge[perm] = (v, w)
-        if (w, v) in phi and phi[(w, v)] != inverse:
+        i, j = idx.get(v), idx.get(w)
+        k = None if i is None or j is None else edge_at.get((i, j) if i < j else (j, i))
+        if k is None:
+            if (w, v) in stray and stray[w, v] != inverse:
+                raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
+            stray[v, w] = perm
+            continue
+        value = perm if i < j else inverse
+        if perms[k] is not None and perms[k] != value:
             raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
-        phi[(v, w)] = perm
-        phi[(w, v)] = inverse
-    edges = base.edge_list()
-    for a, b in edges:
-        if (a, b) not in phi:
-            raise ParseError(f"missing voltage for edge {{{a!r}, {b!r}}}")
-    # Every oriented base edge is in phi, so phi has no other key exactly
-    # when it has no more than 2|E| keys.
-    if len(phi) != 2 * len(edges):
+        perms[k] = value
+    bvs = base.vertices
+    for (a, b), perm in zip(ends, perms):
+        if perm is None:
+            raise ParseError(f"missing voltage for edge {{{bvs[a]!r}, {bvs[b]!r}}}")
+    if stray:
         raise ParseError("voltage must cover exactly the oriented edges of the base")
     for perm, (v, w) in first_edge.items():
         if not is_fiber_automorphism(fiber, perm):
             raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
-    return FiberVoltage._of_phi(base, fiber, phi)
+    return FiberVoltage._trusted(base, fiber, perms)
 
 
 def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
-    ident = Perm.identity(fiber.n)
-    return FiberVoltage._trusted(base, fiber, {(a, b): ident for a, b in base.edge_list()})
+    return FiberVoltage._trusted(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
 
 
 def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
@@ -242,20 +253,20 @@ def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
 
 
 def voltage_indicators(
-    base: Graph, values: Mapping[tuple[Label, Label], Hashable], extra: Iterable[Hashable] = ()
+    values: Iterable[tuple[tuple[int, int], Hashable]], extra: Iterable[Hashable] = ()
 ) -> Iterator[tuple[Hashable, tuple[list[int], list[int]]]]:
-    """(value, (rows, cols)) for each distinct value on the oriented edges
-    and each ``extra`` value, whose lists may be empty: the base indices of
-    the edges carrying the value, so its 0/1 indicator by its ones.  The
-    edges are grouped in one pass."""
-    idx = base.index
+    """(value, (rows, cols)) for each distinct value on the oriented base
+    edges, given as ((i, j), value) by base positions, and each ``extra``
+    value, whose lists may be empty: the positions of the edges carrying
+    the value, so its 0/1 indicator by its ones.  The edges are grouped in
+    one pass."""
     groups: dict[Hashable, tuple[list[int], list[int]]] = {value: ([], []) for value in extra}
-    for (v, w), value in values.items():
+    for (i, j), value in values:
         group = groups.get(value)
         if group is None:
             group = groups[value] = ([], [])
-        group[0].append(idx[v])
-        group[1].append(idx[w])
+        group[0].append(i)
+        group[1].append(j)
     yield from groups.items()
 
 
@@ -266,7 +277,7 @@ def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
         raise ShapeMismatch(
             f"a permutation of {psi.n} points is no voltage value on a {fv.fiber.n}-vertex fiber"
         )
-    rows, cols = dict(voltage_indicators(fv.base, fv.phi, (psi,)))[psi]
+    rows, cols = dict(voltage_indicators(fv._oriented.items(), (psi,)))[psi]
     return _indicator(fv.base.n, rows, cols)
 
 
@@ -276,7 +287,7 @@ def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     adjacency on the diagonal blocks."""
     from .matrices import adjacency_matrix, voltage_adjacency
 
-    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv.base, fv.phi))
+    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv._oriented.items()))
     return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
 
 

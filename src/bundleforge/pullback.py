@@ -50,25 +50,19 @@ EDGE_KIND_COLLAPSED = "II"
 EDGE_KIND_DIAGONAL = "III"
 
 
-@dataclass(frozen=True)
-class TypedEdge:
-    """Edge of a typed fiber product, tagged with its kind (I, II, or III)."""
-
-    endpoints: tuple[Label, Label]
-    kind: str
-
-
-def typed_edge_counts(edges: tuple[TypedEdge, ...]) -> dict[str, int]:
+def typed_edge_counts(kinds: Sequence[str]) -> dict[str, int]:
     counts = {EDGE_KIND_FIBER: 0, EDGE_KIND_COLLAPSED: 0, EDGE_KIND_DIAGONAL: 0}
-    for e in edges:
-        counts[e.kind] += 1
+    for kind in kinds:
+        counts[kind] += 1
     return counts
 
 
-def typed_edges_json(edges: tuple[TypedEdge, ...]) -> dict:
-    """Report shape: per-kind counts plus the tagged edge list."""
-    out: dict = dict(typed_edge_counts(edges))
-    out["edges"] = [[e.endpoints[0], e.endpoints[1], e.kind] for e in edges]
+def typed_edges_json(graph: Graph, kinds: Sequence[str]) -> dict:
+    """Report shape: per-kind counts plus the tagged edge list, the kind of
+    each edge of graph.ends with its end labels."""
+    out: dict = dict(typed_edge_counts(kinds))
+    vs = graph.vertices
+    out["edges"] = [[vs[i], vs[j], kind] for (i, j), kind in zip(graph.ends, kinds)]
     return out
 
 
@@ -88,16 +82,18 @@ def _typed_fiber_product(
     right_at: Sequence[int],
     target: Graph,
     label_fn: Callable[[Label, Label], Label],
-) -> tuple[Graph, tuple[TypedEdge, ...], list[int]]:
+) -> tuple[Graph, tuple[str, ...], list[int]]:
     """Fiber product on compatible pairs, left coordinate major, with the
     three-kind edge rule (kind II collapses on the left coordinate), from
-    the target position of each left and right position.  Also returns the
-    left position of each vertex's pair.
+    the target position of each left and right position.  Returns the
+    graph, the kind of each edge of its ends, and the left position of each
+    vertex's pair.
 
     The pair (a, b) sits at off[a] + rank[b], the pairs of the left
     positions before a plus the right positions before b over a's target.
     Walking a's neighbours in left and b's in right gives the typed edges
-    in pair order: per pair, first the (a, b2), then the (a2, ...) by a2.
+    in pair order: per pair, first the (a, b2), then the (a2, ...) by a2,
+    which is the sorted order of the graph's ends.
     """
     lvs, rvs, lt, rt = left.vertices, right.vertices, left_at, right_at
     right_over: list[list[int]] = [[] for _ in target.vertices]
@@ -122,15 +118,15 @@ def _typed_fiber_product(
             elif a2 > a and t2 in tnb[t]:
                 found += [(i, off[a2] + rank[b2], EDGE_KIND_DIAGONAL) for b2 in rnb[b] if rt[b2] == t2]
     graph = _trusted_graph(tuple(labels), [(i, j) for i, j, _ in found])
-    typed = tuple(TypedEdge((labels[i], labels[j]), kind) for i, j, kind in found)
-    return graph, typed, [a for a, _ in pairs]
+    return graph, tuple(kind for _, _, kind in found), [a for a, _ in pairs]
 
 
 @dataclass(frozen=True, eq=False)
 class PullbackBundle(GraphBundle):
-    """Pullback of a bundle along a base morphism, with its typed edges."""
+    """Pullback of a bundle along a base morphism, with the kind of each
+    edge of total.ends."""
 
-    typed_edges: tuple[TypedEdge, ...] = ()
+    typed_edges: tuple[str, ...] = ()
 
 
 def _check_pullback(f: GraphMorphism, base: Graph, what: str) -> None:
@@ -154,11 +150,9 @@ def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     """Induced voltage on f's domain: identity on collapsed edges, the
     original voltage of the image edge otherwise."""
     _check_pullback(f, fv.base, "voltage")
-    ident, at, vs, bvs = Perm.identity(fv.fiber.n), f.position_map, f.domain.vertices, fv.base.vertices
-    assignments = {
-        (vs[i], vs[j]): ident if at[i] == at[j] else fv.phi[(bvs[at[i]], bvs[at[j]])] for i, j in f.domain.ends
-    }
-    return FiberVoltage._trusted(f.domain, fv.fiber, assignments)
+    ident, at, along = Perm.identity(fv.fiber.n), f.position_map, fv._oriented
+    perms = [ident if at[i] == at[j] else along[at[i], at[j]] for i, j in f.domain.ends]
+    return FiberVoltage._trusted(f.domain, fv.fiber, perms)
 
 
 def morphism_matrix(f: GraphMorphism) -> Matrix:
@@ -224,7 +218,7 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     # diagonal holds.  Since f is a morphism, no other entry off the base
     # edges is read.
     values, ids = [], np.zeros((n, n), dtype=np.intp)
-    for k, (psi, (rows, cols)) in enumerate(voltage_indicators(fv.base, fv.phi, (Perm.identity(fv.fiber.n),))):
+    for k, (psi, (rows, cols)) in enumerate(voltage_indicators(fv._oriented.items(), (Perm.identity(fv.fiber.n),))):
         values.append(psi)
         ids[rows, cols] = k
     ends = _edge_ends(f.domain)
@@ -265,9 +259,10 @@ def compose_pullbacks_check(f: GraphMorphism, g: GraphMorphism, b: GraphBundle) 
 @dataclass(frozen=True, eq=False)
 class SubdirectBundle(GraphBundle):
     """Subdirect product of two bundles over a common base: a bundle whose
-    fiber is the box product of the factor fibers."""
+    fiber is the box product of the factor fibers; typed_edges holds the
+    kind of each edge of total.ends."""
 
-    typed_edges: tuple[TypedEdge, ...] = ()
+    typed_edges: tuple[str, ...] = ()
 
 
 def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
@@ -293,10 +288,11 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
 
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
-    pairs = {edge: (value, fv2.phi[edge]) for edge, value in fv1.phi.items()}
+    along2 = fv2._oriented
+    pairs = ((edge, (value, along2[edge])) for edge, value in fv1._oriented.items())
     terms = (
         (rows, cols, perm_kron(psi1, psi2))
-        for (psi1, psi2), (rows, cols) in voltage_indicators(fv1.base, pairs)
+        for (psi1, psi2), (rows, cols) in voltage_indicators(pairs)
     )
     # A(F1 □ F2) = A1 ⊗ I + I ⊗ A2 is the trivial bundle of F2 over F1.
     fiber_adjacency = bundle_adjacency(trivial_voltage(fv1.fiber, fv2.fiber))
@@ -309,11 +305,7 @@ def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect voltage needs a common base graph")
     fiber = cartesian_product(fv1.fiber, fv2.fiber)
-    assignments = {
-        (v, w): perm_kron(fv1.phi[(v, w)], fv2.phi[(v, w)])
-        for v, w in fv1.base.edge_list()
-    }
-    return FiberVoltage._trusted(fv1.base, fiber, assignments)
+    return FiberVoltage._trusted(fv1.base, fiber, map(perm_kron, fv1.perms, fv2.perms))
 
 
 def pair_morphism(
@@ -373,7 +365,7 @@ class MixedBaseProduct:
     """
 
     graph: Graph
-    typed_edges: tuple[TypedEdge, ...]
+    typed_edges: tuple[str, ...]
     base_mismatch: bool
 
 

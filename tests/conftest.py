@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import settings
 
@@ -43,6 +45,36 @@ def with_fiber(b, new_fiber):
     if b.fiber == new_fiber:
         return b
     return verify_bundle(b.total, b.projection, new_fiber)
+
+
+def spanning_forest(g):
+    """Breadth-first spanning forest by labels, one tree per connected
+    component: each tree is rooted at its component's first vertex in
+    stored order and maps its vertices, in visit order, to their tree parent
+    (None at the root), with neighbours visited in stored order.  The label
+    reference of the forest that bundles._forest_cycles walks on positions."""
+    trees = []
+    seen = set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        tree = {root: None}
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    tree[w] = v
+                    queue.append(w)
+        trees.append(tree)
+    return trees
+
+
+def conjugate(a, g):
+    """g ∘ a ∘ g⁻¹."""
+    return g.compose(a).compose(g.inverse())
 
 
 def identity_morphism(g):

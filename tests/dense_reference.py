@@ -29,7 +29,7 @@ def perm_matrix(sigma: Perm | Sequence[int]) -> Matrix:
     if not isinstance(sigma, Perm):
         sigma = Perm(tuple(sigma))
     p = np.zeros((sigma.n, sigma.n))
-    p[list(sigma.images), range(sigma.n)] = 1.0
+    p[list(sigma), range(sigma.n)] = 1.0
     return Matrix(p)
 
 

@@ -19,6 +19,7 @@ from bundleforge import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    enumerate_bundle_classes,
     find_isomorphism,
     is_trivial,
     make_fiber_voltage,
@@ -32,8 +33,8 @@ from bundleforge import (
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge import bundles, graphs, products
-from bundleforge.graphs import GraphMorphism, induced_adjacency, induced_subgraph, pair_label, search_shape, spanning_forest, split_pair_label
+from bundleforge import bundles, graphs, ktheory, products
+from bundleforge.graphs import GraphMorphism, induced_adjacency, induced_subgraph, pair_label, search_shape, split_pair_label
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
@@ -57,7 +58,7 @@ from bundleforge.named import (
     m62_bundle,
 )
 
-from conftest import identity_bundle, is_equivalence_witness
+from conftest import identity_bundle, is_equivalence_witness, spanning_forest
 from dense_reference import kronecker
 
 SWAP = Perm((1, 0))
@@ -340,7 +341,7 @@ def reference_equivalence(b1, b2, auts):
         for v in b1.base.vertices:
             inv2 = {b2.sigma[b2.total.index[y]]: y for y in b2.projection.preimages[v]}
             for x in b1.projection.preimages[v]:
-                mapping[x] = inv2[g[v](b1.sigma[b1.total.index[x]])]
+                mapping[x] = inv2[g[v][b1.sigma[b1.total.index[x]]]]
         witnesses.append(mapping)
     if not witnesses:
         return None
@@ -553,6 +554,80 @@ class TestTriviality:
             assert is_trivial(b) == expected
             verdicts.append(expected)
         assert 100 < sum(verdicts) < 350
+
+
+def reference_forest_cycles(base):
+    """The forest walk by labels, as bundles walked it before it ran on
+    positions: per component of spanning_forest, the tree and the edges
+    (v, w) off it, with v before w in the base, in the tree's visit order
+    of v: one fundamental cycle each."""
+    idx, adj = base.index, base.adjacency
+    return [
+        (tree, [(v, w) for v in tree for w in adj[v] if idx[v] < idx[w] and tree[v] != w and tree[w] != v])
+        for tree in spanning_forest(base)
+    ]
+
+
+def reference_holonomies(fv):
+    """The holonomy walk by labels, on the label view phi: per component,
+    the transport t[v] from the root along the tree, keyed by label in
+    visit order, and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of each non-tree
+    edge (v, w)."""
+    phi, components = fv.phi, []
+    for tree, cycles in reference_forest_cycles(fv.base):
+        t = {}
+        for w, v in tree.items():
+            t[w] = Perm.identity(fv.fiber.n) if v is None else phi[(v, w)].compose(t[v])
+        components.append((t, [t[w].inverse().compose(phi[(v, w)]).compose(t[v]) for v, w in cycles]))
+    return components
+
+
+FOREST_FIBERS = [complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4), empty_graph(2)]
+
+
+@st.composite
+def shuffled_voltages(draw):
+    """A voltage over a base of up to six vertices, disconnected ones
+    included, stored in a drawn vertex order, with a drawn fiber
+    automorphism on each edge."""
+    n = draw(st.integers(1, 6))
+    pairs = [(str(i), str(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n + 2)) if pairs else []
+    base = make_graph(draw(st.permutations([str(i) for i in range(1, n + 1)])), edges)
+    fiber = draw(st.sampled_from(FOREST_FIBERS))
+    auts = automorphisms(fiber)
+    return make_fiber_voltage(base, fiber, {e: draw(st.sampled_from(auts)) for e in base.edge_list()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shuffled_voltages())
+def test_holonomy_walk_matches_the_label_reference(fv):
+    """The forest, the transports, the holonomies and the ktheory keys read
+    on positions equal the label routes, component by component, in visit
+    order."""
+    vs = fv.base.vertices
+    reference = reference_holonomies(fv)
+    forest = [
+        ({vs[w]: None if v is None else vs[v] for w, v in tree}, [(vs[v], vs[w]) for v, w in cycles])
+        for tree, cycles in bundles._forest_cycles(fv.base)
+    ]
+    assert [(list(tree.items()), cycles) for tree, cycles in forest] == [
+        (list(tree.items()), cycles) for tree, cycles in reference_forest_cycles(fv.base)
+    ]
+    t, components = bundles._holonomies(fv)
+    assert [([(vs[v], t[v]) for v in positions], hs) for positions, hs in components] == [
+        (list(tr.items()), hs) for tr, hs in reference
+    ]
+    cycles, fresh = ktheory._cycle_edges(fv.base)
+    assert fresh == tuple(i == 0 for _, hs in reference for i in range(len(hs)))
+    assert [fv.base.ends[k] for k in cycles] == [(fv.base.index[v], fv.base.index[w]) for _, es in forest for v, w in es]
+    chain = ktheory._Chain(fv.fiber)
+    assert chain.key([h for _, hs in components for h in hs], fresh) == chain.key([h for _, hs in reference for h in hs], fresh)
+    if len(cycles) <= 2:
+        # A representative is its key off the forest and the identity on
+        # it, so its holonomies, read by labels, are its key.
+        for c in enumerate_bundle_classes(fv.base, fv.fiber, 1).classes_at(1):
+            assert tuple(h for _, hs in reference_holonomies(c.representative) for h in hs) == c.key
 
 
 class TestBundleAdjacency:

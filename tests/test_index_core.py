@@ -30,7 +30,7 @@ from bundleforge import (
     subdirect_product,
     voltage_bundle,
 )
-from bundleforge import bundles, pullback
+from bundleforge import bundles, ktheory, pullback
 from bundleforge import graphs as graph_core
 from bundleforge.graphs import induced_adjacency, induced_subgraph, search_profile
 from bundleforge.errors import InvalidGeneratorSystem
@@ -188,7 +188,8 @@ def test_cayley_graphs():
             cayley_graph(group, GeneratorSystem(group, (group.identity,)))
 
 
-LABEL_VIEWS = {"adjacency", "edge_list", "preimages"}
+#: The label views of a graph, a morphism and a voltage.
+LABEL_VIEWS = {"adjacency", "edge_list", "preimages", "pairs", "map", "phi"}
 
 
 #: Each function that runs on positions, and the module that defines it.
@@ -202,20 +203,36 @@ POSITION_ROUTES = {
         "_check_local_triviality",
         "voltage_bundle",
         "bundles_equivalent",
+        "_forest_cycles",
+        "_holonomies",
+        "_least_conjugator",
+        "is_trivial",
     )
-} | {"validate_morphism": graph_core, "_typed_fiber_product": pullback}
+} | {
+    "validate_morphism": graph_core,
+    "_typed_fiber_product": pullback,
+    "pullback_voltage": pullback,
+    "subdirect_voltage": pullback,
+    "_cycle_edges": ktheory,
+}
 
 
 @pytest.mark.parametrize("name", list(POSITION_ROUTES))
 def test_bundle_routes_read_no_label_view(name):
     """verify_bundle, its two routes and its bucketing of the total's
-    edges, voltage_bundle, bundles_equivalent, validate_morphism and the
-    typed fiber product run on positions: an AST walk of each body finds no
-    read of a graph's adjacency or edge_list, or of a morphism's preimages.
-    Nor does any of them build a shape with induced_adjacency: the fiber
-    check and local triviality read theirs off the bucketed edges."""
+    edges, voltage_bundle, bundles_equivalent, the holonomy walk,
+    validate_morphism, the typed fiber product and the derived voltages
+    run on positions: an AST walk of each body finds no read of a graph's
+    adjacency or edge_list, of a morphism's preimages, pairs or map, or of
+    a voltage's phi.  Nor does any of them build a shape
+    with induced_adjacency or walk the label forest: the fiber check and
+    local triviality read their shapes off the bucketed edges."""
     tree = ast.parse(Path(POSITION_ROUTES[name].__file__).read_text())
     body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
-    names = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    names |= {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    assert not names & (LABEL_VIEWS | {"induced_adjacency"})
+    attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert not attributes & LABEL_VIEWS
+    # The morphism and voltage views are read as attributes: as bare names,
+    # map is the builtin and pairs a local list of positions.
+    assert not names & {"adjacency", "edge_list", "preimages"}
+    assert not (attributes | names) & {"induced_adjacency", "spanning_forest"}

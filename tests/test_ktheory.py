@@ -34,10 +34,9 @@ from bundleforge import (
 )
 from bundleforge.bundles import _holonomies
 from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
-from bundleforge.graphs import spanning_forest
 from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS, DEFAULT_MAX_BASE_VERTICES
 from bundleforge.perms import kron as perm_kron
-from conftest import identity_morphism
+from conftest import conjugate, identity_morphism, spanning_forest
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -81,11 +80,11 @@ def all_assignments_classes(base, fiber, n_max):
             if assignment in seen:
                 continue
             class_id = len(classes)
-            classes.append((n, tuple(auts[i].images for i in assignment)))
+            classes.append((n, tuple(auts[i] for i in assignment)))
             for g in itertools.product(range(len(auts)), repeat=base.n):
                 orbit_point = tuple(twist[g[b]][p][g[a]] for (a, b), p in zip(ends, assignment))
                 seen[orbit_point] = class_id
-        class_of[n] = {tuple(auts[i].images for i in a): cid for a, cid in seen.items()}
+        class_of[n] = {tuple(auts[i] for i in a): cid for a, cid in seen.items()}
     return classes, class_of
 
 
@@ -93,7 +92,7 @@ def burnside_count(auts, beta):
     """Orbits of Aut^β under simultaneous conjugation: the mean over g of
     the β-th power of the centralizer order of g, read by comparing g ∘ h
     with h ∘ g for all h at once."""
-    images = np.array([p.images for p in auts])
+    images = np.array(auts)
     total = sum(int((g[images] == images[:, g]).all(axis=1).sum()) ** beta for g in images)
     assert total % len(auts) == 0
     return total // len(auts)
@@ -155,7 +154,7 @@ class _Gauge:
         idx = base.index
         self.ends = tuple((idx[a], idx[b]) for a, b in base.edge_list())
         self.n_vertices = base.n
-        self.auts = tuple(p.images for p in auts)
+        self.auts = tuple(auts)
         self.inverse = {p: _invert(p) for p in self.auts}
         self.identity = tuple(range(len(self.auts[0])))
 
@@ -215,7 +214,7 @@ class _Gauge:
 
 def least_serial(fv):
     """The reference key of a voltage: its least serial over all gauges."""
-    return _Gauge(fv.base, automorphisms(fv.fiber)).least_serial(fv.serialized())
+    return _Gauge(fv.base, automorphisms(fv.fiber)).least_serial(fv.perms)
 
 
 def cycle_positions(base):
@@ -263,7 +262,7 @@ class GaugeWalk:
                 if n_sum > n_max:
                     self.add_table[(i, j)] = None
                     continue
-                serial = [perm_kron(Perm(a), Perm(b)).images for a, b in zip(key1, key2)]
+                serial = [perm_kron(Perm(a), Perm(b)) for a, b in zip(key1, key2)]
                 self.add_table[(i, j)] = self.keys[n_sum][self.gauges[n_sum].least_serial(serial)]
 
     def representative(self, i):
@@ -271,11 +270,11 @@ class GaugeWalk:
         return make_fiber_voltage(self.base, self.powers[n], dict(zip(self.edges, map(Perm, key))))
 
     def classify(self, fv, n):
-        return self.keys[n][self.gauges[n].least_serial(fv.serialized())]
+        return self.keys[n][self.gauges[n].least_serial(fv.perms)]
 
 
 def holonomy_tuple(fv):
-    return tuple(h.images for _, hs in _holonomies(fv) for h in hs)
+    return tuple(h for _, hs in _holonomies(fv)[1] for h in hs)
 
 
 def assert_routes_agree(m, ref, rng, draws=5):
@@ -460,7 +459,7 @@ class TestAgainstAllAssignments:
             one_way = {e: rep.phi[e] for e in base.edge_list()}
             assert make_fiber_voltage(base, rep.fiber, one_way).phi == rep.phi
         # One class per orbit of the exhaustive walk, at the same power.
-        to_ref = {c.class_id: class_of[c.n][c.representative.serialized()] for c in m.classes}
+        to_ref = {c.class_id: class_of[c.n][c.representative.perms] for c in m.classes}
         assert sorted(to_ref.values()) == list(range(len(classes)))
         assert all(classes[to_ref[c.class_id]][0] == c.n for c in m.classes)
         powers = [fiber_power(fiber, n) for n in range(n_max + 1)]
@@ -474,9 +473,7 @@ class TestAgainstAllAssignments:
                 iso = find_isomorphism(box, powers[n_sum])
                 lam = Perm(tuple(powers[n_sum].index[iso[v]] for v in box.vertices))
                 serial = tuple(
-                    perm_kron(c1.representative.phi[e], c2.representative.phi[e])
-                    .conjugate(lam)
-                    .images
+                    conjugate(perm_kron(c1.representative.phi[e], c2.representative.phi[e]), lam)
                     for e in base.edge_list()
                 )
                 assert to_ref[m.add(c1.class_id, c2.class_id)] == class_of[n_sum][serial]
@@ -487,7 +484,7 @@ class TestAgainstAllAssignments:
                 fv = make_fiber_voltage(
                     base, powers[n], {e: rng.choice(auts) for e in base.edge_list()}
                 )
-                assert to_ref[m.classify(fv, n)] == class_of[n][fv.serialized()]
+                assert to_ref[m.classify(fv, n)] == class_of[n][fv.perms]
 
     def test_least_serial_need_not_be_forest_trivial(self):
         # The gauge walk's least serials leave the forest on 8 of 11 classes;
@@ -502,7 +499,7 @@ class TestAgainstAllAssignments:
         assert (len(at_one), len(off_forest)) == (11, 8)
         m = enumerate_bundle_classes(BRIDGE_AFTER_CYCLES, empty_graph(3), 1)
         assert len(m.classes_at(1)) == 11
-        assert all(c.representative.serialized()[pos] == (0, 1, 2) for c in m.classes_at(1) for pos in tree_positions)
+        assert all(c.representative.perms[pos] == (0, 1, 2) for c in m.classes_at(1) for pos in tree_positions)
 
 
 def small_graphs(max_vertices):
@@ -604,7 +601,7 @@ class TestBurnsideCounts:
 
 
 def searched(fiber, n):
-    return tuple(p.images for p in automorphisms(fiber_power(fiber, n)))
+    return tuple(automorphisms(fiber_power(fiber, n)))
 
 
 def enumerated_group(fiber, n):
@@ -659,8 +656,8 @@ class TestWreathRoute:
         m = enumerate_bundle_classes(base, fiber, n_max)
         monkeypatch.setattr(ktheory, "_box_prime", lambda g: False)
         ref = enumerate_bundle_classes(base, fiber, n_max)
-        assert [(c.class_id, c.n, c.key, c.representative.serialized()) for c in m.classes] == [
-            (c.class_id, c.n, c.key, c.representative.serialized()) for c in ref.classes
+        assert [(c.class_id, c.n, c.key, c.representative.perms) for c in m.classes] == [
+            (c.class_id, c.n, c.key, c.representative.perms) for c in ref.classes
         ]
         assert list(m.add_table.items()) == list(ref.add_table.items())
         assert all(m._chains[n].auts == ref._chains[n].auts for n in range(n_max + 1))
@@ -763,7 +760,7 @@ def voltage_class_key(fv):
     """The chain key of one voltage on a fresh chain, the route that
     KClassMonoid.classify takes on the monoid's shared chain: the least
     simultaneous conjugate of each component's holonomies."""
-    return ktheory._Chain(fv.fiber).key(ktheory._holonomy_images(fv), ktheory._cycle_edges(fv.base)[1])
+    return ktheory._Chain(fv.fiber).key([h for _, hs in _holonomies(fv)[1] for h in hs], ktheory._cycle_edges(fv.base)[1])
 
 
 def gauge_transform(fv, gauge):
@@ -794,7 +791,7 @@ def brute_least_serial(fv):
         tuple(twist[g[b]][p][g[a]] for (a, b), p in zip(ends, values))
         for g in itertools.product(range(len(auts)), repeat=fv.base.n)
     )
-    return tuple(auts[i].images for i in least)
+    return tuple(auts[i] for i in least)
 
 
 def brute_least_conjugate(fv):
@@ -802,7 +799,7 @@ def brute_least_conjugate(fv):
     over every fiber automorphism, by exhaustion."""
     auts = automorphisms(fv.fiber)
     return tuple(
-        h for _, hs in _holonomies(fv) for h in min(tuple(x.conjugate(g).images for x in hs) for g in auts)
+        h for _, hs in _holonomies(fv)[1] for h in min(tuple(conjugate(x, g) for x in hs) for g in auts)
     )
 
 
@@ -912,7 +909,7 @@ class TestCanonicalKeyAgreesWithSearch:
         # automorphism group, computed here as an independent oracle.
         orbits = set()
         for a in auts:
-            orbits.add(frozenset(a.conjugate(g) for g in auts))
+            orbits.add(frozenset(conjugate(a, g) for g in auts))
         assert len(keys) == len(orbits)
         rng = random.Random(5)
         sample = rng.sample(voltages, 16)
@@ -926,7 +923,7 @@ class TestCanonicalKeyAgreesWithSearch:
         from bundleforge import automorphisms
 
         auts = automorphisms(k3)
-        orbits = {frozenset(a.conjugate(g) for g in auts) for a in auts}
+        orbits = {frozenset(conjugate(a, g) for g in auts) for a in auts}
         assert len(m.classes_at(1)) == len(orbits) == 3
 
 

@@ -110,7 +110,7 @@ class TestPermMatrix:
             e = np.zeros(3)
             e[i] = 1.0
             out = p.data @ e
-            assert out[sigma(i)] == 1.0 and out.sum() == 1.0
+            assert out[sigma[i]] == 1.0 and out.sum() == 1.0
 
     def test_composition_identity(self):
         s, t = Perm((1, 2, 0)), Perm((0, 2, 1))

@@ -2,7 +2,9 @@
 names included, has a reader: library code outside its own definition (the
 CLI included), a benchmark script or the traced run's name table, or a
 statement of the paper on the short list below.  A public name with none of
-these is dead API, and this fails until it leaves the package."""
+these is dead API, and this fails until it leaves the package.  So does a
+public method or property of Perm, GraphMorphism or FiberVoltage that no
+library code or benchmark script reads, by name, outside its own body."""
 
 import ast
 import importlib
@@ -10,7 +12,7 @@ import types
 from pathlib import Path
 
 import bundleforge
-from test_tracing_names import LAYERS, REFERENCES
+from test_tracing_names import BENCHMARKS, LAYERS, REFERENCES
 
 SRC = Path(bundleforge.__file__).resolve().parent
 
@@ -142,3 +144,68 @@ def test_the_walk_tells_a_module_name_from_a_local_one():
         ("demo", "helper"),
     }
     assert id(resolve("graphs", "make_graph")) in library_reads()
+
+
+#: Exported classes whose public methods and properties need a reader.
+CLASSES = ("Perm", "GraphMorphism", "FiberVoltage")
+
+#: Members that no library code reads, kept because they state the paper's
+#: definitions.
+PAPER_MEMBERS = {
+    # The fibers p⁻¹(v) of a bundle projection.
+    ("GraphMorphism", "preimages"),
+    # The voltage φ on the oriented edges of the base, by labels.
+    ("FiberVoltage", "phi"),
+}
+
+
+def attribute_reads(source: str) -> set[tuple[str, tuple]]:
+    """(name, owner) for each attribute the source reads, owner being the
+    (class, member) whose body holds the read, or None outside classes."""
+    reads = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                visit(child, (node.name, getattr(child, "name", None)))
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
+def unread_members() -> list[tuple[str, str]]:
+    paths = [*SRC.glob("*.py"), *BENCHMARKS.glob("*.py")]
+    reads = set().union(*(attribute_reads(path.read_text()) for path in paths))
+    return sorted(
+        (cls, name)
+        for cls in CLASSES
+        for name in vars(getattr(bundleforge, cls))
+        if not name.startswith("_") and not any(attr == name and owner != (cls, name) for attr, owner in reads)
+    )
+
+
+def test_every_public_member_has_a_reader():
+    assert sorted(set(unread_members()) - PAPER_MEMBERS) == []
+
+
+def test_paper_members_have_no_other_reader():
+    assert unread_members() == sorted(PAPER_MEMBERS)
+
+
+def test_a_member_read_only_in_its_own_body_is_unread():
+    source = (
+        "class P:\n"
+        "    def spin(self):\n"
+        "        return self.spin\n"
+        "    def turn(self):\n"
+        "        return self.spin()\n"
+        "def f(p):\n"
+        "    p.turn = 1\n"
+        "    return p.n\n"
+    )
+    assert attribute_reads(source) == {("spin", ("P", "spin")), ("spin", ("P", "turn")), ("n", None)}

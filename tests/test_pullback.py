@@ -54,7 +54,6 @@ from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
     EDGE_KIND_DIAGONAL,
     EDGE_KIND_FIBER,
-    TypedEdge,
     pullback_b_matrix,
     pullback_indicator,
     pullback_vertex,
@@ -513,7 +512,8 @@ class TestMixedBaseDiagnostic:
 
 def all_pairs_typed_edges(left, left_to_target, right, right_to_target, target, label_fn):
     """Reference three-kind rule: test every pair of compatible vertices,
-    in pair order.  Returns the pair labels and the typed edges."""
+    in pair order.  Returns the pair labels and the typed edges, each as
+    its end labels and its kind."""
     pairs = [
         (a, b)
         for a in left.vertices
@@ -535,13 +535,20 @@ def all_pairs_typed_edges(left, left_to_target, right, right_to_target, target, 
                 kind = EDGE_KIND_DIAGONAL
             else:
                 continue
-            typed.append(TypedEdge((label_fn(a, b), label_fn(a2, b2)), kind))
+            typed.append(((label_fn(a, b), label_fn(a2, b2)), kind))
     return tuple(label_fn(a, b) for a, b in pairs), tuple(typed)
+
+
+def labelled(graph, kinds):
+    """The typed edges as end labels and kind: the kinds run parallel to
+    graph.ends."""
+    vs = graph.vertices
+    return tuple(((vs[i], vs[j]), kind) for (i, j), kind in zip(graph.ends, kinds, strict=True))
 
 
 class TestTypedEdgesAgainstAllPairs:
     """The adjacency walk gives the all-pairs rule's edges, in its order and
-    with its kinds."""
+    with its kinds, parallel to the graph's ends."""
 
     FIBERS = [complete_graph(2), complete_graph(3), cycle_graph(4)]
 
@@ -564,7 +571,7 @@ class TestTypedEdgesAgainstAllPairs:
                 b1.total, b1.projection.map, b2.total, b2.projection.map, base, pair_label
             )
             assert sp.total.vertices == labels
-            assert sp.typed_edges == typed
+            assert labelled(sp.total, sp.typed_edges) == typed
 
     def test_folding_pullbacks(self):
         rng = random.Random(12)
@@ -581,8 +588,8 @@ class TestTypedEdgesAgainstAllPairs:
                 fold.domain, fold.map, b.total, b.projection.map, base, pullback_vertex
             )
             assert pb.total.vertices == labels
-            assert pb.typed_edges == typed
-            collapsed += typed_edge_counts(typed)[EDGE_KIND_COLLAPSED]
+            assert labelled(pb.total, pb.typed_edges) == typed
+            collapsed += typed_edge_counts(pb.typed_edges)[EDGE_KIND_COLLAPSED]
         assert collapsed > 0
 
     def test_mixed_base_products(self, p_c6_c3):
@@ -604,4 +611,4 @@ class TestTypedEdgesAgainstAllPairs:
                 b1.base, pair_label,
             )
             assert out.graph.vertices == labels
-            assert out.typed_edges == typed
+            assert labelled(out.graph, out.typed_edges) == typed
