@@ -15,8 +15,10 @@ projection (whose codomain is the base), the fiber, sigma (the fiber
 position of each total position: sigma_v on the fiber over v) and the
 voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹.  verify_bundle composes it from the
 transitions psi_vw (x to its one neighbour over w) that its definition
-check proved isomorphisms, so it skips the validation of user data, and
-voltage_bundle keeps the voltage it was given.
+check proved isomorphisms.  Like every voltage and projection the
+library builds, it goes straight into its class, whose constructor checks
+nothing; make_fiber_voltage and make_morphism are the entries that
+validate user data.  voltage_bundle keeps the voltage it was given.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -58,7 +60,6 @@ from .graphs import (
     Label,
     _neighbours,
     _trusted_graph,
-    _trusted_morphism,
     pair_label,
     require_morphism,
     search_shape,
@@ -105,7 +106,7 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     for (a, w), perm in zip(base.ends, fv.perms):
         ends += zip(range(a * m, a * m + m), [w * m + x for x in perm])
     total = _trusted_graph(tuple(labels), ends)
-    projection = _trusted_morphism(total, base, [a for a in range(base.n) for _ in range(m)])
+    projection = GraphMorphism(total, base, [a for a in range(base.n) for _ in range(m)])
     return GraphBundle(total, projection, fiber, tuple(range(m)) * base.n, fv)
 
 
@@ -264,7 +265,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         for x, y in psi.items():
             value[sigma[x]] = sigma[y]
         perms.append(tuple.__new__(Perm, value))
-    return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage._trusted(base, fiber, perms))
+    return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage(base, fiber, perms))
 
 
 def bundle_to_voltage(b: GraphBundle) -> FiberVoltage:

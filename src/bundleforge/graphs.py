@@ -10,9 +10,10 @@ j, of vertex positions; the label views and the neighbour positions are
 derived from those pairs on first use.  make_graph validates outside
 input and builds the pairs through the label index it fills; generators
 that hold positions hand _trusted_graph their pairs, with no per-edge
-label work.  Likewise a morphism built by hand keeps its label pairs,
-which validate_morphism checks, and one the library builds keeps only its
-position map, from which its pairs are derived when read.
+label work.  A GraphMorphism stores only its position map, the codomain
+position of each domain position, and derives its label views when read;
+its constructor trusts that map, and make_morphism is the entry for a map
+given by labels, checking it total and into the codomain.
 
 The isomorphism search is one kernel over vertex positions, search_shape:
 it takes g as its shape (each position's neighbour positions, as
@@ -108,7 +109,7 @@ class Graph:
     The form is canonical, so == and hash compare graphs.  Everything else
     is derived from these on first use: the index of each label, each
     position's neighbour positions (neighbor_indices) and the label views
-    adjacency, edges and edge_list().
+    edges and edge_list().
     """
 
     vertices: tuple[Label, ...]
@@ -124,12 +125,6 @@ class Graph:
         return _neighbours(len(self.vertices), self.ends)
 
     @cached_property
-    def adjacency(self) -> dict[Label, tuple[Label, ...]]:
-        """Neighbor lists, sorted by vertex order."""
-        vs = self.vertices
-        return {v: tuple(map(vs.__getitem__, nb)) for v, nb in zip(vs, self.neighbor_indices)}
-
-    @cached_property
     def edges(self) -> frozenset[frozenset[Label]]:
         """The edges as a set of two-label sets."""
         vs = self.vertices
@@ -142,17 +137,6 @@ class Graph:
     def has_edge(self, a: Label, b: Label) -> bool:
         i, j = self.index.get(a), self.index.get(b)
         return i is not None and j is not None and j in self.neighbor_indices[i]
-
-    def neighbors(self, v: Label) -> tuple[Label, ...]:
-        if v not in self.index:
-            raise UnknownVertex(f"vertex {v!r} not in graph")
-        return self.adjacency[v]
-
-    def degree(self, v: Label) -> int:
-        return len(self.neighbors(v))
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(map(len, self.neighbor_indices)))
 
     @cached_property
     def profile(self) -> SearchProfile:
@@ -301,40 +285,24 @@ def star_graph(leaves: int) -> Graph:
 class GraphMorphism:
     """Total vertex map between graphs; edge conditions are checked separately.
 
-    Built by hand, GraphMorphism(domain, codomain, pairs) keeps its (x, f(x))
-    label pairs, and validate_morphism checks them.  A morphism the library
-    builds (_trusted_morphism, make_morphism) keeps only position_map, the
-    codomain position of each domain position; its pairs and map are
-    derived when read.
+    What is stored is position_map, the codomain position of each domain
+    position; the label views pairs, map and preimages are derived when
+    read.  The constructor trusts its map: make_morphism is the entry for
+    a map given by labels.
     """
 
-    def __init__(self, domain: Graph, codomain: Graph, pairs: Sequence[tuple[Label, Label]]) -> None:
-        self.domain, self.codomain, self._pairs = domain, codomain, pairs
+    def __init__(self, domain: Graph, codomain: Graph, position_map: Iterable[int]) -> None:
+        self.domain, self.codomain, self.position_map = domain, codomain, tuple(position_map)
 
     @property
-    def pairs(self) -> Sequence[tuple[Label, Label]]:
-        """The (x, f(x)) label pairs: as given, or in domain order."""
-        if "_pairs" in vars(self):
-            return self._pairs
+    def pairs(self) -> tuple[tuple[Label, Label], ...]:
+        """The (x, f(x)) label pairs, in domain order."""
         cvs = self.codomain.vertices
         return tuple(zip(self.domain.vertices, map(cvs.__getitem__, self.position_map)))
 
     @cached_property
     def map(self) -> dict[Label, Label]:
         return dict(self.pairs)
-
-    @cached_property
-    def position_map(self) -> tuple[int, ...]:
-        """The codomain position of each domain position; raises
-        UnknownVertex, as make_morphism does, on a missing or stray image."""
-        m, cidx, at = self.map, self.codomain.index, []
-        for x in self.domain.vertices:
-            if x not in m:
-                raise UnknownVertex(f"morphism undefined on vertex {x!r}")
-            if m[x] not in cidx:
-                raise UnknownVertex(f"morphism value {m[x]!r} not in codomain")
-            at.append(cidx[m[x]])
-        return tuple(at)
 
     @cached_property
     def preimages(self) -> dict[Label, tuple[Label, ...]]:
@@ -358,24 +326,27 @@ class GraphMorphism:
 
 
 def make_morphism(domain: Graph, codomain: Graph, mapping: Mapping[object, object]) -> GraphMorphism:
-    """Build a morphism, checking totality and codomain membership only."""
+    """Build a morphism, checking totality and codomain membership only, in
+    one pass over the domain: raises UnknownVertex at the first domain
+    vertex, in domain order, that has no image or one off the codomain."""
     cmap = {canon_label(k): canon_label(v) for k, v in mapping.items()}
-    return _trusted_morphism(domain, codomain, GraphMorphism(domain, codomain, tuple(cmap.items())).position_map)
-
-
-def _trusted_morphism(domain: Graph, codomain: Graph, at: Sequence[int]) -> GraphMorphism:
-    """A morphism the library has just built, from its position map, which
-    is all it keeps."""
-    f = object.__new__(GraphMorphism)
-    f.domain, f.codomain, f.position_map = domain, codomain, tuple(at)
-    return f
+    cidx, at = codomain.index, []
+    for x in domain.vertices:
+        y = cmap.get(x)
+        if y is None:
+            raise UnknownVertex(f"morphism undefined on vertex {x!r}")
+        a = cidx.get(y)
+        if a is None:
+            raise UnknownVertex(f"morphism value {y!r} not in codomain")
+        at.append(a)
+    return GraphMorphism(domain, codomain, at)
 
 
 def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     """Return g ∘ f.  The codomain of f must equal the domain of g."""
     if f.codomain != g.domain:
         raise NotAMorphism("composition mismatch: codomain of f is not domain of g")
-    return make_morphism(f.domain, g.codomain, {v: g(f(v)) for v in f.domain.vertices})
+    return GraphMorphism(f.domain, g.codomain, [g.position_map[a] for a in f.position_map])
 
 
 def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]]:
@@ -383,29 +354,11 @@ def validate_morphism(f: GraphMorphism) -> tuple[bool, list[tuple[Label, Label]]
 
     Returns (ok, violations) where each violation is a domain edge whose
     image is neither a codomain edge nor a single vertex, in edge_list
-    order.  On a GraphMorphism built by hand, which is checked here and not
-    when it is made, raises UnknownVertex first unless its pairs give
-    exactly one image per domain vertex, each a codomain vertex; a morphism
-    built from its position map holds that by construction.
+    order, read off the position map in one pass over domain.ends.
     """
-    if "_pairs" in vars(f):
-        _check_pairs(f)
     at, nbrs, vs = f.position_map, f.codomain.neighbor_indices, f.domain.vertices
     bad = [(vs[i], vs[j]) for i, j in f.domain.ends if (a := at[i]) != (b := at[j]) and b not in nbrs[a]]
     return (not bad, bad)
-
-
-def _check_pairs(f: GraphMorphism) -> None:
-    """Raise UnknownVertex unless f's pairs give one image per domain vertex, each a codomain vertex."""
-    m, dom, cidx = f.map, f.domain.index, f.codomain.index
-    if len(f.pairs) != len(dom) or m.keys() != dom.keys():
-        for x in dom:
-            if x not in m:
-                raise UnknownVertex(f"vertex {x!r} not in morphism domain")
-        raise UnknownVertex("morphism pairs are not one per domain vertex")
-    for y in m.values():
-        if y not in cidx:
-            raise UnknownVertex(f"morphism value {y!r} not in codomain")
 
 
 def require_morphism(f: GraphMorphism, what: str = "not a morphism") -> None:
@@ -419,7 +372,8 @@ def require_morphism(f: GraphMorphism, what: str = "not a morphism") -> None:
 def preserves_edges(f: GraphMorphism) -> bool:
     """True when no domain edge collapses.  Requires a valid morphism."""
     require_morphism(f)
-    return all(f(a) != f(b) for a, b in f.domain.edge_list())
+    at = f.position_map
+    return all(at[i] != at[j] for i, j in f.domain.ends)
 
 
 def induced_adjacency(g: Graph, at: Sequence[int]) -> tuple[tuple[int, ...], ...]:

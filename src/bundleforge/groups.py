@@ -24,7 +24,7 @@ from .errors import (
     NotSurjective,
     ParseError,
 )
-from .graphs import Graph, Label, _trusted_graph, make_morphism, pair_label
+from .graphs import Graph, Label, _trusted_graph, canon_label, make_morphism, pair_label
 from .pullback import subdirect_product
 
 _T = TypeVar("_T")
@@ -83,14 +83,14 @@ class FiniteGroup:
             raise ParseError("group JSON 'elements' and 'table' must be lists")
         if not all(isinstance(row, list) for row in rows):
             raise ParseError("every group JSON table row must be a list")
-        elements = [str(e) for e in elements]
+        elements = [canon_label(e) for e in elements]
         n = len(elements)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParseError(f"group table must have {n} rows of {n} entries")
         table = {}
         for i, x in enumerate(elements):
             for j, y in enumerate(elements):
-                table[(x, y)] = str(rows[i][j])
+                table[(x, y)] = canon_label(rows[i][j])
         return make_group(elements, table)
 
     def __repr__(self) -> str:

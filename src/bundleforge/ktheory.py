@@ -338,7 +338,7 @@ def enumerate_bundle_classes(
             perms = [ident] * len(base.ends)
             for k, value in zip(cycles, key):
                 perms[k] = value
-            rep = FiberVoltage._trusted(base, fn, perms)
+            rep = FiberVoltage(base, fn, perms)
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
         conjugations = chain.conjugations

@@ -6,9 +6,9 @@ each term's base nonzeros and permutation, as one flat index array written
 into a zero output: a fixed number of array calls per formula, and no pass
 over the (|V||F|)² output but the one that allocates it.  That the sum is
 an adjacency matrix is asserted on the sorted index array, in
-O(nnz log nnz); :meth:`Matrix.is_adjacency` is the dense form of the same
-test, which the tests apply to every formula output.  The tests hold the
-kernel to the dense ``np.kron`` sum, built in their own helper module.
+O(nnz log nnz).  The tests apply the dense form of the same test to every
+formula output and hold the kernel to the dense ``np.kron`` sum, both
+built in their own helper module.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
@@ -33,15 +33,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotConverged, NotFinite, NotSymmetric, ParseError, ShapeMismatch
+from .errors import NotConverged, NotFinite, NotSymmetric, ShapeMismatch
 from .graphs import Graph
 from .perms import Perm
 
 #: Most implicit QL sweeps spent isolating one eigenvalue, as in EISPACK.
 QL_MAX_ITERATIONS = 30
-
-#: Tolerance for eigenvalue multiset comparisons.
-SPECTRUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +87,6 @@ class Matrix:
     def __hash__(self) -> int:
         return hash((self.shape, self.data.tobytes()))
 
-    def allclose(self, other: Matrix, tol: float = 1e-9) -> bool:
-        return self.shape == other.shape and bool(np.allclose(self.data, other.data, rtol=0.0, atol=tol))
-
     def transpose(self) -> Matrix:
         return Matrix._trusted(self.data.T)
 
@@ -116,29 +110,6 @@ class Matrix:
         a, t = self.data, self.data.T
         with np.errstate(invalid="ignore"):
             return bool(((a == t) | (np.abs(a - t) <= tol)).all())
-
-    def is_adjacency(self) -> bool:
-        """Square, symmetric, zero diagonal, all entries 0 or 1.
-
-        a = (aᵀ ≠ 0) entrywise exactly when every entry is 0 or 1 and a is
-        symmetric; such a diagonal is zero exactly when the trace is.
-        """
-        a = self.data
-        return self.rows == self.cols and not a.trace() and bool((a == (a.T != 0.0)).all())
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": self.data.tolist()}
-
-    @staticmethod
-    def from_json(data: dict) -> Matrix:
-        try:
-            entries = data["entries"]
-            m = Matrix(np.asarray(entries, dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad matrix JSON: {exc}") from exc
-        if m.rows != data.get("rows", m.rows) or m.cols != data.get("cols", m.cols):
-            raise ParseError("matrix JSON shape fields disagree with entries")
-        return m
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -249,18 +220,6 @@ class Spectrum:
     def __post_init__(self) -> None:
         vals = tuple(sorted((float(x) for x in self.eigenvalues), reverse=True))
         object.__setattr__(self, "eigenvalues", vals)
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-    def isclose(self, other: Spectrum, tol: float = SPECTRUM_TOLERANCE) -> bool:
-        if self.size != other.size:
-            return False
-        return all(abs(a - b) <= tol for a, b in zip(self.eigenvalues, other.eigenvalues))
-
-    def close_to_values(self, values: Iterable[float], tol: float = SPECTRUM_TOLERANCE) -> bool:
-        return self.isclose(Spectrum(tuple(values)), tol)
 
     def __str__(self) -> str:
         return ", ".join(f"{x if abs(x) >= 5e-7 else 0.0:.6f}" for x in self.eigenvalues)

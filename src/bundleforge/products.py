@@ -13,11 +13,11 @@ bundle and covering adjacency formulas and the closed-form spectra) import
 it when they run, so the products and voltages load without numpy.
 
 A FiberVoltage stores one permutation per base.ends entry, by position;
-its label view phi is derived when read.  make_fiber_voltage and
-FiberVoltage(...) validate user data.  Voltages whose values are
-automorphisms by construction (trivial_voltage and those derived in
-bundles, pullback and ktheory) go through FiberVoltage._trusted, and the
-products check only their generated labels for clashes.
+its label view phi is derived when read.  make_fiber_voltage (and
+FiberVoltage.from_json, through it) validates user data; the constructor
+stores values that are automorphisms by construction (trivial_voltage and
+the voltages derived in bundles, pullback and ktheory), and the products
+check only their generated labels for clashes.
 """
 
 from __future__ import annotations
@@ -106,37 +106,13 @@ class FiberVoltage:
     base.ends entry: perms[k] is the voltage from the vertex at i to the one
     at j for base.ends[k] = (i, j), and the reverse orientation carries its
     inverse.  phi, the label view on both orientations, is derived on first
-    read; FiberVoltage(base, fiber, phi) validates a given one and keeps
-    only its values.
+    read.  The constructor trusts its values to be fiber automorphisms:
+    make_fiber_voltage and from_json are the entries for a voltage given by
+    labels.
     """
 
-    def __init__(self, base: Graph, fiber: Graph, phi: Mapping[tuple[Label, Label], Perm]) -> None:
-        oriented = set()
-        for a, b in base.edge_list():
-            oriented.add((a, b))
-            oriented.add((b, a))
-        if set(phi) != oriented:
-            raise ParseError("voltage must cover exactly the oriented edges of the base")
-        # Each distinct value is checked and inverted once.
-        inverses: dict[Perm, Perm] = {}
-        for (v, w), perm in phi.items():
-            inverse = inverses.get(perm)
-            if inverse is None:
-                if not is_fiber_automorphism(fiber, perm):
-                    raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
-                inverse = inverses[perm] = perm.inverse()
-            if phi[(w, v)] != inverse:
-                raise ParseError(f"voltage on ({w!r}, {v!r}) must invert ({v!r}, {w!r})")
-        self.base, self.fiber, bvs = base, fiber, base.vertices
-        self.perms = tuple(phi[bvs[i], bvs[j]] for i, j in base.ends)
-
-    @classmethod
-    def _trusted(cls, base: Graph, fiber: Graph, perms: Iterable[Perm]) -> FiberVoltage:
-        """A voltage whose values, one per base.ends entry, are fiber
-        automorphisms by construction; nothing is checked."""
-        fv = object.__new__(cls)
-        fv.base, fv.fiber, fv.perms = base, fiber, tuple(perms)
-        return fv
+    def __init__(self, base: Graph, fiber: Graph, perms: Iterable[Perm]) -> None:
+        self.base, self.fiber, self.perms = base, fiber, tuple(perms)
 
     @cached_property
     def _oriented(self) -> dict[tuple[int, int], Perm]:
@@ -182,10 +158,12 @@ class FiberVoltage:
             if not isinstance(images, list):
                 raise ParseError(f"voltage on {key!r} must be a list of fiber vertices, got {images!r}")
             try:
-                perm = Perm(tuple(fiber.index[canon_label(label)] for label in images))
+                at = [fiber.index[canon_label(label)] for label in images]
             except KeyError as exc:
                 raise ParseError(f"unknown fiber vertex in voltage: {exc}") from exc
-            assignments[(v, w)] = perm
+            if len(at) != fiber.n or len(set(at)) != fiber.n:
+                raise ParseError(f"voltage on {key!r} must list each of the {fiber.n} fiber vertices once, got {images!r}")
+            assignments[(v, w)] = Perm(at)
         return make_fiber_voltage(base, fiber, assignments)
 
 
@@ -196,10 +174,10 @@ def make_fiber_voltage(
     its base.ends entry, inverted, once per distinct value, when given
     against it.
 
-    Validates once, with FiberVoltage(...)'s errors in its order: after
-    the pass over the assignments (conflicting orientations), a missing
-    edge, then an oriented edge off the base, then each distinct assigned
-    value, in assignment order, against the fiber.  The inverse of an
+    Validates once, raising ParseError: after the pass over the
+    assignments (conflicting orientations), a missing edge, then an
+    oriented edge off the base, then each distinct assigned value, in
+    assignment order, against the fiber.  The inverse of an
     automorphism is one, so inverted values are not checked.
     """
     idx, ends = base.index, base.ends
@@ -234,11 +212,11 @@ def make_fiber_voltage(
     for perm, (v, w) in first_edge.items():
         if not is_fiber_automorphism(fiber, perm):
             raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
-    return FiberVoltage._trusted(base, fiber, perms)
+    return FiberVoltage(base, fiber, perms)
 
 
 def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
-    return FiberVoltage._trusted(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
+    return FiberVoltage(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
 
 
 def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:

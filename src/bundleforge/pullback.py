@@ -30,7 +30,6 @@ from .graphs import (
     GraphMorphism,
     Label,
     _trusted_graph,
-    _trusted_morphism,
     compose,
     make_morphism,
     pair_label,
@@ -142,7 +141,7 @@ def pullback_bundle(f: GraphMorphism, b: GraphBundle) -> PullbackBundle:
     total, typed, lefts = _typed_fiber_product(
         f.domain, f.position_map, b.total, b.projection.position_map, b.base, pullback_vertex
     )
-    verified = verify_bundle(total, _trusted_morphism(total, f.domain, lefts), b.fiber)
+    verified = verify_bundle(total, GraphMorphism(total, f.domain, lefts), b.fiber)
     return PullbackBundle(total, verified.projection, b.fiber, verified.sigma, verified.voltage, typed)
 
 
@@ -152,7 +151,7 @@ def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     _check_pullback(f, fv.base, "voltage")
     ident, at, along = Perm.identity(fv.fiber.n), f.position_map, fv._oriented
     perms = [ident if at[i] == at[j] else along[at[i], at[j]] for i, j in f.domain.ends]
-    return FiberVoltage._trusted(f.domain, fv.fiber, perms)
+    return FiberVoltage(f.domain, fv.fiber, perms)
 
 
 def morphism_matrix(f: GraphMorphism) -> Matrix:
@@ -275,7 +274,7 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
         b1.total, over, b2.total, b2.projection.position_map, b1.base, pair_label
     )
     fiber = cartesian_product(b1.fiber, b2.fiber)
-    verified = verify_bundle(total, _trusted_morphism(total, b1.base, [over[a] for a in lefts]), fiber)
+    verified = verify_bundle(total, GraphMorphism(total, b1.base, [over[a] for a in lefts]), fiber)
     return SubdirectBundle(total, verified.projection, fiber, verified.sigma, verified.voltage, typed)
 
 
@@ -305,7 +304,7 @@ def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect voltage needs a common base graph")
     fiber = cartesian_product(fv1.fiber, fv2.fiber)
-    return FiberVoltage._trusted(fv1.base, fiber, map(perm_kron, fv1.perms, fv2.perms))
+    return FiberVoltage(fv1.base, fiber, map(perm_kron, fv1.perms, fv2.perms))
 
 
 def pair_morphism(

@@ -63,13 +63,32 @@ def spanning_forest(g):
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in g.adjacency[v]:
+            for w in neighbors(g, v):
                 if w not in seen:
                     seen.add(w)
                     tree[w] = v
                     queue.append(w)
         trees.append(tree)
     return trees
+
+
+def neighbors(g, v):
+    """The neighbours of v in g, in vertex order."""
+    return tuple(map(g.vertices.__getitem__, g.neighbor_indices[g.index[v]]))
+
+
+def adjacency(g):
+    """The label view of g's neighbour lists: each vertex's neighbours, in
+    vertex order."""
+    return {v: neighbors(g, v) for v in g.vertices}
+
+
+def degree(g, v):
+    return len(g.neighbor_indices[g.index[v]])
+
+
+def degree_sequence(g):
+    return tuple(sorted(map(len, g.neighbor_indices)))
 
 
 def conjugate(a, g):

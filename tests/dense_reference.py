@@ -4,19 +4,66 @@ the reference the tests hold the adjacency formulas to.
 The library builds every formula by one index scatter
 (matrices.voltage_adjacency) and never a dense Kronecker product or
 permutation block; these are the ``np.kron`` statement of the theorem, kept
-next to the tests that compare against it.
+next to the tests that compare against it.  So are the dense adjacency
+test, tolerant comparisons and the JSON form of a Matrix, which only the
+tests read.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from bundleforge.matrices import Matrix
+from bundleforge.errors import ParseError
+from bundleforge.matrices import Matrix, Spectrum
 from bundleforge.perms import Perm
+
+#: Tolerance for eigenvalue multiset comparisons.
+SPECTRUM_TOLERANCE = 1e-9
 
 
 def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
     return Matrix(np.asarray(rows, dtype=float))
+
+
+def allclose(a: Matrix, b: Matrix, tol: float = 1e-9) -> bool:
+    """Equal shapes, and each entry within the absolute tolerance tol."""
+    return a.shape == b.shape and bool(np.allclose(a.data, b.data, rtol=0.0, atol=tol))
+
+
+def is_adjacency(m: Matrix) -> bool:
+    """Square, symmetric, zero diagonal, all entries 0 or 1.
+
+    a = (aᵀ ≠ 0) entrywise exactly when every entry is 0 or 1 and a is
+    symmetric; such a diagonal is zero exactly when the trace is.
+    """
+    a = m.data
+    return m.rows == m.cols and not a.trace() and bool((a == (a.T != 0.0)).all())
+
+
+def matrix_to_json(m: Matrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols, "entries": m.data.tolist()}
+
+
+def matrix_from_json(data: dict) -> Matrix:
+    try:
+        entries = data["entries"]
+        m = Matrix(np.asarray(entries, dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad matrix JSON: {exc}") from exc
+    if m.rows != data.get("rows", m.rows) or m.cols != data.get("cols", m.cols):
+        raise ParseError("matrix JSON shape fields disagree with entries")
+    return m
+
+
+def spectra_close(s1: Spectrum, s2: Spectrum, tol: float = SPECTRUM_TOLERANCE) -> bool:
+    """Equal sizes, and each eigenvalue within tol of its counterpart."""
+    e1, e2 = s1.eigenvalues, s2.eigenvalues
+    return len(e1) == len(e2) and all(abs(a - b) <= tol for a, b in zip(e1, e2))
+
+
+def close_to_values(s: Spectrum, values: Iterable[float], tol: float = SPECTRUM_TOLERANCE) -> bool:
+    """s equals the spectrum of values, each eigenvalue within tol."""
+    return spectra_close(s, Spectrum(tuple(values)), tol)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

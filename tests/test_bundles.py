@@ -34,7 +34,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import bundles, graphs, ktheory, products
-from bundleforge.graphs import GraphMorphism, induced_adjacency, induced_subgraph, pair_label, search_shape, split_pair_label
+from bundleforge.graphs import induced_adjacency, induced_subgraph, pair_label, search_shape, split_pair_label
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
@@ -58,7 +58,7 @@ from bundleforge.named import (
     m62_bundle,
 )
 
-from conftest import identity_bundle, is_equivalence_witness, spanning_forest
+from conftest import adjacency, identity_bundle, is_equivalence_witness, neighbors, spanning_forest
 from dense_reference import kronecker
 
 SWAP = Perm((1, 0))
@@ -132,19 +132,20 @@ class TestVerifyBundle:
 
     @pytest.mark.parametrize(
         "e_image, message",
-        [(None, "vertex 'e' not in morphism domain"), ("9", "morphism value '9' not in codomain")],
+        [(None, "morphism undefined on vertex 'e'"), ("9", "morphism value '9' not in codomain")],
         ids=["left-out", "off-the-base"],
     )
     def test_hand_built_projection_of_an_isolated_vertex(self, k2, e_image, message):
         # The 4-cycle a-b-d-c over K2 with fibers {a, b} and {c, d}, plus an
         # isolated e that the projection leaves out or sends off the base.
-        # No edge reaches e, so only a check of every vertex sees it.
+        # No edge reaches e, so only make_morphism's check of every vertex
+        # sees it, before any projection reaches verify_bundle.
         total = make_graph(list("abcde"), [("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")])
         pairs = (("a", "1"), ("b", "1"), ("c", "2"), ("d", "2"))
         if e_image is not None:
             pairs += (("e", e_image),)
-        with pytest.raises(UnknownVertex, match=message):
-            verify_bundle(total, GraphMorphism(total, k2, pairs), k2)
+        with pytest.raises(UnknownVertex, match=f"^{message}$"):
+            make_morphism(total, k2, dict(pairs))
 
     def test_twisted_matching_is_not_a_transition_iso(self, k2):
         # Two copies of the path a-b-c joined by a-b', b-a', c-c': a
@@ -312,7 +313,7 @@ def reference_gauges(base, auts, phi1, phi2):
         non_tree = [
             (v, w)
             for v in tree
-            for w in base.neighbors(v)
+            for w in neighbors(base, v)
             if base.index[v] < base.index[w] and tree[v] != w and tree[w] != v
         ]
         sols = []
@@ -561,7 +562,7 @@ def reference_forest_cycles(base):
     positions: per component of spanning_forest, the tree and the edges
     (v, w) off it, with v before w in the base, in the tree's visit order
     of v: one fundamental cycle each."""
-    idx, adj = base.index, base.adjacency
+    idx, adj = base.index, adjacency(base)
     return [
         (tree, [(v, w) for v in tree for w in adj[v] if idx[v] < idx[w] and tree[v] != w and tree[w] != v])
         for tree in spanning_forest(base)
@@ -744,7 +745,7 @@ class TestCharacterizationAgreement:
             # generator, so the 40 draws above stay as they were.
             walk = [extra.choice(base.vertices)]
             for _ in range(extra.randint(1, 4)):
-                walk.append(extra.choice((walk[-1],) + base.neighbors(walk[-1])))
+                walk.append(extra.choice((walk[-1],) + neighbors(base, walk[-1])))
             path = path_graph(len(walk))
             f = make_morphism(path, base, dict(zip(path.vertices, walk)))
             fiber2 = extra.choice(fibers)
@@ -770,10 +771,10 @@ def reference_liftings(p, k):
             raise NotACovering(f"fiber over {v!r} has {len(fibers[v])} vertices, expected {k}")
     liftings = {}
     for v in base.vertices:
-        base_nbrs = base.neighbors(v)
+        base_nbrs = neighbors(base, v)
         for x in fibers[v]:
             images = {}
-            for y in total.neighbors(x):
+            for y in neighbors(total, x):
                 w = p(y)
                 if w not in base_nbrs or w in images:
                     raise NotACovering(f"no lifting at base {v!r}, total {x!r}: star not invertible")
@@ -793,7 +794,7 @@ def reference_covering_voltage(p, k):
     for a, b in base.edge_list():
         for v, w in ((a, b), (b, a)):
             phi[(v, w)] = Perm(tuple(index[w][liftings[(v, x)][w]] for x in fibers[v]))
-    return FiberVoltage(base, empty_graph(k), phi)
+    return make_fiber_voltage(base, empty_graph(k), phi)
 
 
 def reference_check_conditions(total, p, fiber, fiber_graphs):
@@ -959,7 +960,7 @@ def _transition(total, over, xs, v, w):
     two x share one."""
     psi = {}
     for x in xs:
-        ys = [y for y in total.adjacency[x] if over[y] == w]
+        ys = [y for y in neighbors(total, x) if over[y] == w]
         if len(ys) != 1:
             raise NotACovering(f"vertex {x!r} over {v!r} has {len(ys)} neighbours over {w!r}")
         psi[x] = ys[0]
@@ -1238,7 +1239,7 @@ class TestVoltageValidation:
             make_fiber_voltage(c3, p3, assignments)
 
     def test_rejects_non_inverse_on_last_edge(self, c3, k2):
-        # The inverse check stays on every oriented edge, even when the
+        # The orientation check stays on every oriented edge, even when the
         # value itself was already checked on an earlier edge.
         phi = {}
         for v, w in c3.edge_list():
@@ -1246,14 +1247,14 @@ class TestVoltageValidation:
             phi[(w, v)] = SWAP
         a, b = c3.edge_list()[-1]
         phi[(b, a)] = IDENT
-        with pytest.raises(ParseError, match="must invert"):
-            FiberVoltage(c3, k2, phi)
+        with pytest.raises(ParseError, match=rf"^conflicting voltages on edge \{{'{b}', '{a}'\}}$"):
+            make_fiber_voltage(c3, k2, phi)
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     @pytest.mark.parametrize("bad_forward", [False, True])
     def test_rejects_bad_reverse_on_either_orientation(self, c3, k3, reverse_first, bad_forward):
-        # One inverse check per edge still catches a bad value on either
-        # orientation, whichever orientation the mapping lists first.
+        # One orientation check per edge still catches a bad value on
+        # either orientation, whichever orientation the mapping lists first.
         rotation = Perm((1, 2, 0))
         a, b = c3.edge_list()[1]
         phi = {}
@@ -1262,8 +1263,8 @@ class TestVoltageValidation:
                 phi[key] = rotation if key == (v, w) else rotation.inverse()
         bad = (a, b) if bad_forward else (b, a)
         phi[bad] = phi[bad].inverse()
-        with pytest.raises(ParseError, match="must invert"):
-            FiberVoltage(c3, k3, phi)
+        with pytest.raises(ParseError, match="^conflicting voltages on edge"):
+            make_fiber_voltage(c3, k3, phi)
 
     def test_rejects_missing_edge(self, c3, k2):
         with pytest.raises(ParseError):
@@ -1329,7 +1330,7 @@ class TestVoltageValidation:
         values = [r, ident, r, r2]
         fv = make_fiber_voltage(c4, c4, dict(zip(c4.edge_list(), values)))
         assert checked == [r, ident, r2]
-        assert FiberVoltage(c4, c4, fv.phi).phi == fv.phi
+        assert make_fiber_voltage(c4, c4, fv.phi).phi == fv.phi
 
     def test_json_roundtrip(self, m3_voltage):
         again = FiberVoltage.from_json(m3_voltage.to_json())

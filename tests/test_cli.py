@@ -508,6 +508,18 @@ class TestMalformedInputFiles:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("images", [["1", "1"], ["1"]], ids=["vertex-twice", "too-short"])
+    def test_voltage_image_list_names_its_edge(self, capsys, tmp_path, images):
+        # An image list that is no permutation of the fiber is an input
+        # error naming the edge key, as a non-list or an unknown vertex is.
+        from bundleforge.named import twisted_ladder_voltage
+
+        data = twisted_ladder_voltage().to_json()
+        data["phi"]["1,2"] = images
+        code, _, err = run(capsys, "bundle-build", "--voltage", write_json(tmp_path, "v.json", data))
+        assert code == 2
+        assert err == f"input error: voltage on '1,2' must list each of the 2 fiber vertices once, got {images!r}\n"
+
     @pytest.mark.parametrize(
         "graph",
         [{"vertices": ["1", "2"], "edges": 5}, {"vertices": 5, "edges": []}, {"vertices": ["1", "2"], "edges": [5]}],

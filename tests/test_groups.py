@@ -44,7 +44,7 @@ from bundleforge.groups import (
     symmetric_generating_sets,
 )
 from bundleforge.named import invariance_case_z2z3_z6, mobius_ladder_3
-from conftest import is_isomorphism
+from conftest import degree, is_isomorphism
 
 
 # --- reference routes ----------------------------------------------------------
@@ -183,6 +183,24 @@ class TestGroupConstruction:
         data[field] = value
         with pytest.raises(ParseError):
             FiniteGroup.from_json(data)
+
+    @pytest.mark.parametrize("value", [1.0, True, ["1"], {"1": 1}], ids=["float", "bool", "list", "object"])
+    @pytest.mark.parametrize("where", ["element", "entry"])
+    def test_labels_that_are_no_string_or_integer_are_parse_errors(self, value, where):
+        # Labels are read as graph labels are: a string, or an integer as its
+        # decimal string.  Anything else is refused, not turned into a label
+        # by str().
+        data = cyclic(2).to_json()
+        if where == "element":
+            data["elements"][1] = value
+        else:
+            data["table"][0][1] = value
+        with pytest.raises(ParseError, match=r"^unsupported vertex label type: "):
+            FiniteGroup.from_json(data)
+
+    def test_integer_labels_are_their_decimal_strings(self):
+        group = FiniteGroup.from_json({"elements": [0, 1], "table": [[0, 1], [1, 0]]})
+        assert group.elements == ("0", "1") and group.table[("1", "1")] == "0"
 
 
 def reference_is_associative(elems, table) -> bool:
@@ -689,7 +707,7 @@ class TestCayleyGraphs:
     def test_regularity(self, z6):
         s = generator_system(z6, ["1", "5"])
         g = cayley_graph(z6, s)
-        assert all(g.degree(v) == len(s) for v in g.vertices)
+        assert all(degree(g, v) == len(s) for v in g.vertices)
 
     def test_vertex_transitivity(self, z6):
         g = cayley_graph(z6, generator_system(z6, ["1", "3", "5"]))

@@ -36,6 +36,7 @@ from bundleforge.graphs import induced_adjacency, induced_subgraph, search_profi
 from bundleforge.errors import InvalidGeneratorSystem
 from bundleforge.groups import GeneratorSystem, cayley_graph, cyclic, direct_product
 from bundleforge.pullback import mixed_base_subdirect
+from conftest import adjacency, neighbors
 
 
 class LabelGraph:
@@ -88,7 +89,7 @@ def test_views_match_the_label_reference(raw, data):
     labels, edges = raw
     g, ref = make_graph(labels, edges), LabelGraph(labels, edges)
     assert g.edges == ref.edges
-    assert g.adjacency == ref.adjacency
+    assert adjacency(g) == ref.adjacency
     assert g.edge_list() == ref.edge_list()
     assert len(g.ends) == len(ref.edges)
     for a, b in itertools.product(list(labels) + ["unknown"], repeat=2):
@@ -160,7 +161,7 @@ def test_voltage_bundles_and_typed_products(data):
         # A lazy walk in the base, as a morphism from a path.
         walk = [data.draw(st.sampled_from(base.vertices))]
         for _ in range(data.draw(st.integers(0, 5))):
-            walk.append(data.draw(st.sampled_from((walk[-1], *base.neighbors(walk[-1])))))
+            walk.append(data.draw(st.sampled_from((walk[-1], *neighbors(base, walk[-1])))))
         f = make_morphism(path_graph(len(walk)), base, {str(i + 1): v for i, v in enumerate(walk)})
         assert_canonical(pullback_bundle(f, b1).total)
     link = make_morphism(base, base, {v: v for v in base.vertices})
@@ -210,6 +211,8 @@ POSITION_ROUTES = {
     )
 } | {
     "validate_morphism": graph_core,
+    "compose": graph_core,
+    "preserves_edges": graph_core,
     "_typed_fiber_product": pullback,
     "pullback_voltage": pullback,
     "subdirect_voltage": pullback,
@@ -221,12 +224,15 @@ POSITION_ROUTES = {
 def test_bundle_routes_read_no_label_view(name):
     """verify_bundle, its two routes and its bucketing of the total's
     edges, voltage_bundle, bundles_equivalent, the holonomy walk,
-    validate_morphism, the typed fiber product and the derived voltages
+    validate_morphism, compose, preserves_edges, the typed fiber product
+    and the derived voltages
     run on positions: an AST walk of each body finds no read of a graph's
     adjacency or edge_list, of a morphism's preimages, pairs or map, or of
     a voltage's phi.  Nor does any of them build a shape
-    with induced_adjacency or walk the label forest: the fiber check and
-    local triviality read their shapes off the bucketed edges."""
+    with induced_adjacency, walk the label forest or build its result
+    through the label entries make_morphism and make_fiber_voltage: the
+    fiber check and local triviality read their shapes off the bucketed
+    edges."""
     tree = ast.parse(Path(POSITION_ROUTES[name].__file__).read_text())
     body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
     attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
@@ -235,4 +241,4 @@ def test_bundle_routes_read_no_label_view(name):
     # The morphism and voltage views are read as attributes: as bare names,
     # map is the builtin and pairs a local list of positions.
     assert not names & {"adjacency", "edge_list", "preimages"}
-    assert not (attributes | names) & {"induced_adjacency", "spanning_forest"}
+    assert not (attributes | names) & {"induced_adjacency", "spanning_forest", "make_morphism", "make_fiber_voltage"}

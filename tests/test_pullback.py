@@ -49,7 +49,7 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
-from bundleforge.graphs import GraphMorphism, automorphisms, complete_graph, pair_label
+from bundleforge.graphs import automorphisms, complete_graph, pair_label
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
     EDGE_KIND_DIAGONAL,
@@ -116,14 +116,12 @@ class TestPullbackBundle:
         with pytest.raises(BaseMismatch):
             pullback_bundle(f, b)
 
-    def test_partial_morphism_is_refused(self, c3, k2, m3_voltage):
-        # Vertex 3 is isolated, so no edge check reads it.
+    def test_partial_morphism_is_refused(self, c3):
+        # Vertex 3 is isolated, so no edge check would read it: the map is
+        # refused when it is built, before any pullback.
         domain = make_graph(["1", "2", "3"], [("1", "2")])
-        f = GraphMorphism(domain, c3, (("1", "1"), ("2", "2")))
-        with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
-            pullback_bundle(f, voltage_bundle(trivial_voltage(c3, k2)))
-        with pytest.raises(UnknownVertex, match="vertex '3' not in morphism domain"):
-            pullback_voltage(f, m3_voltage)
+        with pytest.raises(UnknownVertex, match="^morphism undefined on vertex '3'$"):
+            make_morphism(domain, c3, {"1": "1", "2": "2"})
 
     def test_typed_edges_partition(self, p_c6_c3):
         pb = pullback_bundle(p_c6_c3, m3_bundle())
@@ -490,9 +488,8 @@ class TestSections:
 
     def test_image_off_the_total_is_refused(self, m3_voltage):
         b = voltage_bundle(m3_voltage)
-        beta = GraphMorphism(make_graph(["2"], []), b.total, (("2", "(9,1)"),))
         with pytest.raises(UnknownVertex, match=r"morphism value '\(9,1\)' not in codomain"):
-            is_section(beta, b)
+            make_morphism(make_graph(["2"], []), b.total, {"2": "(9,1)"})
 
 
 class TestMixedBaseDiagnostic:
