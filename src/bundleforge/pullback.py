@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .bundles import (
     FiberVoltage,
     GraphBundle,
+    _positions_over,
     bundle_adjacency,
     bundles_equivalent,
     trivial_voltage,
@@ -35,7 +36,6 @@ from .graphs import (
     pair_label,
     preserves_edges,
     require_morphism,
-    split_composite,
     validate_morphism,
 )
 from .perms import Perm, kron as perm_kron
@@ -67,11 +67,6 @@ def typed_edges_json(graph: Graph, kinds: Sequence[str]) -> dict:
 
 def pullback_vertex(v: Label, x: Label) -> Label:
     return f"({v}|{x})"
-
-
-def split_pullback_vertex(label: Label) -> tuple[Label, Label]:
-    """Invert :func:`pullback_vertex`, splitting at the top-level bar."""
-    return split_composite(label, "|", "pullback vertex label")
 
 
 def _typed_fiber_product(
@@ -233,15 +228,18 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
 
 def canonical_map(f: GraphMorphism, b: GraphBundle, pb: Optional[PullbackBundle] = None) -> GraphMorphism:
     """The universal map from the pullback total into the original total,
-    dropping the base coordinate.  The projection square commutes pointwise."""
+    dropping the base coordinate.  The pullback total is left-major, each
+    domain position a followed by the total positions over f(a) in
+    increasing order, so the map reads those positions off in turn.  The
+    projection square commutes pointwise."""
     if pb is None:
         pb = pullback_bundle(f, b)
-    mapping = {x: split_pullback_vertex(x)[1] for x in pb.total.vertices}
-    univ = make_morphism(pb.total, b.total, mapping)
+    down, over = _positions_over(b.projection)
+    univ = GraphMorphism(pb.total, b.total, [x for t in f.position_map for x in over[t]])
     require_morphism(univ, "universal map is not a morphism")
-    for x in pb.total.vertices:
-        if b.projection(univ(x)) != f(pb.projection(x)):
-            raise AssertionError("internal error: universal square does not commute")
+    at, across, up = univ.position_map, pb.projection.position_map, f.position_map
+    if len(at) != pb.total.n or any(down[x] != up[a] for x, a in zip(at, across)):
+        raise AssertionError("internal error: universal square does not commute")
     return univ
 
 

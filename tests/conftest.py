@@ -120,6 +120,62 @@ def is_equivalence_witness(b1, b2, mapping):
     return all(b2.projection(mapping[x]) == b1.projection(x) for x in b1.total.vertices)
 
 
+# --- group label helpers ----------------------------------------------------------
+#
+# A FiniteGroup stores its table by position; these read it by labels, as
+# the tests state the group axioms and the paper's identities.
+
+
+def table(g):
+    """The Cayley table as a dict from label pairs to labels, in row order."""
+    es = g.elements
+    return {(x, y): es[k] for x, row in zip(es, g.rows) for y, k in zip(es, row)}
+
+
+def mul(g, x, y):
+    return g.elements[g.rows[g.index[x]][g.index[y]]]
+
+
+def identity(g):
+    return g.elements[g.identity]
+
+
+def inv(g, x):
+    return g.elements[g.inverse[g.index[x]]]
+
+
+def inverses(g):
+    """Each element's inverse, by labels, in element order."""
+    return {x: g.elements[k] for x, k in zip(g.elements, g.inverse)}
+
+
+def element_order(g, x):
+    acc, k = x, 1
+    while acc != identity(g):
+        acc = mul(g, acc, x)
+        k += 1
+    return k
+
+
+def generated_subgroup(g, gens):
+    """Closure of a generating set, in ambient element order."""
+    gens = list(gens)
+    seen, frontier = {identity(g)}, [identity(g)]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = mul(g, x, s)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return tuple(e for e in g.elements if e in seen)
+
+
+def is_normal(g, members):
+    want = set(members)
+    return all(mul(g, mul(g, a, x), inv(g, a)) in want for a in g.elements for x in want)
+
+
 @pytest.fixture
 def k2():
     return complete_graph(2)

@@ -39,12 +39,22 @@ from bundleforge.groups import (
     FiniteGroup,
     _homs_by_closure,
     _pair_group,
-    is_normal,
     subgroup,
     symmetric_generating_sets,
 )
 from bundleforge.named import invariance_case_z2z3_z6, mobius_ladder_3
-from conftest import degree, is_isomorphism
+from conftest import (
+    degree,
+    element_order,
+    generated_subgroup,
+    identity,
+    inv,
+    inverses,
+    is_isomorphism,
+    is_normal,
+    mul,
+    table,
+)
 
 
 # --- reference routes ----------------------------------------------------------
@@ -57,13 +67,15 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Brute-force isomorphism test via generator images and closure."""
     if a.order != b.order:
         return False
-    if sorted(map(a.element_order, a.elements)) != sorted(map(b.element_order, b.elements)):
+    orders_a = [element_order(a, x) for x in a.elements]
+    orders_b = [element_order(b, y) for y in b.elements]
+    if sorted(orders_a) != sorted(orders_b):
         return False
     isos = _homs_by_closure(
         a,
         b,
-        lambda g: [y for y in b.elements if b.element_order(y) == a.element_order(g)],
-        lambda phi: len(set(phi.values())) == a.order,
+        lambda g: [y for y, k in enumerate(orders_b) if k == orders_a[g]],
+        lambda phi: len(set(phi)) == a.order,
     )
     return next(isos, None) is not None
 
@@ -79,13 +91,12 @@ def quotient_group(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
     for x in g.elements:
         if x in leader_of:
             continue
-        coset = {g.mul(x, h) for h in n_set}
+        coset = {mul(g, x, h) for h in n_set}
         leader = next(e for e in g.elements if e in coset)
         leaders.append(leader)
         for y in coset:
             leader_of[y] = leader
-    table = {(p, q): leader_of[g.mul(p, q)] for p in leaders for q in leaders}
-    return make_group(leaders, table)
+    return make_group(leaders, {(p, q): leader_of[mul(g, p, q)] for p in leaders for q in leaders})
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -140,12 +151,12 @@ class TestGroupConstruction:
     def test_cyclic_four(self):
         g = cyclic(4)
         assert g.elements == ("0", "1", "2", "3")
-        assert g.mul("3", "2") == "1"
-        assert g.identity == "0"
+        assert mul(g, "3", "2") == "1"
+        assert identity(g) == "0"
 
     def test_direct_product_is_z6(self, z2z3, z6):
         assert z2z3.order == 6
-        assert any(z2z3.element_order(e) == 6 for e in z2z3.elements)
+        assert any(element_order(z2z3, e) == 6 for e in z2z3.elements)
         assert group_isomorphic(z2z3, z6)
 
     def test_broken_associativity_rejected(self):
@@ -168,7 +179,7 @@ class TestGroupConstruction:
             make_group(["e", "a"], {("e", "e"): "e"})
 
     def test_json_roundtrip(self, z6):
-        assert FiniteGroup.from_json(z6.to_json()).table == dict(z6.table)
+        assert table(FiniteGroup.from_json(z6.to_json())) == table(z6)
 
     def test_ragged_table_is_parse_error(self, z6):
         data = z6.to_json()
@@ -195,12 +206,18 @@ class TestGroupConstruction:
             data["elements"][1] = value
         else:
             data["table"][0][1] = value
-        with pytest.raises(ParseError, match=r"^unsupported vertex label type: "):
+        what = "group element" if where == "element" else "group table entry"
+        with pytest.raises(ParseError, match=rf"^unsupported {what} type: "):
             FiniteGroup.from_json(data)
+
+    def test_integer_keyed_table(self):
+        # The table's keys are read as the elements are, with str().
+        group = make_group([0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+        assert group.to_json() == cyclic(2).to_json()
 
     def test_integer_labels_are_their_decimal_strings(self):
         group = FiniteGroup.from_json({"elements": [0, 1], "table": [[0, 1], [1, 0]]})
-        assert group.elements == ("0", "1") and group.table[("1", "1")] == "0"
+        assert group.elements == ("0", "1") and mul(group, "1", "1") == "0"
 
 
 def reference_is_associative(elems, table) -> bool:
@@ -236,7 +253,7 @@ def loop5_table() -> tuple[list[str], dict[tuple[str, str], str], str]:
 
 
 def group_table(g: FiniteGroup) -> tuple[list[str], dict[tuple[str, str], str], str]:
-    return list(g.elements), dict(g.table), g.identity
+    return list(g.elements), table(g), identity(g)
 
 
 def product_table(a, b):
@@ -323,9 +340,9 @@ class TestLightAssociativity:
     def test_beyond_old_sampling_cap_accepted(self):
         g = direct_product(cyclic(6), cyclic(12))
         assert g.order == 72
-        again = make_group(g.elements, g.table)
-        assert again.identity == "(0,0)"
-        assert dict(again.table) == dict(g.table)
+        again = make_group(g.elements, table(g))
+        assert identity(again) == "(0,0)"
+        assert table(again) == table(g)
 
     def test_beyond_old_sampling_cap_swap_rejected(self):
         elems, table, identity = group_table(direct_product(cyclic(6), cyclic(12)))
@@ -338,12 +355,12 @@ class TestLightAssociativity:
 
     def test_inverses_come_with_the_group(self):
         g = make_group(*group_table(symmetric_group_3())[:2])
-        assert "inverses" in vars(g)
+        assert "inverse" in vars(g)
         scanned = {
-            x: next(y for y in g.elements if g.mul(x, y) == g.identity) for x in g.elements
+            x: next(y for y in g.elements if mul(g, x, y) == identity(g)) for x in g.elements
         }
-        assert g.inverses == scanned
-        assert list(g.inverses) == list(g.elements)
+        assert inverses(g) == scanned
+        assert list(inverses(g)) == list(g.elements)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -379,7 +396,7 @@ class TestGroupIsomorphism:
         # elements of order four, so only the closure can tell them apart.
         z4z4 = direct_product(cyclic(4), cyclic(4))
         z2q8 = direct_product(cyclic(2), quaternion_group())
-        stats = [sorted(map(g.element_order, g.elements)) for g in (z4z4, z2q8)]
+        stats = [sorted(element_order(g, x) for x in g.elements) for g in (z4z4, z2q8)]
         assert stats[0] == stats[1]
         assert not group_isomorphic(z4z4, z2q8)
         assert not group_isomorphic(z2q8, z4z4)
@@ -410,6 +427,12 @@ class TestHomomorphisms:
         assert is_surjective(phi2)
         assert not is_surjective(hom(z3, z3, {e: "0" for e in z3.elements}))
 
+    def test_keys_off_the_domain_are_ignored(self, z3):
+        # Stray keys neither reach the map nor make a constant map onto.
+        constant = hom(z3, z3, {"0": "0", "1": "0", "2": "0", "x": "1", "y": "2"})
+        assert constant.mapping == {"0": "0", "1": "0", "2": "0"}
+        assert not is_surjective(constant)
+
     def test_surjective_homs_enumeration(self, z6, z3):
         homs = surjective_homs(z6, z3)
         assert len(homs) == 2
@@ -425,10 +448,10 @@ class TestHomomorphisms:
             direct_product(cyclic(2), cyclic(2)), symmetric_group_3(), quaternion_group(),
         ]
         for a, b in itertools.product(groups, repeat=2):
-            maps = list(_homs_by_closure(a, b, lambda g: list(b.elements), lambda phi: True))
-            assert maps and len({tuple(m[x] for x in a.elements) for m in maps}) == len(maps)
+            maps = list(_homs_by_closure(a, b, lambda g: list(range(b.order)), lambda phi: True))
+            assert maps and len({tuple(m) for m in maps}) == len(maps)
             for m in maps:
-                hom(a, b, m)
+                hom(a, b, {x: b.elements[k] for x, k in zip(a.elements, m)})
             for h in surjective_homs(a, b):
                 assert hom(a, b, h.mapping).mapping == h.mapping
 
@@ -467,9 +490,9 @@ class TestSubdirectGroup:
     def test_quotient_structure(self, phi1, phi2):
         sd = subdirect_group(phi1, phi2)
         inner = [
-            m
-            for m in sd.E.elements
-            if phi1(split_pair_label(m)[0]) == sd.amalgam.identity
+            i
+            for i, m in enumerate(sd.E.elements)
+            if phi1(split_pair_label(m)[0]) == identity(sd.amalgam)
         ]
         q = quotient_group(sd.E, subgroup(sd.E, inner))
         assert group_isomorphic(q, sd.amalgam)
@@ -501,21 +524,22 @@ def reference_subdirect_e(eps_a, eps_b) -> FiniteGroup:
         for y in b.elements
         if eps_a(x) == eps_b(y)
     ]
-    return subgroup(direct_product(a, b), members)
+    product = direct_product(a, b)
+    return subgroup(product, [product.index[m] for m in members])
 
 
 def assert_same_group(e, expected):
     assert e.elements == expected.elements
-    assert list(e.table.items()) == list(expected.table.items())
+    assert list(table(e).items()) == list(table(expected).items())
     assert e.identity == expected.identity
     assert e.to_json() == expected.to_json()
 
 
 def assert_group_by_construction(g):
     """A derived group equals what make_group finds in its own table."""
-    again = make_group(g.elements, g.table)
+    again = make_group(g.elements, table(g))
     assert_same_group(g, again)
-    assert list(g.inverses.items()) == list(again.inverses.items())
+    assert g.rows == again.rows and g.inverse == again.inverse
     assert g.index == again.index
 
 
@@ -525,7 +549,7 @@ def assert_identities_by_reference(sd):
     e, c = sd.E, sd.amalgam
     assert group_isomorphic(kernel(sd.delta_A), kernel(sd.eps_B))
     assert group_isomorphic(kernel(sd.delta_B), kernel(sd.eps_A))
-    inner = [m for m in e.elements if sd.eps_A(sd.delta_A(m)) == c.identity]
+    inner = [i for i, m in enumerate(e.elements) if sd.eps_A(sd.delta_A(m)) == identity(c)]
     assert group_isomorphic(quotient_group(e, subgroup(e, inner)), c)
 
 
@@ -569,7 +593,7 @@ class TestDerivedGroups:
             return make_group([e, g], {(e, e): e, (e, g): g, (g, e): g, (g, g): e})
 
         a, b = z2_on("1", "1,a"), z2_on("b", "a,b")
-        pairs = list(itertools.product(a.elements, b.elements))
+        pairs = list(itertools.product(range(a.order), range(b.order)))
         with pytest.raises(NotAGroup, match="duplicate element labels"):
             _pair_group(a, b, pairs)
         with pytest.raises(NotAGroup, match="duplicate element labels"):
@@ -681,6 +705,28 @@ class TestGeneratorSystems:
         assert closed == ("1", "3", "5")
         assert added == ("5",)
 
+    @pytest.mark.parametrize(
+        "group",
+        [cyclic(2), cyclic(3), cyclic(4), cyclic(6), direct_product(cyclic(2), cyclic(2)),
+         direct_product(cyclic(2), cyclic(3)), symmetric_group_3(), quaternion_group()],
+        ids=["z2", "z3", "z4", "z6", "z2xz2", "z2xz3", "s3", "q8"],
+    )
+    def test_enumerated_sets_pass_validation(self, group):
+        # The enumeration builds each set directly; generator_system takes
+        # every one as it is, members in the same order, and a search over
+        # all subsets by labels finds the same sets.
+        systems = symmetric_generating_sets(group)
+        assert systems
+        for s in systems:
+            assert generator_system(group, s.members).members == s.members
+        others = [x for x in group.elements if x != identity(group)]
+        subsets = (c for r in range(len(others) + 1) for c in itertools.combinations(others, r))
+        expected = [
+            c for c in subsets
+            if all(inv(group, x) in c for x in c) and generated_subgroup(group, c) == group.elements
+        ]
+        assert sorted(s.members for s in systems) == sorted(expected)
+
     def test_enumeration_over_blocks(self, z6):
         systems = symmetric_generating_sets(z6)
         members = {frozenset(s.members) for s in systems}
@@ -712,7 +758,7 @@ class TestCayleyGraphs:
     def test_vertex_transitivity(self, z6):
         g = cayley_graph(z6, generator_system(z6, ["1", "3", "5"]))
         for a in z6.elements:
-            left = {x: z6.mul(a, x) for x in z6.elements}
+            left = {x: mul(z6, a, x) for x in z6.elements}
             assert is_isomorphism(left, g, g)
 
     def test_vertex_transitivity_order_twelve(self, phi1, phi2):
@@ -722,7 +768,7 @@ class TestCayleyGraphs:
         )
         g = cayley_graph(e, gens)
         for a in e.elements:
-            left = {x: e.mul(a, x) for x in e.elements}
+            left = {x: mul(e, a, x) for x in e.elements}
             assert is_isomorphism(left, g, g)
 
 
@@ -736,7 +782,7 @@ class TestAdmissibility:
         sign_map = {e: "0" if e in ("012", "120", "201") else "1" for e in s3.elements}
         sign = hom(s3, cyclic(2), sign_map)
         ker = kernel(sign)
-        s0 = generator_system(ker, [e for e in ker.elements if e != s3.identity])
+        s0 = generator_system(ker, [e for e in ker.elements if e != identity(s3)])
         assert is_admissible(s0, s3)
 
     def test_three_cycles_admissible_in_s3(self):

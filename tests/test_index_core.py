@@ -30,13 +30,13 @@ from bundleforge import (
     subdirect_product,
     voltage_bundle,
 )
-from bundleforge import bundles, ktheory, pullback
+from bundleforge import bundles, groups, ktheory, pullback
 from bundleforge import graphs as graph_core
 from bundleforge.graphs import induced_adjacency, induced_subgraph, search_profile
 from bundleforge.errors import InvalidGeneratorSystem
 from bundleforge.groups import GeneratorSystem, cayley_graph, cyclic, direct_product
 from bundleforge.pullback import mixed_base_subdirect
-from conftest import adjacency, neighbors
+from conftest import adjacency, mul, neighbors
 
 
 class LabelGraph:
@@ -179,12 +179,13 @@ def test_cayley_graphs():
     """Every subset of the non-identity elements, symmetric or not, gives
     the graph make_graph builds from the pairs (x, xs)."""
     for group in (cyclic(1), cyclic(5), cyclic(6), direct_product(cyclic(2), cyclic(4))):
-        others = [x for x in group.elements if x != group.identity]
+        others = [i for i in range(group.order) if i != group.identity]
         for r in range(len(others) + 1):
             for members in itertools.combinations(others, r):
                 g = cayley_graph(group, GeneratorSystem(group, members))
                 assert_canonical(g)
-                assert g == make_graph(group.elements, [(x, group.mul(x, s)) for x in group.elements for s in members])
+                labels = [group.elements[i] for i in members]
+                assert g == make_graph(group.elements, [(x, mul(group, x, s)) for x in group.elements for s in labels])
         with pytest.raises(InvalidGeneratorSystem, match="contains the identity"):
             cayley_graph(group, GeneratorSystem(group, (group.identity,)))
 
@@ -242,3 +243,39 @@ def test_bundle_routes_read_no_label_view(name):
     # map is the builtin and pairs a local list of positions.
     assert not names & {"adjacency", "edge_list", "preimages"}
     assert not (attributes | names) & {"induced_adjacency", "spanning_forest", "make_morphism", "make_fiber_voltage"}
+
+
+#: The label views of a group and a homomorphism.
+GROUP_LABEL_VIEWS = {"table", "mapping", "mul", "inv", "inverses", "element_order", "generated_subgroup"}
+
+#: Each function of groups that runs on positions.
+GROUP_ROUTES = (
+    "cayley_graph",
+    "_pair_group",
+    "subgroup",
+    "kernel",
+    "subdirect_group",
+    "_homs_by_closure",
+    "surjective_homs",
+    "symmetric_generating_sets",
+    "admissible_generating_sets",
+    "transversal_section",
+    "cayley_bundle",
+)
+
+
+@pytest.mark.parametrize("name", GROUP_ROUTES)
+def test_group_routes_read_no_label_view(name):
+    """The Cayley graph, the groups on pairs, subgroups and kernels, the
+    subdirect product, the homomorphism closure, the generating-set
+    enumerations, the transversal section and the Cayley bundle read
+    tables, inverses and maps by position: an AST walk of each body finds
+    no read of a group's table, mul, inv, inverses, element_order or
+    generated_subgroup, nor of a homomorphism's mapping, and no projection
+    built through make_morphism."""
+    tree = ast.parse(Path(groups.__file__).read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert not attributes & GROUP_LABEL_VIEWS
+    assert "make_morphism" not in attributes | names

@@ -49,7 +49,7 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
-from bundleforge.graphs import automorphisms, complete_graph, pair_label
+from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_composite
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
     EDGE_KIND_DIAGONAL,
@@ -57,13 +57,19 @@ from bundleforge.pullback import (
     pullback_b_matrix,
     pullback_indicator,
     pullback_vertex,
-    split_pullback_vertex,
     subdirect_voltage,
     typed_edge_counts,
 )
 
 from conftest import identity_bundle, identity_morphism, with_fiber
 from dense_reference import from_rows, kronecker
+
+
+
+def split_pullback_vertex(label):
+    """Invert pullback_vertex, splitting at the top-level bar."""
+    return split_composite(label, "|", "pullback vertex label")
+
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -311,6 +317,17 @@ class TestCanonicalMap:
         assert ok
         for x in pb.total.vertices:
             assert b.projection(univ(x)) == p_c6_c3(pb.projection(x))
+
+    def test_labels_with_top_level_bars(self, k2):
+        # The pullback label of x|1 over a,1 is (x|1|a,1), which no split
+        # at the first bar reads back; the map is read off positions.
+        vs = ["a,1", "b,1", "a,2", "b,2"]
+        total = make_graph(vs, [("a,1", "b,1"), ("a,2", "b,2"), ("a,1", "a,2"), ("b,1", "b,2")])
+        b = verify_bundle(total, make_morphism(total, k2, {x: x[-1] for x in vs}), k2)
+        domain = make_graph(["x|1", "x|2"], [("x|1", "x|2")])
+        f = make_morphism(domain, k2, {"x|1": "1", "x|2": "2"})
+        univ = canonical_map(f, b)
+        assert univ.map == {"(x|1|a,1)": "a,1", "(x|1|b,1)": "b,1", "(x|2|a,2)": "a,2", "(x|2|b,2)": "b,2"}
 
     def test_collapsing_pullback_universal_map(self, c3, k2):
         b = voltage_bundle(trivial_voltage(c3, k2))
