@@ -1,7 +1,7 @@
-"""The stdout of every CLI verb that prints a graph or its edge count, on
-named cases, byte for byte against expected files in tests/golden.  These
-pin the vertex order, the edge order and the edge counts of every
-constructed graph as the CLI reports them.
+"""The stdout of every CLI verb on its named cases, byte for byte against
+expected files in tests/golden.  These pin the vertex order, the edge
+order and the edge counts of every constructed graph as the CLI reports
+them, and every other report a named case prints.
 
 To rewrite the expected files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py --record``.
@@ -39,6 +39,15 @@ CASES = {
     "cayley-z4-c4": ["cayley", "--case", "z4-c4", "--json"],
     "cayley-z4-k4": ["cayley", "--case", "z4-k4", "--json"],
     "cayley-z6-m3": ["cayley", "--case", "z6-m3", "--json"],
+    "bundle-verify-m3": ["bundle-verify", "--case", "m3", "--json"],
+    "bundle-verify-m62": ["bundle-verify", "--case", "m62", "--json"],
+    "bundle-verify-prism": ["bundle-verify", "--case", "prism", "--json"],
+    "bundle-verify-c6-c3-covering": ["bundle-verify", "--case", "c6-c3-covering", "--json"],
+    "ktheory-c3-k2": ["ktheory", "--case", "c3-k2", "--n-max", "2", "--json"],
+    "ktheory-p3-k2": ["ktheory", "--case", "p3-k2", "--n-max", "2", "--json"],
+    "subdirect-group-z2z3-z6": ["subdirect-group", "--case", "z2z3-z6", "--json"],
+    "invariance-check-z2z3-z6": ["invariance-check", "--case", "z2z3-z6", "--json"],
+    "spectrum-k3": ["spectrum", "--case", "k3", "--json"],
     "export-m62-dot": ["export", "--case", "m62", "--format", "dot"],
     "export-fig12-dot": ["export", "--case", "fig12", "--format", "dot"],
     "export-fig24-json": ["export", "--case", "fig24", "--format", "json"],
