@@ -4,6 +4,11 @@ Exit codes: 0 success or true verdict, 1 false verdict (invalid bundle,
 failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 4 internal error (an unexpected exception, reported without a traceback).
 
+Every verb has one input path.  A named case (--case) is one lookup in
+named.CASES, which builds the objects the verb's files would give, and the
+verb then runs the same code for a case as for files.  --budget is the one
+setting of the node budget.
+
 Only the verbs that print a formula check or a spectrum (spectrum,
 bundle-build, pullback and subdirect on voltages) import the matrix layer,
 and with it numpy; every other verb runs without it.
@@ -15,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -33,7 +37,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
 )
-from .graphs import Graph, Label, canon_label, find_isomorphism, make_morphism, split_composite
+from .graphs import Graph, Label, canon_label, find_isomorphism, make_morphism, split_top
 from .groups import (
     FiniteGroup,
     cayley_graph,
@@ -45,19 +49,7 @@ from .groups import (
     verify_invariance,
 )
 from .ktheory import enumerate_bundle_classes
-from .named import (
-    CAYLEY_CASES,
-    c6_c3_covering_bundle,
-    c6k2_bundle,
-    invariance_case_z2z3_z6,
-    m3_bundle,
-    m62_bundle,
-    mixed_base_figure_24,
-    mod3_projection,
-    named_graph,
-    prism_voltage,
-    twisted_ladder_voltage,
-)
+from .named import CASES, mixed_base_figure_24, named_graph
 from .products import cartesian_product, strong_product
 from .pullback import (
     mixed_base_subdirect,
@@ -110,6 +102,23 @@ def _load_graph(path: Optional[str], case: Optional[str]) -> Graph:
     if not path:
         raise ParseError("a graph file or --case is required")
     return Graph.from_json(_load_json(path))
+
+
+def _case(args: argparse.Namespace):
+    """The inputs of the named case args.case of args.verb: the objects the
+    verb would otherwise read from its files."""
+    cases = CASES[args.verb]
+    if args.case not in cases:
+        raise ParseError(f"unknown {args.verb} case {args.case!r}; choices: {sorted(cases)}")
+    return cases[args.case]()
+
+
+def _formula_matches(formula, total: Graph) -> bool:
+    """A closed adjacency formula against the adjacency matrix of the
+    constructed total space; the matrix layer loads here, on first use."""
+    from .matrices import adjacency_matrix
+
+    return formula == adjacency_matrix(total)
 
 
 def _emit(report: dict, args: argparse.Namespace, lines: list[str]) -> None:
@@ -165,30 +174,16 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _voltage_from_args(args) -> FiberVoltage:
-    if args.case == "m3":
-        return twisted_ladder_voltage()
-    if args.case == "prism":
-        return prism_voltage()
-    if args.case:
-        raise ParseError(f"unknown voltage case {args.case!r}; choices: m3, prism")
-    if not args.voltage:
-        raise ParseError("a voltage file or --case is required")
-    return FiberVoltage.from_json(_load_json(args.voltage))
-
-
 def cmd_bundle_build(args) -> int:
-    from .matrices import adjacency_matrix
-
-    fv = _voltage_from_args(args)
+    if not (args.case or args.voltage):
+        raise ParseError("a voltage file or --case is required")
+    fv = _case(args) if args.case else FiberVoltage.from_json(_load_json(args.voltage))
     b = voltage_bundle(fv)
-    formula = bundle_adjacency(fv)
-    direct = adjacency_matrix(b.total)
     report = {
         "verb": "bundle-build",
         "total_vertices": b.total.n,
         "total_edges": len(b.total.ends),
-        "formula_matches_construction": formula == direct,
+        "formula_matches_construction": _formula_matches(bundle_adjacency(fv), b.total),
         "trivial": is_trivial(b),
         "graph": b.total.to_json(),
     }
@@ -207,15 +202,7 @@ def cmd_bundle_build(args) -> int:
 
 def cmd_bundle_verify(args) -> int:
     if args.case:
-        builders = {
-            "m3": m3_bundle,
-            "m62": m62_bundle,
-            "prism": c6k2_bundle,
-            "c6-c3-covering": c6_c3_covering_bundle,
-        }
-        if args.case not in builders:
-            raise ParseError(f"unknown bundle case {args.case!r}; choices: {sorted(builders)}")
-        build = builders[args.case]
+        total, projection, fiber_graph = _case(args)
     else:
         total = _load_graph(args.total, None)
         fiber_graph = _load_graph(args.fiber, None)
@@ -241,9 +228,9 @@ def cmd_bundle_verify(args) -> int:
                 if mapping[a] != mapping[b]
             }
             base = graphs_mod.make_graph(base_vs, base_es)
-        build = functools.partial(verify_bundle, total, make_morphism(total, base, mapping), fiber_graph)
+        projection = make_morphism(total, base, mapping)
     try:
-        b = build()
+        b = verify_bundle(total, projection, fiber_graph)
     except (SearchBudgetExceeded, EnumerationBoundExceeded):
         raise
     except BundleForgeError as exc:
@@ -265,13 +252,8 @@ def cmd_bundle_verify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    from .matrices import adjacency_matrix
-
     if args.case:
-        if args.case != "c6-m3":
-            raise ParseError(f"unknown pullback case {args.case!r}; choices: c6-m3")
-        fv = twisted_ladder_voltage()
-        f = mod3_projection(named_graph("c6"))
+        f, fv = _case(args)
     else:
         if not (args.voltage and args.morphism and args.domain):
             raise ParseError("pullback needs --voltage, --morphism, and --domain (or --case)")
@@ -280,14 +262,12 @@ def cmd_pullback(args) -> int:
         f = make_morphism(domain, fv.base, _load_map(args.morphism, domain)[0])
     pulled = pullback_voltage(f, fv)
     pb = pullback_bundle(f, voltage_bundle(fv))
-    formula = pullback_adjacency(f, fv)
-    direct = adjacency_matrix(pb.total)
     counts = typed_edge_counts(pb.typed_edges)
     report = {
         "verb": "pullback",
         "typed_edges": typed_edges_json(pb.total, pb.typed_edges),
         "total_vertices": pb.total.n,
-        "formula_matches_construction": formula == direct,
+        "formula_matches_construction": _formula_matches(pullback_adjacency(f, fv), pb.total),
         "pulled_voltage": pulled.to_json()["phi"],
     }
     _emit(
@@ -302,46 +282,45 @@ def cmd_pullback(args) -> int:
     return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
 
 
+def _mixed_subdirect(args, b1, b2, link) -> int:
+    """The diagnostic report on two bundles over different bases, linked
+    by a morphism of the bases."""
+    mixed = mixed_base_subdirect(b1, b2, link)
+    counts = typed_edge_counts(mixed.typed_edges)
+    matches = find_isomorphism(mixed.graph, mixed_base_figure_24()) is not None
+    report = {
+        "verb": "subdirect",
+        "case": args.case,
+        "base_mismatch": mixed.base_mismatch,
+        "vertices": mixed.graph.n,
+        "edges": len(mixed.graph.ends),
+        "typed_edges": typed_edges_json(mixed.graph, mixed.typed_edges),
+        "matches_reference_figure": matches,
+    }
+    _emit(
+        report,
+        args,
+        [
+            "warning: factors live over different bases; result is a plain graph, not a bundle",
+            f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
+            f"matches reference figure: {matches}",
+        ],
+    )
+    return EXIT_OK if matches else EXIT_FALSE
+
+
 def cmd_subdirect(args) -> int:
-    if args.case == "mixed-m3-c6k2":
-        b1, b2 = m3_bundle(), c6k2_bundle()
-        link = mod3_projection(named_graph("c6"))
-        mixed = mixed_base_subdirect(b1, b2, link)
-        counts = typed_edge_counts(mixed.typed_edges)
-        matches = find_isomorphism(mixed.graph, mixed_base_figure_24()) is not None
-        report = {
-            "verb": "subdirect",
-            "case": args.case,
-            "base_mismatch": mixed.base_mismatch,
-            "vertices": mixed.graph.n,
-            "edges": len(mixed.graph.ends),
-            "typed_edges": typed_edges_json(mixed.graph, mixed.typed_edges),
-            "matches_reference_figure": matches,
-        }
-        _emit(
-            report,
-            args,
-            [
-                "warning: factors live over different bases; result is a plain graph, not a bundle",
-                f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
-                f"matches reference figure: {matches}",
-            ],
-        )
-        return EXIT_OK if matches else EXIT_FALSE
-    if args.case == "prism-m3":
-        fv1, fv2 = prism_voltage(), twisted_ladder_voltage()
-    elif args.case:
-        raise ParseError(f"unknown subdirect case {args.case!r}; choices: prism-m3, mixed-m3-c6k2")
+    if args.case:
+        inputs = _case(args)
+        if len(inputs) == 3:  # two bundles and the link of their bases
+            return _mixed_subdirect(args, *inputs)
+        fv1, fv2 = inputs
     else:
         if not (args.v1 and args.v2):
             raise ParseError("subdirect needs --v1 and --v2 voltage files (or --case)")
         fv1 = FiberVoltage.from_json(_load_json(args.v1))
         fv2 = FiberVoltage.from_json(_load_json(args.v2))
-    from .matrices import adjacency_matrix
-
     sp = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2))
-    formula = subdirect_adjacency(fv1, fv2)
-    direct = adjacency_matrix(sp.total)
     counts = typed_edge_counts(sp.typed_edges)
     report = {
         "verb": "subdirect",
@@ -349,7 +328,7 @@ def cmd_subdirect(args) -> int:
         "total_edges": len(sp.total.ends),
         "typed_edges": typed_edges_json(sp.total, sp.typed_edges),
         "fiber_vertices": sp.fiber.n,
-        "formula_matches_construction": formula == direct,
+        "formula_matches_construction": _formula_matches(subdirect_adjacency(fv1, fv2), sp.total),
     }
     _emit(
         report,
@@ -364,30 +343,16 @@ def cmd_subdirect(args) -> int:
     return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
 
 
-def _split_gens(text: str) -> list[str]:
-    """Split ``--gens`` at its top-level commas with the composite-label
-    parser, so "(1,0),(0,1)" names two direct-product elements."""
-    parts = []
-    while True:
-        try:
-            head, text = split_composite(f"({text})", ",", "--gens")
-        except ParseError:
-            parts.append(text)
-            return [s.strip() for s in parts if s.strip()]
-        parts.append(head)
-
-
 def cmd_cayley(args) -> int:
     if args.case:
-        if args.case not in CAYLEY_CASES:
-            raise ParseError(f"unknown cayley case {args.case!r}; choices: {sorted(CAYLEY_CASES)}")
-        builder, gens = CAYLEY_CASES[args.case]
-        group = builder()
+        group, gens = _case(args)
     else:
         if not (args.group and args.gens):
             raise ParseError("cayley needs --group and --gens (or --case)")
         group = FiniteGroup.from_json(_load_json(args.group))
-        gens = _split_gens(args.gens)
+        # Split at the top-level commas, so "(1,0),(0,1)" names two
+        # direct-product elements.
+        gens = [s.strip() for s in split_top(args.gens, ",") if s.strip()]
         unknown = [s for s in gens if s not in group.index]
         if unknown:
             raise ParseError(f"--gens labels are not group elements: {unknown}")
@@ -413,10 +378,7 @@ def cmd_cayley(args) -> int:
 
 def cmd_subdirect_group(args) -> int:
     if args.case:
-        if args.case != "z2z3-z6":
-            raise ParseError(f"unknown group case {args.case!r}; choices: z2z3-z6")
-        data = invariance_case_z2z3_z6()
-        sd = subdirect_group(data["phi1"], data["phi2"])
+        eps_a, eps_b = _case(args)
     else:
         if not (args.group_a and args.group_b and args.group_c and args.eps_a and args.eps_b):
             raise ParseError("subdirect-group needs the two groups, the amalgam, and both maps")
@@ -425,7 +387,7 @@ def cmd_subdirect_group(args) -> int:
         c = FiniteGroup.from_json(_load_json(args.group_c))
         eps_a = hom(a, c, _load_map(args.eps_a)[0])
         eps_b = hom(b, c, _load_map(args.eps_b)[0])
-        sd = subdirect_group(eps_a, eps_b)
+    sd = subdirect_group(eps_a, eps_b)
     report = {
         "verb": "subdirect-group",
         "order": sd.E.order,
@@ -443,11 +405,7 @@ def cmd_subdirect_group(args) -> int:
 
 def cmd_ktheory(args) -> int:
     if args.case:
-        cases = {"c3-k2": ("c3", "k2"), "p3-k2": ("p3", "k2")}
-        if args.case not in cases:
-            raise ParseError(f"unknown ktheory case {args.case!r}; choices: {sorted(cases)}")
-        base = named_graph(cases[args.case][0])
-        fiber_graph = named_graph(cases[args.case][1])
+        base, fiber_graph = _case(args)
     else:
         base = _load_graph(args.base, None)
         fiber_graph = _load_graph(args.fiber, None)
@@ -474,12 +432,7 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_invariance_check(args) -> int:
-    if args.case != "z2z3-z6":
-        raise ParseError(f"unknown invariance case {args.case!r}; choices: z2z3-z6")
-    data = invariance_case_z2z3_z6()
-    verdict = verify_invariance(
-        data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"]
-    )
+    verdict = verify_invariance(*_case(args))
     report = {"verb": "invariance-check", "case": args.case, "holds": verdict}
     _emit(report, args, [f"invariance holds: {verdict}"])
     return EXIT_OK if verdict else EXIT_FALSE
@@ -600,21 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_limits(args) -> int:
     """Validate --n-max and return the node budget for this run: --budget,
-    else BUNDLEFORGE_BUDGET, else the budget already in scope.
+    else the budget already in scope.
 
-    Raises ParseError for a negative value or a non-integer environment
-    budget.
+    Raises ParseError for a negative value.
     """
-    budget, source = args.budget, "--budget"
-    env = os.environ.get("BUNDLEFORGE_BUDGET")
-    if budget is None and env:
-        source = "BUNDLEFORGE_BUDGET"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ParseError(f"bad BUNDLEFORGE_BUDGET: {env!r}") from None
+    budget = args.budget
     if budget is not None and budget < 0:
-        raise ParseError(f"{source} must not be negative, got {budget}")
+        raise ParseError(f"--budget must not be negative, got {budget}")
     if getattr(args, "n_max", 0) < 0:
         raise ParseError(f"--n-max must not be negative, got {args.n_max}")
     return graphs_mod.current_budget.get() if budget is None else budget

@@ -70,6 +70,21 @@ def pair_label(a: Label, b: Label) -> Label:
     return f"({a},{b})"
 
 
+def split_top(text: str, sep: str) -> list[str]:
+    """Split text at each separator outside nested parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 def split_composite(label: str, sep: str, what: str) -> tuple[Label, Label]:
     """Strip the outer parentheses of a composite label and split the rest
     at the first separator outside nested parentheses.
@@ -77,15 +92,9 @@ def split_composite(label: str, sep: str, what: str) -> tuple[Label, Label]:
     Raises ParseError naming ``what`` when either step fails.
     """
     if label.startswith("(") and label.endswith(")"):
-        body = label[1:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == sep and depth == 0:
-                return body[:i], body[i + 1 :]
+        head, *rest = split_top(label[1:-1], sep)
+        if rest:
+            return head, sep.join(rest)
     raise ParseError(f"bad {what}: {label!r}")
 
 

@@ -473,10 +473,26 @@ def cayley_graph(g: FiniteGroup, s: GeneratorSystem) -> Graph:
 
 
 def is_admissible(s0: GeneratorSystem, ambient: FiniteGroup) -> bool:
-    """True when the set is closed under conjugation by every ambient element."""
-    idx, rows, inverse = ambient.index, ambient.rows, ambient.inverse
-    want = {idx[x] for x in s0.members}
+    """True when the set is closed under conjugation by every ambient element.
+    Raises InvalidGeneratorSystem when a member is no ambient element."""
+    rows, inverse = ambient.rows, ambient.inverse
+    want = _element_set(ambient, s0.members)
     return all(rows[rows[a][x]][inverse[a]] in want for a in range(ambient.order) for x in want)
+
+
+def _section(phi: GroupHom, s1: GeneratorSystem, section: Optional[Mapping[Label, Label]]) -> Mapping[Label, Label]:
+    """The transversal section, or a caller's section once it is checked to
+    lift every generator s of s1 to an element that phi maps to s; raises
+    NoTransversalSection naming the first generator it does not lift."""
+    if section is None:
+        return transversal_section(phi, s1)
+    _require_over(s1, phi.codomain)
+    index, at = phi.domain.index, phi.position_map
+    for s, label in zip(s1.positions, s1.members):
+        lift = index.get(section.get(label))
+        if lift is None or at[lift] != s:
+            raise NoTransversalSection(f"section does not lift generator {label!r} into its preimage")
+    return section
 
 
 def transversal_section(phi: GroupHom, s1: GeneratorSystem) -> dict[Label, Label]:
@@ -514,12 +530,12 @@ def induced_generators(
     s0: GeneratorSystem,
     section: Optional[Mapping[Label, Label]] = None,
 ) -> GeneratorSystem:
-    """Union of an admissible kernel generating set with a transversal section."""
+    """Union of an admissible kernel generating set with a transversal
+    section; a caller's section must lift every generator of s1 into its
+    preimage, else NoTransversalSection names the generator."""
     if not is_admissible(s0, phi.domain):
         raise InvalidGeneratorSystem("kernel generating set is not admissible")
-    if section is None:
-        section = transversal_section(phi, s1)
-    return generator_system(phi.domain, set(s0.members) | set(section.values()))
+    return generator_system(phi.domain, set(s0.members) | set(_section(phi, s1, section).values()))
 
 
 def cayley_bundle(
@@ -559,14 +575,12 @@ def verify_invariance(
     The paired generator data is assembled componentwise, by labels, since
     the sections may come from outside: kernel generators embed with an
     identity in the other factor, and the two transversal sections pair up
-    generator by generator.
+    generator by generator.  A caller's section is checked before either
+    side runs, as induced_generators checks it.
     """
     e = subdirect_group(phi1, phi2).E
     a1, a2 = phi1.domain, phi2.domain
-    if section1 is None:
-        section1 = transversal_section(phi1, s1)
-    if section2 is None:
-        section2 = transversal_section(phi2, s1)
+    section1, section2 = _section(phi1, s1, section1), _section(phi2, s1, section2)
     bar_s01 = [pair_label(x, a2.elements[a2.identity]) for x in s01.members]
     bar_s02 = [pair_label(a1.elements[a1.identity], y) for y in s02.members]
     paired_section = [pair_label(section1[s], section2[s]) for s in s1.members]

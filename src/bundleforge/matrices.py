@@ -119,10 +119,6 @@ def identity(n: int) -> Matrix:
     return Matrix._trusted(np.eye(n))
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix._trusted(np.zeros((rows, cols)))
-
-
 def _edge_ends(g: Graph) -> np.ndarray:
     """The edges as an |E|×2 array of vertex indices, one row per edge in
     the graph's sorted order."""

@@ -2,9 +2,16 @@
 
 Each figure graph is entered by its explicit edge list so the library's own
 constructions can be checked against an independent transcription.
+
+CASES holds the CLI's named cases, keyed by verb and then by case name.
+Each entry builds exactly the objects its verb would otherwise read from
+files, so a case runs the verb's one path after input.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+from typing import Callable
 
 from .bundles import FiberVoltage, GraphBundle, make_fiber_voltage, trivial_voltage, verify_bundle
 from .errors import ParseError
@@ -146,23 +153,24 @@ def prism_voltage() -> FiberVoltage:
 
 
 def m3_bundle() -> GraphBundle:
-    m3 = mobius_ladder_3()
-    return verify_bundle(m3, mod3_projection(m3), complete_graph(2))
+    return verify_bundle(*CASES["bundle-verify"]["m3"]())
 
 
 def m62_bundle() -> GraphBundle:
-    m62 = twisted_hexagonal_ladder()
-    return verify_bundle(m62, halving_projection(m62), complete_graph(2))
+    return verify_bundle(*CASES["bundle-verify"]["m62"]())
 
 
 def c6k2_bundle() -> GraphBundle:
-    prism = hexagonal_prism()
-    return verify_bundle(prism, halving_projection(prism), complete_graph(2))
+    return verify_bundle(*CASES["bundle-verify"]["prism"]())
 
 
 def c6_c3_covering_bundle() -> GraphBundle:
-    c6 = cycle_graph(6)
-    return verify_bundle(c6, mod3_projection(c6), empty_graph(2))
+    return verify_bundle(*CASES["bundle-verify"]["c6-c3-covering"]())
+
+
+def _over(total: Graph, projection: Callable[[Graph], GraphMorphism], fiber: Graph) -> tuple:
+    """The (total, projection, fiber) triple bundle-verify reads."""
+    return total, projection(total), fiber
 
 
 def invariance_case_z2z3_z6() -> dict:
@@ -178,9 +186,31 @@ def invariance_case_z2z3_z6() -> dict:
     return {"phi1": phi1, "phi2": phi2, "s1": s1, "s01": s01, "s02": s02}
 
 
-CAYLEY_CASES: dict[str, tuple] = {
-    # name -> (group builder, raw generator labels)
-    "z4-c4": (lambda: cyclic(4), ["1", "3"]),
-    "z4-k4": (lambda: cyclic(4), ["1", "2", "3"]),
-    "z6-m3": (lambda: cyclic(6), ["1", "3", "5"]),
+CASES: dict[str, dict[str, Callable[[], object]]] = {
+    "bundle-build": {"m3": twisted_ladder_voltage, "prism": prism_voltage},
+    "bundle-verify": {
+        "m3": lambda: _over(mobius_ladder_3(), mod3_projection, complete_graph(2)),
+        "m62": lambda: _over(twisted_hexagonal_ladder(), halving_projection, complete_graph(2)),
+        "prism": lambda: _over(hexagonal_prism(), halving_projection, complete_graph(2)),
+        "c6-c3-covering": lambda: _over(cycle_graph(6), mod3_projection, empty_graph(2)),
+    },
+    "pullback": {"c6-m3": lambda: (mod3_projection(cycle_graph(6)), twisted_ladder_voltage())},
+    # The mixed-base diagnostic takes two bundles and the link of their bases.
+    "subdirect": {
+        "prism-m3": lambda: (prism_voltage(), twisted_ladder_voltage()),
+        "mixed-m3-c6k2": lambda: (m3_bundle(), c6k2_bundle(), mod3_projection(cycle_graph(6))),
+    },
+    "cayley": {
+        "z4-c4": lambda: (cyclic(4), ["1", "3"]),
+        "z4-k4": lambda: (cyclic(4), ["1", "2", "3"]),
+        "z6-m3": lambda: (cyclic(6), ["1", "3", "5"]),
+    },
+    "subdirect-group": {"z2z3-z6": lambda: itemgetter("phi1", "phi2")(invariance_case_z2z3_z6())},
+    "ktheory": {
+        "c3-k2": lambda: (cycle_graph(3), complete_graph(2)),
+        "p3-k2": lambda: (path_graph(3), complete_graph(2)),
+    },
+    "invariance-check": {
+        "z2z3-z6": lambda: itemgetter("phi1", "phi2", "s1", "s01", "s02")(invariance_case_z2z3_z6())
+    },
 }

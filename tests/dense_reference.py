@@ -25,6 +25,10 @@ def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
     return Matrix(np.asarray(rows, dtype=float))
 
 
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(np.zeros((rows, cols)))
+
+
 def allclose(a: Matrix, b: Matrix, tol: float = 1e-9) -> bool:
     """Equal shapes, and each entry within the absolute tolerance tol."""
     return a.shape == b.shape and bool(np.allclose(a.data, b.data, rtol=0.0, atol=tol))

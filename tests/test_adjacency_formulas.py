@@ -46,12 +46,11 @@ from bundleforge.matrices import (
     hadamard,
     identity,
     voltage_adjacency,
-    zeros,
 )
 
 import dense_reference
 from conftest import neighbors
-from dense_reference import from_rows, is_adjacency, kronecker, perm_block, perm_matrix
+from dense_reference import from_rows, is_adjacency, kronecker, perm_block, perm_matrix, zeros
 
 FIBERS = {
     "K2": complete_graph(2),

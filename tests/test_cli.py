@@ -6,7 +6,7 @@ import pytest
 from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
-from bundleforge.named import m3_bundle, mobius_ladder_3, named_graph
+from bundleforge.named import CASES, m3_bundle, mobius_ladder_3, named_graph
 
 
 def run(capsys, *argv):
@@ -393,15 +393,6 @@ class TestExitCodes:
         assert code == 0
         assert "valid bundle" in out
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        import bundleforge.graphs as graphs_mod
-
-        saved = graphs_mod.current_budget.get()
-        monkeypatch.setenv("BUNDLEFORGE_BUDGET", "1")
-        code, _, err = run(capsys, "bundle-verify", "--case", "m62")
-        assert code == 3
-        assert graphs_mod.current_budget.get() == saved
-
     def test_budget_in_scope_is_the_default(self, capsys):
         import bundleforge.graphs as graphs_mod
 
@@ -425,16 +416,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "--budget", "-5", "bundle-verify", "--case", "m62")
         assert code == 2
         assert "input error" in err
-        assert graphs_mod.current_budget.get() == saved
-
-    def test_negative_env_budget_is_input_error(self, capsys, monkeypatch):
-        import bundleforge.graphs as graphs_mod
-
-        saved = graphs_mod.current_budget.get()
-        monkeypatch.setenv("BUNDLEFORGE_BUDGET", "-5")
-        code, _, err = run(capsys, "bundle-verify", "--case", "m62")
-        assert code == 2
-        assert "BUNDLEFORGE_BUDGET" in err
         assert graphs_mod.current_budget.get() == saved
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
@@ -617,3 +598,64 @@ class TestMalformedInputFiles:
         code, _, err = run(capsys, *self.subdirect_group_args(tmp_path, {"mapping": {}}))
         assert code == 2
         assert "input error" in err
+
+
+def _file_form(verb, inputs):
+    """The file arguments that give verb the objects a named case builds,
+    as (flag, JSON document or plain string) pairs; None for inputs with no
+    file form."""
+    if verb == "bundle-build":
+        return [("--voltage", inputs.to_json())]
+    if verb == "bundle-verify":
+        total, projection, fiber = inputs
+        return [("--total", total.to_json()), ("--proj", projection.to_json()),
+                ("--base", projection.codomain.to_json()), ("--fiber", fiber.to_json())]
+    if verb == "pullback":
+        f, fv = inputs
+        return [("--voltage", fv.to_json()), ("--morphism", f.to_json()), ("--domain", f.domain.to_json())]
+    if verb == "subdirect" and len(inputs) == 2:
+        return [("--v1", inputs[0].to_json()), ("--v2", inputs[1].to_json())]
+    if verb == "cayley":
+        group, gens = inputs
+        return [("--group", group.to_json()), ("--gens", ",".join(gens))]
+    if verb == "subdirect-group":
+        eps_a, eps_b = inputs
+        return [("--group-a", eps_a.domain.to_json()), ("--group-b", eps_b.domain.to_json()),
+                ("--group-c", eps_a.codomain.to_json()), ("--eps-a", eps_a.to_json()),
+                ("--eps-b", eps_b.to_json())]
+    if verb == "ktheory":
+        base, fiber = inputs
+        return [("--base", base.to_json()), ("--fiber", fiber.to_json())]
+    return None
+
+
+NAMED_CASES = [(verb, case) for verb, cases in sorted(CASES.items()) for case in sorted(cases)]
+#: The named cases whose inputs no verb reads from files.
+NO_FILE_FORM = {("invariance-check", "z2z3-z6"), ("subdirect", "mixed-m3-c6k2")}
+#: Options a verb's case runs with, on both paths.
+OPTIONS = {"ktheory": ["--n-max", "2"]}
+
+
+class TestNamedCases:
+    """A named case builds the inputs its verb would read from files, and
+    both run one path: the reports are equal."""
+
+    @pytest.mark.parametrize("verb, case", NAMED_CASES, ids=[f"{v}:{c}" for v, c in NAMED_CASES])
+    def test_case_and_its_files_give_one_report(self, capsys, tmp_path, verb, case):
+        form = _file_form(verb, CASES[verb][case]())
+        assert (form is None) == ((verb, case) in NO_FILE_FORM)
+        if form is None:
+            return
+        argv = [verb, *OPTIONS.get(verb, []), "--json"]
+        want = run(capsys, *argv, "--case", case)
+        files = []
+        for flag, doc in form:
+            files += [flag, doc if isinstance(doc, str) else write_json(tmp_path, f"{flag[2:]}.json", doc)]
+        assert run(capsys, *argv, *files) == want
+        assert want[0] in (0, 1) and want[2] == ""
+
+    @pytest.mark.parametrize("verb", sorted(CASES))
+    def test_unknown_case_names_the_verb_and_its_choices(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--case", "nope")
+        assert (code, out) == (2, "")
+        assert err == f"input error: unknown {verb} case 'nope'; choices: {sorted(CASES[verb])}\n"

@@ -2,7 +2,8 @@
 code of the contract (0 true, 1 false, 2 input error, 3 budget), never in a
 traceback or the internal-error code 4.
 
-Each example starts from valid files for one verb, then breaks one of them.
+Each example starts from valid files for one verb, then breaks one of them;
+or it runs one verb's --case line on a drawn case name.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from bundleforge import complete_graph, cycle_graph
 from bundleforge.cli import main
 from bundleforge.groups import cyclic
-from bundleforge.named import m3_bundle, twisted_ladder_voltage
+from bundleforge.named import CASES, NAMED_GRAPHS, m3_bundle, twisted_ladder_voltage
 
 LABELS = st.sampled_from(["1", "2", "3", "4", "6", "0", "(1,1)", "(2,1)", "a", "e", 1, 3])
 RETYPES = [None, True, 3, 1.5, "1", [], ["1"], {}, {"1": "2"}]
@@ -135,4 +136,23 @@ def test_malformed_input_keeps_the_exit_code_contract(argv, target, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
     assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+#: Every verb's --case line; the case name is drawn.
+CASE_VERBS = sorted(CASES) + ["export", "spectrum"]
+CASE_NAMES = st.one_of(
+    st.sampled_from(sorted({c for cases in CASES.values() for c in cases} | set(NAMED_GRAPHS))),
+    st.text(alphabet="kmcpz0123-6,( )", max_size=6),
+)
+
+
+@pytest.mark.parametrize("verb", CASE_VERBS)
+@given(name=CASE_NAMES)
+@settings(max_examples=11, deadline=None, derandomize=True)
+def test_drawn_case_name_keeps_the_exit_code_contract(verb, name):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, f"--case={name}"])
+    assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -792,6 +792,51 @@ class TestAdmissibility:
         s0 = generator_system(ker, ["120", "201"])
         assert is_admissible(s0, s3)
 
+    def test_kernel_set_off_the_ambient_group_is_named(self, phi2, z3):
+        # Before, is_admissible raised a raw KeyError: '(1,0)'.
+        s1 = generator_system(z3, ["1", "2"])
+        s0 = generator_system(direct_product(cyclic(2), cyclic(1)), ["(1,0)"])
+        with pytest.raises(InvalidGeneratorSystem, match=r"not group elements: \['\(1,0\)'\]"):
+            induced_generators(phi2, s1, s0)
+
+
+class TestCallerSections:
+    """A section from outside must lift every generator into its preimage."""
+
+    def test_lift_off_the_preimage_is_refused(self, phi2, z3):
+        # phi2(2) = 2, not 1.  The induced set {2, 3, 4} still generates
+        # Z6, so before this check a verified 6-vertex bundle came back.
+        s1 = generator_system(z3, ["1", "2"])
+        s0 = generator_system(kernel(phi2), ["3"])
+        for route in (induced_generators, cayley_bundle):
+            with pytest.raises(NoTransversalSection, match="generator '1'"):
+                route(phi2, s1, s0, {"1": "2", "2": "4"})
+
+    def test_the_same_lifts_on_the_right_generators_are_accepted(self, phi2, z3):
+        s1 = generator_system(z3, ["1", "2"])
+        s0 = generator_system(kernel(phi2), ["3"])
+        b = cayley_bundle(phi2, s1, s0, {"1": "4", "2": "2"})
+        assert (b.total.n, len(b.total.ends)) == (6, 9)
+
+    @pytest.mark.parametrize(
+        "section, generator",
+        [({"1": "4"}, "2"), ({"1": "4", "2": "zz"}, "2"), ({}, "1")],
+        ids=["missing", "not-an-element", "empty"],
+    )
+    def test_invariance_refuses_a_section_before_either_side(self, section, generator):
+        # Before, a missing generator raised a raw KeyError: '2'.
+        data = invariance_case_z2z3_z6()
+        with pytest.raises(NoTransversalSection, match=f"generator '{generator}'"):
+            verify_invariance(
+                data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"], section2=section
+            )
+
+    def test_invariance_accepts_a_caller_section(self):
+        data = invariance_case_z2z3_z6()
+        assert verify_invariance(
+            data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"], section2={"1": "4", "2": "2"}
+        )
+
 
 class TestTransversalSections:
     def test_projection_case(self, phi1, z3):

@@ -26,7 +26,6 @@ def cold_run(args, cwd):
     checkout's sources; returns the process and the set of modules it
     imported."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("BUNDLEFORGE_BUDGET", None)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=120,

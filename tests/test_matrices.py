@@ -27,7 +27,6 @@ from bundleforge.matrices import (
     graph_spectrum,
     identity,
     voltage_adjacency,
-    zeros,
 )
 
 from dense_reference import (
@@ -40,6 +39,7 @@ from dense_reference import (
     matrix_to_json,
     perm_matrix,
     spectra_close,
+    zeros,
 )
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
