@@ -204,6 +204,8 @@ def cmd_bundle_verify(args) -> int:
     if args.case:
         total, projection, fiber_graph = _case(args)
     else:
+        if not (args.total and args.proj and args.fiber):
+            raise ParseError("bundle-verify needs --total, --proj and --fiber files (or --case)")
         total = _load_graph(args.total, None)
         fiber_graph = _load_graph(args.fiber, None)
         mapping, proj_data = _load_map(args.proj, total)

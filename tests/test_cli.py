@@ -376,6 +376,17 @@ class TestExitCodes:
         # The next in-process search runs under the default budget again.
         assert m3_bundle().total.n == 6
 
+    @pytest.mark.parametrize("missing", ["--total", "--proj", "--fiber"])
+    def test_bundle_verify_without_a_file_is_input_error(self, capsys, tmp_path, missing):
+        # Before, a missing --proj was an internal error (exit 4).
+        k2 = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        proj = write_json(tmp_path, "p.json", {"map": {"1": "1", "2": "1"}})
+        files = {"--total": k2, "--proj": proj, "--fiber": k2}
+        del files[missing]
+        code, out, err = run(capsys, "bundle-verify", *[x for pair in files.items() for x in pair])
+        assert (code, out) == (2, "")
+        assert err == "input error: bundle-verify needs --total, --proj and --fiber files (or --case)\n"
+
     def test_budget_exhaustion_on_files(self, capsys, tmp_path):
         # The file branch lets a spent budget through as exit 3, not as an
         # invalid bundle.
