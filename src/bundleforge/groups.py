@@ -481,18 +481,21 @@ def is_admissible(s0: GeneratorSystem, ambient: FiniteGroup) -> bool:
 
 
 def _section(phi: GroupHom, s1: GeneratorSystem, section: Optional[Mapping[Label, Label]]) -> Mapping[Label, Label]:
-    """The transversal section, or a caller's section once it is checked to
-    lift every generator s of s1 to an element that phi maps to s; raises
-    NoTransversalSection naming the first generator it does not lift."""
+    """The transversal section, or a caller's section read as labels, keys
+    and values through str() as hom reads them, absent (None) values
+    skipped, once it is checked to lift every generator s of s1 to an
+    element that phi maps to s; raises NoTransversalSection naming the
+    first generator it does not lift."""
     if section is None:
         return transversal_section(phi, s1)
     _require_over(s1, phi.codomain)
+    labels = {str(k): str(v) for k, v in section.items() if v is not None}
     index, at = phi.domain.index, phi.position_map
     for s, label in zip(s1.positions, s1.members):
-        lift = index.get(section.get(label))
+        lift = index.get(labels.get(label))
         if lift is None or at[lift] != s:
             raise NoTransversalSection(f"section does not lift generator {label!r} into its preimage")
-    return section
+    return labels
 
 
 def transversal_section(phi: GroupHom, s1: GeneratorSystem) -> dict[Label, Label]:

@@ -24,13 +24,17 @@ of two are the Kronecker products of their keys, and an addition-table
 entry keys β products.
 
 Aut(F^n) is read only when a key needs it, so a base with no cycle lists
-no automorphism.  Enumeration searches Aut(F) once.  When F is connected
-with a prime number of vertices, it is prime under the box product, whose
-factors multiply the vertex counts, and Aut(F^n) = Aut(F) ≀ S_n (Hammack,
-Imrich and Klavžar, Handbook of Product Graphs, 2nd ed. 2011, ch. 6): each
-power's group is generated from that one search, sorted as the search
-sorts it, for powers of up to the square of the search's vertex bound.
-Any other power is searched.
+no automorphism.  Enumeration searches Aut(F) once.  For a power n ≥ 2 of
+a connected F, it factors F into primes under the box product once (by
+Feder's relation), and F^n has n·a_T factors of each type T that F has a_T
+of, so Aut(F^n) is the product of the Aut(P_T) ≀ S_(n·a_T) (Hammack,
+Imrich and Klavžar, Handbook of Product Graphs, 2nd ed. 2011, ch. 6).  It
+is generated from one search per type, the search of F itself when F is
+prime, and sorted as the search sorts it, for powers of up to the square
+of the search's vertex bound.  Its order and its number of conjugacy
+classes are known before it is built, and so is the cost of its first
+split, which the conjugation cap is checked against first.  A disconnected
+fiber's powers are searched.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import graphs
 from .bundles import FiberVoltage, _forest_cycles, _holonomies
@@ -47,6 +51,7 @@ from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
 from .graphs import (
     Graph,
     GraphMorphism,
+    _trusted_graph,
     automorphisms,
     make_graph,
 )
@@ -57,9 +62,12 @@ from .pullback import pullback_voltage
 #: Default fiber-power bound.
 DEFAULT_N_MAX = 3
 
-#: Default caps on the exhaustive enumeration.
-DEFAULT_MAX_BASE_VERTICES = 6
+#: Default cap on the exhaustive enumeration.
 DEFAULT_MAX_ASSIGNMENTS = 10**6
+
+#: The base-size cap the enumeration had; it no longer caps the base, and
+#: the name stays only while benchmarks/tracing.py reads it.
+DEFAULT_MAX_BASE_VERTICES = 6
 
 
 def fiber_power(f: Graph, n: int) -> Graph:
@@ -74,25 +82,130 @@ def fiber_power(f: Graph, n: int) -> Graph:
     return g
 
 
-def _wreath(factor: Sequence[Perm], n: int) -> tuple[Perm, ...]:
-    """Aut(F) ≀ S_n, given Aut(F), on the index order of fiber_power(F, n),
-    sorted: coordinate k of a vertex, after σ, goes to a_k(i_k) at position
-    σ(k).  That order reads the first coordinate as the most significant
-    digit, so position j weighs m^(n-1-j)."""
-    m = len(factor[0])
+def _wreath(groups: Sequence[Sequence[Perm]], slots: Sequence[int]) -> list[Perm]:
+    """The product over types t of groups[t] ≀ S_(slots of type t), on the
+    box product of one factor per slot, slots[s] the type of slot s, in
+    index order: slot s is a digit whose weight is the product of the sizes
+    of the slots after it.  Coordinate s of a vertex, after a permutation σ
+    of the slots that keeps types, goes to a_s(i_s) at slot σ(s)."""
+    sizes = [len(groups[t][0]) for t in slots]
+    weights = [math.prod(sizes[s + 1:]) for s in range(len(slots))]
+    by_type = [[s for s, t in enumerate(slots) if t == u] for u in range(len(groups))]
     out = []
-    for sigma in itertools.permutations(range(n)):
-        weights = [m ** (n - 1 - j) for j in sigma]
-        scaled = [[[w * i for i in a] for a in factor] for w in weights]
+    for images in itertools.product(*map(itertools.permutations, by_type)):
+        sigma = dict(zip(itertools.chain(*by_type), itertools.chain(*images)))
+        scaled = [[[weights[sigma[s]] * i for i in a] for a in groups[t]] for s, t in enumerate(slots)]
         for digits in itertools.product(*scaled):
             out.append(tuple.__new__(Perm, map(sum, itertools.product(*digits))))
-    return tuple(sorted(out))
+    return out
 
 
-def _box_prime(g: Graph) -> bool:
-    """Connected with a prime number of vertices, so prime under the box
-    product, whose factors multiply the vertex counts."""
-    return g.n > 1 and all(g.n % d for d in range(2, math.isqrt(g.n) + 1)) and len(_forest_cycles(g)) == 1
+def _wreath_classes(k: int, m: int) -> int:
+    """The conjugacy classes of H ≀ S_m, for H with k of them: the
+    coefficient of x^m in the product over l of (1 − x^l)^(−k)."""
+    c = [1] + [0] * m
+    for part in range(1, m + 1):
+        for _ in range(k):
+            for i in range(part, m + 1):
+                c[i] += c[i - part]
+    return c[m]
+
+
+def _distances(g: Graph) -> list[list[int]]:
+    """Breadth-first distances between the positions of a connected graph."""
+    nbrs, out = g.neighbor_indices, []
+    for root in range(g.n):
+        d = [-1] * g.n
+        d[root], order = 0, [root]
+        for v in order:  # order grows as the walk reaches new positions
+            for w in nbrs[v]:
+                if d[w] < 0:
+                    d[w] = d[v] + 1
+                    order.append(w)
+        out.append(d)
+    return out
+
+
+def _box_factors(g: Graph) -> Optional[tuple[list[Graph], list[tuple[int, ...]]]]:
+    """The prime factors of a connected graph under the box product, and
+    the coordinates of each position in them; None when g is disconnected.
+
+    Two edges xy and uv are related by θ when d(x, u) + d(y, v) differs
+    from d(x, v) + d(y, u), and by τ when they meet and lie on no chordless
+    square.  The classes of the transitive closure of θ ∪ τ are the edge
+    sets of the prime factors (Feder, J. Graph Theory 1992).  Factor i is
+    the layer of its edges through position 0, on that layer's positions in
+    increasing order; the coordinate of x in it is the one layer position
+    that x reaches without its edges.  A graph with a prime number of
+    vertices is its own factor, since the box product multiplies vertex
+    counts.  The coordinate map is checked to be an isomorphism onto the
+    product of the factors."""
+    n, nbrs, ends = g.n, g.neighbor_indices, g.ends
+    if len(_forest_cycles(g)) != 1:
+        return None
+    if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+        return [g], [(x,) for x in range(n)]
+    dist = _distances(g)
+    edge_at, adj = {pair: k for k, pair in enumerate(ends)}, [set(nb) | {x} for x, nb in enumerate(nbrs)]
+    theta = (
+        (e, f)
+        for e, (x, y) in enumerate(ends)
+        for f, (u, v) in enumerate(ends[:e])
+        if dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
+    )
+    # xy and xz lie on a chordless square xywz unless every common
+    # neighbour of y and z is x or a neighbour of x, or y and z meet.
+    tau = (
+        (edge_at[min(x, y), max(x, y)], edge_at[min(x, z), max(x, z)])
+        for x in range(n)
+        for y, z in itertools.combinations(nbrs[x], 2)
+        if z in adj[y] or adj[y] & adj[z] <= adj[x]
+    )
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for pair, r in zip(ends, _roots(len(ends), itertools.chain(theta, tau))):
+        classes.setdefault(r, []).append(pair)
+    factors, columns = [], []
+    for edges in classes.values():
+        inside, own = _roots(n, edges), set(edges)
+        outside = _roots(n, [p for p in ends if p not in own])
+        layer = [x for x in range(n) if inside[x] == inside[0]]
+        at = {x: k for k, x in enumerate(layer)}
+        meets = {outside[x]: at[x] for x in layer}
+        if len(meets) != len(layer) or any(c not in meets for c in outside):
+            raise AssertionError("internal error: a layer does not meet each co-layer once")
+        factors.append(_trusted_graph(tuple(map(str, range(len(layer)))), [(at[a], at[b]) for a, b in edges if a in at]))
+        columns.append([meets[c] for c in outside])
+    coords = list(zip(*columns)) if columns else [()]  # one vertex: the empty product
+    # An injective map onto the product's vertices that sends edges to
+    # edges is an isomorphism when the edge counts agree.
+    if (
+        math.prod(f.n for f in factors) != n
+        or len(set(coords)) != n
+        or len(ends) != sum(len(f.ends) * n // f.n for f in factors)
+        or not all(_box_edge(factors, coords[a], coords[b]) for a, b in ends)
+    ):
+        raise AssertionError("internal error: the coordinate map is no isomorphism onto the product of the factors")
+    return factors, coords
+
+
+def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of n elements once every pair is joined."""
+    root = list(range(n))
+
+    def find(e: int) -> int:
+        while root[e] != e:
+            root[e] = e = root[root[e]]
+        return e
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return [find(e) for e in range(n)]
+
+
+def _box_edge(factors: Sequence[Graph], a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether coordinates a and b differ in one factor, by an edge of it."""
+    diff = [i for i, (p, q) in enumerate(zip(a, b)) if p != q]
+    return len(diff) == 1 and b[diff[0]] in factors[diff[0]].neighbor_indices[a[diff[0]]]
 
 
 @dataclass(eq=False)
@@ -112,8 +225,8 @@ class _Orbits:
 class _Chain:
     """The stabilizer chain of Aut(F^n) acting on itself by conjugation,
     read on demand.  The group itself is read on first use: searched, or,
-    given wreath = (c, n) where the fiber is the n-th box power of c.fiber
-    and its group is Aut(c.fiber) ≀ S_n, generated from c's group.  Each
+    given power = (c, n) with n ≥ 2, where the fiber is the n-th box power
+    of a connected c.fiber, generated from c's prime factors.  Each
     subgroup met is split into orbits once, by one conjugation per element
     of the subgroup and orbit; a split that would take the count of
     conjugations past limit raises instead, and so does generating a group
@@ -124,9 +237,9 @@ class _Chain:
         fiber: Graph,
         conjugations: int = 0,
         limit: Optional[int] = None,
-        wreath: Optional[tuple[_Chain, int]] = None,
+        power: Optional[tuple[_Chain, int]] = None,
     ):
-        self.fiber, self.wreath = fiber, wreath
+        self.fiber, self.power = fiber, power
         self.conjugations, self.limit = conjugations, limit
         self._split: dict[tuple[Perm, ...], _Orbits] = {}
 
@@ -134,13 +247,64 @@ class _Chain:
     def auts(self) -> tuple[Perm, ...]:
         if self.fiber.n == 1:  # the zeroth power, with the identity alone
             return (Perm.identity(1),)
-        if self.wreath is None:
+        factored = self.power[0].factors if self.power else None
+        if factored is None:
             return tuple(automorphisms(self.fiber))
-        factor, n = self.wreath
-        # The first split conjugates by every element at least once.
-        order = len(factor.auts) ** n * math.factorial(n)
-        self._afford(order, order)
-        return _wreath(factor.auts, n)
+        types, slots, relabel = factored
+        n = self.power[1]
+        # F^n has n·a_T factors of type T, and Aut(F^n) is the product of
+        # the Aut(P_T) ≀ S_(n·a_T).  Its first split conjugates by every
+        # element once per conjugacy class.
+        counts = [n * a for _, a in types]
+        order = math.prod(len(t.auts) ** m * math.factorial(m) for (t, _), m in zip(types, counts))
+        classes = math.prod(_wreath_classes(len(t.top.centralizer), m) for (t, _), m in zip(types, counts))
+        self._afford(order * classes, order)
+        out = _wreath([t.auts for t, _ in types], slots * n)
+        if relabel is not None:
+            # From the product's index order to fiber_power's: digit j of a
+            # position is the product index of copy j of F.
+            lam = relabel
+            for _ in range(n - 1):
+                lam = perm_kron(lam, relabel)
+            back = lam.inverse()
+            out = [tuple.__new__(Perm, map(lam.__getitem__, map(q.__getitem__, back))) for q in out]
+        return tuple(sorted(out))
+
+    @cached_property
+    def factors(self) -> Optional[tuple[list[tuple[_Chain, int]], list[int], Optional[Perm]]]:
+        """The prime factors of a connected fiber under the box product, by
+        isomorphism type: the chain of each type with the number of factors
+        of that type, the type of each factor in order, and the position in
+        the fiber of each position of the product of the factors, in its
+        index order (None when that is the identity).  This chain is the
+        chain of a prime fiber's one type.  None for a disconnected fiber."""
+        found = _box_factors(self.fiber)
+        if found is None:
+            return None
+        factors, coords = found
+        if len(factors) == 1:
+            return [(self, 1)], [0], None
+        reps: list[Graph] = []
+        slots, maps = [], []
+        for f in factors:
+            for t, rep in enumerate(reps):
+                iso = graphs.find_isomorphism(f, rep)
+                if iso is not None:
+                    maps.append([rep.index[iso[v]] for v in f.vertices])
+                    break
+            else:
+                t = len(reps)
+                reps.append(f)
+                maps.append(list(range(f.n)))
+            slots.append(t)
+        relabel = [0] * self.fiber.n
+        for x, c in enumerate(coords):
+            at = 0
+            for f, m, i in zip(factors, maps, c):
+                at = at * f.n + m[i]
+            relabel[at] = x
+        types = [(_Chain(rep), slots.count(t)) for t, rep in enumerate(reps)]
+        return types, slots, None if relabel == list(range(self.fiber.n)) else tuple.__new__(Perm, relabel)
 
     def _afford(self, count: int, order: int) -> None:
         """Raise unless count more conjugations stay within limit."""
@@ -297,24 +461,22 @@ def enumerate_bundle_classes(
     class ids follow the order of the keys.  max_assignments caps the
     conjugations of the walk, summed over the powers: each stabilizer met is
     split into orbits once, with one conjugation per element and orbit, and
-    a group generated as Aut(F) ≀ S_n is refused before it is generated when
-    its first split would pass the cap.  It also caps the addition table,
-    one entry per ordered pair of classes, counted as the classes are found.
-    A fiber power of more than graphs.DEFAULT_AUT_BOUND² vertices is refused
-    before it is built."""
+    a group generated from the prime factors of F is refused before it is
+    generated when its first split, |G| · k(G) conjugations for k(G)
+    conjugacy classes, would pass the cap; the splits that count the
+    classes of a composite F's prime factors, of at most 5 vertices when F
+    is searched, are not counted.  It also caps the addition table, one entry
+    per ordered pair of classes, counted as the classes are found.  The
+    base has no cap of its own.  A fiber power of more than
+    graphs.DEFAULT_AUT_BOUND² vertices is refused before it is built."""
     if n_max < 0:
         raise ValueError("enumeration needs n_max >= 0")
-    if base.n > DEFAULT_MAX_BASE_VERTICES:
-        raise EnumerationBoundExceeded(
-            f"base has {base.n} vertices, enumeration capped at {DEFAULT_MAX_BASE_VERTICES}"
-        )
     cycles, fresh = _cycle_edges(base)
     chains: dict[int, _Chain] = {}
     keys_by_n: dict[int, dict[tuple, int]] = {}
     classes: list[BundleClass] = []
 
     conjugations = 0
-    wreath = _box_prime(fiber)
     # Past the search's vertex bound only generated groups are read, up to
     # max_assignments elements; the square of that bound keeps each element,
     # and each power built over a tree, small.
@@ -325,7 +487,7 @@ def enumerate_bundle_classes(
                 f"fiber power {n} has {fiber.n ** n} vertices, enumeration capped at {max_power_vertices}"
             )
         fn = fiber_power(fiber, n)
-        chain = chains[n] = _Chain(fn, conjugations, max_assignments, (chains[1], n) if n > 1 and wreath else None)
+        chain = chains[n] = _Chain(fn, conjugations, max_assignments, (chains[1], n) if n > 1 else None)
         ident = Perm.identity(fn.n)
         keys_by_n[n] = {}
         for key in chain.keys(fresh):

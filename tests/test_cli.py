@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices
+from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices, path_graph
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
 from bundleforge.named import CASES, m3_bundle, mobius_ladder_3, named_graph
@@ -321,6 +321,17 @@ class TestKtheoryCommand:
         )
         assert code == 0
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10, 20]
+
+    def test_seven_vertex_tree_base_is_answered(self, capsys, tmp_path):
+        # Refused before by a 6-vertex cap on the base; a tree has one
+        # class per power.
+        base = write_json(tmp_path, "p7.json", path_graph(7).to_json())
+        fiber = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        code, out, err = run(
+            capsys, "ktheory", "--base", base, "--fiber", fiber, "--n-max", "2", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["class_counts"] == [1, 1, 1]
 
     def test_complete_base_cube_power_refused(self, capsys, tmp_path):
         # 5,633 classes need a 31.7M-entry addition table, over the cap; the

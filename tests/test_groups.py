@@ -837,6 +837,29 @@ class TestCallerSections:
             data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"], section2={"1": "4", "2": "2"}
         )
 
+    def test_a_value_that_is_no_label_is_refused(self, phi2, z3):
+        # Before, the list was looked up as it was: TypeError: unhashable
+        # type: 'list'.
+        s1 = generator_system(z3, ["1", "2"])
+        s0 = generator_system(kernel(phi2), ["3"])
+        for route in (induced_generators, cayley_bundle):
+            with pytest.raises(NoTransversalSection, match="generator '1'"):
+                route(phi2, s1, s0, {"1": ["1"], "2": "5"})
+        data = invariance_case_z2z3_z6()
+        with pytest.raises(NoTransversalSection, match="generator '1'"):
+            verify_invariance(data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"], section2={"1": ["1"], "2": "5"})
+
+    def test_integers_read_as_their_decimal_labels(self, phi2, z3):
+        # As hom reads them; before, {"1": 4, "2": 2} lifted nothing.
+        s1 = generator_system(z3, ["1", "2"])
+        s0 = generator_system(kernel(phi2), ["3"])
+        b = cayley_bundle(phi2, s1, s0, {"1": "4", "2": "2"})
+        for section in ({"1": 4, "2": 2}, {1: 4, 2: 2}):
+            other = cayley_bundle(phi2, s1, s0, section)
+            assert (other.total, other.projection.position_map, other.fiber) == (b.total, b.projection.position_map, b.fiber)
+        data = invariance_case_z2z3_z6()
+        assert verify_invariance(data["phi1"], data["phi2"], data["s1"], data["s01"], data["s02"], section2={1: 4, 2: 2})
+
 
 class TestTransversalSections:
     def test_projection_case(self, phi1, z3):

@@ -34,7 +34,7 @@ from bundleforge import (
 )
 from bundleforge.bundles import _holonomies
 from bundleforge.errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
-from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS, DEFAULT_MAX_BASE_VERTICES
+from bundleforge.ktheory import DEFAULT_MAX_ASSIGNMENTS
 from bundleforge.perms import kron as perm_kron
 from conftest import conjugate, degree, identity_morphism, spanning_forest
 
@@ -231,8 +231,11 @@ class GaugeWalk:
     bound.  max_assignments caps the walk times the |Aut(F^n)| gauges tried
     per voltage, and the table."""
 
+    #: The walk's own cap on the base.
+    MAX_BASE_VERTICES = 6
+
     def __init__(self, base, fiber, n_max, max_assignments=DEFAULT_MAX_ASSIGNMENTS):
-        if base.n > DEFAULT_MAX_BASE_VERTICES:
+        if base.n > self.MAX_BASE_VERTICES:
             raise EnumerationBoundExceeded("base over the vertex cap")
         self.base, self.edges = base, base.edge_list()
         non_tree = cycle_positions(base)
@@ -378,9 +381,16 @@ class TestEnumeration:
             m.trivial_class(2)
         assert [m.trivial_class(n).class_id for n in range(2)] == [0, 1]
 
-    def test_base_size_cap(self, k2):
-        with pytest.raises(EnumerationBoundExceeded):
-            enumerate_bundle_classes(cycle_graph(7), k2, 1)
+    def test_bases_past_six_vertices_are_answered(self, k2):
+        # No cap on the base: the conjugations and the addition table bound
+        # it.  A tree has one class per power, a cycle the classes of one
+        # holonomy.
+        m = enumerate_bundle_classes(cycle_graph(7), k2, 1)
+        assert [len(m.classes_at(n)) for n in range(2)] == [1, 2]
+        m = enumerate_bundle_classes(path_graph(7), k2, 2)
+        assert [len(m.classes_at(n)) for n in range(3)] == [1, 1, 1]
+        m = enumerate_bundle_classes(cycle_graph(12), k2, 3)
+        assert [len(m.classes_at(n)) for n in range(4)] == [1, 2, 5, 10]
 
     def test_assignment_cap(self, c3, k3):
         # The cap counts the conjugations of the chain walk actually done: 1
@@ -593,11 +603,12 @@ class TestBurnsideCounts:
         assert counts[1] == burnside_count(automorphisms(k3), 3)
 
 
-# --- Aut(F^n) from one search on F: the wreath route ------------------------
+# --- Aut(F^n) from the prime factors of F: the wreath route -----------------
 #
-# For a connected fiber F with a prime number of vertices, the enumeration
-# generates Aut(F^n) as Aut(F) ≀ S_n; any other power is searched.  These
-# tests hold the generated groups against the search, the reference route.
+# For a connected fiber F, the enumeration generates Aut(F^n) for n ≥ 2 as
+# the product of the Aut(P) ≀ S_(n·a) over the types P of prime factor of F,
+# a of them in F; a disconnected fiber's powers are searched.  These tests
+# hold the generated groups against the search, the reference route.
 
 
 def searched(fiber, n):
@@ -633,11 +644,44 @@ class TestWreathRoute:
         assert generated == searched(fiber, n)
         assert len(generated) == order
 
-    def test_composite_order_fiber_is_searched(self, monkeypatch, c4):
+    def test_generated_equals_searched_on_up_to_four_vertices(self, monkeypatch):
+        connected = [f for f in small_graphs(4) if f.n > 1 and len(spanning_forest(f)) == 1]
+        generated = [enumerated_group(f, n) for f in connected for n in range(3)]
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
+        assert generated == [searched(f, n) for f in connected for n in range(3)]
+        assert len(connected) == 9
+
+    @pytest.mark.parametrize(
+        "fiber,factors,order",
+        [
+            (cartesian_product(complete_graph(2), complete_graph(3)), [3, 2], 576),
+            # A composite order, but prime under □.
+            (cycle_graph(6), [6], 288),
+        ],
+        ids=["(K2□K3)^2", "C6^2"],
+    )
+    def test_generated_square_equals_searched(self, monkeypatch, fiber, factors, order):
+        assert [f.n for f in ktheory._box_factors(fiber)[0]] == factors
+        generated = enumerated_group(fiber, 2)
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 36)
+        assert generated == searched(fiber, 2)
+        assert len(generated) == order
+
+    def test_composite_fiber_is_generated_from_its_factors(self, monkeypatch, c4):
         # C4 □ C4 is Q4 = K2^4: its group is Aut(K2) ≀ S4, of order 384,
         # not Aut(C4) ≀ S2, of order 128.
+        assert [f.n for f in ktheory._box_factors(c4)[0]] == [2, 2]
+        generated = enumerated_group(c4, 2)
         monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
-        assert len(enumerated_group(c4, 2)) == 384 == len(searched(c4, 2))
+        assert generated == searched(c4, 2)
+        assert len(generated) == 384
+
+    def test_factorization_is_checked(self, monkeypatch, c4):
+        # A coordinate map that is no isomorphism onto the product of the
+        # factors is an internal error, not a wrong group.
+        monkeypatch.setattr(ktheory, "_box_edge", lambda factors, a, b: False)
+        with pytest.raises(AssertionError, match="internal error"):
+            ktheory._box_factors(c4)
 
     def test_disconnected_fiber_is_searched(self):
         # (2K1)^2 is 4K1, with all 24 permutations, not the 8 of Aut(2K1) ≀ S2.
@@ -649,12 +693,15 @@ class TestWreathRoute:
             (make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")]), complete_graph(2), 3),
             (cycle_graph(3), complete_graph(3), 2),
             (EDGE_AND_TRIANGLE, path_graph(3), 2),
+            (cycle_graph(3), cycle_graph(4), 2),
         ],
-        ids=["k4-e-k2", "c3-k3", "edge+triangle-p3"],
+        ids=["k4-e-k2", "c3-k3", "edge+triangle-p3", "c3-c4"],
     )
     def test_monoid_equals_the_searched_one(self, monkeypatch, base, fiber, n_max):
         m = enumerate_bundle_classes(base, fiber, n_max)
-        monkeypatch.setattr(ktheory, "_box_prime", lambda g: False)
+        # With no factorization every power is searched.
+        monkeypatch.setattr(ktheory, "_box_factors", lambda g: None)
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
         ref = enumerate_bundle_classes(base, fiber, n_max)
         assert [(c.class_id, c.n, c.key, c.representative.perms) for c in m.classes] == [
             (c.class_id, c.n, c.key, c.representative.perms) for c in ref.classes
@@ -666,13 +713,14 @@ class TestWreathRoute:
 class TestPowersPastTheSearchBound:
     @pytest.fixture
     def generated(self, monkeypatch):
-        """The powers whose group is generated, in call order."""
+        """The number of factors of each power whose group is generated, in
+        call order: the power itself for a prime fiber."""
         calls = []
         wreath = ktheory._wreath
 
-        def spy(factor, n):
-            calls.append(n)
-            return wreath(factor, n)
+        def spy(groups, slots):
+            calls.append(len(slots))
+            return wreath(groups, slots)
 
         monkeypatch.setattr(ktheory, "_wreath", spy)
         return calls
@@ -684,18 +732,45 @@ class TestPowersPastTheSearchBound:
         assert counts == [burnside_count(automorphisms(fiber_power(k3, n)), 1) for n in range(4)] == [1, 3, 9, 22]
 
     def test_cap_refuses_a_generated_group_before_generating_it(self, generated, c3, k3):
-        # The first split of Aut(K3^3) conjugates by all 6^3 · 3! = 1,296
-        # elements at least once.
+        # The first split of Aut(K3^3) = S3 ≀ S3 conjugates by all
+        # 6^3 · 3! = 1,296 elements once per conjugacy class, of which it
+        # has 22, the 3-coloured partitions of 3.
         spent = enumerate_bundle_classes(c3, k3, 2)._chains[2].conjugations
         generated.clear()
-        cap = spent + 1296 - 1
+        cap = spent + 1296 * 22 - 1
         with pytest.raises(EnumerationBoundExceeded, match=f"chain of 1296 fiber automorphisms needs over {cap} conj"):
             enumerate_bundle_classes(c3, k3, 3, max_assignments=cap)
         assert generated == [2]
         generated.clear()
-        with pytest.raises(EnumerationBoundExceeded, match=f"chain of 1296 fiber automorphisms needs over {cap + 1} conj"):
-            enumerate_bundle_classes(c3, k3, 3, max_assignments=cap + 1)
+        m = enumerate_bundle_classes(c3, k3, 3, max_assignments=spent + 28512)
         assert generated == [2, 3]
+        assert m._chains[3].conjugations == spent + 28512
+        assert [len(m.classes_at(n)) for n in range(4)] == [1, 3, 9, 22]
+
+    @pytest.mark.parametrize(
+        "fiber,n,order,built",
+        [(complete_graph(2), 6, 46080, [2, 3, 4, 5]), (complete_graph(3), 4, 31104, [2, 3])],
+        ids=["K2^6", "K3^4"],
+    )
+    def test_refusals_come_before_the_group_is_built(self, generated, c3, fiber, n, order, built):
+        # The first split of the last power would pass the default cap, so
+        # its group is never generated; the powers below it are answered.
+        with pytest.raises(EnumerationBoundExceeded, match=f"^the stabilizer chain of {order} fiber automorphisms needs over 1000000 conj"):
+            enumerate_bundle_classes(c3, fiber, n)
+        assert generated == built
+
+    def test_class_counts_across_factorizations(self, monkeypatch, c3, k2):
+        # C4 □ C4 is K2^4, so C3/C4 at n = 2 has the classes of C3/K2 at
+        # n = 4; the triangle's holonomy classes are conjugacy classes.
+        m = enumerate_bundle_classes(c3, cycle_graph(4), 2)
+        counts = [len(m.classes_at(n)) for n in range(3)]
+        edge = enumerate_bundle_classes(c3, k2, 4)
+        assert counts == [len(edge.classes_at(n)) for n in (0, 2, 4)] == [1, 5, 20]
+        prism = cartesian_product(k2, complete_graph(3))
+        m = enumerate_bundle_classes(c3, prism, 2)
+        counts = [len(m.classes_at(n)) for n in range(3)]
+        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 36)
+        assert counts == [burnside_count(searched(prism, n), 1) for n in range(3)] == [1, 6, 45]
 
     def test_powers_past_the_square_of_the_search_bound_are_refused(self, generated, c3, p3, k2):
         # Over a tree no group is read, so only the vertex count stops the
@@ -730,6 +805,15 @@ class TestSearchesPerEnumeration:
         m = enumerate_bundle_classes(c3, k2, 3)
         assert [len(m.classes_at(n)) for n in range(4)] == [1, 2, 5, 10]
         assert searches == [2]
+
+    def test_composite_fiber_searches_each_prime_type_once(self, searches, c3, k2):
+        # C4 at n = 1, then K2 once for both of C4's factors; the powers
+        # are generated.
+        enumerate_bundle_classes(c3, cycle_graph(4), 2)
+        assert searches == [4, 2]
+        searches.clear()
+        enumerate_bundle_classes(c3, cartesian_product(k2, complete_graph(3)), 2)
+        assert sorted(searches) == [2, 3, 6]
 
     def test_class_map_along_a_path_searches_nothing(self, searches, c3, p3, k2):
         m = enumerate_bundle_classes(c3, k2, 3)

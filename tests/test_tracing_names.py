@@ -6,6 +6,7 @@ benchmark scripts read off an imported bundleforge module."""
 import ast
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,8 @@ def benchmark_references():
     """(module, attribute path) for every name the benchmark scripts read
     off an imported bundleforge module: bf.covering_adjacency,
     bf.products.make_covering_voltage, cli.main, and the names of
-    `from bundleforge import ...`."""
+    `from bundleforge import ...`, read off a module imported that way
+    too (ktheory.DEFAULT_N_MAX)."""
     refs = set()
     for path in sorted(BENCHMARKS.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -42,6 +44,10 @@ def benchmark_references():
                         aliases[a.asname or a.name] = a.name
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bundleforge":
                 refs.update((node.module, (a.name,)) for a in node.names)
+                package = importlib.import_module(node.module)
+                for a in node.names:
+                    if isinstance(getattr(package, a.name, None), types.ModuleType):
+                        aliases[a.asname or a.name] = f"{node.module}.{a.name}"
         for node in ast.walk(tree):
             chain = []
             while isinstance(node, ast.Attribute):
@@ -59,6 +65,8 @@ REFERENCE_IDS = [".".join((module, *attrs)) for module, attrs in REFERENCES]
 def test_benchmarks_reference_bundleforge():
     assert "bundleforge.products.make_covering_voltage" in REFERENCE_IDS
     assert "bundleforge.graphs.DEFAULT_NODE_BUDGET" in REFERENCE_IDS
+    # Read through `from bundleforge import ktheory`.
+    assert "bundleforge.ktheory.DEFAULT_MAX_BASE_VERTICES" in REFERENCE_IDS
 
 
 @pytest.mark.parametrize("module, attrs", REFERENCES, ids=REFERENCE_IDS)
