@@ -4,9 +4,10 @@ Submodules:
   graphs    finite simple graphs, weak morphisms, isomorphism search
   matrices  dense matrices, Kronecker/Hadamard products, the symmetric
             eigensolver (Householder tridiagonalization + implicit QL)
-  products  box and strong products, fiber voltages and their adjacency,
-            k-fold coverings (bundles over an edgeless fiber)
-  bundles   bundle verification, equivalence (re-exports fiber voltages)
+  bundles   fiber voltages and their adjacency, total spaces, bundle
+            verification, equivalence
+  products  box and strong products, k-fold coverings (bundles over an
+            edgeless fiber)
   pullback  pullback bundles, subdirect products, typed edges, sections
   ktheory   bundle-class monoids and bounded Grothendieck verdicts
   groups    finite groups, Cayley graphs, subdirect groups, bundle theorems
@@ -39,14 +40,6 @@ from .graphs import (
     validate_morphism,
 )
 from .perms import Perm
-from .products import (
-    cartesian_product,
-    cartesian_spectrum,
-    covering_adjacency,
-    strong_product,
-    strong_spectrum,
-    verify_kfold_covering,
-)
 from .bundles import (
     FiberVoltage,
     GraphBundle,
@@ -58,6 +51,14 @@ from .bundles import (
     trivial_voltage,
     verify_bundle,
     voltage_bundle,
+)
+from .products import (
+    cartesian_product,
+    cartesian_spectrum,
+    covering_adjacency,
+    strong_product,
+    strong_spectrum,
+    verify_kfold_covering,
 )
 from .pullback import (
     PullbackBundle,

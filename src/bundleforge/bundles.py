@@ -1,24 +1,27 @@
-"""Graph bundles over a base graph: construction from fiber voltages,
-structural verification, and equivalence by holonomy, the voltage carried
-around the fundamental cycle of each edge off a spanning forest: two
-bundles are equivalent exactly when one fiber automorphism per component
-conjugates every holonomy of one onto the other.  The holonomies are
-walked on positions, over base.neighbor_indices and the voltage's one
-value per base.ends entry, with no label map.  Fiber voltages and their
-adjacency formula live in products, below this module, and are re-exported
-here.  A k-fold covering is a bundle over the edgeless fiber on k vertices:
-products.verify_kfold_covering is verify_bundle with that fiber, and the
-covering's permutation voltage is the bundle's voltage.
+"""Fiber voltages and graph bundles over a base graph: voltages and their
+adjacency formula, total spaces built from voltages, structural
+verification, and equivalence by holonomy, the voltage carried around the
+fundamental cycle of each edge off a spanning forest: two bundles are
+equivalent exactly when one fiber automorphism per component conjugates
+every holonomy of one onto the other.  The holonomies are walked on
+positions, over base.neighbor_indices and the voltage's one value per
+base.ends entry, with no label map.  A k-fold covering is a bundle over
+the edgeless fiber on k vertices: products.verify_kfold_covering is
+verify_bundle with that fiber, and the covering's permutation voltage is
+the bundle's voltage.
 
-A GraphBundle holds what verification proves: the total space, the
-projection (whose codomain is the base), the fiber, sigma (the fiber
-position of each total position: sigma_v on the fiber over v) and the
-voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹.  verify_bundle composes it from the
-transitions psi_vw (x to its one neighbour over w) that its definition
-check proved isomorphisms.  Like every voltage and projection the
-library builds, it goes straight into its class, whose constructor checks
-nothing; make_fiber_voltage and make_morphism are the entries that
-validate user data.  voltage_bundle keeps the voltage it was given.
+A FiberVoltage stores one permutation per base.ends entry, by position;
+its label view phi is derived when read.  A GraphBundle holds what
+verification proves: the total space, the projection (whose codomain is
+the base), the fiber, sigma (the fiber position of each total position:
+sigma_v on the fiber over v) and the voltage sigma_w ∘ psi_vw ∘ sigma_v⁻¹,
+composed from the transitions psi_vw (x to its one neighbour over w) that
+the definition check proved isomorphisms.  Every voltage and projection
+the library builds goes straight into its class, whose constructor checks
+nothing; make_fiber_voltage (FiberVoltage.from_json through it) and
+make_morphism validate user data; voltage_bundle keeps the voltage it was
+given.  Only the functions that build a Matrix (the voltage indicators and
+the bundle formula) load the matrix layer.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -41,7 +44,8 @@ search per distinct key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import graphs
 from .errors import (
@@ -50,7 +54,9 @@ from .errors import (
     FiberNotIsomorphic,
     LocalTrivialityFails,
     NotACovering,
+    ParseError,
     SearchBudgetExceeded,
+    ShapeMismatch,
     TotalMismatch,
     TransitionNotIso,
 )
@@ -60,18 +66,216 @@ from .graphs import (
     Label,
     _neighbours,
     _trusted_graph,
+    canon_label,
     pair_label,
     require_morphism,
     search_shape,
+    split_top,
 )
 from .perms import Perm
-from .products import (
-    FiberVoltage,
-    bundle_adjacency,
-    make_fiber_voltage,
-    trivial_voltage,
-)
 
+if TYPE_CHECKING:
+    from .matrices import Matrix
+
+
+# --- fiber voltages -------------------------------------------------------------
+
+def is_fiber_automorphism(fiber: Graph, perm: Perm) -> bool:
+    """True when perm, on fiber vertex indices, maps every edge to an edge:
+    a bijection on a finite graph that does is an automorphism."""
+    if perm.n != fiber.n:
+        return False
+    nbrs = fiber.neighbor_indices
+    return all(perm[j] in nbrs[perm[i]] for i, j in fiber.ends)
+
+
+class FiberVoltage:
+    """Assignment of fiber automorphisms to the oriented edges of a base graph.
+
+    What is stored is perms, one permutation of fiber vertex indices per
+    base.ends entry: perms[k] is the voltage from the vertex at i to the one
+    at j for base.ends[k] = (i, j), and the reverse orientation carries its
+    inverse.  phi, the label view on both orientations, is derived on first
+    read.  The constructor trusts its values to be fiber automorphisms:
+    make_fiber_voltage and from_json are the entries for a voltage given by
+    labels.
+    """
+
+    def __init__(self, base: Graph, fiber: Graph, perms: Iterable[Perm]) -> None:
+        self.base, self.fiber, self.perms = base, fiber, tuple(perms)
+
+    @cached_property
+    def _oriented(self) -> dict[tuple[int, int], Perm]:
+        """The voltage on both orientations of each base edge, keyed by
+        positions, in base.ends order: (i, j) carries perms[k] for
+        base.ends[k] = (i, j), and (j, i) its inverse, computed once per
+        distinct value."""
+        out: dict[tuple[int, int], Perm] = {}
+        inverses: dict[Perm, Perm] = {}
+        for (i, j), perm in zip(self.base.ends, self.perms):
+            inverse = inverses.get(perm)
+            if inverse is None:
+                inverse = inverses[perm] = perm.inverse()
+            out[i, j] = perm
+            out[j, i] = inverse
+        return out
+
+    @cached_property
+    def phi(self) -> dict[tuple[Label, Label], Perm]:
+        """The label view: the voltage on both orientations of every base
+        edge, keyed by vertex labels."""
+        bvs = self.base.vertices
+        return {(bvs[i], bvs[j]): perm for (i, j), perm in self._oriented.items()}
+
+    def to_json(self) -> dict:
+        bvs, fvs = self.base.vertices, self.fiber.vertices
+        phi = {f"{bvs[i]},{bvs[j]}": [fvs[x] for x in perm] for (i, j), perm in zip(self.base.ends, self.perms)}
+        return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
+
+    @staticmethod
+    def from_json(data: Mapping) -> FiberVoltage:
+        try:
+            base = Graph.from_json(data["base"])
+            fiber = Graph.from_json(data["fiber"])
+            raw = data["phi"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad fiber voltage JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(f"fiber voltage 'phi' must be an object, got {raw!r}")
+        assignments = {}
+        for key, images in raw.items():
+            v, w = _edge_of_key(base, key)
+            if not isinstance(images, list):
+                raise ParseError(f"voltage on {key!r} must be a list of fiber vertices, got {images!r}")
+            try:
+                at = [fiber.index[canon_label(label)] for label in images]
+            except KeyError as exc:
+                raise ParseError(f"unknown fiber vertex in voltage: {exc}") from exc
+            if len(at) != fiber.n or len(set(at)) != fiber.n:
+                raise ParseError(f"voltage on {key!r} must list each of the {fiber.n} fiber vertices once, got {images!r}")
+            assignments[(v, w)] = Perm(at)
+        return make_fiber_voltage(base, fiber, assignments)
+
+
+def _edge_of_key(base: Graph, key: str) -> tuple[Label, Label]:
+    """The oriented edge (v, w) a "v,w" phi key names: a label may hold a
+    comma, so the key splits at the top-level comma whose halves form a
+    base edge, else at the first one, whose stray edge make_fiber_voltage
+    reports.  Raises ParseError for a key with no top-level comma or with
+    two splits that form base edges."""
+    parts = split_top(key, ",")
+    if len(parts) < 2:
+        raise ParseError(f"bad oriented edge key: {f'({key})'!r}")
+    splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
+    edges = [(v, w) for v, w in splits if base.has_edge(v, w)]
+    if len(edges) > 1:
+        raise ParseError(f"oriented edge key {key!r} names more than one base edge: {edges}")
+    return edges[0] if edges else splits[0]
+
+
+def make_fiber_voltage(
+    base: Graph, fiber: Graph, assignments: Mapping[tuple[Label, Label], Perm]
+) -> FiberVoltage:
+    """Build a voltage from one orientation per edge: each value lands on
+    its base.ends entry, inverted, once per distinct value, when given
+    against it.
+
+    Validates once, raising ParseError: after the pass over the
+    assignments (conflicting orientations), a missing edge, then an
+    oriented edge off the base, then each distinct assigned value, in
+    assignment order, against the fiber.  The inverse of an
+    automorphism is one, so inverted values are not checked.
+    """
+    idx, ends = base.index, base.ends
+    edge_at = {e: k for k, e in enumerate(ends)}
+    perms: list[Optional[Perm]] = [None] * len(ends)
+    # Oriented keys that are no base edge, kept for the conflict check.
+    stray: dict[tuple[Label, Label], Perm] = {}
+    inverses: dict[Perm, Perm] = {}
+    first_edge: dict[Perm, tuple[Label, Label]] = {}
+    for (v, w), perm in assignments.items():
+        inverse = inverses.get(perm)
+        if inverse is None:
+            inverse = inverses[perm] = perm.inverse()
+            first_edge[perm] = (v, w)
+        i, j = idx.get(v), idx.get(w)
+        k = None if i is None or j is None else edge_at.get((i, j) if i < j else (j, i))
+        if k is None:
+            if (w, v) in stray and stray[w, v] != inverse:
+                raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
+            stray[v, w] = perm
+            continue
+        value = perm if i < j else inverse
+        if perms[k] is not None and perms[k] != value:
+            raise ParseError(f"conflicting voltages on edge {{{v!r}, {w!r}}}")
+        perms[k] = value
+    bvs = base.vertices
+    for (a, b), perm in zip(ends, perms):
+        if perm is None:
+            raise ParseError(f"missing voltage for edge {{{bvs[a]!r}, {bvs[b]!r}}}")
+    if stray:
+        raise ParseError("voltage must cover exactly the oriented edges of the base")
+    for perm, (v, w) in first_edge.items():
+        if not is_fiber_automorphism(fiber, perm):
+            raise ParseError(f"voltage on ({v!r}, {w!r}) is not a fiber automorphism")
+    return FiberVoltage(base, fiber, perms)
+
+
+def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
+    return FiberVoltage(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
+
+
+def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
+    """n×n 0/1 matrix with ones at the given (row, column) pairs."""
+    import numpy as np
+
+    from .matrices import Matrix
+
+    out = np.zeros((n, n))
+    out[list(rows), list(cols)] = 1.0
+    return Matrix._trusted(out)
+
+
+def voltage_indicators(
+    values: Iterable[tuple[tuple[int, int], Hashable]], extra: Iterable[Hashable] = ()
+) -> Iterator[tuple[Hashable, tuple[list[int], list[int]]]]:
+    """(value, (rows, cols)) for each distinct value on the oriented base
+    edges, given as ((i, j), value) by base positions, and each ``extra``
+    value, whose lists may be empty: the positions of the edges carrying
+    the value, so its 0/1 indicator by its ones.  The edges are grouped in
+    one pass."""
+    groups: dict[Hashable, tuple[list[int], list[int]]] = {value: ([], []) for value in extra}
+    for (i, j), value in values:
+        group = groups.get(value)
+        if group is None:
+            group = groups[value] = ([], [])
+        group[0].append(i)
+        group[1].append(j)
+    yield from groups.items()
+
+
+def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
+    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi.
+    Raises ShapeMismatch when psi does not act on the fiber's vertices."""
+    if psi.n != fv.fiber.n:
+        raise ShapeMismatch(
+            f"a permutation of {psi.n} points is no voltage value on a {fv.fiber.n}-vertex fiber"
+        )
+    rows, cols = dict(voltage_indicators(fv._oriented.items(), (psi,)))[psi]
+    return _indicator(fv.base.n, rows, cols)
+
+
+def bundle_adjacency(fv: FiberVoltage) -> Matrix:
+    """Adjacency matrix of the voltage total space, computed by the closed
+    formula: voltage indicators tensored with fiber actions, plus the fiber
+    adjacency on the diagonal blocks."""
+    from .matrices import adjacency_matrix, voltage_adjacency
+
+    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv._oriented.items()))
+    return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
+
+
+# --- bundles -----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class GraphBundle:

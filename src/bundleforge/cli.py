@@ -5,9 +5,9 @@ failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 4 internal error (an unexpected exception, reported without a traceback).
 
 Every verb has one input path.  A named case (--case) is one lookup in
-named.CASES, which builds the objects the verb's files would give, and the
-verb then runs the same code for a case as for files.  --budget is the one
-setting of the node budget.
+named.CASES, in any letter case, which builds the objects the verb's files
+would give, and the verb then runs the same code for a case as for files.
+--budget is the one setting of the node budget.
 
 Only the verbs that print a formula check or a spectrum (spectrum,
 bundle-build, pullback and subdirect on voltages) import the matrix layer,
@@ -49,7 +49,7 @@ from .groups import (
     verify_invariance,
 )
 from .ktheory import enumerate_bundle_classes
-from .named import CASES, mixed_base_figure_24, named_graph
+from .named import CASES, mixed_base_figure_24
 from .products import cartesian_product, strong_product
 from .pullback import (
     mixed_base_subdirect,
@@ -96,9 +96,7 @@ def _load_map(path: str, domain: Optional[Graph] = None) -> tuple[dict[Label, La
     return mapping, data
 
 
-def _load_graph(path: Optional[str], case: Optional[str]) -> Graph:
-    if case:
-        return named_graph(case)
+def _load_graph(path: Optional[str]) -> Graph:
     if not path:
         raise ParseError("a graph file or --case is required")
     return Graph.from_json(_load_json(path))
@@ -106,11 +104,11 @@ def _load_graph(path: Optional[str], case: Optional[str]) -> Graph:
 
 def _case(args: argparse.Namespace):
     """The inputs of the named case args.case of args.verb: the objects the
-    verb would otherwise read from its files."""
-    cases = CASES[args.verb]
-    if args.case not in cases:
+    verb would otherwise read from its files, in any letter case."""
+    cases, name = CASES[args.verb], args.case.lower()
+    if name not in cases:
         raise ParseError(f"unknown {args.verb} case {args.case!r}; choices: {sorted(cases)}")
-    return cases[args.case]()
+    return cases[name]()
 
 
 def _formula_matches(formula, total: Graph) -> bool:
@@ -130,14 +128,19 @@ def _emit(report: dict, args: argparse.Namespace, lines: list[str]) -> None:
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:
+    """Write text to --out, when given; verbs call it before they print, so
+    a path that cannot be written is an input error and nothing prints."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
 
 
 def cmd_product(args) -> int:
-    g1 = _load_graph(args.g1, None)
-    g2 = _load_graph(args.g2, None)
+    g1 = _load_graph(args.g1)
+    g2 = _load_graph(args.g2)
     result = cartesian_product(g1, g2) if args.op == "cartesian" else strong_product(g1, g2)
     report = {
         "verb": "product",
@@ -146,8 +149,8 @@ def cmd_product(args) -> int:
         "edges": len(result.ends),
         "graph": result.to_json(),
     }
-    _emit(report, args, [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"])
     _write_out(args, json.dumps(result.to_json(), indent=2))
+    _emit(report, args, [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"])
     return EXIT_OK
 
 
@@ -156,7 +159,7 @@ def cmd_spectrum(args) -> int:
 
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(f"--tolerance must be finite and not negative, got {args.tolerance}")
-    g = _load_graph(args.graph, args.case)
+    g = _case(args) if args.case else _load_graph(args.graph)
     eig = graph_spectrum(g)
     grouped: list[list] = []
     for x in eig.eigenvalues:
@@ -187,6 +190,7 @@ def cmd_bundle_build(args) -> int:
         "trivial": is_trivial(b),
         "graph": b.total.to_json(),
     }
+    _write_out(args, json.dumps(b.total.to_json(), indent=2))
     _emit(
         report,
         args,
@@ -196,7 +200,6 @@ def cmd_bundle_build(args) -> int:
             f"trivial: {report['trivial']}",
         ],
     )
-    _write_out(args, json.dumps(b.total.to_json(), indent=2))
     return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
 
 
@@ -206,11 +209,11 @@ def cmd_bundle_verify(args) -> int:
     else:
         if not (args.total and args.proj and args.fiber):
             raise ParseError("bundle-verify needs --total, --proj and --fiber files (or --case)")
-        total = _load_graph(args.total, None)
-        fiber_graph = _load_graph(args.fiber, None)
+        total = _load_graph(args.total)
+        fiber_graph = _load_graph(args.fiber)
         mapping, proj_data = _load_map(args.proj, total)
         if args.base:
-            base = _load_graph(args.base, None)
+            base = _load_graph(args.base)
         elif "base" in proj_data:
             base = Graph.from_json(proj_data["base"])
         else:
@@ -260,7 +263,7 @@ def cmd_pullback(args) -> int:
         if not (args.voltage and args.morphism and args.domain):
             raise ParseError("pullback needs --voltage, --morphism, and --domain (or --case)")
         fv = FiberVoltage.from_json(_load_json(args.voltage))
-        domain = _load_graph(args.domain, None)
+        domain = _load_graph(args.domain)
         f = make_morphism(domain, fv.base, _load_map(args.morphism, domain)[0])
     pulled = pullback_voltage(f, fv)
     pb = pullback_bundle(f, voltage_bundle(fv))
@@ -332,6 +335,7 @@ def cmd_subdirect(args) -> int:
         "fiber_vertices": sp.fiber.n,
         "formula_matches_construction": _formula_matches(subdirect_adjacency(fv1, fv2), sp.total),
     }
+    _write_out(args, json.dumps(sp.total.to_json(), indent=2))
     _emit(
         report,
         args,
@@ -341,7 +345,6 @@ def cmd_subdirect(args) -> int:
             f"adjacency formula matches construction: {report['formula_matches_construction']}",
         ],
     )
-    _write_out(args, json.dumps(sp.total.to_json(), indent=2))
     return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
 
 
@@ -373,8 +376,8 @@ def cmd_cayley(args) -> int:
     lines = [f"Cayley graph: {g.n} vertices, {len(g.ends)} edges"]
     if added:
         lines.insert(0, f"note: generating set symmetrized, added {list(added)}")
-    _emit(report, args, lines)
     _write_out(args, json.dumps(g.to_json(), indent=2))
+    _emit(report, args, lines)
     return EXIT_OK
 
 
@@ -409,8 +412,8 @@ def cmd_ktheory(args) -> int:
     if args.case:
         base, fiber_graph = _case(args)
     else:
-        base = _load_graph(args.base, None)
-        fiber_graph = _load_graph(args.fiber, None)
+        base = _load_graph(args.base)
+        fiber_graph = _load_graph(args.fiber)
     monoid = enumerate_bundle_classes(base, fiber_graph, args.n_max)
     rows = []
     for n in range(args.n_max + 1):
@@ -428,8 +431,8 @@ def cmd_ktheory(args) -> int:
         "add_table": add_table,
     }
     lines = [f"n={n}: {len(monoid.classes_at(n))} classes" for n in range(args.n_max + 1)]
-    _emit(report, args, lines)
     _write_out(args, json.dumps(report, indent=2, sort_keys=True))
+    _emit(report, args, lines)
     return EXIT_OK
 
 
@@ -441,7 +444,7 @@ def cmd_invariance_check(args) -> int:
 
 
 def cmd_export(args) -> int:
-    g = _load_graph(args.graph, args.case)
+    g = _case(args) if args.case else _load_graph(args.graph)
     text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json(), indent=2)
     report = {"verb": "export", "format": args.format, "vertices": g.n, "edges": len(g.ends)}
     if args.out:

@@ -103,12 +103,6 @@ def split_pair_label(label: Label) -> tuple[Label, Label]:
     return split_composite(label, ",", "pair label")
 
 
-def split_edge_key(key: str) -> tuple[str, str]:
-    """Split a "v,w" oriented-edge key at the top-level comma, respecting
-    parenthesized composite labels."""
-    return split_composite(f"({key})", ",", "oriented edge key")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph with an ordered vertex sequence.

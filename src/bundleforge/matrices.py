@@ -119,12 +119,6 @@ def identity(n: int) -> Matrix:
     return Matrix._trusted(np.eye(n))
 
 
-def _edge_ends(g: Graph) -> np.ndarray:
-    """The edges as an |E|×2 array of vertex indices, one row per edge in
-    the graph's sorted order."""
-    return np.fromiter(itertools.chain.from_iterable(g.ends), np.intp, 2 * len(g.ends)).reshape(-1, 2)
-
-
 def adjacency_matrix(g: Graph) -> Matrix:
     """0/1 adjacency matrix indexed by the graph's stored vertex order.
 
@@ -133,7 +127,7 @@ def adjacency_matrix(g: Graph) -> Matrix:
     make it no adjacency matrix, and that is asserted on the index pairs.
     """
     a = np.zeros((g.n, g.n))
-    ends = _edge_ends(g)
+    ends = np.fromiter(itertools.chain.from_iterable(g.ends), np.intp, 2 * len(g.ends)).reshape(-1, 2)
     assert (ends[:, 0] != ends[:, 1]).all()
     a[ends[:, 0], ends[:, 1]] = 1.0
     a[ends[:, 1], ends[:, 0]] = 1.0

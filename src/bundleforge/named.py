@@ -5,7 +5,8 @@ constructions can be checked against an independent transcription.
 
 CASES holds the CLI's named cases, keyed by verb and then by case name.
 Each entry builds exactly the objects its verb would otherwise read from
-files, so a case runs the verb's one path after input.
+files, so a case runs the verb's one path after input; spectrum and export
+take the graphs of NAMED_GRAPHS.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def invariance_case_z2z3_z6() -> dict:
 
 
 CASES: dict[str, dict[str, Callable[[], object]]] = {
+    "spectrum": NAMED_GRAPHS,
+    "export": NAMED_GRAPHS,
     "bundle-build": {"m3": twisted_ladder_voltage, "prism": prism_voltage},
     "bundle-verify": {
         "m3": lambda: _over(mobius_ladder_3(), mod3_projection, complete_graph(2)),

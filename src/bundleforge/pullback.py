@@ -5,6 +5,10 @@ Both constructions are instances of one typed fiber product: vertices are
 compatible pairs, and edges come in three kinds (fiber edges, collapsed
 base edges, twisted diagonal edges).
 
+Each adjacency formula groups the oriented edges it sums over by voltage
+value with bundles.voltage_indicators and hands the groups to the one
+kernel, matrices.voltage_adjacency, as bundles.bundle_adjacency does.
+
 The module imports neither numpy nor the matrix layer at load time: the
 functions that build a Matrix (morphism_matrix, the conjugated blocks and
 indicators, and the pullback and subdirect adjacency formulas) import it
@@ -24,6 +28,8 @@ from .bundles import (
     bundles_equivalent,
     trivial_voltage,
     verify_bundle,
+    voltage_indicator,
+    voltage_indicators,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree
 from .graphs import (
@@ -39,7 +45,7 @@ from .graphs import (
     validate_morphism,
 )
 from .perms import Perm, kron as perm_kron
-from .products import cartesian_product, voltage_indicator, voltage_indicators
+from .products import cartesian_product
 
 if TYPE_CHECKING:
     from .matrices import Matrix
@@ -197,32 +203,19 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     id]·I)M) of :func:`pullback_indicator`.  Mᵀ X M reads X at (f(i),
     f(j)), so on a domain edge (i, j) exactly one block is 1: that of the
     voltage on (f(i), f(j)), or of the identity when f(i) = f(j).  So the
-    value ids are written once into a base-indexed array, with the identity
-    on its diagonal, read once at the images of the domain's oriented
-    edges, and the edges grouped by id into the kernel's terms: no
-    morphism matrix, dense indicator or matrix product is built.  Raises
-    NotAMorphism when f is not a morphism."""
-    import numpy as np
-
-    from .matrices import _edge_ends, adjacency_matrix, voltage_adjacency
+    domain's oriented edges are grouped by that value into the kernel's
+    terms, as the bundle formula groups the base's: no morphism matrix,
+    dense indicator or matrix product is built.  Raises NotAMorphism when
+    f is not a morphism."""
+    from .matrices import adjacency_matrix, voltage_adjacency
 
     _check_pullback(f, fv.base, "voltage")
-    n = fv.base.n
-    # The extra value, the identity, comes first: id 0, which the zero
-    # diagonal holds.  Since f is a morphism, no other entry off the base
-    # edges is read.
-    values, ids = [], np.zeros((n, n), dtype=np.intp)
-    for k, (psi, (rows, cols)) in enumerate(voltage_indicators(fv._oriented.items(), (Perm.identity(fv.fiber.n),))):
-        values.append(psi)
-        ids[rows, cols] = k
-    ends = _edge_ends(f.domain)
-    i, j = np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
-    image = np.array(f.position_map, dtype=np.intp)
-    value_ids = ids[image[i], image[j]]
-    order = np.argsort(value_ids, kind="stable")
-    i, j = i[order], j[order]
-    bounds = np.searchsorted(value_ids[order], np.arange(len(values) + 1))
-    terms = [(i[a:b], j[a:b], psi) for psi, a, b in zip(values, bounds[:-1], bounds[1:])]
+    ident, at, along, ends = Perm.identity(fv.fiber.n), f.position_map, fv._oriented, f.domain.ends
+    oriented = [*ends, *[(j, i) for i, j in ends]]
+    # Since f is a morphism, an image pair that is no oriented base edge
+    # is a collapsed edge (a, a).
+    values = zip(oriented, [along.get((at[i], at[j]), ident) for i, j in oriented])
+    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(values))
     return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 

@@ -39,7 +39,7 @@ from bundleforge import (
 )
 from bundleforge import bundles, matrices, products, pullback
 from bundleforge.errors import ShapeMismatch
-from bundleforge.products import voltage_indicator
+from bundleforge.bundles import voltage_indicator
 from bundleforge.pullback import subdirect_voltage
 from bundleforge.matrices import (
     Matrix,
@@ -448,7 +448,7 @@ def test_formulas_build_no_dense_term(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     names = {"_indicator", "kronecker", "perm_matrix", "hadamard", "morphism_matrix"}
     patched = set()
-    for module in (matrices, products, pullback, dense_reference):
+    for module in (matrices, bundles, products, pullback, dense_reference):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -506,3 +506,14 @@ def test_construction_and_formula_routes_share_no_helper():
     assert {f.__name__ for f in construction} >= {"_trusted_graph", "pair_label"}
     assert {f.__name__ for f in formula} >= {"_trusted"}
     assert not construction & formula, sorted(f.__qualname__ for f in construction & formula)
+
+
+def test_pullback_routes_share_only_the_input_check():
+    """The pullback theorem compares pullback_bundle with
+    pullback_adjacency; the two share only the check of their input."""
+    formula = bundleforge_callees(pullback.pullback_adjacency)
+    construction = bundleforge_callees(pullback.pullback_bundle)
+    assert {f.__name__ for f in formula} >= {"voltage_indicators"}
+    shared = {f.__name__ for f in formula & construction}
+    assert shared == {"_check_pullback", "require_morphism", "validate_morphism"}
+    assert pullback.pullback_voltage not in formula

@@ -1325,8 +1325,8 @@ class TestVoltageValidation:
             checked.append(perm)
             return check(fiber, perm)
 
-        check = products.is_fiber_automorphism
-        monkeypatch.setattr(products, "is_fiber_automorphism", spy)
+        check = bundles.is_fiber_automorphism
+        monkeypatch.setattr(bundles, "is_fiber_automorphism", spy)
         values = [r, ident, r, r2]
         fv = make_fiber_voltage(c4, c4, dict(zip(c4.edge_list(), values)))
         assert checked == [r, ident, r2]
@@ -1336,3 +1336,18 @@ class TestVoltageValidation:
         again = FiberVoltage.from_json(m3_voltage.to_json())
         assert again.phi == dict(m3_voltage.phi)
         assert again.base == m3_voltage.base
+
+    def test_json_roundtrip_over_a_label_with_a_comma(self):
+        # The key "a,b,c" splits where its halves form a base edge.
+        base = make_graph(["a,b", "c"], [("a,b", "c")])
+        fv = make_fiber_voltage(base, complete_graph(2), {("a,b", "c"): Perm((1, 0))})
+        assert list(fv.to_json()["phi"]) == ["a,b,c"]
+        again = FiberVoltage.from_json(fv.to_json())
+        assert again.phi == fv.phi
+        assert again.base == base
+
+    def test_key_that_names_two_base_edges_is_refused(self):
+        base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
+        data = {"base": base.to_json(), "fiber": complete_graph(2).to_json(), "phi": {"a,b,c": ["1", "2"]}}
+        with pytest.raises(ParseError, match=r"^oriented edge key 'a,b,c' names more than one base edge"):
+            FiberVoltage.from_json(data)

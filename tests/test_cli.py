@@ -387,6 +387,22 @@ class TestExitCodes:
         # The next in-process search runs under the default budget again.
         assert m3_bundle().total.n == 6
 
+    @pytest.mark.parametrize("verb", ["product", "bundle-build", "subdirect", "cayley", "ktheory", "export"])
+    def test_out_path_that_cannot_be_written_is_input_error(self, capsys, tmp_path, verb):
+        k2 = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        inputs = {
+            "product": ["--g1", k2, "--g2", k2],
+            "bundle-build": ["--case", "m3"],
+            "subdirect": ["--case", "prism-m3"],
+            "cayley": ["--case", "z4-c4"],
+            "ktheory": ["--case", "c3-k2"],
+            "export": ["--case", "m3"],
+        }
+        target = str(tmp_path / "missing" / "out.json")
+        code, out, err = run(capsys, verb, *inputs[verb], "--out", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {target}: ")
+
     @pytest.mark.parametrize("missing", ["--total", "--proj", "--fiber"])
     def test_bundle_verify_without_a_file_is_input_error(self, capsys, tmp_path, missing):
         # Before, a missing --proj was an internal error (exit 4).
@@ -626,6 +642,8 @@ def _file_form(verb, inputs):
     """The file arguments that give verb the objects a named case builds,
     as (flag, JSON document or plain string) pairs; None for inputs with no
     file form."""
+    if verb in ("spectrum", "export"):
+        return [("--graph", inputs.to_json())]
     if verb == "bundle-build":
         return [("--voltage", inputs.to_json())]
     if verb == "bundle-verify":

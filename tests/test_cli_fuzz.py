@@ -140,7 +140,7 @@ def test_malformed_input_keeps_the_exit_code_contract(argv, target, data):
 
 
 #: Every verb's --case line; the case name is drawn.
-CASE_VERBS = sorted(CASES) + ["export", "spectrum"]
+CASE_VERBS = sorted(CASES)
 CASE_NAMES = st.one_of(
     st.sampled_from(sorted({c for cases in CASES.values() for c in cases} | set(NAMED_GRAPHS))),
     st.text(alphabet="kmcpz0123-6,( )", max_size=6),

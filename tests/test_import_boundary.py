@@ -201,3 +201,74 @@ def test_boundary_check_sees_load_time_imports():
 )
 def test_only_matrices_imports_numpy_at_load_time(path):
     assert _matrix_layer_imports((PACKAGE / path).read_text()) == []
+
+
+# --- the import graph ------------------------------------------------------------
+
+
+def _sibling_imports(source, modules):
+    """The modules among ``modules`` that source imports anywhere: at load
+    time, under ``if TYPE_CHECKING:`` and inside functions.  A name taken
+    from the package itself, not one of its modules, counts as __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level in (0, 1):
+            package = node.module if node.level == 0 else ".".join(filter(None, ["bundleforge", node.module]))
+            if package == "bundleforge":
+                targets = [f"bundleforge.{alias.name}" for alias in node.names]
+            else:
+                targets = [package]
+        else:
+            continue
+        for target in targets:
+            head, _, rest = target.partition(".")
+            if head == "bundleforge":
+                name = rest.split(".")[0]
+                found.add(name if name in modules else "__init__")
+    return found
+
+
+def _import_cycle(sources):
+    """A cycle in the graph of imports between the modules of sources, a
+    mapping of module name to source, as the list of its modules with the
+    first repeated last; None when the graph has none."""
+    edges = {name: _sibling_imports(source, sources) for name, source in sources.items()}
+    state: dict = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for nxt in sorted(edges.get(name, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt, path + [nxt])
+                if cycle:
+                    return cycle
+        state[name] = "done"
+        return None
+
+    for name in sorted(edges):
+        if name not in state:
+            cycle = visit(name, [name])
+            if cycle:
+                return cycle
+    return None
+
+
+def test_cycle_check_sees_every_import():
+    sources = {
+        "a": "def f():\n    from .b import x\n",
+        "b": "if TYPE_CHECKING:\n    from bundleforge.a import y\n",
+        "c": "from . import a, b\nimport bundleforge\n",
+    }
+    assert _import_cycle(sources) == ["a", "b", "a"]
+    assert _sibling_imports(sources["c"], sources) == {"a", "b", "__init__"}
+    del sources["b"]
+    assert _import_cycle(sources) is None
+
+
+def test_package_import_graph_has_no_cycle():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _import_cycle(sources) is None

@@ -41,7 +41,7 @@ from bundleforge.errors import (
     UnknownVertex,
 )
 from bundleforge.matrices import identity as identity_matrix
-from bundleforge.products import voltage_indicator
+from bundleforge.bundles import voltage_indicator
 from bundleforge.named import (
     m3_bundle,
     m62_bundle,
