@@ -2,7 +2,7 @@
 
 Submodules:
   graphs    finite simple graphs, weak morphisms, isomorphism search
-  matrices  dense matrices, Kronecker/Hadamard products, the symmetric
+  matrices  dense matrices, the voltage-adjacency kernel, the symmetric
             eigensolver (Householder tridiagonalization + implicit QL)
   bundles   fiber voltages and their adjacency, total spaces, bundle
             verification, equivalence
@@ -16,7 +16,7 @@ Submodules:
 Only ``matrices`` imports numpy at load time.  No other module imports
 numpy or the matrix layer at load time: the functions that build a Matrix
 or a Spectrum import them when they run, and the package serves Matrix,
-Spectrum, adjacency_matrix, hadamard and spectrum through a module
+Spectrum, adjacency_matrix and spectrum through a module
 ``__getattr__`` that imports the layer on first access and caches each
 name here.  So ``import bundleforge`` and the combinatorial verbs of the
 CLI run without numpy.
@@ -67,7 +67,6 @@ from .pullback import (
     compose_pullbacks_check,
     is_section,
     mixed_base_subdirect,
-    morphism_matrix,
     pair_morphism,
     pullback_adjacency,
     pullback_bundle,
@@ -112,7 +111,7 @@ from .groups import (
 __version__ = "0.1.0"
 
 #: Public names of the matrix layer, imported with numpy on first access.
-_MATRIX_NAMES = frozenset({"Matrix", "Spectrum", "adjacency_matrix", "hadamard", "spectrum"})
+_MATRIX_NAMES = frozenset({"Matrix", "Spectrum", "adjacency_matrix", "spectrum"})
 
 
 def __getattr__(name: str):

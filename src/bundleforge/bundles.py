@@ -20,8 +20,8 @@ the definition check proved isomorphisms.  Every voltage and projection
 the library builds goes straight into its class, whose constructor checks
 nothing; make_fiber_voltage (FiberVoltage.from_json through it) and
 make_morphism validate user data; voltage_bundle keeps the voltage it was
-given.  Only the functions that build a Matrix (the voltage indicators and
-the bundle formula) load the matrix layer.
+given.  Only bundle_adjacency, the one function here that builds a Matrix,
+loads the matrix layer.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -56,7 +56,6 @@ from .errors import (
     NotACovering,
     ParseError,
     SearchBudgetExceeded,
-    ShapeMismatch,
     TotalMismatch,
     TransitionNotIso,
 )
@@ -128,8 +127,15 @@ class FiberVoltage:
         return {(bvs[i], bvs[j]): perm for (i, j), perm in self._oriented.items()}
 
     def to_json(self) -> dict:
+        """Raises ParseError, naming both edges, when two base edges render
+        one "v,w" key (a label may hold a comma), which from_json refuses."""
         bvs, fvs = self.base.vertices, self.fiber.vertices
-        phi = {f"{bvs[i]},{bvs[j]}": [fvs[x] for x in perm] for (i, j), perm in zip(self.base.ends, self.perms)}
+        phi, edges = {}, {}
+        for (i, j), perm in zip(self.base.ends, self.perms):
+            key, edge = f"{bvs[i]},{bvs[j]}", (bvs[i], bvs[j])
+            if edges.setdefault(key, edge) != edge:
+                raise ParseError(f"oriented edge key {key!r} names more than one base edge: {[edges[key], edge]}")
+            phi[key] = [fvs[x] for x in perm]
         return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
 
     @staticmethod
@@ -225,26 +231,14 @@ def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
     return FiberVoltage(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
 
 
-def _indicator(n: int, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
-    """n×n 0/1 matrix with ones at the given (row, column) pairs."""
-    import numpy as np
-
-    from .matrices import Matrix
-
-    out = np.zeros((n, n))
-    out[list(rows), list(cols)] = 1.0
-    return Matrix._trusted(out)
-
-
 def voltage_indicators(
-    values: Iterable[tuple[tuple[int, int], Hashable]], extra: Iterable[Hashable] = ()
+    values: Iterable[tuple[tuple[int, int], Hashable]],
 ) -> Iterator[tuple[Hashable, tuple[list[int], list[int]]]]:
     """(value, (rows, cols)) for each distinct value on the oriented base
-    edges, given as ((i, j), value) by base positions, and each ``extra``
-    value, whose lists may be empty: the positions of the edges carrying
-    the value, so its 0/1 indicator by its ones.  The edges are grouped in
-    one pass."""
-    groups: dict[Hashable, tuple[list[int], list[int]]] = {value: ([], []) for value in extra}
+    edges, given as ((i, j), value) by base positions: the positions of the
+    edges carrying the value, so its 0/1 indicator by its ones.  The edges
+    are grouped in one pass."""
+    groups: dict[Hashable, tuple[list[int], list[int]]] = {}
     for (i, j), value in values:
         group = groups.get(value)
         if group is None:
@@ -252,17 +246,6 @@ def voltage_indicators(
         group[0].append(i)
         group[1].append(j)
     yield from groups.items()
-
-
-def voltage_indicator(fv: FiberVoltage, psi: Perm) -> Matrix:
-    """Base-indexed 0/1 matrix marking oriented edges whose voltage is psi.
-    Raises ShapeMismatch when psi does not act on the fiber's vertices."""
-    if psi.n != fv.fiber.n:
-        raise ShapeMismatch(
-            f"a permutation of {psi.n} points is no voltage value on a {fv.fiber.n}-vertex fiber"
-        )
-    rows, cols = dict(voltage_indicators(fv._oriented.items(), (psi,)))[psi]
-    return _indicator(fv.base.n, rows, cols)
 
 
 def bundle_adjacency(fv: FiberVoltage) -> Matrix:

@@ -1,4 +1,4 @@
-"""Dense matrices, Kronecker and Hadamard products, the voltage-adjacency
+"""Dense matrices, the adjacency matrix of a graph, the voltage-adjacency
 kernel, and a symmetric eigensolver.
 
 The kernel :func:`voltage_adjacency` evaluates I ⊗ A(F) + Σ A_ψ ⊗ P_ψ from
@@ -39,6 +39,10 @@ from .perms import Perm
 
 #: Most implicit QL sweeps spent isolating one eigenvalue, as in EISPACK.
 QL_MAX_ITERATIONS = 30
+
+#: Largest absolute difference between an entry and its transpose that
+#: Matrix.is_symmetric, and so spectrum, accepts.
+SYMMETRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,36 +91,19 @@ class Matrix:
     def __hash__(self) -> int:
         return hash((self.shape, self.data.tobytes()))
 
-    def transpose(self) -> Matrix:
-        return Matrix._trusted(self.data.T)
-
-    def __add__(self, other: Matrix) -> Matrix:
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-        return Matrix._trusted(self.data + other.data)
-
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return Matrix._trusted(self.data @ other.data)
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """Square, and each entry within tol of its transpose, as
-        ``np.allclose(a, aᵀ, rtol=0, atol=tol)`` decides: equal infinities
-        match, NaN matches nothing.  inf − inf is NaN, which compares false,
-        so its warning is silenced."""
+    def is_symmetric(self) -> bool:
+        """Square, and each entry within SYMMETRY_TOLERANCE of its
+        transpose, as ``np.allclose(a, aᵀ, rtol=0, atol=SYMMETRY_TOLERANCE)``
+        decides: equal infinities match, NaN matches nothing.  inf − inf is
+        NaN, which compares false, so its warning is silenced."""
         if self.rows != self.cols:
             return False
         a, t = self.data, self.data.T
         with np.errstate(invalid="ignore"):
-            return bool(((a == t) | (np.abs(a - t) <= tol)).all())
+            return bool(((a == t) | (np.abs(a - t) <= SYMMETRY_TOLERANCE)).all())
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def identity(n: int) -> Matrix:
-    return Matrix._trusted(np.eye(n))
 
 
 def adjacency_matrix(g: Graph) -> Matrix:
@@ -132,13 +119,6 @@ def adjacency_matrix(g: Graph) -> Matrix:
     a[ends[:, 0], ends[:, 1]] = 1.0
     a[ends[:, 1], ends[:, 0]] = 1.0
     return Matrix._trusted(a)
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise product of two same-shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return Matrix._trusted(a.data * b.data)
 
 
 def voltage_adjacency(

@@ -15,7 +15,6 @@ from operator import itemgetter
 from typing import Callable
 
 from .bundles import FiberVoltage, GraphBundle, make_fiber_voltage, trivial_voltage, verify_bundle
-from .errors import ParseError
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -117,13 +116,6 @@ NAMED_GRAPHS = {
 }
 
 
-def named_graph(name: str) -> Graph:
-    try:
-        return NAMED_GRAPHS[name.lower()]()
-    except KeyError:
-        raise ParseError(f"unknown named graph {name!r}; choices: {sorted(NAMED_GRAPHS)}") from None
-
-
 def mod3_projection(domain: Graph) -> GraphMorphism:
     """x maps to (x mod 3) + 1, the standard double-cover projection."""
     return make_morphism(
@@ -157,16 +149,8 @@ def m3_bundle() -> GraphBundle:
     return verify_bundle(*CASES["bundle-verify"]["m3"]())
 
 
-def m62_bundle() -> GraphBundle:
-    return verify_bundle(*CASES["bundle-verify"]["m62"]())
-
-
 def c6k2_bundle() -> GraphBundle:
     return verify_bundle(*CASES["bundle-verify"]["prism"]())
-
-
-def c6_c3_covering_bundle() -> GraphBundle:
-    return verify_bundle(*CASES["bundle-verify"]["c6-c3-covering"]())
 
 
 def _over(total: Graph, projection: Callable[[Graph], GraphMorphism], fiber: Graph) -> tuple:

@@ -10,9 +10,9 @@ value with bundles.voltage_indicators and hands the groups to the one
 kernel, matrices.voltage_adjacency, as bundles.bundle_adjacency does.
 
 The module imports neither numpy nor the matrix layer at load time: the
-functions that build a Matrix (morphism_matrix, the conjugated blocks and
-indicators, and the pullback and subdirect adjacency formulas) import it
-when they run, so the constructions load without numpy.
+pullback and subdirect adjacency formulas import it when they run, so the
+constructions load without numpy.  The paper's dense pullback blocks and
+morphism matrix are stated only in the tests' dense reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .bundles import (
     bundles_equivalent,
     trivial_voltage,
     verify_bundle,
-    voltage_indicator,
     voltage_indicators,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree
@@ -155,58 +154,19 @@ def pullback_voltage(f: GraphMorphism, fv: FiberVoltage) -> FiberVoltage:
     return FiberVoltage(f.domain, fv.fiber, perms)
 
 
-def morphism_matrix(f: GraphMorphism) -> Matrix:
-    """0/1 matrix of a vertex map: rows index the codomain, columns the domain."""
-    import numpy as np
-
-    from .matrices import Matrix
-
-    m = np.zeros((f.codomain.n, f.domain.n))
-    m[f.position_map, range(f.domain.n)] = 1.0
-    return Matrix._trusted(m)
-
-
-def _conjugated_block(m: Matrix, indicator: Matrix, psi: Perm) -> Matrix:
-    """M^T · indicator · M, where for the identity the collapsed edges
-    contribute as well, so the middle factor gains an identity summand
-    (sized by the codomain)."""
-    from .matrices import identity
-
-    if psi.is_identity():
-        indicator = indicator + identity(indicator.rows)
-    return m.transpose() @ indicator @ m
-
-
-def pullback_b_matrix(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
-    """The conjugated indicator block for one fiber automorphism.  Raises
-    BaseMismatch when f does not map into the voltage's base, NotAMorphism
-    when f is not a morphism, and ShapeMismatch when psi does not act on
-    the fiber."""
-    _check_pullback(f, fv.base, "voltage")
-    return _conjugated_block(morphism_matrix(f), voltage_indicator(fv, psi), psi)
-
-
-def pullback_indicator(f: GraphMorphism, fv: FiberVoltage, psi: Perm) -> Matrix:
-    """Voltage indicator of the pulled-back voltage, computed matricially as
-    the Hadamard product of the domain adjacency with the conjugated block.
-    Raises the errors of :func:`pullback_b_matrix`."""
-    from .matrices import adjacency_matrix, hadamard
-
-    return hadamard(adjacency_matrix(f.domain), pullback_b_matrix(f, fv, psi))
-
-
 def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     """Adjacency of the pullback total space, by the closed matrix formula.
 
     The sum runs over the voltage values used plus the identity, which the
-    collapsed edges carry; the term of ψ is the block A_D ∘ (Mᵀ(B_ψ + [ψ =
-    id]·I)M) of :func:`pullback_indicator`.  Mᵀ X M reads X at (f(i),
-    f(j)), so on a domain edge (i, j) exactly one block is 1: that of the
-    voltage on (f(i), f(j)), or of the identity when f(i) = f(j).  So the
-    domain's oriented edges are grouped by that value into the kernel's
-    terms, as the bundle formula groups the base's: no morphism matrix,
-    dense indicator or matrix product is built.  Raises NotAMorphism when
-    f is not a morphism."""
+    collapsed edges carry; the paper's term of ψ is the block A_D ∘ (Mᵀ(B_ψ
+    + [ψ = id]·I)M), with M the 0/1 matrix of f and B_ψ the base indicator
+    of ψ.  Mᵀ X M reads X at (f(i), f(j)), so on a domain edge (i, j)
+    exactly one block is 1: that of the voltage on (f(i), f(j)), or of the
+    identity when f(i) = f(j).  So the domain's oriented edges are grouped
+    by that value into the kernel's terms, as the bundle formula groups the
+    base's: no morphism matrix, dense indicator or matrix product is built.
+    Raises BaseMismatch when f does not map into the voltage's base and
+    NotAMorphism when f is not a morphism."""
     from .matrices import adjacency_matrix, voltage_adjacency
 
     _check_pullback(f, fv.base, "voltage")

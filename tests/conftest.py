@@ -15,6 +15,7 @@ from bundleforge import (
     verify_bundle,
 )
 from bundleforge.named import (
+    CASES,
     hexagonal_prism,
     mobius_ladder_3,
     mod3_projection,
@@ -33,6 +34,12 @@ def identity_bundle(base):
     subdirect product."""
     point = make_graph(["1"], [])
     return verify_bundle(base, identity_morphism(base), point)
+
+
+def m62_bundle():
+    """The twisted hexagonal ladder over the hexagon, as the bundle-verify
+    case m62 reads it."""
+    return verify_bundle(*CASES["bundle-verify"]["m62"]())
 
 
 def with_fiber(b, new_fiber):

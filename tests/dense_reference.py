@@ -1,12 +1,16 @@
-"""Dense matrices from rows, Kronecker products and permutation matrices:
-the reference the tests hold the adjacency formulas to.
+"""Dense matrices from rows, Kronecker products, permutation matrices and
+the pullback's conjugated blocks: the reference the tests hold the
+adjacency formulas to.
 
 The library builds every formula by one index scatter
-(matrices.voltage_adjacency) and never a dense Kronecker product or
-permutation block; these are the ``np.kron`` statement of the theorem, kept
-next to the tests that compare against it.  So are the dense adjacency
-test, tolerant comparisons and the JSON form of a Matrix, which only the
-tests read.
+(matrices.voltage_adjacency) and never a dense Kronecker product,
+permutation block, morphism matrix or matrix product; these are the
+``np.kron`` statement of the theorems, and pullback_block is the only
+dense statement of the paper's pullback blocks A_D ∘ (Mᵀ(B_ψ + [ψ =
+id]·I)M).  They are kept next to the tests that compare against them, as
+are the dense adjacency test, tolerant comparisons and the JSON form of a
+Matrix, which only the tests read.  Arithmetic on matrices is done on
+their ``.data`` arrays: Matrix has no arithmetic operators.
 """
 
 from typing import Iterable, Sequence
@@ -27,6 +31,10 @@ def from_rows(rows: Sequence[Sequence[float]]) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(np.zeros((rows, cols)))
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(np.eye(n))
 
 
 def allclose(a: Matrix, b: Matrix, tol: float = 1e-9) -> bool:
@@ -89,3 +97,50 @@ def perm_block(sigma: Perm) -> Matrix:
     transpose of perm_matrix.  The fiber index flows forward along the
     oriented edge, so this is the dense block of a voltage value."""
     return perm_matrix(sigma.inverse())
+
+
+def reference_adjacency(g) -> np.ndarray:
+    """0/1 adjacency array of g, read off its edge set by labels."""
+    a = np.zeros((g.n, g.n))
+    for e in g.edges:
+        u, v = tuple(e)
+        a[g.index[u], g.index[v]] = 1.0
+        a[g.index[v], g.index[u]] = 1.0
+    return a
+
+
+def reference_indicator(base, phi, keep) -> np.ndarray:
+    """Base-indexed 0/1 array marking each oriented edge (v, w) of the
+    label view phi whose value passes keep(value, (v, w))."""
+    out = np.zeros((base.n, base.n))
+    for (v, w), value in phi.items():
+        if keep(value, (v, w)):
+            out[base.index[v], base.index[w]] = 1.0
+    return out
+
+
+def morphism_matrix(f) -> Matrix:
+    """0/1 matrix M of a vertex map, read off its labels: rows index the
+    codomain, columns the domain, and M[f(v), v] = 1."""
+    m = np.zeros((f.codomain.n, f.domain.n))
+    for v in f.domain.vertices:
+        m[f.codomain.index[f(v)], f.domain.index[v]] = 1.0
+    return Matrix(m)
+
+
+def conjugated_block(f, fv, psi: Perm) -> Matrix:
+    """Mᵀ(B_ψ + [ψ = id]·I)M for f into the base of the voltage fv: B_ψ
+    marks the base edges carrying ψ, and for the identity the collapsed
+    pairs, with equal images, count as well."""
+    m = morphism_matrix(f).data
+    middle = reference_indicator(fv.base, fv.phi, lambda value, _: value == psi)
+    if psi.is_identity():
+        middle = middle + np.eye(fv.base.n)
+    return Matrix(m.T @ middle @ m)
+
+
+def pullback_block(f, fv, psi: Perm) -> Matrix:
+    """A_D ∘ (Mᵀ(B_ψ + [ψ = id]·I)M), the term of ψ in the pullback
+    adjacency theorem: the oriented domain edges whose pulled-back voltage
+    is ψ."""
+    return Matrix(reference_adjacency(f.domain) * conjugated_block(f, fv, psi).data)

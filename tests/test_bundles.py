@@ -49,17 +49,13 @@ from bundleforge.errors import (
     TransitionNotIso,
     UnknownVertex,
 )
-from bundleforge.matrices import identity as identity_matrix
+from bundleforge.matrices import Matrix
 from bundleforge.products import make_covering_voltage
 from bundleforge.pullback import pullback_bundle, subdirect_product
-from bundleforge.named import (
-    c6k2_bundle,
-    m3_bundle,
-    m62_bundle,
-)
+from bundleforge.named import c6k2_bundle, m3_bundle
 
-from conftest import adjacency, identity_bundle, is_equivalence_witness, neighbors, spanning_forest
-from dense_reference import kronecker
+from conftest import adjacency, identity_bundle, is_equivalence_witness, m62_bundle, neighbors, spanning_forest
+from dense_reference import identity, kronecker
 
 SWAP = Perm((1, 0))
 IDENT = Perm((0, 1))
@@ -634,10 +630,8 @@ def test_holonomy_walk_matches_the_label_reference(fv):
 class TestBundleAdjacency:
     def test_trivial_voltage_reduces_to_box_formula(self, c3, k2):
         fv = trivial_voltage(c3, k2)
-        expected = kronecker(adjacency_matrix(c3), identity_matrix(2)) + kronecker(
-            identity_matrix(3), adjacency_matrix(k2)
-        )
-        assert bundle_adjacency(fv) == expected
+        expected = kronecker(adjacency_matrix(c3), identity(2)).data + kronecker(identity(3), adjacency_matrix(k2)).data
+        assert bundle_adjacency(fv) == Matrix(expected)
 
     def test_twisted_ladder_formula_vs_construction(self, m3_voltage):
         formula = bundle_adjacency(m3_voltage)
@@ -1345,6 +1339,17 @@ class TestVoltageValidation:
         again = FiberVoltage.from_json(fv.to_json())
         assert again.phi == fv.phi
         assert again.base == base
+
+    def test_voltage_whose_edges_render_one_key_is_refused(self):
+        # a–"b,c" and "a,b"–c both print as "a,b,c": writing one value for
+        # two edges would drop the other.
+        base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
+        fv = make_fiber_voltage(base, complete_graph(2), {("a", "b,c"): Perm((1, 0)), ("a,b", "c"): Perm((0, 1))})
+        with pytest.raises(
+            ParseError,
+            match=r"^oriented edge key 'a,b,c' names more than one base edge: \[\('a', 'b,c'\), \('a,b', 'c'\)\]$",
+        ):
+            fv.to_json()
 
     def test_key_that_names_two_base_edges_is_refused(self):
         base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices, path_graph
+from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, make_graph, matrices, path_graph
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
-from bundleforge.named import CASES, m3_bundle, mobius_ladder_3, named_graph
+from bundleforge.named import CASES, NAMED_GRAPHS, m3_bundle, mobius_ladder_3
 
 
 def run(capsys, *argv):
@@ -351,7 +351,7 @@ class TestExportCommand:
         code, _, _ = run(capsys, "export", "--case", "m3", "--format", "json", "--out", str(out_path))
         assert code == 0
         again = Graph.from_json(json.loads(out_path.read_text()))
-        assert again == named_graph("m3")
+        assert again == NAMED_GRAPHS["m3"]()
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "export", "--case", "k2", "--format", "dot")
@@ -590,6 +590,22 @@ class TestMalformedInputFiles:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:") and "'zzz'" in err
+
+    def test_pullback_refuses_a_voltage_it_cannot_write(self, capsys, tmp_path):
+        # The domain edges a–"b,c" and "a,b"–c both print as the phi key
+        # "a,b,c", so the pulled-back voltage has no faithful JSON form.
+        swap = {"base": path_graph(2).to_json(), "fiber": complete_graph(2).to_json(), "phi": {"1,2": ["2", "1"]}}
+        domain = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
+        code, out, err = run(
+            capsys,
+            "pullback",
+            "--voltage", write_json(tmp_path, "v.json", swap),
+            "--domain", write_json(tmp_path, "d.json", domain.to_json()),
+            "--morphism", write_json(tmp_path, "f.json", {"map": {"a": "1", "a,b": "1", "b,c": "2", "c": "2"}}),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: oriented edge key 'a,b,c' names more than one base edge")
 
     @pytest.mark.parametrize("morphism", [{"mapping": {}}, {"map": [1]}, [1]], ids=["no-map", "map-list", "list"])
     def test_malformed_morphism(self, capsys, tmp_path, morphism):

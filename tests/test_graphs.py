@@ -35,8 +35,8 @@ from bundleforge.named import (
     hexagonal_prism,
     m3_bundle,
     mixed_base_figure_24,
+    NAMED_GRAPHS,
     mod3_projection,
-    named_graph,
     twisted_hexagonal_ladder,
 )
 from bundleforge.pullback import mixed_base_subdirect
@@ -752,7 +752,7 @@ class TestSearchAgainstReference:
     def test_mixed_base_pair_spends_a_tenth_of_the_reference_nodes(self):
         # The paper's mixed-base figure check: forward checking prunes the
         # placements whose later neighbours are left without candidates.
-        link = mod3_projection(named_graph("c6"))
+        link = mod3_projection(NAMED_GRAPHS["c6"]())
         g = mixed_base_subdirect(m3_bundle(), c6k2_bundle(), link).graph
         h = mixed_base_figure_24()
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)

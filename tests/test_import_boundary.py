@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bundleforge.named import mobius_ladder_3, named_graph
+from bundleforge.named import NAMED_GRAPHS, mobius_ladder_3
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "bundleforge"
@@ -62,7 +62,7 @@ def test_matrix_names_load_on_first_access(tmp_path):
         "from bundleforge.matrices import Matrix as M, spectrum as s\n"
         "assert Matrix is M and spectrum is s and vars(bundleforge)['Matrix'] is M\n"
         "assert 'numpy' in sys.modules\n"
-        "assert {'Matrix', 'Spectrum', 'adjacency_matrix', 'hadamard', 'spectrum'} <= set(dir(bundleforge))\n"
+        "assert {'Matrix', 'Spectrum', 'adjacency_matrix', 'spectrum'} <= set(dir(bundleforge))\n"
         "try:\n"
         "    bundleforge.kronecker\n"
         "except AttributeError:\n"
@@ -75,7 +75,7 @@ def test_matrix_names_load_on_first_access(tmp_path):
 
 
 def _graph_files(cwd):
-    (cwd / "k2.json").write_text(json.dumps(named_graph("k2").to_json()))
+    (cwd / "k2.json").write_text(json.dumps(NAMED_GRAPHS["k2"]().to_json()))
     (cwd / "m3.json").write_text(json.dumps(mobius_ladder_3().to_json()))
 
 
@@ -186,13 +186,13 @@ def test_boundary_check_sees_load_time_imports():
         "try:\n    from . import matrices\nexcept ImportError:\n    pass\n"
         "if TYPE_CHECKING:\n    from .matrices import Spectrum\n"
         "def f():\n    import numpy\n    from .matrices import spectrum\n"
-        "class C:\n    from bundleforge.matrices import hadamard\n"
+        "class C:\n    from bundleforge.matrices import adjacency_matrix\n"
     )
     assert flagged == [
         "numpy",
         "bundleforge.matrices.Matrix",
         "bundleforge.matrices",
-        "bundleforge.matrices.hadamard",
+        "bundleforge.matrices.adjacency_matrix",
     ]
 
 

@@ -2,9 +2,11 @@
 names included, has a reader: library code outside its own definition (the
 CLI included), a benchmark script or the traced run's name table, or a
 statement of the paper on the short list below.  A public name with none of
-these is dead API, and this fails until it leaves the package.  So does a
-public method or property of an exported class that no library code or
-benchmark script reads, by name, outside its own body."""
+these is dead API, and this fails until it leaves the package.  So does
+every other top-level function and class of the package's modules, private
+ones included, and every public method or property of an exported class
+that no library code or benchmark script reads, by name, outside its own
+body."""
 
 import ast
 import importlib
@@ -101,8 +103,14 @@ def library_reads() -> set[int]:
 
 def benchmark_reads() -> set[int]:
     """The ids of the objects a benchmark script reads off bundleforge,
-    and of the traced names."""
-    read = {id(getattr(importlib.import_module(module), attrs[0])) for module, attrs in REFERENCES}
+    each along the attribute path it reads (bf.products and
+    bf.products.make_covering_voltage), and of the traced names."""
+    read = set()
+    for module, attrs in REFERENCES:
+        obj = importlib.import_module(module)
+        for attr in attrs:
+            obj = getattr(obj, attr)
+            read.add(id(obj))
     for layer, names in LAYERS.items():
         read |= {id(resolve(layer, name)) for name in names}
     return read
@@ -121,6 +129,26 @@ def test_paper_statements_are_exports_with_no_other_reader():
     # The list stays short: a listed name that leaves the package, or that
     # gains a reader, leaves the list too.
     assert unread() == sorted(PAPER_STATEMENTS)
+
+
+def unread_definitions() -> list[tuple[str, str]]:
+    """(module, name) for each top-level def and class of the package's
+    modules, __init__ and __main__ aside, that nothing above reads."""
+    read = library_reads() | benchmark_reads()
+    return sorted(
+        (path.stem, top.name)
+        for path in SRC.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and id(resolve(path.stem, top.name)) not in read
+    )
+
+
+def test_every_definition_has_a_reader():
+    unread = unread_definitions()
+    assert [f"{module}.{name}" for module, name in unread if name not in PAPER_STATEMENTS] == []
+    # The paper's statements are the only unread definitions, and each is one.
+    assert {name for _, name in unread} == PAPER_STATEMENTS
 
 
 def test_the_walk_tells_a_module_name_from_a_local_one():

@@ -18,7 +18,6 @@ from bundleforge import (
     make_graph,
     make_morphism,
     mixed_base_subdirect,
-    morphism_matrix,
     pair_morphism,
     path_graph,
     pullback_adjacency,
@@ -37,32 +36,27 @@ from bundleforge.errors import (
     CompositesDisagree,
     NotAMorphism,
     ParseError,
-    ShapeMismatch,
     UnknownVertex,
 )
-from bundleforge.matrices import identity as identity_matrix
-from bundleforge.bundles import voltage_indicator
 from bundleforge.named import (
     m3_bundle,
-    m62_bundle,
     c6k2_bundle,
     mixed_base_figure_24,
     subdirect_figure_12,
 )
 from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_composite
+from bundleforge.matrices import Matrix
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
     EDGE_KIND_DIAGONAL,
     EDGE_KIND_FIBER,
-    pullback_b_matrix,
-    pullback_indicator,
     pullback_vertex,
     subdirect_voltage,
     typed_edge_counts,
 )
 
-from conftest import identity_bundle, identity_morphism, with_fiber
-from dense_reference import from_rows, kronecker
+from conftest import identity_bundle, identity_morphism, m62_bundle, with_fiber
+from dense_reference import conjugated_block, from_rows, identity, kronecker, morphism_matrix, pullback_block
 
 
 
@@ -200,7 +194,7 @@ class TestMorphismMatrix:
         assert morphism_matrix(p_c6_c3) == from_rows(M_P_ROWS)
 
     def test_identity(self, k3):
-        assert morphism_matrix(identity_morphism(k3)) == identity_matrix(3)
+        assert morphism_matrix(identity_morphism(k3)) == identity(3)
 
     def test_constant_map_all_ones_row(self, k3):
         k1 = make_graph(["u"], [])
@@ -209,12 +203,12 @@ class TestMorphismMatrix:
 
     def test_transpose_product_detects_equal_images(self, p_c6_c3):
         m = morphism_matrix(p_c6_c3)
-        mtm = m.transpose() @ m
+        mtm = m.data.T @ m.data
         dom = p_c6_c3.domain
         for a in dom.vertices:
             for b in dom.vertices:
                 expected = 1.0 if p_c6_c3(a) == p_c6_c3(b) else 0.0
-                assert mtm.data[dom.index[a], dom.index[b]] == expected
+                assert mtm[dom.index[a], dom.index[b]] == expected
 
     def test_columns_sum_to_one(self, q_m3_c3):
         m = morphism_matrix(q_m3_c3)
@@ -223,11 +217,11 @@ class TestMorphismMatrix:
 
 class TestPullbackAdjacency:
     def test_printed_identity_block(self, p_c6_c3, m3_voltage):
-        out = pullback_indicator(p_c6_c3, m3_voltage, IDENT)
+        out = pullback_block(p_c6_c3, m3_voltage, IDENT)
         assert out == from_rows(HADAMARD_ID_ROWS)
 
     def test_printed_swap_block(self, p_c6_c3, m3_voltage):
-        out = pullback_indicator(p_c6_c3, m3_voltage, SWAP)
+        out = pullback_block(p_c6_c3, m3_voltage, SWAP)
         assert out == from_rows(HADAMARD_SWAP_ROWS)
 
     def test_formula_matches_construction(self, c6, p_c6_c3, m3_voltage, c9_rotation_voltage):
@@ -246,7 +240,7 @@ class TestPullbackAdjacency:
 
     def test_b_matrix_periodicity(self, p_c6_c3, m3_voltage):
         # Entries depend only on the images, giving the 3-periodic row pattern.
-        b = pullback_b_matrix(p_c6_c3, m3_voltage, IDENT)
+        b = conjugated_block(p_c6_c3, m3_voltage, IDENT)
         for i in range(3):
             assert list(b.data[i]) == list(b.data[i + 3])
 
@@ -267,8 +261,6 @@ class TestPullbackAdjacency:
         messages = set()
         for route in (
             lambda: pullback_adjacency(f, fv),
-            lambda: pullback_indicator(f, fv, IDENT),
-            lambda: pullback_b_matrix(f, fv, IDENT),
             lambda: pullback_voltage(f, fv),
             lambda: pullback_bundle(f, voltage_bundle(fv)),
         ):
@@ -277,30 +269,13 @@ class TestPullbackAdjacency:
             messages.add(str(raised.value))
         assert messages == {"not a morphism; violating edges: [('a', 'b')]"}
 
-    @pytest.mark.parametrize("route", [pullback_adjacency, pullback_b_matrix, pullback_indicator])
+    @pytest.mark.parametrize("route", [pullback_adjacency, pullback_voltage])
     def test_formulas_refuse_a_map_off_the_base(self, route, m3_voltage):
         # The identity of P3 has the labels of C3 but not its edge {1, 3}:
         # no route may read the voltage over C3 through it.
         p3 = identity_morphism(path_graph(3))
-        args = (p3, m3_voltage) if route is pullback_adjacency else (p3, m3_voltage, IDENT)
         with pytest.raises(BaseMismatch, match="codomain of the morphism must equal the voltage base"):
-            route(*args)
-
-    @pytest.mark.parametrize(
-        "route",
-        [
-            lambda fv, psi: voltage_indicator(fv, psi),
-            lambda fv, psi: pullback_b_matrix(identity_morphism(fv.base), fv, psi),
-            lambda fv, psi: pullback_indicator(identity_morphism(fv.base), fv, psi),
-        ],
-        ids=["voltage_indicator", "pullback_b_matrix", "pullback_indicator"],
-    )
-    @pytest.mark.parametrize("points", [1, 3])
-    def test_value_of_the_wrong_size_is_refused(self, route, points, m3_voltage):
-        # The identity on 3 points is no value of a K2 fiber, and no stand-in
-        # for its identity, which carries the collapsed edges.
-        with pytest.raises(ShapeMismatch, match=f"a permutation of {points} points is no voltage value on a 2-vertex fiber"):
-            route(m3_voltage, Perm.identity(points))
+            route(p3, m3_voltage)
 
 
 class TestCanonicalMap:
@@ -422,11 +397,11 @@ class TestSubdirectAdjacency:
         fv1, fv2 = trivial_voltage(c3, k2), trivial_voltage(c3, two_k1)
         a = adjacency_matrix(c3)
         expected = (
-            kronecker(a, identity_matrix(4))
-            + kronecker(identity_matrix(3), kronecker(adjacency_matrix(k2), identity_matrix(2)))
-            + kronecker(identity_matrix(6), adjacency_matrix(two_k1))
+            kronecker(a, identity(4)).data
+            + kronecker(identity(3), kronecker(adjacency_matrix(k2), identity(2))).data
+            + kronecker(identity(6), adjacency_matrix(two_k1)).data
         )
-        assert subdirect_adjacency(fv1, fv2) == expected
+        assert subdirect_adjacency(fv1, fv2) == Matrix(expected)
 
     def test_prism_twisted_case_matches_construction(self, c3, k2, m3_voltage):
         fv1 = trivial_voltage(c3, k2)
