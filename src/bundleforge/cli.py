@@ -7,7 +7,13 @@ failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 Every verb has one input path.  A named case (--case) is one lookup in
 named.CASES, in any letter case, which builds the objects the verb's files
 would give, and the verb then runs the same code for a case as for files.
---budget is the one setting of the node budget.
+--budget is the one setting of the node budget.  A verb run without --case
+needs each of its input options; a missing one is an input error of one
+form, "<verb> needs <options> (or --case)".
+
+Each verb returns an Outcome and prints, writes and exits nothing itself:
+main writes the artifact to --out before anything prints, then prints the
+report (--json) or the text lines, and exits 0 or 1 on the verdict.
 
 Only the verbs that print a formula check or a spectrum (spectrum,
 bundle-build, pullback and subdirect on voltages) import the matrix layer,
@@ -21,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import graphs as graphs_mod
 from .bundles import (
@@ -79,27 +85,34 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _load_map(path: str, domain: Optional[Graph] = None) -> tuple[dict[Label, Label], dict]:
+def _load_map(path: str, domain: Graph | FiniteGroup) -> tuple[dict[Label, Label], dict]:
     """Read a JSON object whose "map" is an object of labels; returns the
-    map, with its labels canonicalized, and the whole object.  With a
-    domain, a key that is not one of its vertices is refused, where
-    make_morphism would drop it."""
+    map, with its labels canonicalized, and the whole object.  A key that
+    is not a vertex or element of the domain is refused, where
+    make_morphism and hom would drop it."""
     data = _load_json(path)
     raw = data.get("map") if isinstance(data, dict) else None
     if not isinstance(raw, dict):
         raise ParseError(f"{path} needs a 'map' object")
     mapping = {canon_label(k): canon_label(v) for k, v in raw.items()}
-    if domain is not None:
-        stray = [k for k in mapping if k not in domain.index]
-        if stray:
-            raise ParseError(f"{path} maps labels that are not domain vertices: {stray}")
+    stray = [k for k in mapping if k not in domain.index]
+    if stray:
+        raise ParseError(f"{path} maps labels that are not in its domain: {stray}")
     return mapping, data
 
 
-def _load_graph(path: Optional[str]) -> Graph:
-    if not path:
-        raise ParseError("a graph file or --case is required")
+def _load_graph(path: str) -> Graph:
     return Graph.from_json(_load_json(path))
+
+
+def _given(args: argparse.Namespace, *options: str) -> list[str]:
+    """The values of the input options a verb reads when run without
+    --case; one not given is an input error that names it."""
+    values = [getattr(args, option[2:].replace("-", "_")) for option in options]
+    missing = [option for option, value in zip(options, values) if not value]
+    if missing:
+        raise ParseError(f"{args.verb} needs {', '.join(missing)} (or --case)")
+    return values
 
 
 def _case(args: argparse.Namespace):
@@ -119,26 +132,19 @@ def _formula_matches(formula, total: Graph) -> bool:
     return formula == adjacency_matrix(total)
 
 
-def _emit(report: dict, args: argparse.Namespace, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+class Outcome(NamedTuple):
+    """What a verb found: its --json report, its text lines, whether its
+    verdict holds (exit 0, else 1), and the artifact --out writes.  A
+    report of None makes the artifact itself the output (export without
+    --out)."""
+
+    report: Optional[dict]
+    lines: list[str]
+    holds: bool = True
+    artifact: Optional[str] = None
 
 
-def _write_out(args: argparse.Namespace, text: str) -> None:
-    """Write text to --out, when given; verbs call it before they print, so
-    a path that cannot be written is an input error and nothing prints."""
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc}") from exc
-
-
-def cmd_product(args) -> int:
+def cmd_product(args) -> Outcome:
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
     result = cartesian_product(g1, g2) if args.op == "cartesian" else strong_product(g1, g2)
@@ -149,17 +155,16 @@ def cmd_product(args) -> int:
         "edges": len(result.ends),
         "graph": result.to_json(),
     }
-    _write_out(args, json.dumps(result.to_json(), indent=2))
-    _emit(report, args, [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"])
-    return EXIT_OK
+    lines = [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"]
+    return Outcome(report, lines, artifact=json.dumps(result.to_json(), indent=2))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Outcome:
     from .matrices import graph_spectrum
 
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(f"--tolerance must be finite and not negative, got {args.tolerance}")
-    g = _case(args) if args.case else _load_graph(args.graph)
+    g = _case(args) if args.case else _load_graph(*_given(args, "--graph"))
     eig = graph_spectrum(g)
     grouped: list[list] = []
     for x in eig.eigenvalues:
@@ -173,45 +178,37 @@ def cmd_spectrum(args) -> int:
         "eigenvalues": [round(x, 9) + 0.0 for x in eig.eigenvalues],
         "multiplicities": [[round(v, 9) + 0.0, m] for v, m in grouped],
     }
-    _emit(report, args, [str(eig)])
-    return EXIT_OK
+    return Outcome(report, [str(eig)])
 
 
-def cmd_bundle_build(args) -> int:
-    if not (args.case or args.voltage):
-        raise ParseError("a voltage file or --case is required")
-    fv = _case(args) if args.case else FiberVoltage.from_json(_load_json(args.voltage))
+def cmd_bundle_build(args) -> Outcome:
+    fv = _case(args) if args.case else FiberVoltage.from_json(_load_json(*_given(args, "--voltage")))
     b = voltage_bundle(fv)
+    matches = _formula_matches(bundle_adjacency(fv), b.total)
     report = {
         "verb": "bundle-build",
         "total_vertices": b.total.n,
         "total_edges": len(b.total.ends),
-        "formula_matches_construction": _formula_matches(bundle_adjacency(fv), b.total),
+        "formula_matches_construction": matches,
         "trivial": is_trivial(b),
         "graph": b.total.to_json(),
     }
-    _write_out(args, json.dumps(b.total.to_json(), indent=2))
-    _emit(
-        report,
-        args,
-        [
-            f"total space: {b.total.n} vertices, {len(b.total.ends)} edges",
-            f"adjacency formula matches construction: {report['formula_matches_construction']}",
-            f"trivial: {report['trivial']}",
-        ],
-    )
-    return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
+    lines = [
+        f"total space: {b.total.n} vertices, {len(b.total.ends)} edges",
+        f"adjacency formula matches construction: {matches}",
+        f"trivial: {report['trivial']}",
+    ]
+    return Outcome(report, lines, matches, json.dumps(b.total.to_json(), indent=2))
 
 
-def cmd_bundle_verify(args) -> int:
+def cmd_bundle_verify(args) -> Outcome:
     if args.case:
         total, projection, fiber_graph = _case(args)
     else:
-        if not (args.total and args.proj and args.fiber):
-            raise ParseError("bundle-verify needs --total, --proj and --fiber files (or --case)")
-        total = _load_graph(args.total)
-        fiber_graph = _load_graph(args.fiber)
-        mapping, proj_data = _load_map(args.proj, total)
+        total_path, proj_path, fiber_path = _given(args, "--total", "--proj", "--fiber")
+        total = _load_graph(total_path)
+        fiber_graph = _load_graph(fiber_path)
+        mapping, proj_data = _load_map(proj_path, total)
         if args.base:
             base = _load_graph(args.base)
         elif "base" in proj_data:
@@ -239,8 +236,7 @@ def cmd_bundle_verify(args) -> int:
     except (SearchBudgetExceeded, EnumerationBoundExceeded):
         raise
     except BundleForgeError as exc:
-        _emit({"verb": "bundle-verify", "valid": False, "reason": str(exc)}, args, [f"invalid: {exc}"])
-        return EXIT_FALSE
+        return Outcome({"verb": "bundle-verify", "valid": False, "reason": str(exc)}, [f"invalid: {exc}"], False)
     report = {
         "verb": "bundle-verify",
         "valid": True,
@@ -248,50 +244,42 @@ def cmd_bundle_verify(args) -> int:
         "fiber_vertices": b.fiber.n,
         "total_vertices": b.total.n,
     }
-    _emit(
-        report,
-        args,
-        [f"valid bundle: {b.fiber.n}-vertex fiber over {b.base.n}-vertex base, total {b.total.n}"],
+    return Outcome(
+        report, [f"valid bundle: {b.fiber.n}-vertex fiber over {b.base.n}-vertex base, total {b.total.n}"]
     )
-    return EXIT_OK
 
 
-def cmd_pullback(args) -> int:
+def cmd_pullback(args) -> Outcome:
     if args.case:
         f, fv = _case(args)
     else:
-        if not (args.voltage and args.morphism and args.domain):
-            raise ParseError("pullback needs --voltage, --morphism, and --domain (or --case)")
-        fv = FiberVoltage.from_json(_load_json(args.voltage))
-        domain = _load_graph(args.domain)
-        f = make_morphism(domain, fv.base, _load_map(args.morphism, domain)[0])
+        voltage_path, morphism_path, domain_path = _given(args, "--voltage", "--morphism", "--domain")
+        fv = FiberVoltage.from_json(_load_json(voltage_path))
+        domain = _load_graph(domain_path)
+        f = make_morphism(domain, fv.base, _load_map(morphism_path, domain)[0])
     pulled = pullback_voltage(f, fv)
     pb = pullback_bundle(f, voltage_bundle(fv))
     counts = typed_edge_counts(pb.typed_edges)
+    matches = _formula_matches(pullback_adjacency(f, fv), pb.total)
     report = {
         "verb": "pullback",
         "typed_edges": typed_edges_json(pb.total, pb.typed_edges),
         "total_vertices": pb.total.n,
-        "formula_matches_construction": _formula_matches(pullback_adjacency(f, fv), pb.total),
+        "formula_matches_construction": matches,
         "pulled_voltage": pulled.to_json()["phi"],
     }
-    _emit(
-        report,
-        args,
-        [
-            f"pullback total: {pb.total.n} vertices",
-            f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
-            f"adjacency formula matches construction: {report['formula_matches_construction']}",
-        ],
-    )
-    return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
+    lines = [
+        f"pullback total: {pb.total.n} vertices",
+        f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
+        f"adjacency formula matches construction: {matches}",
+    ]
+    return Outcome(report, lines, matches)
 
 
-def _mixed_subdirect(args, b1, b2, link) -> int:
+def _mixed_subdirect(args, b1, b2, link) -> Outcome:
     """The diagnostic report on two bundles over different bases, linked
     by a morphism of the bases."""
     mixed = mixed_base_subdirect(b1, b2, link)
-    counts = typed_edge_counts(mixed.typed_edges)
     matches = find_isomorphism(mixed.graph, mixed_base_figure_24()) is not None
     report = {
         "verb": "subdirect",
@@ -302,62 +290,50 @@ def _mixed_subdirect(args, b1, b2, link) -> int:
         "typed_edges": typed_edges_json(mixed.graph, mixed.typed_edges),
         "matches_reference_figure": matches,
     }
-    _emit(
-        report,
-        args,
-        [
-            "warning: factors live over different bases; result is a plain graph, not a bundle",
-            f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
-            f"matches reference figure: {matches}",
-        ],
-    )
-    return EXIT_OK if matches else EXIT_FALSE
+    lines = [
+        "warning: factors live over different bases; result is a plain graph, not a bundle",
+        f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
+        f"matches reference figure: {matches}",
+    ]
+    return Outcome(report, lines, matches)
 
 
-def cmd_subdirect(args) -> int:
+def cmd_subdirect(args) -> Outcome:
     if args.case:
         inputs = _case(args)
         if len(inputs) == 3:  # two bundles and the link of their bases
             return _mixed_subdirect(args, *inputs)
         fv1, fv2 = inputs
     else:
-        if not (args.v1 and args.v2):
-            raise ParseError("subdirect needs --v1 and --v2 voltage files (or --case)")
-        fv1 = FiberVoltage.from_json(_load_json(args.v1))
-        fv2 = FiberVoltage.from_json(_load_json(args.v2))
+        fv1, fv2 = (FiberVoltage.from_json(_load_json(p)) for p in _given(args, "--v1", "--v2"))
     sp = subdirect_product(voltage_bundle(fv1), voltage_bundle(fv2))
     counts = typed_edge_counts(sp.typed_edges)
+    matches = _formula_matches(subdirect_adjacency(fv1, fv2), sp.total)
     report = {
         "verb": "subdirect",
         "total_vertices": sp.total.n,
         "total_edges": len(sp.total.ends),
         "typed_edges": typed_edges_json(sp.total, sp.typed_edges),
         "fiber_vertices": sp.fiber.n,
-        "formula_matches_construction": _formula_matches(subdirect_adjacency(fv1, fv2), sp.total),
+        "formula_matches_construction": matches,
     }
-    _write_out(args, json.dumps(sp.total.to_json(), indent=2))
-    _emit(
-        report,
-        args,
-        [
-            f"subdirect total: {sp.total.n} vertices, {len(sp.total.ends)} edges",
-            f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
-            f"adjacency formula matches construction: {report['formula_matches_construction']}",
-        ],
-    )
-    return EXIT_OK if report["formula_matches_construction"] else EXIT_FALSE
+    lines = [
+        f"subdirect total: {sp.total.n} vertices, {len(sp.total.ends)} edges",
+        f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
+        f"adjacency formula matches construction: {matches}",
+    ]
+    return Outcome(report, lines, matches, json.dumps(sp.total.to_json(), indent=2))
 
 
-def cmd_cayley(args) -> int:
+def cmd_cayley(args) -> Outcome:
     if args.case:
         group, gens = _case(args)
     else:
-        if not (args.group and args.gens):
-            raise ParseError("cayley needs --group and --gens (or --case)")
-        group = FiniteGroup.from_json(_load_json(args.group))
+        group_path, gens_list = _given(args, "--group", "--gens")
+        group = FiniteGroup.from_json(_load_json(group_path))
         # Split at the top-level commas, so "(1,0),(0,1)" names two
         # direct-product elements.
-        gens = [s.strip() for s in split_top(args.gens, ",") if s.strip()]
+        gens = [s.strip() for s in split_top(gens_list, ",") if s.strip()]
         unknown = [s for s in gens if s not in group.index]
         if unknown:
             raise ParseError(f"--gens labels are not group elements: {unknown}")
@@ -376,22 +352,17 @@ def cmd_cayley(args) -> int:
     lines = [f"Cayley graph: {g.n} vertices, {len(g.ends)} edges"]
     if added:
         lines.insert(0, f"note: generating set symmetrized, added {list(added)}")
-    _write_out(args, json.dumps(g.to_json(), indent=2))
-    _emit(report, args, lines)
-    return EXIT_OK
+    return Outcome(report, lines, artifact=json.dumps(g.to_json(), indent=2))
 
 
-def cmd_subdirect_group(args) -> int:
+def cmd_subdirect_group(args) -> Outcome:
     if args.case:
         eps_a, eps_b = _case(args)
     else:
-        if not (args.group_a and args.group_b and args.group_c and args.eps_a and args.eps_b):
-            raise ParseError("subdirect-group needs the two groups, the amalgam, and both maps")
-        a = FiniteGroup.from_json(_load_json(args.group_a))
-        b = FiniteGroup.from_json(_load_json(args.group_b))
-        c = FiniteGroup.from_json(_load_json(args.group_c))
-        eps_a = hom(a, c, _load_map(args.eps_a)[0])
-        eps_b = hom(b, c, _load_map(args.eps_b)[0])
+        *groups, map_a, map_b = _given(args, "--group-a", "--group-b", "--group-c", "--eps-a", "--eps-b")
+        a, b, c = (FiniteGroup.from_json(_load_json(p)) for p in groups)
+        eps_a = hom(a, c, _load_map(map_a, a)[0])
+        eps_b = hom(b, c, _load_map(map_b, b)[0])
     sd = subdirect_group(eps_a, eps_b)
     report = {
         "verb": "subdirect-group",
@@ -400,20 +371,16 @@ def cmd_subdirect_group(args) -> int:
         "kernel_delta_a": kernel(sd.delta_A).order,
         "kernel_delta_b": kernel(sd.delta_B).order,
     }
-    _emit(
-        report,
-        args,
-        [f"subdirect product group of order {sd.E.order} over amalgam of order {sd.amalgam.order}"],
+    return Outcome(
+        report, [f"subdirect product group of order {sd.E.order} over amalgam of order {sd.amalgam.order}"]
     )
-    return EXIT_OK
 
 
-def cmd_ktheory(args) -> int:
+def cmd_ktheory(args) -> Outcome:
     if args.case:
         base, fiber_graph = _case(args)
     else:
-        base = _load_graph(args.base)
-        fiber_graph = _load_graph(args.fiber)
+        base, fiber_graph = (_load_graph(p) for p in _given(args, "--base", "--fiber"))
     monoid = enumerate_bundle_classes(base, fiber_graph, args.n_max)
     rows = []
     for n in range(args.n_max + 1):
@@ -431,28 +398,22 @@ def cmd_ktheory(args) -> int:
         "add_table": add_table,
     }
     lines = [f"n={n}: {len(monoid.classes_at(n))} classes" for n in range(args.n_max + 1)]
-    _write_out(args, json.dumps(report, indent=2, sort_keys=True))
-    _emit(report, args, lines)
-    return EXIT_OK
+    return Outcome(report, lines, artifact=json.dumps(report, indent=2, sort_keys=True))
 
 
-def cmd_invariance_check(args) -> int:
+def cmd_invariance_check(args) -> Outcome:
     verdict = verify_invariance(*_case(args))
     report = {"verb": "invariance-check", "case": args.case, "holds": verdict}
-    _emit(report, args, [f"invariance holds: {verdict}"])
-    return EXIT_OK if verdict else EXIT_FALSE
+    return Outcome(report, [f"invariance holds: {verdict}"], verdict)
 
 
-def cmd_export(args) -> int:
-    g = _case(args) if args.case else _load_graph(args.graph)
+def cmd_export(args) -> Outcome:
+    g = _case(args) if args.case else _load_graph(*_given(args, "--graph"))
     text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json(), indent=2)
+    if not args.out:
+        return Outcome(None, [], artifact=text)
     report = {"verb": "export", "format": args.format, "vertices": g.n, "edges": len(g.ends)}
-    if args.out:
-        _write_out(args, text)
-        _emit(report, args, [f"wrote {args.format} to {args.out}"])
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return Outcome(report, [f"wrote {args.format} to {args.out}"], artifact=text)
 
 
 @functools.cache
@@ -571,11 +532,29 @@ def _apply_limits(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one verb: write its artifact to --out before anything prints,
+    so a path that cannot be written is an input error with nothing on
+    stdout, then print its report or lines and exit on its verdict."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with graphs_mod.node_budget(_apply_limits(args)):
-            return args.func(args)
+            found = args.func(args)
+        out = getattr(args, "out", None)
+        if out and found.artifact is not None:
+            try:
+                with open(out, "w") as fh:
+                    fh.write(found.artifact)
+            except OSError as exc:
+                raise ParseError(f"cannot write {out}: {exc}") from exc
+        if found.report is None:
+            print(found.artifact, end="")
+        elif args.json:
+            print(json.dumps(found.report, indent=2, sort_keys=True))
+        else:
+            for line in found.lines:
+                print(line)
+        return EXIT_OK if found.holds else EXIT_FALSE
     except (SearchBudgetExceeded, EnumerationBoundExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

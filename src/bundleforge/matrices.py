@@ -80,16 +80,10 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def __getitem__(self, key) -> float:
-        return self.data[key]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.data.tobytes()))
 
     def is_symmetric(self) -> bool:
         """Square, and each entry within SYMMETRY_TOLERANCE of its

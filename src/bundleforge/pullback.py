@@ -18,7 +18,7 @@ morphism matrix are stated only in the tests' dense reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bundles import (
     FiberVoltage,
@@ -179,14 +179,13 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
 
 
-def canonical_map(f: GraphMorphism, b: GraphBundle, pb: Optional[PullbackBundle] = None) -> GraphMorphism:
+def canonical_map(f: GraphMorphism, b: GraphBundle) -> GraphMorphism:
     """The universal map from the pullback total into the original total,
     dropping the base coordinate.  The pullback total is left-major, each
     domain position a followed by the total positions over f(a) in
     increasing order, so the map reads those positions off in turn.  The
     projection square commutes pointwise."""
-    if pb is None:
-        pb = pullback_bundle(f, b)
+    pb = pullback_bundle(f, b)
     down, over = _positions_over(b.projection)
     univ = GraphMorphism(pb.total, b.total, [x for t in f.position_map for x in over[t]])
     require_morphism(univ, "universal map is not a morphism")
@@ -263,7 +262,6 @@ def pair_morphism(
     alpha2: GraphMorphism,
     b1: GraphBundle,
     b2: GraphBundle,
-    sp: Optional[SubdirectBundle] = None,
 ) -> GraphMorphism:
     """Pair two maps into the factors as a map into the subdirect product.
 
@@ -278,10 +276,8 @@ def pair_morphism(
         raise CompositesDisagree("projected composites disagree on some vertex")
     if not preserves_edges(comp1):
         raise CompositeCollapses("projected composite collapses an edge")
-    if sp is None:
-        sp = subdirect_product(b1, b2)
     mapping = {y: pair_label(alpha1(y), alpha2(y)) for y in alpha1.domain.vertices}
-    paired = make_morphism(alpha1.domain, sp.total, mapping)
+    paired = make_morphism(alpha1.domain, subdirect_product(b1, b2).total, mapping)
     require_morphism(paired, "paired map is not a morphism")
     return paired
 

@@ -472,20 +472,50 @@ def _resolve(node, names):
     return None
 
 
+def called(source, module, names):
+    """The objects the calls in source name, resolved in names and in the
+    `from .x import y` statements of source itself, read as code of the
+    module named module."""
+    tree = ast.parse(textwrap.dedent(source))
+    names = dict(names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = importlib.import_module("." * node.level + (node.module or ""), module.rpartition(".")[0])
+            names.update({alias.asname or alias.name: getattr(owner, alias.name) for alias in node.names})
+    return [_resolve(node.func, names) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
 def bundleforge_callees(fn):
     """Every bundleforge function fn calls, by a name or dotted name that
-    its module resolves, and every one those call in turn."""
+    its module or its own body's imports resolve, and every one those call
+    in turn."""
     found, todo = set(), [fn]
     while todo:
         caller = todo.pop()
-        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(caller)))):
-            if isinstance(node, ast.Call):
-                target = _resolve(node.func, caller.__globals__)
-                target = getattr(target, "__func__", target)
-                if inspect.isfunction(target) and target.__module__.startswith("bundleforge") and target not in found:
-                    found.add(target)
-                    todo.append(target)
+        for target in called(inspect.getsource(caller), caller.__module__, caller.__globals__):
+            target = getattr(target, "__func__", target)
+            if inspect.isfunction(target) and target.__module__.startswith("bundleforge") and target not in found:
+                found.add(target)
+                todo.append(target)
     return found
+
+
+def test_the_walk_resolves_imports_inside_a_function():
+    # The formulas load the matrix layer inside their bodies; a walk that
+    # read only module globals would not see the kernel they call.
+    source = (
+        "def formula(n):\n"
+        "    from .matrices import voltage_adjacency as kernel\n"
+        "    from . import graphs\n"
+        "    return kernel(n), graphs.cycle_graph(n), make_graph([], []), unknown(n)\n"
+    )
+    found = called(source, "bundleforge.bundles", {"make_graph": bundleforge.make_graph})
+    assert found == [voltage_adjacency, bundleforge.graphs.cycle_graph, bundleforge.make_graph, None]
+
+
+@pytest.mark.parametrize("formula", [bundles.bundle_adjacency, pullback.pullback_adjacency, pullback.subdirect_adjacency])
+def test_every_formula_reaches_the_kernel(formula):
+    assert voltage_adjacency in bundleforge_callees(formula)
 
 
 def test_construction_and_formula_routes_share_no_helper():

@@ -6,6 +6,7 @@ import pytest
 from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, make_graph, matrices, path_graph
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
+from bundleforge.groups import cyclic
 from bundleforge.named import CASES, NAMED_GRAPHS, m3_bundle, mobius_ladder_3
 
 
@@ -172,6 +173,20 @@ class TestBundleCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:") and "'zzz'" in err
+
+    @pytest.mark.parametrize("stray", ["--eps-a", "--eps-b"])
+    def test_subdirect_group_refuses_stray_map_key(self, capsys, tmp_path, stray):
+        # hom reads only the domain's elements, so a key off the domain
+        # would be dropped and the run would exit 0.
+        z2 = write_json(tmp_path, "z2.json", cyclic(2).to_json())
+        maps = {"--eps-a": {"map": {"0": "0", "1": "1"}}, "--eps-b": {"map": {"0": "0", "1": "1"}}}
+        maps[stray]["map"]["7"] = "1"
+        files = [x for flag, doc in maps.items() for x in (flag, write_json(tmp_path, f"{flag[2:]}.json", doc))]
+        code, out, err = run(
+            capsys, "subdirect-group", "--group-a", z2, "--group-b", z2, "--group-c", z2, *files
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "'7'" in err
 
     def test_verify_rejects_cover_as_edge_bundle(self, capsys, tmp_path):
         total = write_json(tmp_path, "c6.json", cycle_graph(6).to_json())
@@ -412,7 +427,7 @@ class TestExitCodes:
         del files[missing]
         code, out, err = run(capsys, "bundle-verify", *[x for pair in files.items() for x in pair])
         assert (code, out) == (2, "")
-        assert err == "input error: bundle-verify needs --total, --proj and --fiber files (or --case)\n"
+        assert err == f"input error: bundle-verify needs {missing} (or --case)\n"
 
     def test_budget_exhaustion_on_files(self, capsys, tmp_path):
         # The file branch lets a spent budget through as exit 3, not as an
@@ -715,3 +730,82 @@ class TestNamedCases:
         code, out, err = run(capsys, verb, "--case", "nope")
         assert (code, out) == (2, "")
         assert err == f"input error: unknown {verb} case 'nope'; choices: {sorted(CASES[verb])}\n"
+
+
+#: One run of each verb: a named case, two graph files for product, --out
+#: wherever a verb writes one, and export without --out, whose artifact is
+#: its output.
+VERB_RUNS = {
+    "product": ["--g1", "{k2}", "--g2", "{k2}", "--out", "{out}"],
+    "spectrum": ["--case", "k3"],
+    "bundle-build": ["--case", "m3", "--out", "{out}"],
+    "bundle-verify": ["--case", "m3"],
+    "pullback": ["--case", "c6-m3"],
+    "subdirect": ["--case", "prism-m3", "--out", "{out}"],
+    "cayley": ["--case", "z4-c4", "--out", "{out}"],
+    "subdirect-group": ["--case", "z2z3-z6"],
+    "ktheory": ["--case", "c3-k2", "--out", "{out}"],
+    "invariance-check": ["--case", "z2z3-z6"],
+    "export": ["--case", "m3"],
+}
+
+#: The input options each verb needs when it runs without --case.
+NEEDED = {
+    "product": ["--g1", "--g2"],
+    "spectrum": ["--graph"],
+    "bundle-build": ["--voltage"],
+    "bundle-verify": ["--total", "--proj", "--fiber"],
+    "pullback": ["--voltage", "--morphism", "--domain"],
+    "subdirect": ["--v1", "--v2"],
+    "cayley": ["--group", "--gens"],
+    "subdirect-group": ["--group-a", "--group-b", "--group-c", "--eps-a", "--eps-b"],
+    "ktheory": ["--base", "--fiber"],
+    "export": ["--graph"],
+}
+NEEDED_CASES = [(verb, option) for verb, options in NEEDED.items() for option in options]
+
+
+class TestOutcomes:
+    """A verb returns what it found; main alone writes --out, prints and
+    exits."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_RUNS))
+    def test_verb_returns_its_outcome_and_prints_nothing(self, capsys, tmp_path, verb):
+        k2 = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        target = tmp_path / "out.txt"
+        argv = [verb, *(arg.format(k2=k2, out=target) for arg in VERB_RUNS[verb])]
+        args = cli.build_parser().parse_args(argv)
+        found = args.func(args)
+        assert isinstance(found, cli.Outcome)
+        assert capsys.readouterr() == ("", "")
+        assert not target.exists()
+        # main prints, writes and exits on exactly that outcome.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0 if found.holds else 1, "")
+        if found.report is None:
+            assert out == found.artifact
+        else:
+            assert out == "".join(f"{line}\n" for line in found.lines)
+            assert run(capsys, *argv, "--json")[1] == json.dumps(found.report, indent=2, sort_keys=True) + "\n"
+        assert (target.read_text() if target.exists() else None) == (found.artifact if "--out" in argv else None)
+
+    @pytest.mark.parametrize("verb, option", NEEDED_CASES, ids=[f"{v}:{o}" for v, o in NEEDED_CASES])
+    def test_a_missing_input_is_named(self, capsys, tmp_path, verb, option):
+        if verb == "product":
+            form = [("--g1", complete_graph(2).to_json()), ("--g2", complete_graph(2).to_json())]
+        else:
+            form = _file_form(verb, CASES[verb][VERB_RUNS[verb][1]]())
+        argv = [verb]
+        for flag, doc in form:
+            if flag != option:
+                argv += [flag, doc if isinstance(doc, str) else write_json(tmp_path, f"{flag[2:]}.json", doc)]
+        if verb == "product":
+            # The parser itself requires product's two graphs.
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            code, (out, err) = info.value.code, capsys.readouterr()
+            assert f"bundleforge product: error: the following arguments are required: {option}" in err
+        else:
+            code, out, err = run(capsys, *argv)
+            assert err == f"input error: {verb} needs {option} (or --case)\n"
+        assert (code, out) == (2, "")

@@ -287,7 +287,7 @@ class TestCanonicalMap:
     def test_hexagon_case_commutes(self, p_c6_c3, m3_voltage):
         b = voltage_bundle(m3_voltage)
         pb = pullback_bundle(p_c6_c3, b)
-        univ = canonical_map(p_c6_c3, b, pb)
+        univ = canonical_map(p_c6_c3, b)
         ok, _ = validate_morphism(univ)
         assert ok
         for x in pb.total.vertices:
@@ -431,7 +431,7 @@ class TestPairMorphism:
         alpha1 = make_morphism(c3, b1.total, {v: f"({v},1)" for v in c3.vertices})
         alpha2 = make_morphism(c3, b2.total, {v: f"({v},2)" for v in c3.vertices})
         sp = subdirect_product(b1, b2)
-        paired = pair_morphism(alpha1, alpha2, b1, b2, sp)
+        paired = pair_morphism(alpha1, alpha2, b1, b2)
         assert is_section(paired, sp)
 
     def test_point_base_counterexample(self, k2):
