@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import graphs
 from .errors import (
@@ -231,31 +231,13 @@ def trivial_voltage(base: Graph, fiber: Graph) -> FiberVoltage:
     return FiberVoltage(base, fiber, [Perm.identity(fiber.n)] * len(base.ends))
 
 
-def voltage_indicators(
-    values: Iterable[tuple[tuple[int, int], Hashable]],
-) -> Iterator[tuple[Hashable, tuple[list[int], list[int]]]]:
-    """(value, (rows, cols)) for each distinct value on the oriented base
-    edges, given as ((i, j), value) by base positions: the positions of the
-    edges carrying the value, so its 0/1 indicator by its ones.  The edges
-    are grouped in one pass."""
-    groups: dict[Hashable, tuple[list[int], list[int]]] = {}
-    for (i, j), value in values:
-        group = groups.get(value)
-        if group is None:
-            group = groups[value] = ([], [])
-        group[0].append(i)
-        group[1].append(j)
-    yield from groups.items()
-
-
 def bundle_adjacency(fv: FiberVoltage) -> Matrix:
     """Adjacency matrix of the voltage total space, computed by the closed
-    formula: voltage indicators tensored with fiber actions, plus the fiber
-    adjacency on the diagonal blocks."""
-    from .matrices import adjacency_matrix, voltage_adjacency
+    formula: the kernel reads the voltage on the base's oriented edges and
+    the fiber."""
+    from .matrices import voltage_adjacency
 
-    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(fv._oriented.items()))
-    return voltage_adjacency(fv.base.n, adjacency_matrix(fv.fiber), terms)
+    return voltage_adjacency(fv.base.n, fv.fiber, fv._oriented.items())
 
 
 # --- bundles -----------------------------------------------------------------

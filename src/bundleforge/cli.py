@@ -278,7 +278,7 @@ def cmd_pullback(args) -> Outcome:
 
 def _mixed_subdirect(args, b1, b2, link) -> Outcome:
     """The diagnostic report on two bundles over different bases, linked
-    by a morphism of the bases."""
+    by a morphism of the bases; the artifact is the diagnostic graph."""
     mixed = mixed_base_subdirect(b1, b2, link)
     matches = find_isomorphism(mixed.graph, mixed_base_figure_24()) is not None
     report = {
@@ -295,7 +295,7 @@ def _mixed_subdirect(args, b1, b2, link) -> Outcome:
         f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
         f"matches reference figure: {matches}",
     ]
-    return Outcome(report, lines, matches)
+    return Outcome(report, lines, matches, json.dumps(mixed.graph.to_json(), indent=2))
 
 
 def cmd_subdirect(args) -> Outcome:
@@ -408,6 +408,8 @@ def cmd_invariance_check(args) -> Outcome:
 
 
 def cmd_export(args) -> Outcome:
+    if args.json and not args.out:
+        raise ParseError("export --json reports on the file written to --out; give --out, or drop --json")
     g = _case(args) if args.case else _load_graph(*_given(args, "--graph"))
     text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json(), indent=2)
     if not args.out:

@@ -2,13 +2,15 @@
 kernel, and a symmetric eigensolver.
 
 The kernel :func:`voltage_adjacency` evaluates I ⊗ A(F) + Σ A_ψ ⊗ P_ψ from
-each term's base nonzeros and permutation, as one flat index array written
-into a zero output: a fixed number of array calls per formula, and no pass
-over the (|V||F|)² output but the one that allocates it.  That the sum is
-an adjacency matrix is asserted on the sorted index array, in
-O(nnz log nnz).  The tests apply the dense form of the same test to every
-formula output and hold the kernel to the dense ``np.kron`` sum, both
-built in their own helper module.
+two combinatorial inputs, the fiber graph and the voltage value on each
+oriented base edge; it alone groups the edges into the indicators A_ψ.
+The sum is one flat index array written into a zero output: a fixed
+number of array calls per formula, and no pass over the (|V||F|)² output
+but the one that allocates it, which is the only dense object the
+formulas build.  That the sum is an adjacency matrix is asserted on the
+sorted index array, in O(nnz log nnz).  The tests apply the dense form of
+the same test to every formula output and hold the kernel to the dense
+``np.kron`` sum, both built in their own helper module.
 
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -117,54 +119,52 @@ def adjacency_matrix(g: Graph) -> Matrix:
 
 def voltage_adjacency(
     n: int,
-    fiber_adjacency: Matrix,
-    terms: Iterable[tuple[Sequence[int], Sequence[int], Perm]],
+    fiber: Graph,
+    voltage: Iterable[tuple[tuple[int, int], Perm]],
 ) -> Matrix:
     """Adjacency of a voltage-type total space over an n-vertex base, in
-    (base, fiber) lexicographic order: I_n ⊗ fiber_adjacency plus A ⊗ P_σ
-    for every term (rows, cols, σ), where A is the n×n 0/1 matrix with its
-    ones at (rows[k], cols[k]) and P_σ has its ones at (r, σ(r)).
+    (base, fiber) lexicographic order: I_n ⊗ A(fiber) plus A_σ ⊗ P_σ for
+    every value σ in voltage, given as ((i, j), σ) on the oriented base
+    edges by positions.  A_σ is the n×n 0/1 matrix with its ones at the
+    edges that carry σ, and P_σ has its ones at (r, σ(r)).
 
     The bundle, covering, pullback and subdirect adjacency theorems all
-    take this shape, with one term per distinct voltage value used.  Entry
-    (i, j) of A lands at (i·m + r, j·m + σ(r)) for every fiber index r, so
-    the whole sum is one flat index array, set to 1 in a zero (n·m)² output:
-    a fixed number of array calls whatever the number of terms.  The fiber
-    adjacency, like A, is read by its nonzeros.
+    take this shape, and each formula hands over only its voltage and
+    fiber: the edges are grouped by value here, in one pass.  Entry (i, j)
+    of A_σ lands at (i·m + r, j·m + σ(r)) for every fiber index r, and
+    each fiber edge, at both orientations, on every diagonal block, so the
+    whole sum is one flat index array, set to 1 in a zero (n·m)² output: a
+    fixed number of array calls whatever the number of values.
 
     The sum is an adjacency matrix exactly when, in the sorted index array,
     no index repeats (no entry is covered twice, so setting equals
     counting), none lies on the diagonal, and the transposed indices
     c·size + r, sorted, are the same array (the sum is symmetric).  That is
-    asserted in O(nnz log nnz), with no pass over the output.  A
-    permutation on other than m points, an index outside the base or row
-    and column lists of unequal length raise ShapeMismatch.
+    asserted in O(nnz log nnz), with no pass over the output.  A value on
+    other than m points or an index outside the base raise ShapeMismatch.
     """
-    m = fiber_adjacency.rows
-    if fiber_adjacency.shape != (m, m):
-        raise ShapeMismatch(f"fiber adjacency must be square, got {fiber_adjacency.shape}")
+    m = fiber.n
     size = n * m
-    rows, cols, images, counts = [], [], [], []
-    for r, c, sigma in terms:
-        if sigma.n != m or len(r) != len(c):
-            raise ShapeMismatch(
-                f"a term of {len(r)} rows and {len(c)} columns with a permutation "
-                f"of {sigma.n} points does not fit {n} ⊗ {m}"
-            )
-        if len(r):
-            rows.append(r)
-            cols.append(c)
-            images.append(sigma)
-            counts.append(len(r))
-    # I_n ⊗ fiber_adjacency: the fiber's nonzeros on each diagonal block.
-    fr, fc = np.nonzero(fiber_adjacency.data)
-    flat = [((np.arange(n) * (m * size + m))[:, None] + (fr * size + fc)).ravel()]
-    if counts:
+    groups: dict[Perm, tuple[list[int], list[int]]] = {}
+    for (i, j), sigma in voltage:
+        group = groups.get(sigma)
+        if group is None:
+            if sigma.n != m:
+                raise ShapeMismatch(f"a value on {sigma.n} points does not act on the {m}-vertex fiber")
+            group = groups[sigma] = ([], [])
+        group[0].append(i)
+        group[1].append(j)
+    # I_n ⊗ A(fiber): each fiber edge, both ways, on each diagonal block.
+    fr, fc = np.fromiter(itertools.chain.from_iterable(fiber.ends), np.intp, 2 * len(fiber.ends)).reshape(-1, 2).T
+    block = np.concatenate((fr * size + fc, fc * size + fr))
+    flat = [((np.arange(n) * (m * size + m))[:, None] + block).ravel()]
+    if groups:
+        rows, cols = zip(*groups.values())
         i, j = np.concatenate(rows), np.concatenate(cols)
         if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
-            raise ShapeMismatch(f"a term indexes outside the {n}-vertex base")
-        # Row k holds the images of the permutation of nonzero k's term.
-        sigma = np.array(images, dtype=np.intp)[np.repeat(np.arange(len(counts)), counts)]
+            raise ShapeMismatch(f"an edge indexes outside the {n}-vertex base")
+        # Row k holds the images of the value on edge k.
+        sigma = np.array(list(groups), dtype=np.intp)[np.repeat(np.arange(len(rows)), list(map(len, rows)))]
         flat.append(((i * (m * size) + j * m)[:, None] + np.arange(m) * size + sigma).ravel())
     flat = np.sort(np.concatenate(flat))
     r, c = np.divmod(flat, size)

@@ -5,9 +5,12 @@ Both constructions are instances of one typed fiber product: vertices are
 compatible pairs, and edges come in three kinds (fiber edges, collapsed
 base edges, twisted diagonal edges).
 
-Each adjacency formula groups the oriented edges it sums over by voltage
-value with bundles.voltage_indicators and hands the groups to the one
-kernel, matrices.voltage_adjacency, as bundles.bundle_adjacency does.
+Each adjacency formula states only its voltage, one value per oriented
+edge it sums over, and its fiber graph, and hands both to the one kernel,
+matrices.voltage_adjacency, as bundles.bundle_adjacency does; the kernel
+alone groups the edges by value into the indicators.  The subdirect
+formula's fiber is F1 □ F2, the paper's subdirect fiber, which
+subdirect_product and subdirect_voltage also build.
 
 The module imports neither numpy nor the matrix layer at load time: the
 pullback and subdirect adjacency formulas import it when they run, so the
@@ -24,11 +27,8 @@ from .bundles import (
     FiberVoltage,
     GraphBundle,
     _positions_over,
-    bundle_adjacency,
     bundles_equivalent,
-    trivial_voltage,
     verify_bundle,
-    voltage_indicators,
 )
 from .errors import BaseMismatch, CompositeCollapses, CompositesDisagree
 from .graphs import (
@@ -162,21 +162,21 @@ def pullback_adjacency(f: GraphMorphism, fv: FiberVoltage) -> Matrix:
     + [ψ = id]·I)M), with M the 0/1 matrix of f and B_ψ the base indicator
     of ψ.  Mᵀ X M reads X at (f(i), f(j)), so on a domain edge (i, j)
     exactly one block is 1: that of the voltage on (f(i), f(j)), or of the
-    identity when f(i) = f(j).  So the domain's oriented edges are grouped
-    by that value into the kernel's terms, as the bundle formula groups the
-    base's: no morphism matrix, dense indicator or matrix product is built.
+    identity when f(i) = f(j).  So that value is the voltage handed to the
+    kernel on the domain's oriented edge (i, j), as the bundle formula
+    hands it the base's: no morphism matrix, indicator or matrix product
+    is built.
     Raises BaseMismatch when f does not map into the voltage's base and
     NotAMorphism when f is not a morphism."""
-    from .matrices import adjacency_matrix, voltage_adjacency
+    from .matrices import voltage_adjacency
 
     _check_pullback(f, fv.base, "voltage")
     ident, at, along, ends = Perm.identity(fv.fiber.n), f.position_map, fv._oriented, f.domain.ends
     oriented = [*ends, *[(j, i) for i, j in ends]]
     # Since f is a morphism, an image pair that is no oriented base edge
     # is a collapsed edge (a, a).
-    values = zip(oriented, [along.get((at[i], at[j]), ident) for i, j in oriented])
-    terms = ((rows, cols, psi) for psi, (rows, cols) in voltage_indicators(values))
-    return voltage_adjacency(f.domain.n, adjacency_matrix(fv.fiber), terms)
+    values = [along.get((at[i], at[j]), ident) for i, j in oriented]
+    return voltage_adjacency(f.domain.n, fv.fiber, zip(oriented, values))
 
 
 def canonical_map(f: GraphMorphism, b: GraphBundle) -> GraphMorphism:
@@ -232,20 +232,17 @@ def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:
     """Adjacency of the subdirect total space in (base, fiber1, fiber2)
     lexicographic order, by the closed double-sum formula over the pairs of
     voltage values used on a common oriented edge, each acting as the
-    Kronecker product of its two permutations."""
+    Kronecker product of its two permutations, computed once per distinct
+    pair, on the fiber F1 □ F2."""
     from .matrices import voltage_adjacency
 
     if fv1.base != fv2.base:
         raise BaseMismatch("subdirect adjacency needs a common base graph")
     along2 = fv2._oriented
-    pairs = ((edge, (value, along2[edge])) for edge, value in fv1._oriented.items())
-    terms = (
-        (rows, cols, perm_kron(psi1, psi2))
-        for (psi1, psi2), (rows, cols) in voltage_indicators(pairs)
-    )
-    # A(F1 □ F2) = A1 ⊗ I + I ⊗ A2 is the trivial bundle of F2 over F1.
-    fiber_adjacency = bundle_adjacency(trivial_voltage(fv1.fiber, fv2.fiber))
-    return voltage_adjacency(fv1.base.n, fiber_adjacency, terms)
+    pairs = [(psi1, along2[edge]) for edge, psi1 in fv1._oriented.items()]
+    kron = {pair: perm_kron(*pair) for pair in set(pairs)}
+    fiber = cartesian_product(fv1.fiber, fv2.fiber)
+    return voltage_adjacency(fv1.base.n, fiber, zip(fv1._oriented, map(kron.__getitem__, pairs)))
 
 
 def subdirect_voltage(fv1: FiberVoltage, fv2: FiberVoltage) -> FiberVoltage:

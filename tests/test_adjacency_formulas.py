@@ -39,7 +39,7 @@ from bundleforge import (
     voltage_bundle,
 )
 import bundleforge
-from bundleforge import bundles, matrices, pullback
+from bundleforge import bundles, matrices, products, pullback
 from bundleforge.errors import ShapeMismatch
 from bundleforge.pullback import subdirect_voltage
 from bundleforge.matrices import Matrix, voltage_adjacency
@@ -304,8 +304,9 @@ def test_trusted_matrices_equal_validated_ones(data):
 # --- the kernel on its own -----------------------------------------------------
 
 
-#: Both orientations of the one edge of a 2-vertex base, in coordinate form.
-EDGE = ([0, 1], [1, 0])
+def both_ways(sigma, edge=(0, 1)):
+    """The value sigma on edge and its inverse on the reverse edge."""
+    return [(edge, sigma), (edge[::-1], sigma.inverse())]
 
 
 def dense(n, rows, cols):
@@ -317,85 +318,79 @@ def dense(n, rows, cols):
 @pytest.mark.parametrize(
     "terms",
     [
-        # The same term twice.
-        [(*EDGE, Perm.identity(2)), (*EDGE, Perm.identity(2))],
-        # Two permutation terms on one edge that share the entry (2, 2) of
-        # the block, so (2, 5) and (5, 2) of the total: an assigning
-        # scatter would accept them.
-        [(*EDGE, Perm.identity(3)), (*EDGE, Perm((1, 0, 2)))],
+        # The same term twice: one value twice on both orientations of one
+        # edge.
+        both_ways(Perm.identity(2)) * 2,
+        # Two terms on one edge, whose values share the entry (2, 2) of the
+        # block, so (2, 5) and (5, 2) of the total: an assigning scatter
+        # would accept them.
+        both_ways(Perm.identity(3)) + both_ways(Perm((1, 0, 2))),
     ],
 )
 def test_overlapping_terms_are_rejected(terms):
-    m = terms[0][2].n
+    """terms is a voltage whose terms A_σ ⊗ P_σ cover an entry twice."""
+    m = terms[0][1].n
     with pytest.raises(AssertionError):
-        voltage_adjacency(2, zeros(m, m), iter(terms))
+        voltage_adjacency(2, empty_graph(m), iter(terms))
 
 
 @pytest.mark.parametrize(
-    "terms",
+    "voltage",
     [
         # A loop: entry (0, 0) of the base block lands on the diagonal.
-        [([0], [0], Perm.identity(2))],
+        [((0, 0), Perm.identity(2))],
         # One orientation only: (0, 2) and (1, 3) with no mirror.
-        [([0], [1], Perm.identity(2))],
-        # One edge listed twice within a term covers its entries twice.
-        [([0, 1, 0, 1], [1, 0, 1, 0], Perm((1, 0)))],
+        [((0, 1), Perm.identity(2))],
+        # One edge listed twice with one value covers its entries twice.
+        both_ways(Perm((1, 0))) * 2,
     ],
     ids=["loop", "one-orientation", "covered-twice"],
 )
-def test_non_adjacency_sums_are_rejected(terms):
+def test_non_adjacency_sums_are_rejected(voltage):
     with pytest.raises(AssertionError):
-        voltage_adjacency(2, zeros(2, 2), terms)
+        voltage_adjacency(2, empty_graph(2), voltage)
 
 
 def test_term_of_wrong_shape_is_rejected():
-    # A permutation on 3 points over a 2-vertex fiber.
+    # A value on 3 points over a 2-vertex fiber.
     with pytest.raises(ShapeMismatch):
-        voltage_adjacency(2, zeros(2, 2), [(*EDGE, Perm.identity(3))])
+        voltage_adjacency(2, empty_graph(2), both_ways(Perm.identity(3)))
     # The index 2 outside the 2-vertex base.
     with pytest.raises(ShapeMismatch):
-        voltage_adjacency(2, zeros(2, 2), [([0, 2], [2, 0], Perm.identity(2))])
-    # Row and column lists of unequal length.
-    with pytest.raises(ShapeMismatch):
-        voltage_adjacency(2, zeros(2, 2), [([0, 1], [1], Perm.identity(2))])
-    with pytest.raises(ShapeMismatch):
-        voltage_adjacency(2, Matrix(np.zeros((2, 3))), [])
+        voltage_adjacency(2, empty_graph(2), both_ways(Perm.identity(2), (0, 2)))
 
 
 @st.composite
-def kernel_terms(draw):
-    """(n, fiber adjacency, terms): random permutation terms on random
-    oriented edges, which may repeat across terms; most terms come with
-    their mirror, the reverse edges under the inverse permutation."""
+def kernel_voltages(draw):
+    """(n, fiber, voltage): random values on random oriented edges, which
+    may repeat; most edges come with their mirror, the reverse edge under
+    the inverse value."""
     n = draw(st.integers(1, 4))
     fiber = draw(fibers(("K2", "P3", "1K1", "2K1", "3K1")))
-    m = fiber.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    terms = []
-    for _ in range(draw(st.integers(0, 5))):
-        edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-        sigma = Perm(tuple(draw(st.permutations(range(m)))))
-        rows, cols = [i for i, _ in edges], [j for _, j in edges]
-        terms.append((rows, cols, sigma))
-        if draw(st.booleans()) or draw(st.booleans()):
-            terms.append((cols, rows, sigma.inverse()))
-    return n, adjacency_matrix(fiber), terms
+    voltage = []
+    for edge in draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []:
+        sigma = Perm(tuple(draw(st.permutations(range(fiber.n)))))
+        voltage += both_ways(sigma, edge) if draw(st.booleans()) or draw(st.booleans()) else [(edge, sigma)]
+    return n, fiber, voltage
 
 
 @FORMULA_SETTINGS
-@given(kernel_terms())
+@given(kernel_voltages())
 def test_kernel_matches_dense_reference(case):
-    """The scatter equals the dense np.kron sum, and raises exactly when
-    that sum is no adjacency matrix."""
-    n, fiber_adjacency, terms = case
-    reference = reference_voltage_adjacency(
-        n, fiber_adjacency.data, [(dense(n, r, c), perm_block(sigma)) for r, c, sigma in terms]
-    )
+    """The scatter equals the dense np.kron sum over the values used, and
+    raises exactly when that sum is no adjacency matrix."""
+    n, fiber, voltage = case
+    terms = []
+    for sigma in sorted({sigma for _, sigma in voltage}):
+        edges = [edge for edge, value in voltage if value == sigma]
+        terms.append((dense(n, [i for i, _ in edges], [j for _, j in edges]), perm_block(sigma)))
+    reference = reference_voltage_adjacency(n, reference_adjacency(fiber), terms)
     if reference_is_adjacency(reference):
-        assert_identical(voltage_adjacency(n, fiber_adjacency, terms), reference)
+        assert_identical(voltage_adjacency(n, fiber, voltage), reference)
     else:
         with pytest.raises(AssertionError):
-            voltage_adjacency(n, fiber_adjacency, terms)
+            voltage_adjacency(n, fiber, voltage)
 
 
 #: The dense route of the pullback blocks, which left the library for
@@ -415,11 +410,11 @@ DENSE_BUILDERS = {
 
 def test_formulas_build_no_dense_term(monkeypatch):
     """The bundle, covering, subdirect and pullback formulas hand the kernel
-    index lists and permutations: no dense Kronecker product or permutation
-    block is built per voltage value, and the dense builders of indicators,
-    morphism matrices, matrix products and Hadamard products are gone from
-    the library, whose only dense statement of the pullback blocks is the
-    tests' reference."""
+    their voltage and fiber graph, once each: no dense fiber adjacency,
+    Kronecker product or permutation block is built, and the dense builders
+    of indicators, morphism matrices, matrix products and Hadamard products
+    are gone from the library, whose only dense statement of the pullback
+    blocks is the tests' reference."""
     base = cycle_graph(4)
     edges = base.edge_list()
     fv = make_fiber_voltage(base, complete_graph(2), {e: Perm((i % 2, 1 - i % 2)) for i, e in enumerate(edges)})
@@ -427,35 +422,38 @@ def test_formulas_build_no_dense_term(monkeypatch):
     double = voltage_bundle(make_fiber_voltage(base, empty_graph(2), {e: Perm((1, 0)) for e in edges})).projection
     # A walk 1 1 2 3 3 4 1 along the 4-cycle: two collapsed edges.
     walk = make_morphism(path_graph(7), base, dict(zip("1234567", "1123341")))
-    expected = [
-        reference_bundle(fv),
-        reference_bundle(cover),
-        reference_subdirect(fv, cover),
-        reference_pullback(double, fv),
-        reference_pullback(walk, fv),
+    runs = [
+        (bundle_adjacency, (fv,), reference_bundle(fv)),
+        (covering_adjacency, (base, cover), reference_bundle(cover)),
+        (subdirect_adjacency, (fv, cover), reference_subdirect(fv, cover)),
+        (pullback_adjacency, (double, fv), reference_pullback(double, fv)),
+        (pullback_adjacency, (walk, fv), reference_pullback(walk, fv)),
     ]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a formula built a dense per-value term")
+        raise AssertionError("a formula built a dense term")
+
+    kernel, calls = matrices.voltage_adjacency, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
     monkeypatch.setattr(np, "kron", refuse)
     for name in ("kronecker", "perm_matrix"):
         monkeypatch.setattr(dense_reference, name, refuse)
+    monkeypatch.setattr(matrices, "adjacency_matrix", refuse)
+    monkeypatch.setattr(matrices, "voltage_adjacency", counted)
     # A dense builder brought back into the library fails here.
     for info in pkgutil.iter_modules(bundleforge.__path__):
         module = importlib.import_module(f"bundleforge.{info.name}")
         assert not DENSE_BUILDERS & set(dir(module)), module.__name__
     assert not DENSE_BUILDERS & set(dir(bundleforge))
     assert not {"transpose", "__add__", "__matmul__"} & set(dir(Matrix))
-    got = [
-        bundle_adjacency(fv),
-        covering_adjacency(base, cover),
-        subdirect_adjacency(fv, cover),
-        pullback_adjacency(double, fv),
-        pullback_adjacency(walk, fv),
-    ]
-    for formula, reference in zip(got, expected):
-        assert_identical(formula, reference)
+    for formula, args, reference in runs:
+        calls.clear()
+        assert_identical(formula(*args), reference)
+        assert len(calls) == 1, formula.__name__
 
 
 # --- route independence ----------------------------------------------------------
@@ -534,7 +532,20 @@ def test_pullback_routes_share_only_the_input_check():
     pullback_adjacency; the two share only the check of their input."""
     formula = bundleforge_callees(pullback.pullback_adjacency)
     construction = bundleforge_callees(pullback.pullback_bundle)
-    assert {f.__name__ for f in formula} >= {"voltage_indicators"}
+    assert matrices.voltage_adjacency in formula
     shared = {f.__name__ for f in formula & construction}
     assert shared == {"_check_pullback", "require_morphism", "validate_morphism"}
     assert pullback.pullback_voltage not in formula
+
+
+def test_subdirect_routes_share_only_the_fiber():
+    """The subdirect theorem compares subdirect_product with
+    subdirect_adjacency.  Both build F1 □ F2, the paper's subdirect fiber,
+    as an input; the constructed total's edges do not come from it, and the
+    routes share nothing else."""
+    formula = bundleforge_callees(pullback.subdirect_adjacency)
+    construction = bundleforge_callees(pullback.subdirect_product)
+    fiber = {products.cartesian_product} | bundleforge_callees(products.cartesian_product)
+    shared = formula & construction
+    assert products.cartesian_product in shared
+    assert shared <= fiber, sorted(f.__qualname__ for f in shared - fiber)

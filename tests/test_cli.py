@@ -221,6 +221,18 @@ class TestPullbackAndSubdirect:
         assert "different bases" in out
         assert "24 vertices, 48 edges" in out
 
+    def test_mixed_base_diagnostic_writes_its_graph(self, capsys, tmp_path):
+        # Before, --out was ignored on this path: nothing was written, and
+        # an unwritable path still exited 0.
+        target = tmp_path / "mixed.json"
+        code, out, _ = run(capsys, "subdirect", "--case", "mixed-m3-c6k2", "--out", str(target))
+        assert code == 0 and "24 vertices" in out
+        graph = Graph.from_json(json.loads(target.read_text()))
+        assert (graph.n, len(graph.ends)) == (24, 48)
+        code, out, err = run(capsys, "subdirect", "--case", "mixed-m3-c6k2", "--out", str(tmp_path / "nodir" / "o.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write ")
+
 
 class TestGroupCommands:
     def test_cayley_case_and_symmetrization(self, capsys):
@@ -367,6 +379,14 @@ class TestExportCommand:
         assert code == 0
         again = Graph.from_json(json.loads(out_path.read_text()))
         assert again == NAMED_GRAPHS["m3"]()
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_json_report_needs_out(self, capsys, fmt):
+        # The report describes the file written to --out; before, --json
+        # without it printed the artifact and exited 0.
+        code, out, err = run(capsys, "export", "--case", "k2", "--format", fmt, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "--json" in err and "--out" in err
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "export", "--case", "k2", "--format", "dot")
@@ -703,8 +723,9 @@ def _file_form(verb, inputs):
 NAMED_CASES = [(verb, case) for verb, cases in sorted(CASES.items()) for case in sorted(cases)]
 #: The named cases whose inputs no verb reads from files.
 NO_FILE_FORM = {("invariance-check", "z2z3-z6"), ("subdirect", "mixed-m3-c6k2")}
-#: Options a verb's case runs with, on both paths.
-OPTIONS = {"ktheory": ["--n-max", "2"]}
+#: Options a verb's case runs with, on both paths: --json, but for export,
+#: whose report needs --out, so that its output is the artifact itself.
+OPTIONS = {"ktheory": ["--n-max", "2", "--json"], "export": []}
 
 
 class TestNamedCases:
@@ -717,7 +738,7 @@ class TestNamedCases:
         assert (form is None) == ((verb, case) in NO_FILE_FORM)
         if form is None:
             return
-        argv = [verb, *OPTIONS.get(verb, []), "--json"]
+        argv = [verb, *OPTIONS.get(verb, ["--json"])]
         want = run(capsys, *argv, "--case", case)
         files = []
         for flag, doc in form:

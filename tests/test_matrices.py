@@ -38,7 +38,6 @@ from dense_reference import (
     matrix_to_json,
     perm_matrix,
     spectra_close,
-    zeros,
 )
 
 # Hexagon adjacency as displayed alongside the Hadamard worked example.
@@ -109,7 +108,7 @@ class TestPermMatrix:
         # the kernel's block of s over the edge (0, 1) is the transpose of
         # perm_matrix(s).
         s = Perm((1, 2, 0))
-        total = voltage_adjacency(2, zeros(3, 3), [([0], [1], s), ([1], [0], s.inverse())])
+        total = voltage_adjacency(2, empty_graph(3), [((0, 1), s), ((1, 0), s.inverse())])
         assert Matrix(total.data[:3, 3:]) == Matrix(perm_matrix(s).data.T)
 
     def test_not_a_bijection(self):
