@@ -62,7 +62,6 @@ from .products import (
 )
 from .pullback import (
     PullbackBundle,
-    SubdirectBundle,
     canonical_map,
     compose_pullbacks_check,
     is_section,

@@ -279,26 +279,29 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
     return GraphBundle(total, projection, fiber, tuple(range(m)) * base.n, fv)
 
 
-#: Per base vertex, the total positions over it, increasing.
+#: Per target position, the positions over it, increasing.
 _Fibers = list[list[int]]
 #: Fiber kinds, the distinct (size, edges) they index, and cross edges per base edge.
 _Buckets = tuple[list[int], list[tuple[int, list]], list[list[tuple[int, int]]]]
 
 
-def _positions_over(p: GraphMorphism) -> tuple[tuple[int, ...], _Fibers]:
-    """The base position of each total position, p's position map, and the
-    total positions over each base vertex, increasing."""
-    over, fibers = p.position_map, [[] for _ in p.codomain.vertices]
-    for x, a in enumerate(over):
-        fibers[a].append(x)
-    return over, fibers
+def _positions_over(at: Sequence[int], n: int) -> tuple[_Fibers, list[int]]:
+    """The fibers of a map given by at, the target position of each
+    position, onto n targets: the positions over each target, increasing,
+    and each position's rank among those over its target."""
+    fibers: _Fibers = [[] for _ in range(n)]
+    rank = []
+    for x, t in enumerate(at):
+        xs = fibers[t]
+        rank.append(len(xs))
+        xs.append(x)
+    return fibers, rank
 
 
-def _local_edges(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers) -> _Buckets:
+def _local_edges(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers, rank: Sequence[int]) -> _Buckets:
     """One pass over total.ends files each edge as the ranks of its ends in
     their fibers: a fiber edge under its base vertex, sorted, and a cross
     edge under its base edge, the end over the edge's first vertex first."""
-    rank = {x: r for xs in fibers for r, x in enumerate(xs)}
     edge_at = {e: k for k, e in enumerate(base.ends)}
     inner: list[list[tuple[int, int]]] = [[] for _ in fibers]
     cross: list[list[tuple[int, int]]] = [[] for _ in base.ends]
@@ -393,8 +396,9 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
     require_morphism(p, "projection is not a morphism")
     base, profile, budget = p.codomain, fiber.profile, graphs.current_budget.get()
-    over, fibers = _positions_over(p)
-    local = kinds, shapes, _ = _local_edges(total, base, over, fibers)
+    over = p.position_map
+    fibers, rank = _positions_over(over, base.n)
+    local = kinds, shapes, _ = _local_edges(total, base, over, fibers, rank)
     # Per fiber kind, the position in F of each vertex's image, or None.
     placed: dict[int, Optional[tuple[int, ...]]] = {}
     sigma = [0] * total.n
@@ -558,7 +562,8 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     if b1.fiber != b2.fiber:
         raise FiberMismatch("bundles have different fiber graphs")
     n, s1, vs2 = b1.fiber.n, b1.sigma, b2.total.vertices
-    over1, fibers1 = _positions_over(b1.projection)
+    over1 = b1.projection.position_map
+    fibers1, _ = _positions_over(over1, b1.base.n)
     # sigma2_v⁻¹: the position of b2's total over each base vertex at each fiber position.
     at2 = [[0] * n for _ in fibers1]
     for y, (a, f) in enumerate(zip(b2.projection.position_map, b2.sigma)):

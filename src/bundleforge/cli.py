@@ -209,6 +209,8 @@ def cmd_bundle_verify(args) -> Outcome:
         total = _load_graph(total_path)
         fiber_graph = _load_graph(fiber_path)
         mapping, proj_data = _load_map(proj_path, total)
+        if args.base and "base" in proj_data:
+            raise ParseError(f"bundle-verify reads one base: --base {args.base} and the 'base' in {proj_path} both give one")
         if args.base:
             base = _load_graph(args.base)
         elif "base" in proj_data:

@@ -16,12 +16,13 @@ its constructor trusts that map, and make_morphism is the entry for a map
 given by labels, checking it total and into the codomain.
 
 The isomorphism search is one kernel over vertex positions, search_shape:
-it takes g as its shape (each position's neighbour positions, as
-induced_adjacency returns them) and h as a SearchProfile (signature
+it takes g as its shape (each position's neighbour positions, increasing,
+as neighbor_indices holds them) and h as a SearchProfile (signature
 classes and neighbours as bitmasks, the signature histogram and the edge
 count), and returns image positions.  find_isomorphism and automorphisms
-each read one call of it back in labels, and verify_bundle hands it shapes
-directly; a Graph caches its own profile.
+each read one call of it back in labels, and verify_bundle hands it the
+shapes it builds from the total's filed edges; a Graph caches its own
+profile.
 """
 
 from __future__ import annotations
@@ -85,22 +86,17 @@ def split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def split_composite(label: str, sep: str, what: str) -> tuple[Label, Label]:
-    """Strip the outer parentheses of a composite label and split the rest
-    at the first separator outside nested parentheses.
+def split_pair_label(label: Label) -> tuple[Label, Label]:
+    """Invert :func:`pair_label`: strip the outer parentheses and split the
+    rest at the first comma outside nested parentheses.
 
-    Raises ParseError naming ``what`` when either step fails.
+    Raises ParseError when either step fails.
     """
     if label.startswith("(") and label.endswith(")"):
-        head, *rest = split_top(label[1:-1], sep)
+        head, *rest = split_top(label[1:-1], ",")
         if rest:
-            return head, sep.join(rest)
-    raise ParseError(f"bad {what}: {label!r}")
-
-
-def split_pair_label(label: Label) -> tuple[Label, Label]:
-    """Invert :func:`pair_label`, splitting at the top-level comma."""
-    return split_composite(label, ",", "pair label")
+            return head, ",".join(rest)
+    raise ParseError(f"bad pair label: {label!r}")
 
 
 @dataclass(frozen=True)
@@ -379,26 +375,6 @@ def preserves_edges(f: GraphMorphism) -> bool:
     return all(at[i] != at[j] for i, j in f.domain.ends)
 
 
-def induced_adjacency(g: Graph, at: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The shape of the positions at in g: each one's neighbour positions
-    within at, in increasing order when at is.  Two sets of positions have
-    the same shape exactly when k -> k is an isomorphism of their induced
-    subgraphs that keeps the order."""
-    nbrs = g.neighbor_indices
-    pos = {i: k for k, i in enumerate(at)}
-    return tuple(tuple(k for k in map(pos.get, nbrs[i]) if k is not None) for i in at)
-
-
-def subgraph_of_shape(xs: Sequence[Label], shape: Sequence[Sequence[int]]) -> Graph:
-    """The graph on xs, in that order, with the edges that shape gives by
-    position.  Both are trusted, as induced_adjacency returns the shape of
-    xs's positions in a graph, in its stored order, so the shape is the
-    subgraph's neighbor_indices and nothing goes through make_graph."""
-    sub = Graph(tuple(xs), tuple((i, j) for i, nb in enumerate(shape) for j in nb if i < j))
-    sub.__dict__["neighbor_indices"] = tuple(map(tuple, shape))
-    return sub
-
-
 def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
     """Subgraph on the given vertices with all edges among them, order inherited."""
     want = {canon_label(v) for v in subset}
@@ -407,7 +383,9 @@ def induced_subgraph(g: Graph, subset: Iterable[object]) -> Graph:
         if v not in idx:
             raise UnknownVertex(f"vertex {v!r} not in graph")
     at = sorted(map(idx.__getitem__, want))
-    return subgraph_of_shape([g.vertices[i] for i in at], induced_adjacency(g, at))
+    pos, nbrs = {i: k for k, i in enumerate(at)}, g.neighbor_indices
+    ends = [(k, pos[j]) for k, i in enumerate(at) for j in nbrs[i] if j > i and j in pos]
+    return _trusted_graph(tuple(g.vertices[i] for i in at), ends)
 
 
 # --- isomorphism search ------------------------------------------------------
@@ -479,7 +457,7 @@ def search_shape(
     (Cordella et al., IEEE TPAMI 26(10), 2004), on an explicit stack.
 
     g is given by its shape, each position's neighbour positions (as
-    induced_adjacency returns them), and h by its profile.  Returns the
+    neighbor_indices holds them), and h by its profile.  Returns the
     first limit isomorphisms in search order, or all of them when limit is
     None, each as the tuple of h-positions of g's positions 0, 1, ..., and
     the number of nodes spent.

@@ -1,9 +1,9 @@
 """Pullbacks of graph bundles, the induced-voltage and adjacency theorems,
 and the subdirect product of bundles over a common base.
 
-Both constructions are instances of one typed fiber product: vertices are
-compatible pairs, and edges come in three kinds (fiber edges, collapsed
-base edges, twisted diagonal edges).
+Both constructions are instances of one typed fiber product, and both
+return a PullbackBundle: vertices are compatible pairs, and edges come in
+three kinds (fiber edges, collapsed base edges, twisted diagonal edges).
 
 Each adjacency formula states only its voltage, one value per oriented
 edge it sums over, and its fiber graph, and hands both to the one kernel,
@@ -95,11 +95,7 @@ def _typed_fiber_product(
     which is the sorted order of the graph's ends.
     """
     lvs, rvs, lt, rt = left.vertices, right.vertices, left_at, right_at
-    right_over: list[list[int]] = [[] for _ in target.vertices]
-    rank = []
-    for b, t in enumerate(rt):
-        rank.append(len(right_over[t]))
-        right_over[t].append(b)
+    right_over, rank = _positions_over(rt, target.n)
     off, pairs = [], []
     for a, t in enumerate(lt):
         off.append(len(pairs))
@@ -122,8 +118,11 @@ def _typed_fiber_product(
 
 @dataclass(frozen=True, eq=False)
 class PullbackBundle(GraphBundle):
-    """Pullback of a bundle along a base morphism, with the kind of each
-    edge of total.ends."""
+    """A bundle built as a typed fiber product, with the kind of each edge
+    of total.ends: pullback_bundle's pullback of a bundle along a base
+    morphism, over the morphism's domain, and subdirect_product's pullback
+    of b2 along b1's projection, read over the common base with the fiber
+    F1 □ F2."""
 
     typed_edges: tuple[str, ...] = ()
 
@@ -186,7 +185,8 @@ def canonical_map(f: GraphMorphism, b: GraphBundle) -> GraphMorphism:
     increasing order, so the map reads those positions off in turn.  The
     projection square commutes pointwise."""
     pb = pullback_bundle(f, b)
-    down, over = _positions_over(b.projection)
+    down = b.projection.position_map
+    over, _ = _positions_over(down, b.base.n)
     univ = GraphMorphism(pb.total, b.total, [x for t in f.position_map for x in over[t]])
     require_morphism(univ, "universal map is not a morphism")
     at, across, up = univ.position_map, pb.projection.position_map, f.position_map
@@ -205,16 +205,7 @@ def compose_pullbacks_check(f: GraphMorphism, g: GraphMorphism, b: GraphBundle) 
 
 # --- subdirect product ---------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SubdirectBundle(GraphBundle):
-    """Subdirect product of two bundles over a common base: a bundle whose
-    fiber is the box product of the factor fibers; typed_edges holds the
-    kind of each edge of total.ends."""
-
-    typed_edges: tuple[str, ...] = ()
-
-
-def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
+def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> PullbackBundle:
     """Pull b2 back along b1's projection and read the result as a bundle
     over the common base, with vertex pairs (x, y) as first-class labels."""
     if b1.base != b2.base:
@@ -225,7 +216,7 @@ def subdirect_product(b1: GraphBundle, b2: GraphBundle) -> SubdirectBundle:
     )
     fiber = cartesian_product(b1.fiber, b2.fiber)
     verified = verify_bundle(total, GraphMorphism(total, b1.base, [over[a] for a in lefts]), fiber)
-    return SubdirectBundle(total, verified.projection, fiber, verified.sigma, verified.voltage, typed)
+    return PullbackBundle(total, verified.projection, fiber, verified.sigma, verified.voltage, typed)
 
 
 def subdirect_adjacency(fv1: FiberVoltage, fv2: FiberVoltage) -> Matrix:

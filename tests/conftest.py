@@ -90,6 +90,16 @@ def adjacency(g):
     return {v: neighbors(g, v) for v in g.vertices}
 
 
+def induced_adjacency(g, at):
+    """The shape of the positions at in g: each one's neighbour positions
+    within at, in increasing order when at is.  Two sets of positions have
+    the same shape exactly when k -> k is an isomorphism of their induced
+    subgraphs that keeps the order."""
+    nbrs = g.neighbor_indices
+    pos = {i: k for k, i in enumerate(at)}
+    return tuple(tuple(k for k in map(pos.get, nbrs[i]) if k is not None) for i in at)
+
+
 def degree(g, v):
     return len(g.neighbor_indices[g.index[v]])
 

@@ -34,7 +34,7 @@ from bundleforge import (
     voltage_bundle,
 )
 from bundleforge import bundles, graphs, ktheory, products
-from bundleforge.graphs import induced_adjacency, induced_subgraph, pair_label, search_shape, split_pair_label
+from bundleforge.graphs import induced_subgraph, pair_label, search_shape, split_pair_label
 from bundleforge.errors import (
     BaseMismatch,
     BundleForgeError,
@@ -54,7 +54,15 @@ from bundleforge.products import make_covering_voltage
 from bundleforge.pullback import pullback_bundle, subdirect_product
 from bundleforge.named import c6k2_bundle, m3_bundle
 
-from conftest import adjacency, identity_bundle, is_equivalence_witness, m62_bundle, neighbors, spanning_forest
+from conftest import (
+    adjacency,
+    identity_bundle,
+    induced_adjacency,
+    is_equivalence_witness,
+    m62_bundle,
+    neighbors,
+    spanning_forest,
+)
 from dense_reference import identity, kronecker
 
 SWAP = Perm((1, 0))
@@ -1165,8 +1173,8 @@ class TestSearchCount:
         assert self.count_searches(monkeypatch, fv) == 1 + distinct
 
     def test_verify_builds_no_graph_and_no_label_search(self, monkeypatch, c4):
-        """Both routes hand the kernel shapes and profiles: no subgraph of a
-        shape, no K2 □ F from labels and no label-level search."""
+        """Both routes hand the kernel shapes and profiles: no induced
+        subgraph, no K2 □ F from labels and no label-level search."""
         base = cycle_graph(6)
         values = automorphisms(c4)[:3]
         b = voltage_bundle(make_fiber_voltage(base, c4, {e: values[i % 3] for i, e in enumerate(base.edge_list())}))
@@ -1181,7 +1189,7 @@ class TestSearchCount:
             raise AssertionError("verify_bundle built a graph or searched by labels")
 
         for module in (graphs, bundles, products):
-            for name in ("subgraph_of_shape", "cartesian_product", "complete_graph", "find_isomorphism"):
+            for name in ("induced_subgraph", "cartesian_product", "complete_graph", "find_isomorphism"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         got = [verdict(verify_bundle, b.total, b.projection, c4), verdict(verify_bundle, bad, bad_p, c4)]
@@ -1350,6 +1358,11 @@ class TestVoltageValidation:
             match=r"^oriented edge key 'a,b,c' names more than one base edge: \[\('a', 'b,c'\), \('a,b', 'c'\)\]$",
         ):
             fv.to_json()
+
+    def test_key_with_no_comma_is_refused(self, c3, k2):
+        data = {"base": c3.to_json(), "fiber": k2.to_json(), "phi": {"12": ["2", "1"]}}
+        with pytest.raises(ParseError, match=r"^bad oriented edge key: '\(12\)'$"):
+            FiberVoltage.from_json(data)
 
     def test_key_that_names_two_base_edges_is_refused(self):
         base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])

@@ -174,6 +174,31 @@ class TestBundleCommands:
         assert out == ""
         assert err.startswith("input error:") and "'zzz'" in err
 
+    def m3_with_embedded_base(self, tmp_path, base):
+        """The m3 files, with base embedded in the projection file."""
+        mapping = {str(x): str(x % 3 + 1) for x in range(1, 7)}
+        return [
+            "--total", write_json(tmp_path, "m3.json", mobius_ladder_3().to_json()),
+            "--proj", write_json(tmp_path, "q.json", {"map": mapping, "base": base.to_json()}),
+            "--fiber", write_json(tmp_path, "k2.json", complete_graph(2).to_json()),
+        ]
+
+    @pytest.mark.parametrize("base, code", [(cycle_graph(3), 0), (path_graph(3), 1)], ids=["c3", "p3"])
+    def test_verify_reads_the_embedded_base(self, capsys, tmp_path, base, code):
+        # The inferred base would be C3, so P3 is refused only if it is read.
+        got, out, _ = run(capsys, "bundle-verify", *self.m3_with_embedded_base(tmp_path, base))
+        assert got == code
+        assert ("projection is not a morphism" in out) == (code == 1)
+
+    def test_verify_refuses_two_bases(self, capsys, tmp_path):
+        # With --base as well, the embedded P3 would be ignored and the run exit 0.
+        c3 = write_json(tmp_path, "c3.json", cycle_graph(3).to_json())
+        argv = self.m3_with_embedded_base(tmp_path, path_graph(3))
+        code, out, err = run(capsys, "bundle-verify", *argv, "--base", c3)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: bundle-verify reads one base:")
+        assert f"--base {c3}" in err and f"'base' in {argv[3]}" in err
+
     @pytest.mark.parametrize("stray", ["--eps-a", "--eps-b"])
     def test_subdirect_group_refuses_stray_map_key(self, capsys, tmp_path, stray):
         # hom reads only the domain's elements, so a key off the domain
@@ -583,6 +608,13 @@ class TestMalformedInputFiles:
         code, _, err = run(capsys, "spectrum", "--graph", write_json(tmp_path, "g.json", graph))
         assert code == 2
         assert "input error" in err
+
+    def test_file_that_is_no_json(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("{")
+        code, out, err = run(capsys, "spectrum", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: bad JSON in {path}: ")
 
     @pytest.mark.parametrize(
         "group",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,12 @@ from bundleforge.errors import (
     EnumerationBoundExceeded,
     LoopEdge,
     NotAMorphism,
+    ParseError,
     SearchBudgetExceeded,
     UnknownEndpoint,
     UnknownVertex,
 )
-from bundleforge.graphs import Graph, node_budget, search_shape
+from bundleforge.graphs import Graph, node_budget, pair_label, search_shape, split_pair_label
 from bundleforge.named import (
     c6k2_bundle,
     hexagonal_prism,
@@ -172,6 +174,14 @@ class TestMorphisms:
         ok, _ = validate_morphism(compose(g, p_c6_c3))
         assert ok
 
+    def test_composition_needs_matching_ends(self, c6, p_c6_c3):
+        with pytest.raises(NotAMorphism, match="^composition mismatch: codomain of f is not domain of g$"):
+            compose(p_c6_c3, p_c6_c3)
+
+    def test_call_off_the_domain_is_refused(self, p_c6_c3):
+        with pytest.raises(UnknownVertex, match="^vertex '9' not in morphism domain$"):
+            p_c6_c3("9")
+
 
 def reference_validate_morphism(domain, codomain):
     """make_morphism and validate_morphism by labels, on a map given as a
@@ -225,6 +235,16 @@ def hand_built_morphisms(draw):
     if "stray" in faults:
         pairs.append(("z", draw(image)))
     return domain, codomain, dict(draw(st.permutations(pairs)))
+
+
+class TestPairLabels:
+    def test_split_inverts_label(self):
+        assert split_pair_label(pair_label("(1,2)", "a,b")) == ("(1,2)", "a,b")
+
+    @pytest.mark.parametrize("label", ["a,b", "(ab)", "(a,b"])
+    def test_malformed_label_is_parse_error(self, label):
+        with pytest.raises(ParseError, match=rf"^bad pair label: {re.escape(repr(label))}$"):
+            split_pair_label(label)
 
 
 class TestSubgraphs:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,24 @@ class TestGroupConstruction:
     def test_missing_product_rejected(self):
         with pytest.raises(NotAGroup):
             make_group(["e", "a"], {("e", "e"): "e"})
+
+    @pytest.mark.parametrize(
+        "elems, table, message",
+        [
+            (["e", "e"], {}, "duplicate element labels"),
+            (["e", "a"], {("e", "e"): "e", ("e", "a"): "b"}, "closure fails: ('e', 'a') -> 'b'"),
+            (["a", "b"], {(x, y): "a" for x in "ab" for y in "ab"}, "no identity element"),
+            (["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}, "no inverse for 'a'"),
+        ],
+        ids=["duplicate", "closure", "identity", "inverse"],
+    )
+    def test_each_axiom_is_named(self, elems, table, message):
+        with pytest.raises(NotAGroup, match=f"^{re.escape(message)}$"):
+            make_group(elems, table)
+
+    def test_cyclic_group_of_order_zero_is_refused(self):
+        with pytest.raises(NotAGroup, match="^no identity element$"):
+            cyclic(0)
 
     def test_json_roundtrip(self, z6):
         assert table(FiniteGroup.from_json(z6.to_json())) == table(z6)
@@ -587,6 +606,10 @@ class TestDerivedGroups:
         with pytest.raises(NotAGroup):
             subgroup(z6, [])
 
+    def test_subset_not_closed_is_not_a_subgroup(self, z6):
+        with pytest.raises(NotAGroup, match=r"^subset not closed: \('1', '1'\)$"):
+            subgroup(z6, [0, 1])
+
     def test_pair_label_clash(self):
         # pair_label("1", "a,b") == pair_label("1,a", "b") == "(1,a,b)".
         def z2_on(e, g):
@@ -904,6 +927,18 @@ class TestTransversalSections:
                 route()
         assert cayley_graph(z4, generator_system(cyclic(4), ["1", "3"])).n == 4
 
+    def test_map_that_is_not_onto_is_refused(self, z3):
+        # The zero map reaches the identity alone; its kernel is Z3.
+        zero = hom(z3, z3, {e: "0" for e in z3.elements})
+        s1 = s0 = generator_system(z3, ["1", "2"])
+        for route, what in (
+            (lambda: transversal_section(zero, s1), "transversal section"),
+            (lambda: induced_generators(zero, s1, s0), "transversal section"),
+            (lambda: cayley_bundle(zero, s1, s0), "cayley bundle"),
+        ):
+            with pytest.raises(NotSurjective, match=f"^{what} needs a surjective homomorphism$"):
+                route()
+
     def test_involutive_lift_found_when_present(self, z6):
         phi = hom(z6, cyclic(2), {str(x): str(x % 2) for x in range(6)})
         s1 = generator_system(cyclic(2), ["1"])
@@ -932,6 +967,21 @@ class TestInducedGenerators:
 
 
 class TestCayleyBundles:
+    def test_kernel_set_closed_under_no_conjugation_is_refused(self):
+        # Two transpositions generate S3, the kernel of the map onto the
+        # trivial group, but their conjugate 210 is not among them.
+        s3 = symmetric_group_3()
+        onto_one = hom(s3, cyclic(1), {e: "0" for e in s3.elements})
+        s1, s0 = generator_system(cyclic(1), []), generator_system(kernel(onto_one), ["102", "021"])
+        for route in (induced_generators, cayley_bundle):
+            with pytest.raises(InvalidGeneratorSystem, match="^kernel generating set is not admissible$"):
+                route(onto_one, s1, s0)
+
+    def test_kernel_set_over_another_group_is_refused(self, phi2, z3):
+        s1 = generator_system(z3, ["1", "2"])
+        with pytest.raises(InvalidGeneratorSystem, match="^kernel generating set is not over the kernel$"):
+            cayley_bundle(phi2, s1, generator_system(z3, ["1", "2"]))
+
     def test_projection_gives_prism(self, phi1, z3, c3, k2):
         s1 = generator_system(z3, ["1", "2"])
         s0 = generator_system(kernel(phi1), ["(1,0)"])

@@ -318,6 +318,10 @@ class TestFiberPower:
     def test_first_power_is_the_graph(self, k3):
         assert fiber_power(k3, 1) == k3
 
+    def test_negative_power_is_refused(self, k2):
+        with pytest.raises(ValueError, match=r"^fiber power needs n >= 0$"):
+            fiber_power(k2, -1)
+
     @pytest.mark.parametrize(
         "fiber",
         [complete_graph(2), complete_graph(3), path_graph(3), cycle_graph(4), empty_graph(2), star_graph(3)],
@@ -774,8 +778,11 @@ class TestPowersPastTheSearchBound:
 
     def test_powers_past_the_square_of_the_search_bound_are_refused(self, generated, c3, p3, k2):
         # Over a tree no group is read, so only the vertex count stops the
-        # powers.  Over a triangle the cap would let Aut(C5^4) be generated:
-        # 240,000 automorphisms on 625 points.
+        # powers.  Over a triangle the vertex count refuses C5^3, though the
+        # cap would not: its 6,000 automorphisms, times k(D5 ≀ S3) = 40
+        # classes, price its first split at 240,000 conjugations.  The cap
+        # alone would refuse C5^4 before generating its group: 240,000
+        # automorphisms times k(D5 ≀ S4) = 105 is 25.2M conjugations.
         with pytest.raises(EnumerationBoundExceeded, match="fiber power 7 has 128 vertices, enumeration capped at 100"):
             enumerate_bundle_classes(p3, k2, 7)
         assert len(enumerate_bundle_classes(p3, k2, 6).classes) == 7
@@ -820,6 +827,13 @@ class TestSearchesPerEnumeration:
         searches.clear()
         mapping = k0_map(make_morphism(p3, c3, {"1": "1", "2": "2", "3": "3"}), m)
         assert mapping == {c.class_id: c.n for c in m.classes}
+        assert searches == []
+
+    def test_class_map_into_another_base_is_refused(self, searches, c3, p3, k2):
+        m = enumerate_bundle_classes(p3, k2, 1)
+        searches.clear()
+        with pytest.raises(BaseMismatch, match="^codomain of the morphism must equal the monoid base$"):
+            k0_map(make_morphism(p3, c3, {"1": "1", "2": "2", "3": "3"}), m)
         assert searches == []
 
 

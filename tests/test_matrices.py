@@ -19,7 +19,7 @@ from bundleforge import (
     strong_product,
 )
 from bundleforge import matrices
-from bundleforge.errors import NotABijection, NotConverged, NotFinite, NotSymmetric
+from bundleforge.errors import NotABijection, NotConverged, NotFinite, NotSymmetric, ShapeMismatch
 from bundleforge.matrices import (
     Matrix,
     Spectrum,
@@ -482,6 +482,11 @@ def test_matrix_copies_its_source():
     assert m == from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         m.data[0, 1] = 7.0
+
+
+def test_matrix_of_a_vector_is_refused():
+    with pytest.raises(ShapeMismatch, match=r"^matrix must be 2-dimensional, got shape \(3,\)$"):
+        Matrix(np.zeros(3))
 
 
 def test_matrix_json_roundtrip(m3):

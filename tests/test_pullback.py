@@ -44,7 +44,7 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
-from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_composite
+from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_top
 from bundleforge.matrices import Matrix
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
@@ -61,8 +61,13 @@ from dense_reference import conjugated_block, from_rows, identity, kronecker, mo
 
 
 def split_pullback_vertex(label):
-    """Invert pullback_vertex, splitting at the top-level bar."""
-    return split_composite(label, "|", "pullback vertex label")
+    """Invert pullback_vertex: strip the outer parentheses and split the
+    rest at the first bar outside nested parentheses."""
+    if label.startswith("(") and label.endswith(")"):
+        head, *rest = split_top(label[1:-1], "|")
+        if rest:
+            return head, "|".join(rest)
+    raise ParseError(f"bad pullback vertex label: {label!r}")
 
 
 SWAP = Perm((1, 0))
@@ -423,6 +428,11 @@ class TestSubdirectAdjacency:
 
         assert bundle_adjacency(combined) == subdirect_adjacency(fv1, m3_voltage)
 
+    @pytest.mark.parametrize("route, what", [(subdirect_adjacency, "adjacency"), (subdirect_voltage, "voltage")])
+    def test_bases_must_agree(self, c3, c4, k2, route, what):
+        with pytest.raises(BaseMismatch, match=f"^subdirect {what} needs a common base graph$"):
+            route(trivial_voltage(c3, k2), trivial_voltage(c4, k2))
+
 
 class TestPairMorphism:
     def test_global_sections_pair_to_section(self, c3, k2):
@@ -477,6 +487,21 @@ class TestSections:
         assert is_section(beta, b)
         off = make_morphism(dot, b.total, {"2": "(3,1)"})
         assert not is_section(off, b)
+
+    @pytest.mark.parametrize(
+        "vertices, edges, mapping",
+        [
+            (["9"], [], {"9": "(1,1)"}),
+            (["1", "3"], [("1", "3")], {"1": "(1,1)", "3": "(3,1)"}),
+            # (1,1) and (2,2) are not adjacent; (2,1) would make a section.
+            (["1", "2"], [("1", "2")], {"1": "(1,1)", "2": "(2,2)"}),
+        ],
+        ids=["vertex-off-the-base", "edge-off-the-base", "not-a-morphism"],
+    )
+    def test_maps_that_are_no_section(self, k2, vertices, edges, mapping):
+        b = voltage_bundle(trivial_voltage(path_graph(3), k2))
+        beta = make_morphism(make_graph(vertices, edges), b.total, mapping)
+        assert not is_section(beta, b)
 
     def test_image_off_the_total_is_refused(self, m3_voltage):
         b = voltage_bundle(m3_voltage)
