@@ -28,17 +28,21 @@ three-condition definition (fibers, covering, transition isomorphisms) and
 local triviality over every base edge; disagreement between them would be
 an implementation bug, not bad input, and raises immediately.
 
-Both routes run on every call, on vertex positions, and search once per
-distinct key.  One pass over the total's edges files each, by its ends'
-ranks in their fibers, under its base vertex (a fiber edge) or its base
-edge (a cross edge).  A fiber's key is its size and edges; an edge
-preimage's is its fibers' keys, its cross edges and which of its
-positions lie over v.  The key fixes the shape the search reads, each
-position's neighbours within the set, increasing; the shape is built
-only for a new key, goes straight to graphs.search_shape against F or a
-K2 □ F profile built once per call, with each side of the edge a mask,
-and no graph is built.  A call costs O(|V|·|F| + |E|·|F|) plus one
-search per distinct key.
+Both routes run on every call, on vertex positions, and decide once per
+distinct key.  One pass over the total's edges, which is also the
+morphism check, files each by its ends' ranks in their fibers, under its
+base vertex (a fiber edge) or its base edge (a cross edge).  A fiber's
+key is its size and edges, a base edge's its fibers' kinds and its cross
+edges.  The definition is decided once per distinct edge key on ranks,
+and the voltage value composed once per key.  Local triviality keys an
+edge preimage by its edge kind and which of its positions lie over v,
+which fix the shape the search reads, each position's neighbours within
+the set, increasing; the shape is built only for a new key, goes
+straight to graphs.search_shape against F or a K2 □ F profile built once
+per call, with each side of the edge a mask, and no graph is built.  A
+call reads total.ends once and never builds the total's neighbour lists:
+it costs O(|V|·|F| + |E|·|F|) to file edges and sort preimages, plus one
+decision and one search per distinct key.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def _edge_of_key(base: Graph, key: str) -> tuple[Label, Label]:
     two splits that form base edges."""
     parts = split_top(key, ",")
     if len(parts) < 2:
-        raise ParseError(f"bad oriented edge key: {f'({key})'!r}")
+        raise ParseError(f"bad oriented edge key: {key!r}")
     splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
     edges = [(v, w) for v, w in splits if base.has_edge(v, w)]
     if len(edges) > 1:
@@ -281,8 +285,10 @@ def voltage_bundle(fv: FiberVoltage) -> GraphBundle:
 
 #: Per target position, the positions over it, increasing.
 _Fibers = list[list[int]]
-#: Fiber kinds, the distinct (size, edges) they index, and cross edges per base edge.
-_Buckets = tuple[list[int], list[tuple[int, list]], list[list[tuple[int, int]]]]
+#: Per base vertex its fiber kind, the distinct (size, edges) the kinds
+#: index, per base edge its edge kind, and the distinct (fiber kind over v,
+#: fiber kind over w, cross edges) the edge kinds index.
+_Buckets = tuple[list[int], list[tuple[int, list]], list[int], list[tuple[int, int, tuple[tuple[int, int], ...]]]]
 
 
 def _positions_over(at: Sequence[int], n: int) -> tuple[_Fibers, list[int]]:
@@ -298,50 +304,86 @@ def _positions_over(at: Sequence[int], n: int) -> tuple[_Fibers, list[int]]:
     return fibers, rank
 
 
-def _local_edges(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers, rank: Sequence[int]) -> _Buckets:
-    """One pass over total.ends files each edge as the ranks of its ends in
-    their fibers: a fiber edge under its base vertex, sorted, and a cross
-    edge under its base edge, the end over the edge's first vertex first."""
-    edge_at = {e: k for k, e in enumerate(base.ends)}
+def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buckets:
+    """One pass over the total's ends files each edge as the ranks of its
+    ends in their fibers: a fiber edge under its base vertex, sorted, and a
+    cross edge under its base edge vw, the end over v first.  A fiber's key
+    is its size and edges, a base edge's the kinds of its two fibers and
+    its cross edges; each distinct key gets the next kind id.
+
+    The same pass is the morphism check: an edge over two distinct
+    non-adjacent base vertices makes it raise require_morphism's
+    NotAMorphism."""
+    base, over = p.codomain, p.position_map
+    edge_at = {e: k for k, (a, b) in enumerate(base.ends) for e in ((a, b), (b, a))}
     inner: list[list[tuple[int, int]]] = [[] for _ in fibers]
     cross: list[list[tuple[int, int]]] = [[] for _ in base.ends]
-    for x, y in total.ends:
+    stray = False
+    for x, y in p.domain.ends:
         a, b = over[x], over[y]
         if a == b:
             inner[a].append((rank[x], rank[y]))
+        elif (k := edge_at.get((a, b))) is None:
+            stray = True
         elif a < b:
-            cross[edge_at[a, b]].append((rank[x], rank[y]))
+            cross[k].append((rank[x], rank[y]))
         else:
-            cross[edge_at[b, a]].append((rank[y], rank[x]))
+            cross[k].append((rank[y], rank[x]))
+    if stray:
+        require_morphism(p, "projection is not a morphism")
     ids: dict[tuple, int] = {}
     kinds = [ids.setdefault((len(xs), tuple(es)), len(ids)) for xs, es in zip(fibers, inner)]
-    return kinds, list(ids), cross
+    edge_ids: dict[tuple, int] = {}
+    edge_kinds = [
+        edge_ids.setdefault((kinds[a], kinds[b], tuple(es)), len(edge_ids)) for (a, b), es in zip(base.ends, cross)
+    ]
+    return kinds, list(ids), edge_kinds, list(edge_ids)
 
 
-def _check_conditions(total: Graph, base: Graph, over: Sequence[int], fibers: _Fibers) -> list[dict[int, int]]:
-    """Covering, then transition isomorphisms, over fibers isomorphic to F:
-    psi_vw, x over v to its one neighbour over w, per base edge in
-    base.ends order, is returned once checked.  Every psi_vw is read, and
-    raises NotACovering when some x has none or two or two x share one,
-    before any is checked.  One orientation per edge suffices: a bijection
+def _transition(
+    size: int, between: Sequence[tuple[int, int]], inner: Sequence[tuple[int, int]], target: Sequence[tuple[int, int]]
+) -> tuple[Optional[list[int]], Optional[tuple[int, int]], bool]:
+    """The definition on one edge key, on ranks.  psi takes each of the
+    size ranks over v to the rank of its one neighbour over w, by the cross
+    edges between.  Returns psi when it exists and is one-to-one, else
+    None; the least rank with none or two such neighbours and their count,
+    else None; and whether psi maps each edge of inner, the fiber over v,
+    onto one of target, the fiber over w."""
+    ys: list[list[int]] = [[] for _ in range(size)]
+    for r, s in between:
+        ys[r].append(s)
+    for r, found in enumerate(ys):
+        if len(found) != 1:
+            return None, (r, len(found)), False
+    psi = [found[0] for found in ys]
+    if len(set(psi)) != size:
+        return None, None, False
+    edges = set(target)
+    return psi, None, all((psi[r], psi[s]) in edges or (psi[s], psi[r]) in edges for r, s in inner)
+
+
+def _check_conditions(total: Graph, base: Graph, fibers: _Fibers, edges: _Buckets) -> list[list[int]]:
+    """Covering, then transition isomorphisms, over fibers isomorphic to F,
+    decided once per edge kind on ranks: psi_vw, x over v to its one
+    neighbour over w, is returned by rank per edge kind once checked.  The
+    covering is checked over every base edge, in base.ends order, raising
+    NotACovering when some x has none or two or two x share one, before
+    any transition.  One orientation per edge suffices: a bijection
     between fibers with as many edges as F that keeps the fiber edges (x, y
     adjacent and over one base vertex) is an isomorphism."""
-    nbrs, xvs, bvs = total.neighbor_indices, total.vertices, base.vertices
-    psis: list[dict[int, int]] = []
-    for a, b in base.ends:
-        psi: dict[int, int] = {}
-        for x in fibers[a]:
-            ys = [y for y in nbrs[x] if over[y] == b]
-            if len(ys) != 1:
-                raise NotACovering(f"vertex {xvs[x]!r} over {bvs[a]!r} has {len(ys)} neighbours over {bvs[b]!r}")
-            psi[x] = ys[0]
-        if len(set(psi.values())) != len(psi):
+    (_, shapes, edge_kinds, keys), xvs, bvs = edges, total.vertices, base.vertices
+    decided = [_transition(shapes[ka][0], between, shapes[ka][1], shapes[kb][1]) for ka, kb, between in keys]
+    for (a, b), kind in zip(base.ends, edge_kinds):
+        psi, fault, _ = decided[kind]
+        if fault is not None:
+            r, count = fault
+            raise NotACovering(f"vertex {xvs[fibers[a][r]]!r} over {bvs[a]!r} has {count} neighbours over {bvs[b]!r}")
+        if psi is None:
             raise NotACovering(f"transition over base edge ({bvs[a]!r}, {bvs[b]!r}) is not one-to-one")
-        psis.append(psi)
-    for (a, b), psi in zip(base.ends, psis):
-        if not all(psi[y] in nbrs[psi[x]] for x in fibers[a] for y in nbrs[x] if over[y] == a):
+    for (a, b), kind in zip(base.ends, edge_kinds):
+        if not decided[kind][2]:
             raise TransitionNotIso(f"transition over base edge ({bvs[a]!r}, {bvs[b]!r}) is not an isomorphism")
-    return psis
+    return [psi for psi, _, _ in decided]
 
 
 def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
@@ -358,22 +400,25 @@ def _check_local_triviality(base: Graph, over: Sequence[int], fibers: _Fibers, e
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
     to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
     positions of K2 □ F, and that over w onto copy 2, the high ones.  The
-    search sees only the preimage's shape and sides, which the fibers'
-    kinds, the cross edges and the sides fix: one search per distinct key."""
+    search sees only the preimage's shape and sides, which the edge's kind
+    and the sides fix: one search per distinct (edge kind, sides)."""
     k2f, budget, bvs = _box_k2_profile(fiber), graphs.current_budget.get(), base.vertices
-    (kinds, shapes, cross), low = edges, (1 << fiber.n) - 1
-    boxed: dict[tuple, bool] = {}
-    for (a, b), between in zip(base.ends, cross):
+    (_, shapes, edge_kinds, keys), low = edges, (1 << fiber.n) - 1
+    found: dict[tuple, bool] = {}
+    for (a, b), kind in zip(base.ends, edge_kinds):
         xs = sorted(fibers[a] + fibers[b])
-        sides = tuple(over[x] == a for x in xs)
-        key = (kinds[a], kinds[b], tuple(between), sides)
-        if key not in boxed:
-            at, fa, fb = {x: k for k, x in enumerate(xs)}, fibers[a], fibers[b]
-            parts = ((fa, fa, shapes[kinds[a]][1]), (fb, fb, shapes[kinds[b]][1]), (fa, fb, between))
-            pairs = sorted(tuple(sorted((at[u[i]], at[w[j]]))) for u, w, es in parts for i, j in es)
-            within = [low if side else low << fiber.n for side in sides]
-            boxed[key] = bool(search_shape(_neighbours(len(xs), pairs), k2f, budget, 1, within)[0])
-        if not boxed[key]:
+        key = kind, tuple([over[x] == a for x in xs])
+        boxed = found.get(key)
+        if boxed is None:
+            (ka, kb, between), fa, fb = keys[kind], fibers[a], fibers[b]
+            at = {x: k for k, x in enumerate(xs)}
+            # Ranks in a fiber follow positions, so only a cross edge may need turning.
+            pairs = [(at[u[i]], at[u[j]]) for u, es in ((fa, shapes[ka][1]), (fb, shapes[kb][1])) for i, j in es]
+            pairs += [(p, q) if p < q else (q, p) for p, q in [(at[fa[i]], at[fb[j]]) for i, j in between]]
+            pairs.sort()
+            within = [low if side else low << fiber.n for side in key[1]]
+            boxed = found[key] = bool(search_shape(_neighbours(len(xs), pairs), k2f, budget, 1, within)[0])
+        if not boxed:
             edge = f"({bvs[a]!r}, {bvs[b]!r})"
             raise LocalTrivialityFails(f"preimage of base edge {edge} is not a box product with the fiber")
 
@@ -388,18 +433,21 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     Each fiber is searched against F once per distinct kind, its size and
     edges: a fiber of an earlier kind takes that one's witness by position,
     which is the witness a fresh search would return.  The voltage is
-    composed from sigma and the transitions the definition check walked.
+    composed once per edge kind, from the witnesses of its two fiber kinds
+    and the transition the definition check read, and shared by every
+    base edge of that kind.
 
-    Raises TotalMismatch, before any check, when p's domain is not total.
+    Raises TotalMismatch, before any check, when p's domain is not total,
+    then NotAMorphism, from the one pass over total.ends, when p is not a
+    morphism.
     """
     if p.domain is not total and p.domain != total:
         raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
-    require_morphism(p, "projection is not a morphism")
     base, profile, budget = p.codomain, fiber.profile, graphs.current_budget.get()
     over = p.position_map
     fibers, rank = _positions_over(over, base.n)
-    local = kinds, shapes, _ = _local_edges(total, base, over, fibers, rank)
-    # Per fiber kind, the position in F of each vertex's image, or None.
+    local = kinds, shapes, edge_kinds, keys = _local_edges(p, fibers, rank)
+    # Per fiber kind, the position in F of each rank's image, or None.
     placed: dict[int, Optional[tuple[int, ...]]] = {}
     sigma = [0] * total.n
     for v, xs, kind in zip(base.vertices, fibers, kinds):
@@ -414,7 +462,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
 
     definition_error: Exception | None = None
     try:
-        psis = _check_conditions(total, base, over, fibers)
+        psis = _check_conditions(total, base, fibers, local)
     except (NotACovering, TransitionNotIso) as exc:
         definition_error = exc
 
@@ -431,13 +479,15 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
         )
     if definition_error is not None:
         raise definition_error
-    perms = []
-    for psi in psis:
-        # sigma_w ∘ psi_vw ∘ sigma_v⁻¹ takes sigma(x) to sigma(psi_vw(x)).
-        value = [0] * fiber.n
-        for x, y in psi.items():
-            value[sigma[x]] = sigma[y]
-        perms.append(tuple.__new__(Perm, value))
+    values = []
+    for (ka, kb, _), psi in zip(keys, psis):
+        # sigma_w ∘ psi_vw ∘ sigma_v⁻¹ takes sigma(x) to sigma(psi_vw(x)),
+        # and sigma is placed[kind] by rank.
+        at, to, value = placed[ka], placed[kb], [0] * fiber.n
+        for r, s in enumerate(psi):
+            value[at[r]] = to[s]
+        values.append(tuple.__new__(Perm, value))
+    perms = [values[kind] for kind in edge_kinds]
     return GraphBundle(total, p, fiber, tuple(sigma), FiberVoltage(base, fiber, perms))
 
 
@@ -472,16 +522,19 @@ def _forest_cycles(base: Graph) -> list[tuple[list[tuple[int, Optional[int]]], l
     return forest
 
 
-def _holonomies(fv: FiberVoltage) -> tuple[list[Perm], list[tuple[list[int], list[Perm]]]]:
+def _holonomies(
+    fv: FiberVoltage, forest: Optional[list[tuple[list[tuple[int, Optional[int]]], list[tuple[int, int]]]]] = None
+) -> tuple[list[Perm], list[tuple[list[int], list[Perm]]]]:
     """The transport t[v] of the voltage from the root of v's component
     along the spanning forest, by base position, and per component its
     positions in visit order and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of
     each non-tree edge (v, w): the voltage carried around its fundamental
-    cycle."""
+    cycle.  forest is _forest_cycles(fv.base), computed here when not
+    given."""
     along, ident = fv._oriented, Perm.identity(fv.fiber.n)
     t = [ident] * fv.base.n
     components = []
-    for tree, cycles in _forest_cycles(fv.base):
+    for tree, cycles in _forest_cycles(fv.base) if forest is None else forest:
         for w, v in tree:
             if v is not None:
                 t[w] = along[v, w].compose(t[v])
@@ -497,10 +550,14 @@ def _least_conjugator(
     placing the points of order in turn with their candidate images in the
     order given, or None.  Placing a point forces its images under every
     holonomy; each candidate tried is one node of the budget in scope
-    (graphs.node_budget)."""
+    (graphs.node_budget).  j may go to k when every placed neighbour of j
+    goes to a neighbour of k and k has no other used neighbour: O(deg) per
+    placement, the same test as every placed point keeping adjacency to
+    j."""
     if any(a.cycle_type() != b.cycle_type() for a, b in zip(h1, h2)):
         return None
-    nbrs = [set(nb) for nb in fiber.neighbor_indices]
+    adj = fiber.neighbor_indices
+    nbrs = [set(nb) for nb in adj]
     g: dict[int, int] = {}
     used: set[int] = set()
     budget, nodes = graphs.current_budget.get(), 0
@@ -513,7 +570,8 @@ def _least_conjugator(
                 continue
             if j in g or k in used:
                 return False
-            if any((i in nbrs[j]) != (g[i] in nbrs[k]) for i in g):
+            placed = [g[i] for i in adj[j] if i in g]
+            if any(y not in nbrs[k] for y in placed) or sum(y in used for y in adj[k]) != len(placed):
                 return False
             g[j] = k
             used.add(k)
@@ -568,8 +626,9 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     at2 = [[0] * n for _ in fibers1]
     for y, (a, f) in enumerate(zip(b2.projection.position_map, b2.sigma)):
         at2[a][f] = y
-    t1, components = _holonomies(b1.voltage)
-    t2, components2 = _holonomies(b2.voltage)
+    forest = _forest_cycles(b1.base)
+    t1, components = _holonomies(b1.voltage, forest)
+    t2, components2 = _holonomies(b2.voltage, forest)
     comp = {v: c for c, (vs, _) in enumerate(components) for v in vs}
     # Per component, the candidate images of each root point, in the order
     # the points are first reached; per base vertex, its candidate order.

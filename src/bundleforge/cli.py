@@ -6,7 +6,8 @@ failed equivalence, failed invariance), 2 input error, 3 budget exceeded,
 
 Every verb has one input path.  A named case (--case) is one lookup in
 named.CASES, in any letter case, which builds the objects the verb's files
-would give, and the verb then runs the same code for a case as for files.
+would give, and the verb then runs the same code for a case as for files;
+an input option given with --case is an input error that names it.
 --budget is the one setting of the node budget.  A verb run without --case
 needs each of its input options; a missing one is an input error of one
 form, "<verb> needs <options> (or --case)".
@@ -105,19 +106,28 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_json(_load_json(path))
 
 
+def _option(args: argparse.Namespace, option: str):
+    """The value of an option, by its command-line name."""
+    return getattr(args, option[2:].replace("-", "_"))
+
+
 def _given(args: argparse.Namespace, *options: str) -> list[str]:
     """The values of the input options a verb reads when run without
     --case; one not given is an input error that names it."""
-    values = [getattr(args, option[2:].replace("-", "_")) for option in options]
+    values = [_option(args, option) for option in options]
     missing = [option for option, value in zip(options, values) if not value]
     if missing:
         raise ParseError(f"{args.verb} needs {', '.join(missing)} (or --case)")
     return values
 
 
-def _case(args: argparse.Namespace):
+def _case(args: argparse.Namespace, *options: str):
     """The inputs of the named case args.case of args.verb: the objects the
-    verb would otherwise read from its files, in any letter case."""
+    verb would otherwise read from its input options, in any letter case.
+    One of those options given too is an input error that names it."""
+    given = [option for option in options if _option(args, option)]
+    if given:
+        raise ParseError(f"{args.verb} --case gives every input; drop {', '.join(given)}")
     cases, name = CASES[args.verb], args.case.lower()
     if name not in cases:
         raise ParseError(f"unknown {args.verb} case {args.case!r}; choices: {sorted(cases)}")
@@ -164,7 +174,7 @@ def cmd_spectrum(args) -> Outcome:
 
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(f"--tolerance must be finite and not negative, got {args.tolerance}")
-    g = _case(args) if args.case else _load_graph(*_given(args, "--graph"))
+    g = _case(args, "--graph") if args.case else _load_graph(*_given(args, "--graph"))
     eig = graph_spectrum(g)
     grouped: list[list] = []
     for x in eig.eigenvalues:
@@ -182,7 +192,7 @@ def cmd_spectrum(args) -> Outcome:
 
 
 def cmd_bundle_build(args) -> Outcome:
-    fv = _case(args) if args.case else FiberVoltage.from_json(_load_json(*_given(args, "--voltage")))
+    fv = _case(args, "--voltage") if args.case else FiberVoltage.from_json(_load_json(*_given(args, "--voltage")))
     b = voltage_bundle(fv)
     matches = _formula_matches(bundle_adjacency(fv), b.total)
     report = {
@@ -203,7 +213,7 @@ def cmd_bundle_build(args) -> Outcome:
 
 def cmd_bundle_verify(args) -> Outcome:
     if args.case:
-        total, projection, fiber_graph = _case(args)
+        total, projection, fiber_graph = _case(args, "--total", "--proj", "--fiber", "--base")
     else:
         total_path, proj_path, fiber_path = _given(args, "--total", "--proj", "--fiber")
         total = _load_graph(total_path)
@@ -253,7 +263,7 @@ def cmd_bundle_verify(args) -> Outcome:
 
 def cmd_pullback(args) -> Outcome:
     if args.case:
-        f, fv = _case(args)
+        f, fv = _case(args, "--voltage", "--morphism", "--domain")
     else:
         voltage_path, morphism_path, domain_path = _given(args, "--voltage", "--morphism", "--domain")
         fv = FiberVoltage.from_json(_load_json(voltage_path))
@@ -302,7 +312,7 @@ def _mixed_subdirect(args, b1, b2, link) -> Outcome:
 
 def cmd_subdirect(args) -> Outcome:
     if args.case:
-        inputs = _case(args)
+        inputs = _case(args, "--v1", "--v2")
         if len(inputs) == 3:  # two bundles and the link of their bases
             return _mixed_subdirect(args, *inputs)
         fv1, fv2 = inputs
@@ -329,7 +339,7 @@ def cmd_subdirect(args) -> Outcome:
 
 def cmd_cayley(args) -> Outcome:
     if args.case:
-        group, gens = _case(args)
+        group, gens = _case(args, "--group", "--gens")
     else:
         group_path, gens_list = _given(args, "--group", "--gens")
         group = FiniteGroup.from_json(_load_json(group_path))
@@ -359,7 +369,7 @@ def cmd_cayley(args) -> Outcome:
 
 def cmd_subdirect_group(args) -> Outcome:
     if args.case:
-        eps_a, eps_b = _case(args)
+        eps_a, eps_b = _case(args, "--group-a", "--group-b", "--group-c", "--eps-a", "--eps-b")
     else:
         *groups, map_a, map_b = _given(args, "--group-a", "--group-b", "--group-c", "--eps-a", "--eps-b")
         a, b, c = (FiniteGroup.from_json(_load_json(p)) for p in groups)
@@ -380,7 +390,7 @@ def cmd_subdirect_group(args) -> Outcome:
 
 def cmd_ktheory(args) -> Outcome:
     if args.case:
-        base, fiber_graph = _case(args)
+        base, fiber_graph = _case(args, "--base", "--fiber")
     else:
         base, fiber_graph = (_load_graph(p) for p in _given(args, "--base", "--fiber"))
     monoid = enumerate_bundle_classes(base, fiber_graph, args.n_max)
@@ -412,7 +422,7 @@ def cmd_invariance_check(args) -> Outcome:
 def cmd_export(args) -> Outcome:
     if args.json and not args.out:
         raise ParseError("export --json reports on the file written to --out; give --out, or drop --json")
-    g = _case(args) if args.case else _load_graph(*_given(args, "--graph"))
+    g = _case(args, "--graph") if args.case else _load_graph(*_given(args, "--graph"))
     text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json(), indent=2)
     if not args.out:
         return Outcome(None, [], artifact=text)

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bundleforge import (
     FiberVoltage,
@@ -1197,6 +1197,58 @@ class TestSearchCount:
         assert expected[1][0] is NotACovering
 
 
+class TestOnePassPerEdgeKind:
+    """The definition is decided once per distinct edge kind, and the
+    morphism check shares the one pass over the total's edges."""
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 8])
+    def test_definition_is_decided_once_per_voltage_value(self, monkeypatch, c4, distinct):
+        base, values = cycle_graph(96), automorphisms(c4)[:distinct]
+        fv = make_fiber_voltage(base, c4, {e: values[i % distinct] for i, e in enumerate(base.edge_list())})
+        b = voltage_bundle(fv)
+        calls = []
+        decide = bundles._transition
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(bundles, "_transition", counted)
+        assert verify_bundle(b.total, b.projection, c4).voltage.perms == fv.perms
+        assert len(calls) == distinct
+
+    def test_verify_builds_no_neighbour_lists_of_the_total(self, c4):
+        base = cycle_graph(12)
+        b = voltage_bundle(make_fiber_voltage(base, c4, {e: automorphisms(c4)[1] for e in base.edge_list()}))
+        assert verify_bundle(b.total, b.projection, c4).sigma == b.sigma
+        assert "neighbor_indices" not in b.total.__dict__
+
+
+@st.composite
+def non_morphism_totals(draw):
+    """A reordered total with one edge added between the fibers over two
+    distinct base vertices that are not adjacent."""
+    total, p, fiber = draw(reordered_totals())
+    base = p.codomain
+    apart = [(v, w) for v, w in itertools.combinations(base.vertices, 2) if not base.has_edge(v, w)]
+    assume(apart)
+    v, w = draw(st.sampled_from(apart))
+    x, y = draw(st.sampled_from(p.preimages[v])), draw(st.sampled_from(p.preimages[w]))
+    total = make_graph(total.vertices, total.edge_list() + [(x, y)])
+    return total, make_morphism(total, base, p.map), fiber
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(non_morphism_totals())
+def test_non_morphism_is_refused_as_require_morphism_refuses_it(case):
+    total, p, fiber = case
+    with pytest.raises(NotAMorphism) as expected:
+        graphs.require_morphism(p, "projection is not a morphism")
+    with pytest.raises(NotAMorphism) as got:
+        verify_bundle(total, p, fiber)
+    assert str(got.value) == str(expected.value)
+
+
 @st.composite
 def graph_up_to_8(draw):
     labels = [str(i) for i in range(draw(st.integers(0, 8)))]
@@ -1361,7 +1413,7 @@ class TestVoltageValidation:
 
     def test_key_with_no_comma_is_refused(self, c3, k2):
         data = {"base": c3.to_json(), "fiber": k2.to_json(), "phi": {"12": ["2", "1"]}}
-        with pytest.raises(ParseError, match=r"^bad oriented edge key: '\(12\)'$"):
+        with pytest.raises(ParseError, match=r"^bad oriented edge key: '12'$"):
             FiberVoltage.from_json(data)
 
     def test_key_that_names_two_base_edges_is_refused(self):

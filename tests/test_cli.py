@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -14,6 +15,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+#: Each verb that reads a named case: one of its cases and the input
+#: options the case stands in for.
+CASE_INPUTS = {
+    "spectrum": ("k3", ["--graph"]),
+    "bundle-build": ("m3", ["--voltage"]),
+    "bundle-verify": ("m3", ["--total", "--proj", "--fiber", "--base"]),
+    "pullback": ("c6-m3", ["--voltage", "--morphism", "--domain"]),
+    "subdirect": ("prism-m3", ["--v1", "--v2"]),
+    "cayley": ("z4-c4", ["--group", "--gens"]),
+    "subdirect-group": ("z2z3-z6", ["--group-a", "--group-b", "--group-c", "--eps-a", "--eps-b"]),
+    "ktheory": ("c3-k2", ["--base", "--fiber"]),
+    "export": ("k2", ["--graph"]),
+}
 
 
 def write_json(tmp_path, name, payload):
@@ -462,6 +478,24 @@ class TestExitCodes:
         code, out, err = run(capsys, verb, *inputs[verb], "--out", target)
         assert (code, out) == (2, "")
         assert err.startswith(f"input error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("verb,option", [(v, o) for v, (_, options) in CASE_INPUTS.items() for o in options])
+    def test_input_option_with_a_case_is_refused(self, capsys, verb, option):
+        # Before, the case won and the option was ignored: exit 0 even for a
+        # file that does not exist.
+        case, _ = CASE_INPUTS[verb]
+        code, out, err = run(capsys, verb, "--case", case, option, "/nonexistent.json")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {verb} --case gives every input; drop {option}\n"
+
+    def test_every_input_option_is_listed(self):
+        # An option that is no setting is an input the case gives, so a new
+        # one must join CASE_INPUTS.
+        settings = {"-h", "--help", "--json", "--out", "--case", "--tolerance", "--format", "--n-max"}
+        verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        for verb in CASES:
+            inputs = {o for action in verbs[verb]._actions for o in action.option_strings} - settings
+            assert sorted(inputs) == sorted(CASE_INPUTS.get(verb, (None, []))[1]), verb
 
     @pytest.mark.parametrize("missing", ["--total", "--proj", "--fiber"])
     def test_bundle_verify_without_a_file_is_input_error(self, capsys, tmp_path, missing):
