@@ -20,8 +20,9 @@ the definition check proved isomorphisms.  Every voltage and projection
 the library builds goes straight into its class, whose constructor checks
 nothing; make_fiber_voltage (FiberVoltage.from_json through it) and
 make_morphism validate user data; voltage_bundle keeps the voltage it was
-given.  Only bundle_adjacency, the one function here that builds a Matrix,
-loads the matrix layer.
+given.  A "v,w" phi key splits exactly, since no label holds a top-level
+comma.  Only bundle_adjacency, the one function here that builds a
+Matrix, loads the matrix layer.
 
 A bundle is verified against two characterizations at once, the
 three-condition definition (fibers, covering, transition isomorphisms) and
@@ -131,15 +132,10 @@ class FiberVoltage:
         return {(bvs[i], bvs[j]): perm for (i, j), perm in self._oriented.items()}
 
     def to_json(self) -> dict:
-        """Raises ParseError, naming both edges, when two base edges render
-        one "v,w" key (a label may hold a comma), which from_json refuses."""
+        """One "v,w" phi key per base edge: no label holds a top-level
+        comma, so the keys are distinct and from_json reads each back."""
         bvs, fvs = self.base.vertices, self.fiber.vertices
-        phi, edges = {}, {}
-        for (i, j), perm in zip(self.base.ends, self.perms):
-            key, edge = f"{bvs[i]},{bvs[j]}", (bvs[i], bvs[j])
-            if edges.setdefault(key, edge) != edge:
-                raise ParseError(f"oriented edge key {key!r} names more than one base edge: {[edges[key], edge]}")
-            phi[key] = [fvs[x] for x in perm]
+        phi = {f"{bvs[i]},{bvs[j]}": [fvs[x] for x in perm] for (i, j), perm in zip(self.base.ends, self.perms)}
         return {"base": self.base.to_json(), "fiber": self.fiber.to_json(), "phi": phi}
 
     @staticmethod
@@ -154,7 +150,7 @@ class FiberVoltage:
             raise ParseError(f"fiber voltage 'phi' must be an object, got {raw!r}")
         assignments = {}
         for key, images in raw.items():
-            v, w = _edge_of_key(base, key)
+            v, w = _edge_of_key(key)
             if not isinstance(images, list):
                 raise ParseError(f"voltage on {key!r} must be a list of fiber vertices, got {images!r}")
             try:
@@ -167,20 +163,13 @@ class FiberVoltage:
         return make_fiber_voltage(base, fiber, assignments)
 
 
-def _edge_of_key(base: Graph, key: str) -> tuple[Label, Label]:
-    """The oriented edge (v, w) a "v,w" phi key names: a label may hold a
-    comma, so the key splits at the top-level comma whose halves form a
-    base edge, else at the first one, whose stray edge make_fiber_voltage
-    reports.  Raises ParseError for a key with no top-level comma or with
-    two splits that form base edges."""
+def _edge_of_key(key: str) -> tuple[Label, Label]:
+    """The oriented edge (v, w) a "v,w" phi key names, split at its one
+    top-level comma, else ParseError; make_fiber_voltage reports a stray edge."""
     parts = split_top(key, ",")
-    if len(parts) < 2:
+    if len(parts) != 2:
         raise ParseError(f"bad oriented edge key: {key!r}")
-    splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
-    edges = [(v, w) for v, w in splits if base.has_edge(v, w)]
-    if len(edges) > 1:
-        raise ParseError(f"oriented edge key {key!r} names more than one base edge: {edges}")
-    return edges[0] if edges else splits[0]
+    return parts[0], parts[1]
 
 
 def make_fiber_voltage(

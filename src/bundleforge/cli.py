@@ -113,9 +113,9 @@ def _option(args: argparse.Namespace, option: str):
 
 def _given(args: argparse.Namespace, *options: str) -> list[str]:
     """The values of the input options a verb reads when run without
-    --case; one not given is an input error that names it."""
+    --case; one not given (None: "" is a value) is an input error naming it."""
     values = [_option(args, option) for option in options]
-    missing = [option for option, value in zip(options, values) if not value]
+    missing = [option for option, value in zip(options, values) if value is None]
     if missing:
         raise ParseError(f"{args.verb} needs {', '.join(missing)} (or --case)")
     return values
@@ -125,7 +125,7 @@ def _case(args: argparse.Namespace, *options: str):
     """The inputs of the named case args.case of args.verb: the objects the
     verb would otherwise read from its input options, in any letter case.
     One of those options given too is an input error that names it."""
-    given = [option for option in options if _option(args, option)]
+    given = [option for option in options if _option(args, option) is not None]
     if given:
         raise ParseError(f"{args.verb} --case gives every input; drop {', '.join(given)}")
     cases, name = CASES[args.verb], args.case.lower()
@@ -219,9 +219,9 @@ def cmd_bundle_verify(args) -> Outcome:
         total = _load_graph(total_path)
         fiber_graph = _load_graph(fiber_path)
         mapping, proj_data = _load_map(proj_path, total)
-        if args.base and "base" in proj_data:
+        if args.base is not None and "base" in proj_data:
             raise ParseError(f"bundle-verify reads one base: --base {args.base} and the 'base' in {proj_path} both give one")
-        if args.base:
+        if args.base is not None:
             base = _load_graph(args.base)
         elif "base" in proj_data:
             base = Graph.from_json(proj_data["base"])

@@ -1,9 +1,9 @@
 """Finite simple graphs, weak morphisms, and exhaustive isomorphism search.
 
-Vertices are opaque string labels with an explicit, persisted order; the
-order fixes adjacency-matrix rows and makes every set-valued result
-deterministic.  Morphisms are weak: an edge may map to an edge or collapse
-to a single vertex.
+Vertices are string labels in the grammar of check_labels, with an
+explicit, persisted order; the order fixes adjacency-matrix rows and makes
+every set-valued result deterministic.  Morphisms are weak: an edge may
+map to an edge or collapse to a single vertex.
 
 A Graph stores its labels and its edges as sorted index pairs (i, j), i <
 j, of vertex positions; the label views and the neighbour positions are
@@ -66,9 +66,33 @@ def canon_label(x: object) -> Label:
     raise ParseError(f"unsupported vertex label type: {x!r}")
 
 
+def check_labels(labels: Iterable[Label], what: str) -> None:
+    """Raise ParseError, naming it, at the first label that breaks the label
+    grammar: balanced parentheses, and no "," or "|" outside them.  Only
+    make_graph and groups.make_group call it; pair_label and pullback_vertex
+    are injective on the grammar, and split_top reads their parts back."""
+    for label in labels:
+        if "(" in label or ")" in label or "," in label or "|" in label:
+            depth = 0
+            for ch in label:
+                if ch == "(":
+                    depth += 1
+                elif not depth and ch in "),|":
+                    depth = -1
+                    break
+                elif ch == ")":
+                    depth -= 1
+            if depth:
+                raise ParseError(f"{what} {label!r} breaks the label grammar: balanced parentheses, no ',' or '|' outside them")
+
+
 def pair_label(a: Label, b: Label) -> Label:
     """Composite label for product-style vertices."""
     return f"({a},{b})"
+
+
+def pullback_vertex(v: Label, x: Label) -> Label:
+    return f"({v}|{x})"
 
 
 def split_top(text: str, sep: str) -> list[str]:
@@ -87,16 +111,12 @@ def split_top(text: str, sep: str) -> list[str]:
 
 
 def split_pair_label(label: Label) -> tuple[Label, Label]:
-    """Invert :func:`pair_label`: strip the outer parentheses and split the
-    rest at the first comma outside nested parentheses.
-
-    Raises ParseError when either step fails.
-    """
-    if label.startswith("(") and label.endswith(")"):
-        head, *rest = split_top(label[1:-1], ",")
-        if rest:
-            return head, ",".join(rest)
-    raise ParseError(f"bad pair label: {label!r}")
+    """Invert pair_label: the parts of "(a,b)" at its one top-level comma,
+    else ParseError."""
+    parts = split_top(label[1:-1], ",") if label.startswith("(") and label.endswith(")") else []
+    if len(parts) != 2:
+        raise ParseError(f"bad pair label: {label!r}")
+    return parts[0], parts[1]
 
 
 @dataclass(frozen=True)
@@ -205,10 +225,16 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
     """Build a graph, canonicalizing labels and validating the data: a
     label that is a str is kept as it is, and canon_label reads any other.
 
-    Raises DuplicateVertex, LoopEdge, or UnknownEndpoint on bad input.
+    Raises ParseError (see check_labels), DuplicateVertex, LoopEdge, or
+    UnknownEndpoint on bad input.
     """
     vs = tuple(v if type(v) is str else canon_label(v) for v in vertices)
-    index = _distinct(vs)
+    check_labels(vs, "vertex")
+    index: dict[Label, int] = {}
+    for i, v in enumerate(vs):
+        if v in index:
+            raise DuplicateVertex(f"duplicate vertex {v!r}")
+        index[v] = i
     ends: set[tuple[int, int]] = set()
     for raw in edges:
         pair = tuple(raw)
@@ -230,26 +256,12 @@ def make_graph(vertices: Iterable[object], edges: Iterable[tuple[object, object]
     return g
 
 
-def _distinct(vs: Sequence[Label]) -> dict[Label, int]:
-    """The position of each label; raises DuplicateVertex at the first
-    repeat."""
-    index: dict[Label, int] = {}
-    for i, v in enumerate(vs):
-        if v in index:
-            raise DuplicateVertex(f"duplicate vertex {v!r}")
-        index[v] = i
-    return index
-
-
 def _trusted_graph(vertices: tuple[Label, ...], ends: list[tuple[int, int]]) -> Graph:
-    """A graph the library has just generated, from its edges as index
-    pairs (i, j) with i < j, each edge once, by construction, in any
-    order: the list is sorted in place, and only the labels are checked
-    for clashes, in O(|V|)."""
+    """A graph the library has just generated, from its distinct labels and
+    its edges as index pairs (i, j), i < j, each once, in any order: the
+    list is sorted in place, and nothing is checked."""
     ends.sort()
-    g = Graph(vertices, tuple(ends))
-    g.__dict__["index"] = _distinct(vertices)
-    return g
+    return Graph(vertices, tuple(ends))
 
 
 # --- standard small graphs -------------------------------------------------

@@ -11,9 +11,10 @@ symmetric_closure (and from a caller's sections), and written by to_json,
 GroupHom.mapping, GeneratorSystem.members and transversal_section.
 
 A table from outside (make_group, FiniteGroup.from_json) is checked
-exactly, at every order, associativity by Light's test.  Groups derived from
-validated groups are groups by construction and are built directly, and
-subdirect_group checks the paper's identities through explicit maps.
+exactly, at every order, associativity by Light's test, and its labels
+by graphs.check_labels.  Groups derived from validated groups are groups
+by construction and are built directly, and subdirect_group checks the
+paper's identities through explicit maps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NotSurjective,
     ParseError,
 )
-from .graphs import Graph, GraphMorphism, Label, _trusted_graph, canon_label, pair_label
+from .graphs import Graph, GraphMorphism, Label, _trusted_graph, canon_label, check_labels, pair_label
 from .pullback import subdirect_product
 
 
@@ -136,10 +137,11 @@ def make_group(elements: Sequence[object], table: Mapping[tuple[object, object],
     the product and contain the identity.  The cost is n²·|S| products,
     and |S| <= 1 + log2 n for a group.
 
-    Raises NotAGroup naming the violated axiom and a witness; the
-    associativity witness is (x, s, y) with s one of the generators.
+    Raises ParseError (graphs.check_labels) or NotAGroup naming the violated
+    axiom and a witness; the associativity witness (x, s, y) has s a generator.
     """
     elems = tuple(str(e) for e in elements)
+    check_labels(elems, "group element")
     index = {e: i for i, e in enumerate(elems)}
     if len(index) != len(elems):
         raise NotAGroup("duplicate element labels")
@@ -192,12 +194,9 @@ def _same_group(g: FiniteGroup, h: FiniteGroup) -> bool:
 
 def _pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Sequence[tuple[int, int]]) -> FiniteGroup:
     """Componentwise group on pairs of positions of a and b, in the given
-    order.  The pairs must form a subgroup of a × b; only their labels are
-    checked, since pair_label can give two pairs one label."""
+    order.  The pairs must form a subgroup of a × b; nothing is checked."""
     ea, eb = a.elements, b.elements
     labels = tuple(pair_label(ea[x], eb[y]) for x, y in pairs)
-    if len(set(labels)) != len(labels):
-        raise NotAGroup("duplicate element labels")
     at = {p: k for k, p in enumerate(pairs)}
     ra, rb = a.rows, b.rows
     rows = tuple(tuple(at[ra[x1][x2], rb[y1][y2]] for x2, y2 in pairs) for x1, y1 in pairs)

@@ -3,10 +3,11 @@ k-fold coverings.
 
 Product vertices are labeled "(u,v)" and ordered lexicographically from the
 stored factor orders, which keeps the Kronecker adjacency identities exact
-at the index level; the products check only their generated labels for
-clashes.  A k-fold covering is a bundle over the edgeless fiber on k
-vertices: it is verified by bundles.verify_bundle, its permutation voltage
-is that bundle's voltage, and its adjacency is bundles.bundle_adjacency.
+at the index level; pair_label is injective on the label grammar, so no
+label is checked.  A k-fold covering is a bundle over the edgeless fiber on
+k vertices: it is verified by bundles.verify_bundle, its permutation
+voltage is that bundle's voltage, and its adjacency is
+bundles.bundle_adjacency.
 
 The module imports neither numpy nor the matrix layer at load time: the
 closed-form spectra import it when they run, so the products and

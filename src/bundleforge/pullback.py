@@ -2,8 +2,9 @@
 and the subdirect product of bundles over a common base.
 
 Both constructions are instances of one typed fiber product, and both
-return a PullbackBundle: vertices are compatible pairs, and edges come in
-three kinds (fiber edges, collapsed base edges, twisted diagonal edges).
+return a PullbackBundle: vertices are compatible pairs, labeled "(v|x)" or
+"(x,y)" with no check, and edges come in three kinds (fiber edges,
+collapsed base edges, twisted diagonal edges).
 
 Each adjacency formula states only its voltage, one value per oriented
 edge it sums over, and its fiber graph, and hands both to the one kernel,
@@ -40,6 +41,7 @@ from .graphs import (
     make_morphism,
     pair_label,
     preserves_edges,
+    pullback_vertex,
     require_morphism,
     validate_morphism,
 )
@@ -68,10 +70,6 @@ def typed_edges_json(graph: Graph, kinds: Sequence[str]) -> dict:
     vs = graph.vertices
     out["edges"] = [[vs[i], vs[j], kind] for (i, j), kind in zip(graph.ends, kinds)]
     return out
-
-
-def pullback_vertex(v: Label, x: Label) -> Label:
-    return f"({v}|{x})"
 
 
 def _typed_fiber_product(

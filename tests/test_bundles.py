@@ -1392,24 +1392,31 @@ class TestVoltageValidation:
         assert again.base == m3_voltage.base
 
     def test_json_roundtrip_over_a_label_with_a_comma(self):
-        # The key "a,b,c" splits where its halves form a base edge.
-        base = make_graph(["a,b", "c"], [("a,b", "c")])
-        fv = make_fiber_voltage(base, complete_graph(2), {("a,b", "c"): Perm((1, 0))})
-        assert list(fv.to_json()["phi"]) == ["a,b,c"]
+        # A comma outside parentheses breaks the label grammar, in a graph
+        # and in a voltage's base; inside them it is read back.
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            make_graph(["a,b", "c"], [("a,b", "c")])
+        data = {"base": {"vertices": ["a,b", "c"], "edges": [["a,b", "c"]]}, "fiber": complete_graph(2).to_json(),
+                "phi": {"a,b,c": ["2", "1"]}}
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            FiberVoltage.from_json(data)
+        base = make_graph(["(a,b)", "c"], [("(a,b)", "c")])
+        fv = make_fiber_voltage(base, complete_graph(2), {("(a,b)", "c"): Perm((1, 0))})
+        assert list(fv.to_json()["phi"]) == ["(a,b),c"]
         again = FiberVoltage.from_json(fv.to_json())
         assert again.phi == fv.phi
         assert again.base == base
 
     def test_voltage_whose_edges_render_one_key_is_refused(self):
-        # a–"b,c" and "a,b"–c both print as "a,b,c": writing one value for
-        # two edges would drop the other.
-        base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
-        fv = make_fiber_voltage(base, complete_graph(2), {("a", "b,c"): Perm((1, 0)), ("a,b", "c"): Perm((0, 1))})
-        with pytest.raises(
-            ParseError,
-            match=r"^oriented edge key 'a,b,c' names more than one base edge: \[\('a', 'b,c'\), \('a,b', 'c'\)\]$",
-        ):
-            fv.to_json()
+        # a–"b,c" and "a,b"–c would both print as "a,b,c"; their labels are
+        # refused.  With the commas inside parentheses the keys differ and
+        # both values are written and read back.
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
+        base = make_graph(["a", "(a,b)", "(b,c)", "c"], [("a", "(b,c)"), ("(a,b)", "c")])
+        fv = make_fiber_voltage(base, complete_graph(2), {("a", "(b,c)"): Perm((1, 0)), ("(a,b)", "c"): Perm((0, 1))})
+        assert fv.to_json()["phi"] == {"a,(b,c)": ["2", "1"], "(a,b),c": ["1", "2"]}
+        assert FiberVoltage.from_json(fv.to_json()).phi == fv.phi
 
     def test_key_with_no_comma_is_refused(self, c3, k2):
         data = {"base": c3.to_json(), "fiber": k2.to_json(), "phi": {"12": ["2", "1"]}}
@@ -1417,7 +1424,13 @@ class TestVoltageValidation:
             FiberVoltage.from_json(data)
 
     def test_key_that_names_two_base_edges_is_refused(self):
-        base = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
-        data = {"base": base.to_json(), "fiber": complete_graph(2).to_json(), "phi": {"a,b,c": ["1", "2"]}}
-        with pytest.raises(ParseError, match=r"^oriented edge key 'a,b,c' names more than one base edge"):
+        # The base whose edges a–"b,c" and "a,b"–c the key "a,b,c" could
+        # name is refused; over grammatical labels such a key has two
+        # top-level commas and names no edge.
+        base = {"vertices": ["a", "a,b", "b,c", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
+        data = {"base": base, "fiber": complete_graph(2).to_json(), "phi": {"a,b,c": ["1", "2"]}}
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            FiberVoltage.from_json(data)
+        data["base"] = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).to_json()
+        with pytest.raises(ParseError, match=r"^bad oriented edge key: 'a,b,c'$"):
             FiberVoltage.from_json(data)

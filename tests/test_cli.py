@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, make_graph, matrices, path_graph
+from bundleforge import Graph, cartesian_product, cli, cycle_graph, complete_graph, matrices, path_graph
 from bundleforge.cli import main
 from bundleforge.graphs import split_pair_label
 from bundleforge.groups import cyclic
@@ -101,7 +101,7 @@ class TestProductCommand:
         code, out, err = run(capsys, "product", "--op", op, "--g1", g1, "--g2", g2)
         assert code == 2
         assert out == ""
-        assert "duplicate vertex '(1,a,b)'" in err
+        assert err.startswith("input error: vertex '1,a' breaks the label grammar")
 
     def test_strong_json_schema(self, capsys, tmp_path):
         g1 = write_json(tmp_path, "a.json", complete_graph(2).to_json())
@@ -215,6 +215,18 @@ class TestBundleCommands:
         assert err.startswith("input error: bundle-verify reads one base:")
         assert f"--base {c3}" in err and f"'base' in {argv[3]}" in err
 
+    def test_verify_reads_an_empty_base_path(self, capsys, tmp_path):
+        # An empty --base is given, so it is read as a path, not ignored in
+        # favour of the embedded base.
+        argv = self.m3_with_embedded_base(tmp_path, cycle_graph(3))
+        code, out, err = run(capsys, "bundle-verify", *argv, "--base", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: bundle-verify reads one base: --base  and the 'base' in")
+        argv[3] = write_json(tmp_path, "p.json", {"map": {}})
+        code, out, err = run(capsys, "bundle-verify", *argv, "--base", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot read : ")
+
     @pytest.mark.parametrize("stray", ["--eps-a", "--eps-b"])
     def test_subdirect_group_refuses_stray_map_key(self, capsys, tmp_path, stray):
         # hom reads only the domain's elements, so a key off the domain
@@ -323,6 +335,25 @@ class TestGroupCommands:
         code, _, err = run(capsys, "cayley", "--group", group, "--gens", "e")
         assert code == 2
         assert "input error" in err and "'e'" in err
+
+    @pytest.mark.parametrize("gens", ["", ","])
+    def test_cayley_empty_generating_set(self, capsys, tmp_path, gens):
+        # An empty --gens is given, and names the empty set: it generates
+        # the trivial group and no other.
+        z1 = write_json(tmp_path, "z1.json", cyclic(1).to_json())
+        code, out, err = run(capsys, "cayley", "--group", z1, "--gens", gens, "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["vertices"], report["edges"], report["generators"]) == (1, 0, [])
+        z2 = write_json(tmp_path, "z2.json", cyclic(2).to_json())
+        code, out, err = run(capsys, "cayley", "--group", z2, "--gens", gens)
+        assert (code, out) == (2, "")
+        assert err == "error: set does not generate the group\n"
+
+    def test_empty_option_with_a_case_is_refused(self, capsys):
+        code, out, err = run(capsys, "cayley", "--case", "z4-c4", "--gens", "")
+        assert (code, out) == (2, "")
+        assert err == "input error: cayley --case gives every input; drop --gens\n"
 
     def test_subdirect_group_case(self, capsys):
         code, out, _ = run(capsys, "subdirect-group", "--case", "z2z3-z6")
@@ -664,6 +695,31 @@ class TestMalformedInputFiles:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("label", ["a,b", "(a"])
+    @pytest.mark.parametrize("verb", ["product", "subdirect-group", "bundle-build"])
+    def test_label_that_breaks_the_grammar(self, capsys, tmp_path, verb, label):
+        # A label with a comma outside parentheses or an unbalanced one is
+        # refused where its file is read: a graph, a group, a voltage's base.
+        graph = {"vertices": ["1", label], "edges": [["1", label]]}
+        z2 = cyclic(2).to_json()
+        argv = {
+            "product": ["--g1", write_json(tmp_path, "g.json", graph), "--g2", write_json(tmp_path, "k2.json", complete_graph(2).to_json())],
+            "subdirect-group": [
+                "--group-a", write_json(tmp_path, "a.json", {"elements": ["e", label], "table": [["e", label], [label, "e"]]}),
+                "--group-b", write_json(tmp_path, "b.json", z2),
+                "--group-c", write_json(tmp_path, "c.json", z2),
+                "--eps-a", write_json(tmp_path, "ea.json", {"map": {"e": "0", label: "1"}}),
+                "--eps-b", write_json(tmp_path, "eb.json", {"map": {"0": "0", "1": "1"}}),
+            ],
+            "bundle-build": ["--voltage", write_json(tmp_path, "v.json", {
+                "base": graph, "fiber": complete_graph(2).to_json(), "phi": {f"1,{label}": ["2", "1"]}
+            })],
+        }[verb]
+        what = "group element" if verb == "subdirect-group" else "vertex"
+        code, out, err = run(capsys, verb, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {what} {label!r} breaks the label grammar")
+
     def pullback_args(self, tmp_path, morphism):
         from bundleforge.named import twisted_ladder_voltage
 
@@ -693,20 +749,20 @@ class TestMalformedInputFiles:
         assert err.startswith("input error:") and "'zzz'" in err
 
     def test_pullback_refuses_a_voltage_it_cannot_write(self, capsys, tmp_path):
-        # The domain edges a–"b,c" and "a,b"–c both print as the phi key
-        # "a,b,c", so the pulled-back voltage has no faithful JSON form.
+        # The domain edges a–"b,c" and "a,b"–c would both print as the phi
+        # key "a,b,c"; the domain's labels are refused as it is read.
         swap = {"base": path_graph(2).to_json(), "fiber": complete_graph(2).to_json(), "phi": {"1,2": ["2", "1"]}}
-        domain = make_graph(["a", "a,b", "b,c", "c"], [("a", "b,c"), ("a,b", "c")])
+        domain = {"vertices": ["a", "a,b", "b,c", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
         code, out, err = run(
             capsys,
             "pullback",
             "--voltage", write_json(tmp_path, "v.json", swap),
-            "--domain", write_json(tmp_path, "d.json", domain.to_json()),
+            "--domain", write_json(tmp_path, "d.json", domain),
             "--morphism", write_json(tmp_path, "f.json", {"map": {"a": "1", "a,b": "1", "b,c": "2", "c": "2"}}),
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("input error: oriented edge key 'a,b,c' names more than one base edge")
+        assert err.startswith("input error: vertex 'a,b' breaks the label grammar")
 
     @pytest.mark.parametrize("morphism", [{"mapping": {}}, {"map": [1]}, [1]], ids=["no-map", "map-list", "list"])
     def test_malformed_morphism(self, capsys, tmp_path, morphism):
@@ -736,7 +792,7 @@ class TestMalformedInputFiles:
     def test_subdirect_group_with_comma_labels(self, capsys, tmp_path):
         z2 = {"elements": ["e,0", "g,1"], "table": [["e,0", "g,1"], ["g,1", "e,0"]]}
         eps = {"map": {"e,0": "0", "g,1": "1"}}
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "subdirect-group",
             "--group-a", write_json(tmp_path, "a.json", z2),
@@ -746,8 +802,9 @@ class TestMalformedInputFiles:
             "--eps-b", write_json(tmp_path, "eb.json", eps),
             "--json",
         )
-        assert code == 0
-        assert json.loads(out)["order"] == 2
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: group element 'e,0' breaks the label grammar")
 
     def test_eps_without_map(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.subdirect_group_args(tmp_path, {"mapping": {}}))

@@ -75,6 +75,27 @@ TARGETS = [
 ]
 
 
+def _strings(doc):
+    """Every string value in doc, dictionary keys aside."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for v in doc:
+            yield from _strings(v)
+    elif isinstance(doc, str):
+        yield doc
+
+
+def _renamed(doc, old, new):
+    """doc with every occurrence of the string old, as a value or a key,
+    replaced by new."""
+    if isinstance(doc, dict):
+        return {(new if k == old else k): _renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old, new) for v in doc]
+    return new if doc == old else doc
+
+
 def _paths(doc, prefix=()):
     if prefix:
         yield prefix
@@ -89,15 +110,21 @@ def _paths(doc, prefix=()):
 @st.composite
 def broken(draw, doc):
     """doc after one or two edits: an entry given another JSON type or
-    another label, dropped or repeated; or junk in place of the whole
-    document.  The depth of the entry is drawn first, so rows and objects
-    are hit as often as the labels in them."""
+    another label, dropped or repeated; one label renamed, wherever it
+    occurs, to one that breaks the label grammar; or junk in place of the
+    whole document.  The depth of the entry is drawn first, so rows and
+    objects are hit as often as the labels in them."""
     doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         paths = list(_paths(doc))
-        edit = draw(st.sampled_from(["retype", "retype", "retype", "label", "drop", "repeat", "whole"]))
+        edit = draw(st.sampled_from(["retype", "retype", "retype", "label", "rename", "drop", "repeat", "whole"]))
         if edit == "whole" or not paths:
             return draw(JUNK)
+        if edit == "rename":
+            labels = sorted(set(_strings(doc)))
+            if labels:
+                doc = _renamed(doc, draw(st.sampled_from(labels)), draw(st.sampled_from(["a,b", "(a"])))
+            continue
         depth = draw(st.integers(min_value=1, max_value=max(map(len, paths))))
         path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
         parent = doc

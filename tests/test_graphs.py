@@ -239,7 +239,12 @@ def hand_built_morphisms(draw):
 
 class TestPairLabels:
     def test_split_inverts_label(self):
-        assert split_pair_label(pair_label("(1,2)", "a,b")) == ("(1,2)", "a,b")
+        # On grammatical labels the split inverts the label; "a,b" breaks
+        # the grammar and no graph takes it.
+        assert split_pair_label(pair_label("(1,2)", "(a,b)")) == ("(1,2)", "(a,b)")
+        assert split_pair_label(pair_label("", "(x|y)z")) == ("", "(x|y)z")
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            make_graph(["(1,2)", "a,b"], [])
 
     @pytest.mark.parametrize("label", ["a,b", "(ab)", "(a,b"])
     def test_malformed_label_is_parse_error(self, label):

@@ -517,11 +517,18 @@ class TestSubdirectGroup:
         assert group_isomorphic(q, sd.amalgam)
 
     def test_labels_with_top_level_commas(self):
+        # A comma outside parentheses breaks the label grammar; inside them
+        # it is an element label like any other.
+        with pytest.raises(ParseError, match=r"^group element 'e,0' breaks the label grammar"):
+            make_group(
+                ["e,0", "g,1"],
+                {("e,0", "e,0"): "e,0", ("e,0", "g,1"): "g,1", ("g,1", "e,0"): "g,1", ("g,1", "g,1"): "e,0"},
+            )
         z2 = make_group(
-            ["e,0", "g,1"],
-            {("e,0", "e,0"): "e,0", ("e,0", "g,1"): "g,1", ("g,1", "e,0"): "g,1", ("g,1", "g,1"): "e,0"},
+            ["(e,0)", "(g,1)"],
+            {("(e,0)", "(e,0)"): "(e,0)", ("(e,0)", "(g,1)"): "(g,1)", ("(g,1)", "(e,0)"): "(g,1)", ("(g,1)", "(g,1)"): "(e,0)"},
         )
-        eps = hom(z2, cyclic(2), {"e,0": "0", "g,1": "1"})
+        eps = hom(z2, cyclic(2), {"(e,0)": "0", "(g,1)": "1"})
         sd = subdirect_group(eps, eps)
         assert sd.E.order == 2
         assert sd.delta_A.mapping == sd.delta_B.mapping == dict(zip(sd.E.elements, z2.elements))
@@ -611,16 +618,20 @@ class TestDerivedGroups:
             subgroup(z6, [0, 1])
 
     def test_pair_label_clash(self):
-        # pair_label("1", "a,b") == pair_label("1,a", "b") == "(1,a,b)".
+        # pair_label("1", "a,b") == pair_label("1,a", "b") == "(1,a,b)":
+        # the groups whose labels would clash are refused, and with the
+        # commas inside parentheses the pairs have distinct labels.
         def z2_on(e, g):
             return make_group([e, g], {(e, e): e, (e, g): g, (g, e): g, (g, g): e})
 
-        a, b = z2_on("1", "1,a"), z2_on("b", "a,b")
+        with pytest.raises(ParseError, match=r"^group element '1,a' breaks the label grammar"):
+            z2_on("1", "1,a")
+        with pytest.raises(ParseError, match=r"^group element 'a,b' breaks the label grammar"):
+            z2_on("b", "a,b")
+        a, b = z2_on("1", "(1,a)"), z2_on("b", "(a,b)")
         pairs = list(itertools.product(range(a.order), range(b.order)))
-        with pytest.raises(NotAGroup, match="duplicate element labels"):
-            _pair_group(a, b, pairs)
-        with pytest.raises(NotAGroup, match="duplicate element labels"):
-            direct_product(a, b)
+        assert _pair_group(a, b, pairs).elements == ("(1,b)", "(1,(a,b))", "((1,a),b)", "((1,a),(a,b))")
+        assert direct_product(a, b).order == 4
 
     def test_no_make_group_on_derived_groups(self, monkeypatch):
         import bundleforge.groups as groups

@@ -22,7 +22,7 @@ from bundleforge import (
     verify_kfold_covering,
     voltage_bundle,
 )
-from bundleforge.errors import BaseMismatch, DuplicateVertex, FiberNotIsomorphic, NotACovering
+from bundleforge.errors import BaseMismatch, FiberNotIsomorphic, NotACovering, ParseError
 from bundleforge.matrices import Matrix, Spectrum, graph_spectrum
 from bundleforge.products import make_covering_voltage
 
@@ -65,14 +65,18 @@ class TestCartesianProduct:
         assert Matrix(formula) == adjacency_matrix(cartesian_product(k3, c4))
 
     def test_pair_label_collision_is_a_duplicate_vertex(self):
-        # ("1", "a,b") and ("1,a", "b") both print as "(1,a,b)": the builders
-        # check their generated labels for clashes and raise make_graph's error.
-        base = make_graph(["1", "1,a"], [("1", "1,a")])
-        fiber = make_graph(["a,b", "b"], [("a,b", "b")])
-        with pytest.raises(DuplicateVertex, match=r"\(1,a,b\)"):
-            cartesian_product(base, fiber)
-        with pytest.raises(DuplicateVertex, match=r"\(1,a,b\)"):
-            voltage_bundle(trivial_voltage(base, fiber))
+        # ("1", "a,b") and ("1,a", "b") would both print as "(1,a,b)": the
+        # factors' labels are refused, and with the commas inside
+        # parentheses the generated labels are distinct.
+        with pytest.raises(ParseError, match=r"^vertex '1,a' breaks the label grammar"):
+            make_graph(["1", "1,a"], [("1", "1,a")])
+        with pytest.raises(ParseError, match=r"^vertex 'a,b' breaks the label grammar"):
+            make_graph(["a,b", "b"], [("a,b", "b")])
+        base = make_graph(["1", "(1,a)"], [("1", "(1,a)")])
+        fiber = make_graph(["(a,b)", "b"], [("(a,b)", "b")])
+        labels = ("(1,(a,b))", "(1,b)", "((1,a),(a,b))", "((1,a),b)")
+        assert cartesian_product(base, fiber).vertices == labels
+        assert voltage_bundle(trivial_voltage(base, fiber)).total.vertices == labels
 
 
 class TestStrongProduct:

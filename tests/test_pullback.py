@@ -44,7 +44,7 @@ from bundleforge.named import (
     mixed_base_figure_24,
     subdirect_figure_12,
 )
-from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_top
+from bundleforge.graphs import automorphisms, complete_graph, pair_label, split_pair_label, split_top
 from bundleforge.matrices import Matrix
 from bundleforge.pullback import (
     EDGE_KIND_COLLAPSED,
@@ -62,11 +62,11 @@ from dense_reference import conjugated_block, from_rows, identity, kronecker, mo
 
 def split_pullback_vertex(label):
     """Invert pullback_vertex: strip the outer parentheses and split the
-    rest at the first bar outside nested parentheses."""
+    rest at its one bar outside nested parentheses."""
     if label.startswith("(") and label.endswith(")"):
-        head, *rest = split_top(label[1:-1], "|")
-        if rest:
-            return head, "|".join(rest)
+        parts = split_top(label[1:-1], "|")
+        if len(parts) == 2:
+            return parts[0], parts[1]
     raise ParseError(f"bad pullback vertex label: {label!r}")
 
 
@@ -161,17 +161,25 @@ class TestPullbackVertexLabels:
 
 
     def test_labels_with_top_level_separators(self, k2):
-        # A bar in a domain label and a comma in a total label sit at the top
-        # level of the composite labels, which no split can read back; the
-        # projections come from the pairs the products are built from.
-        vs = ["a,1", "b,1", "a,2", "b,2"]
-        total = make_graph(vs, [("a,1", "b,1"), ("a,2", "b,2"), ("a,1", "a,2"), ("b,1", "b,2")])
-        b = verify_bundle(total, make_morphism(total, k2, {x: x[-1] for x in vs}), k2)
+        # A comma in a total label or a bar in a domain label outside
+        # parentheses breaks the label grammar.  Inside them, the composite
+        # labels read back exactly.
+        with pytest.raises(ParseError, match=r"^vertex 'a,1' breaks the label grammar"):
+            make_graph(["a,1", "b,1"], [("a,1", "b,1")])
+        with pytest.raises(ParseError, match=r"^vertex 'x\|1' breaks the label grammar"):
+            make_graph(["x|1", "x|2"], [("x|1", "x|2")])
+        vs = ["(a,1)", "(b,1)", "(a,2)", "(b,2)"]
+        total = make_graph(vs, [("(a,1)", "(b,1)"), ("(a,2)", "(b,2)"), ("(a,1)", "(a,2)"), ("(b,1)", "(b,2)")])
+        b = verify_bundle(total, make_morphism(total, k2, {x: x[-2] for x in vs}), k2)
         sp = subdirect_product(b, b)
-        assert sp.projection("(a,1,b,1)") == "1" and sp.projection("(b,2,a,2)") == "2"
-        domain = make_graph(["x|1", "x|2"], [("x|1", "x|2")])
-        pb = pullback_bundle(make_morphism(domain, k2, {"x|1": "1", "x|2": "2"}), b)
-        assert pb.projection.map == {"(x|1|a,1)": "x|1", "(x|1|b,1)": "x|1", "(x|2|a,2)": "x|2", "(x|2|b,2)": "x|2"}
+        assert sp.projection("((a,1),(b,1))") == "1" and sp.projection("((b,2),(a,2))") == "2"
+        assert all(sp.projection(x) == b.projection(split_pair_label(x)[0]) for x in sp.total.vertices)
+        domain = make_graph(["(x|1)", "(x|2)"], [("(x|1)", "(x|2)")])
+        pb = pullback_bundle(make_morphism(domain, k2, {"(x|1)": "1", "(x|2)": "2"}), b)
+        assert pb.projection.map == {
+            "((x|1)|(a,1))": "(x|1)", "((x|1)|(b,1))": "(x|1)", "((x|2)|(a,2))": "(x|2)", "((x|2)|(b,2))": "(x|2)"
+        }
+        assert all(pb.projection(x) == split_pullback_vertex(x)[0] for x in pb.total.vertices)
 
 
 class TestPullbackVoltage:
@@ -299,15 +307,21 @@ class TestCanonicalMap:
             assert b.projection(univ(x)) == p_c6_c3(pb.projection(x))
 
     def test_labels_with_top_level_bars(self, k2):
-        # The pullback label of x|1 over a,1 is (x|1|a,1), which no split
-        # at the first bar reads back; the map is read off positions.
-        vs = ["a,1", "b,1", "a,2", "b,2"]
-        total = make_graph(vs, [("a,1", "b,1"), ("a,2", "b,2"), ("a,1", "a,2"), ("b,1", "b,2")])
-        b = verify_bundle(total, make_morphism(total, k2, {x: x[-1] for x in vs}), k2)
-        domain = make_graph(["x|1", "x|2"], [("x|1", "x|2")])
-        f = make_morphism(domain, k2, {"x|1": "1", "x|2": "2"})
+        # The pullback label of x|1 over a|1 would be (x|1|a|1), which no
+        # split reads back: such labels are refused.  With the bars inside
+        # parentheses the map, read off positions, agrees with the split.
+        with pytest.raises(ParseError, match=r"^vertex 'a\|1' breaks the label grammar"):
+            make_graph(["a|1", "b|1"], [("a|1", "b|1")])
+        vs = ["(a|1)", "(b|1)", "(a|2)", "(b|2)"]
+        total = make_graph(vs, [("(a|1)", "(b|1)"), ("(a|2)", "(b|2)"), ("(a|1)", "(a|2)"), ("(b|1)", "(b|2)")])
+        b = verify_bundle(total, make_morphism(total, k2, {x: x[-2] for x in vs}), k2)
+        domain = make_graph(["(x|1)", "(x|2)"], [("(x|1)", "(x|2)")])
+        f = make_morphism(domain, k2, {"(x|1)": "1", "(x|2)": "2"})
         univ = canonical_map(f, b)
-        assert univ.map == {"(x|1|a,1)": "a,1", "(x|1|b,1)": "b,1", "(x|2|a,2)": "a,2", "(x|2|b,2)": "b,2"}
+        assert univ.map == {
+            "((x|1)|(a|1))": "(a|1)", "((x|1)|(b|1))": "(b|1)", "((x|2)|(a|2))": "(a|2)", "((x|2)|(b|2))": "(b|2)"
+        }
+        assert all(univ(x) == split_pullback_vertex(x)[1] for x in univ.domain.vertices)
 
     def test_collapsing_pullback_universal_map(self, c3, k2):
         b = voltage_bundle(trivial_voltage(c3, k2))
