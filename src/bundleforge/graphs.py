@@ -22,7 +22,7 @@ classes and neighbours as bitmasks, the signature histogram and the edge
 count), and returns image positions.  find_isomorphism and automorphisms
 each read one call of it back in labels, and verify_bundle hands it the
 shapes it builds from the total's filed edges; a Graph caches its own
-profile.
+profile.  The node budget in scope alone bounds every search.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateVertex,
-    EnumerationBoundExceeded,
     LoopEdge,
     NotAMorphism,
     ParseError,
@@ -52,9 +51,6 @@ DEFAULT_NODE_BUDGET = 10**7
 
 #: The node budget in scope; set it only through node_budget.
 current_budget: ContextVar[int] = ContextVar("current_budget", default=DEFAULT_NODE_BUDGET)
-
-#: Default vertex cap for full automorphism enumeration.
-DEFAULT_AUT_BOUND = 10
 
 
 def canon_label(x: object) -> Label:
@@ -574,14 +570,11 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
 
 
 def automorphisms(g: Graph) -> list[Perm]:
-    """Enumerate all automorphisms as permutations of vertex indices.
+    """Enumerate all automorphisms as permutations of vertex indices,
+    bounded by the node budget in scope alone, whatever the vertex count.
 
     The list contains the identity, is closed under composition and
     inverse, and is sorted by image tuple for determinism.
     """
-    if g.n > DEFAULT_AUT_BOUND:
-        raise EnumerationBoundExceeded(
-            f"automorphism enumeration capped at {DEFAULT_AUT_BOUND} vertices, graph has {g.n}"
-        )
     images, _ = search_shape(g.neighbor_indices, g.profile, current_budget.get())
     return [tuple.__new__(Perm, p) for p in sorted(images)]

@@ -30,11 +30,11 @@ Feder's relation), and F^n has n·a_T factors of each type T that F has a_T
 of, so Aut(F^n) is the product of the Aut(P_T) ≀ S_(n·a_T) (Hammack,
 Imrich and Klavžar, Handbook of Product Graphs, 2nd ed. 2011, ch. 6).  It
 is generated from one search per type, the search of F itself when F is
-prime, and sorted as the search sorts it, for powers of up to the square
-of the search's vertex bound.  Its order and its number of conjugacy
-classes are known before it is built, and so is the cost of its first
-split, which the conjugation cap is checked against first.  A disconnected
-fiber's powers are searched.
+prime, and sorted as the search sorts it.  Its order and its number of
+conjugacy classes are known before it is built, and so is the cost of its
+first split, which the conjugation cap is checked against first.  A
+disconnected fiber's powers are searched; a searched group's first split
+is priced as it is listed, at f·t for f automorphisms found of t cycle types.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from . import graphs
 from .bundles import FiberVoltage, _forest_cycles, _holonomies
 from .errors import BaseMismatch, EnumerationBoundExceeded, FiberMismatch
-from .graphs import (
-    Graph,
-    GraphMorphism,
-    _trusted_graph,
-    automorphisms,
-    make_graph,
-)
+from .graphs import Graph, GraphMorphism, _trusted_graph, make_graph
 from .perms import Perm, kron as perm_kron
 from .products import cartesian_product
 from .pullback import pullback_voltage
@@ -229,8 +223,8 @@ class _Chain:
     of a connected c.fiber, generated from c's prime factors.  Each
     subgroup met is split into orbits once, by one conjugation per element
     of the subgroup and orbit; a split that would take the count of
-    conjugations past limit raises instead, and so does generating a group
-    whose first split would."""
+    conjugations past limit raises instead, and so does reading a group
+    whose first split would, as auts and _search price it."""
 
     def __init__(
         self,
@@ -249,7 +243,7 @@ class _Chain:
             return (Perm.identity(1),)
         factored = self.power[0].factors if self.power else None
         if factored is None:
-            return tuple(automorphisms(self.fiber))
+            return self._search()
         types, slots, relabel = factored
         n = self.power[1]
         # F^n has n·a_T factors of type T, and Aut(F^n) is the product of
@@ -306,7 +300,25 @@ class _Chain:
         types = [(_Chain(rep), slots.count(t)) for t, rep in enumerate(reps)]
         return types, slots, None if relabel == list(range(self.fiber.n)) else tuple.__new__(Perm, relabel)
 
-    def _afford(self, count: int, order: int) -> None:
+    def _search(self) -> tuple[Perm, ...]:
+        """Aut of the fiber, sorted, searched in rounds of doubling size,
+        each with the node budget in scope.  f automorphisms with t cycle
+        types, which conjugates share, price the first split at f·t or more,
+        afforded after each round once f² no longer fits; so the first round
+        asks for the least f whose square does not, or with no limit for all."""
+        g, budget = self.fiber, graphs.current_budget.get()
+        size = None if self.limit is None else math.isqrt(self.limit - self.conjugations) + 1
+        while True:
+            found, _ = graphs.search_shape(g.neighbor_indices, g.profile, budget, size)
+            f, whole = len(found), size is None or len(found) < size
+            if self.limit is not None and self.conjugations + f * f > self.limit:
+                types = len({tuple(Perm.cycle_type(p)) for p in found})
+                self._afford(f * types, f if whole else f"at least {f}")
+            if whole:
+                return tuple(tuple.__new__(Perm, p) for p in sorted(found))
+            size *= 2
+
+    def _afford(self, count: int, order: int | str) -> None:
         """Raise unless count more conjugations stay within limit."""
         if self.limit is not None and self.conjugations + count > self.limit:
             raise EnumerationBoundExceeded(
@@ -460,15 +472,15 @@ def enumerate_bundle_classes(
     of Aut(F^n), to the depth of the cycle rank of each base component;
     class ids follow the order of the keys.  max_assignments caps the
     conjugations of the walk, summed over the powers: each stabilizer met is
-    split into orbits once, with one conjugation per element and orbit, and
-    a group generated from the prime factors of F is refused before it is
-    generated when its first split, |G| · k(G) conjugations for k(G)
-    conjugacy classes, would pass the cap; the splits that count the
-    classes of a composite F's prime factors, of at most 5 vertices when F
-    is searched, are not counted.  It also caps the addition table, one entry
-    per ordered pair of classes, counted as the classes are found.  The
-    base has no cap of its own.  A fiber power of more than
-    graphs.DEFAULT_AUT_BOUND² vertices is refused before it is built."""
+    split into orbits once, with one conjugation per element and orbit.  A
+    group whose first split would pass the cap is refused: one generated
+    from F's prime factors at |G| · k(G) conjugations before it is built,
+    and a searched one at f · t for the f automorphisms, of t cycle types,
+    listed so far.  The splits that count the classes of a composite F's
+    prime factors are not counted; none costs more than the first split of
+    Aut(F), which is.  It also caps the addition table, one entry per
+    ordered pair of classes, counted as the classes are found.  The base has
+    no cap of its own.  A fiber power over 100 vertices is never built."""
     if n_max < 0:
         raise ValueError("enumeration needs n_max >= 0")
     cycles, fresh = _cycle_edges(base)
@@ -477,15 +489,10 @@ def enumerate_bundle_classes(
     classes: list[BundleClass] = []
 
     conjugations = 0
-    # Past the search's vertex bound only generated groups are read, up to
-    # max_assignments elements; the square of that bound keeps each element,
-    # and each power built over a tree, small.
-    max_power_vertices = graphs.DEFAULT_AUT_BOUND ** 2
     for n in range(n_max + 1):
-        if fiber.n ** n > max_power_vertices:
-            raise EnumerationBoundExceeded(
-                f"fiber power {n} has {fiber.n ** n} vertices, enumeration capped at {max_power_vertices}"
-            )
+        # Over a tree no group is read, so nothing else stops |F|^n growing.
+        if fiber.n ** n > 100:
+            raise EnumerationBoundExceeded(f"fiber power {n} has {fiber.n ** n} vertices, enumeration capped at 100")
         fn = fiber_power(fiber, n)
         chain = chains[n] = _Chain(fn, conjugations, max_assignments, (chains[1], n) if n > 1 else None)
         ident = Perm.identity(fn.n)

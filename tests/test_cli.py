@@ -407,8 +407,8 @@ class TestKtheoryCommand:
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10]
 
     def test_fourth_power_past_the_search_bound(self, capsys, tmp_path):
-        # K2^4 has 16 vertices, over the automorphism search's bound; its
-        # group comes from Aut(K2) ≀ S4.  The counts are the bipartition
+        # K2^4 has 16 vertices, over the automorphism search's former
+        # 10-vertex bound; its group comes from Aut(K2) ≀ S4.  The counts are the bipartition
         # numbers, over a triangle and over a square alike.
         code, out, _ = run(capsys, "ktheory", "--case", "c3-k2", "--n-max", "4", "--json")
         assert code == 0
@@ -420,6 +420,17 @@ class TestKtheoryCommand:
         )
         assert code == 0
         assert json.loads(out)["class_counts"] == [1, 2, 5, 10, 20]
+
+    def test_twelve_vertex_fiber_from_files(self, capsys, tmp_path):
+        # The automorphism search has no vertex bound: Aut(C12) is D12, of
+        # order 24, with k(D12) = 9 conjugacy classes.
+        base = write_json(tmp_path, "c3.json", cycle_graph(3).to_json())
+        fiber = write_json(tmp_path, "c12.json", cycle_graph(12).to_json())
+        code, out, err = run(
+            capsys, "ktheory", "--base", base, "--fiber", fiber, "--n-max", "1", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["class_counts"] == [1, 9]
 
     def test_seven_vertex_tree_base_is_answered(self, capsys, tmp_path):
         # Refused before by a 6-vertex cap on the base; a tree has one

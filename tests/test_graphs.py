@@ -23,7 +23,6 @@ from bundleforge import (
 )
 from bundleforge.errors import (
     DuplicateVertex,
-    EnumerationBoundExceeded,
     LoopEdge,
     NotAMorphism,
     ParseError,
@@ -458,8 +457,11 @@ class TestAutomorphisms:
                 assert p.compose(q) in auts
 
     def test_enumeration_bound(self):
-        with pytest.raises(EnumerationBoundExceeded):
-            automorphisms(cycle_graph(11))
+        # The node budget alone bounds the search, whatever the vertex
+        # count: C11's dihedral group is listed, and S11 is not.
+        assert len(automorphisms(cycle_graph(11))) == 22
+        with pytest.raises(SearchBudgetExceeded), node_budget(10**4):
+            automorphisms(complete_graph(11))
 
 
 class TestSerialization:

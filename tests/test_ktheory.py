@@ -1,7 +1,9 @@
+import ast
 import collections
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,7 +634,7 @@ class TestWreathRoute:
             if fiber.n < 2 or len(spanning_forest(fiber)) > 1:
                 continue
             for n in range(4):
-                if fiber.n ** n <= graphs.DEFAULT_AUT_BOUND:
+                if fiber.n ** n <= 10:
                     assert enumerated_group(fiber, n) == searched(fiber, n)
                     covered.append((len(fiber.edges), n))
         assert sorted(covered) == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
@@ -642,16 +644,14 @@ class TestWreathRoute:
         [(complete_graph(2), 4, 384), (complete_graph(3), 3, 1296), (cycle_graph(5), 2, 200), (path_graph(5), 2, 8)],
         ids=["K2^4", "K3^3", "C5^2", "P5^2"],
     )
-    def test_generated_equals_searched_past_the_bound(self, monkeypatch, fiber, n, order):
+    def test_generated_equals_searched_past_the_bound(self, fiber, n, order):
         generated = enumerated_group(fiber, n)
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 27)
         assert generated == searched(fiber, n)
         assert len(generated) == order
 
-    def test_generated_equals_searched_on_up_to_four_vertices(self, monkeypatch):
+    def test_generated_equals_searched_on_up_to_four_vertices(self):
         connected = [f for f in small_graphs(4) if f.n > 1 and len(spanning_forest(f)) == 1]
         generated = [enumerated_group(f, n) for f in connected for n in range(3)]
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
         assert generated == [searched(f, n) for f in connected for n in range(3)]
         assert len(connected) == 9
 
@@ -664,19 +664,17 @@ class TestWreathRoute:
         ],
         ids=["(K2□K3)^2", "C6^2"],
     )
-    def test_generated_square_equals_searched(self, monkeypatch, fiber, factors, order):
+    def test_generated_square_equals_searched(self, fiber, factors, order):
         assert [f.n for f in ktheory._box_factors(fiber)[0]] == factors
         generated = enumerated_group(fiber, 2)
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 36)
         assert generated == searched(fiber, 2)
         assert len(generated) == order
 
-    def test_composite_fiber_is_generated_from_its_factors(self, monkeypatch, c4):
+    def test_composite_fiber_is_generated_from_its_factors(self, c4):
         # C4 □ C4 is Q4 = K2^4: its group is Aut(K2) ≀ S4, of order 384,
         # not Aut(C4) ≀ S2, of order 128.
         assert [f.n for f in ktheory._box_factors(c4)[0]] == [2, 2]
         generated = enumerated_group(c4, 2)
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
         assert generated == searched(c4, 2)
         assert len(generated) == 384
 
@@ -705,7 +703,6 @@ class TestWreathRoute:
         m = enumerate_bundle_classes(base, fiber, n_max)
         # With no factorization every power is searched.
         monkeypatch.setattr(ktheory, "_box_factors", lambda g: None)
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 16)
         ref = enumerate_bundle_classes(base, fiber, n_max)
         assert [(c.class_id, c.n, c.key, c.representative.perms) for c in m.classes] == [
             (c.class_id, c.n, c.key, c.representative.perms) for c in ref.classes
@@ -729,10 +726,9 @@ class TestPowersPastTheSearchBound:
         monkeypatch.setattr(ktheory, "_wreath", spy)
         return calls
 
-    def test_triangle_base_triangle_fiber_to_cube(self, monkeypatch, c3, k3):
+    def test_triangle_base_triangle_fiber_to_cube(self, c3, k3):
         m = enumerate_bundle_classes(c3, k3, 3)
         counts = [len(m.classes_at(n)) for n in range(4)]
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 27)
         assert counts == [burnside_count(automorphisms(fiber_power(k3, n)), 1) for n in range(4)] == [1, 3, 9, 22]
 
     def test_cap_refuses_a_generated_group_before_generating_it(self, generated, c3, k3):
@@ -763,7 +759,7 @@ class TestPowersPastTheSearchBound:
             enumerate_bundle_classes(c3, fiber, n)
         assert generated == built
 
-    def test_class_counts_across_factorizations(self, monkeypatch, c3, k2):
+    def test_class_counts_across_factorizations(self, c3, k2):
         # C4 □ C4 is K2^4, so C3/C4 at n = 2 has the classes of C3/K2 at
         # n = 4; the triangle's holonomy classes are conjugacy classes.
         m = enumerate_bundle_classes(c3, cycle_graph(4), 2)
@@ -773,16 +769,16 @@ class TestPowersPastTheSearchBound:
         prism = cartesian_product(k2, complete_graph(3))
         m = enumerate_bundle_classes(c3, prism, 2)
         counts = [len(m.classes_at(n)) for n in range(3)]
-        monkeypatch.setattr(graphs, "DEFAULT_AUT_BOUND", 36)
         assert counts == [burnside_count(searched(prism, n), 1) for n in range(3)] == [1, 6, 45]
 
     def test_powers_past_the_square_of_the_search_bound_are_refused(self, generated, c3, p3, k2):
-        # Over a tree no group is read, so only the vertex count stops the
-        # powers.  Over a triangle the vertex count refuses C5^3, though the
-        # cap would not: its 6,000 automorphisms, times k(D5 ≀ S3) = 40
-        # classes, price its first split at 240,000 conjugations.  The cap
-        # alone would refuse C5^4 before generating its group: 240,000
-        # automorphisms times k(D5 ≀ S4) = 105 is 25.2M conjugations.
+        # The 100-vertex power bound is ktheory's own, no longer the square
+        # of a search bound.  Over a tree no group is read, so only it stops
+        # the powers.  Over a triangle it refuses C5^3, though the cap would
+        # not: its 6,000 automorphisms, times k(D5 ≀ S3) = 40 classes, price
+        # its first split at 240,000 conjugations.  The cap alone would
+        # refuse C5^4 before generating its group: 240,000 automorphisms
+        # times k(D5 ≀ S4) = 105 is 25.2M conjugations.
         with pytest.raises(EnumerationBoundExceeded, match="fiber power 7 has 128 vertices, enumeration capped at 100"):
             enumerate_bundle_classes(p3, k2, 7)
         assert len(enumerate_bundle_classes(p3, k2, 6).classes) == 7
@@ -795,12 +791,13 @@ class TestSearchesPerEnumeration:
     @pytest.fixture
     def searches(self, monkeypatch):
         calls = []
+        search = ktheory._Chain._search
 
-        def spy(g):
-            calls.append(g.n)
-            return automorphisms(g)
+        def spy(chain):
+            calls.append(chain.fiber.n)
+            return search(chain)
 
-        monkeypatch.setattr(ktheory, "automorphisms", spy)
+        monkeypatch.setattr(ktheory._Chain, "_search", spy)
         return calls
 
     def test_tree_base_searches_nothing(self, searches, p3, k2):
@@ -835,6 +832,89 @@ class TestSearchesPerEnumeration:
         with pytest.raises(BaseMismatch, match="^codomain of the morphism must equal the monoid base$"):
             k0_map(make_morphism(p3, c3, {"1": "1", "2": "2", "3": "3"}), m)
         assert searches == []
+
+
+# --- Searched groups, priced while they are listed --------------------------
+#
+# A searched group has no vertex bound.  The search lists it in rounds of
+# doubling size, and after each round the first split is priced at f·t
+# conjugations for the f automorphisms found, of t distinct cycle types.
+
+
+class TestPricedSearch:
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        """The number of isomorphisms each search_shape call returns."""
+        counts = []
+        search = graphs.search_shape
+
+        def spy(*args, **kwargs):
+            found, nodes = search(*args, **kwargs)
+            counts.append(len(found))
+            return found, nodes
+
+        monkeypatch.setattr(graphs, "search_shape", spy)
+        return counts
+
+    @pytest.mark.parametrize("m,counts", [(12, [1, 9]), (24, [1, 15])], ids=["C12", "C24"])
+    def test_cycle_fibers_past_ten_vertices(self, c3, m, counts):
+        # Over a triangle the classes at n = 1 are the conjugacy classes of
+        # Aut(C_m), the dihedral group D_m of order 2m, and k(D_m) is
+        # (m + 6)/2 for even m.
+        monoid = enumerate_bundle_classes(c3, cycle_graph(m), 1)
+        assert [len(monoid.classes_at(n)) for n in range(2)] == counts == [1, (m + 6) // 2]
+
+    @pytest.mark.parametrize(
+        "fiber,n",
+        [(complete_graph(9), 1), (empty_graph(3), 2), (complete_graph(11), 1)],
+        ids=["K9", "(3K1)^2", "K11"],
+    )
+    def test_large_symmetric_groups_are_refused_while_listed(self, listed, c3, fiber, n):
+        # S9, the group of K9 and of (3K1)^2 = 9K1, has 362,880 elements in
+        # 30 classes: its first split would take 10.9M conjugations, over
+        # the default cap.  The elements found price it past the cap long
+        # before the search has listed them all, and S11 likewise.
+        with pytest.raises(
+            EnumerationBoundExceeded,
+            match=r"^the stabilizer chain of at least \d+ fiber automorphisms needs over 1000000 conj",
+        ):
+            enumerate_bundle_classes(c3, fiber, n)
+        assert sum(listed) < 2**17
+
+    def test_only_a_group_listed_in_full_is_named_by_its_order(self, listed, c3):
+        # S6 has 720 elements in 11 classes, one cycle type each: its first
+        # split takes 7,920 conjugations, after the 1 of the zeroth power.
+        k6 = complete_graph(6)
+        with pytest.raises(EnumerationBoundExceeded, match="^the stabilizer chain of 720 fiber automorphisms needs over 7920 conj"):
+            enumerate_bundle_classes(c3, k6, 1, max_assignments=7920)
+        assert listed[-1] == 720
+        monoid = enumerate_bundle_classes(c3, k6, 1, max_assignments=7921)
+        assert [len(monoid.classes_at(n)) for n in range(2)] == [1, 11]
+        listed.clear()
+        with pytest.raises(EnumerationBoundExceeded, match="^the stabilizer chain of at least ") as refused:
+            enumerate_bundle_classes(c3, k6, 1, max_assignments=2000)
+        assert f"at least {listed[-1]} fiber automorphisms" in str(refused.value)
+        assert max(listed) < 720
+
+
+def test_ktheory_alone_raises_enumeration_bounds():
+    # graphs answers to the node budget alone: it does not name
+    # EnumerationBoundExceeded, and ktheory is the one module that raises it.
+    src = Path(ktheory.__file__).resolve().parent
+    raisers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "EnumerationBoundExceeded":
+                    raisers.add(path.stem)
+    assert raisers == {"ktheory"}
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse((src / "graphs.py").read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "search_shape" in named and "EnumerationBoundExceeded" not in named
 
 
 GAUGE_FIBERS = [complete_graph(2), empty_graph(3), complete_graph(3), cycle_graph(4), path_graph(3)]

@@ -204,8 +204,8 @@ def test_petersen_automorphisms_agree_with_networkx():
 
 
 def test_wreath_group_of_c5_square_agrees_with_networkx():
-    # C5 □ C5 has 25 vertices, past the search's bound: K-class enumeration
-    # reads its group off Aut(C5) ≀ S2.
+    # C5 □ C5 is a power of a prime fiber: K-class enumeration reads its
+    # group off Aut(C5) ≀ S2, not off a search.
     c5 = cycle_graph(5)
     g = fiber_power(c5, 2)
     auts = enumerate_bundle_classes(path_graph(2), c5, 2)._chains[2].auts
