@@ -35,15 +35,21 @@ morphism check, files each by its ends' ranks in their fibers, under its
 base vertex (a fiber edge) or its base edge (a cross edge).  A fiber's
 key is its size and edges, a base edge's its fibers' kinds and its cross
 edges.  The definition is decided once per distinct edge key on ranks,
-and the voltage value composed once per key.  Local triviality keys an
-edge preimage by its edge kind and which of its positions lie over v,
-which fix the shape the search reads, each position's neighbours within
-the set, increasing; the shape is built only for a new key, goes
-straight to graphs.search_shape against F or a K2 □ F profile built once
-per call, with each side of the edge a mask, and no graph is built.  A
-call reads total.ends once and never builds the total's neighbour lists:
-it costs O(|V|·|F| + |E|·|F|) to file edges and sort preimages, plus one
-decision and one search per distinct key.
+and the voltage value composed once per key.  Local triviality reads an
+edge preimage on ranks, the fiber over v first and that over w after it,
+so its edge kind alone fixes the shape the search reads, each position's
+neighbours within the set, increasing, and the sides are the same on
+every edge; the shape is built once per edge kind, goes straight to
+graphs.search_shape against F or a K2 □ F profile built once per call,
+with each side of the edge a mask, and no graph is built.  A call reads
+total.ends once and never builds the total's neighbour lists: it costs
+O(|V|·|F| + |E|·|F|) to file edges, plus one decision and one search per
+distinct key.
+
+Equivalence, too, pays once per distinct value: the tree transports, the
+holonomies and the vertex maps of a witness are composed once per
+distinct operands, and the conjugator search reads each distinct pair of
+holonomies once.
 """
 
 from __future__ import annotations
@@ -304,7 +310,9 @@ def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buc
     non-adjacent base vertices makes it raise require_morphism's
     NotAMorphism."""
     base, over = p.codomain, p.position_map
-    edge_at = {e: k for k, (a, b) in enumerate(base.ends) for e in ((a, b), (b, a))}
+    n = base.n
+    # Each base edge under the code a·n + b of both its orientations.
+    edge_at = {e: k for k, (a, b) in enumerate(base.ends) for e in (a * n + b, b * n + a)}
     inner: list[list[tuple[int, int]]] = [[] for _ in fibers]
     cross: list[list[tuple[int, int]]] = [[] for _ in base.ends]
     stray = False
@@ -312,7 +320,7 @@ def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buc
         a, b = over[x], over[y]
         if a == b:
             inner[a].append((rank[x], rank[y]))
-        elif (k := edge_at.get((a, b))) is None:
+        elif (k := edge_at.get(a * n + b)) is None:
             stray = True
         elif a < b:
             cross[k].append((rank[x], rank[y]))
@@ -385,28 +393,33 @@ def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
     )
 
 
-def _check_local_triviality(base: Graph, over: Sequence[int], fibers: _Fibers, edges: _Buckets, fiber: Graph) -> None:
+def _check_local_triviality(base: Graph, edges: _Buckets, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
     to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
     positions of K2 □ F, and that over w onto copy 2, the high ones.  The
-    search sees only the preimage's shape and sides, which the edge's kind
-    and the sides fix: one search per distinct (edge kind, sides)."""
-    k2f, budget, bvs = _box_k2_profile(fiber), graphs.current_budget.get(), base.vertices
-    (_, shapes, edge_kinds, keys), low = edges, (1 << fiber.n) - 1
-    found: dict[tuple, bool] = {}
+    preimage is read on ranks, the fiber over v at positions 0, ..., |F| − 1
+    and that over w at |F|, ..., 2|F| − 1, so the edge's kind fixes the
+    shape the search reads and the sides are the same on every edge: one
+    search per distinct shape, made when base.ends first reaches it, and
+    one shape built per edge kind.  Kinds whose cross edges were filed in
+    different orders share a shape."""
+    m, bvs, budget = fiber.n, base.vertices, graphs.current_budget.get()
+    (_, shapes, edge_kinds, keys), k2f, low = edges, _box_k2_profile(fiber), (1 << m) - 1
+    # Every fiber has m vertices here: FiberNotIsomorphic is raised first.
+    within = [low] * m + [low << m] * m
+    by_kind: dict[int, bool] = {}
+    by_shape: dict[tuple[tuple[int, int], ...], bool] = {}
     for (a, b), kind in zip(base.ends, edge_kinds):
-        xs = sorted(fibers[a] + fibers[b])
-        key = kind, tuple([over[x] == a for x in xs])
-        boxed = found.get(key)
+        boxed = by_kind.get(kind)
         if boxed is None:
-            (ka, kb, between), fa, fb = keys[kind], fibers[a], fibers[b]
-            at = {x: k for k, x in enumerate(xs)}
-            # Ranks in a fiber follow positions, so only a cross edge may need turning.
-            pairs = [(at[u[i]], at[u[j]]) for u, es in ((fa, shapes[ka][1]), (fb, shapes[kb][1])) for i, j in es]
-            pairs += [(p, q) if p < q else (q, p) for p, q in [(at[fa[i]], at[fb[j]]) for i, j in between]]
-            pairs.sort()
-            within = [low if side else low << fiber.n for side in key[1]]
-            boxed = found[key] = bool(search_shape(_neighbours(len(xs), pairs), k2f, budget, 1, within)[0])
+            ka, kb, between = keys[kind]
+            # Sorted, the edges of the preimage fix its shape.
+            fiber_edges = [*shapes[ka][1], *[(m + r, m + s) for r, s in shapes[kb][1]]]
+            pairs = tuple(sorted(fiber_edges + [(r, m + s) for r, s in between]))
+            boxed = by_shape.get(pairs)
+            if boxed is None:
+                boxed = by_shape[pairs] = bool(search_shape(_neighbours(2 * m, pairs), k2f, budget, 1, within)[0])
+            by_kind[kind] = boxed
         if not boxed:
             edge = f"({bvs[a]!r}, {bvs[b]!r})"
             raise LocalTrivialityFails(f"preimage of base edge {edge} is not a box product with the fiber")
@@ -457,7 +470,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
 
     local_error: Exception | None = None
     try:
-        _check_local_triviality(base, over, fibers, local, fiber)
+        _check_local_triviality(base, local, fiber)
     except LocalTrivialityFails as exc:
         local_error = exc
 
@@ -518,16 +531,27 @@ def _holonomies(
     along the spanning forest, by base position, and per component its
     positions in visit order and the holonomy t[w]⁻¹ ∘ φ(v, w) ∘ t[v] of
     each non-tree edge (v, w): the voltage carried around its fundamental
-    cycle.  forest is _forest_cycles(fv.base), computed here when not
-    given."""
+    cycle.  Each transport and holonomy is composed once per distinct
+    operands, so a voltage with few values pays for few compositions.
+    forest is _forest_cycles(fv.base), computed here when not given."""
     along, ident = fv._oriented, Perm.identity(fv.fiber.n)
     t = [ident] * fv.base.n
+    moved: dict[tuple[Perm, Perm], Perm] = {}
+    around: dict[tuple[Perm, Perm, Perm], Perm] = {}
     components = []
     for tree, cycles in _forest_cycles(fv.base) if forest is None else forest:
         for w, v in tree:
             if v is not None:
-                t[w] = along[v, w].compose(t[v])
-        holonomies = [t[w].inverse().compose(along[v, w]).compose(t[v]) for v, w in cycles]
+                key = along[v, w], t[v]
+                if (tw := moved.get(key)) is None:
+                    tw = moved[key] = key[0].compose(key[1])
+                t[w] = tw
+        holonomies = []
+        for v, w in cycles:
+            loop = t[w], along[v, w], t[v]
+            if (h := around.get(loop)) is None:
+                h = around[loop] = loop[0].inverse().compose(loop[1]).compose(loop[2])
+            holonomies.append(h)
         components.append(([w for w, _ in tree], holonomies))
     return t, components
 
@@ -537,13 +561,15 @@ def _least_conjugator(
 ) -> Optional[Perm]:
     """The first fiber automorphism g with g ∘ h1[k] = h2[k] ∘ g for every k,
     placing the points of order in turn with their candidate images in the
-    order given, or None.  Placing a point forces its images under every
-    holonomy; each candidate tried is one node of the budget in scope
-    (graphs.node_budget).  j may go to k when every placed neighbour of j
-    goes to a neighbour of k and k has no other used neighbour: O(deg) per
-    placement, the same test as every placed point keeping adjacency to
-    j."""
-    if any(a.cycle_type() != b.cycle_type() for a, b in zip(h1, h2)):
+    order given, or None.  Only the distinct pairs (h1[k], h2[k]) constrain
+    g, so each is read once: for the cycle-type test, and for the images
+    that placing a point forces.  Each candidate tried is one node of the
+    budget in scope (graphs.node_budget).  j may go to k when every placed
+    neighbour of j goes to a neighbour of k and k has no other used
+    neighbour: O(deg) per placement, the same test as every placed point
+    keeping adjacency to j."""
+    pairs = list(dict.fromkeys(zip(h1, h2)))
+    if any(a.cycle_type() != b.cycle_type() for a, b in pairs):
         return None
     adj = fiber.neighbor_indices
     nbrs = [set(nb) for nb in adj]
@@ -564,7 +590,7 @@ def _least_conjugator(
                 return False
             g[j] = k
             used.add(k)
-            todo.extend((a[j], b[k]) for a, b in zip(h1, h2))
+            todo.extend((a[j], b[k]) for a, b in pairs)
         return True
 
     # A frame per placed decision: its position, next candidate and len(g) before it.
@@ -598,11 +624,11 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
     With t1, t2 the tree transports of the two voltages, a vertex x of b1
     over v sits at the root point j = t1[v]⁻¹(σ1_v(x)) and goes to the
     vertex of b2 over v at t2[v](g(j)), so at π_v(σ1_v(x)) with π_v = t2[v]
-    ∘ g ∘ t1[v]⁻¹, composed once per base vertex.  Each point's images are
-    tried in the order of the b2 labels they give at its first vertex in
-    b1.total.vertices, not of b2's positions, so the first g found is the
-    least; those labels are read only at the vertices where a point is
-    first reached.
+    ∘ g ∘ t1[v]⁻¹, composed once per distinct (t2[v], t1[v]) in each
+    component.  Each point's images are tried in the order of the b2 labels
+    they give at its first vertex in b1.total.vertices, not of b2's
+    positions, so the first g found is the least; those labels are read
+    only at the vertices where a point is first reached.
     """
     if b1.base != b2.base:
         raise BaseMismatch("bundles have different base graphs")
@@ -634,8 +660,12 @@ def bundles_equivalent(b1: GraphBundle, b2: GraphBundle) -> Optional[dict[Label,
         g = _least_conjugator(b1.fiber, h1, h2, list(points.items()))
         if g is None:
             return None
+        at_g: dict[tuple[Perm, Perm], Perm] = {}
         for v in vs:
-            pi[v] = t2[v].compose(g).compose(t1[v].inverse())
+            key = t2[v], t1[v]
+            if (p := at_g.get(key)) is None:
+                p = at_g[key] = key[0].compose(g).compose(key[1].inverse())
+            pi[v] = p
     vs1 = b1.total.vertices
     return {vs1[x]: vs2[at2[v][pi[v][s1[x]]]] for v, xs in enumerate(fibers1) for x in xs}
 

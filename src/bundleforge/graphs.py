@@ -66,20 +66,38 @@ def check_labels(labels: Iterable[Label], what: str) -> None:
     """Raise ParseError, naming it, at the first label that breaks the label
     grammar: balanced parentheses, and no "," or "|" outside them.  Only
     make_graph and groups.make_group call it; pair_label and pullback_vertex
-    are injective on the grammar, and split_top reads their parts back."""
-    for label in labels:
-        if "(" in label or ")" in label or "," in label or "|" in label:
-            depth = 0
-            for ch in label:
-                if ch == "(":
-                    depth += 1
-                elif not depth and ch in "),|":
-                    depth = -1
-                    break
-                elif ch == ")":
-                    depth -= 1
-            if depth:
-                raise ParseError(f"{what} {label!r} breaks the label grammar: balanced parentheses, no ',' or '|' outside them")
+    are injective on the grammar, and split_top reads their parts back.
+
+    Only a label's skeleton, its sequence of "(),|", decides, and labels
+    share a handful of skeletons: one translate of the newline-joined
+    labels' UTF-8 gives them all, since UTF-8 puts no ASCII byte inside a
+    wider character, and each distinct skeleton is scanned once.  Labels
+    with none of "(),|" are not scanned."""
+    labels = tuple(labels)
+    text = "\n".join(labels)
+    if "(" not in text and ")" not in text and "," not in text and "|" not in text:
+        return
+    # Every byte but "(),|" and the newline: the identity table less those.
+    others = bytes.maketrans(b"", b"").translate(None, b"(),|\n")
+    skeletons = text.encode("utf-8", "surrogatepass").translate(None, others).split(b"\n")
+    if len(skeletons) != len(labels):  # some label holds a newline
+        skeletons = [label.encode("utf-8", "surrogatepass").translate(None, others + b"\n") for label in labels]
+    broken = set()
+    for skeleton in set(skeletons):
+        depth = 0
+        for ch in skeleton.decode():
+            if ch == "(":
+                depth += 1
+            elif not depth:
+                depth = -1
+                break
+            elif ch == ")":
+                depth -= 1
+        if depth:
+            broken.add(skeleton)
+    if broken:
+        label = next(label for label, skeleton in zip(labels, skeletons) if skeleton in broken)
+        raise ParseError(f"{what} {label!r} breaks the label grammar: balanced parentheses, no ',' or '|' outside them")
 
 
 def pair_label(a: Label, b: Label) -> Label:

@@ -999,12 +999,16 @@ def reference_verify_bundle(total, p, fiber):
     local_error = None
     k2f = cartesian_product(complete_graph(2), fiber)
     for v, w in base.edge_list():
-        local = induced_subgraph(total, fibers[v] + fibers[w])
+        # The preimage read with the vertices over v first, then those over
+        # w, each in total order: each one's neighbours within it, increasing.
+        xs = fibers[v] + fibers[w]
+        local, at = induced_subgraph(total, xs), {x: k for k, x in enumerate(xs)}
+        shape = [tuple(sorted(at[y] for y in neighbors(local, x))) for x in xs]
         # Each vertex over v may go only onto copy 1 of F, and over w only
-        # onto copy 2: one mask of k2f positions per vertex of local.
+        # onto copy 2: one mask of k2f positions per vertex of the preimage.
         ends = [u for u in (v, w) for _ in fiber.vertices]
-        within = [sum(1 << j for j, u in enumerate(ends) if u == p.map[x]) for x in local.vertices]
-        if not search_shape(local.neighbor_indices, k2f.profile, graphs.current_budget.get(), 1, within)[0]:
+        within = [sum(1 << j for j, u in enumerate(ends) if u == p.map[x]) for x in xs]
+        if not search_shape(shape, k2f.profile, graphs.current_budget.get(), 1, within)[0]:
             local_error = LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
             break
     if (definition_error is None) != (local_error is None):
@@ -1081,10 +1085,11 @@ def test_memoized_verify_matches_reference_route_under_budget(case, budget):
 def reference_search_calls(total, p, fiber):
     """The search_shape calls of verify_bundle, by induced_adjacency: a
     search of each fiber whose shape is new, against F, until a fiber is
-    not isomorphic to F; then, per base edge, a search of the preimage's
-    positions, increasing, whose (shape, sides) is new, against K2 □ F with
-    each position's side as its mask, until a preimage is not a box
-    product.  The calls stop where a search exceeds the budget."""
+    not isomorphic to F; then, per base edge vw, a search of the preimage
+    read with the positions over v first, then those over w, each
+    increasing, whose shape (neighbour lists sorted) is new, against
+    K2 □ F with each position's side as its mask, until a preimage is not
+    a box product.  The calls stop where a search exceeds the budget."""
     calls = []
 
     def search(*args):
@@ -1106,14 +1111,13 @@ def reference_search_calls(total, p, fiber):
                 return calls
         k2f = cartesian_product(complete_graph(2), fiber).profile
         low = (1 << fiber.n) - 1
+        within = [low] * fiber.n + [low << fiber.n] * fiber.n
         boxed = {}
         for a, b in base.ends:
-            xs = sorted(fibers[a] + fibers[b])
-            shape, sides = induced_adjacency(total, xs), tuple(over[x] == a for x in xs)
-            if (shape, sides) not in boxed:
-                within = [low if side else low << fiber.n for side in sides]
-                boxed[shape, sides] = bool(search(shape, k2f, budget, 1, within)[0])
-            if not boxed[shape, sides]:
+            shape = tuple(tuple(sorted(nb)) for nb in induced_adjacency(total, fibers[a] + fibers[b]))
+            if shape not in boxed:
+                boxed[shape] = bool(search(shape, k2f, budget, 1, within)[0])
+            if not boxed[shape]:
                 break
     except SearchBudgetExceeded:
         pass
@@ -1197,6 +1201,49 @@ class TestSearchCount:
         assert expected[1][0] is NotACovering
 
 
+    def test_one_local_triviality_search_per_edge_kind(self, monkeypatch):
+        """m3's fibers lie in different position orders across its edges,
+        so the sides of a preimage read by position split its edge kinds;
+        read by rank, its 2 edge kinds take one local-triviality search
+        each, the calls that pass a mask per position."""
+        b = m3_bundle()
+        calls = []
+        search = bundles.search_shape
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(bundles, "search_shape", counted)
+        assert verify_bundle(b.total, b.projection, b.fiber).sigma == b.sigma
+        assert sum(len(args) == 5 for args in calls) == 2
+
+
+class TestEquivalencePerDistinctValue:
+    def test_cycle_types_are_read_once_per_distinct_holonomy_pair(self, monkeypatch, k2):
+        """Over a 300-vertex prism base, cycle rank 151, a K2-fiber voltage
+        has at most 2 holonomy values, so the conjugator search reads at
+        most 4 distinct pairs of holonomies and 8 cycle types, not 2 per
+        non-tree edge."""
+        base, swap = cartesian_product(cycle_graph(150), complete_graph(2)), Perm((1, 0))
+        assert len(base.ends) - base.n + 1 == 151
+        rng, values = random.Random(51), [Perm.identity(2), swap]
+        fv = make_fiber_voltage(base, k2, {e: rng.choice(values) for e in base.edge_list()})
+        b1 = voltage_bundle(fv)
+        b2 = voltage_bundle(gauge_transform(fv, {v: rng.choice(values) for v in base.vertices}))
+        calls = []
+        cycle_type = Perm.cycle_type
+
+        def counted(perm):
+            calls.append(perm)
+            return cycle_type(perm)
+
+        monkeypatch.setattr(Perm, "cycle_type", counted)
+        witness = bundles_equivalent(b1, b2)
+        assert witness is not None and is_equivalence_witness(b1, b2, witness)
+        assert 0 < len(calls) <= 8
+
+
 class TestOnePassPerEdgeKind:
     """The definition is decided once per distinct edge kind, and the
     morphism check shares the one pass over the total's edges."""
@@ -1266,12 +1313,12 @@ def test_box_k2_profile_matches_the_label_product(fiber):
 
 
 class TestBudgetPins:
-    def test_m62_needs_five_nodes(self):
-        """The largest search of verify_bundle on m62 spends five nodes: a
-        budget of four raises, five passes."""
-        with pytest.raises(SearchBudgetExceeded, match="exceeded 4 nodes"), graphs.node_budget(4):
+    def test_m62_needs_four_nodes(self):
+        """The largest search of verify_bundle on m62 spends four nodes: a
+        budget of three raises, four passes."""
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 3 nodes"), graphs.node_budget(3):
             m62_bundle()
-        with graphs.node_budget(5):
+        with graphs.node_budget(4):
             assert m62_bundle().fiber.n == 2
 
 

@@ -42,6 +42,7 @@ from bundleforge.named import (
 )
 from bundleforge.pullback import mixed_base_subdirect
 from conftest import adjacency, degree, degree_sequence, identity_morphism, is_isomorphism, neighbors
+from test_label_grammar import grammatical
 
 
 class TestMakeGraph:
@@ -249,6 +250,24 @@ class TestPairLabels:
     def test_malformed_label_is_parse_error(self, label):
         with pytest.raises(ParseError, match=rf"^bad pair label: {re.escape(repr(label))}$"):
             split_pair_label(label)
+
+
+#: Grammar characters among a newline, a non-ASCII letter and a lone surrogate.
+ODD_LABELS = st.lists(st.sampled_from(["a", "(", ")", ",", "|", "\n", "\u00e9", "\ud800"]), max_size=6).map("".join)
+
+
+@given(st.lists(ODD_LABELS, min_size=1, max_size=5, unique=True))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_grammar_scan_reads_any_character(labels):
+    """The grammar is read off each label's "(),|" alone, whatever else it
+    holds: a newline, a character outside ASCII or a lone surrogate.  The
+    first label the recogniser rejects is named, else every label is kept."""
+    broken = [x for x in labels if not grammatical(x)]
+    if broken:
+        with pytest.raises(ParseError, match=rf"^vertex {re.escape(repr(broken[0]))} breaks the label grammar"):
+            make_graph(labels, [])
+    else:
+        assert make_graph(labels, []).vertices == tuple(labels)
 
 
 class TestSubgraphs:
