@@ -40,8 +40,11 @@ edge preimage on ranks, the fiber over v first and that over w after it,
 so its edge kind alone fixes the shape the search reads, each position's
 neighbours within the set, increasing, and the sides are the same on
 every edge; the shape is built once per edge kind, goes straight to
-graphs.search_shape against F or a K2 □ F profile built once per call,
-with each side of the edge a mask, and no graph is built.  A call reads
+graphs.search_shape against F's K2 □ F profile, which the fiber Graph
+builds once and keeps (fiber.box_k2_profile), with each side of the edge
+a mask, and no graph is built.  A total stored in any order costs the
+search about what the base-major order does, since the search places
+each position next to placed ones.  A call reads
 total.ends once and never builds the total's neighbour lists: it costs
 O(|V|·|F| + |E|·|F|) to file edges, plus one decision and one search per
 distinct key.
@@ -383,16 +386,6 @@ def _check_conditions(total: Graph, base: Graph, fibers: _Fibers, edges: _Bucket
     return [psi for psi, _, _ in decided]
 
 
-def _box_k2_profile(fiber: Graph) -> graphs.SearchProfile:
-    """The search profile of K2 □ F, built from F's shape: copy i of f sits
-    at position i·|F| + f, the vertex order of
-    cartesian_product(complete_graph(2), F)."""
-    n, shape = fiber.n, fiber.neighbor_indices
-    return graphs.search_profile(
-        [[i * n + j for j in nb] + [(1 - i) * n + f] for i in (0, 1) for f, nb in enumerate(shape)]
-    )
-
-
 def _check_local_triviality(base: Graph, edges: _Buckets, fiber: Graph) -> None:
     """The preimage of each base edge vw is K2 □ F over the edge, not just up
     to isomorphism: the fiber over v goes onto copy 1 of F, the low |F|
@@ -404,7 +397,7 @@ def _check_local_triviality(base: Graph, edges: _Buckets, fiber: Graph) -> None:
     one shape built per edge kind.  Kinds whose cross edges were filed in
     different orders share a shape."""
     m, bvs, budget = fiber.n, base.vertices, graphs.current_budget.get()
-    (_, shapes, edge_kinds, keys), k2f, low = edges, _box_k2_profile(fiber), (1 << m) - 1
+    (_, shapes, edge_kinds, keys), k2f, low = edges, fiber.box_k2_profile, (1 << m) - 1
     # Every fiber has m vertices here: FiberNotIsomorphic is raised first.
     within = [low] * m + [low << m] * m
     by_kind: dict[int, bool] = {}

@@ -144,14 +144,20 @@ def _formula_matches(formula, total: Graph) -> bool:
 
 class Outcome(NamedTuple):
     """What a verb found: its --json report, its text lines, whether its
-    verdict holds (exit 0, else 1), and the artifact --out writes.  A
-    report of None makes the artifact itself the output (export without
-    --out)."""
+    verdict holds (exit 0, else 1), and the artifact --out writes, rendered
+    only when --out is given.  A report of None makes the artifact itself
+    the output (export without --out)."""
 
     report: Optional[dict]
     lines: list[str]
     holds: bool = True
     artifact: Optional[str] = None
+
+
+def _artifact(args, doc, sort_keys: bool = False) -> Optional[str]:
+    """doc as the indented JSON that --out writes, or None without --out:
+    json.dumps with indent runs the pure-Python encoder."""
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) if args.out else None
 
 
 def cmd_product(args) -> Outcome:
@@ -166,7 +172,7 @@ def cmd_product(args) -> Outcome:
         "graph": result.to_json(),
     }
     lines = [f"{args.op} product: {result.n} vertices, {len(result.ends)} edges"]
-    return Outcome(report, lines, artifact=json.dumps(result.to_json(), indent=2))
+    return Outcome(report, lines, artifact=_artifact(args, report["graph"]))
 
 
 def cmd_spectrum(args) -> Outcome:
@@ -208,7 +214,7 @@ def cmd_bundle_build(args) -> Outcome:
         f"adjacency formula matches construction: {matches}",
         f"trivial: {report['trivial']}",
     ]
-    return Outcome(report, lines, matches, json.dumps(b.total.to_json(), indent=2))
+    return Outcome(report, lines, matches, _artifact(args, report["graph"]))
 
 
 def cmd_bundle_verify(args) -> Outcome:
@@ -307,7 +313,7 @@ def _mixed_subdirect(args, b1, b2, link) -> Outcome:
         f"diagnostic product: {mixed.graph.n} vertices, {len(mixed.graph.ends)} edges",
         f"matches reference figure: {matches}",
     ]
-    return Outcome(report, lines, matches, json.dumps(mixed.graph.to_json(), indent=2))
+    return Outcome(report, lines, matches, _artifact(args, mixed.graph.to_json()))
 
 
 def cmd_subdirect(args) -> Outcome:
@@ -334,7 +340,7 @@ def cmd_subdirect(args) -> Outcome:
         f"typed edges: I={counts['I']} II={counts['II']} III={counts['III']}",
         f"adjacency formula matches construction: {matches}",
     ]
-    return Outcome(report, lines, matches, json.dumps(sp.total.to_json(), indent=2))
+    return Outcome(report, lines, matches, _artifact(args, sp.total.to_json()))
 
 
 def cmd_cayley(args) -> Outcome:
@@ -364,7 +370,7 @@ def cmd_cayley(args) -> Outcome:
     lines = [f"Cayley graph: {g.n} vertices, {len(g.ends)} edges"]
     if added:
         lines.insert(0, f"note: generating set symmetrized, added {list(added)}")
-    return Outcome(report, lines, artifact=json.dumps(g.to_json(), indent=2))
+    return Outcome(report, lines, artifact=_artifact(args, report["graph"]))
 
 
 def cmd_subdirect_group(args) -> Outcome:
@@ -410,7 +416,7 @@ def cmd_ktheory(args) -> Outcome:
         "add_table": add_table,
     }
     lines = [f"n={n}: {len(monoid.classes_at(n))} classes" for n in range(args.n_max + 1)]
-    return Outcome(report, lines, artifact=json.dumps(report, indent=2, sort_keys=True))
+    return Outcome(report, lines, artifact=_artifact(args, report, sort_keys=True))
 
 
 def cmd_invariance_check(args) -> Outcome:

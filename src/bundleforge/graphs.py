@@ -19,14 +19,19 @@ The isomorphism search is one kernel over vertex positions, search_shape:
 it takes g as its shape (each position's neighbour positions, increasing,
 as neighbor_indices holds them) and h as a SearchProfile (signature
 classes and neighbours as bitmasks, the signature histogram and the edge
-count), and returns image positions.  find_isomorphism and automorphisms
-each read one call of it back in labels, and verify_bundle hands it the
-shapes it builds from the total's filed edges; a Graph caches its own
-profile.  The node budget in scope alone bounds every search.
+count), and returns image positions.  It places g's positions in
+connectivity order, each next to those already placed where one is, so
+the order a graph is stored in does not decide what the search costs;
+the witness stays deterministic.  find_isomorphism and automorphisms each
+read one call of it back in labels, and verify_bundle hands it the shapes
+it builds from the total's filed edges; a Graph caches its own profile
+and that of K2 □ itself, which local triviality searches against.  The
+node budget in scope alone bounds every search.
 """
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -176,6 +181,17 @@ class Graph:
         """What the isomorphism search reads of this graph as its target,
         computed once per graph."""
         return search_profile(self.neighbor_indices)
+
+    @cached_property
+    def box_k2_profile(self) -> SearchProfile:
+        """The profile of K2 □ F, for this graph F, computed once per graph
+        from its shape: copy i of f sits at position i·|F| + f, the vertex
+        order of cartesian_product(complete_graph(2), F).  Local triviality
+        searches each edge preimage against it."""
+        n, shape = self.n, self.neighbor_indices
+        return search_profile(
+            [[i * n + j for j in nb] + [(1 - i) * n + f] for i in (0, 1) for f, nb in enumerate(shape)]
+        )
 
     @cached_property
     def _edge_order(self) -> tuple[tuple[Label, Label], ...]:
@@ -471,6 +487,39 @@ def search_profile(shape: Sequence[Sequence[int]]) -> SearchProfile:
     return SearchProfile(classes, tuple(neighbors), _histogram(sigs), sum(map(len, shape)) // 2)
 
 
+def _connectivity_order(shape: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """The order in which search_shape places g's positions: next the lowest
+    unplaced position with a placed neighbour, else the lowest unplaced one.
+    None when that is the stored order, found in one pass: each position
+    has an earlier neighbour, or no earlier position has a neighbour past
+    it."""
+    reach = -1  # the highest neighbour of a position before k
+    for k, nb in enumerate(shape):
+        if reach > k and (not nb or nb[0] > k):
+            break
+        if nb and nb[-1] > reach:
+            reach = nb[-1]
+    else:
+        return None
+    order: list[int] = []
+    placed, frontier, low = [False] * len(shape), [], 0
+    while len(order) < len(shape):
+        if frontier:
+            k = heapq.heappop(frontier)
+            if placed[k]:
+                continue
+        else:
+            while placed[low]:
+                low += 1
+            k = low
+        placed[k] = True
+        order.append(k)
+        for j in shape[k]:
+            if not placed[j]:
+                heapq.heappush(frontier, j)
+    return order
+
+
 def search_shape(
     shape: Sequence[Sequence[int]],
     profile: SearchProfile,
@@ -488,16 +537,24 @@ def search_shape(
     None, each as the tuple of h-positions of g's positions 0, 1, ..., and
     the number of nodes spent.
 
-    The positions of g are matched in order.  Each keeps a candidate
-    domain, a bitmask over h's positions that starts as the positions with
-    its signature, cut to within[i] when within is given.  Placing i -> w
-    cuts the domain of each later neighbour of i down to N(w), and a trail
-    puts the domains back on backtrack; the placement is undone at once
-    when one of those domains has no unused position left.  w is accepted
-    only when as many used positions are adjacent to w as i has earlier
-    neighbours (the VF2 rule, one popcount).  Candidates are tried in
-    increasing position and only maps with no completion are pruned, so
-    the matches come in the order of a plain backtracking search.  Graphs
+    The positions of g are matched in connectivity order: next the lowest
+    unplaced position with a placed neighbour, else the lowest unplaced
+    one, so each position but the first of its component is placed next
+    to a placed one (the VF2 order).  Where every position has an earlier
+    neighbour or no earlier position reaches past it, that is the stored
+    order, checked in one pass; otherwise g and within are permuted into
+    it, and the images are still returned by g's stored positions.
+
+    Each position i keeps a candidate domain, a bitmask over h's positions
+    that starts as the positions with its signature, cut to within[i] when
+    within is given.  Placing i -> w cuts the domain of each later
+    neighbour of i down to N(w), and a trail puts the domains back on
+    backtrack; the placement is undone at once when one of those domains
+    has no unused position left.  w is accepted only when as many used
+    positions are adjacent to w as i has earlier neighbours (the VF2 rule,
+    one popcount).  Candidates are tried in increasing position and only
+    maps with no completion are pruned, so the matches come in the order
+    of a plain backtracking search placing in the same order.  Graphs
     with different sizes, edge counts or signature histograms are rejected
     before any node is spent.  A node is one unused candidate tried from a
     domain; the node after the budget-th raises SearchBudgetExceeded.  The
@@ -513,6 +570,16 @@ def search_shape(
         return found, 0
     if n == 0:
         return [()], 0
+    order = _connectivity_order(shape)
+    if order is not None:
+        # Search the relabelled g whose position k is g's position order[k].
+        at = [0] * n
+        for k, x in enumerate(order):
+            at[x] = k
+        shape = [sorted(map(at.__getitem__, shape[x])) for x in order]
+        sigs = list(map(sigs.__getitem__, order))
+        if within is not None:
+            within = list(map(within.__getitem__, order))
     classes, nbr = profile.classes, profile.neighbors
     dom = [classes[s] for s in sigs]
     if within is not None:
@@ -570,6 +637,8 @@ def search_shape(
         while len(trail) > mark:
             u, d = trail.pop()
             dom[u] = d
+    if order is not None:
+        found = [tuple(map(image.__getitem__, at)) for image in found]
     return found, nodes
 
 
@@ -577,11 +646,12 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
     """Find a graph isomorphism g -> h, or None: one search_shape call on
     g's shape against h's cached profile, read back in labels.
 
-    Deterministic: vertices of g are matched in stored order against the
-    vertices of h with the same signature, in h's stored order, so the
-    first witness found is stable.  Raises SearchBudgetExceeded (meaning
-    "unknown") when the node budget in scope (see node_budget) runs out; a
-    node is one candidate tried from a vertex's domain.
+    Deterministic: vertices of g are matched in search_shape's
+    connectivity order against the vertices of h with the same signature,
+    in h's stored order, so the first witness found is stable.  Raises
+    SearchBudgetExceeded (meaning "unknown") when the node budget in scope
+    (see node_budget) runs out; a node is one candidate tried from a
+    vertex's domain.
     """
     found, _ = search_shape(g.neighbor_indices, h.profile, current_budget.get(), 1)
     return dict(zip(g.vertices, map(h.vertices.__getitem__, found[0]))) if found else None

@@ -10,6 +10,15 @@ at make_group, FiniteGroup.from_json, hom, generator_system and
 symmetric_closure (and from a caller's sections), and written by to_json,
 GroupHom.mapping, GeneratorSystem.members and transversal_section.
 
+What a Cayley bundle is built from is derived once per object and kept
+on it, as a Graph keeps its search profile: a FiniteGroup its symmetric
+generating sets (symmetric_generating_sets lists them), a GroupHom its
+kernel (kernel reads it) and a GeneratorSystem its Cayley graph
+(cayley_graph returns it once s is over g).  So calls over one
+homomorphism and one kernel set share one kernel, one fiber Graph and,
+through it, one K2 □ F profile, and a sweep over a group's generating
+sets builds each base graph once.
+
 A table from outside (make_group, FiniteGroup.from_json) is checked
 exactly, at every order, associativity by Light's test, and its labels
 by graphs.check_labels.  Groups derived from validated groups are groups
@@ -56,6 +65,25 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def generating_sets(self) -> tuple[GeneratorSystem, ...]:
+        """All symmetric generating sets, enumerated once per group over
+        inverse-pair blocks.  Each set is symmetric, free of the identity
+        and generating by construction, so it is built directly."""
+        blocks: list[list[int]] = []
+        seen = {self.identity}
+        for x in range(self.order):
+            if x not in seen:
+                blocks.append(sorted({x, self.inverse[x]}))
+                seen.update(blocks[-1])
+        out = []
+        for r in range(len(blocks) + 1):
+            for combo in itertools.combinations(blocks, r):
+                members = sorted(itertools.chain.from_iterable(combo))
+                if len(_generated(self, members)) == self.order:
+                    out.append(GeneratorSystem(self, tuple(members)))
+        return tuple(out)
 
     def to_json(self) -> dict:
         es = self.elements
@@ -240,6 +268,12 @@ class GroupHom:
         cs = self.codomain.elements
         return {x: cs[k] for x, k in zip(self.domain.elements, self.position_map)}
 
+    @cached_property
+    def kernel(self) -> FiniteGroup:
+        """The kernel, built once per homomorphism; kernel(h) reads it."""
+        e = self.codomain.identity
+        return subgroup(self.domain, [i for i, k in enumerate(self.position_map) if k == e])
+
     def __call__(self, x: Label) -> Label:
         return self.mapping[x]
 
@@ -270,8 +304,8 @@ def hom(domain: FiniteGroup, codomain: FiniteGroup, mapping: Mapping[object, obj
 
 
 def kernel(h: GroupHom) -> FiniteGroup:
-    e = h.codomain.identity
-    return subgroup(h.domain, [i for i, k in enumerate(h.position_map) if k == e])
+    """The kernel of h, the same group object on every call."""
+    return h.kernel
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -402,6 +436,18 @@ class GeneratorSystem:
     def __len__(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def cayley_graph(self) -> Graph:
+        """The undirected Cayley graph over group, x adjacent to xs for
+        every member s, built once per system.  Raises
+        InvalidGeneratorSystem when the set holds the identity, which would
+        give a loop."""
+        if self.group.identity in self.positions:
+            raise InvalidGeneratorSystem("generating set contains the identity")
+        steps = ((i, row[k]) for i, row in enumerate(self.group.rows) for k in self.positions)
+        ends = {(i, j) if i < j else (j, i) for i, j in steps}
+        return _trusted_graph(self.group.elements, list(ends))
+
 
 def _element_set(g: FiniteGroup, members: Iterable[object]) -> set[int]:
     """The positions of labelled members; raises InvalidGeneratorSystem naming non-elements."""
@@ -441,34 +487,19 @@ def generator_system(g: FiniteGroup, members: Iterable[object]) -> GeneratorSyst
 
 
 def symmetric_generating_sets(g: FiniteGroup) -> list[GeneratorSystem]:
-    """All symmetric generating sets, enumerated over inverse-pair blocks.
-    Each set is symmetric, free of the identity and generating by
-    construction, so it is built directly."""
-    blocks: list[list[int]] = []
-    seen = {g.identity}
-    for x in range(g.order):
-        if x not in seen:
-            blocks.append(sorted({x, g.inverse[x]}))
-            seen.update(blocks[-1])
-    out = []
-    for r in range(len(blocks) + 1):
-        for combo in itertools.combinations(blocks, r):
-            members = sorted(itertools.chain.from_iterable(combo))
-            if len(_generated(g, members)) == g.order:
-                out.append(GeneratorSystem(g, tuple(members)))
-    return out
+    """All symmetric generating sets, in a fresh list of the systems the
+    group enumerated once (FiniteGroup.generating_sets), so each keeps its
+    Cayley graph across calls."""
+    return list(g.generating_sets)
 
 
 def cayley_graph(g: FiniteGroup, s: GeneratorSystem) -> Graph:
-    """Undirected Cayley graph: x adjacent to xs for every generator s.
-    Raises InvalidGeneratorSystem when the set holds the identity, which
-    would give a loop."""
+    """The Cayley graph of g on s, the same Graph object on every call with
+    one system (GeneratorSystem.cayley_graph).  Raises
+    InvalidGeneratorSystem when s is over another group, or when the set
+    holds the identity, which would give a loop."""
     _require_over(s, g)
-    if g.identity in s.positions:
-        raise InvalidGeneratorSystem("generating set contains the identity")
-    steps = ((i, row[k]) for i, row in enumerate(g.rows) for k in s.positions)
-    ends = {(i, j) if i < j else (j, i) for i, j in steps}
-    return _trusted_graph(g.elements, list(ends))
+    return s.cayley_graph
 
 
 def is_admissible(s0: GeneratorSystem, ambient: FiniteGroup) -> bool:

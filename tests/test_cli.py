@@ -904,6 +904,17 @@ VERB_RUNS = {
     "export": ["--case", "m3"],
 }
 
+#: A run of each verb that writes an artifact to --out, and of the mixed
+#: subdirect case, without --out.
+WRITERS = [
+    ["product", "--g1", "{k2}", "--g2", "{k2}"],
+    ["bundle-build", "--case", "m3"],
+    ["subdirect", "--case", "prism-m3"],
+    ["subdirect", "--case", "mixed-m3-c6k2"],
+    ["cayley", "--case", "z4-c4"],
+    ["ktheory", "--case", "c3-k2"],
+]
+
 #: The input options each verb needs when it runs without --case.
 NEEDED = {
     "product": ["--g1", "--g2"],
@@ -943,6 +954,21 @@ class TestOutcomes:
             assert out == "".join(f"{line}\n" for line in found.lines)
             assert run(capsys, *argv, "--json")[1] == json.dumps(found.report, indent=2, sort_keys=True) + "\n"
         assert (target.read_text() if target.exists() else None) == (found.artifact if "--out" in argv else None)
+
+    @pytest.mark.parametrize("writer", WRITERS, ids=[w[0] if w[1] != "--case" else f"{w[0]}:{w[2]}" for w in WRITERS])
+    def test_artifact_is_rendered_only_for_out(self, tmp_path, writer):
+        # Without --out no artifact is rendered; export's is its output.
+        k2 = write_json(tmp_path, "k2.json", complete_graph(2).to_json())
+        argv = [arg.format(k2=k2) for arg in writer]
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args).artifact is None
+        out = tmp_path / "out.txt"
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+        assert args.func(args).artifact is not None
+
+    def test_export_without_out_keeps_its_artifact(self):
+        args = cli.build_parser().parse_args(["export", "--case", "m3"])
+        assert args.func(args).artifact == CASES["export"]["m3"]().to_dot()
 
     @pytest.mark.parametrize("verb, option", NEEDED_CASES, ids=[f"{v}:{o}" for v, o in NEEDED_CASES])
     def test_a_missing_input_is_named(self, capsys, tmp_path, verb, option):

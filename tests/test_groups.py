@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleforge import (
+    cartesian_product,
     cayley_bundle,
     cayley_graph,
     complete_graph,
@@ -36,8 +37,10 @@ from bundleforge.errors import (
     ParseError,
 )
 from bundleforge.graphs import pair_label, split_pair_label
+from bundleforge import graphs
 from bundleforge.groups import (
     FiniteGroup,
+    GeneratorSystem,
     _homs_by_closure,
     _pair_group,
     subgroup,
@@ -1051,3 +1054,68 @@ class TestInvariance:
         s1 = generator_system(z3, ["1", "2"])
         s0 = generator_system(kernel(phi2), ["3"])
         assert verify_invariance(phi2, phi2, s1, s0, s0)
+
+
+class TestOncePerObject:
+    """What a Cayley bundle is built from is derived once per object: the
+    kernel per homomorphism, the Cayley graph per generator system and the
+    K2 □ F profile per fiber graph."""
+
+    def test_kernel_is_built_once(self, phi2):
+        assert kernel(phi2) is kernel(phi2)
+        assert kernel(phi2).elements == ("0", "3")
+
+    def test_cayley_graph_is_built_once(self):
+        z6 = cyclic(6)
+        s = generator_system(z6, ["1", "5"])
+        g = cayley_graph(z6, s)
+        assert cayley_graph(z6, s) is g
+        assert g.vertices == z6.elements
+        assert find_isomorphism(g, cycle_graph(6)) is not None
+
+    def test_generating_sets_are_enumerated_once(self):
+        z6 = cyclic(6)
+        first, again = symmetric_generating_sets(z6), symmetric_generating_sets(z6)
+        assert first == again and first is not again
+        assert all(a is b for a, b in zip(first, again))
+        assert [s.members for s in first] == [
+            ("1", "5"), ("1", "2", "4", "5"), ("1", "3", "5"), ("2", "3", "4"), ("1", "2", "3", "4", "5"),
+        ]
+
+    def test_cached_graph_keeps_the_checks(self):
+        z4 = cyclic(4)
+        s = generator_system(z4, ["1", "3"])
+        cayley_graph(z4, s)
+        with pytest.raises(InvalidGeneratorSystem, match="generator system belongs to a different group"):
+            cayley_graph(klein_on_digits(), s)
+        with_identity = GeneratorSystem(z4, (0, 1, 3))
+        with pytest.raises(InvalidGeneratorSystem, match="generating set contains the identity"):
+            cayley_graph(z4, with_identity)
+        with pytest.raises(InvalidGeneratorSystem, match="generating set contains the identity"):
+            cayley_graph(z4, with_identity)
+
+    def test_box_profile_of_the_fiber_is_built_once_per_kernel_set(self, monkeypatch):
+        # Z32 -> Z8: the kernel {0, 8, 16, 24} is a C4 fiber, and six
+        # generating sets of Z8 have a transversal section.
+        phi = hom(cyclic(32), cyclic(8), {str(x): str(x % 8) for x in range(32)})
+        s0 = generator_system(kernel(phi), ["8", "24"])
+        fiber = cayley_graph(kernel(phi), s0)
+        box = sorted(map(sorted, cartesian_product(complete_graph(2), fiber).neighbor_indices))
+        profiled = []
+        search_profile = graphs.search_profile
+
+        def spy(shape):
+            profiled.append(sorted(map(sorted, shape)) == box)
+            return search_profile(shape)
+
+        monkeypatch.setattr(graphs, "search_profile", spy)
+        built = []
+        for s1 in symmetric_generating_sets(cyclic(8)):
+            try:
+                section = transversal_section(phi, s1)
+            except NoTransversalSection:
+                continue
+            built.append(cayley_bundle(phi, s1, s0, section))
+        assert len(built) == 6
+        assert profiled.count(True) == 1
+        assert all(b.fiber is fiber for b in built)

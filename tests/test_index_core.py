@@ -250,7 +250,9 @@ def test_bundle_routes_read_no_label_view(name):
 #: The label views of a group and a homomorphism.
 GROUP_LABEL_VIEWS = {"table", "mapping", "mul", "inv", "inverses", "element_order", "generated_subgroup"}
 
-#: Each function of groups that runs on positions.
+#: Each function of groups that runs on positions, and each method, named
+#: by its class, that builds what a group, homomorphism or generator
+#: system keeps.
 GROUP_ROUTES = (
     "cayley_graph",
     "_pair_group",
@@ -263,6 +265,9 @@ GROUP_ROUTES = (
     "admissible_generating_sets",
     "transversal_section",
     "cayley_bundle",
+    "FiniteGroup.generating_sets",
+    "GroupHom.kernel",
+    "GeneratorSystem.cayley_graph",
 )
 
 
@@ -276,7 +281,11 @@ def test_group_routes_read_no_label_view(name):
     generated_subgroup, nor of a homomorphism's mapping, and no projection
     built through make_morphism."""
     tree = ast.parse(Path(groups.__file__).read_text())
-    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    *owner, name = name.split(".")
+    scope = tree.body
+    if owner:
+        scope = next(node for node in scope if isinstance(node, ast.ClassDef) and node.name == owner[0]).body
+    body = next(node for node in scope if isinstance(node, ast.FunctionDef) and node.name == name)
     attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert not attributes & GROUP_LABEL_VIEWS
