@@ -304,8 +304,9 @@ def _positions_over(at: Sequence[int], n: int) -> tuple[_Fibers, list[int]]:
 
 def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buckets:
     """One pass over the total's ends files each edge as the ranks of its
-    ends in their fibers: a fiber edge under its base vertex, sorted, and a
-    cross edge under its base edge vw, the end over v first.  A fiber's key
+    ends in their fibers: a fiber edge under its base vertex and a cross
+    edge under its base edge vw, the end over v first, each list sorted, so
+    equal edge sets file equal lists whatever the total's order.  A fiber's key
     is its size and edges, a base edge's the kinds of its two fibers and
     its cross edges; each distinct key gets the next kind id.
 
@@ -318,7 +319,7 @@ def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buc
     edge_at = {e: k for k, (a, b) in enumerate(base.ends) for e in (a * n + b, b * n + a)}
     inner: list[list[tuple[int, int]]] = [[] for _ in fibers]
     cross: list[list[tuple[int, int]]] = [[] for _ in base.ends]
-    stray = False
+    stray, flipped = False, set()
     for x, y in p.domain.ends:
         a, b = over[x], over[y]
         if a == b:
@@ -329,8 +330,11 @@ def _local_edges(p: GraphMorphism, fibers: _Fibers, rank: Sequence[int]) -> _Buc
             cross[k].append((rank[x], rank[y]))
         else:
             cross[k].append((rank[y], rank[x]))
+            flipped.add(k)
     if stray:
         require_morphism(p, "projection is not a morphism")
+    for k in flipped:  # total.ends order sorts the lists no swapped pair went into
+        cross[k].sort()
     ids: dict[tuple, int] = {}
     kinds = [ids.setdefault((len(xs), tuple(es)), len(ids)) for xs, es in zip(fibers, inner)]
     edge_ids: dict[tuple, int] = {}

@@ -400,22 +400,22 @@ def cmd_ktheory(args) -> Outcome:
     else:
         base, fiber_graph = (_load_graph(p) for p in _given(args, "--base", "--fiber"))
     monoid = enumerate_bundle_classes(base, fiber_graph, args.n_max)
+    by_n = [monoid.classes_at(n) for n in range(args.n_max + 1)]
     rows = []
-    for n in range(args.n_max + 1):
-        for c in monoid.classes_at(n):
-            digest = ";".join(
-                ",".join(map(str, images)) for images in c.representative.perms
-            )
+    for n, cs in enumerate(by_n):
+        for c in cs:
+            digest = ";".join(",".join(map(str, images)) for images in c.representative.perms)
             rows.append({"n": n, "class_id": c.class_id, "voltage": digest})
-    add_table = {f"{i},{j}": v for (i, j), v in monoid.add_table.items()}
+    # The sums within the bound alone, by pairs of powers a + b <= n_max.
+    pairs = ((c, d) for a, cs in enumerate(by_n) for ds in by_n[: args.n_max + 1 - a] for c in cs for d in ds)
     report = {
         "verb": "ktheory",
         "n_max": args.n_max,
-        "class_counts": [len(monoid.classes_at(n)) for n in range(args.n_max + 1)],
+        "class_counts": [len(cs) for cs in by_n],
         "classes": rows,
-        "add_table": add_table,
+        "add_table": {f"{c.class_id},{d.class_id}": monoid.add(c.class_id, d.class_id) for c, d in pairs},
     }
-    lines = [f"n={n}: {len(monoid.classes_at(n))} classes" for n in range(args.n_max + 1)]
+    lines = [f"n={n}: {len(cs)} classes" for n, cs in enumerate(by_n)]
     return Outcome(report, lines, artifact=_artifact(args, report, sort_keys=True))
 
 

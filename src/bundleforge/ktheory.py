@@ -20,8 +20,8 @@ level the least element of each orbit of the stabilizer, then that
 element's centralizer in it.  The keys come out in lexicographic order,
 and class ids follow it.  A representative is its key on the edges off the
 spanning forest and the identity on the tree, so the holonomies of a sum
-of two are the Kronecker products of their keys, and an addition-table
-entry keys β products.
+of two are the Kronecker products of their keys, and a sum keys β
+products, once, when it is first asked for.
 
 Aut(F^n) is read only when a key needs it, so a base with no cycle lists
 no automorphism.  Enumeration searches Aut(F) once.  For a power n ≥ 2 of
@@ -56,7 +56,7 @@ from .pullback import pullback_voltage
 #: Default fiber-power bound.
 DEFAULT_N_MAX = 3
 
-#: Default cap on the exhaustive enumeration.
+#: Default cap on the conjugations of the enumeration's stabilizer-chain walk.
 DEFAULT_MAX_ASSIGNMENTS = 10**6
 
 #: The base-size cap the enumeration had; it no longer caps the base, and
@@ -414,18 +414,18 @@ class BundleClass:
 class KClassMonoid:
     """Truncated abelian monoid of bundle classes under the subdirect product.
 
-    add_table[(i, j)] is the class id of the sum, or None when the sum's
-    fiber power exceeds the enumeration bound.
+    add(i, j) is the class id of the sum, or None when the sum's fiber power
+    exceeds n_max; each sum is computed when first asked for and kept.
     """
 
     base: Graph
     fiber: Graph
     n_max: int
     classes: tuple[BundleClass, ...]
-    add_table: Mapping[tuple[int, int], Optional[int]]
     _keys: Mapping[int, Mapping[tuple, int]] = field(default_factory=dict)
     _chains: Mapping[int, _Chain] = field(default_factory=dict)
     _fresh: tuple[bool, ...] = ()
+    _sums: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
 
     def classes_at(self, n: int) -> tuple[BundleClass, ...]:
         return tuple(c for c in self.classes if c.n == n)
@@ -451,11 +451,20 @@ class KClassMonoid:
         return self._keys[n][chain.key([h for _, hs in _holonomies(fv)[1] for h in hs], self._fresh)]
 
     def add(self, i: int, j: int) -> Optional[int]:
-        try:
-            return self.add_table[(i, j)]
-        except KeyError:
-            unknown = next(c for c in (i, j) if c not in range(len(self.classes)))
-            raise ValueError(f"no class with id {unknown!r}; the ids run from 0 to {len(self.classes) - 1}") from None
+        found = self._sums.get((i, j), -1)  # -1: not computed yet, neither an id nor None
+        if found == -1:
+            for c in (i, j):
+                if c not in range(len(self.classes)):
+                    raise ValueError(f"no class with id {c!r}; the ids run from 0 to {len(self.classes) - 1}")
+            c1, c2 = self.classes[i], self.classes[j]
+            n, found = c1.n + c2.n, None
+            if n <= self.n_max:
+                # The sum's holonomies are the krons of the keys, F^a □ F^b in
+                # the index order of F^(a+b), keyed in stabilizers the walk
+                # has split.
+                found = self._keys[n][self._chains[n].key(list(map(perm_kron, c1.key, c2.key)), self._fresh)]
+            self._sums[i, j] = found
+        return found
 
 
 def enumerate_bundle_classes(
@@ -465,8 +474,8 @@ def enumerate_bundle_classes(
     *,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> KClassMonoid:
-    """Enumerate the voltage classes for every fiber power up to n_max and
-    fill the addition table.
+    """Enumerate the voltage classes for every fiber power up to n_max; the
+    monoid computes each sum when it is first asked for.
 
     The classes at power n are the keys of a walk down the stabilizer chain
     of Aut(F^n), to the depth of the cycle rank of each base component;
@@ -478,9 +487,9 @@ def enumerate_bundle_classes(
     and a searched one at f · t for the f automorphisms, of t cycle types,
     listed so far.  The splits that count the classes of a composite F's
     prime factors are not counted; none costs more than the first split of
-    Aut(F), which is.  It also caps the addition table, one entry per
-    ordered pair of classes, counted as the classes are found.  The base has
-    no cap of its own.  A fiber power over 100 vertices is never built."""
+    Aut(F), which is.  Sums are keyed in stabilizers the walk has split, so
+    max_assignments counts conjugations and nothing else.  The base has no
+    cap of its own.  A fiber power over 100 vertices is never built."""
     if n_max < 0:
         raise ValueError("enumeration needs n_max >= 0")
     cycles, fresh = _cycle_edges(base)
@@ -499,11 +508,6 @@ def enumerate_bundle_classes(
         keys_by_n[n] = {}
         for key in chain.keys(fresh):
             class_id = len(classes)
-            if (class_id + 1) ** 2 > max_assignments:
-                raise EnumerationBoundExceeded(
-                    f"{class_id + 1} classes by fiber power {n} already need {(class_id + 1) ** 2} "
-                    f"addition-table entries, over the cap {max_assignments}"
-                )
             perms = [ident] * len(base.ends)
             for k, value in zip(cycles, key):
                 perms[k] = value
@@ -512,19 +516,7 @@ def enumerate_bundle_classes(
             keys_by_n[n][key] = class_id
         conjugations = chain.conjugations
 
-    add_table: dict[tuple[int, int], Optional[int]] = {}
-    for c1 in classes:
-        for c2 in classes:
-            n_sum = c1.n + c2.n
-            if n_sum > n_max:
-                add_table[(c1.class_id, c2.class_id)] = None
-                continue
-            # The sum's holonomies are the krons of the keys; F^a □ F^b lists
-            # its vertices in the index order of F^(a+b).
-            sums = [perm_kron(c1.representative.perms[k], c2.representative.perms[k]) for k in cycles]
-            add_table[(c1.class_id, c2.class_id)] = keys_by_n[n_sum][chains[n_sum].key(sums, fresh)]
-
-    return KClassMonoid(base, fiber, n_max, tuple(classes), add_table, keys_by_n, chains, fresh)
+    return KClassMonoid(base, fiber, n_max, tuple(classes), keys_by_n, chains, fresh)
 
 
 @dataclass(frozen=True)

@@ -1264,6 +1264,21 @@ class TestOnePassPerEdgeKind:
         assert verify_bundle(b.total, b.projection, c4).voltage.perms == fv.perms
         assert len(calls) == distinct
 
+    def test_a_fiber_stored_out_of_base_order_files_no_new_edge_kind(self, k3):
+        # C4 with the rotation of K3 on every edge around the cycle, the
+        # fiber over the last base vertex stored first: the cross edges at
+        # it come in the order of their far ends, yet the edges 12, 23 and
+        # 34 have equal cross sets and keep one kind, and 14 the other.
+        base, rotation = cycle_graph(4), Perm((1, 2, 0))
+        fv = make_fiber_voltage(base, k3, {e: rotation for e in [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]})
+        b = voltage_bundle(fv)
+        order = b.total.vertices[9:] + b.total.vertices[:9]
+        total = make_graph(order, b.total.edge_list())
+        p = make_morphism(total, base, b.projection.map)
+        _, _, edge_kinds, keys = bundles._local_edges(p, *bundles._positions_over(p.position_map, base.n))
+        assert len(keys) == 2 == len(set(edge_kinds))
+        assert verify_bundle(total, p, k3).voltage.perms == verify_bundle(b.total, b.projection, k3).voltage.perms
+
     def test_verify_builds_no_neighbour_lists_of_the_total(self, c4):
         base = cycle_graph(12)
         b = voltage_bundle(make_fiber_voltage(base, c4, {e: automorphisms(c4)[1] for e in base.edge_list()}))

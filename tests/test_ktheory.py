@@ -50,6 +50,8 @@ BRIDGE_AFTER_CYCLES = make_graph(
     list("abcdef"),
     [("a", "b"), ("b", "e"), ("a", "e"), ("c", "d"), ("d", "f"), ("c", "f"), ("e", "f")],
 )
+#: K4 less the edge bd: cycle rank 2.
+K4_MINUS_E = make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
 #: An edge and a triangle, disjoint.
 EDGE_AND_TRIANGLE = make_graph(
     list("vwxyz"), [("v", "w"), ("x", "y"), ("y", "z"), ("x", "z")]
@@ -292,7 +294,6 @@ def assert_routes_agree(m, ref, rng, draws=5):
         to_new[i] = m.classify(ref.representative(i), n)
         assert m.classes[to_new[i]].n == n
     assert sorted(to_new.values()) == list(range(len(m.classes)))
-    assert len(m.add_table) == len(ref.add_table)
     for (i, j), k in ref.add_table.items():
         assert m.add(to_new[i], to_new[j]) == (None if k is None else to_new[k])
     for n, fn in enumerate(ref.powers):
@@ -388,9 +389,8 @@ class TestEnumeration:
         assert [m.trivial_class(n).class_id for n in range(2)] == [0, 1]
 
     def test_bases_past_six_vertices_are_answered(self, k2):
-        # No cap on the base: the conjugations and the addition table bound
-        # it.  A tree has one class per power, a cycle the classes of one
-        # holonomy.
+        # No cap on the base: the conjugations of the walk bound it.  A
+        # tree has one class per power, a cycle the classes of one holonomy.
         m = enumerate_bundle_classes(cycle_graph(7), k2, 1)
         assert [len(m.classes_at(n)) for n in range(2)] == [1, 2]
         m = enumerate_bundle_classes(path_graph(7), k2, 2)
@@ -405,14 +405,13 @@ class TestEnumeration:
         with pytest.raises(EnumerationBoundExceeded, match="over 18 conjugations"):
             enumerate_bundle_classes(c3, k3, 1, max_assignments=18)
         assert len(enumerate_bundle_classes(c3, k3, 1, max_assignments=19).classes_at(1)) == 3
-        # The cap also counts the addition table, as classes are found: over
-        # K4 the 7th class already needs 49 entries, and all 1 + 49 need 2500.
-        with pytest.raises(EnumerationBoundExceeded, match="7 classes by fiber power 1 already need 49 "):
-            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=48)
-        with pytest.raises(EnumerationBoundExceeded, match="50 classes by fiber power 1 already need 2500 "):
-            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2499)
-        m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=2500)
-        assert len(m.classes_at(1)) == 49
+        # The cap counts nothing else: over K4, whose 1 + 49 classes have
+        # 2,500 ordered sums, the walk takes 1 + 18 + 26 conjugations, the
+        # last 26 to split S3 under the centralizers of orders 2, 3 and 1.
+        with pytest.raises(EnumerationBoundExceeded, match="over 44 conjugations"):
+            enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=44)
+        m = enumerate_bundle_classes(complete_graph(4), k3, 1, max_assignments=45)
+        assert [len(m.classes_at(n)) for n in range(2)] == [1, 49]
 
     @pytest.mark.parametrize(
         "base,fiber,n_max,work,counts",
@@ -421,30 +420,69 @@ class TestEnumeration:
             # classes of S7, each found by conjugating with all 5,040
             # elements: the gauge walk needed 5,040^2.
             (cycle_graph(3), complete_graph(7), 1, 1 + 15 * 5040, [1, 15]),
-            # The chain is cheap, but 5,633 classes need a 31.7M-entry table,
-            # refused when the 1,001st class is found.
-            (complete_graph(4), complete_graph(2), 3, None, None),
+            # 5,633 classes, once refused for their 31.7M ordered sums, in
+            # 2,677 conjugations; the counts are the class equation's.
+            (complete_graph(4), complete_graph(2), 3, 2677, [1, 8, 176, 5448]),
         ],
         ids=["c3-k7", "k4-k2-cube"],
     )
     def test_canonicalization_cap(self, base, fiber, n_max, work, counts):
-        if work is None:
-            with pytest.raises(EnumerationBoundExceeded, match="1001 classes by fiber power 3 already need 1002001"):
-                enumerate_bundle_classes(base, fiber, n_max)
-            return
         with pytest.raises(EnumerationBoundExceeded, match=f"over {work - 1} conjugations"):
             enumerate_bundle_classes(base, fiber, n_max, max_assignments=work - 1)
         m = enumerate_bundle_classes(base, fiber, n_max, max_assignments=work)
         assert [len(m.classes_at(n)) for n in range(n_max + 1)] == counts
 
-    def test_addition_table_cap_after_the_walk(self, k2):
+    def test_sums_are_not_capped_after_the_walk(self, k2):
         # K4/K2 to n=2 walks the chain of Aut(C4) in 133 conjugations and
-        # finds 1 + 8 + 176 classes, 185^2 = 34225 table entries: the table
-        # cap stops the walk at the last class.
-        with pytest.raises(EnumerationBoundExceeded, match="185 classes by fiber power 2 already need 34225"):
-            enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34224)
-        m = enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=34225)
-        assert len(m.add_table) == 34225
+        # finds 1 + 8 + 176 classes; their 34,225 ordered sums, once a
+        # table the cap counted, are computed on demand under the same
+        # tight cap.
+        with pytest.raises(EnumerationBoundExceeded, match="over 132 conjugations"):
+            enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=132)
+        m = enumerate_bundle_classes(complete_graph(4), k2, 2, max_assignments=133)
+        assert [len(m.classes_at(n)) for n in range(3)] == [1, 8, 176]
+        ids = range(len(m.classes))
+        assert sum(m.add(i, j) is not None for i in ids for j in ids) == 1 + 2 * 8 + 2 * 176 + 8 * 8
+
+
+class TestSumsOnDemand:
+    """The monoid computes a sum when it is first asked for, so the
+    classes are capped by the walk's conjugations alone."""
+
+    @pytest.mark.parametrize(
+        "base,n_max,counts",
+        [
+            (complete_graph(4), 3, [1, 8, 176, 5448]),
+            (K4_MINUS_E, 4, [1, 4, 28, 172, 1328]),
+        ],
+        ids=["k4-k2-cube", "k4-e-k2-fourth"],
+    )
+    def test_counts_past_the_old_table_cap_are_the_class_equations(self, k2, base, n_max, counts):
+        # Both were refused while the |classes|^2 addition table shared the
+        # cap; the counts are the class equation's, sum over the conjugacy
+        # classes K of Aut(K2^n) of |C(K)|^(β−1).
+        m = enumerate_bundle_classes(base, k2, n_max)
+        assert [len(m.classes_at(n)) for n in range(n_max + 1)] == counts
+
+    @pytest.mark.parametrize(
+        "base,fiber,n_max",
+        [
+            (complete_graph(4), complete_graph(2), 2),
+            (cycle_graph(3), complete_graph(3), 2),
+            (BRIDGE_AFTER_CYCLES, complete_graph(2), 2),
+        ],
+        ids=["k4-k2", "c3-k3", "bridge-k2"],
+    )
+    def test_sums_spend_no_conjugations(self, base, fiber, n_max):
+        # The walk has split every stabilizer that a sum's key passes.
+        m = enumerate_bundle_classes(base, fiber, n_max)
+        spent = [(chain.conjugations, len(chain._split)) for chain in m._chains.values()]
+        ids = range(len(m.classes))
+        sums = [m.add(i, j) for i in ids for j in ids]
+        assert sum(k is not None for k in sums) == sum(
+            len(m.classes_at(a)) * len(m.classes_at(b)) for a in range(n_max + 1) for b in range(n_max + 1 - a)
+        )
+        assert [(chain.conjugations, len(chain._split)) for chain in m._chains.values()] == spent
 
 
 class TestAgainstAllAssignments:
@@ -596,8 +634,7 @@ class TestBurnsideCounts:
     def test_k4_minus_edge_k2_fiber_to_cube(self, k2):
         # Cycle rank 2: the gauge walk canonicalized 48^2 voltages over 48
         # gauges each at n = 3; the chain reads the same counts.
-        k4e = make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
-        m = enumerate_bundle_classes(k4e, k2, 3)
+        m = enumerate_bundle_classes(K4_MINUS_E, k2, 3)
         counts = [len(m.classes_at(n)) for n in range(4)]
         assert counts == [burnside_count(automorphisms(fiber_power(k2, n)), 2) for n in range(4)]
         assert counts == [1, 4, 28, 172]
@@ -692,7 +729,7 @@ class TestWreathRoute:
     @pytest.mark.parametrize(
         "base,fiber,n_max",
         [
-            (make_graph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")]), complete_graph(2), 3),
+            (K4_MINUS_E, complete_graph(2), 3),
             (cycle_graph(3), complete_graph(3), 2),
             (EDGE_AND_TRIANGLE, path_graph(3), 2),
             (cycle_graph(3), cycle_graph(4), 2),
@@ -707,7 +744,8 @@ class TestWreathRoute:
         assert [(c.class_id, c.n, c.key, c.representative.perms) for c in m.classes] == [
             (c.class_id, c.n, c.key, c.representative.perms) for c in ref.classes
         ]
-        assert list(m.add_table.items()) == list(ref.add_table.items())
+        pairs = list(itertools.product(range(len(m.classes)), repeat=2))
+        assert [m.add(i, j) for i, j in pairs] == [ref.add(i, j) for i, j in pairs]
         assert all(m._chains[n].auts == ref._chains[n].auts for n in range(n_max + 1))
 
 
