@@ -415,7 +415,9 @@ class KClassMonoid:
     """Truncated abelian monoid of bundle classes under the subdirect product.
 
     add(i, j) is the class id of the sum, or None when the sum's fiber power
-    exceeds n_max; each sum is computed when first asked for and kept.
+    exceeds n_max; each sum is computed when first asked for and kept.  The
+    classes are stored in power order, and the classes of power n are the
+    slice from _starts[n] to _starts[n + 1].
     """
 
     base: Graph
@@ -425,10 +427,13 @@ class KClassMonoid:
     _keys: Mapping[int, Mapping[tuple, int]] = field(default_factory=dict)
     _chains: Mapping[int, _Chain] = field(default_factory=dict)
     _fresh: tuple[bool, ...] = ()
+    _starts: tuple[int, ...] = ()
     _sums: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
 
     def classes_at(self, n: int) -> tuple[BundleClass, ...]:
-        return tuple(c for c in self.classes if c.n == n)
+        if n not in range(self.n_max + 1):
+            return ()
+        return self.classes[self._starts[n] : self._starts[n + 1]]
 
     def _check_power(self, n: int) -> None:
         if n < 0:
@@ -438,7 +443,7 @@ class KClassMonoid:
 
     def trivial_class(self, n: int) -> BundleClass:
         self._check_power(n)
-        return self.classes_at(n)[0]
+        return self.classes[self._starts[n]]
 
     def classify(self, fv: FiberVoltage, n: int) -> int:
         """Class id of a voltage with fiber equal to the n-th fiber power."""
@@ -496,6 +501,7 @@ def enumerate_bundle_classes(
     chains: dict[int, _Chain] = {}
     keys_by_n: dict[int, dict[tuple, int]] = {}
     classes: list[BundleClass] = []
+    starts = [0]
 
     conjugations = 0
     for n in range(n_max + 1):
@@ -515,8 +521,9 @@ def enumerate_bundle_classes(
             classes.append(BundleClass(base, n, class_id, rep, key))
             keys_by_n[n][key] = class_id
         conjugations = chain.conjugations
+        starts.append(len(classes))
 
-    return KClassMonoid(base, fiber, n_max, tuple(classes), keys_by_n, chains, fresh)
+    return KClassMonoid(base, fiber, n_max, tuple(classes), keys_by_n, chains, fresh, tuple(starts))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ the same test to every formula output and hold the kernel to the dense
 The eigensolver is the universal numeric oracle for every spectral claim in
 the package, and it calls nothing from ``np.linalg``.  :func:`spectrum`
 reduces a dense symmetric matrix to tridiagonal form by Householder
-reflections, each a symmetric rank-2 update of the trailing block, and
-solves the tridiagonal matrix by implicit QL with a Wilkinson shift
-(EISPACK ``tql1``) on plain Python floats: O(n³) per solve, with no
-matrix-matrix product.  It refuses non-finite input and raises when
+reflections (EISPACK ``tred1``), each a symmetric rank-2 update of the
+trailing block, and solves the tridiagonal matrix by implicit QL with a
+Wilkinson shift (EISPACK ``tql1``) on plain Python floats: O(n³) per
+solve, with no matrix-matrix product.  A column whose part below the
+subdiagonal is negligible against ε‖A‖_F is not reflected, so a product
+whose trailing block turns scalar after a few steps, such as K6 ⊠ K8,
+pays for those steps alone.  It refuses non-finite input and raises when
 QL_MAX_ITERATIONS sweeps leave an eigenvalue unisolated.  The tests keep a
 cyclic Jacobi solver as an independent reference route.
 
@@ -194,30 +197,47 @@ def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
     tridiagonal T with the same eigenvalues; returns T's diagonal and
     subdiagonal as Python floats.
 
-    Step k reflects column k below its subdiagonal onto its first entry:
-    H = I − 2vvᵀ with unit v, applied to the trailing block A₂₂ as the
-    symmetric rank-2 update A₂₂ ← A₂₂ − vwᵀ − wvᵀ, where p = A₂₂v and
-    w = 2(p − (vᵀp)v).  That is HA₂₂H without a dense H or a matrix-matrix
-    product: O(m²) per step on an m-row block, O(n³) in all.  A column whose
-    entries below the subdiagonal are already zero is left alone, so a
-    diagonal or zero array comes back exactly.  The reflected columns are
-    not cleared: T is read from the diagonal and the subdiagonal alone.
+    Step k looks at x, column k from its subdiagonal down.  When x[1:] is
+    negligible, ‖x[1:]‖² ≤ (ε‖A‖_F)² with ε = 2⁻⁵² and ‖A‖_F read once
+    from the input, the column is skipped and T keeps x₀ as its subdiagonal
+    entry.  The dropped entries, from at most n − 2 columns and their
+    mirror rows, move the eigenvalues by at most √(2n)·ε‖A‖_F (Weyl's
+    theorem; similarity keeps ‖A‖_F), the order of the reflections' own
+    backward error.  So a zero or diagonal array comes back exactly, and
+    once what is left to reduce is a multiple of I plus roundoff no further
+    column is reflected: K6 ⊠ K8 takes one reflection, and one more of that
+    roundoff at most.  ‖x[1:]‖² is summed from x[1:] itself: as ‖x‖² − x₀²
+    it would round away entries up to about 1e-8·|x₀|, which split a
+    degenerate pair to first order.
+
+    Any other column is reflected onto its first entry in EISPACK ``tred1``
+    form: with u = x − αe₁ unnormalized and h = ‖u‖²/2 = ‖x‖² − αx₀,
+    p = A₂₂u/h and w = p − (uᵀp/2h)u, the trailing block takes the
+    symmetric rank-2 update A₂₂ ← A₂₂ − uwᵀ − wuᵀ.  That is HA₂₂H for
+    H = I − uuᵀ/h, without a dense H, a matrix-matrix product or a
+    normalization of u: O(m²) per step on an m-row block, O(n³) in all.
+    The reflected columns are not cleared: T is read from the diagonal and
+    the subdiagonal alone.
     """
     n = a.shape[0]
+    tiny = (2.0**-52) ** 2 * float(np.vdot(a, a))
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        if not x[1:].any():
+        tail = x[1:] @ x[1:]
+        if tail <= tiny:
             continue
-        alpha = -math.copysign(math.sqrt(x @ x), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(v @ v)
+        x0 = float(x[0])
+        s = x0 * x0 + tail
+        alpha = -math.copysign(math.sqrt(s), x0)
+        h = s - alpha * x0
+        u = x.copy()
+        u[0] -= alpha
         a[k + 1, k] = alpha
         block = a[k + 1 :, k + 1 :]
-        p = block @ v
-        w = 2.0 * (p - (v @ p) * v)
-        block -= v[:, None] * w
-        block -= w[:, None] * v
+        p = (block @ u) / h
+        w = p - ((u @ p) / (2.0 * h)) * u
+        block -= u[:, None] * w
+        block -= w[:, None] * u
     return a.diagonal().tolist(), a.diagonal(-1).tolist()
 
 

@@ -485,6 +485,20 @@ class TestEquivalenceAgainstAutEnumeration:
         with pytest.raises(SearchBudgetExceeded), graphs.node_budget(3):
             bundles_equivalent(b, b)
 
+    @pytest.mark.xfail(
+        raises=SearchBudgetExceeded,
+        reason="ROADMAP item 20: the conjugator search places root points in the order of b1's "
+        "stored vertices, so a shuffled b1 leaves points with no placed neighbour",
+    )
+    def test_a_shuffled_first_total_finds_its_witness_within_budget(self):
+        # The swapped pair finds its witness in well under a millisecond;
+        # with the shuffled total first, 10^4 nodes run out.
+        b = voltage_bundle(trivial_voltage(cycle_graph(4), cycle_graph(16)))
+        shuffled = reverified(b, random.Random(7))
+        with graphs.node_budget(10**4):
+            assert bundles_equivalent(b, shuffled) is not None
+            assert bundles_equivalent(shuffled, b) is not None
+
 
 class TestTriviality:
     def test_prism_trivial(self, c3, k2):

@@ -485,6 +485,21 @@ class TestSumsOnDemand:
         assert [(chain.conjugations, len(chain._split)) for chain in m._chains.values()] == spent
 
 
+@pytest.mark.parametrize(
+    "base,n_max",
+    [(cycle_graph(3), 3), (K4_MINUS_E, 3), (path_graph(3), 3)],
+    ids=["c3-k2", "k4-e-k2", "p3-k2"],
+)
+def test_classes_at_is_the_power_filter(k2, base, n_max):
+    # classes_at slices the power-ordered classes; the filter over all of
+    # them is the definition, and a power outside 0..n_max has no class.
+    m = enumerate_bundle_classes(base, k2, n_max)
+    for n in range(-1, n_max + 2):
+        assert m.classes_at(n) == tuple(c for c in m.classes if c.n == n)
+        if 0 <= n <= n_max:
+            assert m.trivial_class(n) == m.classes_at(n)[0]
+
+
 class TestAgainstAllAssignments:
     @pytest.mark.parametrize(
         "base,fiber,n_max",

@@ -348,6 +348,18 @@ class TestJacobiAgainstLapack:
         # until the iteration cap, so QL deflates relative to the norm of T.
         assert_matches_references(adjacency_matrix(g).data)
 
+    def test_small_entry_below_an_order_one_pivot(self):
+        # A ±1 pair with a 1 on the diagonal: eigenvalue 1 is double until
+        # the 1e-9 below column 0's subdiagonal couples (1, 1, 0)/√2 with
+        # e₂ and splits it by about 1e-9·√2.  The entry is far above the
+        # skip threshold, but ‖x‖² − x₀² = (1 + 1e-18) − 1 rounds it to 0.
+        delta = 1e-9
+        sym = np.array([[0.0, 1.0, delta], [1.0, 0.0, 0.0], [delta, 0.0, 1.0]])
+        ours = spectrum(Matrix(sym)).eigenvalues
+        reference = sorted(np.linalg.eigvalsh(sym), reverse=True)
+        assert reference[0] - reference[1] > delta
+        assert all(abs(x - y) < 1e-12 for x, y in zip(ours, reference))
+
     @pytest.mark.parametrize("scale", [1e-200, 1e3, 1e4, 1e6, 1e200])
     def test_scaled_random_symmetric(self, scale):
         # Rounding leaves about eps·|a| in every entry, which an absolute
@@ -381,6 +393,37 @@ class TestJacobiAgainstLapack:
         a = adjacency_matrix(product(make1(k1), make2(k2)))
         assert 12 <= a.rows <= 48
         assert_matches_references(a.data)
+
+
+class CountingArray(np.ndarray):
+    """An array whose 2-D ``@`` counts: each Householder reflection makes
+    exactly one matrix-vector product, with its trailing block."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if self.ndim == 2:
+            CountingArray.products += 1
+        return np.ndarray.__matmul__(self, other)
+
+
+def reflections(a):
+    CountingArray.products = 0
+    matrices._tridiagonalize(np.array(a, dtype=float).view(CountingArray))
+    return CountingArray.products
+
+
+def test_reflections_stop_once_the_trailing_block_is_scalar():
+    # K6 ⊠ K8 is K48, with adjacency J − I.  The Krylov space of e₁ is
+    # spanned by e₁ and the all-ones vector, and its complement lies in the
+    # −1 eigenspace: one reflection leaves a trailing block that is −I plus
+    # a rank-one term on its first row and column, plus roundoff.  The
+    # next column below its subdiagonal is that roundoff alone, which may
+    # take one more reflection, and then nothing is left to reduce.
+    a = adjacency_matrix(strong_product(complete_graph(6), complete_graph(8))).data
+    assert reflections(a) <= 2
+    # A matrix with no such structure reflects every column but the last two.
+    assert reflections(random_symmetric(48, 48)) == 46
 
 
 def test_spectrum_does_not_use_linalg(monkeypatch):
