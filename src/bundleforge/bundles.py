@@ -400,7 +400,7 @@ def _check_local_triviality(base: Graph, edges: _Buckets, fiber: Graph) -> None:
     search per distinct shape, made when base.ends first reaches it, and
     one shape built per edge kind.  Kinds whose cross edges were filed in
     different orders share a shape."""
-    m, bvs, budget = fiber.n, base.vertices, graphs.current_budget.get()
+    m, bvs = fiber.n, base.vertices
     (_, shapes, edge_kinds, keys), k2f, low = edges, fiber.box_k2_profile, (1 << m) - 1
     # Every fiber has m vertices here: FiberNotIsomorphic is raised first.
     within = [low] * m + [low << m] * m
@@ -415,7 +415,7 @@ def _check_local_triviality(base: Graph, edges: _Buckets, fiber: Graph) -> None:
             pairs = tuple(sorted(fiber_edges + [(r, m + s) for r, s in between]))
             boxed = by_shape.get(pairs)
             if boxed is None:
-                boxed = by_shape[pairs] = bool(search_shape(_neighbours(2 * m, pairs), k2f, budget, 1, within)[0])
+                boxed = by_shape[pairs] = next(search_shape(_neighbours(2 * m, pairs), k2f, within), None) is not None
             by_kind[kind] = boxed
         if not boxed:
             edge = f"({bvs[a]!r}, {bvs[b]!r})"
@@ -442,7 +442,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     """
     if p.domain is not total and p.domain != total:
         raise TotalMismatch(f"the projection's domain {p.domain!r} is not the total space {total!r}")
-    base, profile, budget = p.codomain, fiber.profile, graphs.current_budget.get()
+    base, profile = p.codomain, fiber.profile
     over = p.position_map
     fibers, rank = _positions_over(over, base.n)
     local = kinds, shapes, edge_kinds, keys = _local_edges(p, fibers, rank)
@@ -451,8 +451,7 @@ def verify_bundle(total: Graph, p: GraphMorphism, fiber: Graph) -> GraphBundle:
     sigma = [0] * total.n
     for v, xs, kind in zip(base.vertices, fibers, kinds):
         if kind not in placed:
-            found, _ = search_shape(_neighbours(*shapes[kind]), profile, budget, 1)
-            placed[kind] = found[0] if found else None
+            placed[kind] = next(search_shape(_neighbours(*shapes[kind]), profile), None)
         at = placed[kind]
         if at is None:
             raise FiberNotIsomorphic(f"fiber over {v!r} is not isomorphic to the fiber graph")

@@ -19,14 +19,15 @@ The isomorphism search is one kernel over vertex positions, search_shape:
 it takes g as its shape (each position's neighbour positions, increasing,
 as neighbor_indices holds them) and h as a SearchProfile (signature
 classes and neighbours as bitmasks, the signature histogram and the edge
-count), and returns image positions.  It places g's positions in
-connectivity order, each next to those already placed where one is, so
-the order a graph is stored in does not decide what the search costs;
-the witness stays deterministic.  find_isomorphism and automorphisms each
-read one call of it back in labels, and verify_bundle hands it the shapes
-it builds from the total's filed edges; a Graph caches its own profile
-and that of K2 □ itself, which local triviality searches against.  The
-node budget in scope alone bounds every search.
+count), and yields image positions, each found only when the next is
+asked for.  It places g's positions in connectivity order, each next to
+those already placed where one is, so the order a graph is stored in does
+not decide what the search costs; the witnesses stay deterministic.
+find_isomorphism takes the first match and automorphisms all of them,
+read back in labels, and verify_bundle hands it the shapes it builds from
+the total's filed edges; a Graph caches its own profile and that of
+K2 □ itself, which local triviality searches against.  The node budget in
+scope alone bounds every search, and the kernel reads it itself.
 """
 
 from __future__ import annotations
@@ -521,21 +522,17 @@ def _connectivity_order(shape: Sequence[Sequence[int]]) -> Optional[list[int]]:
 
 
 def search_shape(
-    shape: Sequence[Sequence[int]],
-    profile: SearchProfile,
-    budget: int,
-    limit: Optional[int] = None,
-    within: Optional[Sequence[int]] = None,
-) -> tuple[list[tuple[int, ...]], int]:
+    shape: Sequence[Sequence[int]], profile: SearchProfile, within: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, ...]]:
     """The isomorphism search, the one kernel behind find_isomorphism,
     automorphisms and verify_bundle: forward checking in the VF2 order
     (Cordella et al., IEEE TPAMI 26(10), 2004), on an explicit stack.
 
     g is given by its shape, each position's neighbour positions (as
-    neighbor_indices holds them), and h by its profile.  Returns the
-    first limit isomorphisms in search order, or all of them when limit is
-    None, each as the tuple of h-positions of g's positions 0, 1, ..., and
-    the number of nodes spent.
+    neighbor_indices holds them), and h by its profile.  Yields the
+    isomorphisms in search order, each as the tuple of h-positions of g's
+    positions 0, 1, ..., and finds each only when asked for the next: a
+    caller takes the first with next(..., None), or all by reading on.
 
     The positions of g are matched in connectivity order: next the lowest
     unplaced position with a placed neighbour, else the lowest unplaced
@@ -543,7 +540,7 @@ def search_shape(
     to a placed one (the VF2 order).  Where every position has an earlier
     neighbour or no earlier position reaches past it, that is the stored
     order, checked in one pass; otherwise g and within are permuted into
-    it, and the images are still returned by g's stored positions.
+    it, and the images are still yielded by g's stored positions.
 
     Each position i keeps a candidate domain, a bitmask over h's positions
     that starts as the positions with its signature, cut to within[i] when
@@ -557,19 +554,21 @@ def search_shape(
     of a plain backtracking search placing in the same order.  Graphs
     with different sizes, edge counts or signature histograms are rejected
     before any node is spent.  A node is one unused candidate tried from a
-    domain; the node after the budget-th raises SearchBudgetExceeded.  The
-    shape and the profile are trusted: nothing here checks that they
-    describe simple graphs.
+    domain; the node after the budget-th, the budget in scope (see
+    node_budget) when the first match is asked for, raises
+    SearchBudgetExceeded.  The shape and the profile are trusted: nothing
+    here checks that they describe simple graphs.
     """
-    found: list[tuple[int, ...]] = []
     n = len(shape)
     if n != len(profile.neighbors) or sum(map(len, shape)) != 2 * profile.edges:
-        return found, 0
+        return
     sigs = _signatures(shape)
     if _histogram(sigs) != profile.histogram:
-        return found, 0
+        return
     if n == 0:
-        return [()], 0
+        yield ()
+        return
+    budget = current_budget.get()
     order = _connectivity_order(shape)
     if order is not None:
         # Search the relabelled g whose position k is g's position order[k].
@@ -631,15 +630,11 @@ def search_shape(
                 i += 1
                 cand = dom[i] & free
                 continue
-            found.append(tuple(frame[1] for frame in stack) + (w,))
-            if len(found) == limit:
-                break
+            image = tuple(frame[1] for frame in stack) + (w,)
+            yield image if order is None else tuple(map(image.__getitem__, at))
         while len(trail) > mark:
             u, d = trail.pop()
             dom[u] = d
-    if order is not None:
-        found = [tuple(map(image.__getitem__, at)) for image in found]
-    return found, nodes
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
@@ -653,8 +648,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[Label, Label]]:
     (see node_budget) runs out; a node is one candidate tried from a
     vertex's domain.
     """
-    found, _ = search_shape(g.neighbor_indices, h.profile, current_budget.get(), 1)
-    return dict(zip(g.vertices, map(h.vertices.__getitem__, found[0]))) if found else None
+    found = next(search_shape(g.neighbor_indices, h.profile), None)
+    return None if found is None else dict(zip(g.vertices, map(h.vertices.__getitem__, found)))
 
 
 def automorphisms(g: Graph) -> list[Perm]:
@@ -664,5 +659,4 @@ def automorphisms(g: Graph) -> list[Perm]:
     The list contains the identity, is closed under composition and
     inverse, and is sorted by image tuple for determinism.
     """
-    images, _ = search_shape(g.neighbor_indices, g.profile, current_budget.get())
-    return [tuple.__new__(Perm, p) for p in sorted(images)]
+    return [tuple.__new__(Perm, p) for p in sorted(search_shape(g.neighbor_indices, g.profile))]

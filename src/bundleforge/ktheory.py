@@ -33,8 +33,9 @@ is generated from one search per type, the search of F itself when F is
 prime, and sorted as the search sorts it.  Its order and its number of
 conjugacy classes are known before it is built, and so is the cost of its
 first split, which the conjugation cap is checked against first.  A
-disconnected fiber's powers are searched; a searched group's first split
-is priced as it is listed, at f·t for f automorphisms found of t cycle types.
+disconnected fiber's powers are searched, each element listed once; a
+searched group's first split is priced as it is listed, at f·t for f
+automorphisms found of t cycle types, and at its order once listed in full.
 """
 
 from __future__ import annotations
@@ -218,13 +219,13 @@ class _Orbits:
 
 class _Chain:
     """The stabilizer chain of Aut(F^n) acting on itself by conjugation,
-    read on demand.  The group itself is read on first use: searched, or,
-    given power = (c, n) with n ≥ 2, where the fiber is the n-th box power
-    of a connected c.fiber, generated from c's prime factors.  Each
-    subgroup met is split into orbits once, by one conjugation per element
-    of the subgroup and orbit; a split that would take the count of
-    conjugations past limit raises instead, and so does reading a group
-    whose first split would, as auts and _search price it."""
+    read on demand.  The group itself is read on first use: listed by one
+    search, or, given power = (c, n) with n ≥ 2, where the fiber is the
+    n-th box power of a connected c.fiber, generated from c's prime
+    factors.  Each subgroup met is split into orbits once, by one
+    conjugation per element of the subgroup and orbit; a split that would
+    take the count of conjugations past limit raises instead, and so does
+    reading a group whose first split would, as auts and _search price it."""
 
     def __init__(
         self,
@@ -301,22 +302,23 @@ class _Chain:
         return types, slots, None if relabel == list(range(self.fiber.n)) else tuple.__new__(Perm, relabel)
 
     def _search(self) -> tuple[Perm, ...]:
-        """Aut of the fiber, sorted, searched in rounds of doubling size,
-        each with the node budget in scope.  f automorphisms with t cycle
-        types, which conjugates share, price the first split at f·t or more,
-        afforded after each round once f² no longer fits; so the first round
-        asks for the least f whose square does not, or with no limit for all."""
-        g, budget = self.fiber, graphs.current_budget.get()
-        size = None if self.limit is None else math.isqrt(self.limit - self.conjugations) + 1
+        """Aut of the fiber, sorted, listed by one search under the node
+        budget in scope, each element once.  f automorphisms of t cycle
+        types, which conjugates share, price the first split at f·t or
+        more.  Once f² no longer fits the limit, the f found are typed and
+        afforded as each next one arrives, as at least f, and the whole
+        group by its order when the search ends."""
+        g, found, types, typed = self.fiber, [], set(), 0
+        matches = graphs.search_shape(g.neighbor_indices, g.profile)
         while True:
-            found, _ = graphs.search_shape(g.neighbor_indices, g.profile, budget, size)
-            f, whole = len(found), size is None or len(found) < size
+            p, f = next(matches, None), len(found)
             if self.limit is not None and self.conjugations + f * f > self.limit:
-                types = len({tuple(Perm.cycle_type(p)) for p in found})
-                self._afford(f * types, f if whole else f"at least {f}")
-            if whole:
-                return tuple(tuple.__new__(Perm, p) for p in sorted(found))
-            size *= 2
+                types.update(tuple(Perm.cycle_type(found[k])) for k in range(typed, f))
+                typed = f
+                self._afford(f * len(types), f if p is None else f"at least {f}")
+            if p is None:
+                return tuple(tuple.__new__(Perm, q) for q in sorted(found))
+            found.append(p)
 
     def _afford(self, count: int, order: int | str) -> None:
         """Raise unless count more conjugations stay within limit."""
@@ -489,12 +491,14 @@ def enumerate_bundle_classes(
     split into orbits once, with one conjugation per element and orbit.  A
     group whose first split would pass the cap is refused: one generated
     from F's prime factors at |G| · k(G) conjugations before it is built,
-    and a searched one at f · t for the f automorphisms, of t cycle types,
-    listed so far.  The splits that count the classes of a composite F's
-    prime factors are not counted; none costs more than the first split of
-    Aut(F), which is.  Sums are keyed in stabilizers the walk has split, so
-    max_assignments counts conjugations and nothing else.  The base has no
-    cap of its own.  A fiber power over 100 vertices is never built."""
+    and a searched one, which one search lists element by element, at
+    f · t for the f automorphisms, of t cycle types, found before each next
+    one, and at its order · t once listed in full.  The splits that count
+    the classes of a composite F's prime factors are not counted; none
+    costs more than the first split of Aut(F), which is.  Sums are keyed in
+    stabilizers the walk has split, so max_assignments counts conjugations
+    and nothing else.  The base has no cap of its own.  A fiber power over
+    100 vertices is never built."""
     if n_max < 0:
         raise ValueError("enumeration needs n_max >= 0")
     cycles, fresh = _cycle_edges(base)

@@ -1022,7 +1022,7 @@ def reference_verify_bundle(total, p, fiber):
         # onto copy 2: one mask of k2f positions per vertex of the preimage.
         ends = [u for u in (v, w) for _ in fiber.vertices]
         within = [sum(1 << j for j, u in enumerate(ends) if u == p.map[x]) for x in xs]
-        if not search_shape(shape, k2f.profile, graphs.current_budget.get(), 1, within)[0]:
+        if next(search_shape(shape, k2f.profile, within), None) is None:
             local_error = LocalTrivialityFails(f"preimage of base edge ({v!r}, {w!r}) is not a box product with the fiber")
             break
     if (definition_error is None) != (local_error is None):
@@ -1112,7 +1112,7 @@ def reference_search_calls(total, p, fiber):
 
     if not validate_morphism(p)[0]:
         return calls
-    base, budget = p.codomain, graphs.current_budget.get()
+    base = p.codomain
     over = [base.index[p.map[x]] for x in total.vertices]
     fibers = [[x for x in range(total.n) if over[x] == a] for a in range(base.n)]
     try:
@@ -1120,7 +1120,7 @@ def reference_search_calls(total, p, fiber):
         for xs in fibers:
             shape = induced_adjacency(total, xs)
             if shape not in placed:
-                placed[shape] = bool(search(shape, fiber.profile, budget, 1)[0])
+                placed[shape] = next(search(shape, fiber.profile), None) is not None
             if not placed[shape]:
                 return calls
         k2f = cartesian_product(complete_graph(2), fiber).profile
@@ -1130,7 +1130,7 @@ def reference_search_calls(total, p, fiber):
         for a, b in base.ends:
             shape = tuple(tuple(sorted(nb)) for nb in induced_adjacency(total, fibers[a] + fibers[b]))
             if shape not in boxed:
-                boxed[shape] = bool(search(shape, k2f, budget, 1, within)[0])
+                boxed[shape] = next(search(shape, k2f, within), None) is not None
             if not boxed[shape]:
                 break
     except SearchBudgetExceeded:
@@ -1230,7 +1230,7 @@ class TestSearchCount:
 
         monkeypatch.setattr(bundles, "search_shape", counted)
         assert verify_bundle(b.total, b.projection, b.fiber).sigma == b.sigma
-        assert sum(len(args) == 5 for args in calls) == 2
+        assert sum(len(args) == 3 for args in calls) == 2
 
 
 class TestEquivalencePerDistinctValue:
@@ -1378,6 +1378,20 @@ class TestBudgetPins:
             m62_bundle()
         with graphs.node_budget(4):
             assert m62_bundle().fiber.n == 2
+
+    def test_conjugator_search_needs_seven_nodes(self, c3, c4):
+        """Over a triangle, a C4 reflection that fixes 0 and 2 on one edge
+        and one that fixes 1 and 3 are conjugate by a rotation; the
+        conjugator search tries seven candidates to find it: a budget of
+        six raises, seven answers."""
+        ident = Perm.identity(4)
+        b1 = voltage_bundle(FiberVoltage(c3, c4, [Perm((0, 3, 2, 1)), ident, ident]))
+        b2 = voltage_bundle(FiberVoltage(c3, c4, [Perm((2, 1, 0, 3)), ident, ident]))
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 6 nodes"), graphs.node_budget(6):
+            bundles_equivalent(b1, b2)
+        with graphs.node_budget(7):
+            witness = bundles_equivalent(b1, b2)
+        assert witness is not None and is_equivalence_witness(b1, b2, witness)
 
 
 class TestVoltageValidation:

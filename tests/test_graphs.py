@@ -329,19 +329,33 @@ class TestFibers:
         assert f.preimages["1"] == ("3", "6")
 
 
-def search(g, h, budget=graphs_mod.DEFAULT_NODE_BUDGET, limit=1, within=None):
+def search(g, h, within=None):
     """search_shape on g's shape against h's profile, read back in labels:
-    the witnesses g -> h and the nodes spent."""
-    images, nodes = search_shape(g.neighbor_indices, h.profile, budget, limit, within)
-    return [dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images], nodes
+    the witnesses g -> h in search order, each found when asked for."""
+    images = search_shape(g.neighbor_indices, h.profile, within)
+    return (dict(zip(g.vertices, map(h.vertices.__getitem__, im))) for im in images)
+
+
+def first(g, h, within=None):
+    """The first witness g -> h, or None."""
+    return next(search(g, h, within), None)
+
+
+def spends(nodes, run):
+    """What run() answers, checking that its searches spend exactly nodes
+    nodes: it raises SearchBudgetExceeded under node_budget(nodes - 1) and
+    answers under node_budget(nodes)."""
+    with pytest.raises(SearchBudgetExceeded), node_budget(nodes - 1):
+        run()
+    with node_budget(nodes):
+        return run()
 
 
 def sided(g, h, pg, ph):
     """The first isomorphism g -> h that sends each x to a y with ph[y] ==
     pg[x], or None: the kernel's sided mode, one within mask per vertex."""
     within = [sum(1 << j for j, y in enumerate(h.vertices) if ph[y] == pg[x]) for x in g.vertices]
-    found, _ = search(g, h, within=within)
-    return found[0] if found else None
+    return first(g, h, within)
 
 
 REFERENCE_WITNESS = {str(i): str(i) for i in range(1, 13)}
@@ -407,16 +421,27 @@ class TestConnectivityOrder:
     # counts are those of a search in stored order.
 
     def test_prism_pair_keeps_its_witness_and_node_count(self):
-        assert search(hexagonal_prism(), twisted_hexagonal_ladder()) == ([REFERENCE_WITNESS], 21)
+        g, h = hexagonal_prism(), twisted_hexagonal_ladder()
+        assert spends(21, lambda: first(g, h)) == REFERENCE_WITNESS
 
     def test_box_product_keeps_its_witness_and_node_count(self):
         g = cartesian_product(cycle_graph(6), cycle_graph(4))
         h = cartesian_product(cycle_graph(4), cycle_graph(6))
-        witnesses, nodes = search(g, h)
-        assert witnesses == [{v: pair_label(*reversed(split_pair_label(v))) for v in g.vertices}]
-        assert nodes == 76
-        auts, nodes = search(g, g, limit=None)
-        assert (len(auts), nodes) == (96, 3720)
+        witness = spends(76, lambda: first(g, h))
+        assert witness == {v: pair_label(*reversed(split_pair_label(v))) for v in g.vertices}
+        assert len(spends(3720, lambda: list(search(g, g)))) == 96
+
+    def test_stored_order_check_reads_the_highest_earlier_neighbour(self):
+        # 0-1-4 and 2-3: position 1 reaches past 2 and 3 to 4, so 4 is
+        # placed before them.  A check that read a position's lowest
+        # neighbour in place of its highest would keep the stored order.
+        assert graphs_mod._connectivity_order([[1], [0, 4], [3], [2], [1]]) == [0, 1, 4, 2, 3]
+
+    def test_breadth_first_stored_order_is_kept(self):
+        # Each position of a breadth-first numbering is the lowest unplaced
+        # one with a placed neighbour: a tree, and C6 from one vertex.
+        assert graphs_mod._connectivity_order([[1, 2], [0, 3, 4], [0], [1], [1]]) is None
+        assert graphs_mod._connectivity_order([[1, 2], [0, 3], [0, 4], [1, 5], [2, 5], [3, 4]]) is None
 
     def test_masks_follow_their_positions(self):
         # a-c-b stored as a, b, c: c is placed before b, and each keeps
@@ -793,13 +818,14 @@ class TestSearchAgainstReference:
         g, h = pair
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
         expected = reference.run()
-        witnesses, nodes = search(g, h)
-        found = witnesses[0] if witnesses else None
+        # With the reference's node count as the budget, the search must
+        # answer: it may not try more nodes.
+        with node_budget(reference.nodes):
+            found = first(g, h)
         assert found == expected
         if found is not None:
             assert list(found.items()) == list(expected.items())
         assert find_isomorphism(g, h) == expected
-        assert nodes <= reference.nodes
 
     @given(graph_up_to_8())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -813,9 +839,9 @@ class TestSearchAgainstReference:
     def test_prism_and_twisted_ladder_witness(self):
         g, h = hexagonal_prism(), twisted_hexagonal_ladder()
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        witnesses, nodes = search(g, h)
-        assert list(witnesses[0].items()) == list(reference.run().items())
-        assert nodes <= reference.nodes
+        expected = reference.run()
+        with node_budget(reference.nodes):
+            assert list(first(g, h).items()) == list(expected.items())
 
     @given(regular_pair())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -823,21 +849,20 @@ class TestSearchAgainstReference:
         g, h = pair
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
         expected = reference.run()
-        witnesses, nodes = search(g, h)
-        found = witnesses[0] if witnesses else None
+        with node_budget(reference.nodes):
+            found = first(g, h)
         assert found == expected
         if found is not None:
             assert list(found.items()) == list(expected.items())
-        assert nodes <= reference.nodes
 
     @given(regular_graph_10_to_24())
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_regular_graphs_same_automorphisms_and_no_more_nodes(self, g):
         expected, nodes = reference_automorphisms(g)
-        witnesses, spent = search(g, g, limit=None)
+        with node_budget(nodes):
+            witnesses = list(search(g, g))
         found = sorted(Perm(tuple(g.index[m[v]] for v in g.vertices)) for m in witnesses)
         assert found == expected
-        assert spent <= nodes
 
     def test_mixed_base_pair_spends_a_tenth_of_the_reference_nodes(self):
         # The paper's mixed-base figure check: forward checking prunes the
@@ -846,14 +871,14 @@ class TestSearchAgainstReference:
         g = mixed_base_subdirect(m3_bundle(), c6k2_bundle(), link).graph
         h = mixed_base_figure_24()
         reference = ReferenceIsoSearch(g, h, graphs_mod.DEFAULT_NODE_BUDGET)
-        witnesses, nodes = search(g, h)
-        assert list(witnesses[0].items()) == list(reference.run().items())
-        assert 10 * nodes < reference.nodes
+        expected = reference.run()
+        with node_budget((reference.nodes - 1) // 10):
+            assert list(first(g, h).items()) == list(expected.items())
         # The count is deterministic.  Without the check for emptied
         # domains the same search spends 266 nodes; the reference 2,164.
         # In stored order, whose second vertex is not adjacent to the
         # first, the search spent 2,109 and the reference 38,993.
-        assert nodes == 49
+        assert spends(49, lambda: first(g, h)) == expected
 
     def test_histogram_mismatch_spends_no_nodes(self):
         # P5 and a triangle plus an edge share n, |E| and the degree
@@ -861,6 +886,7 @@ class TestSearchAgainstReference:
         g = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
         h = make_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 1), (4, 5)])
         assert degree_sequence(g) == degree_sequence(h)
-        assert search(g, h, 0) == ([], 0)
+        with node_budget(0):
+            assert list(search(g, h)) == []
         with pytest.raises(SearchBudgetExceeded):
             ReferenceIsoSearch(g, h, 0).run()

@@ -839,6 +839,15 @@ class TestPowersPastTheSearchBound:
             enumerate_bundle_classes(c3, cycle_graph(5), 4)
         assert generated == [2]
 
+    def test_power_bound_admits_exactly_one_hundred_vertices(self, p3):
+        # C10^2 has 100 vertices, the bound itself: it is built, and over a
+        # path each power has one class.  C101 is one vertex past it.
+        m = enumerate_bundle_classes(p3, cycle_graph(10), 2)
+        assert [len(m.classes_at(n)) for n in range(3)] == [1, 1, 1]
+        assert m.classes_at(2)[0].representative.fiber.n == 100
+        with pytest.raises(EnumerationBoundExceeded, match="^fiber power 1 has 101 vertices, enumeration capped at 100$"):
+            enumerate_bundle_classes(p3, cycle_graph(101), 1)
+
 
 class TestSearchesPerEnumeration:
     @pytest.fixture
@@ -889,22 +898,25 @@ class TestSearchesPerEnumeration:
 
 # --- Searched groups, priced while they are listed --------------------------
 #
-# A searched group has no vertex bound.  The search lists it in rounds of
-# doubling size, and after each round the first split is priced at f·t
-# conjugations for the f automorphisms found, of t distinct cycle types.
+# A searched group has no vertex bound.  One search lists it, and as each
+# automorphism arrives the first split is priced at f·t conjugations for
+# the f automorphisms found before it, of t distinct cycle types.
 
 
 class TestPricedSearch:
     @pytest.fixture
     def listed(self, monkeypatch):
-        """The number of isomorphisms each search_shape call returns."""
+        """The number of isomorphisms each search_shape call yields, each
+        counted when its caller asks for the next: a match the caller
+        refuses at is not counted."""
         counts = []
         search = graphs.search_shape
 
         def spy(*args, **kwargs):
-            found, nodes = search(*args, **kwargs)
-            counts.append(len(found))
-            return found, nodes
+            counts.append(0)
+            for match in search(*args, **kwargs):
+                yield match
+                counts[-1] += 1
 
         monkeypatch.setattr(graphs, "search_shape", spy)
         return counts
@@ -932,7 +944,15 @@ class TestPricedSearch:
             match=r"^the stabilizer chain of at least \d+ fiber automorphisms needs over 1000000 conj",
         ):
             enumerate_bundle_classes(c3, fiber, n)
-        assert sum(listed) < 2**17
+        assert sum(listed) < 2**16
+
+    def test_each_automorphism_is_listed_once(self, listed, c3):
+        # S8 has 40,320 elements in 22 classes: its first split takes
+        # 887,040 conjugations, within the default cap, and one search
+        # lists each element once.
+        monoid = enumerate_bundle_classes(c3, complete_graph(8), 1)
+        assert [len(monoid.classes_at(n)) for n in range(2)] == [1, 22]
+        assert listed == [40320]
 
     def test_only_a_group_listed_in_full_is_named_by_its_order(self, listed, c3):
         # S6 has 720 elements in 11 classes, one cycle type each: its first

@@ -537,6 +537,18 @@ class TestMixedBaseDiagnostic:
         with pytest.raises(BaseMismatch):
             mixed_base_subdirect(m3_bundle(), c6k2_bundle(), identity_morphism(c4))
 
+    def test_link_with_the_wrong_codomain_is_refused(self, c6):
+        # From the second base, C6, but into itself, not into the first.
+        assert c6k2_bundle().base == c6 != m3_bundle().base
+        with pytest.raises(BaseMismatch, match="^link must map the second base onto the first base$"):
+            mixed_base_subdirect(m3_bundle(), c6k2_bundle(), identity_morphism(c6))
+
+    def test_link_with_the_wrong_domain_is_refused(self, c3):
+        # Into the first base, C3, but from it, not from the second.
+        assert m3_bundle().base == c3 != c6k2_bundle().base
+        with pytest.raises(BaseMismatch, match="^link must map the second base onto the first base$"):
+            mixed_base_subdirect(m3_bundle(), c6k2_bundle(), identity_morphism(c3))
+
 
 def all_pairs_typed_edges(left, left_to_target, right, right_to_target, target, label_fn):
     """Reference three-kind rule: test every pair of compatible vertices,
